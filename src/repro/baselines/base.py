@@ -50,8 +50,20 @@ class BaseAutoconfAgent:
         return self.ip is not None and self.node.alive
 
     def is_allocator(self) -> bool:
-        """Can this node configure new entrants?  Default: if configured."""
-        return self.is_configured()
+        """Can this node configure new entrants?"""
+        return self.node.alive and self._can_allocate()
+
+    def _can_allocate(self) -> bool:
+        """:meth:`is_allocator` with liveness left out.  Default: if
+        configured."""
+        return self.ip is not None
+
+    def _note_allocator(self) -> None:
+        """Write :meth:`_can_allocate` through to the registry column
+        ``NetworkContext.is_head`` answers from.  Message handlers are
+        covered by :meth:`on_message`; any other code that changes what
+        :meth:`_can_allocate` reads calls this itself."""
+        self.ctx.agents.note_allocator(self.node_id, self._can_allocate())
 
     # ------------------------------------------------------------------
     def _send(self, dst_id: int, mtype: str, payload: Dict[str, Any],
@@ -95,6 +107,7 @@ class BaseAutoconfAgent:
         handler = getattr(self, f"_handle_{msg.mtype.lower()}", None)
         if handler is not None:
             handler(msg)
+            self._note_allocator()
 
     def _on_retry_timeout(self) -> None:
         raise NotImplementedError
@@ -103,6 +116,7 @@ class BaseAutoconfAgent:
     def _mark_configured(self, ip: int, latency_hops: int) -> None:
         self._retry_timer.stop()
         self.ip = ip
+        self._note_allocator()
         self.configured_at = self.ctx.sim.now
         self.config_latency_hops = latency_hops
         self.ctx.bind_ip(ip, self.node_id)
@@ -116,6 +130,7 @@ class BaseAutoconfAgent:
         if not self.node.alive:
             return
         self._stop_timers()
+        self._note_allocator()  # a departing allocator gave its pool away
         if self.ip is not None:
             self.ctx.unbind_ip(self.ip)
         self.node.kill()

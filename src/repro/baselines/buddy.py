@@ -65,9 +65,9 @@ class BuddyAgent(BaseAutoconfAgent):
         self._sync_timer: Optional[PeriodicTimer] = None
         self._redirect_target: Optional[int] = None
 
-    def is_allocator(self) -> bool:
+    def _can_allocate(self) -> bool:
         return (
-            self.is_configured()
+            self.ip is not None
             and self.pool is not None
             and self.pool.free_count() > 0
         )
@@ -212,6 +212,8 @@ class BuddyAgent(BaseAutoconfAgent):
                 for block in agent.pool.take_all():
                     self.pool.absorb_block(block)
                 self.pool.absorb_free_many([ip])
+                agent._note_allocator()
+                self._note_allocator()
                 self._flood(BD_CLAIM, {"of": node_id}, Category.RECLAMATION)
 
     def _handle_bd_claim(self, msg: Message) -> None:

@@ -80,9 +80,9 @@ class CTreeAgent(BaseAutoconfAgent):
         self.coordinator_last_report: Dict[int, float] = {}
         self._reclaiming: Set[int] = set()
 
-    def is_allocator(self) -> bool:
+    def _can_allocate(self) -> bool:
         return (
-            self.is_configured()
+            self.ip is not None
             and self.is_coordinator
             and self.pool is not None
             and self.pool.free_count() > 0
@@ -279,6 +279,8 @@ class CTreeAgent(BaseAutoconfAgent):
                 self.pool.absorb_block(block)
             if agent.ip is not None:
                 self.pool.absorb_free_many([agent.ip])
+            agent._note_allocator()
+            self._note_allocator()
 
     def _handle_ct_collect(self, msg: Message) -> None:
         if self.is_configured() and not self.is_root:

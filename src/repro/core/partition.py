@@ -21,7 +21,7 @@ minority-rejoins semantics, made well-defined (documented in DESIGN.md).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import FrozenSet, Optional
 
 from repro.addrspace.block import Block
 from repro.cluster.roles import HEAD_SCOPE_HOPS, Role
@@ -87,7 +87,10 @@ class PartitionMixin:
     def _merge_scan(self) -> None:
         if not self.is_configured() or self.network_id is None:
             return
-        self._orphan_check()
+        # One component-table lookup serves both checks below.
+        _heads, head_networks, networks = self.ctx.component_entry(
+            self.node_id)
+        self._orphan_check(head_networks)
         if self._rejoining or not self.is_configured():
             return
         # O(1) pre-check on the shared component table: when every
@@ -96,7 +99,6 @@ class PartitionMixin:
         # a subset of the component).  Partitions are homogeneous except
         # in the short window after two networks meet, so the scan
         # below runs only while there is actually something to merge.
-        networks = self.ctx.component_networks(self.node_id)
         if len(networks) == 1 and self.network_id in networks:
             return
         for other_id, _hops in self.ctx.topology.within_hops(
@@ -109,7 +111,7 @@ class PartitionMixin:
                 self._on_foreign_network_id(other_net, other_id)
                 return
 
-    def _orphan_check(self) -> None:
+    def _orphan_check(self, networks: FrozenSet[Optional[int]]) -> None:
         """Orphan rescue: a common node that can reach heads, but none
         of its own network, has been left behind by a merge or refound.
         Its network ID would otherwise block it from ever rejoining
@@ -119,10 +121,10 @@ class PartitionMixin:
             self._orphan_strikes = 0
             return
         # Orphan rescue asks the whole partition whether any head of the
-        # node's own network still exists.  The shared per-component
-        # head table answers in O(1); every node walking its own
-        # component per scan made the scan round O(n^2).
-        networks = self.ctx.component_head_networks(self.node_id)
+        # node's own network still exists.  ``networks`` is the answer
+        # off the shared per-component head table (the networks that
+        # still have a head here); every node walking its own component
+        # per scan made the scan round O(n^2).
         any_head = bool(networks)
         if self.network_id in networks:
             self._orphan_strikes = 0

@@ -131,6 +131,7 @@ class QuorumProtocolAgent(
         # to walk the agent objects (see repro.net.agents.AgentStore).
         self._role = value
         self.ctx.agents.note_role(self.node.node_id, value.value)
+        self._note_allocator()
 
     @property
     def head(self) -> Optional[HeadState]:
@@ -147,6 +148,7 @@ class QuorumProtocolAgent(
         node_id = self.node.node_id
         if flipped:
             agents.note_head_state(node_id)
+            self._note_allocator()
         if state is None:
             agents.note_qdset_size(node_id, 0)
         else:
@@ -154,6 +156,13 @@ class QuorumProtocolAgent(
             qdset.on_change = (
                 lambda size: agents.note_qdset_size(node_id, size))
             agents.note_qdset_size(node_id, len(qdset))
+
+    def _note_allocator(self) -> None:
+        """Write :meth:`is_allocator`, liveness aside, through to the
+        registry column ``NetworkContext.is_head`` answers from."""
+        self.ctx.agents.note_allocator(
+            self.node.node_id,
+            self._role is Role.HEAD and getattr(self, "_head", None) is not None)
 
     @property
     def network_id(self) -> Optional[int]:

@@ -21,11 +21,13 @@ registry:
 * **Write-through columns, authoritative objects.**  The protocol and
   the context push column updates at the natural transition points
   (role assignment, ``bind_ip``/``unbind_ip``, QDSet add/remove, vote
-  timer arm/cancel) via the ``note_*`` methods.  Semantics are
-  unchanged: the agent object remains the authority (``is_head`` /
-  ``is_configured`` still ask it); the columns are the O(1)-per-update,
+  timer arm/cancel) via the ``note_*`` methods.  The agent object
+  remains the authority and the columns are the O(1)-per-update,
   O(n)-scan-free aggregate surface that sweeps, benches and the obs
-  layer read.
+  layer read.  One column is load-bearing: ``is_head`` answers from
+  the allocator byte alone, so :meth:`AgentStore.note_allocator` is an
+  obligation on every agent type (``is_configured`` still asks the
+  agent).
 
 * **Tombstoned eviction + compaction.**  ``evict`` clears a slot in
   O(1); once tombstones exceed half the slot space (same
@@ -77,6 +79,9 @@ class AgentStore:
         self.agents: List[Optional[Any]] = []
         #: slot -> interned role code (index into ``role_names``).
         self.role_codes: bytearray = bytearray()
+        #: slot -> 1 while the agent can allocate (its ``is_allocator()``
+        #: with liveness left out), else 0.
+        self.allocators: bytearray = bytearray()
         #: slot -> bound address, or :data:`NO_ADDRESS`.
         self.addresses: array = array("q")
         #: slot -> QDSet size (0 for non-heads / non-quorum agents).
@@ -129,6 +134,7 @@ class AgentStore:
         self.ids.append(node_id)
         self.agents.append(agent)
         self.role_codes.append(0)
+        self.allocators.append(0)
         self.addresses.append(NO_ADDRESS)
         self.qdset_sizes.append(0)
         self.vote_timers.append(0)
@@ -139,6 +145,7 @@ class AgentStore:
     def _snapshot(self, slot: int, agent: Any) -> None:
         """Initialize the columns from whatever the agent already has."""
         self.role_codes[slot] = self._intern_role(_role_name(agent))
+        self.allocators[slot] = 0
         ip = getattr(agent, "ip", None)
         self.addresses[slot] = NO_ADDRESS if ip is None else int(ip)
         self.qdset_sizes[slot] = 0
@@ -151,6 +158,7 @@ class AgentStore:
             return False
         self.agents[slot] = None
         self.role_codes[slot] = 0
+        self.allocators[slot] = 0
         self.addresses[slot] = NO_ADDRESS
         self.qdset_sizes[slot] = 0
         self.vote_timers[slot] = 0
@@ -175,6 +183,7 @@ class AgentStore:
         self.ids = [self.ids[s] for s in keep]
         self.agents = [self.agents[s] for s in keep]
         self.role_codes = bytearray(self.role_codes[s] for s in keep)
+        self.allocators = bytearray(self.allocators[s] for s in keep)
         self.addresses = array("q", (self.addresses[s] for s in keep))
         self.qdset_sizes = array("q", (self.qdset_sizes[s] for s in keep))
         self.vote_timers = array("q", (self.vote_timers[s] for s in keep))
@@ -265,6 +274,19 @@ class AgentStore:
         the flip versions the derived per-component head tables even
         when the role write-through has not happened yet."""
         self.role_epoch += 1
+
+    def note_allocator(self, node_id: int, allocator: bool) -> None:
+        """Record whether a node can currently allocate addresses.
+
+        The column *is* the answer to
+        :meth:`~repro.net.context.NetworkContext.is_head` (which only
+        adds the liveness check), so every agent type must call this
+        whenever what its ``is_allocator()`` reads — liveness aside —
+        changes.  A flip versions the derived head tables."""
+        slot = self.slot_of.get(node_id)
+        if slot is not None and self.allocators[slot] != allocator:
+            self.allocators[slot] = allocator
+            self.role_epoch += 1
 
     def note_address(self, node_id: int, address: Optional[int]) -> None:
         slot = self.slot_of.get(node_id)

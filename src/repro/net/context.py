@@ -117,11 +117,14 @@ class NetworkContext:
     # Role queries (used by hello-derived knowledge)
     # ------------------------------------------------------------------
     def is_head(self, node_id: int) -> bool:
-        agent = self.agents.get(node_id)
-        node = self.topology.get(node_id)
-        if agent is None or node is None or not node.alive:
+        # The agent's ``is_allocator()`` minus liveness, read off the
+        # registry's write-through column (see AgentStore.note_allocator).
+        agents = self.agents
+        slot = agents.slot_of.get(node_id)
+        if slot is None or not agents.allocators[slot]:
             return False
-        return bool(getattr(agent, "is_allocator", lambda: False)())
+        node = self.topology.get(node_id)
+        return node is not None and node.alive
 
     def is_configured(self, node_id: int) -> bool:
         agent = self.agents.get(node_id)
@@ -136,10 +139,13 @@ class NetworkContext:
     _NO_HEADS: Tuple[Tuple[int, ...], FrozenSet[Optional[int]],
                      FrozenSet[Optional[int]]] = ((), frozenset(), frozenset())
 
-    def _component_heads_entry(
+    def component_entry(
         self, node_id: int
     ) -> Tuple[Tuple[int, ...], FrozenSet[Optional[int]],
                FrozenSet[Optional[int]]]:
+        """``(component_heads, component_head_networks,
+        component_networks)`` of ``node_id``'s component in one lookup,
+        for callers that need more than one of them."""
         topology = self.topology
         # Query the labels first: this forces any pending rebuild, so
         # graph_version below reflects the graph being answered about.
@@ -182,13 +188,13 @@ class NetworkContext:
         pre-label protocol answered this with an unbounded BFS flood
         per asker; the label layer's ``component_members`` walk was
         bounded but still O(component) per asker per scan."""
-        return self._component_heads_entry(node_id)[0]
+        return self.component_entry(node_id)[0]
 
     def component_head_networks(
             self, node_id: int) -> FrozenSet[Optional[int]]:
         """Network ids that still have an allocator in ``node_id``'s
         component (empty when the component has no heads at all)."""
-        return self._component_heads_entry(node_id)[1]
+        return self.component_entry(node_id)[1]
 
     def component_networks(self, node_id: int) -> FrozenSet[Optional[int]]:
         """Network ids of every configured node in ``node_id``'s
@@ -196,7 +202,7 @@ class NetworkContext:
         configured but between networks).  A singleton set equal to the
         asker's own network means its partition is homogeneous: no
         bounded neighborhood scan can find a foreign network id."""
-        return self._component_heads_entry(node_id)[2]
+        return self.component_entry(node_id)[2]
 
     @classmethod
     def build(

@@ -7,12 +7,14 @@ went*.  :class:`SubsystemProfiler` attributes cost along two axes:
 * **Per-event package attribution.**  Installed on a
   :class:`~repro.sim.engine.Simulator` (:meth:`install`), the profiler
   becomes the engine's profile hook: it invokes every fired event
-  callback itself, timing it and charging the elapsed wall clock to the
+  callback itself, timing it and charging the call's self time to the
   subsystem that owns the callback (``repro.net``, ``repro.core``,
   ``repro.sim``, ``repro.quorum``, ...).  Timer-wrapped callbacks are
   unwrapped (:func:`package_of` looks through ``Timer``/
   ``PeriodicTimer`` ``_fire`` and ``functools.partial``) so a HELLO
   beacon is charged to ``repro.net``, not to the timer plumbing.
+  Periodic timers that share a heap entry still arrive one callback
+  at a time, nested inside the ``repro.sim`` call for the entry.
 
 * **Nestable phase accounting.**  :meth:`phase` brackets a named
   stretch of driver code (``bootstrap``, ``settle``, ``storm``) and
@@ -55,6 +57,14 @@ _PACKAGE_DEPTH = 2
 _MAX_UNWRAP = 8
 
 
+#: Code object -> package, for callables that are not wrappers.  A
+#: function's module is fixed where it is defined, so an entry holds
+#: for every closure and bound method made from that code; keying on
+#: the code object (not the callable) keeps instances out of the
+#: table, which stops growing once every def site has fired.
+_PACKAGE_BY_CODE: Dict[Any, str] = {}
+
+
 def package_of(callback: Callable[..., Any]) -> str:
     """The subsystem ("repro.net", "repro.core", ...) owning a callback.
 
@@ -63,27 +73,39 @@ def package_of(callback: Callable[..., Any]) -> str:
     :class:`~repro.sim.timers.PeriodicTimer`) and
     :class:`functools.partial` wrappers are looked through so the cost
     lands on the protocol code the timer serves, not on the plumbing.
+    A cohort of periodic timers hands the hook one ``_fire`` per
+    member, so a shared heap entry is still charged callback by
+    callback; the cohort's own trampoline is ``repro.sim`` plumbing.
+    Answers are memoised per underlying function, so a plain callback
+    costs one table probe and a wrapped one a single unwrapping step.
     """
     target: Any = callback
     for _ in range(_MAX_UNWRAP):
+        code = getattr(getattr(target, "__func__", target), "__code__", None)
+        package = _PACKAGE_BY_CODE.get(code)
+        if package is not None:
+            return package
         if isinstance(target, functools.partial):
             target = target.func
             continue
         owner = getattr(target, "__self__", None)
-        if owner is not None and getattr(target, "__name__", "") == "_fire":
-            inner = getattr(owner, "_callback", None)
-            if inner is not None:
-                target = inner
-                continue
-        break
+        inner = (getattr(owner, "_callback", None)
+                 if getattr(target, "__name__", "") == "_fire" else None)
+        if inner is None:
+            break
+        target = inner
+    else:
+        code = None  # unwrap bound hit: never memoise under a wrapper
     module: Optional[str] = getattr(target, "__module__", None)
     if not module:
         owner = getattr(target, "__self__", None)
         if owner is not None:
             module = getattr(type(owner), "__module__", None)
-    if not module:
-        return OTHER
-    return ".".join(module.split(".")[:_PACKAGE_DEPTH])
+    package = (".".join(module.split(".")[:_PACKAGE_DEPTH])
+               if module else OTHER)
+    if code is not None:
+        _PACKAGE_BY_CODE[code] = package
+    return package
 
 
 def _package_of_path(filename: str) -> str:
@@ -135,6 +157,8 @@ class SubsystemProfiler:
         # Per-package event attribution (run-wide).
         self._package_wall: Dict[str, float] = {}
         self._package_events: Dict[str, int] = {}
+        # Wall clock of the hook calls nested in the one now running.
+        self._child_s = 0.0
         # Per-phase accounting, insertion-ordered (phase sequence).
         self._phases: Dict[str, Dict[str, Any]] = {}
         self._stack: List[_PhaseFrame] = []
@@ -160,17 +184,22 @@ class SubsystemProfiler:
 
     def _invoke(self, callback: Callable[..., Any],
                 args: Tuple[Any, ...]) -> None:
-        """Fire one event on the engine's behalf, charging its package."""
+        """Fire one callback on the engine's behalf, charging its
+        package with the call's self time: a cohort round is one call
+        (``repro.sim``) that fires its members through nested ones."""
+        outer_child_s, self._child_s = self._child_s, 0.0
         start = time.perf_counter()
         try:
             callback(*args)
         finally:
             elapsed = time.perf_counter() - start
             package = package_of(callback)
-            self._package_wall[package] = \
-                self._package_wall.get(package, 0.0) + elapsed
+            self._package_wall[package] = (
+                self._package_wall.get(package, 0.0)
+                + elapsed - self._child_s)
             self._package_events[package] = \
                 self._package_events.get(package, 0) + 1
+            self._child_s = outer_child_s + elapsed
 
     # ------------------------------------------------------------------
     # Phase accounting

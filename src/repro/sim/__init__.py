@@ -11,7 +11,7 @@ package is the equivalent substrate for the reproduction.
 """
 
 from repro.sim.engine import Simulator
-from repro.sim.events import Event, EventHandle
+from repro.sim.events import Event
 from repro.sim.process import Process, Timeout, Waiter
 from repro.sim.rng import RandomStreams
 from repro.sim.timers import PeriodicTimer, Timer
@@ -19,7 +19,6 @@ from repro.sim.timers import PeriodicTimer, Timer
 __all__ = [
     "Simulator",
     "Event",
-    "EventHandle",
     "Process",
     "Timeout",
     "Waiter",

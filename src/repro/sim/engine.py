@@ -11,9 +11,9 @@ priority class), which keeps runs reproducible.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.sim.events import Event, EventHandle
+from repro.sim.events import Event
 from repro.sim.rng import RandomStreams
 
 
@@ -33,6 +33,7 @@ class Simulator:
         >>> _ = sim.schedule(2.0, fired.append, "b")
         >>> _ = sim.schedule(1.0, fired.append, "a")
         >>> sim.run()
+        2
         >>> fired
         ['a', 'b']
     """
@@ -62,7 +63,7 @@ class Simulator:
 
     def __init__(self, seed: int = 0) -> None:
         self._now: float = 0.0
-        self._heap: List[Event] = []
+        self._heap: List[Tuple[float, int, int, Event]] = []
         self._seq: int = 0
         self._running: bool = False
         self._pending: int = 0
@@ -72,6 +73,9 @@ class Simulator:
         self._last_compact_seq: int = -self.COMPACT_MIN_INTERVAL
         self._profile_hook: Optional[
             Callable[[Callable[..., Any], Tuple[Any, ...]], None]] = None
+        #: Fire time -> the cohort of periodic timers still open for
+        #: joining at that instant (see :mod:`repro.sim.timers`).
+        self.cohorts: Dict[float, Any] = {}
         self.streams = RandomStreams(seed)
 
     # ------------------------------------------------------------------
@@ -99,9 +103,10 @@ class Simulator:
 
     def peek(self) -> Optional[float]:
         """Time of the next live event, or ``None`` if the queue is empty."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
+        heap = self._heap
+        while heap and not heap[0][3].pending:
+            heapq.heappop(heap)
+        return heap[0][0] if heap else None
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -112,7 +117,7 @@ class Simulator:
         callback: Callable[..., Any],
         *args: Any,
         priority: int = 0,
-    ) -> EventHandle:
+    ) -> Event:
         """Schedule ``callback(*args)`` to fire ``delay`` seconds from now."""
         return self.schedule_at(self._now + delay, callback, *args, priority=priority)
 
@@ -122,22 +127,26 @@ class Simulator:
         callback: Callable[..., Any],
         *args: Any,
         priority: int = 0,
-    ) -> EventHandle:
+    ) -> Event:
         """Schedule ``callback(*args)`` at an absolute simulation time."""
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule at t={time} before current time t={self._now}"
             )
-        event = Event(time=time, priority=priority, seq=self._seq, callback=callback, args=args)
+        # Close the cohort open at this instant, if any: periodic timers
+        # armed from now on fire after this event, as their own heap
+        # entries would have.
+        self.cohorts.pop(time, None)
+        event = Event(time, callback, args)
+        heapq.heappush(self._heap, (time, priority, self._seq, event))
         self._seq += 1
-        heapq.heappush(self._heap, event)
         self._pending += 1
-        return EventHandle(event)
+        return event
 
-    def cancel(self, handle: EventHandle) -> None:
+    def cancel(self, event: Event) -> None:
         """Cancel a pending event (no-op if it already fired/was cancelled)."""
-        if handle.pending:
-            handle.cancel()
+        if event.pending:
+            event.pending = False
             self._pending -= 1
             self._maybe_compact()
 
@@ -147,8 +156,8 @@ class Simulator:
         Cancellation is lazy (events are only marked), so protocols that
         restart timers constantly — every HELLO round, every quorum
         probe — would otherwise grow the heap far beyond the live event
-        count.  Rebuilding is O(live); the total order on ``Event``
-        (time, priority, seq) makes the rebuilt heap deterministic, and
+        count.  Rebuilding is O(live); entries are totally ordered by
+        (time, priority, seq), so the rebuilt heap is deterministic and
         pending/peek/step semantics are unchanged.
         """
         heap = self._heap
@@ -169,13 +178,13 @@ class Simulator:
         the public entry point exists for long-running drivers that want
         to reclaim memory at a known-quiet instant (e.g. between scale
         bench rounds) rather than whenever the threshold happens to
-        trip.  Semantics are unaffected: the total order on ``Event``
-        (time, priority, seq) makes the rebuilt heap deterministic.
+        trip.  Semantics are unaffected: entries are totally ordered by
+        (time, priority, seq), so the rebuilt heap is deterministic.
         """
         heap = self._heap
         if len(heap) == self._pending:
             return
-        live = [event for event in heap if not event.cancelled]
+        live = [entry for entry in heap if entry[3].pending]
         heapq.heapify(live)
         self._heap = live
         self._compactions += 1
@@ -193,36 +202,39 @@ class Simulator:
 
         With a hook set, :meth:`step` calls ``hook(callback, args)``
         instead of ``callback(*args)``; the hook must invoke the
-        callback exactly once.  Event selection, ordering and the clock
-        are untouched, so a profiled run is bit-identical to an
-        unprofiled one.  The engine itself never reads the wall clock
-        (that would break determinism linting); timing belongs to the
-        hook (:class:`repro.obs.profile.SubsystemProfiler`).  ``None``
+        callback exactly once.  Calls nest: a cohort of periodic timers
+        fires each member through the hook from inside the call for its
+        own heap entry.  Event selection, ordering and the clock are
+        untouched, so a profiled run is bit-identical to an unprofiled
+        one.  The engine itself never reads the wall clock (that would
+        break determinism linting); timing belongs to the hook
+        (:class:`repro.obs.profile.SubsystemProfiler`).  ``None``
         removes the hook.
         """
         self._profile_hook = hook
 
     def step(self) -> bool:
         """Fire the next live event.  Returns False if the queue is empty."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if event.cancelled:
-                continue
-            self._pending -= 1
-            self._now = event.time
-            assert event.callback is not None
-            if self._profile_hook is None:
-                event.callback(*event.args)
-            else:
-                self._profile_hook(event.callback, event.args)
-            return True
+        heap = self._heap
+        while heap:
+            time, _priority, _seq, event = heapq.heappop(heap)
+            if event.pending:
+                event.pending = False  # fired: a late cancel() is a no-op
+                self._pending -= 1
+                self._now = time
+                if self._profile_hook is None:
+                    event.callback(*event.args)
+                else:
+                    self._profile_hook(event.callback, event.args)
+                return True
         return False
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
         """Run until the queue drains, ``until`` is reached, or ``max_events``.
 
-        Returns the number of events fired.  When ``until`` is given the
-        clock is advanced to exactly ``until`` even if the queue drained
+        Returns the number of heap entries fired (periodic timers due at
+        one instant share an entry).  When ``until`` is given the clock
+        is advanced to exactly ``until`` even if the queue drained
         earlier, so periodic observers see a consistent end time.
         """
         if self._running:
@@ -230,16 +242,12 @@ class Simulator:
         self._running = True
         fired = 0
         try:
-            while self._heap:
+            while max_events is None or fired < max_events:
                 next_time = self.peek()
-                if next_time is None:
+                if next_time is None or (until is not None and next_time > until):
                     break
-                if until is not None and next_time > until:
-                    break
-                if max_events is not None and fired >= max_events:
-                    break
-                if self.step():
-                    fired += 1
+                self.step()
+                fired += 1
             if until is not None and self._now < until:
                 self._now = until
         finally:

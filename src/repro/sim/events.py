@@ -1,69 +1,36 @@
 """Event objects used by the simulation engine.
 
-Events are ordered by ``(time, priority, sequence)``.  The sequence number
-is a monotonically increasing tie-breaker assigned by the simulator, which
-makes event ordering — and therefore entire simulation runs — fully
-deterministic for a fixed seed.
+The heap holds ``(time, priority, seq, event)`` tuples, so ordering is
+decided by C-level tuple comparison and never reaches the
+:class:`Event` itself.  The sequence number is a monotonically
+increasing tie-breaker assigned by the simulator, which makes event
+ordering — and therefore entire simulation runs — fully deterministic
+for a fixed seed.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, Tuple
 
 
-@dataclasses.dataclass(order=True)
 class Event:
-    """A scheduled callback.
+    """A scheduled callback, and the caller's handle on it.
 
     Attributes:
         time: absolute simulation time at which the event fires.
-        priority: lower fires first among events at the same time.
-        seq: tie-breaker assigned by the simulator.
-        callback: callable invoked as ``callback(*args)``; not part of
-            the ordering key.
-        cancelled: cancelled events stay in the heap but are skipped.
+        callback: callable invoked as ``callback(*args)``.
+        pending: True from scheduling until the event fires or is
+            cancelled (:meth:`Simulator.cancel
+            <repro.sim.engine.Simulator.cancel>`); an event that is no
+            longer pending stays in the heap as a tombstone and is
+            skipped when popped.
     """
 
-    time: float
-    priority: int
-    seq: int
-    callback: Optional[Callable[..., Any]] = dataclasses.field(compare=False)
-    args: Tuple[Any, ...] = dataclasses.field(compare=False, default=())
-    cancelled: bool = dataclasses.field(compare=False, default=False)
+    __slots__ = ("time", "callback", "args", "pending")
 
-    def cancel(self) -> None:
-        """Mark this event so the engine skips it when popped."""
-        self.cancelled = True
-
-
-class EventHandle:
-    """A stable, re-schedulable reference to a pending event.
-
-    Protocol code frequently wants to "push back" a timeout or cancel it
-    entirely.  ``EventHandle`` wraps the currently pending :class:`Event`
-    so that rescheduling does not invalidate references held elsewhere.
-    """
-
-    def __init__(self, event: Event) -> None:
-        self._event = event
-
-    @property
-    def event(self) -> Event:
-        return self._event
-
-    @property
-    def time(self) -> float:
-        return self._event.time
-
-    @property
-    def pending(self) -> bool:
-        return not self._event.cancelled
-
-    def cancel(self) -> None:
-        self._event.cancel()
-
-    def replace(self, event: Event) -> None:
-        """Point the handle at a new event, cancelling the previous one."""
-        self._event.cancel()
-        self._event = event
+    def __init__(self, time: float, callback: Callable[..., Any],
+                 args: Tuple[Any, ...]) -> None:
+        self.time = time
+        self.callback = callback
+        self.args = args
+        self.pending = True

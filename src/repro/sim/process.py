@@ -16,6 +16,7 @@ Example:
     ...     log.append(("done", sim.now))
     >>> _ = Process(sim, script())
     >>> sim.run()
+    2
     >>> log
     [('start', 0.0), ('done', 5.0)]
 """

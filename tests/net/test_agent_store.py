@@ -203,6 +203,30 @@ def test_note_writes_through_and_missing_ids_noop():
     assert store.qdset_size_of(99) == 0 and store.vote_timers_of(99) == 0
 
 
+def test_allocator_column_versions_on_flips_and_survives_compaction():
+    store = make_store(COMPACT_MIN_SLOTS)
+    assert not any(store.allocators)   # registration starts at 0
+    epoch = store.role_epoch
+    store.note_allocator(2, True)
+    store.note_allocator(4, True)
+    assert store.role_epoch == epoch + 2
+    # Re-noting the same answer is free; unknown ids are ignored.
+    store.note_allocator(2, True)
+    store.note_allocator(99, True)
+    assert store.role_epoch == epoch + 2
+    for i in range(1, COMPACT_MIN_SLOTS, 2):
+        store.evict(i)
+    store.evict(0)                     # strictly over half: compacts
+    assert store.layout_version == 1
+    flagged = [nid for nid, slot in store.slot_of.items()
+               if store.allocators[slot]]
+    assert flagged == [2, 4]
+    # Eviction and re-registration both reset the byte.
+    store.evict(2)
+    store.add(FakeAgent(4))
+    assert not any(store.allocators)
+
+
 def test_aggregate_readers_scan_columns():
     store = AgentStore()
     for i in range(6):

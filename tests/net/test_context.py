@@ -9,15 +9,27 @@ from repro.net.context import NetworkContext
 class FakeAgent:
     def __init__(self, ctx, node, allocator=False, configured=False,
                  network_id=None):
+        self.ctx = ctx
         self.node = node
-        self._allocator = allocator
         self._configured = configured
         self.network_id = network_id
         node.agent = self
         ctx.register(self)
+        self.allocator = allocator
+
+    @property
+    def allocator(self):
+        return self._allocator
+
+    @allocator.setter
+    def allocator(self, value):
+        # The write-through every agent type owes the registry:
+        # ``ctx.is_head`` answers from the allocator column alone.
+        self._allocator = value
+        self.ctx.agents.note_allocator(self.node.node_id, value)
 
     def is_allocator(self):
-        return self._allocator
+        return self._allocator and self.node.alive
 
     def is_configured(self):
         return self._configured
@@ -121,7 +133,7 @@ def test_component_tables_refresh_on_role_transition():
     assert ctx.component_heads(2) == (1,)
     # Demote the head through the write-through hook: the epoch bump
     # must invalidate the cached table without any clock advance.
-    head._allocator = False
+    head.allocator = False
     ctx.agents.note_role(1, None)
     assert ctx.component_heads(2) == ()
     assert ctx.component_head_networks(2) == frozenset()
@@ -159,7 +171,7 @@ def test_component_tables_refresh_on_head_state_transition():
     assert ctx.component_heads(2) == (1,)
     # Dropping head state without a role transition still goes through
     # the write-through hook, which must invalidate the cached table.
-    head._allocator = False
+    head.allocator = False
     ctx.agents.note_head_state(1)
     assert ctx.component_heads(2) == ()
 

@@ -41,6 +41,32 @@ def test_package_of_unwraps_partials_and_timer_trampolines():
         functools.partial(Timer(sim, _net_callback)._fire)) == base
 
 
+def test_package_of_memoises_per_function_not_per_instance():
+    from repro.obs import profile
+
+    class Owner:
+        def method(self):
+            pass
+
+    sim = Simulator()
+    first, second = Owner(), Owner()
+    base = package_of(first.method)
+    code = Owner.method.__code__
+    assert profile._PACKAGE_BY_CODE[code] == base
+    size = len(profile._PACKAGE_BY_CODE)
+    # Other instances, closures and timer wrappers of a known function
+    # are answered from its entry: the table holds code objects only.
+    assert package_of(second.method) == base
+    assert package_of(Timer(sim, second.method)._fire) == base
+    assert package_of(PeriodicTimer(sim, 1.0, first.method)._fire) == base
+    assert len(profile._PACKAGE_BY_CODE) == size
+    # A trampoline is never memoised under its own code: what it
+    # resolves to depends on the callback it wraps.
+    assert Timer._fire.__code__ not in profile._PACKAGE_BY_CODE
+    assert PeriodicTimer._fire.__code__ not in profile._PACKAGE_BY_CODE
+    assert package_of(Timer(sim, len)._fire) == "builtins"
+
+
 def test_package_of_buckets_unowned_callables_as_other():
     # Builtins resolve to their real (non-repro) module...
     assert package_of(len) == "builtins"
@@ -80,6 +106,31 @@ def test_events_are_charged_to_the_owning_package():
     # to the repro.sim trampoline.
     assert packages[bucket]["events"] == 2
     assert packages[bucket]["wall_s"] >= 0.0
+
+
+def test_cohort_members_are_charged_one_by_one():
+    """Timers sharing a heap entry still reach the hook callback by
+    callback; the cohort's own round is one extra ``repro.sim`` call
+    charged with its self time only."""
+    sim = Simulator()
+    profiler = SubsystemProfiler().install(sim)
+    spins = []
+
+    def busy():
+        spins.append(sum(range(20_000)))
+
+    timers = [PeriodicTimer(sim, 1.0, busy) for _ in range(4)]
+    for timer in timers:
+        timer.start()
+    assert sim.run(until=2.5) == 2          # two heap entries...
+    profiler.uninstall()
+    packages = profiler.packages()
+    bucket = package_of(busy)
+    assert packages[bucket]["events"] == 8  # ...eight callbacks
+    assert packages["repro.sim"]["events"] == 2
+    assert len(spins) == 8
+    # Nested calls are not double-counted into the round that hosts them.
+    assert packages["repro.sim"]["wall_s"] < packages[bucket]["wall_s"]
 
 
 def test_phase_nesting_separates_self_from_total():

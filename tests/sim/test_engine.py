@@ -171,3 +171,18 @@ def test_reentrant_run_raises():
 
     sim.schedule(1.0, inner)
     sim.run()
+
+
+def test_cancel_after_fire_leaves_the_pending_count_alone():
+    sim = Simulator()
+    fired = sim.schedule(1.0, lambda: None)
+    sim.schedule(2.0, lambda: None)
+    sim.run(until=1.5)
+    # A fired event is no longer pending, so cancelling it late is a
+    # no-op (it used to drive pending_events to 0, then -1).
+    assert not fired.pending
+    sim.cancel(fired)
+    sim.cancel(fired)
+    assert sim.pending_events == 1
+    assert sim.run() == 1
+    assert sim.pending_events == 0

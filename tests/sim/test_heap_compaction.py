@@ -1,4 +1,8 @@
-"""Lazy-cancel heap compaction: tombstones are purged, semantics intact."""
+"""Lazy-cancel heap compaction: tombstones are purged, semantics intact.
+
+Heap entries are ``(time, priority, seq, event)`` tuples; a tombstone
+is an entry whose event is no longer ``pending``.
+"""
 
 import heapq
 
@@ -18,7 +22,7 @@ def test_compaction_purges_cancelled_tombstones():
     # cancelled entries around.
     assert len(sim._heap) < 200
     assert len(sim._heap) <= 2 * sim.pending_events
-    live = sum(1 for event in sim._heap if not event.cancelled)
+    live = sum(1 for *_key, event in sim._heap if event.pending)
     assert live == 60
 
 
@@ -65,10 +69,45 @@ def test_compacted_heap_is_a_valid_heap():
     handles = [sim.schedule(float(997 - i), lambda: None) for i in range(150)]
     for handle in handles[:100]:
         sim.cancel(handle)
+    # The (time, priority, seq) prefix is a total order, so comparing
+    # entries never reaches the Event in the last position.
     reference = sorted(sim._heap)
     verify = list(sim._heap)
     popped = [heapq.heappop(verify) for _ in range(len(verify))]
     assert popped == reference
+
+
+def test_entries_are_ordered_tuples_with_fifo_seq():
+    sim = Simulator()
+    first = sim.schedule(1.0, lambda: None)
+    second = sim.schedule(1.0, lambda: None)
+    urgent = sim.schedule(1.0, lambda: None, priority=-1)
+    assert sorted(sim._heap) == [
+        (1.0, -1, 2, urgent), (1.0, 0, 0, first), (1.0, 0, 1, second)]
+
+
+def test_fifo_within_time_and_priority_survives_compact():
+    """Same (time, priority): scheduling order, before and after the
+    heap is rebuilt without its tombstones."""
+
+    def drive(compact):
+        sim = Simulator()
+        fired = []
+        handles = [
+            sim.schedule(float(i % 3), fired.append, i, priority=i % 2)
+            for i in range(120)]
+        for i, handle in enumerate(handles):
+            if i % 5 == 0:
+                sim.cancel(handle)
+        if compact:
+            sim.compact()
+            assert sim.heap_size == sim.pending_events
+        sim.run()
+        return fired
+
+    fired = drive(compact=False)
+    assert fired == drive(compact=True)
+    assert fired == sorted(fired, key=lambda i: (i % 3, i % 2, i))
 
 
 def test_tombstone_cap_triggers_compaction_in_large_heaps():

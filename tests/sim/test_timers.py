@@ -137,3 +137,56 @@ def test_periodic_timer_start_is_idempotent():
     timer.start()
     sim.run(until=2.5)
     assert fired == [1.0, 2.0]
+
+
+def test_periodic_timer_stopping_itself_keeps_pending_events_exact():
+    sim = Simulator()
+    timer = PeriodicTimer(sim, 1.0, lambda: timer.stop())
+    timer.start()
+    sim.schedule(5.0, lambda: None)
+    sim.run(until=2.0)
+    # The timer's entry already fired when its callback stops it; the
+    # stop must not be counted as a second removal.
+    assert not timer.running
+    assert sim.pending_events == 1
+    assert sim.heap_size == 1
+
+
+def test_periodic_timers_due_at_one_instant_share_a_heap_entry():
+    sim = Simulator()
+    fired = []
+    timers = [PeriodicTimer(sim, 1.0, lambda i=i: fired.append((sim.now, i)))
+              for i in range(5)]
+    for timer in timers:
+        timer.start(first_delay=0.5)
+    loner = PeriodicTimer(sim, 1.0, lambda: fired.append((sim.now, "loner")))
+    loner.start(first_delay=0.75)
+    assert sim.pending_events == 2
+    # run() counts heap entries: two rounds of the cohort, one of the loner.
+    assert sim.run(until=1.6) == 3
+    assert fired == ([(0.5, i) for i in range(5)] + [(0.75, "loner")]
+                     + [(1.5, i) for i in range(5)])
+    # The last member to leave takes the cohort's entry with it.
+    for timer in timers[:-1]:
+        timer.stop()
+    assert sim.pending_events == 2
+    timers[-1].stop()
+    assert sim.pending_events == 1
+    assert sim.peek() == 1.75
+    assert not sim.cohorts.keys() - {1.75}
+
+
+def test_periodic_timer_restarted_inside_its_callback_runs_once_per_period():
+    sim = Simulator()
+    fired = []
+
+    def on_tick():
+        fired.append(sim.now)
+        if len(fired) == 1:
+            timer.stop()
+            timer.start(first_delay=0.25)
+
+    timer = PeriodicTimer(sim, 1.0, on_tick)
+    timer.start()
+    sim.run(until=3.5)
+    assert fired == [1.0, 1.25, 2.25, 3.25]
