@@ -12,14 +12,14 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.net.context import NetworkContext
-from repro.net.message import Message
+from repro.net.message import Message, MessageDispatch
 from repro.net.node import Node
 from repro.net.stats import Category
 from repro.net.transport import Scope, SendOutcome
 from repro.sim.timers import Timer
 
 
-class BaseAutoconfAgent:
+class BaseAutoconfAgent(MessageDispatch):
     """Common plumbing: sending, metrics, lifecycle."""
 
     protocol_name = "base"
@@ -104,9 +104,9 @@ class BaseAutoconfAgent:
     def on_message(self, msg: Message) -> None:
         if not self.node.alive:
             return
-        handler = getattr(self, f"_handle_{msg.mtype.lower()}", None)
+        handler = self._handlers.get(msg.mtype)
         if handler is not None:
-            handler(msg)
+            handler(self, msg)
             self._note_allocator()
 
     def _on_retry_timeout(self) -> None:

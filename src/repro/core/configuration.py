@@ -57,6 +57,9 @@ class PendingConfig:
             (see :mod:`repro.obs`); stamped on every message of this
             attempt so traces reconstruct it as one span.  ``0`` when
             tracing is disabled.
+        req_seq: the requester's ``"seq"`` from its COM_REQ/CH_REQ,
+            echoed in the grant or refusal (``None`` when the request
+            carried none).
     """
 
     requester: int
@@ -73,6 +76,7 @@ class PendingConfig:
     committed: bool = False
     cfg_delivered: bool = False   # the grant message reached the requester
     cleanup_checks: int = 0       # deferred-rollback probe count
+    req_seq: Optional[int] = None
     attempt_id: int = dataclasses.field(default_factory=lambda: next(_attempt_ids))
 
     def quorum_round_trip(self) -> int:

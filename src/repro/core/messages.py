@@ -1,11 +1,23 @@
-"""Message vocabulary of the quorum-based protocol.
+"""Message vocabulary and transition table of the quorum-based protocol.
 
 Names are taken from the paper's Sections IV-V and Table 1.  Each
 constant is a message type string carried in
 :class:`repro.net.message.Message.mtype`.
+
+:data:`TABLE` is the protocol's one transition table: per received
+message type, the types its handler may send (transitively, through
+every helper its closure reaches).  Everything else derives from it:
+:data:`ALL_TYPES`; agent dispatch (``QuorumProtocolAgent`` cannot be
+created unless its ``_handle_*`` methods and the rows match one-to-one,
+see :class:`repro.net.message.MessageDispatch`); the ``state-machine``
+lint rule, which reads the rows from this module's parsed source, so
+keep them plain tuples of this module's constants; and the block in
+docs/PROTOCOL.md, which is :func:`render_table` printed.
 """
 
 from __future__ import annotations
+
+from typing import Dict, Tuple
 
 # --- Network initialization (Section IV-B) ---------------------------------
 INIT_REQ = "INIT_REQ"            # first-node broadcast looking for any network
@@ -64,16 +76,74 @@ REP_ACK = "REP_ACK"              # member -> head: alive
 # --- Partition and merge (Section V-C) --------------------------------------
 MERGE_JOIN = "MERGE_JOIN"        # node from larger-ID network rejoining
 
-ALL_TYPES = [
-    INIT_REQ, INIT_DEFER,
-    COM_REQ, COM_CFG, COM_ACK, COM_NACK, COM_DECLINE,
-    CH_REQ, CH_PRP, CH_CNF, CH_CFG, CH_ACK, CH_NACK, CH_DECLINE,
-    QUORUM_CLT, QUORUM_CFM, QUORUM_UPD,
-    REPLICA_DIST, REPLICA_ACK,
-    UPDATE_LOC, RETURN_ADDR, RETURN_ACK, RETURN_FWD,
-    CH_RETURN, CH_RETURN_ACK, RESIGN, ALLOC_CHANGE,
-    ADDR_REC, REC_REP, REC_FWD, REC_HOLDER, REC_DELEGATE,
-    REC_AUDIT, REC_CLAIMED, REC_SYNC, REC_SYNC_ACK,
-    REP_REQ, REP_ACK,
-    MERGE_JOIN,
-]
+TABLE: Dict[str, Tuple[str, ...]] = {
+    # --- bootstrap / first node ------------------------------------------
+    INIT_REQ: (INIT_DEFER,),
+    INIT_DEFER: (),
+    # --- the paper's allocation transaction ------------------------------
+    # A COM_REQ may be relayed to a better-stocked allocator (COM_REQ),
+    # answered with a vote round (QUORUM_CLT) or refused (COM_NACK); the
+    # commit path it reaches emits QUORUM_UPD + COM_CFG/CH_CFG, and the
+    # head's housekeeping on commit can fan out REPLICA_DIST, MERGE_JOIN
+    # (merge grace) and REC_AUDIT (self-audit) floods.
+    COM_REQ: (COM_REQ, COM_NACK, COM_CFG, CH_CFG, CH_NACK,
+              QUORUM_CLT, QUORUM_UPD, REPLICA_DIST,
+              MERGE_JOIN, REC_AUDIT),
+    QUORUM_CLT: (QUORUM_CFM, MERGE_JOIN),
+    QUORUM_CFM: (QUORUM_CLT, QUORUM_UPD, COM_CFG, COM_NACK,
+                 CH_CFG, CH_NACK, REPLICA_DIST),
+    QUORUM_UPD: (),
+    COM_CFG: (COM_ACK, COM_DECLINE),
+    COM_ACK: (),
+    COM_DECLINE: (QUORUM_UPD, REPLICA_DIST),
+    COM_NACK: (),
+    # --- cluster-head election (CH_*) ------------------------------------
+    CH_REQ: (CH_PRP, CH_NACK, COM_NACK),
+    CH_PRP: (CH_CNF, CH_DECLINE),
+    CH_CNF: (CH_CFG, CH_NACK, COM_CFG, COM_NACK,
+             QUORUM_CLT, QUORUM_UPD, REPLICA_DIST),
+    CH_CFG: (CH_ACK, CH_DECLINE, REPLICA_DIST),
+    CH_ACK: (),
+    CH_DECLINE: (QUORUM_UPD, REPLICA_DIST),
+    CH_NACK: (),
+    # --- graceful departure / address return -----------------------------
+    RETURN_ADDR: (RETURN_ACK, RETURN_FWD, QUORUM_UPD),
+    RETURN_ACK: (),
+    RETURN_FWD: (QUORUM_UPD,),
+    CH_RETURN: (CH_RETURN_ACK, ALLOC_CHANGE, REPLICA_DIST),
+    CH_RETURN_ACK: (),
+    RESIGN: (),
+    ALLOC_CHANGE: (),
+    # --- reclamation of departed addresses (REC_*) ------------------------
+    ADDR_REC: (REC_REP, REC_HOLDER),
+    REC_REP: (REC_FWD,),
+    REC_HOLDER: (),
+    REC_FWD: (),
+    REC_DELEGATE: (REC_DELEGATE, REC_SYNC),
+    REC_SYNC: (REC_SYNC_ACK,),
+    REC_SYNC_ACK: (),
+    REC_AUDIT: (REC_CLAIMED,),
+    REC_CLAIMED: (),
+    # --- quorum-set replica maintenance ----------------------------------
+    REPLICA_DIST: (REPLICA_ACK, MERGE_JOIN),
+    REPLICA_ACK: (),
+    REP_REQ: (REP_ACK,),
+    REP_ACK: (),
+    # --- partition merge / location --------------------------------------
+    MERGE_JOIN: (MERGE_JOIN, RESIGN, CH_RETURN, RETURN_ADDR),
+    UPDATE_LOC: (),
+}
+
+ALL_TYPES = tuple(TABLE)
+
+
+def render_table() -> str:
+    """The markdown rows docs/PROTOCOL.md carries between its
+    ``state-machine-table`` markers (``tests/lint/test_spec_drift.py``
+    compares the two)."""
+    lines = ["| received message | handler may send (transitive closure) |",
+             "|---|---|"]
+    for mtype, may_send in TABLE.items():
+        cell = ", ".join(f"`{name}`" for name in sorted(may_send)) or "—"
+        lines.append(f"| `{mtype}` | {cell} |")
+    return "\n".join(lines)

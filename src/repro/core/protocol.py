@@ -32,7 +32,7 @@ from repro.core.partition import PartitionMixin
 from repro.core.reclamation import ReclamationMixin
 from repro.core.state import CommonState, HeadState
 from repro.net.context import NetworkContext
-from repro.net.message import Message
+from repro.net.message import Message, MessageDispatch
 from repro.net.node import Node
 from repro.net.stats import Category
 from repro.net.transport import Scope, SendOutcome
@@ -54,10 +54,12 @@ class QuorumProtocolAgent(
     ReclamationMixin,
     AdjustmentMixin,
     PartitionMixin,
+    MessageDispatch,
 ):
     """Per-node implementation of the quorum-based protocol."""
 
     protocol_name = "quorum"
+    message_types = m.ALL_TYPES
 
     def __init__(
         self,
@@ -415,9 +417,9 @@ class QuorumProtocolAgent(
         if not self.node.alive:
             return
         self._observe_network_id(msg)
-        handler = getattr(self, f"_handle_{msg.mtype.lower()}", None)
+        handler = self._handlers.get(msg.mtype)
         if handler is not None:
-            handler(msg)
+            handler(self, msg)
 
     # ==================================================================
     # INIT_REQ coordination between unconfigured nodes
@@ -486,8 +488,8 @@ class QuorumProtocolAgent(
             corr=msg.corr,
             latency_hops=base_latency,
             relay_of=msg.src if "origin" in msg.payload else None,
+            req_seq=msg.payload.get("seq"),
         )
-        pending.req_seq = msg.payload.get("seq")  # type: ignore[attr-defined]
         self._pending[pending.attempt_id] = pending
         self._pending_addresses.add(address)
         obs = self.ctx.obs
@@ -883,7 +885,7 @@ class QuorumProtocolAgent(
                 reason=reason))
         nack = m.CH_NACK if pending.kind == "head" else m.COM_NACK
         self._send(pending.requester, nack,
-                   {"seq": getattr(pending, "req_seq", None)}, Category.CONFIG,
+                   {"seq": pending.req_seq}, Category.CONFIG,
                    corr=pending.corr)
 
     def _drop_pending(self, pending: PendingConfig) -> None:
@@ -973,7 +975,7 @@ class QuorumProtocolAgent(
                     address=address, requester=pending.requester))
         owner_ip = self._ip_of_head(pending.owner_id)
         delivery = self._send(pending.requester, m.COM_CFG, {
-            "seq": getattr(pending, "req_seq", None),
+            "seq": pending.req_seq,
             "address": address,
             "allocator_ip": self.head.ip,
             "allocator_id": self.node_id,
@@ -1185,8 +1187,8 @@ class QuorumProtocolAgent(
             requester=msg.src, kind="head", address=block.start,
             owner_id=self.node_id, corr=msg.corr, block=block,
             latency_hops=msg.payload.get("lat", 0) + msg.hops,
+            req_seq=msg.payload.get("seq"),
         )
-        pending.req_seq = msg.payload.get("seq")  # type: ignore[attr-defined]
         self._pending[pending.attempt_id] = pending
         self._pending_addresses.add(block.start)
         obs = self.ctx.obs
@@ -1245,12 +1247,12 @@ class QuorumProtocolAgent(
                     corr=pending.corr, attempt=pending.attempt_id,
                     requester=pending.requester, reason="acd-conflict"))
             self._send(pending.requester, m.CH_NACK,
-                       {"seq": getattr(pending, "req_seq", None)},
+                       {"seq": pending.req_seq},
                        Category.CONFIG, corr=pending.corr)
             return
         record = self.head.ledger.mark_assigned(block.start, pending.requester)
         delivery = self._send(pending.requester, m.CH_CFG, {
-            "seq": getattr(pending, "req_seq", None),
+            "seq": pending.req_seq,
             "attempt": pending.attempt_id,
             "block": (block.start, block.size),
             "allocator_ip": self.head.ip,

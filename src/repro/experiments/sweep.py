@@ -374,55 +374,26 @@ class SweepReport:
         """Fraction of cells served from cache (0.0 with no cells)."""
         return (sum(self.cached) / len(self.cached)) if self.cached else 0.0
 
+    # The aggregates are SweepSummary's: one fold, whether cells stream
+    # in live or are replayed from this report.
     def perf_totals(self) -> Dict[str, int]:
-        """Sum of every run's deterministic perf counters (sorted).
-
-        Aggregated from :attr:`RunResult.perf_counters`, so cache hits
-        contribute the counters recorded when the cell was computed.
-        """
-        totals: Dict[str, int] = {}
-        for result in self.results:
-            for name, count in result.perf_counters.items():
-                totals[name] = totals.get(name, 0) + count
-        return dict(sorted(totals.items()))
+        """Sum of every run's deterministic perf counters (cache hits
+        contribute the counters recorded when the cell was computed)."""
+        return self.summary().perf_totals()
 
     def obs_histogram_totals(self) -> Dict[str, List[int]]:
-        """Elementwise sum of every run's span latency histograms.
-
-        Buckets are fixed (:data:`repro.obs.spans.BUCKET_EDGES`), so
-        merging is exact and independent of worker count or cell order.
-        Empty when no cell was traced.
-        """
-        from repro.obs import merge_histograms
-
-        totals: Dict[str, List[int]] = {}
-        for result in self.results:
-            if result.obs_histograms:
-                totals = merge_histograms(totals, result.obs_histograms)
-        return dict(sorted(totals.items()))
+        """Elementwise sum of every run's span latency histograms
+        (empty when no cell was traced)."""
+        return self.summary().obs_histogram_totals()
 
     def obs_span_totals(self) -> Dict[str, int]:
         """Span count per outcome, summed across traced cells."""
-        totals: Dict[str, int] = {}
-        for result in self.results:
-            for outcome, count in result.obs_spans.items():
-                totals[outcome] = totals.get(outcome, 0) + count
-        return dict(sorted(totals.items()))
+        return self.summary().obs_span_totals()
 
     def obs_metric_totals(self) -> Dict[str, List[int]]:
-        """Elementwise sum of every run's gauge series.
-
-        Series are fixed-cadence sim-time buckets (ragged tails
-        zero-extended), so merging is exact and independent of worker
-        count or cell order.  Empty when no cell sampled metrics.
-        """
-        from repro.obs import merge_series
-
-        totals: Dict[str, List[int]] = {}
-        for result in self.results:
-            if result.obs_metrics:
-                totals = merge_series(totals, result.obs_metrics)
-        return dict(sorted(totals.items()))
+        """Elementwise sum of every run's gauge series (empty when no
+        cell sampled metrics)."""
+        return self.summary().obs_metric_totals()
 
     def stream(self) -> Iterator[SweepCell]:
         """Re-play the materialized report as spec-order cells.

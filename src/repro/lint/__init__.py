@@ -6,9 +6,10 @@ streams, the unified ``Transport.send`` API, frozen message
 dataclasses, explicit BFS hop bounds, config-owned protocol timers,
 centralized quorum arithmetic, and a dependency-free runtime — plus a
 whole-program pass (module/import/call graph) enforcing cross-module
-invariants: protocol state-machine conformance, obs-event coverage,
-RNG stream ownership, the perf counter registry and the layer DAG
-(spec: :mod:`repro.lint.protocol_spec`).
+invariants: protocol state-machine conformance (against ``TABLE`` in
+the parsed ``repro.core.messages``), obs-event coverage, RNG stream
+ownership, the perf counter registry and the layer DAG (spec:
+:mod:`repro.lint.protocol_spec`).
 
 Public surface:
 

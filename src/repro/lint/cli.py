@@ -60,9 +60,6 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         help="additionally write the JSON report to FILE "
              "(CI artifact), independent of --format")
     parser.add_argument(
-        "--json-out", dest="out", metavar="FILE",
-        help=argparse.SUPPRESS)  # deprecated alias of --out (see docs/API.md)
-    parser.add_argument(
         "--strict", action="store_true",
         help="exit non-zero on warnings too, not just errors")
     parser.add_argument(

@@ -132,7 +132,9 @@ class ModuleInfo:
         self.imports = ImportTable()
         self.functions: Dict[str, FunctionInfo] = {}
         self.classes: Dict[str, ClassInfo] = {}
-        #: top-level ``NAME = "literal"`` string constants
+        #: top-level ``NAME = <expr>`` assignments, and the string
+        #: constants (``NAME = "literal"``) among them
+        self.assignments: Dict[str, ast.expr] = {}
         self.constants: Dict[str, str] = {}
         self._collect()
 
@@ -199,17 +201,16 @@ class ModuleInfo:
                                 if isinstance(target, ast.Name):
                                     cls.methods[target.id] = original
                 self.classes[stmt.name] = cls
-            elif isinstance(stmt, ast.Assign):
-                if (len(stmt.targets) == 1
-                        and isinstance(stmt.targets[0], ast.Name)
-                        and isinstance(stmt.value, ast.Constant)
-                        and isinstance(stmt.value.value, str)):
-                    self.constants[stmt.targets[0].id] = stmt.value.value
-            elif isinstance(stmt, ast.AnnAssign):
-                if (isinstance(stmt.target, ast.Name)
-                        and isinstance(stmt.value, ast.Constant)
-                        and isinstance(stmt.value.value, str)):
-                    self.constants[stmt.target.id] = stmt.value.value
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets: Sequence[ast.expr] = (
+                    stmt.targets if isinstance(stmt, ast.Assign)
+                    else [stmt.target])
+                if (len(targets) == 1 and isinstance(targets[0], ast.Name)
+                        and stmt.value is not None):
+                    self.assignments[targets[0].id] = stmt.value
+                    if (isinstance(stmt.value, ast.Constant)
+                            and isinstance(stmt.value.value, str)):
+                        self.constants[targets[0].id] = stmt.value.value
 
     def _walk_imports(self, body: Sequence[ast.stmt], scope: str) -> None:
         for stmt in body:

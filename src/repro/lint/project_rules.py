@@ -8,9 +8,9 @@ Six invariants that no per-file pass can check:
   their declared emitter modules, every one is emitted somewhere, and
   each protocol terminal path emits exactly the terminal events the
   spec assigns it.
-* ``state-machine`` — no message handler sends a message type the
-  protocol state machine (:mod:`repro.lint.protocol_spec`) says its
-  state cannot legally emit.
+* ``state-machine`` — no message handler sends a message type outside
+  its row of the protocol's transition table (``TABLE`` in
+  :mod:`repro.core.messages`, read from that module's parsed source).
 * ``counter-registry`` — every literal ``perf.incr``/``perf.get``/
   ``perf.timer`` name comes from the central registry
   (:mod:`repro.perf.counters`); dynamically-built names are errors.
@@ -29,7 +29,9 @@ rather than inferred at check time.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+import dataclasses
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence, Set,
+                    Tuple)
 
 from repro.lint import protocol_spec as spec
 from repro.lint.core import Finding, Severity
@@ -166,46 +168,41 @@ class _Dispatch:
         return None
 
 
-def send_closure(graph: ProjectGraph, mod: ModuleInfo, cls: ClassInfo,
-                 method: str,
-                 dispatch: Optional[_Dispatch] = None) -> Dict[str, int]:
-    """Transitive message sends of ``method`` -> line of first direct
-    send (lines only for sends in the entry method; helper sends anchor
-    to the entry method's definition line)."""
-    dispatch = dispatch if dispatch is not None else _Dispatch(graph)
-    entry = dispatch.resolve(mod, cls, method)
-    if entry is None:
-        return {}
-    entry_line = getattr(entry[1].node, "lineno", 1)
-    sends: Dict[str, int] = {}
-    visited: Set[int] = set()
-    stack: List[Tuple[ModuleInfo, FunctionInfo]] = [entry]
-    first = True
-    while stack:
-        cur_mod, cur_info = stack.pop()
-        if id(cur_info) in visited:
-            continue
-        visited.add(id(cur_info))
-        for name, lineno in direct_sends(cur_info, cur_mod).items():
-            sends.setdefault(name, lineno if first else entry_line)
-        for callee in sorted(cur_info.self_calls):
-            located = dispatch.resolve(mod, cls, callee)
-            if located is not None:
-                stack.append(located)
-        first = False
-    return sends
+def _event_calls(root: ast.AST,
+                 mod: ModuleInfo) -> Iterator[Tuple[str, ast.Call]]:
+    """``(event class name, call)`` for every obs event constructed
+    under ``root``."""
+    prefix = spec.EVENTS_MODULE + "."
+    for node in ast.walk(root):
+        if isinstance(node, ast.Call):
+            resolved = mod.resolve_call(node.func)
+            if (resolved is not None and resolved.startswith(prefix)
+                    and "." not in resolved[len(prefix):]):
+                yield resolved[len(prefix):], node
 
 
-def event_closure(graph: ProjectGraph, mod: ModuleInfo, cls: ClassInfo,
-                  method: str, events_module: str,
-                  dispatch: Optional[_Dispatch] = None) -> Dict[str, int]:
-    """Obs event classes constructed in ``method``'s closure -> line."""
-    dispatch = dispatch if dispatch is not None else _Dispatch(graph)
-    entry = dispatch.resolve(mod, cls, method)
-    if entry is None:
-        return {}
-    entry_line = getattr(entry[1].node, "lineno", 1)
+def direct_emits(info: FunctionInfo, mod: ModuleInfo) -> Dict[str, int]:
+    """Obs event classes this function constructs directly -> first line."""
     emits: Dict[str, int] = {}
+    for name, node in _event_calls(info.node, mod):
+        emits.setdefault(name, node.lineno)
+    return emits
+
+
+def closure(graph: ProjectGraph, mod: ModuleInfo, cls: ClassInfo,
+            method: str,
+            visit: Callable[[FunctionInfo, ModuleInfo], Dict[str, int]],
+            dispatch: Optional[_Dispatch] = None) -> Dict[str, int]:
+    """What ``visit`` (:func:`direct_sends`, :func:`direct_emits`) finds
+    in ``method`` and every ``self.`` helper it transitively reaches ->
+    line (the visitor's own line inside the entry method; finds in
+    helpers anchor to the entry method's definition line)."""
+    dispatch = dispatch if dispatch is not None else _Dispatch(graph)
+    entry = dispatch.resolve(mod, cls, method)
+    if entry is None:
+        return {}
+    entry_line = getattr(entry[1].node, "lineno", 1)
+    found: Dict[str, int] = {}
     visited: Set[int] = set()
     stack: List[Tuple[ModuleInfo, FunctionInfo]] = [entry]
     first = True
@@ -214,22 +211,34 @@ def event_closure(graph: ProjectGraph, mod: ModuleInfo, cls: ClassInfo,
         if id(cur_info) in visited:
             continue
         visited.add(id(cur_info))
-        for node in ast.walk(cur_info.node):
-            if not isinstance(node, ast.Call):
-                continue
-            resolved = cur_mod.resolve_call(node.func)
-            if (resolved is not None
-                    and resolved.startswith(events_module + ".")):
-                name = resolved[len(events_module) + 1:]
-                if "." not in name:
-                    emits.setdefault(name,
-                                     node.lineno if first else entry_line)
+        for name, lineno in visit(cur_info, cur_mod).items():
+            found.setdefault(name, lineno if first else entry_line)
         for callee in sorted(cur_info.self_calls):
             located = dispatch.resolve(mod, cls, callee)
             if located is not None:
                 stack.append(located)
         first = False
-    return emits
+    return found
+
+
+def transition_table(mod: ModuleInfo) -> Optional[Dict[str, Set[str]]]:
+    """``received type -> sendable constant names`` from the messages
+    module's ``TABLE = {CONSTANT: (CONSTANT, ...), ...}`` literal;
+    ``None`` when it is missing or a row has any other shape."""
+    literal = mod.assignments.get(spec.MESSAGES_TABLE)
+    if not isinstance(literal, ast.Dict):
+        return None
+    table: Dict[str, Set[str]] = {}
+    for key, row in zip(literal.keys, literal.values):
+        if not isinstance(row, ast.Tuple):
+            return None
+        cells = [key, *row.elts]
+        names = [cell.id for cell in cells
+                 if isinstance(cell, ast.Name) and cell.id in mod.constants]
+        if len(names) != len(cells):
+            return None
+        table[mod.constants[names[0]]] = set(names[1:])
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +252,17 @@ class StateMachineRule(ProjectRule):
     severity = Severity.ERROR
 
     def check_project(self, graph: ProjectGraph) -> Iterator[Finding]:
+        messages = graph.module(spec.MESSAGES_MODULE)
+        if messages is None:
+            return
+        table = transition_table(messages)
+        if table is None:
+            yield graph.finding(
+                self, messages, messages.ctx.tree,
+                f"{spec.MESSAGES_MODULE}.{spec.MESSAGES_TABLE} must be a "
+                f"dict literal mapping each message constant to a tuple of "
+                f"message constants; the rule cannot read it otherwise")
+            return
         dispatch = _Dispatch(graph)
         for mod_name in sorted(graph.modules):
             mod = graph.modules[mod_name]
@@ -253,21 +273,18 @@ class StateMachineRule(ProjectRule):
                 for method in sorted(cls.methods):
                     if not method.startswith("_handle_"):
                         continue
-                    info = cls.methods[method]
                     mtype = method[len("_handle_"):].upper()
-                    allowed = spec.HANDLER_MAY_SEND.get(mtype)
+                    # A handler without a row cannot be dispatched to:
+                    # creating the agent class fails first (see
+                    # repro.net.message.MessageDispatch).
+                    allowed = table.get(mtype)
                     if allowed is None:
-                        yield graph.finding(
-                            self, mod, info.node,
-                            f"handler {method} for unknown protocol "
-                            f"message {mtype!r}: not in the state-machine "
-                            f"spec (repro/lint/protocol_spec.py)")
                         continue
-                    sends = send_closure(graph, mod, cls, method,
-                                         dispatch=dispatch)
+                    sends = closure(graph, mod, cls, method, direct_sends,
+                                    dispatch=dispatch)
                     for sent in sorted(set(sends) - allowed):
                         yield graph.finding(
-                            self, mod, info.node,
+                            self, mod, cls.methods[method].node,
                             f"{cls_name}.{method} may send {sent}, which "
                             f"the state machine does not allow in "
                             f"response to {mtype} (allowed: "
@@ -292,14 +309,7 @@ class ObsCoverageRule(ProjectRule):
             mod = graph.modules[mod_name]
             if mod.name == events_module:
                 continue
-            for node in ast.walk(mod.ctx.tree):
-                if not isinstance(node, ast.Call):
-                    continue
-                resolved = mod.resolve_call(node.func)
-                if (resolved is None
-                        or not resolved.startswith(events_module + ".")):
-                    continue
-                event = resolved[len(events_module) + 1:]
+            for event, node in _event_calls(mod.ctx.tree, mod):
                 if event not in spec.EVENT_EMITTERS:
                     continue
                 constructed.setdefault(event, set()).add(mod.name)
@@ -337,8 +347,8 @@ class ObsCoverageRule(ProjectRule):
                     f"terminal path {qualname} listed in the spec does "
                     f"not exist; update repro/lint/protocol_spec.py")
                 continue
-            emitted = event_closure(graph, mod, cls, method,
-                                    events_module, dispatch=dispatch)
+            emitted = closure(graph, mod, cls, method, direct_emits,
+                              dispatch=dispatch)
             terminal = {e for e in emitted if e in spec.TERMINAL_EVENTS}
             for missing in sorted(expected - terminal):
                 yield graph.finding(
@@ -493,122 +503,65 @@ class RngTaintRule(ProjectRule):
 
 
 # ---------------------------------------------------------------------------
-# Rule 4: counter registry
+# Rules 4 and 5: name registries (perf counters, metric gauges)
 # ---------------------------------------------------------------------------
 
-class CounterRegistryRule(ProjectRule):
-    name = "counter-registry"
-    description = ("PerfRecorder counter/timer names come from the "
-                   "repro.perf.counters registry, never inline literals")
-    severity = Severity.ERROR
+@dataclasses.dataclass
+class RegistryRule(ProjectRule):
+    """Literal names handed to a recorder come from its registry module.
+
+    Governs ``<x>.<method>("name", ...)`` calls whose receiver chain ends
+    in a component named ``receiver`` (``self.perf``, ``ctx.perf``, a
+    ``metrics`` parameter, ...).
+    """
+
+    registry: str
+    receiver: str
+    methods: Tuple[str, ...]
+    label: str      # how messages spell a governed call
+    why: str        # what an unregistered name breaks
+    #: (registry constant name, called method) -> is the constant a
+    #: legal argument of that method
+    legal: Callable[[str, str], bool]
+    name: str = ""
+    description: str = ""
 
     def check_project(self, graph: ProjectGraph) -> Iterator[Finding]:
-        registry = graph.module(spec.COUNTERS_MODULE)
+        registry = graph.module(self.registry)
         if registry is None:
             return
-        counters = {value for name, value in registry.constants.items()
-                    if not name.startswith("TIMER_")}
-        timers = {value for name, value in registry.constants.items()
-                  if name.startswith("TIMER_")}
+        known = {method: {value for name, value in registry.constants.items()
+                          if self.legal(name, method)}
+                 for method in self.methods}
         for mod_name in sorted(graph.modules):
             mod = graph.modules[mod_name]
-            if mod.name == spec.COUNTERS_MODULE:
+            if mod.name == self.registry:
                 continue
             for node in ast.walk(mod.ctx.tree):
-                if not isinstance(node, ast.Call):
+                if not (isinstance(node, ast.Call) and node.args
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr in self.methods):
                     continue
-                method = self._perf_method(node.func)
-                if method is None or not node.args:
+                dotted = _dotted_source(node.func.value)
+                if dotted is None or not (
+                        dotted == self.receiver
+                        or dotted.endswith("." + self.receiver)):
                     continue
                 arg = node.args[0]
-                known = timers if method == "timer" else counters
+                call = self.label.format(method=node.func.attr)
                 if isinstance(arg, ast.Constant) and isinstance(arg.value,
                                                                 str):
-                    if arg.value not in known:
+                    if arg.value not in known[node.func.attr]:
                         yield graph.finding(
                             self, mod, node,
-                            f"perf {method}({arg.value!r}) is not in the "
-                            f"{spec.COUNTERS_MODULE} registry — import "
-                            f"the constant (typo'd counters report "
-                            f"zeros silently)")
+                            f"{call}({arg.value!r}) is not in the "
+                            f"{self.registry} registry — import the "
+                            f"constant ({self.why})")
                 elif isinstance(arg, ast.JoinedStr):
                     yield graph.finding(
                         self, mod, node,
-                        f"perf {method}() name is built dynamically; "
-                        f"use a registry constant or helper from "
-                        f"{spec.COUNTERS_MODULE}")
-
-    @staticmethod
-    def _perf_method(func: ast.AST) -> Optional[str]:
-        """``incr``/``get``/``timer`` when the receiver chain ends in a
-        component named ``perf`` (``self.perf``, ``ctx.perf``, …)."""
-        if not isinstance(func, ast.Attribute):
-            return None
-        if func.attr not in ("incr", "get", "timer"):
-            return None
-        dotted = _dotted_source(func.value)
-        if dotted is None:
-            return None
-        if dotted == "perf" or dotted.endswith(".perf"):
-            return func.attr
-        return None
-
-
-# ---------------------------------------------------------------------------
-# Rule 5: metric registry
-# ---------------------------------------------------------------------------
-
-class MetricRegistryRule(ProjectRule):
-    name = "metric-registry"
-    description = ("MetricsRecorder gauge names come from the "
-                   "repro.obs.metric_names registry, never inline "
-                   "literals")
-    severity = Severity.ERROR
-
-    def check_project(self, graph: ProjectGraph) -> Iterator[Finding]:
-        registry = graph.module(spec.METRIC_NAMES_MODULE)
-        if registry is None:
-            return
-        # ``*_PREFIX`` constants are family stems consumed by the
-        # registry's helper functions, not sampleable names themselves.
-        known = {value for name, value in registry.constants.items()
-                 if not name.endswith("_PREFIX")}
-        for mod_name in sorted(graph.modules):
-            mod = graph.modules[mod_name]
-            if mod.name == spec.METRIC_NAMES_MODULE:
-                continue
-            for node in ast.walk(mod.ctx.tree):
-                if not isinstance(node, ast.Call):
-                    continue
-                if not self._is_record(node.func) or not node.args:
-                    continue
-                arg = node.args[0]
-                if isinstance(arg, ast.Constant) and isinstance(arg.value,
-                                                                str):
-                    if arg.value not in known:
-                        yield graph.finding(
-                            self, mod, node,
-                            f"metrics.record({arg.value!r}) is not in the "
-                            f"{spec.METRIC_NAMES_MODULE} registry — import "
-                            f"the constant (unregistered names fragment "
-                            f"the series schema across runs)")
-                elif isinstance(arg, ast.JoinedStr):
-                    yield graph.finding(
-                        self, mod, node,
-                        f"metrics.record() name is built dynamically; use "
-                        f"a registry constant or helper from "
-                        f"{spec.METRIC_NAMES_MODULE}")
-
-    @staticmethod
-    def _is_record(func: ast.AST) -> bool:
-        """``record`` calls whose receiver chain ends in a component
-        named ``metrics`` (``self.metrics``, a ``metrics`` parameter)."""
-        if not isinstance(func, ast.Attribute) or func.attr != "record":
-            return False
-        dotted = _dotted_source(func.value)
-        if dotted is None:
-            return False
-        return dotted == "metrics" or dotted.endswith(".metrics")
+                        f"{call}() name is built dynamically; use a "
+                        f"registry constant or helper from {self.registry}")
 
 
 # ---------------------------------------------------------------------------
@@ -705,7 +658,26 @@ PROJECT_RULES: Tuple[ProjectRule, ...] = (
     RngTaintRule(),
     ObsCoverageRule(),
     StateMachineRule(),
-    CounterRegistryRule(),
-    MetricRegistryRule(),
+    RegistryRule(
+        name="counter-registry",
+        description=("PerfRecorder counter/timer names come from the "
+                     "repro.perf.counters registry, never inline literals"),
+        registry=spec.COUNTERS_MODULE, receiver="perf",
+        methods=("incr", "get", "timer"), label="perf {method}",
+        why="typo'd counters report zeros silently",
+        # TIMER_* constants name timers, every other one a counter.
+        legal=lambda name, method: (
+            name.startswith("TIMER_") == (method == "timer"))),
+    RegistryRule(
+        name="metric-registry",
+        description=("MetricsRecorder gauge names come from the "
+                     "repro.obs.metric_names registry, never inline "
+                     "literals"),
+        registry=spec.METRIC_NAMES_MODULE, receiver="metrics",
+        methods=("record",), label="metrics.{method}",
+        why="unregistered names fragment the series schema across runs",
+        # *_PREFIX constants are family stems consumed by the registry's
+        # helper functions, not sampleable names themselves.
+        legal=lambda name, method: not name.endswith("_PREFIX")),
     LayeringRule(),
 )

@@ -1,23 +1,17 @@
-"""The machine-readable protocol conformance spec.
+"""The machine-readable conformance spec of the cross-module rules.
 
 This module is pure data: the declarative statement of what the
-quorum-autoconfiguration protocol (Xu & Wu, ICDCS 2007) is *allowed*
-to do, checked against the implementation by the whole-program lint
-rules (:mod:`repro.lint.project_rules`).  It was generated from the
-implementation's call graph, then hand-reviewed against the paper's
-figures and docs/PROTOCOL.md — which carries the same transition table
-in markdown and is kept in lockstep by ``tests/lint/test_spec_drift.py``.
+implementation is *allowed* to do, checked by the whole-program lint
+rules (:mod:`repro.lint.project_rules`).
 
-Three families of facts live here:
+The protocol's **state machine** — for each message, the types its
+handler may emit — is *not* here: it is ``TABLE`` in
+:mod:`repro.core.messages`, the one table dispatch, the docs and the
+``state-machine`` rule all derive from.  The rule reads its rows from
+that module's parsed source (:data:`MESSAGES_MODULE`,
+:data:`MESSAGES_TABLE`); ``repro.lint`` imports nothing from the program.
 
-* **State machine** (:data:`HANDLER_MAY_SEND`) — for each protocol
-  message, the message types its handler may emit, directly or through
-  any helper it reaches (``_handle_com_req`` -> ``_start_vote`` ->
-  ``QUORUM_CLT`` counts).  The core allocation chain is the paper's
-  COM_REQ -> QUORUM_CLT -> QUORUM_CFM -> QUORUM_UPD -> COM_CFG ->
-  COM_ACK transaction; the rest covers cluster-head election (CH_*),
-  departure/return, reclamation (REC_*), replica maintenance and
-  partition merge.
+Two families of facts live here:
 
 * **Observability** (:data:`EVENT_EMITTERS`, :data:`TERMINAL_PATHS`) —
   which module may construct each of the 18 typed obs events, and
@@ -25,10 +19,6 @@ Three families of facts live here:
 
 * **Determinism** (:data:`STREAM_OWNERS`, :data:`GENERATOR_FLOWS`,
   :data:`CACHE_KEY_SINKS`) plus the :data:`LAYERS` DAG.
-
-Changing protocol behavior legitimately?  Update the map here *and*
-the table in docs/PROTOCOL.md in the same commit — the lint run and
-the drift test each fail on a one-sided edit.
 """
 
 from __future__ import annotations
@@ -37,6 +27,9 @@ from typing import Dict, FrozenSet, Tuple
 
 #: Module anchors used by the rules to resolve references.
 MESSAGES_MODULE = "repro.core.messages"
+#: The transition table in that module: a dict literal whose keys are
+#: message constants and whose values are tuples of them.
+MESSAGES_TABLE = "TABLE"
 EVENTS_MODULE = "repro.obs.events"
 COUNTERS_MODULE = "repro.perf.counters"
 METRIC_NAMES_MODULE = "repro.obs.metric_names"
@@ -54,69 +47,6 @@ STATE_MACHINE_PACKAGES: FrozenSet[str] = frozenset(
 
 def _fs(*names: str) -> FrozenSet[str]:
     return frozenset(names)
-
-
-# ---------------------------------------------------------------------------
-# State machine: received message -> message types the handler may send
-# (transitively, through every helper its closure reaches).
-# ---------------------------------------------------------------------------
-HANDLER_MAY_SEND: Dict[str, FrozenSet[str]] = {
-    # --- bootstrap / first node ------------------------------------------
-    "INIT_REQ": _fs("INIT_DEFER"),
-    "INIT_DEFER": _fs(),
-    # --- the paper's allocation transaction ------------------------------
-    # A COM_REQ may be relayed to a better-stocked allocator (COM_REQ),
-    # answered with a vote round (QUORUM_CLT) or refused (COM_NACK); the
-    # commit path it reaches emits QUORUM_UPD + COM_CFG/CH_CFG, and the
-    # head's housekeeping on commit can fan out REPLICA_DIST, MERGE_JOIN
-    # (merge grace) and REC_AUDIT (self-audit) floods.
-    "COM_REQ": _fs("COM_REQ", "COM_NACK", "COM_CFG", "CH_CFG", "CH_NACK",
-                   "QUORUM_CLT", "QUORUM_UPD", "REPLICA_DIST",
-                   "MERGE_JOIN", "REC_AUDIT"),
-    "QUORUM_CLT": _fs("QUORUM_CFM", "MERGE_JOIN"),
-    "QUORUM_CFM": _fs("QUORUM_CLT", "QUORUM_UPD", "COM_CFG", "COM_NACK",
-                      "CH_CFG", "CH_NACK", "REPLICA_DIST"),
-    "QUORUM_UPD": _fs(),
-    "COM_CFG": _fs("COM_ACK", "COM_DECLINE"),
-    "COM_ACK": _fs(),
-    "COM_DECLINE": _fs("QUORUM_UPD", "REPLICA_DIST"),
-    "COM_NACK": _fs(),
-    # --- cluster-head election (CH_*) ------------------------------------
-    "CH_REQ": _fs("CH_PRP", "CH_NACK", "COM_NACK"),
-    "CH_PRP": _fs("CH_CNF", "CH_DECLINE"),
-    "CH_CNF": _fs("CH_CFG", "CH_NACK", "COM_CFG", "COM_NACK",
-                  "QUORUM_CLT", "QUORUM_UPD", "REPLICA_DIST"),
-    "CH_CFG": _fs("CH_ACK", "CH_DECLINE", "REPLICA_DIST"),
-    "CH_ACK": _fs(),
-    "CH_DECLINE": _fs("QUORUM_UPD", "REPLICA_DIST"),
-    "CH_NACK": _fs(),
-    # --- graceful departure / address return -----------------------------
-    "RETURN_ADDR": _fs("RETURN_ACK", "RETURN_FWD", "QUORUM_UPD"),
-    "RETURN_ACK": _fs(),
-    "RETURN_FWD": _fs("QUORUM_UPD"),
-    "CH_RETURN": _fs("CH_RETURN_ACK", "ALLOC_CHANGE", "REPLICA_DIST"),
-    "CH_RETURN_ACK": _fs(),
-    "RESIGN": _fs(),
-    "ALLOC_CHANGE": _fs(),
-    # --- reclamation of departed addresses (REC_*) ------------------------
-    "ADDR_REC": _fs("REC_REP", "REC_HOLDER"),
-    "REC_REP": _fs("REC_FWD"),
-    "REC_HOLDER": _fs(),
-    "REC_FWD": _fs(),
-    "REC_DELEGATE": _fs("REC_DELEGATE", "REC_SYNC"),
-    "REC_SYNC": _fs("REC_SYNC_ACK"),
-    "REC_SYNC_ACK": _fs(),
-    "REC_AUDIT": _fs("REC_CLAIMED"),
-    "REC_CLAIMED": _fs(),
-    # --- quorum-set replica maintenance ----------------------------------
-    "REPLICA_DIST": _fs("REPLICA_ACK", "MERGE_JOIN"),
-    "REPLICA_ACK": _fs(),
-    "REP_REQ": _fs("REP_ACK"),
-    "REP_ACK": _fs(),
-    # --- partition merge / location --------------------------------------
-    "MERGE_JOIN": _fs("MERGE_JOIN", "RESIGN", "CH_RETURN", "RETURN_ADDR"),
-    "UPDATE_LOC": _fs(),
-}
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ overhead figure in the evaluation.
 from repro.net.agents import AgentStore
 from repro.net.message import Message
 from repro.net.node import Node
-from repro.net.stats import Category, Counters, MessageStats
+from repro.net.stats import Category, MessageStats
 from repro.net.store import NodeStore
 from repro.net.topology import Topology
 from repro.net.transport import Scope, SendOutcome, Transport
@@ -29,7 +29,6 @@ __all__ = [
     "Message",
     "Node",
     "Category",
-    "Counters",
     "MessageStats",
     "NodeStore",
     "Topology",

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from typing import Any, Dict, Optional, Type, TypeVar
+from typing import (Any, Callable, ClassVar, Collection, Dict, Optional, Type,
+                    TypeVar)
 
 _message_ids = itertools.count()
 
@@ -114,3 +115,32 @@ class Message:
 
     def __repr__(self) -> str:
         return f"Message({self.mtype}, {self.src}->{self.dst}, hops={self.hops})"
+
+
+class MessageDispatch:
+    """Base of every agent class: a method named ``_handle_<mtype.lower()>``
+    handles messages of type ``<MTYPE>`` (an alias such as
+    ``_handle_ch_nack = _handle_com_nack`` included).  The functions are
+    gathered into ``_handlers`` once, when the class is created, and
+    ``on_message`` probes that dict.  A class that sets ``message_types``
+    must handle exactly those types, or creating it (or a subclass)
+    raises :class:`TypeError`.
+    """
+
+    message_types: ClassVar[Optional[Collection[str]]] = None
+    _handlers: ClassVar[Dict[str, Callable[[Any, Message], None]]] = {}
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._handlers = {
+            name[len("_handle_"):].upper(): getattr(cls, name)
+            for name in dir(cls)
+            if name.startswith("_handle_") and callable(getattr(cls, name))}
+        if cls.message_types is None:
+            return
+        handled, listed = set(cls._handlers), set(cls.message_types)
+        if handled != listed:
+            raise TypeError(
+                f"{cls.__name__}: handlers for unlisted types: "
+                f"{sorted(handled - listed)}; types without a handler: "
+                f"{sorted(listed - handled)}")

@@ -13,9 +13,7 @@ import enum
 from collections import defaultdict
 from typing import Dict, Iterable, Tuple
 
-from repro.perf import Counters
-
-__all__ = ["Category", "Counters", "MessageStats"]
+__all__ = ["Category", "MessageStats"]
 
 
 class Category(enum.Enum):

@@ -28,9 +28,6 @@ from repro.net.transport import Transport
 from repro.obs.bus import EventBus
 from repro.obs.events import MessageSend
 
-#: Back-compat alias: the transport-send event used to be defined here.
-TraceEvent = MessageSend
-
 
 class MessageTrace:
     """Records transport activity; optionally filtered by message type."""

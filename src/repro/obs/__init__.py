@@ -18,7 +18,8 @@ On top of the event stream sit two run-level instruments:
 * :class:`~repro.obs.profile.SubsystemProfiler` attributes wall clock
   and memory to packages (``repro.net`` / ``repro.sim`` / ... ) —
   non-deterministic by nature, so it is excluded from cache keys and
-  result payloads and only rides ``repro bench --scale``.
+  result payloads; ``repro bench --scale`` and the perf ledger
+  (``obs.profiler_overhead_ratio``) are its riders.
 
 See docs/ARCHITECTURE.md ("Observability layer") and ``repro trace``.
 """

@@ -28,11 +28,8 @@ from repro.net.message import slotted
 @slotted
 @dataclasses.dataclass(frozen=True)
 class MessageSend:
-    """One transport send (unicast, 1-hop broadcast or flood).
-
-    Field-compatible with the pre-bus ``repro.net.trace.TraceEvent``;
-    :class:`~repro.net.trace.MessageTrace` records exactly these.
-    """
+    """One transport send (unicast, 1-hop broadcast or flood);
+    :class:`~repro.net.trace.MessageTrace` records exactly these."""
 
     etype: ClassVar[str] = "message.send"
 
@@ -49,7 +46,7 @@ class MessageSend:
 
     @property
     def src(self) -> int:
-        """The sending node (alias kept from the old ``TraceEvent``)."""
+        """The sending node."""
         return self.node
 
     def __str__(self) -> str:

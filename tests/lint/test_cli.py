@@ -93,16 +93,6 @@ def test_out_writes_artifact(checkout, capsys, tmp_path):
     assert "error[determinism]" in capsys.readouterr().out
 
 
-def test_json_out_alias_still_accepted(checkout, capsys, tmp_path):
-    # --json-out is the deprecated spelling of --out (kept for CI
-    # scripts written against the old flag; see docs/API.md).
-    checkout.write("src/repro/core/bad.py", BAD_DETERMINISM)
-    artifact = tmp_path / "lint-findings.json"
-    assert lint("--json-out", str(artifact)) == 1
-    assert json.loads(artifact.read_text())["counts"] == {"determinism": 1}
-    capsys.readouterr()
-
-
 def test_explicit_paths_override_default_roots(checkout, capsys):
     checkout.write("src/repro/core/bad.py", BAD_DETERMINISM)
     checkout.write("src/repro/net/good.py", CLEAN)

@@ -9,7 +9,7 @@ matches the real checkout.
 from repro.lint.engine import iter_python_files, parse_context
 from repro.lint.project import (ProjectGraph, package_of,
                                 strongly_connected_components)
-from repro.lint.project_rules import _Dispatch, send_closure
+from repro.lint.project_rules import _Dispatch, closure, direct_sends
 
 
 def build_graph(tree) -> ProjectGraph:
@@ -172,8 +172,8 @@ def test_dispatch_bounces_through_composed_subclass(tree):
     located = dispatch.resolve(mixin_mod, mixin_cls, "_notify")
     assert located is not None
     assert located[1].qualname == "Agent._notify"
-    sends = send_closure(graph, mixin_mod, mixin_cls, "_handle_quorum_clt",
-                         dispatch=dispatch)
+    sends = closure(graph, mixin_mod, mixin_cls, "_handle_quorum_clt",
+                    direct_sends, dispatch=dispatch)
     assert set(sends) == {"QUORUM_CFM"}
 
 
@@ -202,7 +202,7 @@ def test_send_closure_is_transitive_and_cycle_safe(tree):
     graph = build_graph(tree)
     mod = graph.module("repro.core.agent")
     cls = mod.classes["Agent"]
-    sends = send_closure(graph, mod, cls, "_handle_com_req")
+    sends = closure(graph, mod, cls, "_handle_com_req", direct_sends)
     # QUORUM_CLT via the helper, QUORUM_UPD via Message(mtype=...);
     # the comparison in _compare_only is not a send and is unreachable.
     assert set(sends) == {"QUORUM_CLT", "QUORUM_UPD"}

@@ -11,14 +11,42 @@ def rules_of(findings):
     return sorted({f.rule for f in findings})
 
 
+# The state-machine rule reads the transition table from the *parsed*
+# repro.core.messages module of the tree it lints, so every fixture
+# tree carries its own.  The rows are a slice of the real table.
+MESSAGES = """\
+    COM_REQ = "COM_REQ"
+    COM_CFG = "COM_CFG"
+    COM_ACK = "COM_ACK"
+    COM_DECLINE = "COM_DECLINE"
+    QUORUM_CLT = "QUORUM_CLT"
+    QUORUM_CFM = "QUORUM_CFM"
+    QUORUM_UPD = "QUORUM_UPD"
+
+    TABLE = {
+        COM_REQ: (QUORUM_CLT,),
+        QUORUM_CLT: (QUORUM_CFM,),
+        QUORUM_CFM: (QUORUM_UPD, COM_CFG),
+        QUORUM_UPD: (),
+        COM_CFG: (COM_ACK, COM_DECLINE),
+        COM_ACK: (),
+    }
+    """
+
+
+def write_messages(tree, source=MESSAGES):
+    tree.write("src/repro/core/messages.py", source)
+
+
 # ---------------------------------------------------------------------------
 # state-machine
 # ---------------------------------------------------------------------------
 
 def test_state_machine_flags_illegal_transition(tree):
-    # COM_ACK is a pure sink in the spec: its handler may send nothing.
+    # COM_ACK is a pure sink in the table: its handler may send nothing.
     # Injecting a COM_REQ send out of it is the canonical illegal
     # transition the rule exists to catch.
+    write_messages(tree)
     tree.write("src/repro/core/agent.py", """\
         import repro.core.messages as m
 
@@ -36,6 +64,7 @@ def test_state_machine_flags_illegal_transition(tree):
 def test_state_machine_catches_send_through_helper(tree):
     # The illegal send sits two helpers deep — only the transitive
     # closure sees it.
+    write_messages(tree)
     tree.write("src/repro/core/agent.py", """\
         import repro.core.messages as m
 
@@ -55,6 +84,7 @@ def test_state_machine_catches_send_through_helper(tree):
 
 
 def test_state_machine_accepts_legal_transitions(tree):
+    write_messages(tree)
     tree.write("src/repro/core/agent.py", """\
         import repro.core.messages as m
 
@@ -69,20 +99,53 @@ def test_state_machine_accepts_legal_transitions(tree):
     assert tree.findings(select={"state-machine"}) == []
 
 
-def test_state_machine_flags_unknown_message_handler(tree):
+def test_state_machine_reads_rows_from_the_linted_tree(tree):
+    # QUORUM_CLT -> QUORUM_CFM is legal in the real protocol; this
+    # tree's table says QUORUM_CLT answers nothing, and the tree's table
+    # is the one that counts.
+    write_messages(tree, MESSAGES.replace(
+        "QUORUM_CLT: (QUORUM_CFM,),", "QUORUM_CLT: (),"))
     tree.write("src/repro/core/agent.py", """\
+        import repro.core.messages as m
+
         class Agent:
-            def _handle_bogus_msg(self, msg):
-                pass
+            def _handle_quorum_clt(self, msg):
+                self._send(msg.src, m.QUORUM_CFM)
         """)
     findings = tree.findings(select={"state-machine"})
+    assert [f.message for f in findings] == [
+        "Agent._handle_quorum_clt may send QUORUM_CFM, which the state "
+        "machine does not allow in response to QUORUM_CLT (allowed: none)"]
+    assert findings[0].path == "src/repro/core/agent.py"
+
+
+def test_state_machine_flags_unreadable_table(tree):
+    # A row the rule cannot read syntactically must not pass silently.
+    write_messages(tree, MESSAGES.replace(
+        "QUORUM_UPD: (),", "QUORUM_UPD: frozenset(),"))
+    findings = tree.findings(select={"state-machine"})
     assert len(findings) == 1
-    assert "unknown protocol message 'BOGUS_MSG'" in findings[0].message
+    assert "TABLE must be a dict literal" in findings[0].message
+    assert findings[0].path == "src/repro/core/messages.py"
+
+
+def test_state_machine_skipped_without_messages_module(tree):
+    # Linting one file on its own: no table in the graph, no verdict
+    # (the registry rules behave the same without their registry).
+    tree.write("src/repro/core/agent.py", """\
+        import repro.core.messages as m
+
+        class Agent:
+            def _handle_com_ack(self, msg):
+                self._send(msg.src, m.COM_REQ)
+        """)
+    assert tree.findings(select={"state-machine"}) == []
 
 
 def test_state_machine_ignores_packages_outside_protocol(tree):
     # Baselines implement *other* papers' protocols; their handlers are
     # not governed by this spec.
+    write_messages(tree)
     tree.write("src/repro/baselines/dad.py", """\
         import repro.core.messages as m
 
@@ -94,6 +157,7 @@ def test_state_machine_ignores_packages_outside_protocol(tree):
 
 
 def test_project_findings_honor_suppressions(tree):
+    write_messages(tree)
     tree.write("src/repro/core/agent.py", """\
         # repro-lint: disable=state-machine
         import repro.core.messages as m
@@ -106,6 +170,7 @@ def test_project_findings_honor_suppressions(tree):
 
 
 def test_no_project_skips_whole_program_pass(tree):
+    write_messages(tree)
     tree.write("src/repro/core/agent.py", """\
         import repro.core.messages as m
 

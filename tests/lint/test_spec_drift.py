@@ -1,17 +1,15 @@
-"""docs/PROTOCOL.md and protocol_spec.py must carry the same machine.
+"""The committed docs and spec must match what they are derived from.
 
-The state-machine conformance spec lives twice: as Python data
-(``repro.lint.protocol_spec.HANDLER_MAY_SEND``, what the lint rule
-enforces) and as the generated markdown table in docs/PROTOCOL.md
-(what humans read next to the paper walkthrough).  A one-sided edit —
-changing the spec without regenerating the table, or hand-editing the
-table — is drift, and this test fails on it.
+The protocol's transition table lives once, as ``TABLE`` in
+:mod:`repro.core.messages`; the block docs/PROTOCOL.md carries between
+its ``state-machine-table`` markers is that table rendered by
+``render_table()``.  Editing a row without regenerating the block, or
+hand-editing the block, is drift, and this test fails on it.
 """
 
-import re
 from pathlib import Path
-from typing import Dict, FrozenSet
 
+from repro.core.messages import render_table
 from repro.lint import protocol_spec as spec
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -19,49 +17,17 @@ PROTOCOL_MD = REPO_ROOT / "docs" / "PROTOCOL.md"
 
 BEGIN = "<!-- state-machine-table:begin"
 END = "<!-- state-machine-table:end -->"
-ROW = re.compile(r"^\|\s*`([A-Z_]+)`\s*\|\s*(.*?)\s*\|$")
 
 
-def _table_from_docs() -> Dict[str, FrozenSet[str]]:
+def test_docs_table_matches_spec():
     text = PROTOCOL_MD.read_text(encoding="utf-8")
     assert BEGIN in text and END in text, (
         "docs/PROTOCOL.md lost its state-machine table markers")
     block = text[text.index(BEGIN):text.index(END)]
-    table: Dict[str, FrozenSet[str]] = {}
-    for line in block.splitlines():
-        match = ROW.match(line.strip())
-        if match is None:
-            continue
-        mtype, cell = match.groups()
-        if cell == "—":
-            table[mtype] = frozenset()
-        else:
-            table[mtype] = frozenset(
-                name.strip("` ") for name in cell.split(","))
-    return table
-
-
-def test_docs_table_matches_spec():
-    docs = _table_from_docs()
-    assert set(docs) == set(spec.HANDLER_MAY_SEND), (
-        "message rows differ between docs/PROTOCOL.md and protocol_spec: "
-        f"docs-only={sorted(set(docs) - set(spec.HANDLER_MAY_SEND))}, "
-        f"spec-only={sorted(set(spec.HANDLER_MAY_SEND) - set(docs))}")
-    for mtype, may_send in spec.HANDLER_MAY_SEND.items():
-        assert docs[mtype] == may_send, (
-            f"{mtype}: docs says {sorted(docs[mtype])}, "
-            f"spec says {sorted(may_send)}")
-
-
-def test_spec_messages_exist_in_messages_module():
-    from repro.core import messages as m
-    declared = {name for name in dir(m)
-                if name.isupper() and isinstance(getattr(m, name), str)}
-    unknown = set(spec.HANDLER_MAY_SEND) - declared
-    sendable = {s for may in spec.HANDLER_MAY_SEND.values() for s in may}
-    assert unknown == set(), f"spec rows for unknown messages: {unknown}"
-    assert sendable - declared == set(), (
-        f"spec allows sending unknown messages: {sendable - declared}")
+    committed = block.split("\n", 1)[1].rstrip("\n")   # drop the marker line
+    assert committed == render_table(), (
+        "docs/PROTOCOL.md is stale: regenerate the block with "
+        "repro.core.messages.render_table() (see that module's docstring)")
 
 
 def test_terminal_events_are_a_subset_of_emitters():
