@@ -340,15 +340,17 @@ class FrozenEventRule(Rule):
 class HopBoundRule(Rule):
     """Topology hop queries must state their search bound.
 
-    ``hops``/``reachable`` walk the component unless ``max_hops`` stops
-    them (PR 3's counter-asserted BFS savings).  An explicit
+    ``reachable`` builds the whole component's distance map unless
+    ``max_hops`` stops it (PR 3's counter-asserted BFS savings);
+    ``hops`` and ``nearest`` stop at their answer, but a missing one
+    is still searched for to the edge of the component.  An explicit
     ``max_hops=None`` documents a *deliberately* unbounded query; an
-    absent argument is an unreviewed full-component walk.
+    absent argument is an unreviewed one.
     """
 
     name = "hop-bound"
-    description = ("topology.hops()/reachable()/within_hops() without an "
-                   "explicit hop bound argument")
+    description = ("topology.hops()/reachable()/within_hops()/nearest() "
+                   "without an explicit hop bound argument")
     severity = Severity.ERROR
 
     # method name -> (min positional args incl. receiver-less form,
@@ -357,6 +359,7 @@ class HopBoundRule(Rule):
         "hops": (3, "max_hops"),
         "reachable": (2, "max_hops"),
         "within_hops": (2, "k"),
+        "nearest": (3, "max_hops"),
     }
 
     def applies(self, ctx: FileContext) -> bool:
@@ -376,7 +379,7 @@ class HopBoundRule(Rule):
             if not bounded:
                 yield ctx.finding(
                     self, node,
-                    f".{node.func.attr}() without a hop bound walks the "
+                    f".{node.func.attr}() without a hop bound may walk the "
                     f"whole component; pass {keyword}=... "
                     f"({keyword}=None if deliberately unbounded)")
 

@@ -82,18 +82,10 @@ class HelloService:
     ) -> Optional[Tuple[int, int]]:
         """The closest reachable cluster head, or ``None``.
 
-        ``max_hops`` bounds the search (e.g. 2 for the role decision) —
-        the underlying BFS stops at that level rather than walking the
-        whole component; unbounded searches model a node asking the
-        whole partition.
+        ``max_hops`` bounds the search (e.g. 2 for the role decision);
+        unbounded searches model a node asking the whole partition.
+        Either way :meth:`Topology.nearest` stops at the first level
+        holding a head, and ``is_head`` is bound by its ``accept``
+        rule: agent and node state only, no topology queries.
         """
-        lengths = self.topology.reachable(node_id, max_hops=max_hops)
-        best: Optional[Tuple[int, int]] = None
-        for other, hops in lengths.items():
-            if other == node_id or hops == 0:
-                continue
-            if not is_head(other):
-                continue
-            if best is None or (hops, other) < (best[1], best[0]):
-                best = (other, hops)
-        return best
+        return self.topology.nearest(node_id, is_head, max_hops=max_hops)

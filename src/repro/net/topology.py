@@ -23,18 +23,32 @@ graph library on the hot path — and, since the scale rework, on
   the grid's ``shard_count``), and empty regions drop their bookkeeping
   instead of leaking across long mobility runs.
 
-* **Bounded, memoized, batched BFS.**  Hop queries run a level-list BFS
-  over slot-indexed adjacency with a reusable epoch-stamped visited
-  array — no per-query set allocations — and yield nodes in exactly the
-  order ``networkx.single_source_shortest_path_length`` produced.
-  Callers that only need a ``k``-hop neighborhood (QDSet discovery: 3,
-  HELLO scans: 2, reclamation floods: ``reclamation_radius``) pass
-  ``max_hops`` and the search stops at that level.  Results are
-  memoized per source until the graph *changes* (a refresh that finds
-  nothing moved keeps the memo — the graph is identical, so the cached
-  answers are too); a deeper query upgrades the cached entry in place.
-  :meth:`warm_bfs` batches many sources through one graph-currency
-  check and the shared scratch arrays.
+* **Hop queries cost their answer.**  There are three kinds of search
+  over the slot-indexed adjacency, all on one reusable epoch-stamped
+  visited array (no per-query set allocations) and all timed and
+  counted together (``bfs_calls`` / ``bfs_nodes_expanded``):
+
+  - *Map builds* (:meth:`reachable`, :meth:`within_hops`,
+    :meth:`warm_bfs`, :meth:`eccentricity_from`) run a level-list BFS
+    that yields nodes in exactly the order
+    ``networkx.single_source_shortest_path_length`` produced.  Callers
+    that only need a ``k``-hop neighborhood (QDSet discovery: 3, HELLO
+    scans: 2, reclamation floods: ``reclamation_radius``) pass
+    ``max_hops`` and the search stops at that level.  Maps are
+    memoized per source until the graph *changes* (a refresh that
+    finds nothing moved keeps the memo — the graph is identical, so
+    the cached answers are too); a deeper query upgrades the cached
+    entry in place, and :meth:`warm_bfs` batches many sources through
+    one graph-currency check.  A map without a cutoff is a flood
+    (``bfs_unbounded``).
+  - *Pair searches* (:meth:`hops`) are target-terminated: the memo is
+    probed for either endpoint (the graph is undirected), live
+    component labels refute cross-component pairs for free, and
+    otherwise a bidirectional BFS grows the smaller frontier one level
+    at a time until the two sides touch.  A route costs about two
+    half-length balls, never the component, and stores nothing.
+  - *Nearest searches* (:meth:`nearest`) walk outwards level by level
+    and stop at the first level holding an accepted node.
 
 * **Incremental invalidation.**  ``add_node`` / ``remove_node`` no
   longer force a full rebuild: mutations are applied lazily, and when
@@ -71,7 +85,8 @@ hop counts, iteration order and connected components — see
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional, Set,
+                    Tuple, TypeVar)
 
 from repro.net.grid import ShardedGrid
 from repro.net.node import Node
@@ -81,6 +96,7 @@ from repro.perf import counters as cnt
 from repro.sim.engine import Simulator
 
 _INF = float("inf")
+_T = TypeVar("_T")
 
 #: Delta-refresh falls back to a full rebuild once more than this
 #: fraction of the population is dirty (added + removed + moved) — at
@@ -831,6 +847,28 @@ class Topology:
     # ------------------------------------------------------------------
     # Hop-count queries
     # ------------------------------------------------------------------
+    def _memoized(self, node_id: int,
+                  need: float) -> Optional[Dict[int, int]]:
+        """``node_id``'s memoized distance map if it can answer a query
+        ``need`` hops deep (it is complete, or at least that deep);
+        counts the hit.  Call only after :meth:`_ensure_graph`."""
+        cached = self._bfs_cache.get(node_id)
+        if cached is not None and (cached[1] or cached[0] >= need):
+            self.perf.incr(cnt.BFS_CACHE_HITS)
+            return cached[2]
+        return None
+
+    def _search(self, run: Callable[..., Tuple[_T, int]],
+                *args: object) -> _T:
+        """Run one search of any kind (map, pair, nearest) under the
+        shared counters and timer; ``run`` returns ``(answer, nodes
+        expanded)``."""
+        self.perf.incr(cnt.BFS_CALLS)
+        with self.perf.timer(cnt.TIMER_TOPOLOGY_BFS):
+            answer, expanded = run(*args)
+        self.perf.incr(cnt.BFS_NODES_EXPANDED, expanded)
+        return answer
+
     def _bfs_from(self, node_id: int,
                   max_hops: Optional[int] = None) -> Dict[int, int]:
         """Hop distances from ``node_id``, memoized per graph version.
@@ -843,29 +881,25 @@ class Topology:
         """
         self._ensure_graph()
         need: float = max_hops if max_hops is not None else _INF
-        cached = self._bfs_cache.get(node_id)
-        if cached is not None:
-            depth, complete, lengths = cached
-            if complete or depth >= need:
-                self.perf.incr(cnt.BFS_CACHE_HITS)
-                return lengths
-        self.perf.incr(cnt.BFS_CALLS)
+        lengths = self._memoized(node_id, need)
+        if lengths is not None:
+            return lengths
         if need == _INF:
-            # An actual whole-component walk is about to run (memo
-            # misses only) — the counter the protocol call-site rework
-            # drives to zero.
+            # A whole-component map is about to be built (memo misses
+            # only): a flood.  Pair and nearest searches never count
+            # here — they stop at their answer.
             self.perf.incr(cnt.BFS_UNBOUNDED)
-        with self.perf.timer(cnt.TIMER_TOPOLOGY_BFS):
-            lengths, complete, expanded = self._run_bfs(node_id, need)
-        self.perf.incr(cnt.BFS_NODES_EXPANDED, expanded)
+        lengths, complete = self._search(self._run_bfs, node_id, need)
         self._bfs_cache[node_id] = (need, complete, lengths)
         return lengths
 
-    def _run_bfs(self, source: int,
-                 cutoff: float) -> Tuple[Dict[int, int], bool, int]:
+    def _run_bfs(
+        self, source: int, cutoff: float,
+    ) -> Tuple[Tuple[Dict[int, int], bool], int]:
+        """``((distance map, whole component seen), nodes expanded)``."""
         slot = self._graph_slot(source)
         if slot is None:
-            return {}, True, 0
+            return ({}, True), 0
         n = len(self._graph_slots)
         ids = self._nodes.ids
         adj = self._adj
@@ -889,8 +923,86 @@ class Topology:
                         lengths[ids[w]] = level
                         nextlevel.append(w)
                 if len(lengths) == n:
-                    return lengths, True, expanded
-        return lengths, not nextlevel, expanded
+                    return (lengths, True), expanded
+        return (lengths, not nextlevel), expanded
+
+    def _pair_search(self, slot_a: int, slot_b: int,
+                     bound: float) -> Tuple[Optional[int], int]:
+        """Bidirectional BFS between two graph slots:
+        ``(hops or None, nodes expanded)``.
+
+        Both sides grow level-synchronously, the smaller frontier
+        first, each on its own epoch of the shared visit marks.  While
+        no edge has crossed, every node within ``da`` of ``a`` and
+        every node within ``db`` of ``b`` is marked and no node carries
+        both marks, so the distance exceeds ``da + db``; the first edge
+        from one side's frontier into the other side's marks therefore
+        closes a path of exactly ``da + db + 1`` hops.
+        """
+        adj = self._adj
+        mark = self._bfs_mark
+        mine = self._bfs_epoch + 1
+        theirs = mine + 1
+        self._bfs_epoch = theirs
+        mark[slot_a] = mine
+        mark[slot_b] = theirs
+        frontier = [slot_a]
+        other = [slot_b]
+        reached = 0     # da + db
+        expanded = 0
+        while reached < bound:
+            if len(frontier) > len(other):
+                frontier, other = other, frontier
+                mine, theirs = theirs, mine
+            nextlevel: List[int] = []
+            for v in frontier:
+                expanded += 1
+                for w in adj[v]:
+                    seen = mark[w]
+                    if seen == theirs:
+                        return reached + 1, expanded
+                    if seen != mine:
+                        mark[w] = mine
+                        nextlevel.append(w)
+            if not nextlevel:
+                break   # this side's component holds no path across
+            frontier = nextlevel
+            reached += 1
+        return None, expanded
+
+    def _nearest_search(
+        self, slot: int, accept: Callable[[int], bool], bound: float,
+    ) -> Tuple[Optional[Tuple[int, int]], int]:
+        """Level-by-level walk from ``slot`` that stops at the first
+        level holding an accepted node: ``((id, level) or None, nodes
+        expanded)``."""
+        ids = self._nodes.ids
+        adj = self._adj
+        mark = self._bfs_mark
+        self._bfs_epoch += 1
+        epoch = self._bfs_epoch
+        mark[slot] = epoch
+        frontier = [slot]
+        level = 0
+        expanded = 0
+        while frontier and level < bound:
+            level += 1
+            nextlevel: List[int] = []
+            for v in frontier:
+                expanded += 1
+                for w in adj[v]:
+                    if mark[w] != epoch:
+                        mark[w] = epoch
+                        nextlevel.append(w)
+            best: Optional[int] = None
+            for w in nextlevel:
+                other = ids[w]
+                if (best is None or other < best) and accept(other):
+                    best = other
+            if best is not None:
+                return (best, level), expanded
+            frontier = nextlevel
+        return None, expanded
 
     def warm_bfs(self, sources: Iterable[int],
                  max_hops: Optional[int] = None) -> int:
@@ -915,15 +1027,77 @@ class Topology:
         """Shortest-path hop count from ``a`` to ``b``; None if unreachable.
 
         ``max_hops`` bounds the search: nodes farther than that report
-        ``None`` (indistinguishable from unreachable), and the BFS
-        stops at that level instead of walking the whole component.
+        ``None`` (indistinguishable from unreachable).
+
+        The query is target-terminated — it costs its answer, not the
+        component.  A memoized distance map of *either* endpoint (the
+        graph is undirected) answers it outright; component labels, if
+        some label query already made them live, refute a pair in two
+        components; otherwise a bidirectional search runs until the two
+        sides touch.  Nothing is stored: at paper scale a route is
+        rarely asked for twice before the graph changes (docs/SCALING.md
+        records where that stops holding), and the maps that are shared
+        (a head's 3-hop ring, a flood source's component) are already
+        memoized by the queries that need them whole.
         """
         if a == b:
             return 0
-        d = self._bfs_from(a, max_hops=max_hops).get(b)
-        if d is None or (max_hops is not None and d > max_hops):
+        self._ensure_graph()
+        need: float = max_hops if max_hops is not None else _INF
+        for source, target in ((a, b), (b, a)):
+            lengths = self._memoized(source, need)
+            if lengths is not None:
+                d = lengths.get(target)
+                return d if d is not None and d <= need else None
+        slot_a = self._graph_slot(a)
+        slot_b = self._graph_slot(b)
+        if slot_a is None or slot_b is None:
             return None
-        return d
+        # Read the labels only where they are already current; asking
+        # for them here would switch label maintenance on for runs that
+        # never pose a label question.
+        if (self._labels_active and self._labels_valid
+                and self._comp_of[slot_a] != self._comp_of[slot_b]):
+            return None
+        return self._search(self._pair_search, slot_a, slot_b, need)
+
+    def nearest(
+        self,
+        node_id: int,
+        accept: Callable[[int], bool],
+        max_hops: Optional[int],
+    ) -> Optional[Tuple[int, int]]:
+        """The closest node other than ``node_id`` that ``accept``
+        approves, as ``(id, hops)``; ``None`` if there is none within
+        ``max_hops`` (``None``: anywhere in the component).
+
+        Ties at the winning distance go to the lowest id, which is
+        ``min((hops, id))`` over :meth:`reachable` without building the
+        map: the walk stops at the first level holding an accepted
+        node.  A memoized map of ``node_id`` is read instead of
+        searching (it is level-ordered, so the read stops as early).
+
+        ``accept`` runs while the shared search scratch is in use: it
+        may read agent and node state, but must not issue topology
+        queries or mutate the population.
+        """
+        self._ensure_graph()
+        need: float = max_hops if max_hops is not None else _INF
+        lengths = self._memoized(node_id, need)
+        if lengths is not None:
+            best: Optional[Tuple[int, int]] = None
+            for other, d in lengths.items():
+                if d == 0:
+                    continue
+                if d > need or (best is not None and d > best[1]):
+                    break
+                if (best is None or other < best[0]) and accept(other):
+                    best = (other, d)
+            return best
+        slot = self._graph_slot(node_id)
+        if slot is None:
+            return None
+        return self._search(self._nearest_search, slot, accept, need)
 
     def neighbors(self, node_id: int) -> List[int]:
         """One-hop neighbor ids."""

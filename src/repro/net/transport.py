@@ -231,14 +231,12 @@ class Transport:
                       category: Category) -> SendOutcome:
         if not src.alive:
             return SendOutcome.failure()
-        msg = dataclasses.replace(
-            msg, src=src.node_id, dst=dst.node_id, sent_at=self.sim.now)
-        # Routing is the one deliberately unbounded hop query: a unicast
-        # must find the destination wherever it sits in the component.
+        # Routing finds the destination wherever it sits in the
+        # component, at the cost of the route: ``hops`` is
+        # target-terminated, so no bound is needed to keep it cheap.
         hops = self.topology.hops(src.node_id, dst.node_id, max_hops=None)
         if hops is None or not dst.alive:
             return SendOutcome.failure()
-        msg = dataclasses.replace(msg, hops=hops)
         if self.faults is not None:
             lost_at = self.faults.unicast_loss_hop(
                 src.node_id, dst.node_id, hops)
@@ -247,6 +245,10 @@ class Transport:
                 self.stats.record_drop(category)
                 return SendOutcome(True, hops, (), lost_at, 0, 1)
         self.stats.charge(category, hops)
+        # Stamped once, and only for a message that is delivered.
+        msg = dataclasses.replace(
+            msg, src=src.node_id, dst=dst.node_id, sent_at=self.sim.now,
+            hops=hops)
         self._schedule_delivery(hops * self.per_hop_delay, dst, msg)
         return SendOutcome(True, hops, ((dst.node_id, hops),), hops, hops, 0)
 

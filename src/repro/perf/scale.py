@@ -355,9 +355,9 @@ def _run_protocol_size(n: int, *, seed: int) -> Dict[str, Any]:
     sim, topo = ctx.sim, ctx.topology
     # A stationary population has no movement to track: the paper's
     # upon-leave location scheme (Section IV-C-1) drops the per-common
-    # periodic location timer, whose re-anchoring path is also the one
-    # remaining *deliberate* unbounded walk (hello nearest_head) a cut
-    # would otherwise trigger inside the detect window.
+    # periodic location timer.  (Its re-anchoring path asks hello for
+    # the nearest head anywhere in the component; that search stops at
+    # the first head's level and no longer counts as a flood.)
     cfg = ProtocolConfig(address_space_bits=space_bits_for(n),
                          location_update_mode="upon_leave")
     side = math.sqrt(n / DENSITY)

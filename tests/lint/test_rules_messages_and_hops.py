@@ -158,3 +158,23 @@ def test_hop_bound_line_suppression(tree):
             return topo.reachable(a)  # repro-lint: disable=hop-bound
         """)
     assert tree.findings(select={"hop-bound"}) == []
+
+
+def test_nearest_without_bound_flagged(tree):
+    tree.write("src/repro/net/bad.py", """\
+        def closest(topo, a, accept):
+            return topo.nearest(a, accept)
+        """)
+    findings = tree.findings(select={"hop-bound"})
+    assert len(findings) == 1
+    assert "max_hops" in findings[0].message
+
+
+def test_nearest_with_explicit_bound_clean(tree):
+    tree.write("src/repro/net/good.py", """\
+        def closest(topo, a, accept, k):
+            topo.nearest(a, accept, k)
+            topo.nearest(a, accept, max_hops=2)
+            return topo.nearest(a, accept, max_hops=None)
+        """)
+    assert tree.findings(select={"hop-bound"}) == []

@@ -83,6 +83,17 @@ def test_run_result_carries_perf_counters():
     assert restored == result
 
 
+def test_quorum_run_floods_only_where_the_protocol_floods():
+    # Routing and nearest-head scans stop at their answer, so the only
+    # whole-component map builds left are the transport's own floods.
+    scenario = Scenario(num_nodes=40, seed=7, depart_fraction=0.3,
+                        abrupt_probability=0.3)
+    counters = ScenarioRunner(scenario, "quorum").run().perf_counters
+    assert counters["send_unicast"] > 0
+    assert counters["send_flood"] > 0
+    assert counters.get("bfs_unbounded", 0) <= counters["send_flood"]
+
+
 def test_run_results_without_counters_omit_key():
     scenario = Scenario(num_nodes=15, seed=1, settle_time=5.0)
     result = ScenarioRunner(scenario, "quorum").run()
