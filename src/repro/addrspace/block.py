@@ -68,8 +68,5 @@ class Block:
             raise ValueError(f"{self} and {other} are not buddies")
         return Block(min(self.start, other.start), self.size * 2)
 
-    def parent_of(self, address: int) -> bool:
-        return self.contains(address)
-
     def __repr__(self) -> str:
         return f"Block[{self.start},{self.end})"

@@ -7,7 +7,6 @@ Subcommands::
     python -m repro figure   fig05 --workers 4  # any figNN or table1
     python -m repro sweep    --protocols quorum manetconf --nodes 50 100
     python -m repro layout   --nodes 100      # Fig. 4-style ASCII map
-    python -m repro bench    --quick          # topology perf matrix
     python -m repro lint     --strict         # static invariant checks
     python -m repro trace    --nodes 30 --seed 1 --format spans
     python -m repro metrics  --nodes 30 --seed 1 --format spark
@@ -16,17 +15,18 @@ Subcommands::
 tabulates all protocols on the same workload; ``figure`` regenerates a
 paper figure's series (optionally fanned out over worker processes);
 ``sweep`` runs an explicit (protocol x size x seed) grid through the
-parallel executor; ``layout`` draws the clustered network; ``bench``
-runs the perf matrix; ``lint`` runs the AST-based determinism and
-protocol-invariant analyzer (:mod:`repro.lint`); ``trace`` records a
-scenario's structured event stream (:mod:`repro.obs`) — or loads one
-exported with ``--trace-out`` — and renders it as a timeline, span
-trees, JSONL or an outcome summary.
+parallel executor; ``layout`` draws the clustered network; ``lint``
+runs the AST-based determinism and protocol-invariant analyzer
+(:mod:`repro.lint`); ``trace`` records a scenario's structured event
+stream (:mod:`repro.obs`) — or loads one exported with ``--trace-out``
+— and renders it as a timeline, span trees, JSONL or an outcome
+summary.
 
 ``run``, ``figure`` and ``sweep`` accept ``--trace`` (record events,
 report span aggregates) and ``--trace-out FILE`` (append each traced
-run's JSONL to FILE; implies ``--trace`` and forces serial execution,
-since worker processes do not inherit the export sink).
+run's JSONL to FILE; implies ``--trace`` and forces serial, uncached
+execution: worker processes do not inherit the export sink, and a cell
+served from the run cache exports nothing).
 
 ``metrics`` mirrors ``trace`` for the run-level gauge series
 (:mod:`repro.obs.metrics`): it records one scenario — or reloads a
@@ -131,7 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "(repro.obs) and report span aggregates")
         p.add_argument("--trace-out", default=None, metavar="FILE",
                        help="append each traced run's JSONL to FILE "
-                            "(implies --trace; forces serial execution)")
+                            "(implies --trace; forces serial, uncached "
+                            "execution)")
 
     def add_metrics_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--metrics", action="store_true",
@@ -143,7 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: 1.0; implies --metrics)")
         p.add_argument("--metrics-out", default=None, metavar="FILE",
                        help="append each run's metrics JSONL to FILE "
-                            "(implies --metrics; forces serial execution)")
+                            "(implies --metrics; forces serial, uncached "
+                            "execution)")
 
     run_p = sub.add_parser("run", help="run one protocol, print a report")
     add_scenario_args(run_p)
@@ -250,28 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     lay_p.add_argument("--nodes", type=int, default=100)
     lay_p.add_argument("--seed", type=int, default=1)
     lay_p.add_argument("--tr", type=float, default=150.0)
-
-    bench_p = sub.add_parser(
-        "bench",
-        help="run the topology benchmark matrix -> BENCH_topology.json "
-             "(--scale: the n-scaling curve -> BENCH_scale.json)")
-    bench_p.add_argument("--quick", action="store_true",
-                         help="small matrix (CI perf-smoke)")
-    bench_p.add_argument("--scale", action="store_true",
-                         help="run the 1k/10k/50k n-scaling matrix instead "
-                              "(see docs/SCALING.md)")
-    bench_p.add_argument("--out", default=None,
-                         help="output JSON (default: BENCH_topology.json, "
-                              "or BENCH_scale.json with --scale)")
-    bench_p.add_argument("--check", action="store_true",
-                         help="fail on counter regression vs --baseline")
-    bench_p.add_argument("--baseline", default=None,
-                         help="baseline JSON (mode-specific default)")
-    bench_p.add_argument("--tolerance", type=float, default=None)
-    bench_p.add_argument("--seed", type=int, default=None,
-                         help="population seed (--scale mode only)")
-    bench_p.add_argument("--skip-legacy", action="store_true",
-                         help="skip networkx-oracle timings")
 
     lint_p = sub.add_parser(
         "lint",
@@ -386,14 +366,25 @@ def _install_executor(workers: Optional[int],
         workers=workers if workers is not None else 1, cache_dir=cache))
 
 
+def _note_export(args: argparse.Namespace, executor: SweepExecutor,
+                 was_parallel: bool) -> None:
+    """Say what ``--trace-out`` / ``--metrics-out`` overrode, if anything.
+
+    Worker processes never inherit the export sinks, and a cell served
+    from the run cache exports nothing — so the run is serial and the
+    executor reads no cached cell while a sink is set.
+    """
+    if was_parallel or executor.cache is not None:
+        flag = "--trace-out" if args.trace_out else "--metrics-out"
+        print(f"note: {flag} forces serial, uncached execution",
+              file=sys.stderr)
+
+
 def cmd_figure(args: argparse.Namespace) -> int:
     if args.trace_out or args.metrics_out:
-        # Worker processes never inherit the export sinks.
-        if args.workers not in (None, 1):
-            flag = "--trace-out" if args.trace_out else "--metrics-out"
-            print(f"note: {flag} forces serial execution",
-                  file=sys.stderr)
-        set_default_executor(SweepExecutor(workers=1, cache_dir=args.cache))
+        executor = SweepExecutor(workers=1, cache_dir=args.cache)
+        _note_export(args, executor, args.workers not in (None, 1))
+        set_default_executor(executor)
     else:
         _install_executor(args.workers, args.cache)
     if args.name == "table1":
@@ -426,15 +417,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
               f"nn={spec.scenario.num_nodes} seed={spec.scenario.seed}    ",
               end="", file=sys.stderr, flush=True)
 
-    workers = args.workers
-    if (args.trace_out or args.metrics_out) and workers != 1:
-        # Worker processes never inherit the export sinks.
-        flag = "--trace-out" if args.trace_out else "--metrics-out"
-        print(f"note: {flag} forces serial execution (workers=1)",
-              file=sys.stderr)
-        workers = 1
+    exporting = bool(args.trace_out or args.metrics_out)
     executor = SweepExecutor(
-        workers=workers, cache_dir=args.cache, progress=progress)
+        workers=1 if exporting else args.workers,
+        cache_dir=args.cache, progress=progress)
+    if exporting:
+        _note_export(args, executor, args.workers != 1)
 
     # Stream cells instead of materializing a SweepReport: rows and the
     # summary fold incrementally, so a large grid never holds every
@@ -581,31 +569,6 @@ def cmd_layout(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.perf import bench
-
-    argv = []
-    if args.scale:
-        argv.append("--scale")
-    if args.quick:
-        argv.append("--quick")
-    # Mode-specific defaults (BENCH_topology.json vs BENCH_scale.json)
-    # live in the perf parsers; only forward what the user actually set.
-    if args.out is not None:
-        argv += ["--out", args.out]
-    if args.baseline is not None:
-        argv += ["--baseline", args.baseline]
-    if args.tolerance is not None:
-        argv += ["--tolerance", str(args.tolerance)]
-    if args.seed is not None:
-        argv += ["--seed", str(args.seed)]
-    if args.check:
-        argv.append("--check")
-    if args.skip_legacy:
-        argv.append("--skip-legacy")
-    return bench.main(argv)
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     install_faults(args)
@@ -619,7 +582,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "trace": cmd_trace,
         "metrics": cmd_metrics,
         "layout": cmd_layout,
-        "bench": cmd_bench,
         "lint": lint_cli.run,
     }
     try:

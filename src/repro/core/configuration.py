@@ -13,7 +13,6 @@ import itertools
 from typing import Dict, Optional
 
 from repro.addrspace.block import Block
-from repro.addrspace.records import AddressRecord
 from repro.quorum.voting import VoteCollector
 
 _attempt_ids = itertools.count(1)
@@ -75,7 +74,6 @@ class PendingConfig:
     relay_of: Optional[int] = None
     committed: bool = False
     cfg_delivered: bool = False   # the grant message reached the requester
-    cleanup_checks: int = 0       # deferred-rollback probe count
     req_seq: Optional[int] = None
     attempt_id: int = dataclasses.field(default_factory=lambda: next(_attempt_ids))
 
@@ -87,16 +85,3 @@ class PendingConfig:
             self.vote_sent.get(voter, 0) for voter in self.collector.responders
         ]
         return 2 * max(distances) if distances else 0
-
-
-@dataclasses.dataclass
-class BlockVote:
-    """A QDSet member's verdict on a whole proposed block.
-
-    Summarized as a synthetic :class:`AddressRecord`: the maximum
-    timestamp across the block and ASSIGNED if any address in the block
-    is believed assigned.
-    """
-
-    voter: int
-    record: AddressRecord

@@ -65,10 +65,6 @@ class HeadState:
         """Is ``address`` part of this head's IPSpace?"""
         return self.pool.owns(address)
 
-    def own_blocks(self) -> List[Block]:
-        """Free blocks plus a summary view of the IPSpace extent."""
-        return self.pool.free_blocks()
-
     def ip_space_size(self) -> int:
         return self.pool.total_count()
 

@@ -57,17 +57,6 @@ def _sweep_over_seeds(
     return mean, std
 
 
-def _avg_over_seeds(
-    make_scenario: Callable[[int], Scenario],
-    protocol: str,
-    metric: Callable[[RunResult], float],
-    seeds: Sequence[int],
-    protocol_config: Optional[Any] = None,
-) -> float:
-    return _sweep_over_seeds(
-        make_scenario, protocol, metric, seeds, protocol_config)[0]
-
-
 def _result(title: str, xlabel: str, ylabel: str, x: Iterable[Any],
             series: Dict[str, List[float]],
             stds: Optional[Dict[str, List[float]]] = None) -> Dict[str, Any]:

@@ -64,6 +64,9 @@ from typing import (
 
 from repro.experiments.metrics import RunResult
 from repro.experiments.scenario import Scenario
+from repro.obs import (
+    merge_histograms, merge_series, metrics_export_path, trace_export_path,
+)
 from repro.perf import Counters
 from repro.sim.rng import spawn_key
 
@@ -308,15 +311,11 @@ class SweepSummary:
         for name, count in result.perf_counters.items():
             self._perf[name] = self._perf.get(name, 0) + count
         if result.obs_histograms:
-            from repro.obs import merge_histograms
-
             self._histograms = merge_histograms(
                 self._histograms, result.obs_histograms)
         for outcome, count in result.obs_spans.items():
             self._spans[outcome] = self._spans.get(outcome, 0) + count
         if result.obs_metrics:
-            from repro.obs import merge_series
-
             self._metrics = merge_series(self._metrics, result.obs_metrics)
         return self
 
@@ -508,15 +507,21 @@ class SweepExecutor:
         total = len(specs)
         self.stats.incr("scheduled", total)
 
+        # A run feeds the --trace-out / --metrics-out sink while it
+        # executes, so a cell served from the cache would export
+        # nothing: with a sink set every cell runs (and is re-stored).
+        exporting = (trace_export_path() is not None
+                     or metrics_export_path() is not None)
+        read_from = None if exporting else self.cache
         hits: Dict[int, RunResult] = {}
         pending: List[int] = []
         for i, spec in enumerate(specs):
-            hit = self.cache.get(spec) if self.cache is not None else None
+            hit = read_from.get(spec) if read_from is not None else None
             if hit is not None:
                 hits[i] = hit
                 self.stats.incr("cache_hit")
             else:
-                if self.cache is not None:
+                if read_from is not None:
                     self.stats.incr("cache_miss")
                 pending.append(i)
 

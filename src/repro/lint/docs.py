@@ -21,7 +21,7 @@ This checker makes those failures build failures:
 
 * **Code references exist** — an inline-code token that looks like a
   repo path (contains ``/`` and ends in a known source extension, e.g.
-  ```src/repro/net/topology.py``` or ```repro/perf/scale.py```) must
+  ```src/repro/net/topology.py``` or ```repro/perf/counters.py```) must
   exist, tried verbatim from the repo root and under ``src/``.  Naming
   a module in prose is a promise the module is there.
 

@@ -129,7 +129,6 @@ STREAM_SHARING: FrozenSet[Tuple[str, str]] = frozenset()
 #: the scenario layer drives mobility models with per-node streams.
 GENERATOR_FLOWS: FrozenSet[Tuple[str, str]] = frozenset({
     ("repro.experiments", "repro.mobility"),
-    ("repro.perf", "repro.mobility"),
 })
 
 #: Call targets a generator must never reach: cache keys and canonical
@@ -142,9 +141,7 @@ CACHE_KEY_SINKS: FrozenSet[str] = frozenset({
 
 # ---------------------------------------------------------------------------
 # Layering: the enforced dependency DAG.  A module may import modules in
-# its own layer or below, never above.  Longest matching prefix wins,
-# so the perf *harnesses* (scale/bench drive the whole protocol) sit in
-# the harness layer while the recorder/registry they share stay low.
+# its own layer or below, never above.  Longest matching prefix wins.
 # ---------------------------------------------------------------------------
 LAYERS: Dict[str, int] = {
     # 0 — foundation: pure data structures, clocks, no repro deps
@@ -167,8 +164,6 @@ LAYERS: Dict[str, int] = {
     "repro.experiments": 4,
     "repro.baselines": 4,
     "repro.cli": 4,
-    "repro.perf.scale": 4,
-    "repro.perf.bench": 4,
     "repro": 4,
 }
 

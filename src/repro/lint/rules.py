@@ -395,7 +395,7 @@ class ConnApiRule(Rule):
     whole-component BFS those queries replaced, so the sibling of
     ``hop-bound`` flags the deliberate-unbounded spelling too — inside
     ``repro.core`` / ``repro.quorum`` only, where every call site was
-    migrated.  Engine, bench, and oracle code may still flood.
+    migrated.  Engine, instrument and oracle code may still flood.
     """
 
     name = "conn-api"
@@ -537,9 +537,7 @@ class NoOracleImportRule(Rule):
     """The runtime stays dependency-free.
 
     PR 3 moved numpy/networkx behind the test-only oracle
-    (:mod:`repro.net.oracle`); only the oracle itself and the opt-in
-    benchmark harness (:mod:`repro.perf.bench`, behind
-    ``--skip-legacy``) may touch them.
+    (:mod:`repro.net.oracle`); only the oracle itself may touch them.
     """
 
     name = "no-oracle-import"
@@ -551,8 +549,7 @@ class NoOracleImportRule(Rule):
 
     def applies(self, ctx: FileContext) -> bool:
         return (ctx.in_package("repro")
-                and not ctx.is_module("repro.net.oracle",
-                                      "repro.perf.bench"))
+                and not ctx.is_module("repro.net.oracle"))
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):

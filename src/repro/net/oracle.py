@@ -1,4 +1,4 @@
-"""Legacy networkx topology engine, kept as a test/bench oracle.
+"""Legacy networkx topology engine, kept as the tests' oracle.
 
 This is the original implementation of :class:`repro.net.topology.Topology`
 verbatim: dense ``O(n^2)`` pairwise distances via numpy, edges inserted
@@ -6,8 +6,7 @@ into a :class:`networkx.Graph`, hop queries answered by
 ``nx.single_source_shortest_path_length``.  The native spatial-grid
 engine is validated against it — edge sets, hop-count dicts *including
 iteration order*, and connected components must match exactly
-(``tests/net/test_topology_oracle.py``) — and ``repro bench`` times it
-as the speedup baseline.
+(``tests/net/test_topology_oracle.py``).
 
 numpy and networkx are imported lazily so the runtime package no longer
 depends on either (they live in the ``test`` extra); importing this

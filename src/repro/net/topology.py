@@ -76,7 +76,7 @@ graph library on the hot path — and, since the scale rework, on
   ``conn_*`` counters prove the floods are gone).
 
 The engine is validated against a networkx oracle
-(:mod:`repro.net.oracle`, a test/bench-only dependency) for edge sets,
+(:mod:`repro.net.oracle`, a test-only dependency) for edge sets,
 hop counts, iteration order and connected components — see
 ``tests/net/test_topology_oracle.py`` and
 ``tests/net/test_store_oracle.py``.
@@ -174,8 +174,8 @@ class Topology:
 
         Equivalent to calling :meth:`add_node` per node, but the store
         extends its parallel arrays once and the BFS memo is cleared
-        once, which is what lets ``repro bench --scale`` bootstrap a
-        10k-node population without n separate invalidation rounds.
+        once, which is what lets the perf ledger's workloads stand up
+        a 10k-node population without n separate invalidation rounds.
         Returns the number of nodes registered.
         """
         count = self._nodes.add_many(nodes)

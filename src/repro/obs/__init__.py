@@ -15,11 +15,11 @@ On top of the event stream sit two run-level instruments:
   counts, pool utilization, component count, message rates, heap
   pressure) on a fixed sim-time cadence — deterministic series that
   aggregate across sweeps (``repro metrics`` / ``--metrics``).
-* :class:`~repro.obs.profile.SubsystemProfiler` attributes wall clock
-  and memory to packages (``repro.net`` / ``repro.sim`` / ... ) —
+* :class:`~repro.obs.profile.SubsystemProfiler` attributes event wall
+  clock to packages (``repro.net`` / ``repro.sim`` / ... ) —
   non-deterministic by nature, so it is excluded from cache keys and
-  result payloads; ``repro bench --scale`` and the perf ledger
-  (``obs.profiler_overhead_ratio``) are its riders.
+  result payloads; the perf ledger (``obs.profiler_overhead_ratio``,
+  and ``package_of`` as its tracer's span key) is its rider.
 
 See docs/ARCHITECTURE.md ("Observability layer") and ``repro trace``.
 """

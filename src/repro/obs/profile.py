@@ -1,36 +1,27 @@
-"""Subsystem attribution profiler (wall clock + memory by package).
+"""Subsystem attribution profiler (wall clock by package).
 
 The deterministic perf counters (:mod:`repro.perf`) say how much
-algorithmic work happened; this module says *where the time and memory
-went*.  :class:`SubsystemProfiler` attributes cost along two axes:
+algorithmic work happened; this module says *where the time went*.
+Installed on a :class:`~repro.sim.engine.Simulator`
+(:meth:`SubsystemProfiler.install`), the profiler becomes the engine's
+profile hook: it invokes every fired event callback itself, timing it
+and charging the call's self time to the subsystem that owns the
+callback (``repro.net``, ``repro.core``, ``repro.sim``,
+``repro.quorum``, ...).  Timer-wrapped callbacks are unwrapped
+(:func:`package_of` looks through ``Timer``/``PeriodicTimer``
+``_fire`` and ``functools.partial``) so a HELLO beacon is charged to
+``repro.net``, not to the timer plumbing.  Periodic timers that share
+a heap entry still arrive one callback at a time, nested inside the
+``repro.sim`` call for the entry.
 
-* **Per-event package attribution.**  Installed on a
-  :class:`~repro.sim.engine.Simulator` (:meth:`install`), the profiler
-  becomes the engine's profile hook: it invokes every fired event
-  callback itself, timing it and charging the call's self time to the
-  subsystem that owns the callback (``repro.net``, ``repro.core``,
-  ``repro.sim``, ``repro.quorum``, ...).  Timer-wrapped callbacks are
-  unwrapped (:func:`package_of` looks through ``Timer``/
-  ``PeriodicTimer`` ``_fire`` and ``functools.partial``) so a HELLO
-  beacon is charged to ``repro.net``, not to the timer plumbing.
-  Periodic timers that share a heap entry still arrive one callback
-  at a time, nested inside the ``repro.sim`` call for the entry.
-
-* **Nestable phase accounting.**  :meth:`phase` brackets a named
-  stretch of driver code (``bootstrap``, ``settle``, ``storm``) and
-  records calls, total and self wall clock, plus the per-package event
-  deltas that occurred inside — the settle-phase breakdown is what
-  names the steady-state cost floor in ``BENCH_scale.json``.
-
-* **Memory attribution.**  :meth:`start_memory` /
-  :meth:`memory_by_package` use :mod:`tracemalloc` to group live
-  allocations by the ``repro`` sub-package that made them.
+Per-phase and per-layer attribution of a whole workload is the perf
+ledger's job (``ledger/trace.py`` keys its spans with
+:func:`package_of`; ``obs.profiler_overhead_ratio`` there is this
+hook's price tag), and per-run memory is its ``peak_rss_mb``.
 
 Everything here is wall-clock and machine-dependent by design, which is
 why it lives outside the determinism boundary: profiler output is never
-part of a cache key, a result hash, or a regression gate — the scale
-gate (:func:`repro.perf.scale.check_scale_regression`) iterates named
-sections and ignores the ``attribution`` block entirely.  The lint
+part of a cache key, a result hash, or a regression gate.  The lint
 suite sanctions the wall-clock reads in this one observability module
 (see ``_WALLCLOCK_ALLOWED`` in :mod:`repro.lint.rules`).
 """
@@ -39,9 +30,7 @@ from __future__ import annotations
 
 import functools
 import time
-import tracemalloc
-from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 __all__ = ["SubsystemProfiler", "package_of"]
 
@@ -108,44 +97,15 @@ def package_of(callback: Callable[..., Any]) -> str:
     return package
 
 
-def _package_of_path(filename: str) -> str:
-    """Map a traceback filename to its ``repro`` sub-package bucket."""
-    normalized = filename.replace("\\", "/")
-    marker = "/repro/"
-    index = normalized.rfind(marker)
-    if index < 0:
-        return OTHER
-    rest = normalized[index + len(marker):].split("/")
-    if len(rest) > 1:
-        return "repro." + rest[0]
-    return "repro"
-
-
-class _PhaseFrame:
-    """One live ``phase()`` activation on the nesting stack."""
-
-    __slots__ = ("name", "start", "child_s", "package_wall", "package_events")
-
-    def __init__(self, name: str, start: float,
-                 package_wall: Dict[str, float],
-                 package_events: Dict[str, int]) -> None:
-        self.name = name
-        self.start = start
-        self.child_s = 0.0
-        self.package_wall = package_wall
-        self.package_events = package_events
-
-
 class SubsystemProfiler:
-    """Attributes wall clock and memory to ``repro`` subsystems.
+    """Attributes event wall clock to ``repro`` subsystems.
 
     Example::
 
         profiler = SubsystemProfiler().install(sim)
-        with profiler.phase("settle"):
-            sim.run(until=30.0)
-        report = profiler.report()
-        # report["phases"]["settle"]["packages"]["repro.net"]["wall_s"]
+        sim.run(until=30.0)
+        profiler.uninstall()
+        # profiler.packages()["repro.net"]["wall_s"]
 
     The profiler is a passive observer of *cost*, never of behavior:
     the engine fires exactly the same events in the same order whether
@@ -159,11 +119,7 @@ class SubsystemProfiler:
         self._package_events: Dict[str, int] = {}
         # Wall clock of the hook calls nested in the one now running.
         self._child_s = 0.0
-        # Per-phase accounting, insertion-ordered (phase sequence).
-        self._phases: Dict[str, Dict[str, Any]] = {}
-        self._stack: List[_PhaseFrame] = []
         self._sim: Optional[Any] = None
-        self._owns_tracemalloc = False
 
     # ------------------------------------------------------------------
     # Engine hook
@@ -202,79 +158,6 @@ class SubsystemProfiler:
             self._child_s = outer_child_s + elapsed
 
     # ------------------------------------------------------------------
-    # Phase accounting
-    # ------------------------------------------------------------------
-    @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        """Bracket a named driver phase (nestable).
-
-        ``total_s`` accumulates the full bracket; ``self_s`` excludes
-        time spent in nested phases.  The per-package deltas cover
-        every event fired inside the bracket, nested phases included.
-        """
-        frame = _PhaseFrame(name, time.perf_counter(),
-                            dict(self._package_wall),
-                            dict(self._package_events))
-        self._stack.append(frame)
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - frame.start
-            self._stack.pop()
-            if self._stack:
-                self._stack[-1].child_s += elapsed
-            record = self._phases.setdefault(
-                name, {"calls": 0, "total_s": 0.0, "self_s": 0.0,
-                       "packages": {}})
-            record["calls"] += 1
-            record["total_s"] += elapsed
-            record["self_s"] += elapsed - frame.child_s
-            packages: Dict[str, Dict[str, Any]] = record["packages"]
-            for package in sorted(self._package_wall):
-                wall_delta = (self._package_wall[package]
-                              - frame.package_wall.get(package, 0.0))
-                event_delta = (self._package_events[package]
-                               - frame.package_events.get(package, 0))
-                if not event_delta:
-                    continue
-                entry = packages.setdefault(
-                    package, {"events": 0, "wall_s": 0.0})
-                entry["events"] += event_delta
-                entry["wall_s"] += wall_delta
-
-    # ------------------------------------------------------------------
-    # Memory attribution
-    # ------------------------------------------------------------------
-    def start_memory(self) -> None:
-        """Begin tracing allocations (no-op if tracemalloc is active)."""
-        if not tracemalloc.is_tracing():
-            tracemalloc.start()
-            self._owns_tracemalloc = True
-
-    def stop_memory(self) -> None:
-        """Stop tracing, if :meth:`start_memory` started it."""
-        if self._owns_tracemalloc and tracemalloc.is_tracing():
-            tracemalloc.stop()
-        self._owns_tracemalloc = False
-
-    def memory_by_package(self) -> Dict[str, int]:
-        """Live traced bytes per ``repro`` sub-package (name-sorted).
-
-        Covers allocations made since tracing began that are still
-        reachable at snapshot time — started just before a steady-state
-        window, it isolates the per-subsystem resident growth of that
-        window.  Empty when tracing is off.
-        """
-        if not tracemalloc.is_tracing():
-            return {}
-        snapshot = tracemalloc.take_snapshot()
-        totals: Dict[str, int] = {}
-        for stat in snapshot.statistics("filename"):
-            package = _package_of_path(stat.traceback[0].filename)
-            totals[package] = totals.get(package, 0) + stat.size
-        return dict(sorted(totals.items()))
-
-    # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
     def packages(self) -> Dict[str, Dict[str, Any]]:
@@ -283,29 +166,4 @@ class SubsystemProfiler:
             package: {"events": self._package_events[package],
                       "wall_s": self._package_wall[package]}
             for package in sorted(self._package_events)
-        }
-
-    def report(self) -> Dict[str, Any]:
-        """The JSON-safe attribution payload.
-
-        ``phases`` keeps phase-sequence order; package maps are
-        name-sorted.  Wall-clock and byte values vary per machine —
-        the payload is informational and must never enter a cache key
-        or a regression gate.
-        """
-        return {
-            "packages": self.packages(),
-            "phases": {
-                name: {
-                    "calls": record["calls"],
-                    "total_s": record["total_s"],
-                    "self_s": record["self_s"],
-                    "packages": {
-                        package: dict(entry)
-                        for package, entry in sorted(
-                            record["packages"].items())
-                    },
-                }
-                for name, record in self._phases.items()
-            },
         }

@@ -151,7 +151,9 @@ _EXPORT_PATH: Optional[str] = None
 def set_trace_export(path: Optional[str]) -> None:
     """Route every traced run's JSONL to ``path`` (append); ``None``
     disables the sink.  Serial execution only: worker processes of a
-    parallel sweep never inherit the sink."""
+    parallel sweep never inherit the sink.  Only an executed run
+    exports, so the sweep executor reads no cached cell while a sink
+    (this one or the metrics one) is set."""
     global _EXPORT_PATH
     _EXPORT_PATH = path
 

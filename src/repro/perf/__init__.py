@@ -17,8 +17,9 @@ observability data:
   ``transport.send``); re-entering a name that is already running on
   the stack does not double-count its time.  Timings are *never*
   serialized into run results: wall clock varies per machine, and the
-  determinism tests compare result payloads byte for byte.  The
-  ``repro bench`` subcommand is the consumer (docs/BENCHMARKS.md).
+  determinism tests compare result payloads byte for byte.  The perf
+  ledger is the consumer (``ledger/workloads.py`` reads
+  :meth:`PerfRecorder.timings_snapshot`; docs/BENCHMARKS.md).
 
 Instrumented subsystems accept a recorder (topology, transport take a
 ``perf=`` argument; :class:`~repro.net.context.NetworkContext` wires one
@@ -128,7 +129,7 @@ class PerfRecorder:
         return dict(sorted(self.counters.snapshot().items()))
 
     # ------------------------------------------------------------------
-    # Timers (wall clock, bench-only)
+    # Timers (wall clock, ledger-only)
     # ------------------------------------------------------------------
     @contextmanager
     def timer(self, name: str) -> Iterator[None]:

@@ -6,10 +6,10 @@ the per-scope send family).  Centralizing the names buys two things:
 
 * a typo'd counter string is a lint error (the ``counter-registry``
   whole-program rule checks every ``perf.incr``/``perf.get`` literal
-  against :data:`ALL_COUNTERS`), not a silently-empty bench column;
-* the bench/scale gates (:mod:`repro.perf.bench`,
-  :mod:`repro.perf.scale`) and the docs enumerate counters from one
-  place, so a renamed counter cannot drift apart from its consumers.
+  against :data:`ALL_COUNTERS`), not a silently-empty ledger metric;
+* the perf ledger (``ledger/workloads.py``), the pinned-result budgets
+  and the docs enumerate counters from one place, so a renamed counter
+  cannot drift apart from its consumers.
 
 Stats/event tallies (``MessageStats``, fault event counters) are a
 separate vocabulary and deliberately not registered here — they ride
@@ -92,7 +92,7 @@ ALL_COUNTERS: FrozenSet[str] = frozenset({
     SEND_FLOOD,
 })
 
-#: Wall-clock timer names (bench-only; never serialized into results).
+#: Wall-clock timer names (ledger-only; never serialized into results).
 TIMER_TRANSPORT_SEND = "transport.send"
 TIMER_TOPOLOGY_REBUILD = "topology.rebuild"
 TIMER_TOPOLOGY_BFS = "topology.bfs"

@@ -25,7 +25,7 @@ def generator_from_seed(seed: int) -> random.Random:
 
     The blessed constructor for the rare consumer that needs a raw
     generator outside the :class:`RandomStreams` registry (e.g. the
-    ``repro bench`` population builder, whose layouts are keyed by the
+    perf ledger's population builders, whose layouts are keyed by the
     literal seed).  Centralizing construction here is what lets the
     ``rng-stream`` lint rule guarantee no ad-hoc generators exist
     anywhere else in the runtime.

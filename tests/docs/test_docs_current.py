@@ -95,7 +95,7 @@ def test_fenced_blocks_are_not_claims(tmp_path):
 def test_github_slugs_match_renderer_conventions():
     seen = {}
     assert _github_slug("Quick Start", seen) == "quick-start"
-    assert _github_slug("The `repro bench` CLI", seen) == "the-repro-bench-cli"
+    assert _github_slug("The `repro lint` CLI", seen) == "the-repro-lint-cli"
     assert _github_slug("Quick Start", seen) == "quick-start-1"  # duplicate
     text = "# Top\n\n## A & B (c)\n"
     assert _anchors_of(text) == ["top", "a--b-c"]

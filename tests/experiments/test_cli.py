@@ -195,6 +195,32 @@ def test_sweep_trace_out_forces_serial_and_collects_jsonl(
     assert trace_export_path() is None  # sink reset on exit
 
 
+@pytest.mark.parametrize("flag", ["--trace-out", "--metrics-out"])
+def test_export_with_a_warm_cache_rewrites_the_same_bytes(
+        capsys, tmp_path, monkeypatch, flag):
+    """A cache hit never runs the exporter, so an export run executes
+    every cell — whether the cache came from --cache or the env."""
+    out_file = tmp_path / "export.jsonl"
+    base = ["sweep", "--protocols", "quorum", "--nodes", "12",
+            "--seeds", "1", "--speed", "0", "--settle", "5",
+            "--workers", "1", flag, str(out_file)]
+    assert main(base + ["--cache", str(tmp_path / "cache")]) == 0
+    first = out_file.read_bytes()
+    assert first
+    capsys.readouterr()
+    assert main(base + ["--cache", str(tmp_path / "cache")]) == 0
+    assert out_file.read_bytes() == first
+    captured = capsys.readouterr()
+    assert "executed=1 cache_hits=0" in captured.out
+    assert "uncached" in captured.err
+    monkeypatch.setenv("REPRO_SWEEP_CACHE", str(tmp_path / "cache"))
+    assert main(base) == 0
+    assert out_file.read_bytes() == first
+    # The export runs still stored their cells: no sink, all hits.
+    assert main(base[:-2] + [flag.replace("-out", "")]) == 0
+    assert "cache_hits=1" in capsys.readouterr().out
+
+
 def test_traced_sweep_cells_cache_separately_from_untraced(
         capsys, tmp_path):
     base = ["sweep", "--protocols", "dad", "--nodes", "10",

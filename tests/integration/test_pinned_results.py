@@ -15,6 +15,12 @@ Target-terminated ``hops``/``nearest`` redefined them (pair and
 nearest searches count as ``bfs_calls``; ``bfs_unbounded`` counts
 floods only), so the current pins are the parent commit's payload
 minus those keys — reproduced bit for bit by the new search.
+
+What the hashes cannot pin, a budget bounds: each popped counter must
+stay positive and within its cell's inline budget — the value measured
+when the budget was written, times 1.25, rounded up.  A change that
+makes the substrate search less lowers the budget in the same commit;
+one that makes it search 25 % more fails here.
 """
 
 import hashlib
@@ -29,23 +35,26 @@ from repro.perf import counters as cnt
 CELLS = {
     "mobile": (
         dict(),
-        "65f6c4e26ba6d0da2156286805d7f014ce2d40c5a69852e53a5daa7d608cdeb8"),
+        "65f6c4e26ba6d0da2156286805d7f014ce2d40c5a69852e53a5daa7d608cdeb8",
+        {cnt.CONN_LABEL_HITS: 18013, cnt.BFS_CALLS: 4530,
+         cnt.BFS_CACHE_HITS: 1054, cnt.BFS_NODES_EXPANDED: 18319}),
     "static_lossy": (
         dict(speed_mps=0.0, faults=FaultSpec(loss_rate=0.05)),
-        "bb5adedd0b311c98d6ad325d918bb4e797adba5eb0fab000ffafc9418d3cf9d4"),
+        "bb5adedd0b311c98d6ad325d918bb4e797adba5eb0fab000ffafc9418d3cf9d4",
+        {cnt.CONN_LABEL_HITS: 5360, cnt.BFS_CALLS: 1123,
+         cnt.BFS_CACHE_HITS: 2373, cnt.BFS_NODES_EXPANDED: 5673}),
 }
 
 
 @pytest.mark.parametrize("cell", sorted(CELLS))
 def test_quorum_run_result_hash_is_pinned(cell):
-    extra, pinned = CELLS[cell]
+    extra, pinned, budgets = CELLS[cell]
     scenario = Scenario(num_nodes=40, seed=7, depart_fraction=0.3,
                         abrupt_probability=0.3, **extra)
     payload = ScenarioRunner(scenario, "quorum").run().to_dict()
     counters = payload["perf_counters"]
-    for name in (cnt.CONN_LABEL_HITS, cnt.BFS_CALLS, cnt.BFS_CACHE_HITS,
-                 cnt.BFS_NODES_EXPANDED):
-        assert counters.pop(name) > 0
+    for name, budget in budgets.items():
+        assert 0 < counters.pop(name) <= budget, name
     # Floods only: the static cell's two floods are both bounded.
     counters.pop(cnt.BFS_UNBOUNDED, None)
     digest = hashlib.sha256(

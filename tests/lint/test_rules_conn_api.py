@@ -51,12 +51,12 @@ def test_label_queries_not_flagged(tree):
 
 
 def test_non_protocol_packages_out_of_scope(tree):
-    # The engine's own BFS helpers and bench/oracle code may flood.
+    # The engine's own BFS helpers and instrument code may flood.
     tree.write("src/repro/net/topology_helper.py", """\
         def walk(topo, nid):
             return topo.reachable(nid, max_hops=None)
         """)
-    tree.write("src/repro/perf/scale_probe.py", """\
+    tree.write("src/repro/perf/flood_probe.py", """\
         def walk(topo, nid):
             return topo.reachable(nid, max_hops=None)
         """)

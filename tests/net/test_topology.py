@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.geometry import Point
+from repro.geometry import Point, Region, distance
 from repro.mobility import RandomWaypoint
 from repro.mobility.base import Stationary
 from repro.net import Node, Topology
 from repro.sim import Simulator
+from repro.sim.rng import generator_from_seed
 
 
 def make_topology(positions, tr=150.0, seed=1):
@@ -287,3 +288,77 @@ def test_invalidate_nodes_drops_stale_bfs_answers():
     topo.get(2).kill()
     topo.invalidate_nodes([2])
     assert topo.hops(0, LAST) is None  # memo did not survive
+
+
+# ---------------------------------------------------------------------------
+# The same contracts at constant density (~28 neighbours at 150 m), where
+# the grid has more than one shard and 1 % of the nodes are walkers
+# ---------------------------------------------------------------------------
+POPULATION = 600
+WALKER_EVERY = 100
+
+
+def make_population(seed=11):
+    side = (POPULATION / 4e-4) ** 0.5
+    region = Region(side, side)
+    layout = generator_from_seed(seed)
+    sim = Simulator(seed=seed)
+    topo = Topology(sim, transmission_range=150.0, refresh_interval=0.5)
+    for i in range(POPULATION):
+        start = Point(layout.uniform(0, side), layout.uniform(0, side))
+        topo.add_node(Node(i, Stationary(start) if i % WALKER_EVERY else
+                           RandomWaypoint(region, start, 20.0,
+                                          generator_from_seed(seed + i))))
+    return sim, topo, side
+
+
+def counters_since(topo, base):
+    return {name: value - base.get(name, 0)
+            for name, value in counters(topo).items()
+            if value != base.get(name, 0)}
+
+
+def test_fault_churn_rides_the_node_scoped_delta_path():
+    """A localized outage and its recovery each cost one delta rebuild
+    sized by the batch, touching a sliver of the shard grid."""
+    _, topo, side = make_population()
+    # The 16 stationary nodes nearest the centre: one shard's worth.
+    centre = Point(side / 2, side / 2)
+    batch = sorted(
+        (node for node in topo.nodes() if node.mobility.speed() == 0.0),
+        key=lambda node: (distance(node.mobility.position(0.0), centre),
+                          node.node_id))[:16]
+    ids = [node.node_id for node in batch]
+    edges = topo.edge_count()
+    assert topo.shard_count > 1
+    for alive in (False, True):
+        base = counters(topo)
+        for node in batch:
+            node.alive = alive
+        topo.invalidate_nodes(ids)
+        topo.neighbors(0)
+        delta = counters_since(topo, base)
+        assert delta["graph_node_invalidations"] == len(batch)
+        assert delta["graph_delta_rebuilds"] == 1
+        assert "graph_full_rebuilds" not in delta
+        assert delta["graph_delta_dirty_nodes"] == len(batch)
+        assert delta["graph_shards_touched"] < topo.shard_count
+    assert topo.edge_count() == edges  # everyone revived in place
+
+
+def test_mobile_fraction_keeps_delta_path_active():
+    """Static skip: a refresh recomputes the walkers' positions, not the
+    population's, and patches the graph instead of rebuilding it."""
+    sim, topo, _ = make_population()
+    topo.neighbors(0)  # the initial full build
+    base = counters(topo)
+    refreshes = 5
+    for _ in range(refreshes):
+        sim.run(until=sim.now + 0.5 * 1.01)
+        topo.neighbors(0)
+    delta = counters_since(topo, base)
+    assert delta["graph_delta_rebuilds"] == refreshes
+    assert "graph_full_rebuilds" not in delta
+    walkers = POPULATION // WALKER_EVERY
+    assert delta["graph_positions_recomputed"] == walkers * refreshes
+    assert delta["graph_shards_touched"] < topo.shard_count * refreshes

@@ -1,11 +1,9 @@
 """Unit and integration tests for the subsystem attribution profiler."""
 
 import functools
-import json
 
 import pytest
 
-from repro.net.context import NetworkContext
 from repro.obs.profile import OTHER, SubsystemProfiler, package_of
 from repro.sim.engine import Simulator
 from repro.sim.timers import PeriodicTimer, Timer
@@ -133,46 +131,6 @@ def test_cohort_members_are_charged_one_by_one():
     assert packages["repro.sim"]["wall_s"] < packages[bucket]["wall_s"]
 
 
-def test_phase_nesting_separates_self_from_total():
-    profiler = SubsystemProfiler()
-    with profiler.phase("outer"):
-        with profiler.phase("inner"):
-            sum(range(10_000))
-    report = profiler.report()
-    outer = report["phases"]["outer"]
-    inner = report["phases"]["inner"]
-    assert outer["calls"] == 1 and inner["calls"] == 1
-    assert outer["total_s"] >= inner["total_s"]
-    # Outer self time excludes the nested bracket.
-    assert outer["self_s"] <= outer["total_s"] - inner["total_s"] + 1e-6
-    assert inner["self_s"] == pytest.approx(inner["total_s"])
-
-
-def test_phase_package_deltas_cover_only_bracketed_events():
-    sim = Simulator()
-    profiler = SubsystemProfiler().install(sim)
-    sim.schedule_at(1.0, _net_callback)
-    with profiler.phase("first"):
-        sim.run(until=1.5)
-    sim.schedule_at(2.0, _net_callback)
-    sim.schedule_at(2.5, _net_callback)
-    with profiler.phase("second"):
-        sim.run(until=3.0)
-    profiler.uninstall()
-    phases = profiler.report()["phases"]
-    bucket = package_of(_net_callback)
-    assert phases["first"]["packages"][bucket]["events"] == 1
-    assert phases["second"]["packages"][bucket]["events"] == 2
-
-
-def test_repeated_phases_accumulate_under_one_name():
-    profiler = SubsystemProfiler()
-    for _ in range(3):
-        with profiler.phase("loop"):
-            pass
-    assert profiler.report()["phases"]["loop"]["calls"] == 3
-
-
 def test_profiled_run_fires_identical_events_in_identical_order():
     def drive(profiled):
         sim = Simulator()
@@ -189,32 +147,3 @@ def test_profiled_run_fires_identical_events_in_identical_order():
         return order, fired, sim.now
 
     assert drive(False) == drive(True)
-
-
-def test_memory_by_package_requires_active_tracing():
-    profiler = SubsystemProfiler()
-    assert profiler.memory_by_package() == {}
-    profiler.start_memory()
-    try:
-        ctx = NetworkContext.build(seed=1)
-        ctx.sim.run(until=5.0)
-        by_package = profiler.memory_by_package()
-    finally:
-        profiler.stop_memory()
-    assert by_package
-    assert any(name.startswith("repro.") for name in by_package)
-    assert all(size >= 0 for size in by_package.values())
-    assert profiler.memory_by_package() == {}
-
-
-def test_report_is_json_serializable():
-    sim = Simulator()
-    profiler = SubsystemProfiler().install(sim)
-    sim.schedule(0.5, _net_callback)
-    with profiler.phase("only"):
-        sim.run(until=1.0)
-    profiler.uninstall()
-    payload = profiler.report()
-    assert set(payload) == {"packages", "phases"}
-    restored = json.loads(json.dumps(payload))
-    assert restored["phases"]["only"]["calls"] == 1
