@@ -92,10 +92,12 @@ class BaseAutoconfAgent(MessageDispatch):
     def _nearest_allocator(self, max_hops: Optional[int] = None
                            ) -> Optional[Tuple[int, int]]:
         return self.ctx.hello.nearest_head(
-            self.node_id, self.ctx.is_head, max_hops)
+            self.node_id, self.ctx.is_head, max_hops,
+            self.ctx.agents.allocator_ids)
 
     def _allocators_within(self, k: int) -> List[Tuple[int, int]]:
-        return self.ctx.hello.heads_within(self.node_id, k, self.ctx.is_head)
+        return self.ctx.hello.heads_within(
+            self.node_id, k, self.ctx.is_head, self.ctx.agents.allocator_ids)
 
     # ------------------------------------------------------------------
     def on_enter(self) -> None:

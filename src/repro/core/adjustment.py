@@ -12,7 +12,7 @@ replication is actively regrown when ``|QDSet|`` drops below three.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Set
 
 from repro.cluster.roles import ADJACENT_HEAD_HOPS
 from repro.core import messages as m
@@ -71,13 +71,39 @@ class AdjustmentMixin:
         # pre-label engine flooded an unbounded BFS per member.
         return self.ctx.topology.same_component(self.node_id, member)
 
+    def _reachable_members(self, members: List[int]) -> Set[int]:
+        """The ``members`` that pass :meth:`_member_reachable`, from one
+        label question for the whole list.
+
+        Liveness is read first, as the per-member test reads it, and
+        the labels are asked only when some member's node is alive: a
+        label question refreshes a stale graph, so it has to fall on
+        the same events it always fell on (with nobody alive to ask
+        about, the audit first touches the graph in ``_heads_within``).
+        """
+        node_of = self.ctx.node_of
+        alive = [member for member in members
+                 if (node := node_of(member)) is not None and node.alive]
+        if not alive:
+            return set()
+        labels = self.ctx.topology.component_indices([*alive, self.node_id])
+        mine = labels.pop()
+        if mine is None:
+            return set()
+        return {member for member, label in zip(alive, labels)
+                if label == mine}
+
     def _audit(self) -> None:
         if not self.is_allocator():
             return
         assert self.head is not None
         any_member_reachable = False
-        for member in self.head.qdset.members():
-            if not self._member_reachable(member):
+        members = self.head.qdset.members()
+        # Asked before the walk: nothing in it changes the graph or a
+        # liveness flag.
+        reachable = self._reachable_members(members)
+        for member in members:
+            if member not in reachable:
                 if self.cfg.adjustment_enabled:
                     self._suspect_member(member)
                 continue
@@ -116,13 +142,17 @@ class AdjustmentMixin:
             # bounded.
             topology = self.ctx.topology
             component = topology.component_size(self.node_id)
+            candidates = self.ctx.agents.allocator_ids
             k = ADJACENT_HEAD_HOPS
             prev = 0
             while self.head.qdset.needs_regrow():
+                # The whole ring, not its candidates: the coverage test
+                # below counts everyone it reached.
                 ring = topology.within_hops(self.node_id, k)
                 for _hops, head_id in sorted(
                         (hops, other) for other, hops in ring
-                        if hops > prev and self.ctx.is_head(other)):
+                        if hops > prev and other in candidates
+                        and self.ctx.is_head(other)):
                     if not self.head.qdset.needs_regrow():
                         break
                     self._recruit_member(head_id)
@@ -185,7 +215,7 @@ class AdjustmentMixin:
             return False
         members = self.head.qdset.members()
         universe_size = len(members) + 1
-        reachable = 1 + sum(1 for mid in members if self._member_reachable(mid))
+        reachable = 1 + len(self._reachable_members(members))
         return 2 * reachable > universe_size
 
     def _on_td_expire(self, member: int) -> None:

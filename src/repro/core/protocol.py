@@ -183,10 +183,12 @@ class QuorumProtocolAgent(
 
     @property
     def ip(self) -> Optional[int]:
-        if self.head is not None:
-            return self.head.ip
-        if self.common is not None:
-            return self.common.ip
+        head = self.head
+        if head is not None:
+            return head.ip
+        common = self.common
+        if common is not None:
+            return common.ip
         return None
 
     def is_configured(self) -> bool:
@@ -230,10 +232,14 @@ class QuorumProtocolAgent(
                 category, retries - 1, spacing, corr)
 
     def _heads_within(self, k: int) -> List[Tuple[int, int]]:
-        return self.ctx.hello.heads_within(self.node_id, k, self.ctx.is_head)
+        ctx = self.ctx
+        return ctx.hello.heads_within(
+            self.node_id, k, ctx.is_head, ctx.agents.allocator_ids)
 
     def _nearest_head(self, max_hops: Optional[int] = None) -> Optional[Tuple[int, int]]:
-        return self.ctx.hello.nearest_head(self.node_id, self.ctx.is_head, max_hops)
+        ctx = self.ctx
+        return ctx.hello.nearest_head(
+            self.node_id, ctx.is_head, max_hops, ctx.agents.allocator_ids)
 
     # ==================================================================
     # Entry and configuration (requester side) — Section IV-B
@@ -283,10 +289,12 @@ class QuorumProtocolAgent(
         # no longer participates, which only matters when one network
         # has several heads beyond HELLO scope and any of them is an
         # equally valid allocator.
+        allocators = self.ctx.agents.allocator_ids
         candidates = self._rank_by_network([
             (other, 0)
             for other in self.ctx.topology.component_members(self.node_id)
-            if other != self.node_id and self.ctx.is_head(other)
+            if other != self.node_id and other in allocators
+            and self.ctx.is_head(other)
         ])
         if candidates:
             if obs:

@@ -26,8 +26,10 @@ registry:
   O(n)-scan-free aggregate surface that sweeps, benches and the obs
   layer read.  One column is load-bearing: ``is_head`` answers from
   the allocator byte alone, so :meth:`AgentStore.note_allocator` is an
-  obligation on every agent type (``is_configured`` still asks the
-  agent).
+  obligation on every agent type, and ``allocator_ids`` — the ids whose
+  byte is set — is the candidate set head scans probe before they run
+  the predicate.  ``is_configured`` still asks the agent: the address
+  column cannot answer it (see :meth:`AgentStore.note_address`).
 
 * **Tombstoned eviction + compaction.**  ``evict`` clears a slot in
   O(1); once tombstones exceed half the slot space (same
@@ -47,7 +49,7 @@ registry scans — run unchanged.
 from __future__ import annotations
 
 from array import array
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.net.store import COMPACT_MIN_SLOTS, COMPACT_TOMBSTONE_FRACTION
 
@@ -82,7 +84,16 @@ class AgentStore:
         #: slot -> 1 while the agent can allocate (its ``is_allocator()``
         #: with liveness left out), else 0.
         self.allocators: bytearray = bytearray()
-        #: slot -> bound address, or :data:`NO_ADDRESS`.
+        #: The node ids whose allocator byte is 1: the candidate
+        #: superset head scans probe before running ``is_head`` (which
+        #: adds the live liveness check).  Read-only outside the store;
+        #: written with the byte, by its only three writers
+        #: (:meth:`note_allocator`, :meth:`_snapshot`, :meth:`evict` —
+        #: compaction renumbers slots, not ids).
+        self.allocator_ids: Set[int] = set()
+        #: slot -> the address most recently noted for this agent, or
+        #: :data:`NO_ADDRESS`.  Not "is configured": see
+        #: :meth:`note_address`.
         self.addresses: array = array("q")
         #: slot -> QDSet size (0 for non-heads / non-quorum agents).
         self.qdset_sizes: array = array("q")
@@ -146,6 +157,7 @@ class AgentStore:
         """Initialize the columns from whatever the agent already has."""
         self.role_codes[slot] = self._intern_role(_role_name(agent))
         self.allocators[slot] = 0
+        self.allocator_ids.discard(self.ids[slot])
         ip = getattr(agent, "ip", None)
         self.addresses[slot] = NO_ADDRESS if ip is None else int(ip)
         self.qdset_sizes[slot] = 0
@@ -159,6 +171,7 @@ class AgentStore:
         self.agents[slot] = None
         self.role_codes[slot] = 0
         self.allocators[slot] = 0
+        self.allocator_ids.discard(node_id)
         self.addresses[slot] = NO_ADDRESS
         self.qdset_sizes[slot] = 0
         self.vote_timers[slot] = 0
@@ -286,9 +299,24 @@ class AgentStore:
         slot = self.slot_of.get(node_id)
         if slot is not None and self.allocators[slot] != allocator:
             self.allocators[slot] = allocator
+            if allocator:
+                self.allocator_ids.add(node_id)
+            else:
+                self.allocator_ids.discard(node_id)
             self.role_epoch += 1
 
     def note_address(self, node_id: int, address: Optional[int]) -> None:
+        """Record the address ``bind_ip`` / ``unbind_ip`` resolved to
+        ``node_id``.
+
+        The column is an aggregate surface, not "is configured":
+        ``NetworkContext.ip_registry`` is keyed by ip alone, so
+        ``unbind_ip(ip)`` clears the column of whichever node bound
+        that ip *last*.  Two networks legitimately hold the same
+        address after a re-found (a fresh network restarts at address
+        0); when one of them unbinds, the other node's column is the
+        one cleared, and this hook names the wrong node.  Whoever needs
+        configured-ness asks ``agent.is_configured()``."""
         slot = self.slot_of.get(node_id)
         if slot is not None:
             new = NO_ADDRESS if address is None else int(address)

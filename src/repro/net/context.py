@@ -30,6 +30,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults.spec import FaultSpec
 
 
+def _never() -> bool:
+    """``is_configured`` of an agent type that does not define one."""
+    return False
+
+
 class NetworkContext:
     """Everything a protocol agent needs to talk to the world."""
 
@@ -131,7 +136,7 @@ class NetworkContext:
         node = self.topology.get(node_id)
         if agent is None or node is None or not node.alive:
             return False
-        return bool(getattr(agent, "is_configured", lambda: False)())
+        return bool(getattr(agent, "is_configured", _never)())
 
     # ------------------------------------------------------------------
     # Component-level role queries (connectivity labels + agent columns)
@@ -149,18 +154,30 @@ class NetworkContext:
         topology = self.topology
         # Query the labels first: this forces any pending rebuild, so
         # graph_version below reflects the graph being answered about.
-        component = topology.component_id(node_id)
+        component = topology.component_indices((node_id,))[0]
         if component is None:
             return self._NO_HEADS
-        key = (topology.graph_version, self.agents.role_epoch)
+        agents = self.agents
+        key = (topology.graph_version, agents.role_epoch)
         if key != self._comp_heads_key:
+            # One pass over the registry's slots: one batched label
+            # query for every id, then per agent only what no store
+            # holds — the node's live ``alive`` flag (kill and restart
+            # flip it with no hook) and ``agent.is_configured()`` (the
+            # address column is not it: see AgentStore.note_address).
             table: Dict[int, Tuple[List[int], Set[Optional[int]],
                                    Set[Optional[int]]]] = {}
-            for nid, agent in self.agents.items():
-                if not self.is_configured(nid):
+            ids = agents.ids
+            allocators = agents.allocators
+            node_of = topology.get
+            labels = topology.component_indices(ids)
+            for slot, agent in enumerate(agents.agents):
+                comp = labels[slot]
+                if agent is None or comp is None:
                     continue
-                comp = topology.component_id(nid)
-                if comp is None:
+                node = node_of(ids[slot])
+                if (node is None or not node.alive
+                        or not getattr(agent, "is_configured", _never)()):
                     continue
                 entry = table.get(comp)
                 if entry is None:
@@ -170,13 +187,13 @@ class NetworkContext:
                 # look heterogeneous, which keeps the merge scan alive.
                 network: Optional[int] = getattr(agent, "network_id", None)
                 entry[2].add(network)
-                if self.is_head(nid):
-                    entry[0].append(nid)
+                if allocators[slot]:
+                    entry[0].append(ids[slot])
                     entry[1].add(network)
             self._comp_heads = {
-                comp: (tuple(sorted(ids)), frozenset(hnets),
+                comp: (tuple(sorted(heads)), frozenset(hnets),
                        frozenset(nets))
-                for comp, (ids, hnets, nets) in table.items()}
+                for comp, (heads, hnets, nets) in table.items()}
             self._comp_heads_key = key
         return self._comp_heads.get(component, self._NO_HEADS)
 

@@ -14,7 +14,7 @@ the paper's overhead figures exclude it; it is tracked under
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Collection, List, Optional, Tuple
 
 from repro.net.stats import Category, MessageStats
 from repro.net.topology import Topology
@@ -60,15 +60,19 @@ class HelloService:
         node_id: int,
         k: int,
         is_head: Callable[[int], bool],
+        among: Optional[Collection[int]] = None,
     ) -> List[Tuple[int, int]]:
         """Cluster heads within ``k`` hops of ``node_id``, as hellos report.
 
         Returns ``(head_id, hops)`` sorted nearest-first (ties broken by
-        id for determinism).
+        id for determinism).  ``among`` is a superset of the ids
+        ``is_head`` can accept (the registry's ``allocator_ids``): only
+        the ring's nodes inside it are put to ``is_head``, which turns
+        a scan of the neighbourhood into a scan of the candidates.
         """
         heads = [
             (other, hops)
-            for other, hops in self.topology.within_hops(node_id, k)
+            for other, hops in self.topology.within_hops(node_id, k, among)
             if is_head(other)
         ]
         heads.sort(key=lambda pair: (pair[1], pair[0]))
@@ -79,6 +83,7 @@ class HelloService:
         node_id: int,
         is_head: Callable[[int], bool],
         max_hops: Optional[int] = None,
+        among: Optional[Collection[int]] = None,
     ) -> Optional[Tuple[int, int]]:
         """The closest reachable cluster head, or ``None``.
 
@@ -87,5 +92,6 @@ class HelloService:
         Either way :meth:`Topology.nearest` stops at the first level
         holding a head, and ``is_head`` is bound by its ``accept``
         rule: agent and node state only, no topology queries.
+        ``among`` is the candidate superset of :meth:`heads_within`.
         """
-        return self.topology.nearest(node_id, is_head, max_hops=max_hops)
+        return self.topology.nearest(node_id, is_head, max_hops, among)

@@ -85,8 +85,8 @@ hop counts, iteration order and connected components — see
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from typing import (Callable, Dict, Iterable, Iterator, List, Optional, Set,
-                    Tuple, TypeVar)
+from typing import (Callable, Collection, Dict, Iterable, Iterator, List,
+                    Optional, Set, Tuple, TypeVar)
 
 from repro.net.grid import ShardedGrid
 from repro.net.node import Node
@@ -748,6 +748,44 @@ class Topology:
         self.perf.incr(cnt.CONN_LABEL_HITS)
         return self._comp_of[slot_a] == self._comp_of[slot_b]
 
+    def component_indices(
+            self, node_ids: Iterable[int]) -> List[Optional[int]]:
+        """The batched label query: per id, in order, the index of its
+        component, ``None`` where the id is not in the current graph
+        (dead, departed, never added, not yet refreshed in).
+
+        Two ids share a component exactly when their indices are equal
+        and not ``None`` — the pointwise :meth:`same_component`.  The
+        index is the labels' internal name for a component, cheaper
+        than the derived public :meth:`component_id`; like every label
+        it is good only until the graph next changes
+        (:attr:`graph_version`), so use it to compare and group within
+        one query round and do not store it past one.
+
+        One graph-and-label currency check covers the whole batch, and
+        the batch is one question served from the labels:
+        ``conn_label_hits`` goes up by one per call that finds at least
+        one id in the graph, however many ids it carries
+        (:meth:`same_partition` counts its list the same way).
+        """
+        self._ensure_labels()
+        slot_of = self._nodes.slot_of
+        in_graph = self._in_graph
+        comp_of = self._comp_of
+        limit = len(in_graph)
+        out: List[Optional[int]] = []
+        found = False
+        for node_id in node_ids:
+            slot = slot_of.get(node_id)
+            if slot is None or slot >= limit or not in_graph[slot]:
+                out.append(None)
+            else:
+                out.append(comp_of[slot])
+                found = True
+        if found:
+            self.perf.incr(cnt.CONN_LABEL_HITS)
+        return out
+
     def component_size(self, component_id: int) -> int:
         """Member count of the given component (0 if unknown).
 
@@ -972,10 +1010,11 @@ class Topology:
 
     def _nearest_search(
         self, slot: int, accept: Callable[[int], bool], bound: float,
+        among: Optional[Collection[int]],
     ) -> Tuple[Optional[Tuple[int, int]], int]:
         """Level-by-level walk from ``slot`` that stops at the first
-        level holding an accepted node: ``((id, level) or None, nodes
-        expanded)``."""
+        level holding an accepted node (of ``among``, when given):
+        ``((id, level) or None, nodes expanded)``."""
         ids = self._nodes.ids
         adj = self._adj
         mark = self._bfs_mark
@@ -997,7 +1036,9 @@ class Topology:
             best: Optional[int] = None
             for w in nextlevel:
                 other = ids[w]
-                if (best is None or other < best) and accept(other):
+                if ((best is None or other < best)
+                        and (among is None or other in among)
+                        and accept(other)):
                     best = other
             if best is not None:
                 return (best, level), expanded
@@ -1066,10 +1107,17 @@ class Topology:
         node_id: int,
         accept: Callable[[int], bool],
         max_hops: Optional[int],
+        among: Optional[Collection[int]] = None,
     ) -> Optional[Tuple[int, int]]:
         """The closest node other than ``node_id`` that ``accept``
         approves, as ``(id, hops)``; ``None`` if there is none within
         ``max_hops`` (``None``: anywhere in the component).
+
+        ``among`` names the only ids worth asking about — a superset of
+        what ``accept`` can approve, such as the registry's
+        ``allocator_ids``: an id outside it is passed over by a
+        membership probe and ``accept`` runs on the survivors only.
+        The answer is the one ``accept`` alone would give.
 
         Ties at the winning distance go to the lowest id, which is
         ``min((hops, id))`` over :meth:`reachable` without building the
@@ -1091,13 +1139,15 @@ class Topology:
                     continue
                 if d > need or (best is not None and d > best[1]):
                     break
-                if (best is None or other < best[0]) and accept(other):
+                if ((best is None or other < best[0])
+                        and (among is None or other in among)
+                        and accept(other)):
                     best = (other, d)
             return best
         slot = self._graph_slot(node_id)
         if slot is None:
             return None
-        return self._search(self._nearest_search, slot, accept, need)
+        return self._search(self._nearest_search, slot, accept, need, among)
 
     def neighbors(self, node_id: int) -> List[int]:
         """One-hop neighbor ids."""
@@ -1108,12 +1158,28 @@ class Topology:
         ids = self._nodes.ids
         return [ids[u] for u in self._adj[slot]]
 
-    def within_hops(self, node_id: int, k: int) -> List[Tuple[int, int]]:
-        """``(other_id, hops)`` for every node within ``k`` hops (excl. self)."""
+    def within_hops(
+        self, node_id: int, k: int,
+        among: Optional[Collection[int]] = None,
+    ) -> List[Tuple[int, int]]:
+        """``(other_id, hops)`` for every node within ``k`` hops (excl.
+        self), nearest level first in discovery order.
+
+        ``among`` keeps only the ids it contains — the candidate set of
+        a head scan, say, where a handful of a ring's nodes can pass
+        the caller's test.  Whichever of ``among`` and the hop map is
+        smaller is walked and probed against the other, so with
+        ``among`` the pairs come in no defined order: sort them.
+        """
+        lengths = self._bfs_from(node_id, max_hops=k)
+        if among is None:
+            among = lengths     # everyone the map reached
+        walked, probed = (
+            (among, lengths) if len(among) < len(lengths)
+            else (lengths, among))
         return [
-            (other, d)
-            for other, d in self._bfs_from(node_id, max_hops=k).items()
-            if 0 < d <= k
+            (other, d) for other in walked
+            if other in probed and 0 < (d := lengths[other]) <= k
         ]
 
     def reachable(self, node_id: int,

@@ -6,19 +6,29 @@ old definition (registered agent, node in the topology and alive,
 ``agent.is_allocator()``), once per protocol and once for the
 duck-typed double of ``tests/net/test_context.py``.  A missed
 ``note_allocator`` write-through shows up as a disagreement at the
-first query that would have read the stale byte.
+first query that would have read the stale byte.  The same queries
+check ``AgentStore.allocator_ids``, the candidate set head scans probe
+before they ask ``is_head``, against the byte it mirrors.
+
+The two batched readers get the same treatment for ``quorum``, on the
+same scenario: at every rebuild ``component_entry`` must answer every
+registered id as the per-node loop it replaced does (the reference in
+``tests/net/test_context.py``), and every audit's one label question
+must find reachable exactly the members ``_member_reachable`` does.
 """
 
 import pytest
 
 from repro.baselines.buddy import BuddyConfig
 from repro.baselines.ctree import CTreeConfig
+from repro.core.protocol import QuorumProtocolAgent
 from repro.experiments import Scenario, ScenarioRunner
 from repro.faults.spec import CrashEvent, FaultSpec
 from repro.net.context import NetworkContext
 from repro.sim.timers import PeriodicTimer
 
-from tests.net.test_context import add, make_ctx
+from tests.net.test_context import (add, assert_table_is_the_reference,
+                                    make_ctx)
 
 
 @pytest.fixture
@@ -36,17 +46,30 @@ def checked_is_head(monkeypatch):
         assert answer == expected, (
             f"t={ctx.sim.now}: column says {answer} for node {node_id}, "
             f"{type(agent).__name__}.is_allocator() says {expected}")
+        store = ctx.agents
+        slot = store.slot_of.get(node_id)
+        flagged = slot is not None and bool(store.allocators[slot])
+        assert (node_id in store.allocator_ids) == flagged, (
+            f"t={ctx.sim.now}: candidate set and allocator byte "
+            f"({flagged}) disagree on node {node_id}")
         calls[0] += 1
         return answer
 
     build = NetworkContext.build.__func__
 
     def build_with_sweep(cls, *args, **kwargs):
-        # Some baselines never ask "is this a head?" themselves: sweep
-        # the whole registry twice a simulated second on their behalf.
+        # Some baselines never ask "is this a head?" themselves, and
+        # head scans put only candidates to ``is_head``: sweep the
+        # whole registry twice a simulated second on their behalf.
         ctx = build(cls, *args, **kwargs)
-        PeriodicTimer(ctx.sim, 0.5, lambda: [
-            ctx.is_head(node_id) for node_id in ctx.agents]).start()
+
+        def sweep():
+            for node_id in ctx.agents:
+                ctx.is_head(node_id)
+            # Nobody outside the registry lingers in the set either.
+            assert ctx.agents.allocator_ids <= set(ctx.agents)
+
+        PeriodicTimer(ctx.sim, 0.5, sweep).start()
         return ctx
 
     monkeypatch.setattr(NetworkContext, "is_head", is_head)
@@ -62,10 +85,7 @@ TIGHT_POOLS = {"buddy": BuddyConfig(address_space_bits=6),
                "ctree": CTreeConfig(address_space_bits=4)}
 
 
-@pytest.mark.parametrize(
-    "protocol", ["quorum", "manetconf", "buddy", "ctree", "dad", "weakdad"])
-def test_column_agrees_with_is_allocator_at_every_query(
-        protocol, checked_is_head):
+def churn_runner(protocol):
     # Churn, abrupt deaths and a crash that restarts: every way an
     # allocator appears, disappears and comes back.
     faults = FaultSpec(loss_rate=0.02, crashes=(
@@ -74,9 +94,57 @@ def test_column_agrees_with_is_allocator_at_every_query(
     scenario = Scenario(num_nodes=30, seed=5, depart_fraction=0.4,
                         abrupt_probability=0.5, settle_time=30.0,
                         faults=faults)
-    runner = ScenarioRunner(scenario, protocol, TIGHT_POOLS.get(protocol))
+    return ScenarioRunner(scenario, protocol, TIGHT_POOLS.get(protocol))
+
+
+@pytest.mark.parametrize(
+    "protocol", ["quorum", "manetconf", "buddy", "ctree", "dad", "weakdad"])
+def test_column_agrees_with_is_allocator_at_every_query(
+        protocol, checked_is_head):
+    runner = churn_runner(protocol)
     runner.run()
     assert checked_is_head[0] > 100 * len(runner.ctx.agents)
+
+
+def test_component_table_is_the_per_node_reference_at_every_rebuild(
+        monkeypatch):
+    one_pass_entry = NetworkContext.component_entry
+    checked_keys = set()
+
+    def component_entry(ctx, node_id):
+        entry = one_pass_entry(ctx, node_id)
+        # The lookup above forced any pending graph refresh, so this is
+        # the key the table it answered from was built under.
+        key = (ctx.topology.graph_version, ctx.agents.role_epoch)
+        if key not in checked_keys:
+            checked_keys.add(key)
+            assert_table_is_the_reference(
+                ctx, lambda nid: one_pass_entry(ctx, nid))
+        return entry
+
+    monkeypatch.setattr(NetworkContext, "component_entry", component_entry)
+    runner = churn_runner("quorum")
+    runner.run()
+    assert len(checked_keys) > 10 * len(runner.ctx.agents)
+
+
+def test_audit_reachability_is_the_per_member_walk(monkeypatch):
+    batched = QuorumProtocolAgent._reachable_members
+    members_asked, found_unreachable = [0], [0]
+
+    def reachable_members(agent, members):
+        answer = batched(agent, members)
+        assert answer == {member for member in members
+                          if agent._member_reachable(member)}
+        members_asked[0] += len(members)
+        found_unreachable[0] += len(members) - len(answer)
+        return answer
+
+    monkeypatch.setattr(
+        QuorumProtocolAgent, "_reachable_members", reachable_members)
+    churn_runner("quorum").run()
+    # Both answers were exercised, many times each.
+    assert 100 < found_unreachable[0] < members_asked[0] - 100
 
 
 def test_column_agrees_for_the_duck_typed_double(checked_is_head):

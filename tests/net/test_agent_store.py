@@ -203,28 +203,61 @@ def test_note_writes_through_and_missing_ids_noop():
     assert store.qdset_size_of(99) == 0 and store.vote_timers_of(99) == 0
 
 
+def flagged_ids(store):
+    """What ``allocator_ids`` must hold: the ids whose byte is set."""
+    return {nid for nid, slot in store.slot_of.items()
+            if store.allocators[slot]}
+
+
 def test_allocator_column_versions_on_flips_and_survives_compaction():
     store = make_store(COMPACT_MIN_SLOTS)
     assert not any(store.allocators)   # registration starts at 0
+    assert store.allocator_ids == set()
     epoch = store.role_epoch
     store.note_allocator(2, True)
     store.note_allocator(4, True)
     assert store.role_epoch == epoch + 2
+    assert store.allocator_ids == flagged_ids(store) == {2, 4}
     # Re-noting the same answer is free; unknown ids are ignored.
     store.note_allocator(2, True)
     store.note_allocator(99, True)
     assert store.role_epoch == epoch + 2
+    assert store.allocator_ids == {2, 4}
     for i in range(1, COMPACT_MIN_SLOTS, 2):
         store.evict(i)
     store.evict(0)                     # strictly over half: compacts
     assert store.layout_version == 1
-    flagged = [nid for nid, slot in store.slot_of.items()
-               if store.allocators[slot]]
-    assert flagged == [2, 4]
+    # Compaction renumbers slots, not ids.
+    assert store.allocator_ids == flagged_ids(store) == {2, 4}
     # Eviction and re-registration both reset the byte.
     store.evict(2)
     store.add(FakeAgent(4))
     assert not any(store.allocators)
+    assert store.allocator_ids == set()
+
+
+def test_allocator_ids_mirror_the_byte_through_every_writer():
+    store = make_store(4)
+    store.note_allocator(1, True)
+    store.note_allocator(3, True)
+    store.note_allocator(3, False)
+    store.note_allocator(3, False)     # idempotent both ways
+    assert store.allocator_ids == flagged_ids(store) == {1}
+    # Re-adding a live id keeps its slot and starts its columns over.
+    slot = store.slot_of[1]
+    assert store.add(FakeAgent(1)) == slot
+    assert store.allocator_ids == flagged_ids(store) == set()
+    store.note_allocator(1, True)
+    store.note_allocator(2, True)
+    # An evicted id leaves the set, and a later registration under the
+    # same id (a new slot) does not inherit the old answer.
+    store.evict(1)
+    assert store.allocator_ids == flagged_ids(store) == {2}
+    store.add(FakeAgent(1))
+    store.note_allocator(99, True)     # never registered
+    assert store.allocator_ids == flagged_ids(store) == {2}
+    assert store.pop(2) is not None
+    assert store.allocator_ids == set()
 
 
 def test_aggregate_readers_scan_columns():

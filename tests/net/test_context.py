@@ -203,3 +203,141 @@ def test_rebinding_to_a_new_address_does_not_version_the_tables():
     assert ctx.agents.role_epoch == epoch
     ctx.agents.note_address(1, None)
     assert ctx.agents.role_epoch == epoch + 1
+
+
+# ---------------------------------------------------------------------------
+# The one-pass component table against the per-node loop it replaced
+# ---------------------------------------------------------------------------
+NO_HEADS = ((), frozenset(), frozenset())
+
+
+def reference_table(ctx):
+    """The component table as ``component_entry`` built it before the
+    one-pass rebuild: every registered agent put to ``is_configured``,
+    ``component_id`` and ``is_head`` in turn.  Keyed by the public
+    component id."""
+    topology = ctx.topology
+    table = {}
+    for nid, agent in ctx.agents.items():
+        if not ctx.is_configured(nid):
+            continue
+        comp = topology.component_id(nid)
+        if comp is None:
+            continue
+        ids, head_networks, networks = table.setdefault(
+            comp, ([], set(), set()))
+        network = getattr(agent, "network_id", None)
+        networks.add(network)
+        if ctx.is_head(nid):
+            ids.append(nid)
+            head_networks.add(network)
+    return {comp: (tuple(sorted(ids)), frozenset(hnets), frozenset(nets))
+            for comp, (ids, hnets, nets) in table.items()}
+
+
+def assert_table_is_the_reference(ctx, component_entry=None):
+    """``component_entry`` answers every registered id, and a stranger,
+    as the reference does."""
+    if component_entry is None:
+        component_entry = ctx.component_entry
+    table = reference_table(ctx)
+    for nid in ctx.agents.keys() + [99]:
+        want = table.get(ctx.topology.component_id(nid), NO_HEADS)
+        assert component_entry(nid) == want, nid
+
+
+def assert_rebuilt_table_is_the_reference(ctx):
+    # ``note_network`` versions the table unconditionally: the next
+    # lookup rebuilds it, whatever the hooks of the change under test
+    # did or (liveness has none) did not do.
+    ctx.agents.note_network(0, None)
+    assert_table_is_the_reference(ctx)
+
+
+def two_clusters(ctx):
+    agents = [
+        add(ctx, 1, allocator=True, configured=True, network_id=7, x=0.0),
+        add(ctx, 2, allocator=True, configured=True, network_id=7, x=100.0),
+        add(ctx, 3, configured=True, network_id=9, x=200.0),
+        add(ctx, 4, configured=False, x=300.0),
+        add(ctx, 11, allocator=True, configured=True, network_id=8,
+            x=5000.0),
+        add(ctx, 12, configured=True, network_id=None, x=5100.0),
+    ]
+    assert_table_is_the_reference(ctx)
+    assert ctx.component_heads(3) == (1, 2)
+    assert ctx.component_networks(11) == frozenset({8, None})
+    return {agent.node.node_id: agent for agent in agents}
+
+
+def test_table_asks_the_agent_not_the_address_column():
+    ctx = make_ctx()
+    agents = two_clusters(ctx)
+    # After a re-found two networks hold address 0.  The registry is
+    # keyed by ip alone, so when node 1 gives its address up the unbind
+    # resolves to node 3 — the last to bind it — and clears *its*
+    # column: node 1 keeps a bound column while unconfigured, node 3
+    # loses it while configured.
+    ctx.bind_ip(0, 1)
+    ctx.bind_ip(0, 3)
+    agents[1]._configured = False
+    ctx.unbind_ip(0)
+    assert ctx.agents.address_of(1) == 0 and not ctx.is_configured(1)
+    assert ctx.agents.address_of(3) is None and ctx.is_configured(3)
+    assert_table_is_the_reference(ctx)
+    assert ctx.component_heads(4) == (2,)
+    assert ctx.component_networks(4) == frozenset({7, 9})
+
+
+def test_table_reads_liveness_live():
+    ctx = make_ctx()
+    agents = two_clusters(ctx)
+    # Killed with no invalidate_nodes: still in the graph, not alive.
+    agents[2].node.kill()
+    assert_rebuilt_table_is_the_reference(ctx)
+    assert ctx.component_heads(3) == (1,)
+    # Revived the same way.
+    agents[2].node.alive = True
+    assert_rebuilt_table_is_the_reference(ctx)
+    assert ctx.component_heads(3) == (1, 2)
+    # Killed and refreshed out of the graph, then revived with no
+    # invalidate_nodes: alive, not in the graph (and 3 is cut off).
+    agents[2].node.kill()
+    ctx.topology.invalidate_nodes([2])
+    assert_table_is_the_reference(ctx)
+    agents[2].node.alive = True
+    assert_rebuilt_table_is_the_reference(ctx)
+    assert ctx.component_heads(1) == (1,)
+    assert ctx.component_entry(2) == NO_HEADS
+    assert ctx.component_heads(3) == ()
+
+
+def test_table_skips_an_agent_whose_node_left_the_topology():
+    ctx = make_ctx()
+    agents = two_clusters(ctx)
+    ctx.topology.remove_node(agents[11].node)
+    assert ctx.agent_of(11) is agents[11]
+    assert_rebuilt_table_is_the_reference(ctx)
+    assert ctx.component_entry(11) == NO_HEADS
+    assert ctx.component_entry(12) == ((), frozenset(), frozenset({None}))
+
+
+def test_table_follows_a_reregistered_agent():
+    ctx = make_ctx()
+    agents = two_clusters(ctx)
+    # Same id, same slot: the replacement's columns start over.
+    FakeAgent(ctx, agents[1].node, allocator=False, configured=True,
+              network_id=5)
+    assert_table_is_the_reference(ctx)
+    assert ctx.component_heads(3) == (2,)
+    assert ctx.component_networks(3) == frozenset({5, 7, 9})
+    # Unregistered first: a new slot, the old one a tombstone that
+    # still carries the id.
+    ctx.unregister(2)
+    assert_table_is_the_reference(ctx)
+    FakeAgent(ctx, agents[2].node, allocator=True, configured=True,
+              network_id=5)
+    assert ctx.agents.ids.count(2) == 2
+    assert_table_is_the_reference(ctx)
+    assert ctx.component_heads(3) == (2,)
+    assert ctx.component_head_networks(3) == frozenset({5})

@@ -6,6 +6,10 @@ map, so the invariant under test is agreement with the map path
 bound, either argument order, every memo state the search may meet
 (cold, one endpoint memoized, an entry too shallow to answer), through
 every way the graph changes, and with the component labels off and on.
+
+Head scans (``nearest``, ``within_hops`` / ``HelloService.heads_within``)
+also take a candidate set; it may only change how many nodes the
+predicate is put to, never the answer.
 """
 
 import random
@@ -14,6 +18,7 @@ import pytest
 
 from repro.geometry import Point
 from repro.mobility.base import Stationary
+from repro.net.hello import HelloService
 from repro.net.node import Node
 from repro.net.oracle import OracleTopology
 from repro.net.topology import Topology
@@ -283,6 +288,87 @@ def test_nearest_stops_at_the_first_level_with_a_match():
     assert topo.perf.get(cnt.BFS_NODES_EXPANDED) <= 5
     assert topo.nearest(20, lambda nid: nid in (17, 23), max_hops=2) is None
     assert topo.perf.get(cnt.BFS_UNBOUNDED) == 0
+
+
+# --- candidate sets ---------------------------------------------------
+
+
+def heads_by_predicate(topo, source, accept, k):
+    """``heads_within`` as the predicate alone decides it."""
+    return sorted(((other, d) for other, d in topo.within_hops(source, k)
+                   if accept(other)), key=lambda pair: (pair[1], pair[0]))
+
+
+def candidate_sets(topo, accept):
+    """Supersets of what ``accept`` approves: exactly that, that plus
+    padding (a stranger, the dead, every third id), and everyone."""
+    ids = ids_of(topo)
+    approved = {nid for nid in ids if accept(nid)}
+    dead = {nid for nid in topo.store.slot_of if not topo.get(nid).alive}
+    assert dead
+    return [approved, approved | dead | {STRANGER} | set(ids[::3]), set(ids)]
+
+
+@pytest.mark.parametrize("predicate", sorted(PREDICATES))
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_a_candidate_set_changes_no_answer(seed, predicate):
+    topo, _oracle = build_pair(seed)
+    hello = HelloService(topo.sim, topo)
+    accept = PREDICATES[predicate]
+    for among in candidate_sets(topo, accept):
+        asked = []
+
+        def probed(nid):
+            asked.append(nid)
+            return accept(nid)
+
+        for source in ids_of(topo):
+            for k in BOUNDS:
+                topo._bfs_cache.clear()
+                cold = topo.nearest(source, probed, k, among)
+                assert topo._bfs_cache == {}
+                want = brute_nearest(topo, source, accept, k)   # memoizes
+                assert cold == want, (source, k)
+                assert topo.nearest(source, probed, k, among) == want
+                assert hello.nearest_head(source, probed, k, among) == want
+            for k in (1, 2, 3, 5):
+                want = heads_by_predicate(topo, source, accept, k)
+                assert hello.heads_within(source, k, probed, among) == want
+                assert sorted(topo.within_hops(source, k, among)) == sorted(
+                    pair for pair in topo.within_hops(source, k)
+                    if pair[0] in among)
+        # The predicate saw candidates only.
+        assert set(asked) <= among
+
+
+def test_a_dead_candidate_is_left_to_the_predicate():
+    # Killed with no invalidation: still in the graph, still in the
+    # candidate set (it only narrows); the predicate's live liveness
+    # check is what rejects it, exactly as without a candidate set.
+    topo, _oracle = build_pair(seed=3)
+    hello = HelloService(topo.sim, topo)
+    source = min(max(topo.components(), key=len))
+    ring = topo.within_hops(source, 3)
+    victim = min(ring, key=lambda pair: (pair[1], pair[0]))[0]
+    among = {other for other, _d in ring[::2]} | {victim, STRANGER}
+
+    def alive_candidate(nid):
+        return nid in among and topo.get(nid).alive
+
+    before = hello.heads_within(source, 3, alive_candidate, among)
+    assert before[0][0] == victim
+    assert topo.nearest(source, alive_candidate, 3, among)[0] == victim
+    topo.get(victim).alive = False
+    after = hello.heads_within(source, 3, alive_candidate, among)
+    assert after == before[1:]
+    assert after == hello.heads_within(source, 3, alive_candidate)
+    for k in BOUNDS:
+        for cache in ("memoized", "cold"):
+            if cache == "cold":
+                topo._bfs_cache.clear()
+            found = topo.nearest(source, alive_candidate, k, among)
+            assert found == topo.nearest(source, alive_candidate, k)
+            assert found is None or found[0] != victim
 
 
 # --- what a query costs -----------------------------------------------

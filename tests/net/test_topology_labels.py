@@ -4,9 +4,10 @@ The label layer is maintained by the rebuild machinery (full rebuilds
 label everything, delta rebuilds relabel only dirty regions, splits are
 resolved by the boundary race) — so the invariant under test is that
 the queryable surface (``component_id`` / ``same_component`` /
-``component_size`` / ``component_members``) always agrees with a
-from-scratch ``components()`` BFS, through every rebuild path: churn,
-mobility, batch adds, forced full relabels, and store compaction.
+``component_size`` / ``component_members``, and the batched
+``component_indices``) always agrees with a from-scratch
+``components()`` BFS, through every rebuild path: churn, mobility,
+batch adds, forced full relabels, and store compaction.
 """
 
 import random
@@ -59,6 +60,31 @@ def assert_labels_match_oracle(topo):
         a = min(oracle[0])
         b = min(oracle[1])
         assert not topo.same_component(a, b)
+    assert_batched_query_is_pointwise(topo, oracle)
+
+
+UNKNOWN = 999   # an id no topology here ever holds
+
+
+def assert_batched_query_is_pointwise(topo, oracle):
+    """One ``component_indices`` call over everything registered (the
+    dead included) and a stranger groups ids exactly as the pointwise
+    queries do."""
+    ids = sorted(topo.store.slot_of) + [UNKNOWN]
+    indices = topo.component_indices(ids)
+    assert len(indices) == len(ids)
+    groups = {}
+    for nid, index in zip(ids, indices):
+        assert (index is None) == (topo.component_id(nid) is None), nid
+        if index is not None:
+            groups.setdefault(index, set()).add(nid)
+    assert sorted(map(sorted, groups.values())) == sorted(map(sorted, oracle))
+    anchor, anchor_index = ids[0], indices[0]
+    for nid, index in zip(ids, indices):
+        assert topo.same_component(anchor, nid) == (
+            index is not None and index == anchor_index), nid
+    # Any iterable, any order, repeats allowed.
+    assert topo.component_indices(reversed(ids + ids)) == (indices * 2)[::-1]
 
 
 def test_labels_match_oracle_after_initial_build():
@@ -185,6 +211,40 @@ def test_unknown_and_dead_nodes_answer_conservatively():
     topo.invalidate_nodes([0])
     assert topo.component_id(0) is None
     assert not topo.same_component(0, 1)
+
+
+def test_batched_query_edge_cases_and_its_hit_rule():
+    _, topo, nodes = build(10, 400, 150, seed=41)
+    topo.component_count()      # labels live
+
+    def hits_of(query):
+        before = topo.perf.get("conn_label_hits")
+        answer = topo.component_indices(query)
+        return answer, topo.perf.get("conn_label_hits") - before
+
+    # A batch is one question: one hit however many ids it carries,
+    # none when no id of it is in the graph.
+    answer, hits = hits_of(range(10))
+    assert None not in answer and hits == 1
+    assert hits_of([]) == ([], 0)
+    assert hits_of([UNKNOWN, UNKNOWN]) == ([None, None], 0)
+    assert hits_of([UNKNOWN, 3]) == ([None, answer[3]], 1)
+    # Dead and refreshed out of the graph.
+    nodes[0].kill()
+    topo.invalidate_nodes([0])
+    assert hits_of([0]) == ([None], 0)
+    # Revived with no invalidation: alive, but not in the graph until
+    # a refresh finds it — what component_id says of it too.
+    nodes[0].alive = True
+    assert hits_of([0]) == ([None], 0)
+    assert topo.component_id(0) is None
+    topo.invalidate_nodes([0])
+    (index,), hits = hits_of([0])
+    assert index is not None and hits == 1
+    # A pending refresh is forced by the batch itself.
+    nodes[1].kill()
+    topo.invalidate_nodes([1])
+    assert hits_of([1, 0]) == ([None, index], 1)
 
 
 def test_relabel_counters_scale_with_dirty_region_not_population():
