@@ -66,10 +66,10 @@ graph library on the hot path — and, since the scale rework, on
   :meth:`component_size`, :meth:`component_members`), per-slot labels
   are maintained alongside the graph.  Full rebuilds relabel every
   slot in one sweep; delta rebuilds relabel only the dirty region —
-  detached slots leave their components, a frontier check seeded from
-  the detached slots' surviving neighbors proves no split happened (or
-  recomputes exactly the affected component when one did), and
-  re-inserted slots join/merge neighbor components.  Labels are
+  detached slots leave their components, a probe around each hole
+  they leave proves no split happened (or a race from the whole
+  boundary relabels exactly the pieces that came off when one did),
+  and re-inserted slots join/merge neighbor components.  Labels are
   provably bit-identical to :meth:`components` from scratch at every
   refresh, so partition checks and merge scans become O(1) lookups and
   O(component) member iteration instead of unbounded BFS floods (the
@@ -393,11 +393,16 @@ class Topology:
         store = self._nodes
         in_graph = self._in_graph
         nodes = store.nodes
-        added = [slot for slot in alive if not in_graph[slot]]
-        removed = [
-            slot for slot in self._graph_slots
-            if (node := nodes[slot]) is None or not node.alive
-        ]
+        added: List[int] = []
+        removed: List[int] = []
+        # Both lists are ascending, so equal lists mean equal membership
+        # and one C-level compare spares two walks of the population.
+        if alive != self._graph_slots:
+            added = [slot for slot in alive if not in_graph[slot]]
+            removed = [
+                slot for slot in self._graph_slots
+                if (node := nodes[slot]) is None or not node.alive
+            ]
         moved = [entry for entry in moved if in_graph[entry[0]]]
         dirty_count = len(added) + len(removed) + len(moved)
         if dirty_count > DELTA_REBUILD_MAX_DIRTY_FRACTION * max(1, len(alive)):
@@ -413,30 +418,42 @@ class Topology:
         gone: Set[int] = set(removed)
         gone.update(moved_slots)
         detached = removed + moved_slots
-        # Connectivity labels ride the delta: capture, per affected
-        # component, the *surviving* old neighbors of every detached
-        # slot before the adjacency is torn down.  Any post-detach
-        # split of that component must leave a piece containing one of
-        # these boundary slots (an old path between survivors crossing
-        # the detached set enters it through a boundary slot), so
-        # verifying the boundary's mutual connectivity afterwards
-        # proves — or exactly repairs — the component partition.
+        # Connectivity labels ride the delta: before the adjacency is
+        # torn down, group the detached slots into *clusters* (maximal
+        # sets joined by old edges; one component each) and capture
+        # every cluster's boundary, its *surviving* old neighbors.  An
+        # old path between survivors that crosses the detached set
+        # enters a cluster through one boundary slot and leaves it
+        # through another, so the component stays whole exactly when
+        # every cluster's boundary stays mutually connected — which
+        # :meth:`_delta_relabel` proves around each hole, or repairs.
         track_labels = self._labels_active and self._labels_valid
-        boundary_by_comp: Dict[int, Set[int]] = {}
+        clusters_by_comp: Dict[int, List[Set[int]]] = {}
         if track_labels:
             comp_of = self._comp_of
-            for slot in detached:
-                bset = boundary_by_comp.setdefault(comp_of[slot], set())
-                for nb in adj[slot]:
-                    if nb not in gone:
-                        bset.add(nb)
+            clustered: Set[int] = set()
+            for first in sorted(detached):
+                if first in clustered:
+                    continue
+                clustered.add(first)
+                boundary: Set[int] = set()
+                pending = [first]
+                while pending:
+                    for nb in adj[pending.pop()]:
+                        if nb not in gone:
+                            boundary.add(nb)
+                        elif nb not in clustered:
+                            clustered.add(nb)
+                            pending.append(nb)
+                clusters_by_comp.setdefault(
+                    comp_of[first], []).append(boundary)
         # 1) detach every removed/moved slot from the old structure
         #    (moved slots part from their *pre-refresh* cell).
         for slot, old_x, old_y in moved:
             grid.remove(slot, grid.cell_of(old_x, old_y))
         for slot in removed:
             grid.remove(slot, grid.cell_of(xs[slot], ys[slot]))
-        for slot in removed + moved_slots:
+        for slot in detached:
             for nb in adj[slot]:
                 if nb not in gone:
                     adj[nb].remove(slot)
@@ -473,7 +490,7 @@ class Topology:
         if added or removed:
             self._graph_slots = alive
         if track_labels:
-            self._delta_relabel(detached, boundary_by_comp, dirty)
+            self._delta_relabel(detached, clusters_by_comp, dirty)
         return True
 
     # ------------------------------------------------------------------
@@ -540,7 +557,7 @@ class Topology:
     def _delta_relabel(
         self,
         detached: List[int],
-        boundary_by_comp: Dict[int, Set[int]],
+        clusters_by_comp: Dict[int, List[Set[int]]],
         reinserted: List[int],
     ) -> None:
         """Patch labels after a delta rebuild (exact, O(dirty region)).
@@ -548,25 +565,40 @@ class Topology:
         Three steps, mirroring the graph patch itself:
 
         1. Detached slots leave their components.
-        2. Each component that lost slots is checked for a split: its
-           boundary (the detached slots' surviving old neighbors) must
-           be mutually connected through surviving slots.  Survivor-to-
-           survivor edges are bit-identical to the old graph (neither
-           endpoint was dirty), so the check is sound; when it fails,
-           exactly that component is recomputed from scratch.
+        2. Each component that lost slots is checked for a split.  The
+           detached slots come grouped in clusters (maximal sets joined
+           by old edges), each with its boundary of surviving old
+           neighbors, and the component is still whole **iff every
+           cluster's boundary is still mutually connected through
+           surviving slots**: any old path between two survivors is
+           runs of survivors and runs of detached slots, a detached run
+           lies in one cluster, enters it from one boundary slot and
+           leaves it to another, and can be replaced by the survivor
+           path between those two.  Survivor-to-survivor edges are
+           bit-identical to the old graph (neither endpoint was dirty),
+           so the proof is sound, and it is local
+           (:meth:`_locally_intact`): it reads the slots around each
+           hole, not the component.  Only when a hole's boundary really
+           has come apart does the whole boundary race
+           (:meth:`_verify_or_split`), which relabels exactly the
+           pieces that came off.
         3. Re-inserted slots (moved + added) adopt the label of their
            new neighbors, merging components when they bridge several —
            only the smaller (by canonical min-slot) side is relabeled.
 
-        The result is identical to a full relabel of the new graph; the
-        cost is bounded by the dirty region plus any genuinely split or
-        merged components, never the population.
+        The result is identical to a full relabel of the new graph.
+        Writes (``conn_slots_relabeled``) are bounded by the dirty
+        region plus any genuinely split or merged components; reads of
+        step 2 (``conn_split_slots_scanned``) by the holes' surroundings
+        plus, on a real split, twice the smaller piece — neither by the
+        population.
         """
         self.perf.incr(cnt.CONN_RELABELS)
         self.perf.incr(cnt.CONN_DELTA_RELABELS)
         comp_of = self._comp_of
         members = self._comp_members
         relabeled = 0
+        scanned = 0
         # 1) detach
         for slot in detached:
             idx = comp_of[slot]
@@ -576,38 +608,102 @@ class Topology:
             if not comp:
                 del members[idx]
         # 2) split verification (or exact repair) per affected component
-        for idx in sorted(boundary_by_comp):
+        for idx in sorted(clusters_by_comp):
             if idx not in members:
                 continue  # everything detached; nothing left to split
-            bset = boundary_by_comp[idx]
-            if len(bset) > 1:
-                relabeled += self._verify_or_split(idx, bset)
+            clusters = clusters_by_comp[idx]
+            intact, read = self._locally_intact(idx, clusters)
+            scanned += read
+            if not intact:
+                whole: Set[int] = set().union(*clusters)
+                wrote, read = self._verify_or_split(idx, whole)
+                relabeled += wrote
+                scanned += read
         # 3) label the re-inserted slots
         relabeled += self._label_reinserted(reinserted)
         self.perf.incr(cnt.CONN_SLOTS_RELABELED, relabeled)
+        self.perf.incr(cnt.CONN_SPLIT_SLOTS_SCANNED, scanned)
 
-    def _verify_or_split(self, idx: int, bset: Set[int]) -> int:
-        """Confirm component ``idx`` survived its detachments intact,
-        or split it exactly.  Returns the number of slots relabeled.
+    def _locally_intact(
+        self, idx: int, clusters: List[Set[int]],
+    ) -> Tuple[bool, int]:
+        """Prove, hole by hole, that component ``idx`` did not split:
+        ``(proved, slots whose adjacency was read)``.
 
-        The boundary slots race a lockstep multi-source BFS over the
-        *surviving* slots (label == ``idx``; re-inserted slots are
-        unlabeled at this point, so reconnections through dirty slots
-        are deliberately ignored here — step 3 re-merges through them).
-        Two searches that touch merge into one; a search whose frontier
-        empties while rivals are still running has provably enclosed a
-        maximal piece of the split, and only *that* piece is relabeled.
-        The race stops when one search remains: its region — everything
-        not yet claimed — keeps the old label untouched.  This is the
-        classic smaller-half discipline: a split (and the no-split
-        proof) costs O(everything except the largest piece), so cutting
-        a village off a 10k-node giant pays for the village, never the
-        giant.
+        Per cluster the lowest boundary slot is the pivot.  It and its
+        surviving neighbors are stamped; a boundary slot that carries
+        the stamp or touches a stamped slot is within two hops of the
+        pivot (in a unit-disk graph the boundary sits inside a disk of
+        about one range around the hole, so that is nearly all of
+        them).  The slots left open race each other and the pivot
+        (:meth:`_split_race`): all searches meeting connects the
+        boundary, and every boundary connected proves the component.
+
+        ``False`` is as exact as ``True``: a search that closes while a
+        rival runs has enclosed a piece that really came off.  Nothing
+        is relabeled here even then — a cluster's race seeds only its
+        own hole, so its verdict on which piece keeps the old label
+        could strand a piece that another hole cut off with no seed in
+        it.  The caller reruns the race from the *whole* boundary,
+        which has a seed in every piece.
+
+        Like both races this steps on surviving slots only (label ==
+        ``idx``): re-inserted slots already have their new edges in
+        ``adj`` but no label yet, and reconnection through them is
+        step 3's job.
         """
         adj = self._adj
         comp_of = self._comp_of
-        members = self._comp_members
-        seeds = sorted(bset)
+        mark = self._bfs_mark
+        scanned = 0
+        for boundary in clusters:
+            if len(boundary) < 2:
+                continue
+            pivot = min(boundary)
+            self._bfs_epoch += 1
+            epoch = self._bfs_epoch
+            mark[pivot] = epoch
+            for w in adj[pivot]:
+                if comp_of[w] == idx:
+                    mark[w] = epoch
+            scanned += 1
+            seeds = [pivot]
+            for slot in boundary:
+                if mark[slot] == epoch:
+                    continue
+                scanned += 1
+                for w in adj[slot]:
+                    if mark[w] == epoch:
+                        break
+                else:
+                    seeds.append(slot)
+            if len(seeds) > 1:
+                seeds.sort()  # the race rotates in seed order
+                pieces, read = self._split_race(idx, seeds)
+                scanned += read
+                if pieces:
+                    return False, scanned
+        return True, scanned
+
+    def _split_race(
+        self, idx: int, seeds: List[int],
+    ) -> Tuple[List[List[int]], int]:
+        """Race a lockstep multi-source BFS from ``seeds`` (ascending)
+        over the surviving slots of component ``idx``: ``(regions that
+        closed, slots whose adjacency was read)``.  Relabels nothing.
+
+        Two searches that touch merge into one; a search whose frontier
+        empties while rivals are still running has provably enclosed a
+        maximal piece of the split.  The race stops when one search
+        remains, and everything it has not claimed belongs to that one.
+        This is the classic smaller-half discipline: a split (and the
+        no-split proof) costs O(everything except the largest piece),
+        so cutting a village off a 10k-node giant pays for the village,
+        never the giant — and seeds that sit around one hole meet after
+        a few steps.
+        """
+        adj = self._adj
+        comp_of = self._comp_of
         alias: Dict[int, int] = {}  # merged-away root -> absorbing root
 
         def find(root: int) -> int:
@@ -621,6 +717,7 @@ class Topology:
         regions: Dict[int, List[int]] = {s: [s] for s in seeds}
         live = seeds[:]  # deterministic rotation order
         completed: List[List[int]] = []
+        read = 0
         while len(live) > 1:
             for root in live[:]:
                 if len(live) <= 1:
@@ -639,6 +736,7 @@ class Topology:
                     continue
                 v = q[h]
                 scanned[root] = h + 1
+                read += 1
                 for w in adj[v]:
                     if comp_of[w] != idx:
                         continue
@@ -656,8 +754,21 @@ class Topology:
                         oq = queues.pop(owner)
                         q.extend(oq[scanned.pop(owner):])
                         regions[root].extend(regions.pop(owner))
-        if not completed:
-            return 0  # every seed met every other: no split occurred
+        return completed, read
+
+    def _verify_or_split(self, idx: int, bset: Set[int]) -> Tuple[int, int]:
+        """Split component ``idx`` exactly where its detachments cut
+        it: ``(slots relabeled, slots whose adjacency was read)``.
+
+        ``bset`` is the component's whole boundary, so every piece of a
+        split holds a seed and :meth:`_split_race` encloses all pieces
+        but the last one running.  Only the enclosed pieces are
+        relabeled; the remainder keeps the old label untouched.  (No
+        piece enclosed means no split, and nothing is written.)
+        """
+        comp_of = self._comp_of
+        members = self._comp_members
+        completed, read = self._split_race(idx, sorted(bset))
         comp = members[idx]
         relabeled = 0
         for region in completed:
@@ -669,7 +780,7 @@ class Topology:
                 comp_of[slot] = new_idx
                 del comp[bisect_left(comp, slot)]
             relabeled += len(region)
-        return relabeled
+        return relabeled, read
 
     def _label_reinserted(self, reinserted: List[int]) -> int:
         """Label each re-inserted slot from its new neighbors (ascending

@@ -30,8 +30,7 @@ from __future__ import annotations
 
 import time
 from collections import defaultdict
-from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 __all__ = ["Counters", "PerfRecorder", "TimerStat"]
 
@@ -92,6 +91,39 @@ class TimerStat:
         return {"calls": self.calls, "total_s": self.total_s}
 
 
+class _Timer(TimerStat):
+    """One name's stat as its own reusable ``with`` block.
+
+    All state a span needs lives in the depth count, none in the
+    object handed to ``with``, so the recorder keeps one per name and
+    re-entering it while it runs is the ordinary nested case.  (A
+    ``contextlib`` generator per use did the same bookkeeping at twice
+    the cost, around every search, rebuild and send.)
+    """
+
+    __slots__ = ("_name", "_stack", "_clock")
+
+    def __init__(self, name: str, stack: List[str],
+                 clock: Callable[[], float]) -> None:
+        super().__init__()
+        self._name = name
+        self._stack = stack
+        self._clock = clock
+
+    def __enter__(self) -> None:
+        self.calls += 1
+        self._depth += 1
+        if self._depth == 1:
+            self._started = self._clock()
+        self._stack.append(self._name)
+
+    def __exit__(self, *_exc: object) -> None:
+        self._stack.pop()
+        self._depth -= 1
+        if self._depth == 0:
+            self.total_s += self._clock() - self._started
+
+
 class PerfRecorder:
     """Counters plus nestable timers for one simulation run.
 
@@ -111,7 +143,7 @@ class PerfRecorder:
     def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:
         self.counters = Counters()
         self._clock = clock
-        self._timers: Dict[str, TimerStat] = {}
+        self._timers: Dict[str, _Timer] = {}
         self._stack: List[str] = []
 
     # ------------------------------------------------------------------
@@ -131,25 +163,13 @@ class PerfRecorder:
     # ------------------------------------------------------------------
     # Timers (wall clock, ledger-only)
     # ------------------------------------------------------------------
-    @contextmanager
-    def timer(self, name: str) -> Iterator[None]:
+    def timer(self, name: str) -> _Timer:
         """Time a block under ``name``; nest freely, re-entrancy-safe."""
-        stat = self._timers.get(name)
-        if stat is None:
-            stat = self._timers[name] = TimerStat()
-        stat.calls += 1
-        stat._depth += 1
-        outermost = stat._depth == 1
-        if outermost:
-            stat._started = self._clock()
-        self._stack.append(name)
-        try:
-            yield
-        finally:
-            self._stack.pop()
-            stat._depth -= 1
-            if outermost:
-                stat.total_s += self._clock() - stat._started
+        timer = self._timers.get(name)
+        if timer is None:
+            timer = self._timers[name] = _Timer(
+                name, self._stack, self._clock)
+        return timer
 
     def active_timers(self) -> Tuple[str, ...]:
         """Names currently on the timer stack, outermost first."""
@@ -165,9 +185,7 @@ class PerfRecorder:
         """Fold another recorder's counters and timings into this one."""
         self.counters.merge(other.counters)
         for name, stat in other._timers.items():
-            mine = self._timers.get(name)
-            if mine is None:
-                mine = self._timers[name] = TimerStat()
+            mine = self.timer(name)
             mine.calls += stat.calls
             mine.total_s += stat.total_s
 

@@ -41,6 +41,7 @@ CONN_RELABELS = "conn_relabels"
 CONN_FULL_RELABELS = "conn_full_relabels"
 CONN_DELTA_RELABELS = "conn_delta_relabels"
 CONN_SLOTS_RELABELED = "conn_slots_relabeled"
+CONN_SPLIT_SLOTS_SCANNED = "conn_split_slots_scanned"
 CONN_LABEL_HITS = "conn_label_hits"
 
 # --- transport (repro.net.transport) ---------------------------------------
@@ -85,6 +86,7 @@ ALL_COUNTERS: FrozenSet[str] = frozenset({
     CONN_FULL_RELABELS,
     CONN_DELTA_RELABELS,
     CONN_SLOTS_RELABELED,
+    CONN_SPLIT_SLOTS_SCANNED,
     CONN_LABEL_HITS,
     MSG_FANOUT_SHARED,
     SEND_UNICAST,

@@ -17,6 +17,12 @@ nearest searches count as ``bfs_calls``; ``bfs_unbounded`` counts
 floods only), so the current pins are the parent commit's payload
 minus those keys — reproduced bit for bit by the new search.
 
+``conn_split_slots_scanned`` is one more of the kind: it counts the
+slots a delta relabel *read* to prove that a component did not split,
+and the labels it proves are the same however few it reads.  Only the
+static cell has it — in the mobile cell every refresh moves everyone,
+so every relabel is a full one.
+
 What the hashes cannot pin, a budget bounds: each popped counter must
 stay positive and within its cell's inline budget — the value measured
 when the budget was written, times 1.25, rounded up.  A change that
@@ -43,7 +49,8 @@ CELLS = {
         dict(speed_mps=0.0, faults=FaultSpec(loss_rate=0.05)),
         "bb5adedd0b311c98d6ad325d918bb4e797adba5eb0fab000ffafc9418d3cf9d4",
         {cnt.CONN_LABEL_HITS: 3084, cnt.BFS_CALLS: 1123,
-         cnt.BFS_CACHE_HITS: 2373, cnt.BFS_NODES_EXPANDED: 5673}),
+         cnt.BFS_CACHE_HITS: 2373, cnt.BFS_NODES_EXPANDED: 5673,
+         cnt.CONN_SPLIT_SLOTS_SCANNED: 59}),
 }
 
 

@@ -298,18 +298,29 @@ POPULATION = 600
 WALKER_EVERY = 100
 
 
-def make_population(seed=11):
-    side = (POPULATION / 4e-4) ** 0.5
+def make_population(seed=11, n=POPULATION, walker_every=WALKER_EVERY,
+                    cls=Topology):
+    side = (n / 4e-4) ** 0.5
     region = Region(side, side)
     layout = generator_from_seed(seed)
     sim = Simulator(seed=seed)
-    topo = Topology(sim, transmission_range=150.0, refresh_interval=0.5)
-    for i in range(POPULATION):
+    topo = cls(sim, transmission_range=150.0, refresh_interval=0.5)
+    for i in range(n):
         start = Point(layout.uniform(0, side), layout.uniform(0, side))
-        topo.add_node(Node(i, Stationary(start) if i % WALKER_EVERY else
+        topo.add_node(Node(i, Stationary(start) if i % walker_every else
                            RandomWaypoint(region, start, 20.0,
                                           generator_from_seed(seed + i))))
     return sim, topo, side
+
+
+def central_batch(topo, side, count=16):
+    """The ``count`` stationary nodes nearest the centre: one shard's
+    worth."""
+    centre = Point(side / 2, side / 2)
+    return sorted(
+        (node for node in topo.nodes() if node.mobility.speed() == 0.0),
+        key=lambda node: (distance(node.mobility.position(0.0), centre),
+                          node.node_id))[:count]
 
 
 def counters_since(topo, base):
@@ -322,12 +333,7 @@ def test_fault_churn_rides_the_node_scoped_delta_path():
     """A localized outage and its recovery each cost one delta rebuild
     sized by the batch, touching a sliver of the shard grid."""
     _, topo, side = make_population()
-    # The 16 stationary nodes nearest the centre: one shard's worth.
-    centre = Point(side / 2, side / 2)
-    batch = sorted(
-        (node for node in topo.nodes() if node.mobility.speed() == 0.0),
-        key=lambda node: (distance(node.mobility.position(0.0), centre),
-                          node.node_id))[:16]
+    batch = central_batch(topo, side)
     ids = [node.node_id for node in batch]
     edges = topo.edge_count()
     assert topo.shard_count > 1

@@ -38,6 +38,28 @@ def test_nested_same_name_timer_counts_outermost_span_once():
     assert snap["bfs"]["total_s"] == 1.0
 
 
+def test_one_cached_timer_object_reentered_while_it_runs():
+    ticks = iter(range(100))
+    perf = PerfRecorder(clock=lambda: float(next(ticks)))
+    block = perf.timer("send")
+    assert perf.timer("send") is block      # one object per name
+    try:
+        with block:                         # clock 0
+            with block:                     # the same object, nested
+                assert perf.active_timers() == ("send", "send")
+                with perf.timer("bfs"):     # clock 1 -> 2
+                    raise ValueError("boom")
+    except ValueError:
+        pass
+    # The raise unwound all three frames: outer span 0 -> 3, once.
+    assert perf.active_timers() == ()
+    with block:                             # reusable afterwards: 4 -> 5
+        pass
+    snap = perf.timings_snapshot()
+    assert snap["send"] == {"calls": 3, "total_s": 4.0}
+    assert snap["bfs"] == {"calls": 1, "total_s": 1.0}
+
+
 def test_nested_distinct_timers_and_active_stack():
     perf = PerfRecorder()
     with perf.timer("outer"):
