@@ -28,8 +28,8 @@ ARTIFACTS = Path(__file__).parent / "artifacts"
 def pytest_configure(config) -> None:
     """Opt-in parallel figure regeneration.
 
-    ``REPRO_SWEEP_WORKERS=N`` fans each figure's per-seed runs out over
-    N worker processes; ``REPRO_SWEEP_CACHE=DIR`` (default
+    ``REPRO_SWEEP_WORKERS=N`` fans every cell of a figure (curve x
+    x-value x seed, one sweep per figure) out over N worker processes; ``REPRO_SWEEP_CACHE=DIR`` (default
     ``benchmarks/.sweep_cache`` when workers are enabled) persists run
     results so re-benchmarking only executes missing cells.  Unset, the
     benchmarks run exactly the serial path CI measures — per-run

@@ -40,8 +40,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.experiments import (
     Scenario,
@@ -56,9 +57,9 @@ from repro.experiments.runner import PROTOCOLS, ScenarioRunner
 from repro.experiments.sweep import (
     SweepExecutor,
     SweepSummary,
+    default_executor,
     derive_seeds,
     expand_grid,
-    set_default_executor,
 )
 from repro.faults import FaultSpec
 from repro.lint import cli as lint_cli
@@ -260,6 +261,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def scenario_defaults(args: argparse.Namespace) -> Dict[str, Any]:
+    """The :class:`Scenario` fields ``--faults``, ``--trace[-out]`` and
+    ``--metrics[-period|-out]`` set (empty when none was given)."""
+    fields: Dict[str, Any] = {}
+    spec = getattr(args, "faults", None)
+    if spec:
+        fields["faults"] = FaultSpec.parse(spec)
+    if getattr(args, "trace", False) or getattr(args, "trace_out", None):
+        fields["trace"] = True
+    period = getattr(args, "metrics_period", None)
+    if (getattr(args, "metrics", False) or getattr(args, "metrics_out", None)
+            or period is not None):
+        fields["metrics"] = True
+        if period is not None:
+            fields["metrics_period"] = period
+    return fields
+
+
 def scenario_from(args: argparse.Namespace) -> Scenario:
     return (ScenarioBuilder()
             .nodes(args.nodes)
@@ -268,43 +287,25 @@ def scenario_from(args: argparse.Namespace) -> Scenario:
             .speed(args.speed)
             .departures(fraction=args.depart, abrupt=args.abrupt)
             .settle(args.settle)
+            .overrides(**scenario_defaults(args))
             .build())
 
 
-def install_faults(args: argparse.Namespace) -> None:
-    """Wire the ``--faults`` spec string into every scenario built."""
-    spec = getattr(args, "faults", None)
-    ScenarioBuilder.set_default_faults(
-        FaultSpec.parse(spec) if spec else None)
-
-
-def install_trace(args: argparse.Namespace) -> None:
-    """Wire ``--trace`` / ``--trace-out`` into every scenario built."""
-    trace_out = getattr(args, "trace_out", None)
-    enabled = bool(getattr(args, "trace", False) or trace_out)
-    ScenarioBuilder.set_default_trace(enabled)
-    if trace_out:
-        # The per-run exporter appends; start each invocation fresh.
-        open(trace_out, "w", encoding="utf-8").close()
-        set_trace_export(trace_out)
-
-
-def install_metrics(args: argparse.Namespace) -> None:
-    """Wire ``--metrics``/``--metrics-period``/``--metrics-out`` into
-    every scenario built."""
-    metrics_out = getattr(args, "metrics_out", None)
-    period = getattr(args, "metrics_period", None)
-    enabled = bool(getattr(args, "metrics", False) or metrics_out
-                   or period is not None)
-    ScenarioBuilder.set_default_metrics(enabled, period)
-    if metrics_out:
-        # The per-run exporter appends; start each invocation fresh.
-        open(metrics_out, "w", encoding="utf-8").close()
-        set_metrics_export(metrics_out)
+def open_export_sinks(args: argparse.Namespace) -> None:
+    """Point the per-run JSONL exporters at ``--trace-out`` /
+    ``--metrics-out``."""
+    for path, install in (
+            (getattr(args, "trace_out", None), set_trace_export),
+            (getattr(args, "metrics_out", None), set_metrics_export)):
+        if path:
+            # The per-run exporter appends; start each invocation fresh.
+            open(path, "w", encoding="utf-8").close()
+            install(path)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    result = run_scenario(scenario_from(args), protocol=args.protocol)
+    scenario = scenario_from(args)
+    result = run_scenario(scenario, protocol=args.protocol)
     rows = [
         ["configured",
          f"{result.configured_count()}/{args.nodes} "
@@ -330,7 +331,6 @@ def cmd_run(args: argparse.Namespace) -> int:
           f"seed: {args.seed}")
     print(format_table(["metric", "value"], rows))
     if result.obs_metrics:
-        scenario = scenario_from(args)
         print()
         print(render_metrics(result.obs_metrics, scenario.metrics_period))
     return 0
@@ -354,18 +354,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _install_executor(workers: Optional[int],
-                      cache: Optional[str]) -> None:
-    """Point the figure functions' default executor at the CLI flags."""
-    if workers is None and cache is None:
-        return  # leave the env-configured (or serial) default in place
-    if workers == 0:
-        import os
-        workers = os.cpu_count() or 1
-    set_default_executor(SweepExecutor(
-        workers=workers if workers is not None else 1, cache_dir=cache))
-
-
 def _note_export(args: argparse.Namespace, executor: SweepExecutor,
                  was_parallel: bool) -> None:
     """Say what ``--trace-out`` / ``--metrics-out`` overrode, if anything.
@@ -380,23 +368,33 @@ def _note_export(args: argparse.Namespace, executor: SweepExecutor,
               file=sys.stderr)
 
 
-def cmd_figure(args: argparse.Namespace) -> int:
+def _figure_executor(args: argparse.Namespace) -> SweepExecutor:
+    """The executor ``--workers`` / ``--cache`` ask for."""
     if args.trace_out or args.metrics_out:
         executor = SweepExecutor(workers=1, cache_dir=args.cache)
         _note_export(args, executor, args.workers not in (None, 1))
-        set_default_executor(executor)
-    else:
-        _install_executor(args.workers, args.cache)
+        return executor
+    if args.workers is None and args.cache is None:
+        return default_executor()  # env-configured, else serial
+    workers = 1 if args.workers is None else args.workers
+    return SweepExecutor(workers=workers or os.cpu_count() or 1,
+                         cache_dir=args.cache)
+
+
+def cmd_figure(args: argparse.Namespace) -> int:
     if args.name == "table1":
         outcome = figures.table1_message_exchange()
         print(outcome["title"])
         print(f"expected: {' -> '.join(outcome['expected'])}")
         print(f"observed: {' -> '.join(outcome['observed'])}")
         return 0 if outcome["observed"] == outcome["expected"] else 1
+    defaults = scenario_defaults(args)
     if args.name == "fig04":
-        print(format_layout(figures.fig04_layout()))
+        print(format_layout(figures.fig04_layout(defaults=defaults)))
         return 0
-    result = FIGURES[args.name](seeds=tuple(args.seeds))
+    result = FIGURES[args.name](
+        seeds=tuple(args.seeds), executor=_figure_executor(args),
+        defaults=defaults)
     print(format_series(result))
     return 0
 
@@ -404,10 +402,11 @@ def cmd_figure(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     seeds = (tuple(args.seeds) if args.seeds is not None
              else derive_seeds(args.master_seed, args.replicates))
+    defaults = scenario_defaults(args)
     scenarios = [
         ScenarioBuilder()
         .nodes(n).seed(seed).range(args.tr).speed(args.speed)
-        .settle(args.settle).build()
+        .settle(args.settle).overrides(**defaults).build()
         for n in args.nodes for seed in seeds
     ]
     specs = expand_grid(args.protocols, scenarios)
@@ -571,9 +570,7 @@ def cmd_layout(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    install_faults(args)
-    install_trace(args)
-    install_metrics(args)
+    open_export_sinks(args)
     handlers = {
         "run": cmd_run,
         "compare": cmd_compare,
@@ -587,12 +584,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return handlers[args.command](args)
     finally:
-        # The --faults/--trace/--metrics defaults are process-global;
-        # don't leak them into library callers that invoke main()
-        # programmatically.
-        ScenarioBuilder.set_default_faults(None)
-        ScenarioBuilder.set_default_trace(False)
-        ScenarioBuilder.set_default_metrics(False)
         set_trace_export(None)
         set_metrics_export(None)
 

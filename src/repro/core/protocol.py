@@ -128,11 +128,10 @@ class QuorumProtocolAgent(
 
     @role.setter
     def role(self, value: Role) -> None:
-        # Every role transition writes through to the context's
-        # struct-of-arrays registry so aggregate role counts never need
-        # to walk the agent objects (see repro.net.agents.AgentStore).
+        # Every role transition versions the context's derived head
+        # tables (see repro.net.agents.AgentStore.role_epoch).
         self._role = value
-        self.ctx.agents.note_role(self.node.node_id, value.value)
+        self.ctx.agents.note_role(self.node.node_id)
         self._note_allocator()
 
     @property
@@ -141,23 +140,11 @@ class QuorumProtocolAgent(
 
     @head.setter
     def head(self, state: Optional[HeadState]) -> None:
-        # Adopting (or dropping) head state rewires the QDSet's size
-        # write-through so the AgentStore column tracks every add/remove
-        # without the mixins knowing about the registry.
         flipped = (getattr(self, "_head", None) is None) != (state is None)
         self._head = state
-        agents = self.ctx.agents
-        node_id = self.node.node_id
         if flipped:
-            agents.note_head_state(node_id)
+            self.ctx.agents.note_head_state(self.node.node_id)
             self._note_allocator()
-        if state is None:
-            agents.note_qdset_size(node_id, 0)
-        else:
-            qdset = state.qdset
-            qdset.on_change = (
-                lambda size: agents.note_qdset_size(node_id, size))
-            agents.note_qdset_size(node_id, len(qdset))
 
     def _note_allocator(self) -> None:
         """Write :meth:`is_allocator`, liveness aside, through to the
@@ -177,9 +164,10 @@ class QuorumProtocolAgent(
         self._network_id = value
         self.ctx.agents.note_network(self.node.node_id, value)
 
-    def _sync_vote_timers(self) -> None:
-        self.ctx.agents.note_vote_timers(
-            self.node.node_id, len(self._vote_timers))
+    @property
+    def live_vote_timers(self) -> int:
+        """Allocator-side attempts still collecting votes."""
+        return len(self._vote_timers)
 
     @property
     def ip(self) -> Optional[int]:
@@ -634,7 +622,6 @@ class QuorumProtocolAgent(
         timer = Timer(self.ctx.sim, self._on_vote_timeout)
         timer.start(self.cfg.config_timeout * 0.75, pending.attempt_id)
         self._vote_timers[pending.attempt_id] = timer
-        self._sync_vote_timers()
         self._maybe_decide(pending)
 
     def _handle_quorum_clt(self, msg: Message) -> None:
@@ -787,7 +774,6 @@ class QuorumProtocolAgent(
     def _on_vote_timeout(self, attempt_id: int) -> None:
         pending = self._pending.get(attempt_id)
         self._vote_timers.pop(attempt_id, None)
-        self._sync_vote_timers()
         if pending is None or pending.collector is None:
             return
         if pending.collector.decide() is not None:
@@ -825,7 +811,6 @@ class QuorumProtocolAgent(
         timer = self._vote_timers.pop(pending.attempt_id, None)
         if timer is not None:
             timer.stop()
-        self._sync_vote_timers()
         obs = self.ctx.obs
         if obs:
             latest = pending.collector.latest_record()
@@ -902,7 +887,6 @@ class QuorumProtocolAgent(
         timer = self._vote_timers.pop(pending.attempt_id, None)
         if timer is not None:
             timer.stop()
-        self._sync_vote_timers()
 
     # ==================================================================
     # Commit — write the update into the quorum
@@ -1449,7 +1433,6 @@ class QuorumProtocolAgent(
         for timer in self._vote_timers.values():
             timer.stop()
         self._vote_timers.clear()
-        self._sync_vote_timers()
         self._stop_location_service()
         self._stop_audit()
         self._stop_merge_watch()

@@ -5,11 +5,11 @@ Scenario/run-spec construction used to be scattered across
 ``Scenario.paper_default(...)`` calls.  :class:`ScenarioBuilder`
 centralizes it: fluent setters with paper defaults, validation errors
 that name the offending field, and — crucially for the fault layer —
-one place where fault schedules attach.  A process-wide default fault
-spec (:meth:`ScenarioBuilder.set_default_faults`, driven by the CLI's
-``--faults`` flag) is folded into every built scenario that does not
-set its own, so an entire figure sweep can be rerun under loss without
-touching any figure code.
+one place where fault schedules attach.  :func:`fill_defaults` layers
+caller-supplied defaults (the CLI's ``--faults`` / ``--trace`` /
+``--metrics`` flags) under whatever a built scenario already set, so an
+entire figure sweep can be rerun under loss without touching any figure
+code.
 
 Example::
 
@@ -24,12 +24,12 @@ Example::
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.experiments.scenario import Scenario
 from repro.faults.spec import FaultSpec
 
-_SCENARIO_FIELDS = {f.name for f in dataclasses.fields(Scenario)}
+_FIELD_DEFAULTS = {f.name: f.default for f in dataclasses.fields(Scenario)}
 
 
 class ScenarioBuilder:
@@ -40,65 +40,15 @@ class ScenarioBuilder:
     field at the call site, not deep inside a figure sweep.
     """
 
-    _default_faults: Optional[FaultSpec] = None  # process-wide (CLI --faults)
-    _default_trace: bool = False                 # process-wide (CLI --trace)
-    _default_metrics: bool = False               # process-wide (CLI --metrics)
-    _default_metrics_period: Optional[float] = None
-
     def __init__(self) -> None:
         self._fields: Dict[str, Any] = {}
         self._faults: Optional[FaultSpec] = None
 
     # ------------------------------------------------------------------
-    # Process-wide fault attachment (the CLI's --faults flag)
-    # ------------------------------------------------------------------
-    @classmethod
-    def set_default_faults(cls, spec: Optional[FaultSpec]) -> None:
-        """Attach ``spec`` to every scenario built without its own
-        fault schedule (``None`` resets).  A null spec is normalized to
-        ``None`` so fault-free runs keep their pre-fault cache keys."""
-        if spec is not None and spec.is_null():
-            spec = None
-        cls._default_faults = spec
-
-    @classmethod
-    def default_faults(cls) -> Optional[FaultSpec]:
-        return cls._default_faults
-
-    # ------------------------------------------------------------------
-    # Process-wide trace attachment (the CLI's --trace flag)
-    # ------------------------------------------------------------------
-    @classmethod
-    def set_default_trace(cls, enabled: bool) -> None:
-        """Enable structured tracing on every scenario built without an
-        explicit ``trace(...)`` call (``False`` resets)."""
-        cls._default_trace = bool(enabled)
-
-    @classmethod
-    def default_trace(cls) -> bool:
-        return cls._default_trace
-
-    # ------------------------------------------------------------------
-    # Process-wide metrics attachment (the CLI's --metrics flag)
-    # ------------------------------------------------------------------
-    @classmethod
-    def set_default_metrics(cls, enabled: bool,
-                            period: Optional[float] = None) -> None:
-        """Enable gauge sampling on every scenario built without an
-        explicit ``metrics(...)`` call (``False`` resets; ``period``
-        overrides the sampling cadence when given)."""
-        cls._default_metrics = bool(enabled)
-        cls._default_metrics_period = period if enabled else None
-
-    @classmethod
-    def default_metrics(cls) -> bool:
-        return cls._default_metrics
-
-    # ------------------------------------------------------------------
     # Fluent setters
     # ------------------------------------------------------------------
     def _set(self, field: str, value: Any) -> "ScenarioBuilder":
-        if field not in _SCENARIO_FIELDS:
+        if field not in _FIELD_DEFAULTS:
             raise ValueError(
                 f"ScenarioBuilder: unknown scenario field {field!r}")
         self._fields[field] = value
@@ -233,22 +183,28 @@ class ScenarioBuilder:
 
     # ------------------------------------------------------------------
     def build(self) -> Scenario:
-        """Materialize the scenario (paper defaults for unset fields)."""
-        faults = self._faults if self._faults is not None \
-            else ScenarioBuilder._default_faults
-        if faults is not None and faults.is_null():
-            faults = None
+        """Materialize the scenario (paper defaults for unset fields).
+
+        A null fault spec is dropped so fault-free runs keep their
+        pre-fault cache keys."""
         fields = dict(self._fields)
-        if faults is not None:
-            fields["faults"] = faults
-        if "trace" not in fields and ScenarioBuilder._default_trace:
-            fields["trace"] = True
-        if "metrics" not in fields and ScenarioBuilder._default_metrics:
-            fields["metrics"] = True
-            period = ScenarioBuilder._default_metrics_period
-            if period is not None and "metrics_period" not in fields:
-                fields["metrics_period"] = period
+        if self._faults is not None and not self._faults.is_null():
+            fields["faults"] = self._faults
         return Scenario(**fields)
+
+
+def fill_defaults(scenario: Scenario,
+                  defaults: Optional[Mapping[str, Any]]) -> Scenario:
+    """``scenario`` with ``defaults`` applied to the fields it left unset.
+
+    ``defaults`` maps :class:`Scenario` field names to values; a field
+    is replaced only while it still holds its dataclass default, so a
+    figure that attaches its own ``FaultSpec`` keeps it under
+    ``--faults``.
+    """
+    unset = {name: value for name, value in (defaults or {}).items()
+             if getattr(scenario, name) == _FIELD_DEFAULTS[name]}
+    return dataclasses.replace(scenario, **unset) if unset else scenario
 
 
 def paper_scenario(num_nodes: int = 100, seed: int = 0,
@@ -256,8 +212,7 @@ def paper_scenario(num_nodes: int = 100, seed: int = 0,
     """Builder-backed equivalent of :meth:`Scenario.paper_default`.
 
     The Section VI-A setup (1 km², tr = 150 m, 20 m/s) plus named
-    overrides — and, unlike the raw dataclass constructor, it picks up
-    the process-wide ``--faults`` default.
+    overrides, validated by the builder.
     """
     return (ScenarioBuilder()
             .nodes(num_nodes)

@@ -1,27 +1,41 @@
 """Per-figure experiment definitions (Section VI).
 
-Each ``figNN_*`` function runs the sweep behind one figure of the paper
-and returns ``{"title", "xlabel", "ylabel", "x", "series"}`` where
-``series`` maps a curve label to y-values aligned with ``x``.  Values
-are averaged over ``seeds``.  The defaults are sized to finish quickly;
-the benchmarks pass the paper's full parameter ranges.
+Each ``figNN_*`` function is one figure of the paper written as data: a
+list of :class:`Curve` rows plus a ``scenario(x, seed)`` factory, handed
+to :func:`sweep_figure`, which runs every (curve, x, seed) cell in one
+sweep and returns ``{"title", "xlabel", "ylabel", "x", "series",
+"series_std"}`` — ``series`` maps a curve label to y-values aligned with
+``x``, averaged over ``seeds``.  The defaults are sized to finish
+quickly; the benchmarks pass the paper's full parameter ranges.
+
+Every sweep figure forwards ``**sweep`` to :func:`sweep_figure`:
+``executor`` (the :class:`~repro.experiments.sweep.SweepExecutor` its
+cells run on; default :func:`~repro.experiments.sweep.default_executor`)
+and ``defaults`` (scenario fields for
+:func:`~repro.experiments.builder.fill_defaults` — how the CLI's
+``--faults`` / ``--trace`` / ``--metrics`` reach a figure's scenarios).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import statistics
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.core.config import ProtocolConfig
-from repro.experiments.builder import paper_scenario
+from repro.experiments.builder import fill_defaults, paper_scenario
 from repro.experiments.metrics import RunResult
 from repro.experiments.runner import ScenarioRunner
 from repro.experiments.scenario import Scenario
-from repro.experiments.sweep import sweep_over_seeds
+from repro.experiments.sweep import RunSpec, SweepExecutor, default_executor
 from repro.faults import FaultSpec, crash_schedule
+from repro.obs import TraceRecorder
 
 DEFAULT_SIZES = (50, 100, 150, 200)
 DEFAULT_RANGES = (100.0, 150.0, 200.0, 250.0)
+
+ScenarioFactory = Callable[[Any, int], Scenario]
+Metric = Callable[[RunResult], float]
 
 
 def quorum_cfg(**overrides: Any) -> ProtocolConfig:
@@ -35,77 +49,90 @@ def quorum_cfg(**overrides: Any) -> ProtocolConfig:
     return ProtocolConfig(**overrides)
 
 
-def _sweep_over_seeds(
-    make_scenario: Callable[[int], Scenario],
-    protocol: str,
-    metric: Callable[[RunResult], float],
-    seeds: Sequence[int],
-    protocol_config: Optional[Any] = None,
-) -> Tuple[float, float]:
-    """(mean, sample std) of ``metric`` over per-seed runs.
+@dataclasses.dataclass(frozen=True)
+class Curve:
+    """One curve of a figure: what runs at each x-value and what is read
+    off the result.
 
-    Runs route through :func:`repro.experiments.sweep.sweep_over_seeds`,
-    i.e. the process-wide default executor: serial and uncached unless
-    ``REPRO_SWEEP_WORKERS`` / ``REPRO_SWEEP_CACHE`` (or
-    ``sweep.set_default_executor``) say otherwise.  Per-run seeding
-    makes the parallel path bit-identical to the serial one.
+    ``scenario`` replaces the figure's shared ``scenario(x, seed)``
+    factory for curves that pin a second axis (the per-``tr`` curves of
+    Fig. 7, the per-``nn`` curves of Fig. 12).
     """
-    results = sweep_over_seeds(make_scenario, protocol, seeds, protocol_config)
-    values = [metric(result) for result in results]
-    mean = statistics.mean(values)
-    std = statistics.stdev(values) if len(values) > 1 else 0.0
-    return mean, std
+
+    label: str
+    protocol: str
+    metric: Metric
+    config: Optional[Any] = None
+    scenario: Optional[ScenarioFactory] = None
 
 
-def _result(title: str, xlabel: str, ylabel: str, x: Iterable[Any],
-            series: Dict[str, List[float]],
-            stds: Optional[Dict[str, List[float]]] = None) -> Dict[str, Any]:
-    result = {
+def sweep_figure(
+    title: str, xlabel: str, ylabel: str,
+    x: Sequence[Any],
+    seeds: Sequence[int],
+    curves: Sequence[Curve],
+    scenario: Optional[ScenarioFactory] = None,
+    executor: Optional[SweepExecutor] = None,
+    defaults: Optional[Mapping[str, Any]] = None,
+) -> Dict[str, Any]:
+    """Run every (curve, x, seed) cell of a figure in one sweep and fold
+    each point to ``(mean, sample std)`` over its seeds.
+
+    Cells that hash to the same :meth:`RunSpec.key` — curves reading
+    different metrics off the same run — execute once.  One
+    ``executor.run`` sees the whole figure, so worker processes fan out
+    across curves and x-values, not just seeds; per-run seeding makes
+    the parallel path bit-identical to the serial one.
+    """
+    executor = executor if executor is not None else default_executor()
+    unique: Dict[str, RunSpec] = {}
+    # curve -> x -> the seeds' spec keys
+    grid: List[List[List[str]]] = [[] for _ in curves]
+    for value in x:
+        for curve, row in zip(curves, grid):
+            make = curve.scenario or scenario
+            keys = []
+            for seed in seeds:
+                spec = RunSpec(curve.protocol,
+                               fill_defaults(make(value, seed), defaults),
+                               curve.config)
+                key = spec.key()
+                unique.setdefault(key, spec)
+                keys.append(key)
+            row.append(keys)
+    results = dict(zip(unique, executor.run(list(unique.values())).results))
+
+    series: Dict[str, List[float]] = {}
+    stds: Dict[str, List[float]] = {}
+    for curve, row in zip(curves, grid):
+        points = [[curve.metric(results[key]) for key in keys]
+                  for keys in row]
+        series[curve.label] = [statistics.mean(values) for values in points]
+        stds[curve.label] = [
+            statistics.stdev(values) if len(values) > 1 else 0.0
+            for values in points]
+    return {
         "title": title, "xlabel": xlabel, "ylabel": ylabel,
-        "x": list(x), "series": series,
+        "x": list(x), "series": series, "series_std": stds,
     }
-    if stds is not None:
-        result["series_std"] = stds
-    return result
-
-
-class _SeriesBuilder:
-    """Accumulates (mean, std) points per labelled curve."""
-
-    def __init__(self) -> None:
-        self.series: Dict[str, List[float]] = {}
-        self.stds: Dict[str, List[float]] = {}
-
-    def add(self, label: str,
-            make_scenario: Callable[[int], Scenario],
-            protocol: str,
-            metric: Callable[[RunResult], float],
-            seeds: Sequence[int],
-            protocol_config: Optional[Any] = None) -> None:
-        mean, std = _sweep_over_seeds(
-            make_scenario, protocol, metric, seeds, protocol_config)
-        self.series.setdefault(label, []).append(mean)
-        self.stds.setdefault(label, []).append(std)
-
-    def constant(self, label: str, value: float) -> None:
-        self.series.setdefault(label, []).append(value)
-        self.stds.setdefault(label, []).append(0.0)
 
 
 # ---------------------------------------------------------------------------
 # Fig. 4 — example network layout
 # ---------------------------------------------------------------------------
 def fig04_layout(num_nodes: int = 100, seed: int = 1,
-                 transmission_range: float = 150.0) -> Dict[str, Any]:
+                 transmission_range: float = 150.0,
+                 defaults: Optional[Mapping[str, Any]] = None,
+                 ) -> Dict[str, Any]:
     """A randomly generated layout: positions plus resulting roles."""
     # Fig. 4 shows a uniformly random layout, so arrivals here are not
     # connectivity-biased (at nn = 100, tr = 150 m the uniform network
     # is dense enough to be essentially one component anyway).
-    scenario = paper_scenario(
+    scenario = fill_defaults(paper_scenario(
         num_nodes=num_nodes, seed=seed, speed_mps=0.0, settle_time=10.0,
         transmission_range=transmission_range,
         connected_arrivals=False,
-    )
+    ), defaults)
     runner = ScenarioRunner(scenario, "quorum", quorum_cfg())
     result = runner.run()
     assert runner.ctx is not None
@@ -139,73 +166,57 @@ def fig05_latency_vs_size(
     sizes: Sequence[int] = DEFAULT_SIZES,
     seeds: Sequence[int] = (1,),
     transmission_range: float = 150.0,
+    **sweep: Any,
 ) -> Dict[str, Any]:
     """Config latency (hops) vs network size: quorum vs MANETconf."""
-    def scenario_for(n: int) -> Callable[[int], Scenario]:
-        return lambda seed: paper_scenario(
-            num_nodes=n, seed=seed, transmission_range=transmission_range,
-            settle_time=10.0,
-        )
-
     metric = RunResult.avg_config_latency_hops
-    series: Dict[str, List[float]] = {"quorum": [], "manetconf": []}
-    stds: Dict[str, List[float]] = {"quorum": [], "manetconf": []}
-    for n in sizes:
-        for protocol, config in (("quorum", quorum_cfg()),
-                                 ("manetconf", None)):
-            mean, std = _sweep_over_seeds(
-                scenario_for(n), protocol, metric, seeds, config)
-            series[protocol].append(mean)
-            stds[protocol].append(std)
-    result = _result("Fig. 5 — configuration latency vs network size",
-                     "nodes", "latency (hops)", sizes, series)
-    result["series_std"] = stds
-    return result
+    return sweep_figure(
+        "Fig. 5 — configuration latency vs network size",
+        "nodes", "latency (hops)", sizes, seeds,
+        [Curve("quorum", "quorum", metric, quorum_cfg()),
+         Curve("manetconf", "manetconf", metric)],
+        lambda n, seed: paper_scenario(
+            num_nodes=n, seed=seed, transmission_range=transmission_range,
+            settle_time=10.0),
+        **sweep)
 
 
 def fig06_latency_vs_range(
     ranges: Sequence[float] = DEFAULT_RANGES,
     num_nodes: int = 100,
     seeds: Sequence[int] = (1,),
+    **sweep: Any,
 ) -> Dict[str, Any]:
     """Config latency vs transmission range: quorum vs MANETconf."""
-    def scenario_for(tr: float) -> Callable[[int], Scenario]:
-        return lambda seed: paper_scenario(
-            num_nodes=num_nodes, seed=seed, transmission_range=tr,
-            settle_time=10.0,
-        )
-
     metric = RunResult.avg_config_latency_hops
-    builder = _SeriesBuilder()
-    for tr in ranges:
-        builder.add("quorum", scenario_for(tr), "quorum", metric, seeds,
-                    quorum_cfg())
-        builder.add("manetconf", scenario_for(tr), "manetconf", metric, seeds)
-    return _result("Fig. 6 — configuration latency vs transmission range",
-                   "tr (m)", "latency (hops)", ranges,
-                   builder.series, builder.stds)
+    return sweep_figure(
+        "Fig. 6 — configuration latency vs transmission range",
+        "tr (m)", "latency (hops)", ranges, seeds,
+        [Curve("quorum", "quorum", metric, quorum_cfg()),
+         Curve("manetconf", "manetconf", metric)],
+        lambda tr, seed: paper_scenario(
+            num_nodes=num_nodes, seed=seed, transmission_range=tr,
+            settle_time=10.0),
+        **sweep)
 
 
 def fig07_latency_grid(
     ranges: Sequence[float] = DEFAULT_RANGES,
     sizes: Sequence[int] = DEFAULT_SIZES,
     seeds: Sequence[int] = (1,),
+    **sweep: Any,
 ) -> Dict[str, Any]:
     """Quorum config latency over the tr x nn grid (ours only)."""
-    builder = _SeriesBuilder()
-    metric = RunResult.avg_config_latency_hops
-    for tr in ranges:
-        label = f"tr={tr:g}"
-        for n in sizes:
-            builder.add(
-                label,
-                lambda seed, n=n, tr=tr: paper_scenario(
-                    num_nodes=n, seed=seed, transmission_range=tr,
-                    settle_time=10.0),
-                "quorum", metric, seeds, quorum_cfg())
-    return _result("Fig. 7 — quorum latency over tr x nn",
-                   "nodes", "latency (hops)", sizes,
-                   builder.series, builder.stds)
+    return sweep_figure(
+        "Fig. 7 — quorum latency over tr x nn",
+        "nodes", "latency (hops)", sizes, seeds,
+        [Curve(f"tr={tr:g}", "quorum", RunResult.avg_config_latency_hops,
+               quorum_cfg(),
+               scenario=lambda n, seed, tr=tr: paper_scenario(
+                   num_nodes=n, seed=seed, transmission_range=tr,
+                   settle_time=10.0))
+         for tr in ranges],
+        **sweep)
 
 
 # ---------------------------------------------------------------------------
@@ -214,53 +225,47 @@ def fig07_latency_grid(
 def fig08_config_overhead(
     sizes: Sequence[int] = DEFAULT_SIZES,
     seeds: Sequence[int] = (1,),
+    **sweep: Any,
 ) -> Dict[str, Any]:
     """Configuration message hops per node: quorum vs Buddy.
 
     Includes state-upkeep traffic (the Buddy scheme's periodic global
     table synchronization; our replica distribution), per Section VI-C.
     """
-    def scenario_for(n: int) -> Callable[[int], Scenario]:
-        return lambda seed: paper_scenario(
-            num_nodes=n, seed=seed, settle_time=20.0)
-
     def metric(result: RunResult) -> float:
         return result.config_overhead_per_node(include_maintenance=True)
 
-    builder = _SeriesBuilder()
-    for n in sizes:
-        builder.add("quorum", scenario_for(n), "quorum", metric, seeds,
-                    quorum_cfg())
-        builder.add("buddy", scenario_for(n), "buddy", metric, seeds)
-    return _result("Fig. 8 — configuration overhead vs network size",
-                   "nodes", "hops per configured node", sizes,
-                   builder.series, builder.stds)
+    return sweep_figure(
+        "Fig. 8 — configuration overhead vs network size",
+        "nodes", "hops per configured node", sizes, seeds,
+        [Curve("quorum", "quorum", metric, quorum_cfg()),
+         Curve("buddy", "buddy", metric)],
+        lambda n, seed: paper_scenario(
+            num_nodes=n, seed=seed, settle_time=20.0),
+        **sweep)
 
 
 def fig09_departure_overhead(
     sizes: Sequence[int] = DEFAULT_SIZES,
     seeds: Sequence[int] = (1,),
     depart_fraction: float = 0.5,
+    **sweep: Any,
 ) -> Dict[str, Any]:
     """Departure message hops per graceful departure: quorum vs Buddy."""
-    def scenario_for(n: int) -> Callable[[int], Scenario]:
-        return lambda seed: paper_scenario(
-            num_nodes=n, seed=seed, depart_fraction=depart_fraction,
-            abrupt_probability=0.0, depart_window=60.0, settle_time=20.0)
-
     def metric(result: RunResult) -> float:
         upkeep = result.stats_hops.get("maintenance", 0)
         departures = max(1, result.graceful_departures)
         return result.departure_overhead_per_departure() + upkeep / departures
 
-    builder = _SeriesBuilder()
-    for n in sizes:
-        builder.add("quorum", scenario_for(n), "quorum", metric, seeds,
-                    quorum_cfg())
-        builder.add("buddy", scenario_for(n), "buddy", metric, seeds)
-    return _result("Fig. 9 — departure overhead vs network size",
-                   "nodes", "hops per departure", sizes,
-                   builder.series, builder.stds)
+    return sweep_figure(
+        "Fig. 9 — departure overhead vs network size",
+        "nodes", "hops per departure", sizes, seeds,
+        [Curve("quorum", "quorum", metric, quorum_cfg()),
+         Curve("buddy", "buddy", metric)],
+        lambda n, seed: paper_scenario(
+            num_nodes=n, seed=seed, depart_fraction=depart_fraction,
+            abrupt_probability=0.0, depart_window=60.0, settle_time=20.0),
+        **sweep)
 
 
 # ---------------------------------------------------------------------------
@@ -271,18 +276,13 @@ def fig10_maintenance_overhead(
     seeds: Sequence[int] = (1,),
     speed: float = 20.0,
     depart_fraction: float = 0.3,
+    **sweep: Any,
 ) -> Dict[str, Any]:
     """Movement + departure + upkeep hops per node at 20 m/s.
 
     Three curves, as in the paper: ours with periodic location update,
     ours with upon-leave update only, and the C-tree scheme.
     """
-    def scenario_for(n: int) -> Callable[[int], Scenario]:
-        return lambda seed: paper_scenario(
-            num_nodes=n, seed=seed, speed_mps=speed,
-            depart_fraction=depart_fraction, depart_window=60.0,
-            settle_time=30.0)
-
     def quorum_metric(result: RunResult) -> float:
         # The paper's Fig. 10 counts location-update and departure
         # traffic; our replica upkeep is configuration-state cost and
@@ -291,46 +291,41 @@ def fig10_maintenance_overhead(
                 + result.stats_hops.get("departure", 0))
         return hops / max(1, result.num_nodes)
 
-    # For [3] the periodic C-root reports ARE the maintenance traffic.
-    ctree_metric = RunResult.maintenance_overhead
-
-    builder = _SeriesBuilder()
-    for n in sizes:
-        builder.add("quorum/periodic", scenario_for(n), "quorum",
-                    quorum_metric, seeds,
-                    quorum_cfg(location_update_mode="periodic"))
-        builder.add("quorum/upon-leave", scenario_for(n), "quorum",
-                    quorum_metric, seeds,
-                    quorum_cfg(location_update_mode="upon_leave"))
-        builder.add("ctree", scenario_for(n), "ctree", ctree_metric, seeds)
-    return _result("Fig. 10 — maintenance overhead vs network size",
-                   "nodes", "hops per node", sizes,
-                   builder.series, builder.stds)
+    return sweep_figure(
+        "Fig. 10 — maintenance overhead vs network size",
+        "nodes", "hops per node", sizes, seeds,
+        [Curve("quorum/periodic", "quorum", quorum_metric,
+               quorum_cfg(location_update_mode="periodic")),
+         Curve("quorum/upon-leave", "quorum", quorum_metric,
+               quorum_cfg(location_update_mode="upon_leave")),
+         # For [3] the periodic C-root reports ARE the maintenance traffic.
+         Curve("ctree", "ctree", RunResult.maintenance_overhead)],
+        lambda n, seed: paper_scenario(
+            num_nodes=n, seed=seed, speed_mps=speed,
+            depart_fraction=depart_fraction, depart_window=60.0,
+            settle_time=30.0),
+        **sweep)
 
 
 def fig11_movement_vs_speed(
     speeds: Sequence[float] = (5.0, 10.0, 20.0, 30.0, 40.0),
     num_nodes: int = 150,
     seeds: Sequence[int] = (1,),
+    **sweep: Any,
 ) -> Dict[str, Any]:
     """Location-update hops per node vs node speed (nn = 150)."""
-    def scenario_for(speed: float) -> Callable[[int], Scenario]:
-        return lambda seed: paper_scenario(
-            num_nodes=num_nodes, seed=seed, speed_mps=speed,
-            settle_time=60.0)
-
     metric = RunResult.movement_overhead_per_node
-    builder = _SeriesBuilder()
-    for speed in speeds:
-        builder.add("quorum/periodic", scenario_for(speed), "quorum",
-                    metric, seeds,
-                    quorum_cfg(location_update_mode="periodic"))
-        builder.add("quorum/upon-leave", scenario_for(speed), "quorum",
-                    metric, seeds,
-                    quorum_cfg(location_update_mode="upon_leave"))
-    return _result("Fig. 11 — movement overhead vs speed (nn=150)",
-                   "speed (m/s)", "hops per node", speeds,
-                   builder.series, builder.stds)
+    return sweep_figure(
+        "Fig. 11 — movement overhead vs speed (nn=150)",
+        "speed (m/s)", "hops per node", speeds, seeds,
+        [Curve("quorum/periodic", "quorum", metric,
+               quorum_cfg(location_update_mode="periodic")),
+         Curve("quorum/upon-leave", "quorum", metric,
+               quorum_cfg(location_update_mode="upon_leave"))],
+        lambda speed, seed: paper_scenario(
+            num_nodes=num_nodes, seed=seed, speed_mps=speed,
+            settle_time=60.0),
+        **sweep)
 
 
 # ---------------------------------------------------------------------------
@@ -340,28 +335,26 @@ def fig12_ip_space_extension(
     ranges: Sequence[float] = DEFAULT_RANGES,
     sizes: Sequence[int] = (100, 200),
     seeds: Sequence[int] = (1,),
+    **sweep: Any,
 ) -> Dict[str, Any]:
     """(IPSpace + QuorumSpace) / IPSpace per cluster head, vs tr and nn.
 
     The C-tree scheme keeps no replicas, so its ratio is identically 1;
     the paper reports our extension reaching ~5.5x as tr grows.
     """
-    metric = RunResult.avg_extension_ratio
-    builder = _SeriesBuilder()
-    for n in sizes:
-        label = f"quorum nn={n}"
-        for tr in ranges:
-            builder.add(
-                label,
-                lambda seed, n=n, tr=tr: paper_scenario(
-                    num_nodes=n, seed=seed, transmission_range=tr,
-                    settle_time=20.0),
-                "quorum", metric, seeds, quorum_cfg())
-    for _tr in ranges:
-        builder.constant("ctree (no replication)", 1.0)
-    return _result("Fig. 12 — IP space extension vs transmission range",
-                   "tr (m)", "(IPSpace+QuorumSpace)/IPSpace", ranges,
-                   builder.series, builder.stds)
+    result = sweep_figure(
+        "Fig. 12 — IP space extension vs transmission range",
+        "tr (m)", "(IPSpace+QuorumSpace)/IPSpace", ranges, seeds,
+        [Curve(f"quorum nn={n}", "quorum", RunResult.avg_extension_ratio,
+               quorum_cfg(),
+               scenario=lambda tr, seed, n=n: paper_scenario(
+                   num_nodes=n, seed=seed, transmission_range=tr,
+                   settle_time=20.0))
+         for n in sizes],
+        **sweep)
+    result["series"]["ctree (no replication)"] = [1.0] * len(ranges)
+    result["series_std"]["ctree (no replication)"] = [0.0] * len(ranges)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +365,7 @@ def fig13_information_loss(
     num_nodes: int = 100,
     seeds: Sequence[int] = (1, 2),
     depart_fraction: float = 0.4,
+    **sweep: Any,
 ) -> Dict[str, Any]:
     """% of departed allocators whose IP state information was lost.
 
@@ -383,27 +377,18 @@ def fig13_information_loss(
     arrivals keep this a single network, so the C-tree curve reflects
     root and unreported-allocation loss rather than fragment roots.
     """
-    def scenario_for(ratio: float) -> Callable[[int], Scenario]:
-        return lambda seed: paper_scenario(
+    metric = RunResult.information_loss_pct
+    return sweep_figure(
+        "Fig. 13 — IP state information loss vs abrupt ratio",
+        "abrupt ratio", "% information lost", abrupt_ratios, seeds,
+        [Curve("quorum", "quorum", metric, quorum_cfg()),
+         Curve("ctree", "ctree", metric)],
+        lambda ratio, seed: paper_scenario(
             num_nodes=num_nodes, seed=seed,
             depart_fraction=depart_fraction, abrupt_probability=ratio,
             depart_window=5.0, settle_time=30.0,
-            uniform_arrival_fraction=0.0)
-
-    metric = RunResult.information_loss_pct
-    series: Dict[str, List[float]] = {"quorum": [], "ctree": []}
-    stds: Dict[str, List[float]] = {"quorum": [], "ctree": []}
-    for ratio in abrupt_ratios:
-        for protocol, config in (("quorum", quorum_cfg()), ("ctree", None)):
-            mean, std = _sweep_over_seeds(
-                scenario_for(ratio), protocol, metric, seeds, config)
-            series[protocol].append(mean)
-            stds[protocol].append(std)
-    result = _result("Fig. 13 — IP state information loss vs abrupt ratio",
-                     "abrupt ratio", "% information lost", abrupt_ratios,
-                     series)
-    result["series_std"] = stds
-    return result
+            uniform_arrival_fraction=0.0),
+        **sweep)
 
 
 # ---------------------------------------------------------------------------
@@ -414,23 +399,20 @@ def fig14_reclamation_overhead(
     seeds: Sequence[int] = (1,),
     depart_fraction: float = 0.4,
     abrupt_probability: float = 0.5,
+    **sweep: Any,
 ) -> Dict[str, Any]:
     """Reclamation message hops per abrupt departure: quorum vs C-tree."""
-    def scenario_for(n: int) -> Callable[[int], Scenario]:
-        return lambda seed: paper_scenario(
+    metric = RunResult.reclamation_overhead
+    return sweep_figure(
+        "Fig. 14 — reclamation overhead vs network size",
+        "nodes", "hops per abrupt departure", sizes, seeds,
+        [Curve("quorum", "quorum", metric, quorum_cfg()),
+         Curve("ctree", "ctree", metric)],
+        lambda n, seed: paper_scenario(
             num_nodes=n, seed=seed, depart_fraction=depart_fraction,
             abrupt_probability=abrupt_probability, depart_window=60.0,
-            settle_time=60.0)
-
-    metric = RunResult.reclamation_overhead
-    builder = _SeriesBuilder()
-    for n in sizes:
-        builder.add("quorum", scenario_for(n), "quorum", metric, seeds,
-                    quorum_cfg())
-        builder.add("ctree", scenario_for(n), "ctree", metric, seeds)
-    return _result("Fig. 14 — reclamation overhead vs network size",
-                   "nodes", "hops per abrupt departure", sizes,
-                   builder.series, builder.stds)
+            settle_time=60.0),
+        **sweep)
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +425,7 @@ def robustness_vs_loss(
     depart_fraction: float = 0.3,
     abrupt_probability: float = 0.5,
     crash_fraction: float = 0.1,
+    **sweep: Any,
 ) -> Dict[str, Any]:
     """Address conflicts and quorum self-repair vs per-hop loss rate.
 
@@ -455,51 +438,43 @@ def robustness_vs_loss(
     (``duplicate_addresses``) for all three protocols, plus the quorum
     protocol's adjustment (QDSet shrink/probe) and reclamation event
     counts — the self-repair machinery Section V-B predicts should
-    engage as conditions degrade.
+    engage as conditions degrade.  The three quorum curves read one
+    run per (x, seed).
     """
-    def scenario_for(loss: float) -> Callable[[int], Scenario]:
-        def make(seed: int) -> Scenario:
-            faults = FaultSpec(
-                loss_rate=loss,
-                crashes=crash_schedule(
-                    num_nodes, crash_fraction,
-                    at=float(num_nodes) + 10.0,  # after the last arrival
-                    window=20.0, downtime=30.0, seed=seed),
-            )
-            return paper_scenario(
-                num_nodes=num_nodes, seed=seed,
-                depart_fraction=depart_fraction,
-                abrupt_probability=abrupt_probability,
-                depart_window=30.0, settle_time=60.0,
-                faults=faults)
-        return make
+    def scenario(loss: float, seed: int) -> Scenario:
+        faults = FaultSpec(
+            loss_rate=loss,
+            crashes=crash_schedule(
+                num_nodes, crash_fraction,
+                at=float(num_nodes) + 10.0,  # after the last arrival
+                window=20.0, downtime=30.0, seed=seed),
+        )
+        return paper_scenario(
+            num_nodes=num_nodes, seed=seed,
+            depart_fraction=depart_fraction,
+            abrupt_probability=abrupt_probability,
+            depart_window=30.0, settle_time=60.0,
+            faults=faults)
 
     def conflicts(result: RunResult) -> float:
         return float(result.duplicate_addresses)
 
-    quorum_metrics: Dict[str, Callable[[RunResult], float]] = {
-        "quorum/conflicts": conflicts,
-        "quorum/adjustments": lambda r: float(
-            r.event_count("quorum_shrink") + r.event_count("quorum_probe")),
-        "quorum/reclamations": lambda r: float(
-            r.event_count("reclamation_initiated")),
-    }
-    builder = _SeriesBuilder()
-    for loss in loss_rates:
-        make = scenario_for(loss)
-        # One quorum run per seed serves all three quorum curves.
-        results = sweep_over_seeds(make, "quorum", seeds, quorum_cfg())
-        for label, metric in quorum_metrics.items():
-            values = [metric(result) for result in results]
-            builder.series.setdefault(label, []).append(
-                statistics.mean(values))
-            builder.stds.setdefault(label, []).append(
-                statistics.stdev(values) if len(values) > 1 else 0.0)
-        builder.add("manetconf/conflicts", make, "manetconf", conflicts, seeds)
-        builder.add("dad/conflicts", make, "dad", conflicts, seeds)
-    return _result("Robustness — conflicts and quorum repair vs loss rate",
-                   "per-hop loss rate", "count per run", loss_rates,
-                   builder.series, builder.stds)
+    def adjustments(result: RunResult) -> float:
+        return float(result.event_count("quorum_shrink")
+                     + result.event_count("quorum_probe"))
+
+    def reclamations(result: RunResult) -> float:
+        return float(result.event_count("reclamation_initiated"))
+
+    return sweep_figure(
+        "Robustness — conflicts and quorum repair vs loss rate",
+        "per-hop loss rate", "count per run", loss_rates, seeds,
+        [Curve("quorum/conflicts", "quorum", conflicts, quorum_cfg()),
+         Curve("quorum/adjustments", "quorum", adjustments, quorum_cfg()),
+         Curve("quorum/reclamations", "quorum", reclamations, quorum_cfg()),
+         Curve("manetconf/conflicts", "manetconf", conflicts),
+         Curve("dad/conflicts", "dad", conflicts)],
+        scenario, **sweep)
 
 
 # ---------------------------------------------------------------------------
@@ -523,10 +498,9 @@ def table1_message_exchange(seed: int = 1) -> Dict[str, Any]:
     from repro.mobility.base import Stationary
     from repro.net.context import NetworkContext
     from repro.net.node import Node
-    from repro.net.trace import MessageTrace
 
     ctx = NetworkContext.build(seed=seed, transmission_range=150.0)
-    recorder = MessageTrace().attach(ctx.transport)
+    recorder = TraceRecorder(etypes=("message.send",)).attach(ctx.obs)
     cfg = quorum_cfg()
     # A 7-node chain, 120 m spacing (1 hop per link at tr = 150 m),
     # plus a 3-node branch hanging off the middle head.  Heads form at
@@ -546,8 +520,9 @@ def table1_message_exchange(seed: int = 1) -> Dict[str, Any]:
     ctx.sim.run(until=80.0)
     recorder.detach()
     relevant = [
-        (e.mtype, e.src, e.dst) for e in recorder.unicasts()
-        if e.mtype in set(TABLE1_EXPECTED)
+        (e.mtype, e.src, e.dst) for e in recorder.events
+        if e.kind == "unicast" and e.delivered
+        and e.mtype in set(TABLE1_EXPECTED)
     ]
     # The last CH_REQ starts the exchange Table 1 depicts.
     last_req = max(

@@ -41,11 +41,13 @@ while memory stays bounded by the not-yet-yielded cells::
         summary.fold(cell)
     print(summary.perf_totals())
 
-Figure functions route through the process-wide default executor
-(:func:`default_executor`), which stays serial and uncached unless the
-``REPRO_SWEEP_WORKERS`` / ``REPRO_SWEEP_CACHE`` environment variables —
-or :func:`set_default_executor` — say otherwise, so tests and CI remain
-deterministic and dependency-free by default.
+A figure function (:mod:`repro.experiments.figures`) hands its whole
+(curve x x-value x seed) grid to the executor it is given; given none,
+it uses the process-wide :func:`default_executor`, which stays serial
+and uncached unless the ``REPRO_SWEEP_WORKERS`` / ``REPRO_SWEEP_CACHE``
+environment variables — or :func:`set_default_executor` — say
+otherwise, so tests and CI remain deterministic and dependency-free by
+default.
 """
 
 from __future__ import annotations
@@ -58,8 +60,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import (
-    Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
-    Tuple, Union,
+    Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
 )
 
 from repro.experiments.metrics import RunResult
@@ -575,16 +576,6 @@ class SweepExecutor:
                 for future in futures.values():
                     future.cancel()
 
-    def map_metric(self, specs: Sequence[RunSpec],
-                   metric: Callable[[RunResult], float]) -> List[float]:
-        """``[metric(result) for result in run(specs).results]``.
-
-        The shape figure code wants: the metric closure stays in the
-        parent process (closures don't pickle), only specs and results
-        cross the process boundary.
-        """
-        return [metric(result) for result in self.run(specs).results]
-
     # ------------------------------------------------------------------
     def _execute_one(self, spec: RunSpec) -> Tuple[RunResult, float]:
         try:
@@ -603,13 +594,13 @@ class SweepExecutor:
 
 
 # ---------------------------------------------------------------------------
-# Process-wide default executor (what the figure functions use)
+# Process-wide default executor (a figure's fallback when handed none)
 # ---------------------------------------------------------------------------
 _default_executor: Optional[SweepExecutor] = None
 
 
 def default_executor() -> SweepExecutor:
-    """The executor figure sweeps route through.
+    """The executor a figure sweep uses when its caller passes none.
 
     Unless configured via :func:`set_default_executor` or the
     ``REPRO_SWEEP_WORKERS`` / ``REPRO_SWEEP_CACHE`` environment
@@ -629,24 +620,3 @@ def set_default_executor(executor: Optional[SweepExecutor]) -> None:
     """Install (or with ``None`` reset) the process-wide executor."""
     global _default_executor
     _default_executor = executor
-
-
-def sweep_over_seeds(
-    make_scenario: Callable[[int], Scenario],
-    protocol: str,
-    seeds: Iterable[int],
-    protocol_config: Optional[Any] = None,
-    executor: Optional[SweepExecutor] = None,
-) -> List[RunResult]:
-    """Per-seed results for one (curve, x-value) cell of a figure.
-
-    The bridge between the per-figure functions (which think in "this
-    scenario, these seeds") and the executor (which thinks in specs).
-    """
-    specs = [
-        RunSpec(protocol=protocol, scenario=make_scenario(seed),
-                protocol_config=protocol_config)
-        for seed in seeds
-    ]
-    executor = executor if executor is not None else default_executor()
-    return executor.run(specs).results

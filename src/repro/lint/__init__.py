@@ -2,9 +2,9 @@
 
 A dependency-free static analyzer enforcing the invariants the
 reproduction's guarantees rest on: simulated-clock-only time, named RNG
-streams, the unified ``Transport.send`` API, frozen message
-dataclasses, explicit BFS hop bounds, config-owned protocol timers,
-centralized quorum arithmetic, and a dependency-free runtime — plus a
+streams, frozen message dataclasses, explicit BFS hop bounds,
+config-owned protocol timers, centralized quorum arithmetic, and a
+dependency-free runtime — plus a
 whole-program pass (module/import/call graph) enforcing cross-module
 invariants: protocol state-machine conformance (against ``TABLE`` in
 the parsed ``repro.core.messages``), obs-event coverage, RNG stream
@@ -21,19 +21,17 @@ Public surface:
   pass and its five cross-module rules;
 * :data:`ALL_RULES`, :data:`RULES_BY_NAME`, :func:`resolve_rules` —
   the built-in suite;
-* :class:`Baseline` — committed-findings support for ``--baseline``;
 * ``python -m repro lint`` — the CLI (see :mod:`repro.lint.cli`).
 """
 
 from repro.lint.core import FileContext, Finding, Rule, Severity
-from repro.lint.engine import Baseline, LintReport, lint_file, run_lint
+from repro.lint.engine import LintReport, lint_file, run_lint
 from repro.lint.project import ProjectGraph, ProjectRule
 from repro.lint.project_rules import PROJECT_RULES
 from repro.lint.rules import ALL_RULES, RULES_BY_NAME, resolve_rules
 
 __all__ = [
     "ALL_RULES",
-    "Baseline",
     "FileContext",
     "Finding",
     "LintReport",

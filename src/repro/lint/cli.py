@@ -4,10 +4,8 @@ Usage::
 
     python -m repro lint                      # scan src, examples, benchmarks
     python -m repro lint src/repro/core       # explicit paths
-    python -m repro lint --select send-api    # one rule only
+    python -m repro lint --select hop-bound   # one rule only
     python -m repro lint --strict --out lint-findings.json        # CI
-    python -m repro lint --write-baseline lint-baseline.json
-    python -m repro lint --baseline lint-baseline.json
 
 Exit codes: 0 clean (warnings tolerated unless ``--strict``),
 1 findings, 2 bad usage / unreadable input.
@@ -22,7 +20,7 @@ import time
 from pathlib import Path
 from typing import List, Optional, TextIO
 
-from repro.lint.engine import Baseline, LintReport, run_lint
+from repro.lint.engine import LintReport, run_lint
 from repro.lint.project_rules import PROJECT_RULES
 from repro.lint.rules import ALL_RULES, all_rule_names
 
@@ -63,13 +61,6 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         "--strict", action="store_true",
         help="exit non-zero on warnings too, not just errors")
     parser.add_argument(
-        "--baseline", metavar="FILE", default=None,
-        help="subtract the committed baseline: findings recorded there "
-             "are reported separately and do not fail the run")
-    parser.add_argument(
-        "--write-baseline", metavar="FILE", default=None,
-        help="write the current findings as the new baseline and exit 0")
-    parser.add_argument(
         "--list-rules", action="store_true",
         help="print the rule table and exit")
 
@@ -103,40 +94,18 @@ def run(args: argparse.Namespace, out: Optional[TextIO] = None) -> int:
               file=sys.stderr)
         return 2
 
-    baseline = None
-    if args.baseline is not None and args.write_baseline is None:
-        baseline_path = Path(args.baseline)
-        if not baseline_path.exists():
-            print(f"repro lint: baseline {baseline_path} not found "
-                  "(create it with --write-baseline)", file=sys.stderr)
-            return 2
-        try:
-            baseline = Baseline.load(baseline_path)
-        except (ValueError, json.JSONDecodeError) as exc:
-            print(f"repro lint: bad baseline {baseline_path}: {exc}",
-                  file=sys.stderr)
-            return 2
-
     started = time.perf_counter()
     try:
         report = run_lint(
             paths,
             select=set(args.select) if args.select else None,
             ignore=set(args.ignore) if args.ignore else None,
-            baseline=baseline,
             project=args.project,
         )
     except (OSError, ValueError) as exc:
         print(f"repro lint: {exc}", file=sys.stderr)
         return 2
     elapsed = time.perf_counter() - started
-
-    if args.write_baseline is not None:
-        target = Path(args.write_baseline)
-        Baseline.from_findings(report.findings).dump(target)
-        print(f"wrote baseline with {len(report.findings)} finding(s) "
-              f"to {target}", file=stream)
-        return 0
 
     return _emit(report, args, stream, elapsed)
 

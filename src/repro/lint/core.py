@@ -46,12 +46,8 @@ class Severity(enum.Enum):
 
 @dataclasses.dataclass(frozen=True)
 class Finding:
-    """One rule violation, anchored to a source line.
-
-    ``line_text`` (the stripped source line) rather than the line
-    *number* is what baseline comparison keys on, so a committed
-    baseline survives unrelated edits that shift code up or down.
-    """
+    """One rule violation, anchored to a source line (``line_text`` is
+    the stripped source line, carried into the JSON report)."""
 
     rule: str
     severity: Severity
@@ -63,9 +59,6 @@ class Finding:
 
     def sort_key(self) -> Tuple[str, int, int, str]:
         return (self.path, self.line, self.col, self.rule)
-
-    def baseline_key(self) -> Tuple[str, str, str]:
-        return (self.rule, self.path, self.line_text)
 
     def to_json(self) -> Dict[str, object]:
         return {

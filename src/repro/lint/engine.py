@@ -1,18 +1,14 @@
-"""File discovery, rule execution, baselines and report rendering.
+"""File discovery, rule execution and report rendering.
 
 The engine walks ``.py`` files, infers each file's dotted module name
 (so rules can scope themselves to packages), runs the active rules,
-filters suppressed findings, and renders text or JSON.  A *baseline*
-(a committed JSON list of known findings keyed by rule + path + source
-line) lets a new rule land before every finding it surfaces is fixed:
-baselined findings are reported separately and do not fail the run.
+filters suppressed findings, and renders text or JSON.
 """
 
 from __future__ import annotations
 
 import ast
 import dataclasses
-import json
 from collections import Counter
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -21,8 +17,7 @@ from repro.lint.core import FileContext, Finding, Rule, Severity
 from repro.lint.project import ProjectGraph, ProjectRule
 from repro.lint.rules import AnyRule, resolve_rules
 
-BASELINE_SCHEMA_VERSION = 1
-JSON_SCHEMA_VERSION = 1
+JSON_SCHEMA_VERSION = 2
 
 
 def module_name_for(path: Path) -> Optional[str]:
@@ -33,8 +28,7 @@ def module_name_for(path: Path) -> Optional[str]:
     ``repro.core.state``), which also maps fixture trees laid out as
     ``<tmp>/src/repro/...`` in tests.  Files outside a ``repro``
     package (examples, benchmarks) have no module name; per-package
-    rules skip them while path-scoped rules (send-api, hop-bound)
-    still apply.
+    rules skip them while path-scoped rules (hop-bound) still apply.
     """
     parts = [part for part in path.parts]
     if path.suffix == ".py":
@@ -78,7 +72,6 @@ class LintReport:
     """Outcome of one lint run."""
 
     findings: Tuple[Finding, ...]
-    baselined: Tuple[Finding, ...]
     files_scanned: int
     rule_names: Tuple[str, ...]
     parse_errors: Tuple[str, ...] = ()
@@ -106,7 +99,6 @@ class LintReport:
             "rules": list(self.rule_names),
             "files_scanned": self.files_scanned,
             "findings": [f.to_json() for f in self.findings],
-            "baselined": [f.to_json() for f in self.baselined],
             "counts": self.counts_by_rule(),
             "parse_errors": list(self.parse_errors),
         }
@@ -118,8 +110,6 @@ class LintReport:
         summary = (f"{self.files_scanned} files scanned, "
                    f"{len(self.rule_names)} rules, "
                    f"{total} finding{'s' if total != 1 else ''}")
-        if self.baselined:
-            summary += f" ({len(self.baselined)} baselined)"
         if total:
             per_rule = ", ".join(
                 f"{rule}={count}"
@@ -166,7 +156,6 @@ def run_lint(paths: Sequence[Path],
              select: Optional[Set[str]] = None,
              ignore: Optional[Set[str]] = None,
              rules: Optional[Sequence[AnyRule]] = None,
-             baseline: Optional["Baseline"] = None,
              root: Optional[Path] = None,
              project: bool = True) -> LintReport:
     """Lint ``paths`` and return a :class:`LintReport`.
@@ -182,7 +171,6 @@ def run_lint(paths: Sequence[Path],
         select: restrict to these rule names (default: all).
         ignore: drop these rule names from the active set.
         rules: explicit rule objects (overrides select/ignore).
-        baseline: known findings to report separately, not fail on.
         root: paths in findings are rendered relative to this directory
             (default: the current working directory).
         project: run the whole-program pass (``--no-project`` in the
@@ -217,70 +205,10 @@ def run_lint(paths: Sequence[Path],
                     continue
                 findings.append(finding)
     findings.sort(key=Finding.sort_key)
-    fresh: Tuple[Finding, ...] = tuple(findings)
-    known: Tuple[Finding, ...] = ()
-    if baseline is not None:
-        fresh, known = baseline.split(findings)
     return LintReport(
-        findings=fresh,
-        baselined=known,
+        findings=tuple(findings),
         files_scanned=len(files),
         rule_names=tuple(rule.name for rule in rules),
         parse_errors=tuple(parse_errors),
     )
 
-
-class Baseline:
-    """A committed multiset of known findings.
-
-    Stored as JSON; entries key on ``(rule, path, stripped source
-    line)`` rather than line numbers so unrelated edits that shift a
-    file do not invalidate the baseline.
-    """
-
-    def __init__(self, entries: Iterable[Tuple[str, str, str]] = ()) -> None:
-        self._entries = Counter(entries)
-
-    @classmethod
-    def from_findings(cls, findings: Iterable[Finding]) -> "Baseline":
-        return cls(f.baseline_key() for f in findings)
-
-    @classmethod
-    def load(cls, path: Path) -> "Baseline":
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        if payload.get("schema") != BASELINE_SCHEMA_VERSION:
-            raise ValueError(
-                f"unsupported baseline schema in {path}: "
-                f"{payload.get('schema')!r}")
-        return cls(
-            (entry["rule"], entry["path"], entry["line_text"])
-            for entry in payload.get("findings", ()))
-
-    def dump(self, path: Path) -> None:
-        entries = [
-            {"rule": rule, "path": rel, "line_text": text}
-            for (rule, rel, text), count in sorted(self._entries.items())
-            for _ in range(count)
-        ]
-        payload = {"schema": BASELINE_SCHEMA_VERSION, "findings": entries}
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                        encoding="utf-8")
-
-    def __len__(self) -> int:
-        return sum(self._entries.values())
-
-    def split(
-        self, findings: Sequence[Finding],
-    ) -> Tuple[Tuple[Finding, ...], Tuple[Finding, ...]]:
-        """Partition into (fresh, baselined), consuming multiset slots."""
-        remaining = Counter(self._entries)
-        fresh: List[Finding] = []
-        known: List[Finding] = []
-        for finding in findings:
-            key = finding.baseline_key()
-            if remaining.get(key, 0) > 0:
-                remaining[key] -= 1
-                known.append(finding)
-            else:
-                fresh.append(finding)
-        return tuple(fresh), tuple(known)

@@ -203,33 +203,6 @@ class RngStreamRule(Rule):
                     "(RandomStreams / generator_from_seed), not ad hoc")
 
 
-class SendApiRule(Rule):
-    """Everything must go through ``Transport.send``.
-
-    The pre-``send()`` surface (``unicast`` / ``broadcast_1hop`` /
-    ``flood``) was deprecated in PR 2 and removed outright once the
-    window closed — any call site is a hard error everywhere, shim
-    module included (there is no shim module anymore).
-    """
-
-    name = "send-api"
-    description = ("removed Transport.unicast/broadcast_1hop/flood "
-                   "surface called")
-    severity = Severity.ERROR
-
-    _REMOVED = {"unicast", "broadcast_1hop", "flood"}
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Call) and \
-                    isinstance(node.func, ast.Attribute) and \
-                    node.func.attr in self._REMOVED:
-                yield ctx.finding(
-                    self, node,
-                    f".{node.func.attr}() was removed from Transport; "
-                    "use Transport.send(..., scope=...) instead")
-
-
 def _frozen_slotted_findings(rule: Rule, ctx: FileContext,
                              noun: str) -> Iterator[Finding]:
     """Findings for dataclasses in ``ctx`` that are not frozen+slotted."""
@@ -583,7 +556,6 @@ class NoOracleImportRule(Rule):
 ALL_RULES: Tuple[Rule, ...] = (
     DeterminismRule(),
     RngStreamRule(),
-    SendApiRule(),
     FrozenMessageRule(),
     FrozenEventRule(),
     HopBoundRule(),

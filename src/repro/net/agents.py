@@ -4,32 +4,34 @@
 liveness, the spatial grid) an array-backed layout; agents were still
 one Python object per node behind a plain dict.  That is fine for the
 object-graph parts of the protocol — handlers, per-attempt state — but
-every aggregate question ("how many heads?", "how many configured?",
-"how large are the quorums?") walked ``n`` heterogeneous objects and a
-method call each, and the registry itself kept dict overhead per node.
+the question every head scan asks ("who can allocate?") walked ``n``
+heterogeneous objects and a method call each, and the registry itself
+kept dict overhead per node.
 
 :class:`AgentStore` mirrors the NodeStore discipline for the agent
 registry:
 
 * **Slots.**  Every registered agent gets a monotonically increasing
-  *slot*; parallel arrays hold the hot denormalized columns — interned
-  role code, bound address, QDSet size, live vote-timer count — and the
-  agent object itself.  Slot order is insertion order and compaction
+  *slot*; parallel arrays hold the denormalized columns the protocol
+  reads — the allocator byte and the bound address — and the agent
+  object itself.  Slot order is insertion order and compaction
   preserves it, so iteration (``items()``) replays the registration
   order exactly like the dict it replaces.
 
 * **Write-through columns, authoritative objects.**  The protocol and
   the context push column updates at the natural transition points
-  (role assignment, ``bind_ip``/``unbind_ip``, QDSet add/remove, vote
-  timer arm/cancel) via the ``note_*`` methods.  The agent object
-  remains the authority and the columns are the O(1)-per-update,
-  O(n)-scan-free aggregate surface that sweeps, benches and the obs
-  layer read.  One column is load-bearing: ``is_head`` answers from
-  the allocator byte alone, so :meth:`AgentStore.note_allocator` is an
-  obligation on every agent type, and ``allocator_ids`` — the ids whose
-  byte is set — is the candidate set head scans probe before they run
-  the predicate.  ``is_configured`` still asks the agent: the address
-  column cannot answer it (see :meth:`AgentStore.note_address`).
+  (allocator flips, ``bind_ip``/``unbind_ip``) via the ``note_*``
+  methods; the remaining ``note_*`` hooks keep no column and only
+  version the derived head tables (``role_epoch``).  The agent object
+  remains the authority; what the obs layer samples about roles,
+  QDSets and vote timers it reads off the agents themselves
+  (:func:`repro.obs.metrics.sample_gauges`).  One column is
+  load-bearing: ``is_head`` answers from the allocator byte alone, so
+  :meth:`AgentStore.note_allocator` is an obligation on every agent
+  type, and ``allocator_ids`` — the ids whose byte is set — is the
+  candidate set head scans probe before they run the predicate.
+  ``is_configured`` still asks the agent: the address column cannot
+  answer it (see :meth:`AgentStore.note_address`).
 
 * **Tombstoned eviction + compaction.**  ``evict`` clears a slot in
   O(1); once tombstones exceed half the slot space (same
@@ -57,14 +59,6 @@ from repro.net.store import COMPACT_MIN_SLOTS, COMPACT_TOMBSTONE_FRACTION
 NO_ADDRESS = -1
 
 
-def _role_name(agent: Any) -> str:
-    """The interned-role string for an agent (\"\" when it has none)."""
-    role = getattr(agent, "role", None)
-    if role is None:
-        return ""
-    return str(getattr(role, "value", role))
-
-
 class AgentStore:
     """Array-backed agent registry, indexed by slot.
 
@@ -79,8 +73,6 @@ class AgentStore:
         # array entries (agent=None marks it dead) until compaction.
         self.ids: List[int] = []
         self.agents: List[Optional[Any]] = []
-        #: slot -> interned role code (index into ``role_names``).
-        self.role_codes: bytearray = bytearray()
         #: slot -> 1 while the agent can allocate (its ``is_allocator()``
         #: with liveness left out), else 0.
         self.allocators: bytearray = bytearray()
@@ -95,10 +87,6 @@ class AgentStore:
         #: :data:`NO_ADDRESS`.  Not "is configured": see
         #: :meth:`note_address`.
         self.addresses: array = array("q")
-        #: slot -> QDSet size (0 for non-heads / non-quorum agents).
-        self.qdset_sizes: array = array("q")
-        #: slot -> live vote timers (allocator-side pending attempts).
-        self.vote_timers: array = array("q")
         self.slot_of: Dict[int, int] = {}
         self._tombstones = 0
         #: Bumped whenever slot numbering changes (compaction).  Slot
@@ -110,23 +98,10 @@ class AgentStore:
         #: ``Topology.graph_version``; see
         #: :meth:`~repro.net.context.NetworkContext.component_heads`).
         self.role_epoch = 0
-        #: code -> role string; code 0 is always "" (no role).
-        self.role_names: List[str] = [""]
-        self._role_code_of: Dict[str, int] = {"": 0}
 
     # ------------------------------------------------------------------
     # Registration (population management)
     # ------------------------------------------------------------------
-    def _intern_role(self, name: str) -> int:
-        code = self._role_code_of.get(name)
-        if code is None:
-            code = len(self.role_names)
-            if code > 255:
-                raise ValueError("role vocabulary exceeds 255 entries")
-            self.role_names.append(name)
-            self._role_code_of[name] = code
-        return code
-
     def add(self, agent: Any) -> int:
         """Register ``agent``, returning its slot.
 
@@ -144,24 +119,18 @@ class AgentStore:
         slot = len(self.ids)
         self.ids.append(node_id)
         self.agents.append(agent)
-        self.role_codes.append(0)
         self.allocators.append(0)
         self.addresses.append(NO_ADDRESS)
-        self.qdset_sizes.append(0)
-        self.vote_timers.append(0)
         self.slot_of[node_id] = slot
         self._snapshot(slot, agent)
         return slot
 
     def _snapshot(self, slot: int, agent: Any) -> None:
         """Initialize the columns from whatever the agent already has."""
-        self.role_codes[slot] = self._intern_role(_role_name(agent))
         self.allocators[slot] = 0
         self.allocator_ids.discard(self.ids[slot])
         ip = getattr(agent, "ip", None)
         self.addresses[slot] = NO_ADDRESS if ip is None else int(ip)
-        self.qdset_sizes[slot] = 0
-        self.vote_timers[slot] = 0
 
     def evict(self, node_id: int) -> bool:
         """Tombstone ``node_id``'s slot; True if it was present."""
@@ -169,12 +138,9 @@ class AgentStore:
         if slot is None:
             return False
         self.agents[slot] = None
-        self.role_codes[slot] = 0
         self.allocators[slot] = 0
         self.allocator_ids.discard(node_id)
         self.addresses[slot] = NO_ADDRESS
-        self.qdset_sizes[slot] = 0
-        self.vote_timers[slot] = 0
         self._tombstones += 1
         self.role_epoch += 1
         self._maybe_compact()
@@ -195,11 +161,8 @@ class AgentStore:
         keep = [s for s, agent in enumerate(self.agents) if agent is not None]
         self.ids = [self.ids[s] for s in keep]
         self.agents = [self.agents[s] for s in keep]
-        self.role_codes = bytearray(self.role_codes[s] for s in keep)
         self.allocators = bytearray(self.allocators[s] for s in keep)
         self.addresses = array("q", (self.addresses[s] for s in keep))
-        self.qdset_sizes = array("q", (self.qdset_sizes[s] for s in keep))
-        self.vote_timers = array("q", (self.vote_timers[s] for s in keep))
         self.slot_of = {nid: s for s, nid in enumerate(self.ids)}
         self._tombstones = 0
         self.layout_version += 1
@@ -265,10 +228,10 @@ class AgentStore:
     # ------------------------------------------------------------------
     # Column write-through (called at protocol transition points)
     # ------------------------------------------------------------------
-    def note_role(self, node_id: int, role: Optional[str]) -> None:
-        slot = self.slot_of.get(node_id)
-        if slot is not None:
-            self.role_codes[slot] = self._intern_role(role or "")
+    def note_role(self, node_id: int) -> None:
+        """Record that a registered node's role changed (no column is
+        kept; the hook versions the derived head tables)."""
+        if node_id in self.slot_of:
             self.role_epoch += 1
 
     def note_network(self, node_id: int, network_id: Optional[int]) -> None:
@@ -328,23 +291,9 @@ class AgentStore:
                 self.role_epoch += 1
             self.addresses[slot] = new
 
-    def note_qdset_size(self, node_id: int, size: int) -> None:
-        slot = self.slot_of.get(node_id)
-        if slot is not None:
-            self.qdset_sizes[slot] = size
-
-    def note_vote_timers(self, node_id: int, count: int) -> None:
-        slot = self.slot_of.get(node_id)
-        if slot is not None:
-            self.vote_timers[slot] = count
-
     # ------------------------------------------------------------------
     # Column readers (aggregates without touching agent objects)
     # ------------------------------------------------------------------
-    def role_of(self, node_id: int) -> str:
-        slot = self.slot_of.get(node_id)
-        return self.role_names[self.role_codes[slot]] if slot is not None else ""
-
     def address_of(self, node_id: int) -> Optional[int]:
         slot = self.slot_of.get(node_id)
         if slot is None:
@@ -352,40 +301,9 @@ class AgentStore:
         address = self.addresses[slot]
         return None if address == NO_ADDRESS else address
 
-    def qdset_size_of(self, node_id: int) -> int:
-        slot = self.slot_of.get(node_id)
-        return self.qdset_sizes[slot] if slot is not None else 0
-
-    def vote_timers_of(self, node_id: int) -> int:
-        slot = self.slot_of.get(node_id)
-        return self.vote_timers[slot] if slot is not None else 0
-
-    def role_counts(self) -> Dict[str, int]:
-        """Registered agents per role name, array scan only."""
-        counts: Dict[str, int] = {}
-        names = self.role_names
-        for slot, agent in enumerate(self.agents):
-            if agent is None:
-                continue
-            name = names[self.role_codes[slot]]
-            counts[name] = counts.get(name, 0) + 1
-        return counts
-
     def bound_address_count(self) -> int:
         """Agents with an address bound (column scan, no method calls)."""
         addresses = self.addresses
         return sum(
             1 for slot, agent in enumerate(self.agents)
             if agent is not None and addresses[slot] != NO_ADDRESS)
-
-    def qdset_size_total(self) -> int:
-        qdset_sizes = self.qdset_sizes
-        return sum(
-            qdset_sizes[slot] for slot, agent in enumerate(self.agents)
-            if agent is not None)
-
-    def vote_timer_total(self) -> int:
-        vote_timers = self.vote_timers
-        return sum(
-            vote_timers[slot] for slot, agent in enumerate(self.agents)
-            if agent is not None)

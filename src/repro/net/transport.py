@@ -20,8 +20,7 @@ Cost model (Section VI-B):
 All traffic flows through the single endpoint :meth:`Transport.send`,
 which returns a :class:`SendOutcome`.  The pre-``send()`` surface
 (``unicast`` / ``broadcast_1hop`` / ``flood``) was removed after its
-deprecation window — the ``send-api`` lint rule now rejects any caller
-(see docs/API.md for the migration table).
+deprecation window (see docs/API.md for the migration table).
 
 Fan-out deliveries are *flyweight*: :class:`Message` is frozen, so one
 delivered copy per distinct hop distance is shared by every receiver at

@@ -28,8 +28,9 @@ from repro.net.message import slotted
 @slotted
 @dataclasses.dataclass(frozen=True)
 class MessageSend:
-    """One transport send (unicast, 1-hop broadcast or flood);
-    :class:`~repro.net.trace.MessageTrace` records exactly these."""
+    """One transport send (unicast, 1-hop broadcast or flood); a
+    :class:`~repro.obs.record.TraceRecorder` with
+    ``etypes=("message.send",)`` records exactly these."""
 
     etype: ClassVar[str] = "message.send"
 

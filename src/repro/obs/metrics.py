@@ -14,9 +14,10 @@ Design rules, matching the tracing layer:
   :class:`~repro.sim.timers.PeriodicTimer` on the run's own simulator,
   so sample times are simulation times: a serial run and a parallel
   sweep worker produce byte-identical series.
-* **Read-only.**  Every gauge is a passive read — array scans over the
-  :class:`~repro.net.agents.AgentStore` columns, pool introspection,
-  the *stale* component count (:meth:`Topology.component_count_stale`,
+* **Read-only.**  Every gauge is a passive read — one walk over the
+  registered agents (role, QDSet, vote timers, pool introspection), the
+  :class:`~repro.net.agents.AgentStore` address column, the *stale*
+  component count (:meth:`Topology.component_count_stale`,
   which never forces a rebuild) — so an attached recorder cannot
   perturb protocol behavior, RNG draws or perf counters.
 * **Zero overhead when absent.**  Nothing is scheduled and nothing is
@@ -131,7 +132,7 @@ class MetricsRecorder:
 def sample_gauges(ctx: Any, metrics: MetricsRecorder) -> None:
     """Take one sample of every registered gauge from ``ctx``.
 
-    Everything read here is passive: column scans, cached topology
+    Everything read here is passive: agent attributes, cached topology
     facts, cumulative transport counters.  No call may force a graph
     rebuild, touch an RNG stream or bump a perf counter — that is what
     keeps metrics-on runs bit-identical to metrics-off runs everywhere
@@ -140,23 +141,32 @@ def sample_gauges(ctx: Any, metrics: MetricsRecorder) -> None:
     agents = ctx.agents
     metrics.record(mn.AGENTS_LIVE, len(agents))
     metrics.record(mn.AGENTS_CONFIGURED, agents.bound_address_count())
-    metrics.record(mn.QDSET_SIZE_TOTAL, agents.qdset_size_total())
-    metrics.record(mn.VOTE_TIMERS, agents.vote_timer_total())
-    role_counts = agents.role_counts()
-    for role in sorted(role_counts):
-        metrics.record(mn.role_metric(role), role_counts[role])
 
+    role_counts: Dict[str, int] = {}
+    qdset_total = 0
+    vote_timers = 0
     free = 0
     allocated = 0
     for _, agent in agents.items():
+        role = getattr(agent, "role", None)
+        name = "" if role is None else role.value
+        role_counts[name] = role_counts.get(name, 0) + 1
+        vote_timers += getattr(agent, "live_vote_timers", 0)
         head = getattr(agent, "head", None)
-        if head is None or not agent.node.alive:
+        if head is None:
+            continue
+        qdset_total += len(head.qdset)
+        if not agent.node.alive:
             continue
         pool = getattr(head, "pool", None)
         if pool is None:
             continue
         free += pool.free_count()
         allocated += pool.allocated_count()
+    metrics.record(mn.QDSET_SIZE_TOTAL, qdset_total)
+    metrics.record(mn.VOTE_TIMERS, vote_timers)
+    for role in sorted(role_counts):
+        metrics.record(mn.role_metric(role), role_counts[role])
     metrics.record(mn.POOL_FREE, free)
     metrics.record(mn.POOL_ALLOCATED, allocated)
 

@@ -4,17 +4,12 @@ import pytest
 
 from repro.experiments.builder import (
     ScenarioBuilder,
+    fill_defaults,
     paper_scenario,
     scenario_grid,
 )
 from repro.experiments.scenario import Scenario
 from repro.faults import FaultSpec
-
-
-@pytest.fixture(autouse=True)
-def reset_default_faults():
-    yield
-    ScenarioBuilder.set_default_faults(None)
 
 
 def test_empty_builder_matches_paper_default():
@@ -95,21 +90,26 @@ def test_null_faults_normalized_to_none():
     assert ScenarioBuilder().faults(FaultSpec()).build().faults is None
 
 
-def test_default_faults_attach_to_every_build():
-    ScenarioBuilder.set_default_faults(FaultSpec(loss_rate=0.2))
-    assert ScenarioBuilder().build().faults == FaultSpec(loss_rate=0.2)
-    assert paper_scenario(num_nodes=10).faults == FaultSpec(loss_rate=0.2)
-    # Scenario.paper_default bypasses the builder and stays fault-free.
-    assert Scenario.paper_default().faults is None
+def test_fill_defaults_sets_only_fields_left_at_their_default():
+    defaults = {"faults": FaultSpec(loss_rate=0.2), "trace": True,
+                "metrics": True, "metrics_period": 2.5}
+    filled = fill_defaults(paper_scenario(num_nodes=10, seed=4), defaults)
+    assert filled == Scenario(num_nodes=10, seed=4, **defaults)
+    # Nothing to fill: the scenario comes back as it was.
+    scenario = paper_scenario(num_nodes=10)
+    assert fill_defaults(scenario, None) is scenario
+    assert fill_defaults(scenario, {}) is scenario
+    assert fill_defaults(filled, defaults) is filled
+    # Nothing process-wide: a scenario built afterwards is untouched.
+    assert ScenarioBuilder().build() == Scenario.paper_default()
 
 
 def test_explicit_faults_beat_the_default():
-    ScenarioBuilder.set_default_faults(FaultSpec(loss_rate=0.2))
-    built = ScenarioBuilder().faults(loss_rate=0.05).build()
-    assert built.faults == FaultSpec(loss_rate=0.05)
+    built = ScenarioBuilder().faults(loss_rate=0.05).metrics(period=4.0) \
+        .build()
+    filled = fill_defaults(built, {"faults": FaultSpec(loss_rate=0.2),
+                                   "metrics_period": 2.5, "trace": True})
+    assert filled.faults == FaultSpec(loss_rate=0.05)
+    assert filled.metrics_period == 4.0
+    assert filled.trace is True
 
-
-def test_null_default_faults_normalized_to_none():
-    ScenarioBuilder.set_default_faults(FaultSpec())
-    assert ScenarioBuilder.default_faults() is None
-    assert ScenarioBuilder().build().faults is None

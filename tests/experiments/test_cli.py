@@ -90,8 +90,10 @@ def test_run_with_faults_reports_fault_activity(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "event: fault_crashes" in out
-    # main() must not leak the --faults default into library callers.
-    assert ScenarioBuilder.default_faults() is None
+    # --faults travels as an argument: there is no process-wide default
+    # left for main() to leak into library callers.
+    assert not hasattr(ScenarioBuilder, "default_faults")
+    assert not hasattr(ScenarioBuilder, "_default_faults")
 
 
 def test_bad_faults_spec_raises_named_error():
@@ -118,16 +120,30 @@ def test_sweep_fault_specs_get_distinct_cache_keys(capsys, tmp_path):
 
 
 def test_figure_accepts_workers_and_cache(capsys, tmp_path):
-    from repro.experiments.sweep import set_default_executor
-    try:
-        code = main(["figure", "fig05", "--seeds", "1",
-                     "--workers", "1", "--cache", str(tmp_path)])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "Fig. 5" in out
-        assert list(tmp_path.glob("*.json"))  # runs were cached
-    finally:
-        set_default_executor(None)
+    from repro.experiments import sweep
+
+    installed = sweep._default_executor
+    code = main(["figure", "fig05", "--seeds", "1",
+                 "--workers", "1", "--cache", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "Fig. 5" in out
+    assert list(tmp_path.glob("*.json"))  # runs were cached
+    # The executor was passed to the figure, not installed process-wide.
+    assert sweep._default_executor is installed
+
+
+def test_figure_with_faults_rerun_is_all_cache_hits(capsys, tmp_path):
+    argv = ["figure", "fig05", "--seeds", "1", "--faults", "loss=0.1",
+            "--cache", str(tmp_path)]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    entries = sorted(tmp_path.glob("*.json"))
+    assert len(entries) == 8  # 2 curves x 4 sizes x 1 seed
+    assert all('"loss_rate": 0.1' in path.read_text() for path in entries)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+    assert sorted(tmp_path.glob("*.json")) == entries
 
 
 def test_trace_renders_span_trees(capsys):
@@ -173,8 +189,8 @@ def test_run_with_trace_reports_span_outcomes(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "spans: completed" in out
-    # main() must not leak the --trace default into library callers.
-    assert ScenarioBuilder.default_trace() is False
+    assert not hasattr(ScenarioBuilder, "default_trace")
+    assert not hasattr(ScenarioBuilder, "_default_trace")
 
 
 def test_sweep_trace_out_forces_serial_and_collects_jsonl(

@@ -16,8 +16,6 @@ from repro.experiments.sweep import (
     derive_seeds,
     execute_spec,
     expand_grid,
-    set_default_executor,
-    sweep_over_seeds,
 )
 
 
@@ -30,12 +28,6 @@ def tiny(seed=1, **kw):
 
 def tiny_specs(protocols=("quorum", "dad"), seeds=(1, 2)):
     return expand_grid(list(protocols), [tiny(seed=s) for s in seeds])
-
-
-@pytest.fixture(autouse=True)
-def _reset_default_executor():
-    yield
-    set_default_executor(None)
 
 
 # ---------------------------------------------------------------------------
@@ -149,14 +141,18 @@ def test_conn_label_counters_deterministic_serial_vs_parallel():
 
 
 def test_figure_identical_serial_vs_parallel():
-    kwargs = dict(sizes=(12, 16), seeds=(1, 2), transmission_range=150.0)
-    set_default_executor(SweepExecutor(workers=1))
-    serial = figures.fig05_latency_vs_size(**kwargs)
-    set_default_executor(SweepExecutor(workers=2))
-    parallel = figures.fig05_latency_vs_size(**kwargs)
-    # Byte-identical metric output, not merely approximately equal.
-    assert json.dumps(serial, sort_keys=True) == json.dumps(
-        parallel, sort_keys=True)
+    for figure, kwargs in (
+            (figures.fig05_latency_vs_size,
+             dict(sizes=(12, 16), seeds=(1, 2), transmission_range=150.0)),
+            # One seed per point: only a sweep that spans the whole
+            # figure has a second cell to hand the second worker.
+            (figures.fig07_latency_grid,
+             dict(ranges=(150.0, 200.0), sizes=(12, 16), seeds=(1,)))):
+        serial = figure(executor=SweepExecutor(workers=1), **kwargs)
+        parallel = figure(executor=SweepExecutor(workers=2), **kwargs)
+        # Byte-identical metric output (curve order included), not
+        # merely approximately equal.
+        assert json.dumps(serial) == json.dumps(parallel)
 
 
 def test_derived_seeds_stable_and_distinct():
@@ -262,14 +258,6 @@ def test_run_specs_convenience_matches_executor():
     specs = tiny_specs(protocols=("quorum",), seeds=(1,))
     assert run_specs(specs, workers=1) == SweepExecutor(
         workers=1).run(specs).results
-
-
-def test_sweep_over_seeds_matches_direct_runs():
-    results = sweep_over_seeds(
-        lambda seed: tiny(seed=seed), "quorum", (1, 2),
-        executor=SweepExecutor(workers=1))
-    direct = [execute_spec(RunSpec("quorum", tiny(seed=s))) for s in (1, 2)]
-    assert results == direct
 
 
 # ---------------------------------------------------------------------------

@@ -25,10 +25,9 @@ class LintTree:
         path.write_text(textwrap.dedent(source))
         return path
 
-    def lint(self, select=None, ignore=None, baseline=None):
-        report = run_lint([self.root], select=select, ignore=ignore,
-                          baseline=baseline, root=self.root)
-        return report
+    def lint(self, select=None, ignore=None):
+        return run_lint([self.root], select=select, ignore=ignore,
+                        root=self.root)
 
     def findings(self, select=None):
         return list(self.lint(select=select).findings)

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import Baseline, Finding, Severity, resolve_rules, run_lint
+from repro.lint import Finding, Severity, resolve_rules, run_lint
 from repro.lint.engine import module_name_for
 
 
@@ -72,9 +72,9 @@ def test_resolve_rules_unknown_name_raises():
 
 def test_resolve_rules_select_and_ignore_compose():
     names = [r.name for r in
-             resolve_rules(select={"send-api", "hop-bound"},
+             resolve_rules(select={"rng-stream", "hop-bound"},
                            ignore={"hop-bound"})]
-    assert names == ["send-api"]
+    assert names == ["rng-stream"]
 
 
 # --- reports ----------------------------------------------------------
@@ -131,85 +131,6 @@ def test_findings_sorted_by_path_then_line(tree):
     assert paths == sorted(paths)
 
 
-# --- baselines --------------------------------------------------------
-
-
-def _keys(findings):
-    return sorted(f.baseline_key() for f in findings)
-
-
-def test_baseline_roundtrip_and_split(tree, tmp_path):
-    tree.write("src/repro/core/bad.py", """\
-        import time
-
-        a = time.time()
-        """)
-    first = tree.lint(select={"determinism"})
-    assert len(first.findings) == 1
-
-    baseline = Baseline.from_findings(first.findings)
-    path = tmp_path / "baseline.json"
-    baseline.dump(path)
-    reloaded = Baseline.load(path)
-    assert len(reloaded) == 1
-
-    second = tree.lint(select={"determinism"}, baseline=reloaded)
-    assert second.findings == ()
-    assert len(second.baselined) == 1
-    assert second.exit_code() == 0
-
-
-def test_baseline_survives_line_drift(tree, tmp_path):
-    tree.write("src/repro/core/bad.py", """\
-        import time
-
-        a = time.time()
-        """)
-    baseline = Baseline.from_findings(
-        tree.lint(select={"determinism"}).findings)
-
-    # Shift the offending line down; the key is line text, not number.
-    tree.write("src/repro/core/bad.py", """\
-        import time
-
-        PAD = 1
-        PAD2 = 2
-        a = time.time()
-        """)
-    report = tree.lint(select={"determinism"}, baseline=baseline)
-    assert report.findings == ()
-    assert len(report.baselined) == 1
-
-
-def test_baseline_is_a_multiset(tree, tmp_path):
-    tree.write("src/repro/core/bad.py", """\
-        import time
-
-        a = time.time()
-        """)
-    baseline = Baseline.from_findings(
-        tree.lint(select={"determinism"}).findings)
-
-    # A second identical occurrence only gets one baseline slot.
-    tree.write("src/repro/core/bad.py", """\
-        import time
-
-        a = time.time()
-        b = time.time()
-        """)
-    report = tree.lint(select={"determinism"}, baseline=baseline)
-    assert len(report.baselined) == 1
-    assert len(report.findings) == 1
-    assert report.exit_code() == 1
-
-
-def test_baseline_load_rejects_unknown_schema(tmp_path):
-    path = tmp_path / "baseline.json"
-    path.write_text('{"schema": 99, "findings": []}')
-    with pytest.raises(ValueError, match="unsupported baseline schema"):
-        Baseline.load(path)
-
-
 # --- report JSON ------------------------------------------------------
 
 
@@ -221,8 +142,8 @@ def test_report_to_json_schema(tree):
         """)
     payload = tree.lint(select={"determinism"}).to_json()
     assert set(payload) == {"schema", "rules", "files_scanned", "findings",
-                            "baselined", "counts", "parse_errors"}
-    assert payload["schema"] == 1
+                            "counts", "parse_errors"}
+    assert payload["schema"] == 2
     assert payload["rules"] == ["determinism"]
     (finding,) = payload["findings"]
     assert set(finding) == {"rule", "severity", "path", "line", "col",

@@ -15,18 +15,11 @@ from repro.net.node import Node
 from repro.net.store import COMPACT_MIN_SLOTS, NodeStore
 
 
-class FakeRole:
-    def __init__(self, value):
-        self.value = value
-
-
 class FakeAgent:
-    """The duck type AgentStore snapshots: .node, .role, .ip."""
+    """The duck type AgentStore snapshots: .node, .ip."""
 
-    def __init__(self, node_id, role=None, ip=None):
+    def __init__(self, node_id, ip=None):
         self.node = Node(node_id, Stationary(Point(0.0, 0.0)))
-        if role is not None:
-            self.role = FakeRole(role)
         self.ip = ip
 
 
@@ -66,14 +59,14 @@ def test_setitem_rejects_mismatched_id():
 
 def test_reregistering_replaces_in_place():
     store = AgentStore()
-    old, new = FakeAgent(1, role="head", ip=42), FakeAgent(1)
+    old, new = FakeAgent(1, ip=42), FakeAgent(1)
     slot = store.add(old)
-    assert store.role_of(1) == "head" and store.address_of(1) == 42
+    assert store.address_of(1) == 42
     assert store.add(new) == slot  # same slot, dict overwrite semantics
     assert store[1] is new
     assert len(store) == 1
     # Columns re-snapshot from the replacement agent.
-    assert store.role_of(1) == "" and store.address_of(1) is None
+    assert store.address_of(1) is None
 
 
 def test_pop_evicts_and_returns():
@@ -119,13 +112,12 @@ def test_compaction_preserves_order_and_bumps_layout():
 def test_compaction_scrubs_column_state():
     store = AgentStore()
     for i in range(COMPACT_MIN_SLOTS):
-        store.add(FakeAgent(i, role="common", ip=100 + i))
+        store.add(FakeAgent(i, ip=100 + i))
     for i in range(COMPACT_MIN_SLOTS):
         if i % 2 == 1:
             store.evict(i)
     store.compact()
     # Columns survive for the survivors, tombstone entries are gone.
-    assert store.role_counts() == {"common": COMPACT_MIN_SLOTS // 2}
     assert store.bound_address_count() == COMPACT_MIN_SLOTS // 2
     assert store.address_of(0) == 100
     assert store.address_of(1) is None
@@ -170,37 +162,31 @@ def test_churn_through_many_compactions_stays_consistent():
 # ---------------------------------------------------------------------------
 # Columns: snapshot, write-through, aggregate readers
 # ---------------------------------------------------------------------------
-def test_add_snapshots_role_and_address_from_agent():
+def test_add_snapshots_address_from_agent():
     store = AgentStore()
-    store.add(FakeAgent(1, role="head", ip=7))
+    store.add(FakeAgent(1, ip=7))
     store.add(FakeAgent(2))
-    assert store.role_of(1) == "head" and store.address_of(1) == 7
-    assert store.role_of(2) == "" and store.address_of(2) is None
+    assert store.address_of(1) == 7
+    assert store.address_of(2) is None
     assert store.addresses[store.slot_of[2]] == NO_ADDRESS
 
 
 def test_note_writes_through_and_missing_ids_noop():
     store = make_store(2)
-    store.note_role(0, "head")
     store.note_address(0, 9)
-    store.note_qdset_size(0, 5)
-    store.note_vote_timers(0, 2)
-    assert store.role_of(0) == "head"
     assert store.address_of(0) == 9
-    assert store.qdset_size_of(0) == 5
-    assert store.vote_timers_of(0) == 2
-    # Clearing spellings.
-    store.note_role(0, None)
-    store.note_address(0, None)
-    assert store.role_of(0) == "" and store.address_of(0) is None
+    store.note_address(0, None)  # the clearing spelling
+    assert store.address_of(0) is None
+    # A role change keeps no column; it versions the derived tables.
+    epoch = store.role_epoch
+    store.note_role(0)
+    assert store.role_epoch == epoch + 1
     # Unknown ids are silently ignored (agents can be unregistered
     # while protocol timers still fire).
-    store.note_role(99, "head")
+    store.note_role(99)
     store.note_address(99, 1)
-    store.note_qdset_size(99, 1)
-    store.note_vote_timers(99, 1)
-    assert store.role_of(99) == "" and store.address_of(99) is None
-    assert store.qdset_size_of(99) == 0 and store.vote_timers_of(99) == 0
+    assert store.role_epoch == epoch + 1
+    assert store.address_of(99) is None
 
 
 def flagged_ids(store):
@@ -264,34 +250,9 @@ def test_aggregate_readers_scan_columns():
     store = AgentStore()
     for i in range(6):
         store.add(FakeAgent(i))
-    for i in range(6):
-        store.note_role(i, "head" if i < 2 else "common")
-        store.note_qdset_size(i, i)
-        store.note_vote_timers(i, 1)
     store.note_address(0, 10)
     store.note_address(1, 11)
-    assert store.role_counts() == {"head": 2, "common": 4}
     assert store.bound_address_count() == 2
-    assert store.qdset_size_total() == sum(range(6))
-    assert store.vote_timer_total() == 6
-    # Eviction removes the slot from every aggregate.
+    # Eviction removes the slot from the aggregate.
     store.evict(1)
-    assert store.role_counts() == {"head": 1, "common": 4}
     assert store.bound_address_count() == 1
-    assert store.vote_timer_total() == 5
-
-
-def test_role_interning_reuses_codes():
-    store = make_store(3)
-    for nid in (0, 1, 2):
-        store.note_role(nid, "common")
-    assert store.role_names.count("common") == 1
-    assert len(store.role_names) == 2  # "" + "common"
-
-
-def test_role_vocabulary_bounded():
-    store = AgentStore()
-    store.add(FakeAgent(0))
-    with pytest.raises(ValueError):
-        for i in range(300):
-            store.note_role(0, f"role-{i}")

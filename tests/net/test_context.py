@@ -134,7 +134,7 @@ def test_component_tables_refresh_on_role_transition():
     # Demote the head through the write-through hook: the epoch bump
     # must invalidate the cached table without any clock advance.
     head.allocator = False
-    ctx.agents.note_role(1, None)
+    ctx.agents.note_role(1)
     assert ctx.component_heads(2) == ()
     assert ctx.component_head_networks(2) == frozenset()
 

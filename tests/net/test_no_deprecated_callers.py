@@ -1,30 +1,13 @@
-"""Tier-1 lint: no caller may use the removed Transport API.
+"""The pre-``send()`` transport surface is gone, not merely unused.
 
 ``Transport.unicast`` / ``broadcast_1hop`` / ``flood`` were deprecated
-in PR 2 and deleted once the window closed; everything must go through
-the unified ``Transport.send`` endpoint.  The check is the analyzer's
-``send-api`` rule (``repro lint --select send-api``) — AST-based, so
-docstrings and string literals mentioning the old names do not trip it
-— now a hard error with no exempt module, scanned over the runtime
-roots *and* the test tree.
+in PR 2 and deleted once the window closed; a caller is an
+``AttributeError`` in whatever test reaches it.
 """
 
-from pathlib import Path
-
-from repro.lint import run_lint
-
-REPO = Path(__file__).resolve().parents[2]
-SCANNED_ROOTS = ("src", "examples", "benchmarks", "tests")
+from repro.net.transport import Transport
 
 
 def test_no_deprecated_transport_callers():
-    report = run_lint(
-        [REPO / root for root in SCANNED_ROOTS if (REPO / root).exists()],
-        select={"send-api"},
-        root=REPO,
-    )
-    assert report.parse_errors == ()
-    rendered = "\n".join(f.render() for f in report.findings)
-    assert report.findings == (), (
-        "removed Transport.unicast/broadcast_1hop/flood calls found "
-        "(use Transport.send(..., scope=...)):\n" + rendered)
+    for name in ("unicast", "broadcast_1hop", "flood"):
+        assert not hasattr(Transport, name)

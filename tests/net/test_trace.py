@@ -1,4 +1,5 @@
-"""Unit tests for the message trace tap."""
+"""Recording transport sends: a ``TraceRecorder`` filtered to
+``message.send`` on the context's event bus."""
 
 import pytest
 
@@ -6,7 +7,8 @@ from repro.geometry import Point
 from repro.mobility.base import Stationary
 from repro.net import Category, Message, Node, Scope
 from repro.net.context import NetworkContext
-from repro.net.trace import MessageTrace
+from repro.obs import TraceRecorder
+from repro.obs.events import RoleAssigned
 
 
 class Sink:
@@ -25,16 +27,19 @@ def make_net():
     return ctx, nodes
 
 
+def sends(**kwargs):
+    return TraceRecorder(etypes=("message.send",), **kwargs)
+
+
 def test_records_unicasts():
     ctx, nodes = make_net()
-    trace = MessageTrace().attach(ctx.transport)
+    trace = sends().attach(ctx.obs)
     ctx.transport.send(nodes[0], nodes[2], Message("PING", 0, 2),
                        category=Category.CONFIG)
     ctx.sim.run()
     trace.detach()
-    events = list(trace.unicasts())
-    assert len(events) == 1
-    event = events[0]
+    (event,) = trace.events
+    assert event.kind == "unicast"
     assert (event.mtype, event.src, event.dst, event.hops) == ("PING", 0, 2, 2)
     assert event.category == "config"
     assert event.delivered
@@ -42,46 +47,50 @@ def test_records_unicasts():
 
 def test_records_floods():
     ctx, nodes = make_net()
-    trace = MessageTrace().attach(ctx.transport)
+    trace = sends().attach(ctx.obs)
     ctx.transport.send(nodes[0], None, Message("WAVE", 0, None),
                        category=Category.RECLAMATION, scope=Scope.FLOOD)
     trace.detach()
-    floods = list(trace.floods())
-    assert len(floods) == 1
-    assert floods[0].mtype == "WAVE"
-    assert floods[0].dst is None
+    (flood,) = trace.events
+    assert flood.kind == "flood"
+    assert flood.mtype == "WAVE"
+    assert flood.dst is None
 
 
 def test_failed_unicast_recorded_as_undelivered():
     ctx, nodes = make_net()
     nodes[2].kill()
     ctx.topology.invalidate()
-    trace = MessageTrace().attach(ctx.transport)
+    trace = sends().attach(ctx.obs)
     ctx.transport.send(nodes[0], nodes[2], Message("PING", 0, 2),
                        category=Category.CONFIG)
     trace.detach()
-    assert list(trace.unicasts(delivered_only=True)) == []
-    assert len(list(trace.unicasts(delivered_only=False))) == 1
+    (event,) = trace.events
+    assert event.kind == "unicast" and not event.delivered
 
 
-def test_mtype_filter():
+def test_etype_filter():
     ctx, nodes = make_net()
-    trace = MessageTrace(mtypes=["KEEP"]).attach(ctx.transport)
+    trace = sends().attach(ctx.obs)
+    everything = TraceRecorder().attach(ctx.obs)
     ctx.transport.send(nodes[0], nodes[1], Message("KEEP", 0, 1),
                        category=Category.CONFIG)
-    ctx.transport.send(nodes[0], nodes[1], Message("DROP", 0, 1),
-                       category=Category.CONFIG)
+    ctx.obs.emit(RoleAssigned(time=0.0, node=0, corr=0, role="head",
+                              address=0, network_id=1))
     trace.detach()
-    assert trace.message_types() == ["KEEP"]
+    everything.detach()
+    assert [e.etype for e in trace.events] == ["message.send"]
+    assert [e.etype for e in everything.events] == [
+        "message.send", "role.assign"]
 
 
 def test_detach_silences_recording():
     ctx, nodes = make_net()
-    assert not ctx.transport.obs  # no subscribers: bus stays falsy
-    trace = MessageTrace().attach(ctx.transport)
-    assert ctx.transport.obs and trace.is_attached
+    assert not ctx.obs  # no subscribers: bus stays falsy
+    trace = sends().attach(ctx.obs)
+    assert ctx.obs
     trace.detach()
-    assert not ctx.transport.obs and not trace.is_attached
+    assert not ctx.obs
     # Sends after detach are not recorded.
     ctx.transport.send(nodes[0], nodes[1], Message("PING", 0, 1),
                        category=Category.CONFIG)
@@ -92,46 +101,24 @@ def test_detach_silences_recording():
 
 def test_double_attach_rejected():
     ctx, _ = make_net()
-    trace = MessageTrace().attach(ctx.transport)
+    trace = sends().attach(ctx.obs)
     with pytest.raises(RuntimeError):
-        trace.attach(ctx.transport)
+        trace.attach(ctx.obs)
     trace.detach()
-
-
-def test_between_query():
-    ctx, nodes = make_net()
-    trace = MessageTrace().attach(ctx.transport)
-    ctx.transport.send(nodes[0], nodes[1], Message("A", 0, 1),
-                       category=Category.CONFIG)
-    ctx.transport.send(nodes[1], nodes[0], Message("B", 1, 0),
-                       category=Category.CONFIG)
-    ctx.transport.send(nodes[0], nodes[2], Message("C", 0, 2),
-                       category=Category.CONFIG)
-    trace.detach()
-    assert [e.mtype for e in trace.between(0, 1)] == ["A", "B"]
 
 
 def test_context_manager_detaches():
     ctx, nodes = make_net()
-    with MessageTrace().attach(ctx.transport) as trace:
+    with sends().attach(ctx.obs) as trace:
         ctx.transport.send(nodes[0], nodes[1], Message("A", 0, 1),
                            category=Category.CONFIG)
     assert len(trace) == 1
-    assert not trace.is_attached and not ctx.transport.obs
-
-
-def test_attached_classmethod_context_manager():
-    ctx, nodes = make_net()
-    with MessageTrace.attached(ctx.transport) as trace:
-        ctx.transport.send(nodes[0], nodes[1], Message("A", 0, 1),
-                           category=Category.CONFIG)
-    assert len(trace) == 1
-    assert not trace.is_attached and not ctx.transport.obs
+    assert not ctx.obs
 
 
 def test_limit_bounds_memory_and_counts_truncated():
     ctx, nodes = make_net()
-    trace = MessageTrace(limit=2).attach(ctx.transport)
+    trace = sends(limit=2).attach(ctx.obs)
     for _ in range(5):
         ctx.transport.send(nodes[0], nodes[1], Message("A", 0, 1),
                            category=Category.CONFIG)
@@ -142,7 +129,7 @@ def test_limit_bounds_memory_and_counts_truncated():
 
 def test_event_str_renders():
     ctx, nodes = make_net()
-    trace = MessageTrace().attach(ctx.transport)
+    trace = sends().attach(ctx.obs)
     ctx.transport.send(nodes[0], nodes[1], Message("PING", 0, 1),
                        category=Category.CONFIG)
     trace.detach()

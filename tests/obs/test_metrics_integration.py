@@ -3,8 +3,9 @@ cache-key neutrality and the JSONL export sink."""
 
 import json
 
-from repro.experiments.builder import ScenarioBuilder, paper_scenario
+from repro.experiments.builder import paper_scenario
 from repro.experiments.runner import ScenarioRunner
+from repro.faults import FaultSpec
 from repro.experiments.sweep import (
     RunSpec,
     SweepExecutor,
@@ -50,6 +51,28 @@ def test_series_cover_the_whole_run_and_show_the_ramp():
         captured = sum(series[mn.msg_metric(category)])
         assert 0 <= captured <= total
         assert total - captured <= 5
+
+
+def test_role_and_quorum_gauges_read_the_agents():
+    # Static and settled: the last sample sees the end-of-run state.
+    result = _metrics_run(num_nodes=40, seed=2, speed_mps=0.0, period=0.25,
+                          faults=FaultSpec(loss_rate=0.1))
+    series = result.obs_metrics
+    assert series[mn.role_metric("head")][-1] == result.head_count
+    assert series[mn.QDSET_SIZE_TOTAL][-1] == sum(result.qdset_sizes) > 0
+    # Every registered agent is counted under exactly one role per tick.
+    assert sum(sum(values) for name, values in series.items()
+               if name.startswith(mn.ROLE_PREFIX)) \
+        == sum(series[mn.AGENTS_LIVE])
+    # Lost votes keep allocator-side vote timers alive across a tick.
+    assert max(series[mn.VOTE_TIMERS]) > 0
+    assert series[mn.VOTE_TIMERS][-1] == 0
+    # Agents without a role (every baseline) count under role_none.
+    scenario = paper_scenario(num_nodes=10, seed=1, settle_time=5.0,
+                              metrics=True)
+    baseline = ScenarioRunner(scenario, "dad").run().obs_metrics
+    assert baseline[mn.role_metric(None)] == baseline[mn.AGENTS_LIVE]
+    assert max(baseline[mn.QDSET_SIZE_TOTAL]) == 0
 
 
 def test_metrics_do_not_perturb_the_run():
@@ -116,19 +139,6 @@ def test_cache_keys_unchanged_when_metrics_are_off():
                                               metrics=True,
                                               metrics_period=5.0))
     assert sampled.key() != coarse.key()
-
-
-def test_builder_default_metrics_folds_into_built_scenarios():
-    try:
-        ScenarioBuilder.set_default_metrics(True, period=2.5)
-        built = ScenarioBuilder().nodes(10).build()
-        assert built.metrics is True
-        assert built.metrics_period == 2.5
-        explicit = ScenarioBuilder().nodes(10).metrics(False).build()
-        assert explicit.metrics is False
-    finally:
-        ScenarioBuilder.set_default_metrics(False)
-    assert ScenarioBuilder().nodes(10).build().metrics is False
 
 
 def test_export_sink_collects_jsonl_per_run(tmp_path):

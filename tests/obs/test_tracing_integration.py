@@ -3,7 +3,7 @@ cache-key neutrality and the JSONL export sink."""
 
 import json
 
-from repro.experiments.builder import ScenarioBuilder, paper_scenario
+from repro.experiments.builder import paper_scenario
 from repro.experiments.runner import ScenarioRunner
 from repro.experiments.sweep import RunSpec, SweepExecutor, expand_grid
 from repro.faults import FaultSpec
@@ -127,16 +127,6 @@ def test_cache_keys_unchanged_when_tracing_is_off():
                                               trace=True))
     assert traced.to_dict()["scenario"]["trace"] is True
     assert spec.key() != traced.key()
-
-
-def test_builder_default_trace_folds_into_built_scenarios():
-    try:
-        ScenarioBuilder.set_default_trace(True)
-        assert ScenarioBuilder().nodes(10).build().trace is True
-        assert ScenarioBuilder().nodes(10).trace(False).build().trace is False
-    finally:
-        ScenarioBuilder.set_default_trace(False)
-    assert ScenarioBuilder().nodes(10).build().trace is False
 
 
 def test_export_sink_collects_jsonl_per_run(tmp_path):
