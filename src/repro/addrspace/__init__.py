@@ -7,14 +7,13 @@ pools, and timestamped per-address records — the versioned state that
 quorum voting keeps consistent.
 """
 
-from repro.addrspace.address import format_ip, parse_ip
+from repro.addrspace.address import format_ip
 from repro.addrspace.block import Block
 from repro.addrspace.pool import AddressPool
 from repro.addrspace.records import AddressLedger, AddressRecord, AddressStatus
 
 __all__ = [
     "format_ip",
-    "parse_ip",
     "Block",
     "AddressPool",
     "AddressLedger",

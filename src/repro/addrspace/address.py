@@ -23,23 +23,3 @@ def format_ip(address: int, base: int = DEFAULT_BASE) -> str:
     value = base + address
     return ".".join(str((value >> shift) & 0xFF) for shift in (24, 16, 8, 0))
 
-
-def parse_ip(text: str, base: int = DEFAULT_BASE) -> int:
-    """Inverse of :func:`format_ip`.
-
-    >>> parse_ip('10.0.1.0')
-    256
-    """
-    parts = text.split(".")
-    if len(parts) != 4:
-        raise ValueError(f"malformed dotted quad: {text!r}")
-    value = 0
-    for part in parts:
-        octet = int(part)
-        if not 0 <= octet <= 255:
-            raise ValueError(f"octet out of range in {text!r}")
-        value = (value << 8) | octet
-    offset = value - base
-    if offset < 0:
-        raise ValueError(f"{text!r} is below the base prefix")
-    return offset

@@ -59,11 +59,11 @@ class BaseAutoconfAgent(MessageDispatch):
         return self.ip is not None
 
     def _note_allocator(self) -> None:
-        """Write :meth:`_can_allocate` through to the registry column
+        """Write :meth:`_can_allocate` through to the set
         ``NetworkContext.is_head`` answers from.  Message handlers are
         covered by :meth:`on_message`; any other code that changes what
         :meth:`_can_allocate` reads calls this itself."""
-        self.ctx.agents.note_allocator(self.node_id, self._can_allocate())
+        self.ctx.note_allocator(self.node_id, self._can_allocate())
 
     # ------------------------------------------------------------------
     def _send(self, dst_id: int, mtype: str, payload: Dict[str, Any],
@@ -93,11 +93,11 @@ class BaseAutoconfAgent(MessageDispatch):
                            ) -> Optional[Tuple[int, int]]:
         return self.ctx.hello.nearest_head(
             self.node_id, self.ctx.is_head, max_hops,
-            self.ctx.agents.allocator_ids)
+            self.ctx.allocator_ids)
 
     def _allocators_within(self, k: int) -> List[Tuple[int, int]]:
         return self.ctx.hello.heads_within(
-            self.node_id, k, self.ctx.is_head, self.ctx.agents.allocator_ids)
+            self.node_id, k, self.ctx.is_head, self.ctx.allocator_ids)
 
     # ------------------------------------------------------------------
     def on_enter(self) -> None:

@@ -39,10 +39,9 @@ the same semantics as the trace flags.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, TypeVar
 
 from repro.experiments import (
     Scenario,
@@ -51,7 +50,6 @@ from repro.experiments import (
     format_table,
     run_scenario,
 )
-from repro.experiments.builder import ScenarioBuilder
 from repro.experiments.report import format_layout
 from repro.experiments.runner import PROTOCOLS, ScenarioRunner
 from repro.experiments.sweep import (
@@ -80,6 +78,8 @@ from repro.obs.render import (
     render_summary,
     render_timeline,
 )
+
+T = TypeVar("T")
 
 FIGURES = {
     "fig05": figures.fig05_latency_vs_size,
@@ -261,13 +261,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _checked(build: Callable[..., T], *args: Any, **kwargs: Any) -> T:
+    """``build(...)`` over values the command line supplied: what
+    :class:`Scenario` or :meth:`FaultSpec.parse` refuses is a usage
+    error (the message names the field, exit status 2 like argparse's
+    own), not a traceback."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
+
+
 def scenario_defaults(args: argparse.Namespace) -> Dict[str, Any]:
     """The :class:`Scenario` fields ``--faults``, ``--trace[-out]`` and
     ``--metrics[-period|-out]`` set (empty when none was given)."""
     fields: Dict[str, Any] = {}
     spec = getattr(args, "faults", None)
     if spec:
-        fields["faults"] = FaultSpec.parse(spec)
+        fields["faults"] = _checked(FaultSpec.parse, spec)
     if getattr(args, "trace", False) or getattr(args, "trace_out", None):
         fields["trace"] = True
     period = getattr(args, "metrics_period", None)
@@ -276,19 +288,19 @@ def scenario_defaults(args: argparse.Namespace) -> Dict[str, Any]:
         fields["metrics"] = True
         if period is not None:
             fields["metrics_period"] = period
+    _checked(Scenario, **fields)
     return fields
 
 
-def scenario_from(args: argparse.Namespace) -> Scenario:
-    return (ScenarioBuilder()
-            .nodes(args.nodes)
-            .seed(args.seed)
-            .range(args.tr)
-            .speed(args.speed)
-            .departures(fraction=args.depart, abrupt=args.abrupt)
-            .settle(args.settle)
-            .overrides(**scenario_defaults(args))
-            .build())
+def scenario_from(args: argparse.Namespace, **fields: Any) -> Scenario:
+    """The scenario a subcommand's flags describe; ``fields`` are what
+    the subcommand itself turns on."""
+    return _checked(
+        Scenario,
+        num_nodes=args.nodes, seed=args.seed, transmission_range=args.tr,
+        speed_mps=args.speed, depart_fraction=args.depart,
+        abrupt_probability=args.abrupt, settle_time=args.settle,
+        **{**scenario_defaults(args), **fields})
 
 
 def open_export_sinks(args: argparse.Namespace) -> None:
@@ -404,9 +416,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
              else derive_seeds(args.master_seed, args.replicates))
     defaults = scenario_defaults(args)
     scenarios = [
-        ScenarioBuilder()
-        .nodes(n).seed(seed).range(args.tr).speed(args.speed)
-        .settle(args.settle).overrides(**defaults).build()
+        _checked(Scenario, num_nodes=n, seed=seed,
+                 transmission_range=args.tr, speed_mps=args.speed,
+                 settle_time=args.settle, **defaults)
         for n in args.nodes for seed in seeds
     ]
     specs = expand_grid(args.protocols, scenarios)
@@ -471,7 +483,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         with open(args.infile, "r", encoding="utf-8") as fh:
             events = events_from_jsonl(fh.read())
     else:
-        scenario = dataclasses.replace(scenario_from(args), trace=True)
+        scenario = scenario_from(args, trace=True)
         runner = ScenarioRunner(scenario, protocol=args.protocol)
         runner.run()
         assert runner.recorder is not None
@@ -504,8 +516,8 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         with open(args.infile, "r", encoding="utf-8") as fh:
             blocks = series_from_jsonl(fh.read())
     else:
-        scenario = dataclasses.replace(
-            scenario_from(args), metrics=True, metrics_period=args.period)
+        scenario = scenario_from(
+            args, metrics=True, metrics_period=args.period)
         result = run_scenario(scenario, protocol=args.protocol)
         header = {"period": args.period, "protocol": args.protocol,
                   "seed": args.seed, "num_nodes": args.nodes,

@@ -12,7 +12,7 @@ Section V-B adds quorum adjustment: members that stop responding are
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Set
+from typing import Iterable, List, Set
 
 MIN_REPLICAS = 3  # below this, start growing replicas again (Section V-B)
 
@@ -69,10 +69,3 @@ class QDSet:
     def needs_regrow(self) -> bool:
         """Section V-B: grow replicas when fewer than MIN_REPLICAS remain."""
         return len(self._members) < MIN_REPLICAS
-
-    def smallest_by(self, key) -> Optional[int]:
-        """The member minimizing ``key(member)`` (e.g. smallest IP block)."""
-        members = self.members()
-        if not members:
-            return None
-        return min(members, key=lambda m: (key(m), m))

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 
 class Role(enum.Enum):
@@ -36,20 +36,3 @@ def decide_role(
         return Role.COMMON, heads_within_two[0][0]
     return Role.HEAD, None
 
-
-def validate_head_separation(
-    head_ids: List[int],
-    hops: Callable[[int, int], Optional[int]],
-) -> List[Tuple[int, int]]:
-    """Return pairs of cluster heads that are neighbors (violations).
-
-    The invariant "two cluster heads cannot be neighbors" (Section II-B)
-    holds at formation time; mobility can transiently violate it, which
-    this check surfaces for tests and diagnostics.
-    """
-    violations = []
-    for i, a in enumerate(head_ids):
-        for b in head_ids[i + 1:]:
-            if hops(a, b) == 1:
-                violations.append((a, b))
-    return violations

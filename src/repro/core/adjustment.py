@@ -142,7 +142,7 @@ class AdjustmentMixin:
             # bounded.
             topology = self.ctx.topology
             component = topology.component_size(self.node_id)
-            candidates = self.ctx.agents.allocator_ids
+            candidates = self.ctx.allocator_ids
             k = ADJACENT_HEAD_HOPS
             prev = 0
             while self.head.qdset.needs_regrow():

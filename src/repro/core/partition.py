@@ -227,7 +227,7 @@ class PartitionMixin:
             nearest = self.ctx.hello.nearest_head(
                 self.node_id,
                 lambda nid: self.ctx.is_head(nid) and self._same_network_head(nid),
-                among=self.ctx.agents.allocator_ids,
+                among=self.ctx.allocator_ids,
             )
             if nearest is not None:
                 self._send(nearest[0], m.RETURN_ADDR, {

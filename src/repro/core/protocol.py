@@ -129,9 +129,9 @@ class QuorumProtocolAgent(
     @role.setter
     def role(self, value: Role) -> None:
         # Every role transition versions the context's derived head
-        # tables (see repro.net.agents.AgentStore.role_epoch).
+        # tables (see NetworkContext.role_epoch).
         self._role = value
-        self.ctx.agents.note_role(self.node.node_id)
+        self.ctx.note_role(self.node.node_id)
         self._note_allocator()
 
     @property
@@ -143,13 +143,13 @@ class QuorumProtocolAgent(
         flipped = (getattr(self, "_head", None) is None) != (state is None)
         self._head = state
         if flipped:
-            self.ctx.agents.note_head_state(self.node.node_id)
+            self.ctx.note_head_state(self.node.node_id)
             self._note_allocator()
 
     def _note_allocator(self) -> None:
         """Write :meth:`is_allocator`, liveness aside, through to the
-        registry column ``NetworkContext.is_head`` answers from."""
-        self.ctx.agents.note_allocator(
+        set ``NetworkContext.is_head`` answers from."""
+        self.ctx.note_allocator(
             self.node.node_id,
             self._role is Role.HEAD and getattr(self, "_head", None) is not None)
 
@@ -162,7 +162,7 @@ class QuorumProtocolAgent(
         # Network membership changes version the context's derived
         # per-component head tables (see NetworkContext.component_heads).
         self._network_id = value
-        self.ctx.agents.note_network(self.node.node_id, value)
+        self.ctx.note_network(self.node.node_id)
 
     @property
     def live_vote_timers(self) -> int:
@@ -222,12 +222,12 @@ class QuorumProtocolAgent(
     def _heads_within(self, k: int) -> List[Tuple[int, int]]:
         ctx = self.ctx
         return ctx.hello.heads_within(
-            self.node_id, k, ctx.is_head, ctx.agents.allocator_ids)
+            self.node_id, k, ctx.is_head, ctx.allocator_ids)
 
     def _nearest_head(self, max_hops: Optional[int] = None) -> Optional[Tuple[int, int]]:
         ctx = self.ctx
         return ctx.hello.nearest_head(
-            self.node_id, ctx.is_head, max_hops, ctx.agents.allocator_ids)
+            self.node_id, ctx.is_head, max_hops, ctx.allocator_ids)
 
     # ==================================================================
     # Entry and configuration (requester side) — Section IV-B
@@ -277,7 +277,7 @@ class QuorumProtocolAgent(
         # no longer participates, which only matters when one network
         # has several heads beyond HELLO scope and any of them is an
         # equally valid allocator.
-        allocators = self.ctx.agents.allocator_ids
+        allocators = self.ctx.allocator_ids
         candidates = self._rank_by_network([
             (other, 0)
             for other in self.ctx.topology.component_members(self.node_id)
@@ -557,29 +557,6 @@ class QuorumProtocolAgent(
         assert self.head is not None
         return set(self.head.qdset.active_members()) | {self.node_id}
 
-    def _own_record(self, pending: PendingConfig) -> AddressRecord:
-        assert self.head is not None
-        if pending.block is not None:
-            return self._block_summary_own(pending.block)
-        if pending.owner_id == self.node_id:
-            return self.head.ledger.get(pending.address)
-        replica = self.head.replicas.get(pending.owner_id)
-        if replica is not None:
-            return replica.record_for(pending.address)
-        return AddressRecord()
-
-    def _block_summary_own(self, block: Block) -> AddressRecord:
-        assert self.head is not None
-        summary = AddressRecord()
-        for address in block.addresses():
-            record = self.head.ledger.peek(address)
-            if record is None:
-                continue
-            summary.timestamp = max(summary.timestamp, record.timestamp)
-            if record.status is AddressStatus.ASSIGNED:
-                summary.status = AddressStatus.ASSIGNED
-        return summary
-
     def _start_vote(self, pending: PendingConfig) -> None:
         assert self.head is not None
         universe = self._vote_universe()
@@ -587,7 +564,11 @@ class QuorumProtocolAgent(
             system = DynamicLinearVoting(distinguished=pending.owner_id)
         else:
             system = MajorityQuorumSystem()
-        own_record = self._own_record(pending)
+        if pending.block is not None:
+            own_record = self._block_summary_for(
+                pending.owner_id, pending.block)
+        else:
+            own_record = self._record_for(pending.owner_id, pending.address)
         pending.collector = VoteCollector(pending.address, universe, system)
         pending.collector.add_vote(
             Vote(self.node_id, pending.address, own_record)

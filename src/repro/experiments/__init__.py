@@ -4,9 +4,8 @@ evaluation (Section VI).
 """
 
 from repro.experiments.scenario import Scenario
-from repro.experiments.builder import ScenarioBuilder, paper_scenario, scenario_grid
 from repro.experiments.metrics import DeathRecord, RunResult
-from repro.experiments.runner import ScenarioRunner, run_scenario, run_specs
+from repro.experiments.runner import ScenarioRunner, run_scenario
 from repro.experiments import figures
 from repro.experiments.report import format_series, format_table
 from repro.experiments.sweep import (
@@ -22,14 +21,10 @@ from repro.experiments.sweep import (
 
 __all__ = [
     "Scenario",
-    "ScenarioBuilder",
-    "paper_scenario",
-    "scenario_grid",
     "RunResult",
     "DeathRecord",
     "ScenarioRunner",
     "run_scenario",
-    "run_specs",
     "figures",
     "format_series",
     "format_table",

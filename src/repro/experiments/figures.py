@@ -12,7 +12,7 @@ Every sweep figure forwards ``**sweep`` to :func:`sweep_figure`:
 ``executor`` (the :class:`~repro.experiments.sweep.SweepExecutor` its
 cells run on; default :func:`~repro.experiments.sweep.default_executor`)
 and ``defaults`` (scenario fields for
-:func:`~repro.experiments.builder.fill_defaults` — how the CLI's
+:func:`~repro.experiments.scenario.fill_defaults` — how the CLI's
 ``--faults`` / ``--trace`` / ``--metrics`` reach a figure's scenarios).
 """
 
@@ -23,10 +23,9 @@ import statistics
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.core.config import ProtocolConfig
-from repro.experiments.builder import fill_defaults, paper_scenario
 from repro.experiments.metrics import RunResult
 from repro.experiments.runner import ScenarioRunner
-from repro.experiments.scenario import Scenario
+from repro.experiments.scenario import Scenario, fill_defaults
 from repro.experiments.sweep import RunSpec, SweepExecutor, default_executor
 from repro.faults import FaultSpec, crash_schedule
 from repro.obs import TraceRecorder
@@ -128,7 +127,7 @@ def fig04_layout(num_nodes: int = 100, seed: int = 1,
     # Fig. 4 shows a uniformly random layout, so arrivals here are not
     # connectivity-biased (at nn = 100, tr = 150 m the uniform network
     # is dense enough to be essentially one component anyway).
-    scenario = fill_defaults(paper_scenario(
+    scenario = fill_defaults(Scenario(
         num_nodes=num_nodes, seed=seed, speed_mps=0.0, settle_time=10.0,
         transmission_range=transmission_range,
         connected_arrivals=False,
@@ -175,7 +174,7 @@ def fig05_latency_vs_size(
         "nodes", "latency (hops)", sizes, seeds,
         [Curve("quorum", "quorum", metric, quorum_cfg()),
          Curve("manetconf", "manetconf", metric)],
-        lambda n, seed: paper_scenario(
+        lambda n, seed: Scenario(
             num_nodes=n, seed=seed, transmission_range=transmission_range,
             settle_time=10.0),
         **sweep)
@@ -194,7 +193,7 @@ def fig06_latency_vs_range(
         "tr (m)", "latency (hops)", ranges, seeds,
         [Curve("quorum", "quorum", metric, quorum_cfg()),
          Curve("manetconf", "manetconf", metric)],
-        lambda tr, seed: paper_scenario(
+        lambda tr, seed: Scenario(
             num_nodes=num_nodes, seed=seed, transmission_range=tr,
             settle_time=10.0),
         **sweep)
@@ -212,7 +211,7 @@ def fig07_latency_grid(
         "nodes", "latency (hops)", sizes, seeds,
         [Curve(f"tr={tr:g}", "quorum", RunResult.avg_config_latency_hops,
                quorum_cfg(),
-               scenario=lambda n, seed, tr=tr: paper_scenario(
+               scenario=lambda n, seed, tr=tr: Scenario(
                    num_nodes=n, seed=seed, transmission_range=tr,
                    settle_time=10.0))
          for tr in ranges],
@@ -240,7 +239,7 @@ def fig08_config_overhead(
         "nodes", "hops per configured node", sizes, seeds,
         [Curve("quorum", "quorum", metric, quorum_cfg()),
          Curve("buddy", "buddy", metric)],
-        lambda n, seed: paper_scenario(
+        lambda n, seed: Scenario(
             num_nodes=n, seed=seed, settle_time=20.0),
         **sweep)
 
@@ -262,7 +261,7 @@ def fig09_departure_overhead(
         "nodes", "hops per departure", sizes, seeds,
         [Curve("quorum", "quorum", metric, quorum_cfg()),
          Curve("buddy", "buddy", metric)],
-        lambda n, seed: paper_scenario(
+        lambda n, seed: Scenario(
             num_nodes=n, seed=seed, depart_fraction=depart_fraction,
             abrupt_probability=0.0, depart_window=60.0, settle_time=20.0),
         **sweep)
@@ -300,7 +299,7 @@ def fig10_maintenance_overhead(
                quorum_cfg(location_update_mode="upon_leave")),
          # For [3] the periodic C-root reports ARE the maintenance traffic.
          Curve("ctree", "ctree", RunResult.maintenance_overhead)],
-        lambda n, seed: paper_scenario(
+        lambda n, seed: Scenario(
             num_nodes=n, seed=seed, speed_mps=speed,
             depart_fraction=depart_fraction, depart_window=60.0,
             settle_time=30.0),
@@ -322,7 +321,7 @@ def fig11_movement_vs_speed(
                quorum_cfg(location_update_mode="periodic")),
          Curve("quorum/upon-leave", "quorum", metric,
                quorum_cfg(location_update_mode="upon_leave"))],
-        lambda speed, seed: paper_scenario(
+        lambda speed, seed: Scenario(
             num_nodes=num_nodes, seed=seed, speed_mps=speed,
             settle_time=60.0),
         **sweep)
@@ -347,7 +346,7 @@ def fig12_ip_space_extension(
         "tr (m)", "(IPSpace+QuorumSpace)/IPSpace", ranges, seeds,
         [Curve(f"quorum nn={n}", "quorum", RunResult.avg_extension_ratio,
                quorum_cfg(),
-               scenario=lambda tr, seed, n=n: paper_scenario(
+               scenario=lambda tr, seed, n=n: Scenario(
                    num_nodes=n, seed=seed, transmission_range=tr,
                    settle_time=20.0))
          for n in sizes],
@@ -383,7 +382,7 @@ def fig13_information_loss(
         "abrupt ratio", "% information lost", abrupt_ratios, seeds,
         [Curve("quorum", "quorum", metric, quorum_cfg()),
          Curve("ctree", "ctree", metric)],
-        lambda ratio, seed: paper_scenario(
+        lambda ratio, seed: Scenario(
             num_nodes=num_nodes, seed=seed,
             depart_fraction=depart_fraction, abrupt_probability=ratio,
             depart_window=5.0, settle_time=30.0,
@@ -408,7 +407,7 @@ def fig14_reclamation_overhead(
         "nodes", "hops per abrupt departure", sizes, seeds,
         [Curve("quorum", "quorum", metric, quorum_cfg()),
          Curve("ctree", "ctree", metric)],
-        lambda n, seed: paper_scenario(
+        lambda n, seed: Scenario(
             num_nodes=n, seed=seed, depart_fraction=depart_fraction,
             abrupt_probability=abrupt_probability, depart_window=60.0,
             settle_time=60.0),
@@ -449,7 +448,7 @@ def robustness_vs_loss(
                 at=float(num_nodes) + 10.0,  # after the last arrival
                 window=20.0, downtime=30.0, seed=seed),
         )
-        return paper_scenario(
+        return Scenario(
             num_nodes=num_nodes, seed=seed,
             depart_fraction=depart_fraction,
             abrupt_probability=abrupt_probability,

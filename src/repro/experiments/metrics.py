@@ -202,10 +202,6 @@ class RunResult:
         """Address uniqueness: no two alive nodes share (network, ip)."""
         return self.duplicate_addresses == 0
 
-    def fault_drop_total(self) -> int:
-        """Messages lost to injected faults (0 for fault-free runs)."""
-        return sum(self.stats_drops.values())
-
     def event_count(self, name: str) -> int:
         """A named protocol/fault event counter (0 when never fired)."""
         return self.events.get(name, 0)

@@ -328,19 +328,3 @@ def run_scenario(
     """Convenience wrapper: build a runner, run it, return the result."""
     return ScenarioRunner(scenario, protocol, protocol_config).run()
 
-
-def run_specs(
-    specs: List[Any],
-    workers: Optional[int] = None,
-    cache_dir: Optional[str] = None,
-) -> List[RunResult]:
-    """Run a batch of :class:`repro.experiments.sweep.RunSpec` cells.
-
-    The batch-of-runs counterpart of :func:`run_scenario`: fans out
-    over worker processes (``workers > 1``) with optional on-disk
-    caching, and returns results in spec order.  See
-    :mod:`repro.experiments.sweep` for the full executor API.
-    """
-    from repro.experiments.sweep import SweepExecutor
-
-    return SweepExecutor(workers=workers, cache_dir=cache_dir).run(specs).results

@@ -9,7 +9,7 @@ gracefully or abruptly with abrupt probability 5-50 % (Fig. 13).
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Tuple
+from typing import Any, Mapping, Optional, Tuple
 
 from repro.faults.spec import FaultSpec
 
@@ -83,19 +83,50 @@ class Scenario:
     metrics_period: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.metrics_period <= 0:
-            raise ValueError("metrics_period must be positive")
-        if self.num_nodes < 1:
-            raise ValueError("num_nodes must be positive")
-        if self.transmission_range <= 0:
-            raise ValueError("transmission_range must be positive")
-        if not 0 <= self.depart_fraction <= 1:
-            raise ValueError("depart_fraction must be in [0, 1]")
-        if not 0 <= self.abrupt_probability <= 1:
-            raise ValueError("abrupt_probability must be in [0, 1]")
+        """The one validator: every out-of-domain value is refused
+        here, with a message that names its field."""
+        for name in ("num_nodes", "transmission_range", "inter_arrival",
+                     "hotspot_radius", "metrics_period"):
+            if getattr(self, name) <= 0:
+                raise ValueError(
+                    f"{name} must be positive, got {getattr(self, name)}")
+        if min(self.area) <= 0:
+            raise ValueError(
+                f"area dimensions must be positive, got {self.area}")
+        for name in ("speed_mps", "settle_time"):
+            if getattr(self, name) < 0:
+                raise ValueError(
+                    f"{name} must be >= 0, got {getattr(self, name)}")
+        for name in ("depart_fraction", "abrupt_probability",
+                     "uniform_arrival_fraction"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ValueError(
+                    f"{name} must be in [0, 1], got {getattr(self, name)}")
+        # A spec that injects nothing is no spec: fault-free runs keep
+        # their pre-fault cache keys and build no fault model.
+        if self.faults is not None and self.faults.is_null():
+            self.faults = None
 
     @classmethod
     def paper_default(cls, num_nodes: int = 100, seed: int = 0,
                       **overrides) -> "Scenario":
         """The Section VI-A setup: 1 km^2, tr=150 m, 20 m/s."""
         return cls(num_nodes=num_nodes, seed=seed, **overrides)
+
+
+_FIELD_DEFAULTS = {f.name: f.default for f in dataclasses.fields(Scenario)}
+
+
+def fill_defaults(scenario: Scenario,
+                  defaults: Optional[Mapping[str, Any]]) -> Scenario:
+    """``scenario`` with ``defaults`` applied to the fields it left unset.
+
+    ``defaults`` maps :class:`Scenario` field names to values (the
+    CLI's ``--faults`` / ``--trace`` / ``--metrics`` flags); a field is
+    replaced only while it still holds its dataclass default, so a
+    figure that attaches its own ``FaultSpec`` keeps it under
+    ``--faults``.
+    """
+    unset = {name: value for name, value in (defaults or {}).items()
+             if getattr(scenario, name) == _FIELD_DEFAULTS[name]}
+    return dataclasses.replace(scenario, **unset) if unset else scenario

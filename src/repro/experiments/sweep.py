@@ -320,17 +320,22 @@ class SweepSummary:
             self._metrics = merge_series(self._metrics, result.obs_metrics)
         return self
 
-    # -- the same aggregate surface SweepReport exposes ----------------
+    # -- aggregates ------------------------------------------------------
     def cache_hit_rate(self) -> float:
         return (self.cached / self.cells) if self.cells else 0.0
 
     def perf_totals(self) -> Dict[str, int]:
+        """Sum of every run's deterministic perf counters (cache hits
+        contribute the counters recorded when the cell was computed)."""
         return dict(sorted(self._perf.items()))
 
     def obs_histogram_totals(self) -> Dict[str, List[int]]:
+        """Elementwise sum of every run's span latency histograms
+        (empty when no cell was traced)."""
         return dict(sorted(self._histograms.items()))
 
     def obs_span_totals(self) -> Dict[str, int]:
+        """Span count per outcome, summed across traced cells."""
         return dict(sorted(self._spans.items()))
 
     def obs_metric_totals(self) -> Dict[str, List[int]]:
@@ -374,38 +379,6 @@ class SweepReport:
         """Fraction of cells served from cache (0.0 with no cells)."""
         return (sum(self.cached) / len(self.cached)) if self.cached else 0.0
 
-    # The aggregates are SweepSummary's: one fold, whether cells stream
-    # in live or are replayed from this report.
-    def perf_totals(self) -> Dict[str, int]:
-        """Sum of every run's deterministic perf counters (cache hits
-        contribute the counters recorded when the cell was computed)."""
-        return self.summary().perf_totals()
-
-    def obs_histogram_totals(self) -> Dict[str, List[int]]:
-        """Elementwise sum of every run's span latency histograms
-        (empty when no cell was traced)."""
-        return self.summary().obs_histogram_totals()
-
-    def obs_span_totals(self) -> Dict[str, int]:
-        """Span count per outcome, summed across traced cells."""
-        return self.summary().obs_span_totals()
-
-    def obs_metric_totals(self) -> Dict[str, List[int]]:
-        """Elementwise sum of every run's gauge series (empty when no
-        cell sampled metrics)."""
-        return self.summary().obs_metric_totals()
-
-    def stream(self) -> Iterator[SweepCell]:
-        """Re-play the materialized report as spec-order cells.
-
-        The same cell sequence :meth:`SweepExecutor.stream` yields
-        live, so any streaming consumer also accepts a report built
-        earlier (or loaded from cache hits).
-        """
-        for i, spec in enumerate(self.specs):
-            yield SweepCell(index=i, spec=spec, result=self.results[i],
-                            duration=self.durations[i], cached=self.cached[i])
-
     def summary(self) -> SweepSummary:
         """Fold the whole report into a :class:`SweepSummary`.
 
@@ -414,8 +387,10 @@ class SweepReport:
         of a summary folded cell-by-cell during execution.
         """
         summary = SweepSummary()
-        for cell in self.stream():
-            summary.fold(cell)
+        for i, spec in enumerate(self.specs):
+            summary.fold(SweepCell(
+                index=i, spec=spec, result=self.results[i],
+                duration=self.durations[i], cached=self.cached[i]))
         return summary
 
 

@@ -13,27 +13,6 @@ class Point:
     x: float
     y: float
 
-    def __add__(self, other: "Point") -> "Point":
-        return Point(self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other: "Point") -> "Point":
-        return Point(self.x - other.x, self.y - other.y)
-
-    def scale(self, factor: float) -> "Point":
-        return Point(self.x * factor, self.y * factor)
-
-    def norm(self) -> float:
-        return math.hypot(self.x, self.y)
-
-    def unit(self) -> "Point":
-        n = self.norm()
-        if n == 0:
-            raise ValueError("cannot normalize the zero vector")
-        return Point(self.x / n, self.y / n)
-
-    def as_tuple(self) -> tuple:
-        return (self.x, self.y)
-
 
 def distance(a: Point, b: Point) -> float:
     """Euclidean distance between two points."""

@@ -8,6 +8,14 @@ protocol needs from its routing substrate:
 * the agent table — node id -> protocol agent, used by the substrate to
   deliver messages and by hello queries to ask "is this node a cluster
   head?".
+
+The agent table is a plain dict in registration order, and nothing ever
+leaves it: a departed or crashed node keeps its agent, and liveness is
+read off the node.  Beside it the context keeps the one fact it answers
+role queries from — ``allocator_ids``, which every agent type keeps
+current through :meth:`NetworkContext.note_allocator` — and
+``role_epoch``, which the ``note_*`` hooks bump so the derived
+per-component head table knows when to rebuild.
 """
 
 from __future__ import annotations
@@ -15,7 +23,6 @@ from __future__ import annotations
 from typing import (TYPE_CHECKING, Any, Dict, FrozenSet, List,
                     Optional, Set, Tuple)
 
-from repro.net.agents import AgentStore
 from repro.net.hello import HelloService
 from repro.net.node import Node
 from repro.net.stats import MessageStats
@@ -28,11 +35,6 @@ from repro.sim.engine import Simulator
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults.model import FaultModel
     from repro.faults.spec import FaultSpec
-
-
-def _never() -> bool:
-    """``is_configured`` of an agent type that does not define one."""
-    return False
 
 
 class NetworkContext:
@@ -67,10 +69,23 @@ class NetworkContext:
         # layers emit structured events here (falsy while nobody
         # subscribes — emission sites gate on that; see repro.obs).
         self.obs: EventBus = transport.obs
-        # Struct-of-arrays agent registry: dict-compatible surface plus
-        # denormalized role/address/qdset/vote-timer columns kept in
-        # sync by the note_* write-through hooks (see repro.net.agents).
-        self.agents: AgentStore = AgentStore()
+        #: node id -> agent, in registration order.  Read-only outside
+        #: :meth:`register`.
+        self.agents: Dict[int, Any] = {}
+        #: Ids of the registered agents that can allocate — their
+        #: ``is_allocator()`` with liveness left out.  :meth:`is_head`
+        #: answers from it and head scans probe it before they ask, so
+        #: :meth:`note_allocator` is an obligation on every agent type.
+        #: Read-only outside the context.
+        self.allocator_ids: Set[int] = set()
+        # Registered ids ``bind_ip`` / ``unbind_ip`` last resolved to
+        # bound.  Not "is configured": see :meth:`unbind_ip`.
+        self._bound_ids: Set[int] = set()
+        #: Bumped on registration and on role, network-id, head-state,
+        #: allocator and address-bound transitions — the cheap half of
+        #: the component table's cache key (the other half is
+        #: ``Topology.graph_version``).
+        self.role_epoch = 0
         self.ip_registry: Dict[int, int] = {}  # ip -> node_id
         # Derived view: component id -> (sorted head ids, head network
         # ids, all configured network ids), shared by every agent that
@@ -92,10 +107,17 @@ class NetworkContext:
     # Agent registry
     # ------------------------------------------------------------------
     def register(self, agent: Any) -> None:
-        self.agents.add(agent)
-
-    def unregister(self, node_id: int) -> None:
-        self.agents.evict(node_id)
+        """Add ``agent`` under its node's id.  Registering an id again
+        replaces the agent where it stands (dict assignment keeps the
+        position) and starts what the context holds about it over."""
+        node_id = int(agent.node.node_id)
+        self.agents[node_id] = agent
+        self.allocator_ids.discard(node_id)
+        if getattr(agent, "ip", None) is None:
+            self._bound_ids.discard(node_id)
+        else:
+            self._bound_ids.add(node_id)
+        self.role_epoch += 1
 
     def agent_of(self, node_id: int) -> Optional[Any]:
         return self.agents.get(node_id)
@@ -104,16 +126,69 @@ class NetworkContext:
         return self.topology.get(node_id)
 
     # ------------------------------------------------------------------
+    # Write-through hooks (called at protocol transition points)
+    # ------------------------------------------------------------------
+    def note_role(self, node_id: int) -> None:
+        """A registered node's role changed."""
+        if node_id in self.agents:
+            self.role_epoch += 1
+
+    def note_network(self, node_id: int) -> None:
+        """A node's network id changed: the component table caches
+        which networks still have allocators where."""
+        self.role_epoch += 1
+
+    def note_head_state(self, node_id: int) -> None:
+        """A node adopted or dropped allocator (head) state, which
+        ``is_head`` requires alongside the role, so the flip versions
+        the table even before the role write-through happens."""
+        self.role_epoch += 1
+
+    def note_allocator(self, node_id: int, allocator: bool) -> None:
+        """Record whether a node can currently allocate addresses.
+
+        ``allocator_ids`` *is* the answer to :meth:`is_head` (which only
+        adds the liveness check), so every agent type must call this
+        whenever what its ``is_allocator()`` reads — liveness aside —
+        changes.  Registration starts an agent out of the set."""
+        self._note_member(self.allocator_ids, node_id, allocator)
+
+    def _note_member(self, ids: Set[int], node_id: int, member: bool) -> None:
+        """Put a registered id in or out of ``ids``; only a flip
+        versions the component table."""
+        if node_id in self.agents and (node_id in ids) != member:
+            if member:
+                ids.add(node_id)
+            else:
+                ids.discard(node_id)
+            self.role_epoch += 1
+
+    def bound_address_count(self) -> int:
+        """Registered agents with an address noted as bound (see
+        :meth:`unbind_ip` for why that is not "configured")."""
+        return len(self._bound_ids)
+
+    # ------------------------------------------------------------------
     # IP resolution
     # ------------------------------------------------------------------
     def bind_ip(self, ip: int, node_id: int) -> None:
+        # A rebind to another address changes neither configured-ness
+        # nor head-ness, so only the first address versions the table.
         self.ip_registry[ip] = node_id
-        self.agents.note_address(node_id, ip)
+        self._note_member(self._bound_ids, node_id, True)
 
     def unbind_ip(self, ip: int) -> None:
+        """Forget ``ip`` and note its node as unbound.
+
+        ``ip_registry`` is keyed by ip alone, so this names whichever
+        node bound ``ip`` *last*.  Two networks legitimately hold the
+        same address after a re-found (a fresh network restarts at
+        address 0); when one of them unbinds, the other node is the one
+        noted.  That makes the bound ids an aggregate, not "is
+        configured": whoever needs that asks ``agent.is_configured()``."""
         node_id = self.ip_registry.pop(ip, None)
         if node_id is not None:
-            self.agents.note_address(node_id, None)
+            self._note_member(self._bound_ids, node_id, False)
 
     def resolve_ip(self, ip: int) -> Optional[int]:
         return self.ip_registry.get(ip)
@@ -122,11 +197,9 @@ class NetworkContext:
     # Role queries (used by hello-derived knowledge)
     # ------------------------------------------------------------------
     def is_head(self, node_id: int) -> bool:
-        # The agent's ``is_allocator()`` minus liveness, read off the
-        # registry's write-through column (see AgentStore.note_allocator).
-        agents = self.agents
-        slot = agents.slot_of.get(node_id)
-        if slot is None or not agents.allocators[slot]:
+        # The agent's ``is_allocator()``: the written-through half
+        # (see note_allocator), then liveness, read live.
+        if node_id not in self.allocator_ids:
             return False
         node = self.topology.get(node_id)
         return node is not None and node.alive
@@ -136,10 +209,10 @@ class NetworkContext:
         node = self.topology.get(node_id)
         if agent is None or node is None or not node.alive:
             return False
-        return bool(getattr(agent, "is_configured", _never)())
+        return bool(agent.is_configured())
 
     # ------------------------------------------------------------------
-    # Component-level role queries (connectivity labels + agent columns)
+    # Component-level role queries (connectivity labels + the registry)
     # ------------------------------------------------------------------
     _NO_HEADS: Tuple[Tuple[int, ...], FrozenSet[Optional[int]],
                      FrozenSet[Optional[int]]] = ((), frozenset(), frozenset())
@@ -148,36 +221,40 @@ class NetworkContext:
         self, node_id: int
     ) -> Tuple[Tuple[int, ...], FrozenSet[Optional[int]],
                FrozenSet[Optional[int]]]:
-        """``(component_heads, component_head_networks,
-        component_networks)`` of ``node_id``'s component in one lookup,
-        for callers that need more than one of them."""
+        """``(heads, head_networks, networks)`` of ``node_id``'s
+        component in one lookup: the allocator node ids, ascending; the
+        network ids that still have an allocator there (empty when the
+        component has no heads at all); and the network ids of every
+        configured node, heads and commons (``None`` for agents that
+        are configured but between networks).  A singleton ``networks``
+        equal to the asker's own network means its partition is
+        homogeneous: no bounded neighborhood scan can find a foreign
+        network id."""
         topology = self.topology
         # Query the labels first: this forces any pending rebuild, so
         # graph_version below reflects the graph being answered about.
         component = topology.component_indices((node_id,))[0]
         if component is None:
             return self._NO_HEADS
-        agents = self.agents
-        key = (topology.graph_version, agents.role_epoch)
+        key = (topology.graph_version, self.role_epoch)
         if key != self._comp_heads_key:
-            # One pass over the registry's slots: one batched label
-            # query for every id, then per agent only what no store
-            # holds — the node's live ``alive`` flag (kill and restart
+            # One pass over the registry: one batched label query for
+            # every id, then per agent only what the context does not
+            # hold — the node's live ``alive`` flag (kill and restart
             # flip it with no hook) and ``agent.is_configured()`` (the
-            # address column is not it: see AgentStore.note_address).
+            # bound ids are not it: see unbind_ip).
             table: Dict[int, Tuple[List[int], Set[Optional[int]],
                                    Set[Optional[int]]]] = {}
-            ids = agents.ids
-            allocators = agents.allocators
+            agents = self.agents
+            allocator_ids = self.allocator_ids
             node_of = topology.get
-            labels = topology.component_indices(ids)
-            for slot, agent in enumerate(agents.agents):
-                comp = labels[slot]
-                if agent is None or comp is None:
+            labels = topology.component_indices(agents)
+            for comp, (agent_id, agent) in zip(labels, agents.items()):
+                if comp is None:
                     continue
-                node = node_of(ids[slot])
+                node = node_of(agent_id)
                 if (node is None or not node.alive
-                        or not getattr(agent, "is_configured", _never)()):
+                        or not agent.is_configured()):
                     continue
                 entry = table.get(comp)
                 if entry is None:
@@ -187,8 +264,8 @@ class NetworkContext:
                 # look heterogeneous, which keeps the merge scan alive.
                 network: Optional[int] = getattr(agent, "network_id", None)
                 entry[2].add(network)
-                if allocators[slot]:
-                    entry[0].append(ids[slot])
+                if agent_id in allocator_ids:
+                    entry[0].append(agent_id)
                     entry[1].add(network)
             self._comp_heads = {
                 comp: (tuple(sorted(heads)), frozenset(hnets),
@@ -206,20 +283,6 @@ class NetworkContext:
         per asker; the label layer's ``component_members`` walk was
         bounded but still O(component) per asker per scan."""
         return self.component_entry(node_id)[0]
-
-    def component_head_networks(
-            self, node_id: int) -> FrozenSet[Optional[int]]:
-        """Network ids that still have an allocator in ``node_id``'s
-        component (empty when the component has no heads at all)."""
-        return self.component_entry(node_id)[1]
-
-    def component_networks(self, node_id: int) -> FrozenSet[Optional[int]]:
-        """Network ids of every configured node in ``node_id``'s
-        component — heads and commons (``None`` for agents that are
-        configured but between networks).  A singleton set equal to the
-        asker's own network means its partition is homogeneous: no
-        bounded neighborhood scan can find a foreign network id."""
-        return self.component_entry(node_id)[2]
 
     @classmethod
     def build(

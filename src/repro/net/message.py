@@ -101,18 +101,6 @@ class Message:
     msg_id: int = dataclasses.field(default_factory=lambda: next(_message_ids))
     corr: int = 0
 
-    def reply(self, mtype: str, payload: Optional[Dict[str, Any]] = None,
-              network_id: Optional[int] = None) -> "Message":
-        """Build a reply addressed back to this message's sender."""
-        return Message(
-            mtype=mtype,
-            src=self.dst if self.dst is not None else -1,
-            dst=self.src,
-            payload=payload or {},
-            network_id=network_id,
-            corr=self.corr,
-        )
-
     def __repr__(self) -> str:
         return f"Message({self.mtype}, {self.src}->{self.dst}, hops={self.hops})"
 

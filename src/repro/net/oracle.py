@@ -98,7 +98,8 @@ class OracleTopology:
         g.add_nodes_from(n.node_id for n in alive)
         if len(alive) > 1:
             coordinates = np.array(
-                [n.position(now).as_tuple() for n in alive], dtype=float
+                [(p.x, p.y) for p in (n.position(now) for n in alive)],
+                dtype=float,
             )
             ids = [n.node_id for n in alive]
             deltas = coordinates[:, None, :] - coordinates[None, :, :]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from collections import defaultdict
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Tuple
 
 __all__ = ["Category", "MessageStats"]
 
@@ -48,20 +48,6 @@ class MessageStats:
         if count < 0:
             raise ValueError("count must be non-negative")
         self.dropped[category] += count
-
-    def total_hops(self, include: Iterable[Category] = None,
-                   exclude: Iterable[Category] = ()) -> int:
-        """Sum of hop counts over the selected categories.
-
-        HELLO traffic is typically excluded from comparisons: all the
-        protocols under study beacon identically, so the paper's figures
-        count only protocol-specific traffic.
-        """
-        excluded = set(exclude)
-        categories = list(include) if include is not None else [
-            c for c in Category if c not in excluded
-        ]
-        return sum(self.hops[c] for c in categories if c not in excluded)
 
     def snapshot(self) -> Dict[str, Tuple[int, int]]:
         """``{category: (hops, messages)}`` for reporting."""

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from typing import FrozenSet, Optional
 
-# --- agent aggregates (AgentStore column scans) -----------------------
-AGENTS_LIVE = "agents_live"                  # registered, non-tombstoned
+# --- agent aggregates (one walk over ctx.agents) ----------------------
+AGENTS_LIVE = "agents_live"                  # registered (never unregistered)
 AGENTS_CONFIGURED = "agents_configured"      # with a bound address
 QDSET_SIZE_TOTAL = "qdset_size_total"        # sum of |QDSet| over heads
 VOTE_TIMERS = "vote_timers"                  # live allocator vote timers

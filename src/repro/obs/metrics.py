@@ -16,7 +16,7 @@ Design rules, matching the tracing layer:
   sweep worker produce byte-identical series.
 * **Read-only.**  Every gauge is a passive read — one walk over the
   registered agents (role, QDSet, vote timers, pool introspection), the
-  :class:`~repro.net.agents.AgentStore` address column, the *stale*
+  context's count of bound addresses, the *stale*
   component count (:meth:`Topology.component_count_stale`,
   which never forces a rebuild) — so an attached recorder cannot
   perturb protocol behavior, RNG draws or perf counters.
@@ -48,10 +48,10 @@ class MetricsRecorder:
 
     Attach to a :class:`~repro.net.context.NetworkContext` before the
     run starts; the recorder arms a periodic timer (first sample at
-    t=0) and appends one value per metric per tick.  Series whose
-    vocabulary appears mid-run (a role interned after bootstrap) are
-    zero-padded back to t=0, so every series always spans the whole
-    run.
+    t=0) and appends one value per metric per tick.  A tick a series
+    was not recorded on — before its vocabulary appeared (a role
+    interned after bootstrap) or while a role had no member — reads 0,
+    so sample ``i`` of every series is the value at tick ``i``.
 
     Example:
         >>> from repro.net.context import NetworkContext
@@ -102,15 +102,15 @@ class MetricsRecorder:
 
     # ------------------------------------------------------------------
     def record(self, name: str, value: int) -> None:
-        """Append ``value`` to ``name``'s series for the current tick.
+        """Record ``value`` as ``name``'s sample of the current tick.
 
-        Intended for :func:`sample_gauges`; a series seen for the first
-        time is zero-padded to the previous tick count so all series
-        stay aligned on the same time buckets.
+        Intended for :func:`sample_gauges`; the ticks the series missed
+        since it was last recorded (all of them, for a new name) are
+        filled with 0 first, so all series stay aligned on the same
+        time buckets.
         """
-        series = self._series.get(name)
-        if series is None:
-            series = self._series[name] = [0] * (self._samples - 1)
+        series = self._series.setdefault(name, [])
+        series.extend([0] * (self._samples - 1 - len(series)))
         series.append(int(value))
 
     def _sample(self) -> None:
@@ -138,16 +138,15 @@ def sample_gauges(ctx: Any, metrics: MetricsRecorder) -> None:
     keeps metrics-on runs bit-identical to metrics-off runs everywhere
     outside ``obs_metrics``.
     """
-    agents = ctx.agents
-    metrics.record(mn.AGENTS_LIVE, len(agents))
-    metrics.record(mn.AGENTS_CONFIGURED, agents.bound_address_count())
+    metrics.record(mn.AGENTS_LIVE, len(ctx.agents))
+    metrics.record(mn.AGENTS_CONFIGURED, ctx.bound_address_count())
 
     role_counts: Dict[str, int] = {}
     qdset_total = 0
     vote_timers = 0
     free = 0
     allocated = 0
-    for _, agent in agents.items():
+    for agent in ctx.agents.values():
         role = getattr(agent, "role", None)
         name = "" if role is None else role.value
         role_counts[name] = role_counts.get(name, 0) + 1

@@ -58,11 +58,3 @@ def test_needs_regrow_threshold():
     qdset.add(3)
     assert len(qdset) == MIN_REPLICAS
     assert not qdset.needs_regrow()
-
-
-def test_smallest_by():
-    qdset = QDSet([1, 2, 3])
-    sizes = {1: 10, 2: 4, 3: 4}
-    # ties broken by id
-    assert qdset.smallest_by(lambda m: sizes[m]) == 2
-    assert QDSet().smallest_by(lambda m: 0) is None

@@ -1,11 +1,7 @@
 """Unit tests for the clustering role decision."""
 
 from repro.cluster import Role, decide_role
-from repro.cluster.roles import (
-    ADJACENT_HEAD_HOPS,
-    HEAD_SCOPE_HOPS,
-    validate_head_separation,
-)
+from repro.cluster.roles import ADJACENT_HEAD_HOPS, HEAD_SCOPE_HOPS
 
 
 def test_paper_constants():
@@ -30,19 +26,3 @@ def test_no_heads_means_new_head():
     assert role is Role.HEAD
     assert allocator is None
 
-
-def test_head_separation_detects_neighbors():
-    hops = {(1, 2): 1, (1, 3): 3, (2, 3): 2}
-
-    def hop_fn(a, b):
-        return hops.get((min(a, b), max(a, b)))
-
-    assert validate_head_separation([1, 2, 3], hop_fn) == [(1, 2)]
-
-
-def test_head_separation_clean():
-    assert validate_head_separation([1, 2], lambda a, b: 2) == []
-
-
-def test_head_separation_unreachable_pairs_ok():
-    assert validate_head_separation([1, 2], lambda a, b: None) == []

@@ -92,4 +92,4 @@ def test_bulk_configure_matches_component_queries():
     """The stood-up network must be visible through the label layer."""
     ctx, setup = stand_up()
     assert ctx.component_heads(setup.founder) == tuple(setup.heads)
-    assert ctx.component_networks(setup.founder) == {setup.network_id}
+    assert ctx.component_entry(setup.founder)[2] == {setup.network_id}

@@ -83,22 +83,47 @@ def test_sweep_runs_grid_and_reports_stats(capsys, tmp_path):
 
 
 def test_run_with_faults_reports_fault_activity(capsys):
-    from repro.experiments.builder import ScenarioBuilder
-
     code = main(["run", "--nodes", "15", "--settle", "10",
                  "--faults", "loss=0.3,crash=3@10-30"])
     out = capsys.readouterr().out
     assert code == 0
     assert "event: fault_crashes" in out
-    # --faults travels as an argument: there is no process-wide default
-    # left for main() to leak into library callers.
-    assert not hasattr(ScenarioBuilder, "default_faults")
-    assert not hasattr(ScenarioBuilder, "_default_faults")
 
 
-def test_bad_faults_spec_raises_named_error():
-    with pytest.raises(ValueError, match="unknown fault spec key"):
-        main(["run", "--nodes", "10", "--faults", "chaos=1"])
+@pytest.mark.parametrize("flags, named", [
+    pytest.param(["--nodes", "0"], "num_nodes", id="nodes"),
+    pytest.param(["--depart", "1.5"], "depart_fraction", id="depart"),
+    pytest.param(["--faults", "loss=2"], "loss_rate", id="faults-value"),
+    pytest.param(["--faults", "chaos=1"], "unknown fault spec key 'chaos'",
+                 id="faults-key"),
+    pytest.param(["--tr", "-1"], "transmission_range", id="tr"),
+    pytest.param(["--metrics-period", "0"], "metrics_period",
+                 id="metrics-period"),
+])
+def test_rejected_input_is_a_usage_error_naming_the_field(
+        flags, named, capsys):
+    # What Scenario or FaultSpec.parse refuses ends like an argparse
+    # error — one line on stderr, status 2 — not in a traceback.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--settle", "5"] + flags)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("repro: error: ") and named in captured.err
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["figure", "fig05", "--metrics-period", "0"],
+    ["figure", "fig04", "--faults", "loss=2"],
+    ["sweep", "--nodes", "10", "0"],
+    ["metrics", "--period", "0"],
+], ids=["figure", "fig04", "sweep", "metrics"])
+def test_every_subcommand_rejects_bad_input_before_running(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.startswith("repro: error: ")
 
 
 def test_sweep_fault_specs_get_distinct_cache_keys(capsys, tmp_path):
@@ -183,14 +208,10 @@ def test_trace_jsonl_out_and_reload(capsys, tmp_path):
 
 
 def test_run_with_trace_reports_span_outcomes(capsys):
-    from repro.experiments.builder import ScenarioBuilder
-
     code = main(["run", "--nodes", "15", "--settle", "10", "--trace"])
     out = capsys.readouterr().out
     assert code == 0
     assert "spans: completed" in out
-    assert not hasattr(ScenarioBuilder, "default_trace")
-    assert not hasattr(ScenarioBuilder, "_default_trace")
 
 
 def test_sweep_trace_out_forces_serial_and_collects_jsonl(

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.core.config import ProtocolConfig
-from repro.experiments import Scenario, figures, run_specs
+from repro.experiments import Scenario, figures
 from repro.experiments.metrics import DeathRecord, NodeOutcome, RunResult
 from repro.experiments.sweep import (
     RunCache,
@@ -254,12 +254,6 @@ def test_progress_callback_sees_every_cell(tmp_path):
     assert seen == [(1, 2), (2, 2)]
 
 
-def test_run_specs_convenience_matches_executor():
-    specs = tiny_specs(protocols=("quorum",), seeds=(1,))
-    assert run_specs(specs, workers=1) == SweepExecutor(
-        workers=1).run(specs).results
-
-
 # ---------------------------------------------------------------------------
 # Streaming: spec-order cells, incremental folds, byte-identity
 # ---------------------------------------------------------------------------
@@ -291,24 +285,6 @@ def test_streamed_summary_with_cache_hits_byte_identical(tmp_path):
     materialized = SweepExecutor(
         workers=1, cache_dir=tmp_path).run(specs).summary()
     assert streamed.to_json() == materialized.to_json()
-
-
-def test_report_stream_replays_and_summary_matches_aggregates():
-    specs = tiny_specs(protocols=("quorum",), seeds=(1,))
-    report = SweepExecutor(workers=1).run(specs)
-    cells = list(report.stream())
-    assert [c.result for c in cells] == report.results
-    folded = SweepSummary()
-    for cell in cells:
-        folded.fold(cell)
-    assert folded.to_json() == report.summary().to_json()
-    # The fold surface mirrors the report's aggregates byte for byte.
-    for fold_value, report_value in (
-            (folded.perf_totals(), report.perf_totals()),
-            (folded.obs_histogram_totals(), report.obs_histogram_totals()),
-            (folded.obs_span_totals(), report.obs_span_totals()),
-            (folded.cache_hit_rate(), report.cache_hit_rate())):
-        assert json.dumps(fold_value) == json.dumps(report_value)
 
 
 def test_abandoned_stream_shuts_down_cleanly():

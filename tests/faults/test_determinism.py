@@ -18,11 +18,15 @@ from repro.faults import FaultSpec, crash_schedule
 
 
 def small_scenario(faults=None, seed=3):
-    return Scenario(
+    scenario = Scenario(
         num_nodes=14, seed=seed, depart_fraction=0.3,
         abrupt_probability=0.5, depart_window=10.0, settle_time=20.0,
-        faults=faults,
     )
+    # Attached after construction: ``Scenario(faults=...)`` drops a null
+    # spec, and the null-spec cases below are about a fault model that
+    # was built and never acts.
+    scenario.faults = faults
+    return scenario
 
 
 def faulty_spec(seed=3):

@@ -1,38 +1,13 @@
-"""Unit and property tests for point arithmetic."""
+"""Unit and property tests for points, distance and lerp."""
 
 import math
 
-import pytest
 from hypothesis import given, strategies as st
 
 from repro.geometry import Point, distance, lerp
 
 coords = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 points = st.builds(Point, coords, coords)
-
-
-def test_add_sub_roundtrip():
-    a = Point(1.0, 2.0)
-    b = Point(3.0, -4.0)
-    assert (a + b) - b == a
-
-
-def test_scale():
-    assert Point(2.0, -3.0).scale(2.0) == Point(4.0, -6.0)
-
-
-def test_norm():
-    assert Point(3.0, 4.0).norm() == 5.0
-
-
-def test_unit_has_norm_one():
-    u = Point(3.0, 4.0).unit()
-    assert math.isclose(u.norm(), 1.0)
-
-
-def test_unit_of_zero_raises():
-    with pytest.raises(ValueError):
-        Point(0.0, 0.0).unit()
 
 
 def test_distance_known_value():
@@ -44,10 +19,6 @@ def test_lerp_endpoints_and_midpoint():
     assert lerp(a, b, 0.0) == a
     assert lerp(a, b, 1.0) == b
     assert lerp(a, b, 0.5) == Point(5, 10)
-
-
-def test_as_tuple():
-    assert Point(1.5, 2.5).as_tuple() == (1.5, 2.5)
 
 
 @given(points, points)

@@ -1,14 +1,14 @@
-"""``NetworkContext.is_head`` answers from the registry's allocator
-column; the agent's ``is_allocator()`` stays the authority.
+"""``NetworkContext.is_head`` answers from ``allocator_ids``, the set
+the agents write through to; the agent's ``is_allocator()`` stays the
+authority.
 
 Every ``is_head`` call of a seeded scenario is replayed against the
 old definition (registered agent, node in the topology and alive,
 ``agent.is_allocator()``), once per protocol and once for the
 duck-typed double of ``tests/net/test_context.py``.  A missed
 ``note_allocator`` write-through shows up as a disagreement at the
-first query that would have read the stale byte.  The same queries
-check ``AgentStore.allocator_ids``, the candidate set head scans probe
-before they ask ``is_head``, against the byte it mirrors.
+first query that would have read the stale set — the same set head
+scans probe before they ask ``is_head``.
 
 The two batched readers get the same treatment for ``quorum``, on the
 same scenario: at every rebuild ``component_entry`` must answer every
@@ -44,14 +44,8 @@ def checked_is_head(monkeypatch):
         expected = bool(agent is not None and node is not None
                         and node.alive and agent.is_allocator())
         assert answer == expected, (
-            f"t={ctx.sim.now}: column says {answer} for node {node_id}, "
+            f"t={ctx.sim.now}: the set says {answer} for node {node_id}, "
             f"{type(agent).__name__}.is_allocator() says {expected}")
-        store = ctx.agents
-        slot = store.slot_of.get(node_id)
-        flagged = slot is not None and bool(store.allocators[slot])
-        assert (node_id in store.allocator_ids) == flagged, (
-            f"t={ctx.sim.now}: candidate set and allocator byte "
-            f"({flagged}) disagree on node {node_id}")
         calls[0] += 1
         return answer
 
@@ -67,7 +61,7 @@ def checked_is_head(monkeypatch):
             for node_id in ctx.agents:
                 ctx.is_head(node_id)
             # Nobody outside the registry lingers in the set either.
-            assert ctx.agents.allocator_ids <= set(ctx.agents)
+            assert ctx.allocator_ids <= set(ctx.agents)
 
         PeriodicTimer(ctx.sim, 0.5, sweep).start()
         return ctx
@@ -115,7 +109,7 @@ def test_component_table_is_the_per_node_reference_at_every_rebuild(
         entry = one_pass_entry(ctx, node_id)
         # The lookup above forced any pending graph refresh, so this is
         # the key the table it answered from was built under.
-        key = (ctx.topology.graph_version, ctx.agents.role_epoch)
+        key = (ctx.topology.graph_version, ctx.role_epoch)
         if key not in checked_keys:
             checked_keys.add(key)
             assert_table_is_the_reference(
@@ -159,6 +153,4 @@ def test_column_agrees_for_the_duck_typed_double(checked_is_head):
     assert not ctx.is_head(1)
     head.node.alive = True
     assert ctx.is_head(1)
-    ctx.unregister(1)
-    assert not ctx.is_head(1)
-    assert checked_is_head[0] == 7
+    assert checked_is_head[0] == 6

@@ -1,5 +1,9 @@
 """Unit tests for the shared network context."""
 
+import re
+
+import pytest
+
 from repro.geometry import Point
 from repro.mobility.base import Stationary
 from repro.net import Node
@@ -24,9 +28,9 @@ class FakeAgent:
     @allocator.setter
     def allocator(self, value):
         # The write-through every agent type owes the registry:
-        # ``ctx.is_head`` answers from the allocator column alone.
+        # ``ctx.is_head`` answers from ``allocator_ids`` alone.
         self._allocator = value
-        self.ctx.agents.note_allocator(self.node.node_id, value)
+        self.ctx.note_allocator(self.node.node_id, value)
 
     def is_allocator(self):
         return self._allocator and self.node.alive
@@ -47,13 +51,22 @@ def add(ctx, node_id, allocator=False, configured=False, network_id=None,
     return FakeAgent(ctx, node, allocator, configured, network_id)
 
 
+def head_networks(ctx, node_id):
+    """Network ids that still have an allocator in the component."""
+    return ctx.component_entry(node_id)[1]
+
+
+def networks(ctx, node_id):
+    """Network ids of every configured node in the component."""
+    return ctx.component_entry(node_id)[2]
+
+
 def test_register_and_lookup():
     ctx = make_ctx()
     agent = add(ctx, 1)
     assert ctx.agent_of(1) is agent
     assert ctx.node_of(1) is agent.node
-    ctx.unregister(1)
-    assert ctx.agent_of(1) is None
+    assert ctx.agent_of(99) is None
 
 
 def test_ip_registry():
@@ -96,8 +109,8 @@ def test_component_heads_sorted_and_configured_only():
     add(ctx, 2, configured=True, network_id=7)
     add(ctx, 4, configured=False)  # unconfigured: invisible to the table
     assert ctx.component_heads(2) == (1, 3)
-    assert ctx.component_head_networks(2) == frozenset({7})
-    assert ctx.component_networks(2) == frozenset({7})
+    assert head_networks(ctx, 2) == frozenset({7})
+    assert networks(ctx, 2) == frozenset({7})
 
 
 def test_component_networks_include_commons_not_just_heads():
@@ -105,8 +118,8 @@ def test_component_networks_include_commons_not_just_heads():
     add(ctx, 1, allocator=True, configured=True, network_id=7)
     # A configured common carrying a foreign network id (mid-merge).
     add(ctx, 2, configured=True, network_id=9)
-    assert ctx.component_head_networks(1) == frozenset({7})
-    assert ctx.component_networks(1) == frozenset({7, 9})
+    assert head_networks(ctx, 1) == frozenset({7})
+    assert networks(ctx, 1) == frozenset({7, 9})
 
 
 def test_component_tables_are_per_component():
@@ -118,12 +131,12 @@ def test_component_tables_are_per_component():
     add(ctx, 12, configured=True, network_id=8, x=5100.0)
     assert ctx.component_heads(2) == (1,)
     assert ctx.component_heads(12) == (11,)
-    assert ctx.component_networks(2) == frozenset({7})
-    assert ctx.component_networks(12) == frozenset({8})
+    assert networks(ctx, 2) == frozenset({7})
+    assert networks(ctx, 12) == frozenset({8})
     # Unknown node: conservative empty answers.
     assert ctx.component_heads(99) == ()
-    assert ctx.component_head_networks(99) == frozenset()
-    assert ctx.component_networks(99) == frozenset()
+    assert head_networks(ctx, 99) == frozenset()
+    assert networks(ctx, 99) == frozenset()
 
 
 def test_component_tables_refresh_on_role_transition():
@@ -134,20 +147,20 @@ def test_component_tables_refresh_on_role_transition():
     # Demote the head through the write-through hook: the epoch bump
     # must invalidate the cached table without any clock advance.
     head.allocator = False
-    ctx.agents.note_role(1)
+    ctx.note_role(1)
     assert ctx.component_heads(2) == ()
-    assert ctx.component_head_networks(2) == frozenset()
+    assert head_networks(ctx, 2) == frozenset()
 
 
 def test_component_tables_refresh_on_network_transition():
     ctx = make_ctx()
     head = add(ctx, 1, allocator=True, configured=True, network_id=7)
     add(ctx, 2, configured=True, network_id=7)
-    assert ctx.component_head_networks(2) == frozenset({7})
+    assert head_networks(ctx, 2) == frozenset({7})
     head.network_id = 9
-    ctx.agents.note_network(1, 9)
-    assert ctx.component_head_networks(2) == frozenset({9})
-    assert ctx.component_networks(2) == frozenset({7, 9})
+    ctx.note_network(1)
+    assert head_networks(ctx, 2) == frozenset({9})
+    assert networks(ctx, 2) == frozenset({7, 9})
 
 
 def test_component_tables_refresh_on_topology_split():
@@ -172,7 +185,7 @@ def test_component_tables_refresh_on_head_state_transition():
     # Dropping head state without a role transition still goes through
     # the write-through hook, which must invalidate the cached table.
     head.allocator = False
-    ctx.agents.note_head_state(1)
+    ctx.note_head_state(1)
     assert ctx.component_heads(2) == ()
 
 
@@ -180,29 +193,29 @@ def test_component_tables_refresh_when_address_bound_ness_flips():
     ctx = make_ctx()
     add(ctx, 1, allocator=True, configured=True, network_id=7)
     agent = add(ctx, 2, configured=False, network_id=None)
-    assert ctx.component_networks(1) == frozenset({7})
+    assert networks(ctx, 1) == frozenset({7})
     # Binding an IP flips bound-ness, which versions the table.
     agent._configured = True
     agent.network_id = 9
     ctx.bind_ip(42, 2)
-    assert ctx.component_networks(1) == frozenset({7, 9})
+    assert networks(ctx, 1) == frozenset({7, 9})
     # Unbinding flips it back — again through the hook.
     agent._configured = False
     ctx.unbind_ip(42)
-    assert ctx.component_networks(1) == frozenset({7})
+    assert networks(ctx, 1) == frozenset({7})
 
 
 def test_rebinding_to_a_new_address_does_not_version_the_tables():
     ctx = make_ctx()
     add(ctx, 1, configured=True, network_id=7)
     ctx.bind_ip(42, 1)
-    epoch = ctx.agents.role_epoch
+    epoch = ctx.role_epoch
     # Same bound-ness, different address: configured-ness and head-ness
     # are unchanged, so the derived tables stay valid.
-    ctx.agents.note_address(1, 43)
-    assert ctx.agents.role_epoch == epoch
-    ctx.agents.note_address(1, None)
-    assert ctx.agents.role_epoch == epoch + 1
+    ctx.bind_ip(43, 1)
+    assert ctx.role_epoch == epoch
+    ctx.unbind_ip(43)
+    assert ctx.role_epoch == epoch + 1
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +254,7 @@ def assert_table_is_the_reference(ctx, component_entry=None):
     if component_entry is None:
         component_entry = ctx.component_entry
     table = reference_table(ctx)
-    for nid in ctx.agents.keys() + [99]:
+    for nid in list(ctx.agents) + [99]:
         want = table.get(ctx.topology.component_id(nid), NO_HEADS)
         assert component_entry(nid) == want, nid
 
@@ -250,7 +263,7 @@ def assert_rebuilt_table_is_the_reference(ctx):
     # ``note_network`` versions the table unconditionally: the next
     # lookup rebuilds it, whatever the hooks of the change under test
     # did or (liveness has none) did not do.
-    ctx.agents.note_network(0, None)
+    ctx.note_network(0)
     assert_table_is_the_reference(ctx)
 
 
@@ -266,7 +279,7 @@ def two_clusters(ctx):
     ]
     assert_table_is_the_reference(ctx)
     assert ctx.component_heads(3) == (1, 2)
-    assert ctx.component_networks(11) == frozenset({8, None})
+    assert networks(ctx, 11) == frozenset({8, None})
     return {agent.node.node_id: agent for agent in agents}
 
 
@@ -275,18 +288,18 @@ def test_table_asks_the_agent_not_the_address_column():
     agents = two_clusters(ctx)
     # After a re-found two networks hold address 0.  The registry is
     # keyed by ip alone, so when node 1 gives its address up the unbind
-    # resolves to node 3 — the last to bind it — and clears *its*
-    # column: node 1 keeps a bound column while unconfigured, node 3
-    # loses it while configured.
+    # resolves to node 3 — the last to bind it — and clears *it*:
+    # node 1 stays noted as bound while unconfigured, node 3 is not
+    # while configured.
     ctx.bind_ip(0, 1)
     ctx.bind_ip(0, 3)
     agents[1]._configured = False
     ctx.unbind_ip(0)
-    assert ctx.agents.address_of(1) == 0 and not ctx.is_configured(1)
-    assert ctx.agents.address_of(3) is None and ctx.is_configured(3)
+    assert ctx.bound_address_count() == 1
+    assert not ctx.is_configured(1) and ctx.is_configured(3)
     assert_table_is_the_reference(ctx)
     assert ctx.component_heads(4) == (2,)
-    assert ctx.component_networks(4) == frozenset({7, 9})
+    assert networks(ctx, 4) == frozenset({7, 9})
 
 
 def test_table_reads_liveness_live():
@@ -325,19 +338,68 @@ def test_table_skips_an_agent_whose_node_left_the_topology():
 def test_table_follows_a_reregistered_agent():
     ctx = make_ctx()
     agents = two_clusters(ctx)
-    # Same id, same slot: the replacement's columns start over.
+    # Same id, same place: what the context held about it starts over.
     FakeAgent(ctx, agents[1].node, allocator=False, configured=True,
               network_id=5)
     assert_table_is_the_reference(ctx)
     assert ctx.component_heads(3) == (2,)
-    assert ctx.component_networks(3) == frozenset({5, 7, 9})
-    # Unregistered first: a new slot, the old one a tombstone that
-    # still carries the id.
-    ctx.unregister(2)
-    assert_table_is_the_reference(ctx)
+    assert networks(ctx, 3) == frozenset({5, 7, 9})
     FakeAgent(ctx, agents[2].node, allocator=True, configured=True,
               network_id=5)
-    assert ctx.agents.ids.count(2) == 2
+    assert list(ctx.agents) == [1, 2, 3, 4, 11, 12]
     assert_table_is_the_reference(ctx)
     assert ctx.component_heads(3) == (2,)
-    assert ctx.component_head_networks(3) == frozenset({5})
+    assert head_networks(ctx, 3) == frozenset({5})
+
+
+# ---------------------------------------------------------------------------
+# role_epoch: which operations version the component table
+# ---------------------------------------------------------------------------
+# The number of table rebuilds is visible (``conn_label_hits``), so the
+# epoch must move at exactly these moments.  Each row starts from:
+# node 1 registered, an allocator, address 42 bound; node 2 registered,
+# nothing noted; node 99 never registered.
+ROLE_EPOCH_TABLE = [
+    ("register a new id", lambda ctx: add(ctx, 3), 1),
+    ("re-register an id",
+     lambda ctx: ctx.register(ctx.agents[1]), 1),
+    ("note_role, registered", lambda ctx: ctx.note_role(1), 1),
+    ("note_role, stranger", lambda ctx: ctx.note_role(99), 0),
+    ("note_network, registered", lambda ctx: ctx.note_network(1), 1),
+    ("note_network, stranger", lambda ctx: ctx.note_network(99), 1),
+    ("note_head_state, registered", lambda ctx: ctx.note_head_state(1), 1),
+    ("note_head_state, stranger", lambda ctx: ctx.note_head_state(99), 1),
+    ("note_allocator, flip off", lambda ctx: ctx.note_allocator(1, False), 1),
+    ("note_allocator, flip on", lambda ctx: ctx.note_allocator(2, True), 1),
+    ("note_allocator, same answer",
+     lambda ctx: ctx.note_allocator(1, True), 0),
+    ("note_allocator, stranger", lambda ctx: ctx.note_allocator(99, True), 0),
+    ("bind_ip, first address", lambda ctx: ctx.bind_ip(7, 2), 1),
+    ("bind_ip, second address of a bound id", lambda ctx: ctx.bind_ip(43, 1), 0),
+    ("bind_ip, stranger", lambda ctx: ctx.bind_ip(7, 99), 0),
+    ("unbind_ip, bound", lambda ctx: ctx.unbind_ip(42), 1),
+    ("unbind_ip, unknown address", lambda ctx: ctx.unbind_ip(7), 0),
+    # ip_registry is keyed by ip alone: after 2 binds 1's address too,
+    # the unbind names 2 — the last to bind it — whoever gave it up.
+    ("unbind_ip after another id bound the same address",
+     lambda ctx: (ctx.bind_ip(42, 2), ctx.unbind_ip(42)), 2),
+    ("unbind_ip again: the first binder stays noted",
+     lambda ctx: (ctx.bind_ip(42, 2), ctx.unbind_ip(42),
+                  ctx.unbind_ip(42)), 2),
+]
+
+
+@pytest.mark.parametrize(
+    "operation, bumps", [
+        pytest.param(op, bumps, id=re.sub(r"\W+", "-", name))
+        for name, op, bumps in ROLE_EPOCH_TABLE])
+def test_role_epoch_moves_exactly_when_the_table_could_change(
+        operation, bumps):
+    ctx = make_ctx()
+    add(ctx, 1, allocator=True)
+    add(ctx, 2)
+    ctx.bind_ip(42, 1)
+    epoch = ctx.role_epoch
+    operation(ctx)
+    assert ctx.role_epoch == epoch + bumps
+

@@ -24,21 +24,6 @@ def test_negative_hops_rejected():
         MessageStats().charge(Category.CONFIG, -1)
 
 
-def test_total_hops_excludes():
-    stats = MessageStats()
-    stats.charge(Category.CONFIG, 5)
-    stats.charge(Category.HELLO, 100)
-    assert stats.total_hops(exclude=[Category.HELLO]) == 5
-    assert stats.total_hops() == 105
-
-
-def test_total_hops_include_list():
-    stats = MessageStats()
-    stats.charge(Category.CONFIG, 5)
-    stats.charge(Category.DEPARTURE, 7)
-    assert stats.total_hops(include=[Category.DEPARTURE]) == 7
-
-
 def test_snapshot_covers_all_categories():
     stats = MessageStats()
     stats.charge(Category.MOVEMENT, 4)

@@ -161,10 +161,3 @@ def test_flood_fanout_shares_copies_per_hop_distance():
     assert m1 is not m3
     assert m1.hops == 1 and m3.hops == 2
     assert transport.perf.counters.get("msg_fanout_shared") == 1
-
-
-def test_message_reply_addressing():
-    msg = Message("REQ", src=1, dst=2, payload={"x": 1})
-    reply = msg.reply("RSP", {"y": 2})
-    assert reply.src == 2 and reply.dst == 1
-    assert reply.mtype == "RSP"

@@ -62,6 +62,20 @@ def test_late_series_are_zero_padded_to_t0():
     assert series["late"] == [0, 7]
 
 
+def test_a_tick_without_a_record_reads_zero_and_shifts_nothing():
+    # sample_gauges records role_<r> only on ticks where the role has a
+    # member; the tick it empties for must read 0, not be skipped.
+    recorder = MetricsRecorder()
+    for tick, members in enumerate([3, None, 2, None, None], start=1):
+        recorder._samples = tick
+        recorder.record("agents_live", 4)
+        if members is not None:
+            recorder.record("role_requesting", members)
+    series = recorder.series()
+    assert series["role_requesting"] == [3, 0, 2, 0, 0]
+    assert series["agents_live"] == [4, 4, 4, 4, 4]
+
+
 def test_series_output_is_name_sorted_and_copied():
     recorder = MetricsRecorder()
     recorder._samples = 1

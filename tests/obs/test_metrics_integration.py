@@ -3,7 +3,7 @@ cache-key neutrality and the JSONL export sink."""
 
 import json
 
-from repro.experiments.builder import paper_scenario
+from repro.experiments.scenario import Scenario
 from repro.experiments.runner import ScenarioRunner
 from repro.faults import FaultSpec
 from repro.experiments.sweep import (
@@ -23,7 +23,7 @@ from repro.obs import metric_names as mn
 
 def _metrics_run(num_nodes=25, seed=3, period=1.0, **overrides):
     overrides.setdefault("settle_time", 20.0)
-    scenario = paper_scenario(num_nodes=num_nodes, seed=seed, metrics=True,
+    scenario = Scenario(num_nodes=num_nodes, seed=seed, metrics=True,
                               metrics_period=period, **overrides)
     return ScenarioRunner(scenario).run()
 
@@ -60,24 +60,27 @@ def test_role_and_quorum_gauges_read_the_agents():
     series = result.obs_metrics
     assert series[mn.role_metric("head")][-1] == result.head_count
     assert series[mn.QDSET_SIZE_TOTAL][-1] == sum(result.qdset_sizes) > 0
-    # Every registered agent is counted under exactly one role per tick.
-    assert sum(sum(values) for name, values in series.items()
-               if name.startswith(mn.ROLE_PREFIX)) \
-        == sum(series[mn.AGENTS_LIVE])
+    # Every registered agent is counted under exactly one role at every
+    # tick — including the ticks a role (requesting, here) has emptied.
+    roles = [values for name, values in series.items()
+             if name.startswith(mn.ROLE_PREFIX)]
+    assert [sum(tick) for tick in zip(*roles)] == series[mn.AGENTS_LIVE]
+    requesting = series[mn.role_metric("requesting")]
+    first = next(i for i, count in enumerate(requesting) if count)
+    assert 0 in requesting[first:requesting.index(max(requesting))]
     # Lost votes keep allocator-side vote timers alive across a tick.
     assert max(series[mn.VOTE_TIMERS]) > 0
     assert series[mn.VOTE_TIMERS][-1] == 0
     # Agents without a role (every baseline) count under role_none.
-    scenario = paper_scenario(num_nodes=10, seed=1, settle_time=5.0,
-                              metrics=True)
+    scenario = Scenario(num_nodes=10, seed=1, settle_time=5.0, metrics=True)
     baseline = ScenarioRunner(scenario, "dad").run().obs_metrics
     assert baseline[mn.role_metric(None)] == baseline[mn.AGENTS_LIVE]
     assert max(baseline[mn.QDSET_SIZE_TOTAL]) == 0
 
 
 def test_metrics_do_not_perturb_the_run():
-    scenario_off = paper_scenario(num_nodes=25, seed=3, settle_time=20.0)
-    scenario_on = paper_scenario(num_nodes=25, seed=3, settle_time=20.0,
+    scenario_off = Scenario(num_nodes=25, seed=3, settle_time=20.0)
+    scenario_on = Scenario(num_nodes=25, seed=3, settle_time=20.0,
                                  metrics=True)
     off = ScenarioRunner(scenario_off).run().to_dict()
     on = ScenarioRunner(scenario_on).run().to_dict()
@@ -94,7 +97,7 @@ def test_identical_runs_produce_byte_identical_series():
 
 def test_serial_and_parallel_metrics_sweeps_agree_exactly():
     scenarios = [
-        paper_scenario(num_nodes=n, seed=s, settle_time=15.0, metrics=True)
+        Scenario(num_nodes=n, seed=s, settle_time=15.0, metrics=True)
         for n in (15, 20) for s in (1, 2)
     ]
     specs = expand_grid(["quorum"], scenarios)
@@ -104,11 +107,11 @@ def test_serial_and_parallel_metrics_sweeps_agree_exactly():
         assert json.dumps(left.to_dict(), sort_keys=True) == \
             json.dumps(right.to_dict(), sort_keys=True)
         assert left.obs_metrics
-    assert serial.obs_metric_totals() == parallel.obs_metric_totals()
+    assert serial.summary().to_json() == parallel.summary().to_json()
 
 
 def test_sweep_summary_folds_metrics_like_the_report():
-    scenarios = [paper_scenario(num_nodes=12, seed=s, settle_time=5.0,
+    scenarios = [Scenario(num_nodes=12, seed=s, settle_time=5.0,
                                 metrics=True) for s in (1, 2)]
     specs = expand_grid(["quorum"], scenarios)
     executor = SweepExecutor(workers=1)
@@ -120,22 +123,22 @@ def test_sweep_summary_folds_metrics_like_the_report():
     for result in report.results:
         expected = merge_series(expected, result.obs_metrics)
     assert summary.obs_metric_totals() == expected
-    assert report.obs_metric_totals() == expected
+    assert report.summary().obs_metric_totals() == expected
     assert summary.to_dict()["obs_metric_totals"] == expected
 
 
 def test_cache_keys_unchanged_when_metrics_are_off():
-    scenario = paper_scenario(num_nodes=20, seed=1)
+    scenario = Scenario(num_nodes=20, seed=1)
     spec = RunSpec("quorum", scenario)
     payload = spec.to_dict()["scenario"]
     assert "metrics" not in payload
     assert "metrics_period" not in payload
-    sampled = RunSpec("quorum", paper_scenario(num_nodes=20, seed=1,
+    sampled = RunSpec("quorum", Scenario(num_nodes=20, seed=1,
                                                metrics=True))
     assert sampled.to_dict()["scenario"]["metrics"] is True
     assert spec.key() != sampled.key()
     # Different cadences cache separately too (the series differ).
-    coarse = RunSpec("quorum", paper_scenario(num_nodes=20, seed=1,
+    coarse = RunSpec("quorum", Scenario(num_nodes=20, seed=1,
                                               metrics=True,
                                               metrics_period=5.0))
     assert sampled.key() != coarse.key()

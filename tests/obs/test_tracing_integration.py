@@ -3,7 +3,7 @@ cache-key neutrality and the JSONL export sink."""
 
 import json
 
-from repro.experiments.builder import paper_scenario
+from repro.experiments.scenario import Scenario
 from repro.experiments.runner import ScenarioRunner
 from repro.experiments.sweep import RunSpec, SweepExecutor, expand_grid
 from repro.faults import FaultSpec
@@ -18,7 +18,7 @@ from repro.quorum.voting import half_of, majority_threshold
 
 
 def _traced_run(num_nodes=25, seed=3, **overrides):
-    scenario = paper_scenario(num_nodes=num_nodes, seed=seed,
+    scenario = Scenario(num_nodes=num_nodes, seed=seed,
                               settle_time=20.0, trace=True, **overrides)
     runner = ScenarioRunner(scenario)
     result = runner.run()
@@ -92,8 +92,8 @@ def test_run_result_aggregates_histograms_and_outcomes():
 
 
 def test_tracing_does_not_perturb_the_run():
-    scenario_off = paper_scenario(num_nodes=25, seed=3, settle_time=20.0)
-    scenario_on = paper_scenario(num_nodes=25, seed=3, settle_time=20.0,
+    scenario_off = Scenario(num_nodes=25, seed=3, settle_time=20.0)
+    scenario_on = Scenario(num_nodes=25, seed=3, settle_time=20.0,
                                  trace=True)
     off = ScenarioRunner(scenario_off).run().to_dict()
     on = ScenarioRunner(scenario_on).run().to_dict()
@@ -104,7 +104,7 @@ def test_tracing_does_not_perturb_the_run():
 
 def test_serial_and_parallel_traced_sweeps_agree_exactly():
     scenarios = [
-        paper_scenario(num_nodes=n, seed=s, settle_time=15.0, trace=True,
+        Scenario(num_nodes=n, seed=s, settle_time=15.0, trace=True,
                        faults=FaultSpec(loss_rate=0.1))
         for n in (15, 20) for s in (1, 2)
     ]
@@ -114,16 +114,15 @@ def test_serial_and_parallel_traced_sweeps_agree_exactly():
     for left, right in zip(serial.results, parallel.results):
         assert json.dumps(left.to_dict(), sort_keys=True) == \
             json.dumps(right.to_dict(), sort_keys=True)
-    assert serial.obs_span_totals() == parallel.obs_span_totals()
-    assert serial.obs_histogram_totals() == parallel.obs_histogram_totals()
+    assert serial.summary().to_json() == parallel.summary().to_json()
 
 
 def test_cache_keys_unchanged_when_tracing_is_off():
-    scenario = paper_scenario(num_nodes=20, seed=1)
+    scenario = Scenario(num_nodes=20, seed=1)
     spec = RunSpec("quorum", scenario)
     assert "trace" not in spec.to_dict()["scenario"]
     # The key matches the hash of the pre-observability spec layout.
-    traced = RunSpec("quorum", paper_scenario(num_nodes=20, seed=1,
+    traced = RunSpec("quorum", Scenario(num_nodes=20, seed=1,
                                               trace=True))
     assert traced.to_dict()["scenario"]["trace"] is True
     assert spec.key() != traced.key()
