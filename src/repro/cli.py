@@ -7,7 +7,7 @@ Subcommands::
     python -m repro figure   fig05 --workers 4  # any figNN or table1
     python -m repro sweep    --protocols quorum manetconf --nodes 50 100
     python -m repro layout   --nodes 100      # Fig. 4-style ASCII map
-    python -m repro lint     --strict         # static invariant checks
+    python -m repro lint     --out F.json     # static invariant checks
     python -m repro trace    --nodes 30 --seed 1 --format spans
     python -m repro metrics  --nodes 30 --seed 1 --format spark
 
@@ -189,7 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
     sw_p.add_argument("--settle", type=float, default=30.0)
     sw_p.add_argument("--workers", type=int, default=None,
                       help="worker processes (default: REPRO_SWEEP_WORKERS "
-                           "or os.cpu_count(); 1 = serial)")
+                           "or os.cpu_count(); 1 = serial; "
+                           "0 = os.cpu_count())")
     sw_p.add_argument("--cache", default=None, metavar="DIR",
                       help="cache run results under DIR")
     sw_p.add_argument("--out", default=None, metavar="FILE",
@@ -271,6 +272,18 @@ def _checked(build: Callable[..., T], *args: Any, **kwargs: Any) -> T:
     except ValueError as exc:
         print(f"repro: error: {exc}", file=sys.stderr)
         raise SystemExit(2) from None
+
+
+def worker_count(workers: Optional[int]) -> Optional[int]:
+    """``--workers`` as ``figure`` and ``sweep`` read it: ``None`` leaves
+    the subcommand's default, ``0`` means every core, and a negative
+    count is refused."""
+    if workers is not None and workers < 0:
+        raise ValueError(f"--workers must be >= 0 (0 = every core), "
+                         f"got {workers}")
+    if workers == 0:
+        return os.cpu_count() or 1
+    return workers
 
 
 def scenario_defaults(args: argparse.Namespace) -> Dict[str, Any]:
@@ -382,15 +395,14 @@ def _note_export(args: argparse.Namespace, executor: SweepExecutor,
 
 def _figure_executor(args: argparse.Namespace) -> SweepExecutor:
     """The executor ``--workers`` / ``--cache`` ask for."""
+    workers = _checked(worker_count, args.workers)
     if args.trace_out or args.metrics_out:
         executor = SweepExecutor(workers=1, cache_dir=args.cache)
-        _note_export(args, executor, args.workers not in (None, 1))
+        _note_export(args, executor, workers not in (None, 1))
         return executor
-    if args.workers is None and args.cache is None:
+    if workers is None and args.cache is None:
         return default_executor()  # env-configured, else serial
-    workers = 1 if args.workers is None else args.workers
-    return SweepExecutor(workers=workers or os.cpu_count() or 1,
-                         cache_dir=args.cache)
+    return SweepExecutor(workers=workers or 1, cache_dir=args.cache)
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
@@ -412,6 +424,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    workers = _checked(worker_count, args.workers)
     seeds = (tuple(args.seeds) if args.seeds is not None
              else derive_seeds(args.master_seed, args.replicates))
     defaults = scenario_defaults(args)
@@ -430,10 +443,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     exporting = bool(args.trace_out or args.metrics_out)
     executor = SweepExecutor(
-        workers=1 if exporting else args.workers,
+        workers=1 if exporting else workers,
         cache_dir=args.cache, progress=progress)
     if exporting:
-        _note_export(args, executor, args.workers != 1)
+        _note_export(args, executor, workers != 1)
 
     # Stream cells instead of materializing a SweepReport: rows and the
     # summary fold incrementally, so a large grid never holds every

@@ -1,8 +1,9 @@
-"""File discovery, rule execution and report rendering.
+"""File discovery, the one lint pass, and report rendering.
 
 The engine walks ``.py`` files, infers each file's dotted module name
-(so rules can scope themselves to packages), runs the active rules,
-filters suppressed findings, and renders text or JSON.
+(so rules can scope themselves to packages), parses every file once
+into a :class:`~repro.lint.project.ProjectGraph`, runs the active rules
+over it, and renders text or JSON.
 """
 
 from __future__ import annotations
@@ -13,11 +14,11 @@ from collections import Counter
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.lint.core import FileContext, Finding, Rule, Severity
-from repro.lint.project import ProjectGraph, ProjectRule
-from repro.lint.rules import AnyRule, resolve_rules
+from repro.lint.core import FileContext, Finding
+from repro.lint.project import ProjectGraph
+from repro.lint.rules import resolve_rules
 
-JSON_SCHEMA_VERSION = 2
+JSON_SCHEMA_VERSION = 3
 
 
 def module_name_for(path: Path) -> Optional[str]:
@@ -79,18 +80,11 @@ class LintReport:
     def counts_by_rule(self) -> Dict[str, int]:
         return dict(Counter(f.rule for f in self.findings))
 
-    def has_errors(self) -> bool:
-        return any(f.severity is Severity.ERROR for f in self.findings)
-
-    def exit_code(self, strict: bool = False) -> int:
-        """0 clean, 1 findings (warnings only fail under ``strict``)."""
+    def exit_code(self) -> int:
+        """0 clean, 1 findings, 2 files that do not parse."""
         if self.parse_errors:
             return 2
-        if self.has_errors():
-            return 1
-        if strict and self.findings:
-            return 1
-        return 0
+        return 1 if self.findings else 0
 
     # -- rendering -----------------------------------------------------
     def to_json(self) -> Dict[str, object]:
@@ -98,7 +92,7 @@ class LintReport:
             "schema": JSON_SCHEMA_VERSION,
             "rules": list(self.rule_names),
             "files_scanned": self.files_scanned,
-            "findings": [f.to_json() for f in self.findings],
+            "findings": [dataclasses.asdict(f) for f in self.findings],
             "counts": self.counts_by_rule(),
             "parse_errors": list(self.parse_errors),
         }
@@ -121,89 +115,44 @@ class LintReport:
 
 def parse_context(path: Path,
                   root: Optional[Path] = None) -> FileContext:
-    """Parse one file into the :class:`FileContext` both passes share."""
+    """Parse one file into the :class:`FileContext` the rules read."""
     source = path.read_text(encoding="utf-8")
-    tree = ast.parse(source, filename=str(path))
     return FileContext(
-        path=path,
         relpath=_relpath(path, root),
         module=module_name_for(path),
-        source=source,
-        tree=tree,
+        tree=ast.parse(source, filename=str(path)),
+        lines=source.splitlines(),
     )
-
-
-def check_context(ctx: FileContext,
-                  rules: Sequence[Rule]) -> List[Finding]:
-    """Run per-file ``rules`` over a parsed file (suppressions applied)."""
-    findings: List[Finding] = []
-    for rule in rules:
-        if not rule.applies(ctx):
-            continue
-        for finding in rule.check(ctx):
-            if not ctx.suppressed(finding.rule, finding.line):
-                findings.append(finding)
-    return findings
-
-
-def lint_file(path: Path, rules: Sequence[Rule],
-              root: Optional[Path] = None) -> List[Finding]:
-    """Run per-file ``rules`` over one file (suppressions applied)."""
-    return check_context(parse_context(path, root=root), rules)
 
 
 def run_lint(paths: Sequence[Path],
              select: Optional[Set[str]] = None,
              ignore: Optional[Set[str]] = None,
-             rules: Optional[Sequence[AnyRule]] = None,
-             root: Optional[Path] = None,
-             project: bool = True) -> LintReport:
+             root: Optional[Path] = None) -> LintReport:
     """Lint ``paths`` and return a :class:`LintReport`.
 
-    Files are parsed once; the per-file rules see each
-    :class:`FileContext` in isolation, then the whole-program rules see
-    all of them at once through a :class:`ProjectGraph` (two-pass
-    collect-then-check).  Suppression directives apply identically to
-    both passes — a project finding anchors to a concrete file/line.
+    Files are parsed once into one :class:`ProjectGraph`, and every
+    active rule runs over it.
 
     Args:
         paths: files and/or directories to scan.
         select: restrict to these rule names (default: all).
         ignore: drop these rule names from the active set.
-        rules: explicit rule objects (overrides select/ignore).
         root: paths in findings are rendered relative to this directory
             (default: the current working directory).
-        project: run the whole-program pass (``--no-project`` in the
-            CLI turns this off for fast single-file iteration).
     """
-    if rules is None:
-        rules = resolve_rules(select=select, ignore=ignore, project=project)
-    file_rules = [r for r in rules if isinstance(r, Rule)]
-    project_rules = [r for r in rules if isinstance(r, ProjectRule)]
-    if not project:
-        project_rules = []
+    rules = resolve_rules(select=select, ignore=ignore)
     files = iter_python_files([Path(p) for p in paths])
     contexts: List[FileContext] = []
-    findings: List[Finding] = []
     parse_errors: List[str] = []
     for path in files:
         try:
-            ctx = parse_context(path, root=root)
+            contexts.append(parse_context(path, root=root))
         except SyntaxError as exc:
             parse_errors.append(f"{_relpath(path, root)}: {exc.msg} "
                                 f"(line {exc.lineno})")
-            continue
-        contexts.append(ctx)
-        findings.extend(check_context(ctx, file_rules))
-    if project_rules and contexts:
-        graph = ProjectGraph(contexts)
-        for rule in project_rules:
-            for finding in rule.check_project(graph):
-                ctx_for = graph.context_for(finding.path)
-                if ctx_for is not None and ctx_for.suppressed(
-                        finding.rule, finding.line):
-                    continue
-                findings.append(finding)
+    graph = ProjectGraph(contexts)
+    findings = [finding for rule in rules for finding in rule.check(graph)]
     findings.sort(key=Finding.sort_key)
     return LintReport(
         findings=tuple(findings),
@@ -211,4 +160,3 @@ def run_lint(paths: Sequence[Path],
         rule_names=tuple(rule.name for rule in rules),
         parse_errors=tuple(parse_errors),
     )
-

@@ -1,22 +1,15 @@
-"""Whole-program analysis: module graph, symbol tables, call edges.
+"""Whole-program analysis: modules, classes, methods and import edges.
 
-The per-file pass (:mod:`repro.lint.core`) sees one AST at a time, so
-invariants that *span* modules — an RNG stream created in one subsystem
-and consumed in another, a protocol terminal path whose obs event is
-emitted by a helper two calls away, an import cycle — are invisible to
-it.  This module adds the second pass:
-
-* :class:`ProjectGraph` is built once per lint run from every parsed
-  :class:`~repro.lint.core.FileContext`.  It holds, per module, an
-  import table (aliases, ``from``-imports, top-level vs lazy vs
-  ``TYPE_CHECKING``-gated edges), a symbol table of top-level
-  functions/classes/string constants, and a call-graph approximation
-  (resolved module-level call targets plus ``self.method`` edges).
-
-* :class:`ProjectRule` is the two-pass rule API: ``check_project``
-  receives the whole graph instead of one file.  Findings anchor to a
-  concrete file/line through :meth:`ProjectGraph.finding`, so the
-  existing ``# repro-lint: disable=`` suppressions apply unchanged.
+A rule that looks at one file at a time cannot see invariants that
+*span* modules — an RNG stream created in one subsystem and consumed
+in another, a protocol terminal path whose obs event is emitted by a
+helper two calls away, an import cycle.  :class:`ProjectGraph` is built
+once per lint run from every parsed
+:class:`~repro.lint.core.FileContext` and is what every rule receives:
+``files`` for rules that walk the parsed files themselves, ``modules``
+for the cross-linked view — per ``repro`` module a symbol table of
+top-level functions/classes/assignments, and ``self.method`` call
+edges.
 
 Resolution is deliberately *syntactic and over-approximate*: ``import``
 aliases and ``from``-imports are followed, attribute chains rooted at a
@@ -29,11 +22,10 @@ tolerate a missing edge, never crash on one.
 
 from __future__ import annotations
 
-import abc
 import ast
-from typing import (Dict, Iterator, List, Optional, Sequence, Set, Tuple)
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.lint.core import FileContext, Finding, Severity
+from repro.lint.core import FileContext, dotted_source
 
 
 def package_of(module: str) -> str:
@@ -43,72 +35,20 @@ def package_of(module: str) -> str:
     return ".".join(parts[:2]) if len(parts) >= 2 else module
 
 
-class ImportTable:
-    """Where each local name in a module comes from.
-
-    ``modules`` maps an alias to the module it names (``import
-    repro.core.messages as m`` -> ``{"m": "repro.core.messages"}``);
-    ``names`` maps a ``from``-imported local name to its dotted origin
-    (``from repro.net.message import Message`` ->
-    ``{"Message": "repro.net.message.Message"}``).  ``top_level`` maps
-    each module imported at module scope (outside ``TYPE_CHECKING``)
-    to the line of its first import — these are the edges that exist at
-    runtime and feed cycle/layering analysis.
-    """
-
-    def __init__(self) -> None:
-        self.modules: Dict[str, str] = {}
-        self.names: Dict[str, str] = {}
-        self.top_level: Dict[str, int] = {}
-        self.type_checking: Set[str] = set()
-        self.lazy: Set[str] = set()
-
-    def _record_edge(self, module: str, lineno: int,
-                     scope: str) -> None:
-        if scope == "top":
-            self.top_level.setdefault(module, lineno)
-        elif scope == "type_checking":
-            self.type_checking.add(module)
-        else:
-            self.lazy.add(module)
-
-    def resolve(self, dotted: str) -> Optional[str]:
-        """Resolve a local dotted reference to its import origin.
-
-        ``m.COM_REQ`` (with ``import repro.core.messages as m``) ->
-        ``repro.core.messages.COM_REQ``; a plain ``from``-imported name
-        resolves through ``names``.  Returns ``None`` for names this
-        module does not import.
-        """
-        head, _, rest = dotted.partition(".")
-        if head in self.names:
-            origin = self.names[head]
-            return f"{origin}.{rest}" if rest else origin
-        # Longest alias match first: ``import a.b`` binds ``a``, but a
-        # reference ``a.b.c`` should resolve against ``a.b`` when both
-        # are imported.
-        parts = dotted.split(".")
-        for cut in range(len(parts), 0, -1):
-            alias = ".".join(parts[:cut])
-            if alias in self.modules:
-                tail = ".".join(parts[cut:])
-                base = self.modules[alias]
-                return f"{base}.{tail}" if tail else base
-        return None
-
-
 class FunctionInfo:
-    """One function or method: its AST plus approximate call edges."""
+    """One function or method: its AST and the methods it invokes as
+    ``self.<name>(...)``."""
 
-    def __init__(self, qualname: str, node: ast.AST,
-                 class_name: Optional[str] = None) -> None:
-        self.qualname = qualname
+    def __init__(self, node: ast.AST) -> None:
         self.node = node
-        self.class_name = class_name
-        #: methods invoked as ``self.<name>(...)``
         self.self_calls: Set[str] = set()
-        #: resolved dotted call targets (imported or module-local)
-        self.calls: Set[str] = set()
+        for call in ast.walk(node):
+            if not (isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Attribute)):
+                continue
+            head, _, rest = (dotted_source(call.func) or "").partition(".")
+            if head == "self" and rest and "." not in rest:
+                self.self_calls.add(rest)
 
 
 class ClassInfo:
@@ -124,12 +64,12 @@ class ClassInfo:
 
 
 class ModuleInfo:
-    """Symbol table and import table for one scanned module."""
+    """Symbol table of one scanned ``repro`` module."""
 
     def __init__(self, name: str, ctx: FileContext) -> None:
         self.name = name
         self.ctx = ctx
-        self.imports = ImportTable()
+        self.imports = ctx.imports
         self.functions: Dict[str, FunctionInfo] = {}
         self.classes: Dict[str, ClassInfo] = {}
         #: top-level ``NAME = <expr>`` assignments, and the string
@@ -160,36 +100,29 @@ class ModuleInfo:
 
     def resolve_call(self, func: ast.AST) -> Optional[str]:
         """Resolve a ``Call.func`` node to a dotted target, if possible."""
-        dotted = _dotted_source(func)
+        dotted = dotted_source(func)
         if dotted is None:
             return None
         return self.resolve(dotted)
 
     # -- construction ---------------------------------------------------
     def _collect(self) -> None:
-        body = self.ctx.tree.body
-        self._walk_imports(body, "top")
-        for stmt in body:
+        for stmt in self.ctx.tree.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                info = FunctionInfo(stmt.name, stmt)
-                _collect_calls(stmt, info, self.imports, self.name)
-                self.functions[stmt.name] = info
+                self.functions[stmt.name] = FunctionInfo(stmt)
             elif isinstance(stmt, ast.ClassDef):
                 cls = ClassInfo(stmt.name, stmt)
                 for base in stmt.bases:
-                    dotted = _dotted_source(base)
+                    dotted = dotted_source(base)
                     if dotted is None:
                         continue
                     cls.bases.append(self.resolve(dotted) or dotted)
                 for item in stmt.body:
                     if isinstance(item,
                                   (ast.FunctionDef, ast.AsyncFunctionDef)):
-                        qual = f"{stmt.name}.{item.name}"
-                        info = FunctionInfo(qual, item,
-                                            class_name=stmt.name)
-                        _collect_calls(item, info, self.imports, self.name)
+                        info = FunctionInfo(item)
                         cls.methods[item.name] = info
-                        self.functions[qual] = info
+                        self.functions[f"{stmt.name}.{item.name}"] = info
                     elif isinstance(item, ast.Assign):
                         # ``_handle_ch_nack = _handle_com_nack`` style
                         # method aliases: point the alias at the
@@ -212,112 +145,15 @@ class ModuleInfo:
                             and isinstance(stmt.value.value, str)):
                         self.constants[targets[0].id] = stmt.value.value
 
-    def _walk_imports(self, body: Sequence[ast.stmt], scope: str) -> None:
-        for stmt in body:
-            if isinstance(stmt, ast.Import):
-                for alias in stmt.names:
-                    if alias.asname:
-                        # ``import a.b as m`` binds ``m`` -> ``a.b``.
-                        self.imports.modules[alias.asname] = alias.name
-                    else:
-                        # ``import a.b`` binds ``a``; record the full
-                        # path too so ``a.b.c`` references resolve.
-                        head = alias.name.partition(".")[0]
-                        self.imports.modules.setdefault(head, head)
-                        self.imports.modules.setdefault(alias.name,
-                                                        alias.name)
-                    self.imports._record_edge(alias.name, stmt.lineno,
-                                              scope)
-            elif isinstance(stmt, ast.ImportFrom):
-                module = self._from_module(stmt)
-                if module is None:
-                    continue
-                self.imports._record_edge(module, stmt.lineno, scope)
-                for alias in stmt.names:
-                    if alias.name == "*":
-                        continue
-                    self.imports.names[alias.asname or alias.name] = (
-                        f"{module}.{alias.name}")
-            elif isinstance(stmt, ast.If):
-                branch_scope = scope
-                if scope == "top" and _is_type_checking(stmt.test):
-                    branch_scope = "type_checking"
-                self._walk_imports(stmt.body, branch_scope)
-                self._walk_imports(stmt.orelse, scope)
-            elif isinstance(stmt, (ast.Try, ast.With)):
-                blocks: List[Sequence[ast.stmt]] = [stmt.body]
-                if isinstance(stmt, ast.Try):
-                    blocks += [h.body for h in stmt.handlers]
-                    blocks += [stmt.orelse, stmt.finalbody]
-                for block in blocks:
-                    self._walk_imports(block, scope)
-            elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self._walk_imports(stmt.body, "lazy")
-            elif isinstance(stmt, ast.ClassDef):
-                self._walk_imports(stmt.body, scope)
-
-    def _from_module(self, stmt: ast.ImportFrom) -> Optional[str]:
-        if not stmt.level:
-            return stmt.module
-        # Relative import: resolve against this module's package path.
-        parts = self.name.split(".")
-        anchor = parts[:-stmt.level] if len(parts) >= stmt.level else []
-        if not anchor:
-            return stmt.module
-        if stmt.module:
-            return ".".join(anchor + [stmt.module])
-        return ".".join(anchor)
-
-
-def _dotted_source(node: ast.AST) -> Optional[str]:
-    """``a.b.c`` for a Name/Attribute chain, else ``None``."""
-    parts: List[str] = []
-    cursor = node
-    while isinstance(cursor, ast.Attribute):
-        parts.append(cursor.attr)
-        cursor = cursor.value
-    if not isinstance(cursor, ast.Name):
-        return None
-    parts.append(cursor.id)
-    return ".".join(reversed(parts))
-
-
-def _is_type_checking(test: ast.AST) -> bool:
-    dotted = _dotted_source(test)
-    return dotted in ("TYPE_CHECKING", "typing.TYPE_CHECKING")
-
-
-def _collect_calls(func: ast.AST, info: FunctionInfo,
-                   imports: ImportTable, module: str) -> None:
-    for node in ast.walk(func):
-        if not isinstance(node, ast.Call):
-            continue
-        target = node.func
-        if isinstance(target, ast.Attribute):
-            dotted = _dotted_source(target)
-            if dotted is None:
-                continue
-            head, _, rest = dotted.partition(".")
-            if head == "self" and rest and "." not in rest:
-                info.self_calls.add(rest)
-                continue
-            resolved = imports.resolve(dotted)
-            if resolved is not None:
-                info.calls.add(resolved)
-        elif isinstance(target, ast.Name):
-            resolved = imports.resolve(target.id)
-            info.calls.add(resolved if resolved is not None
-                           else f"{module}.{target.id}")
-
 
 class ProjectGraph:
-    """The whole-program view: every scanned module, cross-linked."""
+    """The whole-program view: every scanned file, and every ``repro``
+    module among them cross-linked."""
 
     def __init__(self, contexts: Sequence[FileContext]) -> None:
+        self.files: List[FileContext] = list(contexts)
         self.modules: Dict[str, ModuleInfo] = {}
-        self._by_relpath: Dict[str, FileContext] = {}
-        for ctx in contexts:
-            self._by_relpath[ctx.relpath] = ctx
+        for ctx in self.files:
             if ctx.module is None:
                 continue
             # First spelling wins on duplicate module names (e.g. the
@@ -327,12 +163,6 @@ class ProjectGraph:
     # -- lookups --------------------------------------------------------
     def module(self, name: str) -> Optional[ModuleInfo]:
         return self.modules.get(name)
-
-    def context_for(self, relpath: str) -> Optional[FileContext]:
-        return self._by_relpath.get(relpath)
-
-    def packages(self) -> Set[str]:
-        return {mod.package for mod in self.modules.values()}
 
     def module_of_target(self, dotted: str) -> Optional[ModuleInfo]:
         """The scanned module that defines ``dotted`` (longest prefix)."""
@@ -355,32 +185,14 @@ class ProjectGraph:
             return None
         return mod, cls
 
-    # -- import edges ---------------------------------------------------
-    def import_edges(
-            self, *, include_type_checking: bool = False,
-            include_lazy: bool = False,
-    ) -> Iterator[Tuple[str, str, int]]:
-        """Yield ``(importer, imported, lineno)`` for ``repro.*`` edges.
-
-        Only modules under the ``repro`` namespace appear on either
-        side; stdlib and third-party imports are not project edges.
-        By default only *runtime, module-scope* imports are edges —
-        ``TYPE_CHECKING``-gated and function-scoped imports are erased
-        or deferred at runtime and are opt-in.
-        """
+    def import_edges(self) -> Iterator[Tuple[str, str, int]]:
+        """Yield ``(importer, imported, lineno)`` for every runtime,
+        module-scope import between ``repro`` modules (stdlib and
+        third-party imports are not project edges)."""
         for mod in self.modules.values():
-            table = mod.imports
-            for target, lineno in sorted(table.top_level.items()):
-                if _is_repro(target):
+            for target, lineno in sorted(mod.imports.top_level.items()):
+                if target == "repro" or target.startswith("repro."):
                     yield mod.name, target, lineno
-            if include_type_checking:
-                for target in sorted(table.type_checking):
-                    if _is_repro(target):
-                        yield mod.name, target, 1
-            if include_lazy:
-                for target in sorted(table.lazy):
-                    if _is_repro(target):
-                        yield mod.name, target, 1
 
     # -- method resolution over mix-in composition ----------------------
     def method_lookup(
@@ -405,34 +217,6 @@ class ProjectGraph:
             if found is not None:
                 return found
         return None
-
-    # -- finding construction -------------------------------------------
-    def finding(self, rule: "ProjectRule", mod: ModuleInfo,
-                node: ast.AST, message: str) -> Finding:
-        return mod.ctx.finding(rule, node, message)
-
-
-def _is_repro(module: str) -> bool:
-    return module == "repro" or module.startswith("repro.")
-
-
-class ProjectRule(abc.ABC):
-    """One named invariant checked over the whole project graph.
-
-    The counterpart of :class:`~repro.lint.core.Rule` for the second
-    pass: ``check_project`` sees every module at once.  Findings must
-    anchor to real file/line locations (via :meth:`ProjectGraph.finding`
-    or ``ModuleInfo.ctx.finding``) so suppression directives and
-    baselines behave identically for both rule kinds.
-    """
-
-    name: str = ""
-    description: str = ""
-    severity: Severity = Severity.ERROR
-
-    @abc.abstractmethod
-    def check_project(self, graph: ProjectGraph) -> Iterator[Finding]:
-        raise NotImplementedError
 
 
 def strongly_connected_components(

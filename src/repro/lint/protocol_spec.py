@@ -1,8 +1,8 @@
 """The machine-readable conformance spec of the cross-module rules.
 
 This module is pure data: the declarative statement of what the
-implementation is *allowed* to do, checked by the whole-program lint
-rules (:mod:`repro.lint.project_rules`).
+implementation is *allowed* to do, checked by the lint rules
+(:mod:`repro.lint.rules`).
 
 The protocol's **state machine** — for each message, the types its
 handler may emit — is *not* here: it is ``TABLE`` in

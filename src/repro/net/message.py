@@ -9,8 +9,8 @@ exist.
 stamps routing fields (``src``/``dst``/``hops``/``sent_at``) by
 building amended copies with :func:`dataclasses.replace`, never by
 mutating a message a sender still holds.  That is what makes fan-out
-deliveries safe to share between receivers and is machine-checked by
-the ``frozen-message`` lint rule (``repro lint``).
+deliveries safe to share between receivers, and
+``tests/net/test_value_objects.py`` checks it on the class as built.
 """
 
 from __future__ import annotations

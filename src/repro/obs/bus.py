@@ -12,7 +12,7 @@ so a run with tracing disabled allocates nothing and branches once per
 would-be event — the zero-overhead guarantee
 ``tests/obs/test_tracing_integration.py`` pins down.  Emission never touches perf counters or RNG streams, and
 correlation ids come from a plain monotonic counter (never ``uuid`` or
-wall clock; the ``frozen-event`` lint rule enforces the ban), so
+wall clock; the ``determinism`` lint rule enforces the ban), so
 enabling tracing cannot perturb protocol behavior and identical seeded
 runs emit byte-identical streams.
 """

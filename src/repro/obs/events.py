@@ -1,7 +1,8 @@
 """Typed protocol events (the observability vocabulary).
 
-Every event is a frozen, slotted dataclass (machine-checked by the
-``frozen-event`` lint rule) sharing three leading fields:
+Every event is a frozen, slotted, picklable dataclass (checked on the
+classes as built by ``tests/net/test_value_objects.py``) sharing three
+leading fields:
 
 * ``time`` — simulation time the event occurred;
 * ``node`` — the node id that emitted it;

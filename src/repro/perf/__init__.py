@@ -61,11 +61,6 @@ class Counters:
         # not materialize a zero entry in the reporting snapshot.
         return self._counts.get(name, 0)
 
-    def merge(self, other: "Counters") -> None:
-        """Fold another counter set into this one (sharded workers)."""
-        for name, value in other._counts.items():
-            self._counts[name] += value
-
     def snapshot(self) -> Dict[str, int]:
         """``{name: count}`` for every counter ever touched."""
         return dict(self._counts)
@@ -179,15 +174,6 @@ class PerfRecorder:
         """Sorted ``{name: {"calls": n, "total_s": s}}``."""
         return {name: stat.as_dict()
                 for name, stat in sorted(self._timers.items())}
-
-    # ------------------------------------------------------------------
-    def merge(self, other: "PerfRecorder") -> None:
-        """Fold another recorder's counters and timings into this one."""
-        self.counters.merge(other.counters)
-        for name, stat in other._timers.items():
-            mine = self.timer(name)
-            mine.calls += stat.calls
-            mine.total_s += stat.total_s
 
     def __repr__(self) -> str:
         return (f"PerfRecorder(counters={self.counters!r}, "

@@ -24,8 +24,9 @@ def majority_threshold(total: int) -> int:
     The one place the paper's Section II-C write condition is turned
     into arithmetic: ``floor(v/2) + 1``.  With an odd universe this is
     ``(v+1)/2``; with an even universe a bare half does *not* qualify
-    (two disjoint halves could otherwise both proceed).  The
-    ``quorum-arith`` lint rule keeps callers from re-deriving it inline.
+    (two disjoint halves could otherwise both proceed).
+    ``tests/lint/test_timer_and_quorum_literals.py`` keeps callers from
+    re-deriving it inline.
     """
     return total // 2 + 1
 

@@ -27,7 +27,7 @@ def generator_from_seed(seed: int) -> random.Random:
     generator outside the :class:`RandomStreams` registry (e.g. the
     perf ledger's population builders, whose layouts are keyed by the
     literal seed).  Centralizing construction here is what lets the
-    ``rng-stream`` lint rule guarantee no ad-hoc generators exist
+    ``determinism`` lint rule guarantee no ad-hoc generators exist
     anywhere else in the runtime.
     """
     return random.Random(seed)
@@ -73,22 +73,3 @@ class RandomStreams:
             stream = random.Random(derive_seed(self.master_seed, name))
             self._streams[name] = stream
         return stream
-
-    def fork(self, name: str) -> "RandomStreams":
-        """Create a child registry with a seed derived from ``name``.
-
-        Useful for spawning per-run registries inside a sweep so that each
-        run is independent but the sweep as a whole stays reproducible.
-        """
-        return RandomStreams(derive_seed(self.master_seed, name))
-
-    def spawn(self, *parts: object) -> "RandomStreams":
-        """Create a child registry keyed by a structured path.
-
-        The structured equivalent of :meth:`fork`:
-        ``streams.spawn("fig05", "quorum", 3)`` always yields the same
-        child no matter which worker asks for it or in what order, which
-        is what lets :mod:`repro.experiments.sweep` run cells of a
-        parameter grid in parallel without perturbing their randomness.
-        """
-        return RandomStreams(spawn_key(self.master_seed, *parts))

@@ -1,8 +1,10 @@
 """CLI smoke and behavior tests."""
 
+import os
+
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _figure_executor, build_parser, main
 
 
 def test_parser_requires_command():
@@ -82,6 +84,15 @@ def test_sweep_runs_grid_and_reports_stats(capsys, tmp_path):
     assert "(100 % cached)" in out
 
 
+def test_workers_zero_means_every_core(capsys):
+    # One cell never starts a process pool, whatever the count.
+    assert main(["sweep", "--nodes", "10", "--seeds", "1", "--speed", "0",
+                 "--settle", "5", "--workers", "0"]) == 0
+    assert f"workers={os.cpu_count()}" in capsys.readouterr().out
+    args = build_parser().parse_args(["figure", "fig05", "--workers", "0"])
+    assert _figure_executor(args).workers == os.cpu_count()
+
+
 def test_run_with_faults_reports_fault_activity(capsys):
     code = main(["run", "--nodes", "15", "--settle", "10",
                  "--faults", "loss=0.3,crash=3@10-30"])
@@ -90,22 +101,31 @@ def test_run_with_faults_reports_fault_activity(capsys):
     assert "event: fault_crashes" in out
 
 
-@pytest.mark.parametrize("flags, named", [
-    pytest.param(["--nodes", "0"], "num_nodes", id="nodes"),
-    pytest.param(["--depart", "1.5"], "depart_fraction", id="depart"),
-    pytest.param(["--faults", "loss=2"], "loss_rate", id="faults-value"),
-    pytest.param(["--faults", "chaos=1"], "unknown fault spec key 'chaos'",
-                 id="faults-key"),
-    pytest.param(["--tr", "-1"], "transmission_range", id="tr"),
-    pytest.param(["--metrics-period", "0"], "metrics_period",
+RUN = ["run", "--settle", "5"]
+
+
+@pytest.mark.parametrize("argv, named", [
+    pytest.param(RUN + ["--nodes", "0"], "num_nodes", id="nodes"),
+    pytest.param(RUN + ["--depart", "1.5"], "depart_fraction", id="depart"),
+    pytest.param(RUN + ["--faults", "loss=2"], "loss_rate",
+                 id="faults-value"),
+    pytest.param(RUN + ["--faults", "chaos=1"],
+                 "unknown fault spec key 'chaos'", id="faults-key"),
+    pytest.param(RUN + ["--tr", "-1"], "transmission_range", id="tr"),
+    pytest.param(RUN + ["--metrics-period", "0"], "metrics_period",
                  id="metrics-period"),
+    pytest.param(["figure", "fig05", "--workers", "-1"], "--workers",
+                 id="figure-workers"),
+    pytest.param(["sweep", "--nodes", "10", "--workers", "-1"], "--workers",
+                 id="sweep-workers"),
 ])
 def test_rejected_input_is_a_usage_error_naming_the_field(
-        flags, named, capsys):
-    # What Scenario or FaultSpec.parse refuses ends like an argparse
-    # error — one line on stderr, status 2 — not in a traceback.
+        argv, named, capsys):
+    # What Scenario, FaultSpec.parse or the --workers reader refuses
+    # ends like an argparse error — one line on stderr, status 2 — not
+    # in a traceback.
     with pytest.raises(SystemExit) as exit_info:
-        main(["run", "--settle", "5"] + flags)
+        main(argv)
     assert exit_info.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -1,9 +1,7 @@
-"""Positive/negative fixtures for the five cross-module rules.
+"""Positive/negative fixtures for the six cross-module rules.
 
 Each test writes a tmp ``src/repro/...`` tree shaped like the real
-checkout and runs one project rule over it via the shared ``tree``
-fixture (``run_lint`` with the whole-program pass on, which is the
-default).
+checkout and runs one rule over it via the shared ``tree`` fixture.
 """
 
 
@@ -154,34 +152,6 @@ def test_state_machine_ignores_packages_outside_protocol(tree):
                 self._send(msg.src, m.COM_REQ)
         """)
     assert tree.findings(select={"state-machine"}) == []
-
-
-def test_project_findings_honor_suppressions(tree):
-    write_messages(tree)
-    tree.write("src/repro/core/agent.py", """\
-        # repro-lint: disable=state-machine
-        import repro.core.messages as m
-
-        class Agent:
-            def _handle_com_ack(self, msg):
-                self._send(msg.src, m.COM_REQ)
-        """)
-    assert tree.findings(select={"state-machine"}) == []
-
-
-def test_no_project_skips_whole_program_pass(tree):
-    write_messages(tree)
-    tree.write("src/repro/core/agent.py", """\
-        import repro.core.messages as m
-
-        class Agent:
-            def _handle_com_ack(self, msg):
-                self._send(msg.src, m.COM_REQ)
-        """)
-    from repro.lint import run_lint
-    report = run_lint([tree.root], root=tree.root, project=False)
-    assert report.findings == ()
-    assert "state-machine" not in report.rule_names
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""conn-api rule: protocol code must not re-grow the unbounded BFS.
+"""hop-bound rule, protocol half: code must not re-grow the unbounded BFS.
 
 The incremental connectivity layer replaced every
 ``reachable(..., max_hops=None)`` / ``hops(..., max_hops=None)`` call
@@ -15,7 +15,7 @@ def test_unbounded_queries_flagged_in_core(tree):
             far = topo.reachable(nid, max_hops=None)
             return near, far
         """)
-    findings = tree.findings(select={"conn-api"})
+    findings = tree.findings(select={"hop-bound"})
     assert len(findings) == 2
     assert [f.line for f in findings] == [2, 3]
     assert "same_component" in findings[0].message
@@ -26,7 +26,7 @@ def test_unbounded_queries_flagged_in_quorum(tree):
         def members(topo, nid):
             return topo.reachable(nid, max_hops=None)
         """)
-    assert len(tree.findings(select={"conn-api"})) == 1
+    assert len(tree.findings(select={"hop-bound"})) == 1
 
 
 def test_bounded_queries_not_flagged(tree):
@@ -37,7 +37,10 @@ def test_bounded_queries_not_flagged(tree):
             c = topo.reachable(nid)
             return a, b, c
         """)
-    assert tree.findings(select={"conn-api"}) == []
+    # Only c, and for the rule's other half: it states no bound at all.
+    findings = tree.findings(select={"hop-bound"})
+    assert [f.line for f in findings] == [4]
+    assert "without a hop bound" in findings[0].message
 
 
 def test_label_queries_not_flagged(tree):
@@ -47,7 +50,7 @@ def test_label_queries_not_flagged(tree):
                 return topo.component_members(a)
             return []
         """)
-    assert tree.findings(select={"conn-api"}) == []
+    assert tree.findings(select={"hop-bound"}) == []
 
 
 def test_non_protocol_packages_out_of_scope(tree):
@@ -60,12 +63,4 @@ def test_non_protocol_packages_out_of_scope(tree):
         def walk(topo, nid):
             return topo.reachable(nid, max_hops=None)
         """)
-    assert tree.findings(select={"conn-api"}) == []
-
-
-def test_conn_api_line_suppression(tree):
-    tree.write("src/repro/core/oracle_hook.py", """\
-        def check(topo, nid):
-            return topo.reachable(nid, max_hops=None)  # repro-lint: disable=conn-api
-        """)
-    assert tree.findings(select={"conn-api"}) == []
+    assert tree.findings(select={"hop-bound"}) == []

@@ -1,7 +1,7 @@
-"""rng-stream and no-oracle-import rules."""
+"""determinism (generator construction) and no-oracle-import rules."""
 
 
-# --- rng-stream ------------------------------------------------------
+# --- determinism: generators ----------------------------------------
 
 
 def test_random_random_flagged_outside_sim_rng(tree):
@@ -11,9 +11,9 @@ def test_random_random_flagged_outside_sim_rng(tree):
         def make(seed: int):
             return random.Random(seed)
         """)
-    findings = tree.findings(select={"rng-stream"})
+    findings = tree.findings(select={"determinism"})
     assert len(findings) == 1
-    assert findings[0].rule == "rng-stream"
+    assert findings[0].rule == "determinism"
 
 
 def test_from_import_random_and_systemrandom_flagged(tree):
@@ -23,7 +23,7 @@ def test_from_import_random_and_systemrandom_flagged(tree):
         a = Random(1)
         b = SystemRandom()
         """)
-    assert len(tree.findings(select={"rng-stream"})) == 2
+    assert len(tree.findings(select={"determinism"})) == 2
 
 
 def test_sim_rng_module_is_the_blessed_home(tree):
@@ -33,7 +33,7 @@ def test_sim_rng_module_is_the_blessed_home(tree):
         def generator_from_seed(seed: int) -> random.Random:
             return random.Random(seed)
         """)
-    assert tree.findings(select={"rng-stream"}) == []
+    assert tree.findings(select={"determinism"}) == []
 
 
 def test_stream_consumers_not_flagged(tree):
@@ -41,16 +41,7 @@ def test_stream_consumers_not_flagged(tree):
         def draw(streams):
             return streams.get("mobility").random()
         """)
-    assert tree.findings(select={"rng-stream"}) == []
-
-
-def test_rng_stream_suppression(tree):
-    tree.write("src/repro/core/bad.py", """\
-        import random
-
-        r = random.Random(0)  # repro-lint: disable=rng-stream
-        """)
-    assert tree.findings(select={"rng-stream"}) == []
+    assert tree.findings(select={"determinism"}) == []
 
 
 # --- no-oracle-import ------------------------------------------------
@@ -89,13 +80,5 @@ def test_runtime_imports_not_flagged(tree):
         from repro.net.topology import Topology
         from repro.net import topology
         import json
-        """)
-    assert tree.findings(select={"no-oracle-import"}) == []
-
-
-def test_oracle_import_file_suppression(tree):
-    tree.write("src/repro/core/bad.py", """\
-        # repro-lint: disable=no-oracle-import
-        import numpy
         """)
     assert tree.findings(select={"no-oracle-import"}) == []

@@ -57,13 +57,6 @@ def test_correlation_ids_are_monotonic_from_one():
 # --- events ----------------------------------------------------------
 
 
-def test_every_event_type_is_frozen_and_slotted():
-    for cls in ev.EVENT_TYPES.values():
-        assert dataclasses.is_dataclass(cls)
-        assert cls.__dataclass_params__.frozen, cls.__name__
-        assert "__slots__" in cls.__dict__, cls.__name__
-
-
 def test_events_are_immutable():
     event = _vote()
     with pytest.raises(dataclasses.FrozenInstanceError):

@@ -80,19 +80,6 @@ def test_timer_survives_exceptions():
     assert perf.timings_snapshot()["risky"]["calls"] == 1
 
 
-def test_merge_folds_counters_and_timings():
-    a, b = PerfRecorder(), PerfRecorder()
-    a.incr("bfs_calls", 2)
-    b.incr("bfs_calls", 3)
-    b.incr("graph_rebuilds")
-    with b.timer("topology.rebuild"):
-        pass
-    a.merge(b)
-    assert a.get("bfs_calls") == 5
-    assert a.get("graph_rebuilds") == 1
-    assert a.timings_snapshot()["topology.rebuild"]["calls"] == 1
-
-
 def test_timerstat_as_dict():
     stat = TimerStat()
     stat.calls = 3

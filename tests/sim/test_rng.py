@@ -36,15 +36,6 @@ def test_derive_seed_stable_and_distinct():
     assert derive_seed(5, "a") != derive_seed(6, "a")
 
 
-def test_fork_is_deterministic_and_independent():
-    parent = RandomStreams(3)
-    child1 = parent.fork("run-1")
-    child2 = RandomStreams(3).fork("run-1")
-    assert child1.get("m").random() == child2.get("m").random()
-    other = parent.fork("run-2")
-    assert other.get("m").random() != child1.get("m").random()
-
-
 def test_spawn_key_depends_only_on_master_and_path():
     assert spawn_key(0, "fig05", "quorum", 3) == spawn_key(
         0, "fig05", "quorum", 3)
@@ -57,9 +48,3 @@ def test_spawn_key_depends_only_on_master_and_path():
 def test_spawn_key_distinguishes_part_types_and_boundaries():
     assert spawn_key(0, 1) != spawn_key(0, "1")
     assert spawn_key(0, "ab", "c") != spawn_key(0, "a", "bc")
-
-
-def test_spawn_registry_matches_spawn_key():
-    child = RandomStreams(7).spawn("cell", 2)
-    direct = RandomStreams(spawn_key(7, "cell", 2))
-    assert child.get("x").random() == direct.get("x").random()
