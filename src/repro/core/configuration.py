@@ -1,35 +1,20 @@
 """Allocator-side configuration attempts.
 
-A :class:`PendingConfig` tracks one in-flight configuration: the
-requester, the proposed address (or block for cluster-head grants), the
-vote collector over the QDSet universe, and the accumulated critical-path
-hop count that becomes the paper's configuration-latency metric.
+A :class:`PendingConfig` is the whole record of one in-flight
+allocation: the requester, the proposed address (or block for
+cluster-head grants), the vote collector over the QDSet universe and
+the vote timer bounding it, and the accumulated critical-path hop count
+that becomes the paper's configuration-latency metric.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from typing import Dict, Optional
 
 from repro.addrspace.block import Block
 from repro.quorum.voting import VoteCollector
-
-_attempt_ids = itertools.count(1)
-
-
-def reset_attempt_ids() -> None:
-    """Restart the attempt-id sequence (called once per simulation run).
-
-    Attempt ids are opaque matching tokens, so their values never drive
-    protocol decisions — but they do appear in recorded traces
-    (:mod:`repro.obs`), and a process-global counter would make the ids
-    depend on how many runs the process executed before this one.
-    Restarting per run keeps identical seeded runs byte-identical,
-    whether executed serially or in fresh worker processes.
-    """
-    global _attempt_ids
-    _attempt_ids = itertools.count(1)
+from repro.sim.timers import Timer
 
 
 @dataclasses.dataclass
@@ -37,14 +22,16 @@ class PendingConfig:
     """One configuration attempt in progress at an allocator.
 
     Attributes:
-        attempt_id: unique token matching replies to attempts.
+        attempt_id: token matching replies to attempts, drawn from the
+            run's ``NetworkContext.attempt_ids``.
         requester: node id being configured.
-        kind: ``"common"`` (single address) or ``"head"`` (block grant).
         address: proposed address (common) or the block's first address.
-        block: proposed block for head grants, ``None`` for common.
         owner_id: node id whose IPSpace the address belongs to (self for
             normal allocation, another head when borrowing).
+        block: proposed block for head grants, ``None`` for common.
         collector: quorum vote collector; ``None`` before voting starts.
+        vote_timer: the armed vote timeout of the current vote round;
+            ``None`` once the round decided, timed out or was dropped.
         latency_hops: critical-path hops accumulated so far (request leg
             plus any proposal legs); the quorum round trip and the final
             grant leg are added as they happen.
@@ -61,13 +48,14 @@ class PendingConfig:
             carried none).
     """
 
+    attempt_id: int
     requester: int
-    kind: str
     address: int
     owner_id: int
     corr: int = 0
     block: Optional[Block] = None
     collector: Optional[VoteCollector] = None
+    vote_timer: Optional[Timer] = None
     latency_hops: int = 0
     vote_sent: Dict[int, int] = dataclasses.field(default_factory=dict)
     address_retries: int = 0
@@ -75,7 +63,17 @@ class PendingConfig:
     committed: bool = False
     cfg_delivered: bool = False   # the grant message reached the requester
     req_seq: Optional[int] = None
-    attempt_id: int = dataclasses.field(default_factory=lambda: next(_attempt_ids))
+
+    @property
+    def kind(self) -> str:
+        """``"head"`` for a block grant, ``"common"`` for one address."""
+        return "common" if self.block is None else "head"
+
+    def disarm(self) -> None:
+        """Stop the vote timer, if one is armed."""
+        if self.vote_timer is not None:
+            self.vote_timer.stop()
+            self.vote_timer = None
 
     def quorum_round_trip(self) -> int:
         """2 x the farthest responding voter (self-votes are 0 hops)."""

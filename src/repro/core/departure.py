@@ -181,31 +181,36 @@ class DepartureMixin:
             # Nobody to return to: the space leaks until reclamation.
             self._finalize_leave()
             return
+        self._send(target, m.CH_RETURN, self._hand_off_to(target),
+                   Category.DEPARTURE)
+
+    def _hand_off_to(self, target: int) -> Dict[str, Any]:
+        """Empty our pool into a CH_RETURN body for ``target`` — free
+        blocks, assigned addresses with their holders, the records —
+        and trace the handoff.  A departing and a rejoining head both
+        hand their space over this way."""
+        assert self.head is not None
         assigned = [
             (address, self.head.configured.get(address, -1))
             for address in sorted(self.head.pool.allocated)
             if address != self.head.ip
         ]
-        payload: Dict[str, Any] = {
+        blocks = [(b.start, b.size) for b in self.head.pool.take_all()]
+        obs = self.ctx.obs
+        if obs:
+            obs.emit(obs_ev.HeadHandoff(
+                time=self.ctx.sim.now, node=self.node_id, corr=0,
+                from_head=self.node_id, to_head=target,
+                blocks=len(blocks), assigned=len(assigned)))
+        return {
             "own_ip": self.head.ip,
-            "blocks": [(b.start, b.size) for b in self.head.pool.take_all()],
+            "blocks": blocks,
             "assigned": assigned,
             "records": [
                 (a, r.timestamp, r.status.value, r.holder)
                 for a, r in self.head.ledger.items()
             ],
         }
-        self._emit_handoff(target, len(payload["blocks"]), len(assigned))
-        self._send(target, m.CH_RETURN, payload, Category.DEPARTURE)
-
-    def _emit_handoff(self, target: int, blocks: int, assigned: int) -> None:
-        """HeadHandoff observability event (no-op while tracing is off)."""
-        obs = self.ctx.obs
-        if obs:
-            obs.emit(obs_ev.HeadHandoff(
-                time=self.ctx.sim.now, node=self.node_id, corr=0,
-                from_head=self.node_id, to_head=target,
-                blocks=blocks, assigned=assigned))
 
     def _handle_ch_return(self, msg: Message) -> None:
         if self.head is None:

@@ -67,6 +67,13 @@ class PartitionMixin:
         return (self.cfg.address_space_size * self._founding_epoch
                 + self.node_id)
 
+    def _found_network(self) -> None:
+        """Head a fresh network that owns the whole address space: how
+        the first head starts one and an isolated head re-founds one."""
+        self.head = HeadState(Block(0, self.cfg.address_space_size),
+                              self.node_id)
+        self.network_id = self._new_network_id()
+
     def _start_merge_watch(self) -> None:
         if self._merge_timer is not None or not self.cfg.merge_detection_enabled:
             return
@@ -205,24 +212,9 @@ class PartitionMixin:
         if self.head is not None:
             target = self._return_target()
             if target is not None and self._same_network_head(target):
-                assigned = [
-                    (address, self.head.configured.get(address, -1))
-                    for address in sorted(self.head.pool.allocated)
-                    if address != self.head.ip
-                ]
-                blocks = [
-                    (b.start, b.size) for b in self.head.pool.take_all()
-                ]
-                self._emit_handoff(target, len(blocks), len(assigned))
-                self._send_with_retry(target, m.CH_RETURN, {
-                    "own_ip": self.head.ip,
-                    "blocks": blocks,
-                    "assigned": assigned,
-                    "records": [
-                        (a, r.timestamp, r.status.value, r.holder)
-                        for a, r in self.head.ledger.items()
-                    ],
-                }, Category.PARTITION)
+                self._send_with_retry(target, m.CH_RETURN,
+                                      self._hand_off_to(target),
+                                      Category.PARTITION)
         elif self.common is not None:
             nearest = self.ctx.hello.nearest_head(
                 self.node_id,
@@ -289,16 +281,8 @@ class PartitionMixin:
         old_members = dict(self.head.configured)
         if self.ip is not None:
             self.ctx.unbind_ip(self.ip)
-        whole = Block(0, self.cfg.address_space_size)
-        state = HeadState(ip=whole.start, blocks=[whole],
-                          configurer_id=None, configurer_ip=None)
-        own_ip = state.pool.allocate()
-        assert own_ip is not None
-        state.ip = own_ip
-        state.ledger.mark_assigned(own_ip, self.node_id)
-        self.head = state
-        self.network_id = self._new_network_id()
-        self.ctx.bind_ip(own_ip, self.node_id)
+        self._found_network()
+        self.ctx.bind_ip(self.head.ip, self.node_id)
         obs = self.ctx.obs
         if obs:
             obs.emit(obs_ev.PartitionEvent(

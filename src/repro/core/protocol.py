@@ -19,7 +19,6 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.addrspace.block import Block
 from repro.addrspace.records import AddressRecord, AddressStatus
-from repro.cluster.qdset import QDSet
 from repro.cluster.roles import ADJACENT_HEAD_HOPS, HEAD_SCOPE_HOPS, Role, decide_role
 from repro.core import messages as m
 from repro.core.adjustment import AdjustmentMixin
@@ -41,7 +40,7 @@ from repro.quorum.linear import DynamicLinearVoting
 from repro.quorum.replica import Replica
 from repro.quorum.system import MajorityQuorumSystem
 from repro.quorum.voting import Vote, VoteCollector
-from repro.sim.timers import PeriodicTimer, Timer
+from repro.sim.timers import Timer
 
 MAX_ADDRESS_RETRIES = 3  # candidate addresses per configuration attempt
 DRY_BANKRUPTCY_THRESHOLD = 12  # dry NACKs before re-founding the network
@@ -96,10 +95,13 @@ class QuorumProtocolAgent(
         self._init_rounds = 0
         self._init_deferred_until = 0.0
 
-        # Allocator-side state.
+        # Allocator-side state: the open transactions by attempt id, and
+        # the addresses they hold against new proposals.  The set cannot
+        # be derived from the transactions: two of them can propose one
+        # address (take_half does not consult the set, and transactions
+        # outlive a re-found), and dropping either one releases it.
         self._pending: Dict[int, PendingConfig] = {}
         self._pending_addresses: Set[int] = set()
-        self._vote_timers: Dict[int, Timer] = {}
         # Owner-side reservations against concurrent borrows of the same
         # address: address -> (attempt_id, expiry time).
         self._borrow_reservations: Dict[int, Tuple[int, float]] = {}
@@ -167,7 +169,8 @@ class QuorumProtocolAgent(
     @property
     def live_vote_timers(self) -> int:
         """Allocator-side attempts still collecting votes."""
-        return len(self._vote_timers)
+        return sum(1 for pending in self._pending.values()
+                   if pending.vote_timer is not None)
 
     @property
     def ip(self) -> Optional[int]:
@@ -258,49 +261,37 @@ class QuorumProtocolAgent(
             assert allocator is not None
             if self.cfg.balance_allocators and len(heads_near) > 1:
                 allocator = self._pick_largest_block_allocator(heads_near)
-            if obs:
-                obs.emit(obs_ev.AttemptStarted(
-                    time=self.ctx.sim.now, node=self.node_id,
-                    corr=self._corr, attempt=self._req_seq,
-                    kind="common", target=allocator))
-            self._send(allocator, m.COM_REQ,
-                       {"seq": self._req_seq, "lat": 0}, Category.CONFIG,
-                       corr=self._corr)
-            self._config_timer.restart(self.cfg.config_timeout)
-            return
-
-        # With no head in HELLO scope the entrant falls back to asking
-        # the whole partition (Section IV-B's "ask any allocator"
-        # escape hatch) — served from the connectivity labels as an
-        # O(component) member iteration rather than an unbounded BFS
-        # flood.  Heads rank by (network id, node id): the hop distance
-        # no longer participates, which only matters when one network
-        # has several heads beyond HELLO scope and any of them is an
-        # equally valid allocator.
-        allocators = self.ctx.allocator_ids
-        candidates = self._rank_by_network([
-            (other, 0)
-            for other in self.ctx.topology.component_members(self.node_id)
-            if other != self.node_id and other in allocators
-            and self.ctx.is_head(other)
-        ])
-        if candidates:
-            if obs:
-                obs.emit(obs_ev.AttemptStarted(
-                    time=self.ctx.sim.now, node=self.node_id,
-                    corr=self._corr, attempt=self._req_seq,
-                    kind="head", target=candidates[0][0]))
-            self._send(candidates[0][0], m.CH_REQ,
-                       {"seq": self._req_seq, "lat": 0}, Category.CONFIG,
-                       corr=self._corr)
-            self._config_timer.restart(self.cfg.config_timeout)
-            return
-
+            kind = "common"
+        else:
+            # With no head in HELLO scope the entrant falls back to
+            # asking the whole partition (Section IV-B's "ask any
+            # allocator" escape hatch) — served from the connectivity
+            # labels as an O(component) member iteration rather than an
+            # unbounded BFS flood.  Heads rank by (network id, node id):
+            # the hop distance no longer participates, which only
+            # matters when one network has several heads beyond HELLO
+            # scope and any of them is an equally valid allocator.  With
+            # no head at all, the entrant starts a network itself.
+            allocators = self.ctx.allocator_ids
+            candidates = self._rank_by_network([
+                (other, 0)
+                for other in self.ctx.topology.component_members(self.node_id)
+                if other != self.node_id and other in allocators
+                and self.ctx.is_head(other)
+            ])
+            allocator = candidates[0][0] if candidates else None
+            kind = "head" if candidates else "first"
         if obs:
             obs.emit(obs_ev.AttemptStarted(
                 time=self.ctx.sim.now, node=self.node_id, corr=self._corr,
-                attempt=self._req_seq, kind="first", target=None))
-        self._first_node_round()
+                attempt=self._req_seq, kind=kind, target=allocator))
+        if allocator is None:
+            self._first_node_round()
+            return
+        request = m.COM_REQ if kind == "common" else m.CH_REQ
+        self._send(allocator, request, {"seq": self._req_seq, "lat": 0},
+                   Category.CONFIG, corr=self._corr)
+        self._config_timer.restart(self.cfg.config_timeout)
 
     def _rank_by_network(
         self, heads: List[Tuple[int, int]]
@@ -353,31 +344,24 @@ class QuorumProtocolAgent(
                                 category=Category.CONFIG,
                                 scope=Scope.NEIGHBORS)
         if self._init_rounds >= self.cfg.max_r:
-            self._become_first_head()
+            # No response after Max_r rounds: obtain the whole space.
+            self._found_network()
+            self._finish_configuration(latency_hops=0, kind="first")
         else:
             self._config_timer.restart(self.cfg.te)
 
-    def _become_first_head(self) -> None:
-        """No response after Max_r rounds: obtain the whole address space."""
-        whole = Block(0, self.cfg.address_space_size)
-        state = HeadState(ip=whole.start, blocks=[whole],
-                          configurer_id=None, configurer_ip=None)
-        own_ip = state.pool.allocate()
-        assert own_ip == whole.start
-        state.ip = own_ip
-        state.ledger.mark_assigned(own_ip, self.node_id)
-        self.head = state
-        # Unique, founding-event-scoped network ID (see partition.py).
-        self.network_id = self._new_network_id()
+    # --- shared configuration epilogue ---------------------------------
+    def _finish_configuration(self, latency_hops: int,
+                              kind: Optional[str] = None) -> None:
+        """Take up the role the new address comes with.  ``kind`` names
+        how the attempt completed, and ends its span; a bulk bootstrap
+        passes none, having run no attempt."""
+        assert self.ip is not None
         obs = self.ctx.obs
-        if obs:
+        if obs and kind is not None:
             obs.emit(obs_ev.ConfigCompleted(
                 time=self.ctx.sim.now, node=self.node_id, corr=self._corr,
-                address=own_ip, kind="first", latency_hops=0))
-        self._finish_configuration(latency_hops=0)
-
-    # --- shared configuration epilogue ---------------------------------
-    def _finish_configuration(self, latency_hops: int) -> None:
+                address=self.ip, kind=kind, latency_hops=latency_hops))
         self._config_timer.stop()
         self._rejoining = False
         # Damp merge thrash: stay put for a while after (re)configuring
@@ -387,24 +371,19 @@ class QuorumProtocolAgent(
         self.configured_at = self.ctx.sim.now
         if self.config_latency_hops is None:
             self.config_latency_hops = latency_hops
-        assert self.ip is not None
         self.ctx.bind_ip(self.ip, self.node_id)
-        obs = self.ctx.obs
         if obs:
             obs.emit(obs_ev.RoleAssigned(
                 time=self.ctx.sim.now, node=self.node_id, corr=self._corr,
                 role=self.role.value, address=self.ip,
                 network_id=self.network_id))
         if self.role is Role.HEAD:
-            self._start_head_services()
+            self._start_audit()
         else:
             self._start_location_service()
         self._start_merge_watch()
         if self.on_configured_callback is not None:
             self.on_configured_callback(self)
-
-    def _start_head_services(self) -> None:
-        self._start_audit()
 
     # ==================================================================
     # Message dispatch
@@ -457,14 +436,14 @@ class QuorumProtocolAgent(
             self._begin_attempt()
 
     # ==================================================================
-    # Common-node configuration — allocator side (Fig. 2)
+    # The allocation transaction, allocator side (Fig. 2, Table 1).  A
+    # COM_REQ asks for one address, which goes to the vote at once; a
+    # CH_REQ asks for a block, proposed (CH_PRP) and confirmed (CH_CNF)
+    # before the vote.  From the vote on, both kinds share one path.
     # ==================================================================
     def _handle_com_req(self, msg: Message) -> None:
         if not self.is_allocator():
-            self._abort_unaccepted(msg, "not-allocator")
-            self._send(msg.src, m.COM_NACK,
-                       {"seq": msg.payload.get("seq")}, Category.CONFIG,
-                       corr=msg.corr)
+            self._refuse(msg, "not-allocator")
             return
         assert self.head is not None
         base_latency = msg.payload.get("lat", 0) + msg.hops
@@ -476,13 +455,46 @@ class QuorumProtocolAgent(
             self._relay_or_nack(msg, base_latency)
             return
         self._dry_nacks = 0
-        address, owner_id = candidate
-        requester = msg.payload.get("origin", msg.src)
+        self._start_vote(self._open(msg, *candidate))
+
+    def _handle_ch_req(self, msg: Message) -> None:
+        if not self.is_allocator():
+            self._refuse(msg, "not-allocator")
+            return
+        assert self.head is not None
+        block = self.head.pool.take_half()
+        if block is None:
+            self._refuse(msg, "dry")
+            return
+        pending = self._open(msg, block.start, block=block)
+        delivery = self._send(msg.src, m.CH_PRP, {
+            "seq": pending.req_seq,
+            "attempt": pending.attempt_id,
+            "block": (block.start, block.size),
+            "lat": pending.latency_hops,
+        }, Category.CONFIG, corr=pending.corr)
+        if not delivery.ok:
+            self._abort_attempt(pending, reason="proposal-undeliverable")
+
+    def _handle_ch_cnf(self, msg: Message) -> None:
+        pending = self._pending.get(msg.payload["attempt"])
+        if pending is None or pending.kind != "head":
+            return
+        pending.latency_hops = msg.payload["lat"] + msg.hops
+        self._start_vote(pending)
+
+    def _open(self, msg: Message, address: int,
+              owner_id: Optional[int] = None,
+              block: Optional[Block] = None) -> PendingConfig:
+        """Open the transaction for an accepted request, proposing
+        ``address`` of ``owner_id``'s space (``None``: ours)."""
         pending = PendingConfig(
-            requester=requester, kind="common", address=address,
+            attempt_id=next(self.ctx.attempt_ids),
+            requester=msg.payload.get("origin", msg.src),
+            address=address,
             owner_id=owner_id if owner_id is not None else self.node_id,
-            corr=msg.corr,
-            latency_hops=base_latency,
+            corr=msg.corr, block=block,
+            latency_hops=msg.payload.get("lat", 0) + msg.hops,
             relay_of=msg.src if "origin" in msg.payload else None,
             req_seq=msg.payload.get("seq"),
         )
@@ -493,19 +505,24 @@ class QuorumProtocolAgent(
             obs.emit(obs_ev.ConfigRequested(
                 time=self.ctx.sim.now, node=self.node_id, corr=pending.corr,
                 attempt=pending.attempt_id, requester=pending.requester,
-                kind="common", address=address, owner=pending.owner_id,
+                kind=pending.kind, address=address, owner=pending.owner_id,
                 relayed=pending.relay_of is not None))
-        self._start_vote(pending)
+        return pending
 
-    def _abort_unaccepted(self, msg: Message, reason: str) -> None:
-        """Terminal event for a request refused before any PendingConfig
-        existed (the requester's span must still close explicitly)."""
+    def _refuse(self, msg: Message, reason: str, nack: bool = True) -> None:
+        """Refuse a request no transaction was opened for: close the
+        requester's span explicitly, then NACK the sender in the
+        request's own kind."""
         obs = self.ctx.obs
         if obs and msg.corr:
             obs.emit(obs_ev.ConfigAborted(
                 time=self.ctx.sim.now, node=self.node_id, corr=msg.corr,
                 attempt=0, requester=msg.payload.get("origin", msg.src),
                 reason=reason))
+        if nack:
+            refusal = m.CH_NACK if msg.mtype == m.CH_REQ else m.COM_NACK
+            self._send(msg.src, refusal, {"seq": msg.payload.get("seq")},
+                       Category.CONFIG, corr=msg.corr)
 
     def _relay_or_nack(self, msg: Message, base_latency: int) -> None:
         """Section V-A: out of addresses entirely — act as an agent and
@@ -519,7 +536,7 @@ class QuorumProtocolAgent(
             # churn can strand blocks with no owner) and the audit
             # recovered nothing usable: re-found with a fresh space.
             self._dry_nacks = 0
-            self._abort_unaccepted(msg, "bankrupt")
+            self._refuse(msg, "bankrupt", nack=False)
             self._become_isolated_network(flood_component=True)
             return
         configurer = self.head.configurer_id
@@ -535,17 +552,15 @@ class QuorumProtocolAgent(
             self._send(configurer, m.COM_REQ, relayed, Category.CONFIG,
                        corr=msg.corr)
         else:
-            self._abort_unaccepted(msg, "dry")
-            self._send(msg.src, m.COM_NACK,
-                       {"seq": msg.payload.get("seq")}, Category.CONFIG,
-                       corr=msg.corr)
+            self._refuse(msg, "dry")
 
     # ==================================================================
     # Quorum voting — Sections II-C/D, IV-B
     # ==================================================================
     def _reserved_addresses(self) -> Set[int]:
-        """Addresses no new proposal may use: our own in-flight
-        proposals plus live reservations made for foreign borrowers."""
+        """Addresses no new proposal may use: those our open
+        transactions hold plus live reservations made for foreign
+        borrowers."""
         now = self.ctx.sim.now
         reserved = set(self._pending_addresses)
         for address, (_attempt, expiry) in self._borrow_reservations.items():
@@ -553,22 +568,15 @@ class QuorumProtocolAgent(
                 reserved.add(address)
         return reserved
 
-    def _vote_universe(self) -> Set[int]:
-        assert self.head is not None
-        return set(self.head.qdset.active_members()) | {self.node_id}
-
     def _start_vote(self, pending: PendingConfig) -> None:
         assert self.head is not None
-        universe = self._vote_universe()
+        universe = set(self.head.qdset.active_members()) | {self.node_id}
         if self.cfg.use_linear_voting:
             system = DynamicLinearVoting(distinguished=pending.owner_id)
         else:
             system = MajorityQuorumSystem()
-        if pending.block is not None:
-            own_record = self._block_summary_for(
-                pending.owner_id, pending.block)
-        else:
-            own_record = self._record_for(pending.owner_id, pending.address)
+        own_record = self._view_of(pending.owner_id, pending.address,
+                                   pending.block)
         pending.collector = VoteCollector(pending.address, universe, system)
         pending.collector.add_vote(
             Vote(self.node_id, pending.address, own_record)
@@ -600,9 +608,9 @@ class QuorumProtocolAgent(
                 pending.vote_sent[member] = delivery.hops
             elif self.cfg.adjustment_enabled:
                 self._suspect_member(member)
-        timer = Timer(self.ctx.sim, self._on_vote_timeout)
-        timer.start(self.cfg.config_timeout * 0.75, pending.attempt_id)
-        self._vote_timers[pending.attempt_id] = timer
+        pending.vote_timer = Timer(self.ctx.sim, self._on_vote_timeout)
+        pending.vote_timer.start(self.cfg.config_timeout * 0.75,
+                                 pending.attempt_id)
         self._maybe_decide(pending)
 
     def _handle_quorum_clt(self, msg: Message) -> None:
@@ -613,12 +621,11 @@ class QuorumProtocolAgent(
         owner_id = msg.payload["owner_id"]
         address = msg.payload["address"]
         block = msg.payload.get("block")
-        if block is not None:
-            record = self._block_summary_for(owner_id, Block(*block))
-        elif owner_id == self.node_id:
+        if block is None and owner_id == self.node_id:
             record = self._owner_borrow_vote(address, msg.payload["attempt"])
         else:
-            record = self._record_for(owner_id, address)
+            record = self._view_of(owner_id, address,
+                                   Block(*block) if block is not None else None)
         # Quorum expansion: a voting allocator within three hops belongs
         # in our QDSet (Section V-B).
         self._consider_new_neighbor(msg.src)
@@ -626,11 +633,8 @@ class QuorumProtocolAgent(
                                               msg.payload.get("block"))
         self._send(msg.src, m.QUORUM_CFM, {
             "attempt": msg.payload["attempt"],
-            "address": address,
-            "ts": record.timestamp,
-            "status": record.status.value,
-            "holder": record.holder,
             "conflict": conflict,
+            **self._record_payload(owner_id, address, record),
         }, Category.CONFIG, corr=msg.corr)
 
     def _cross_owner_conflict(self, proposer: int, owner_id: int,
@@ -678,16 +682,16 @@ class QuorumProtocolAgent(
         assert self.head is not None
         record = self.head.ledger.get(address)
         vote = AddressRecord(record.status, record.timestamp + 1, record.holder)
-        if record.status is not AddressStatus.FREE or not self.head.pool.is_free(address):
-            vote.status = AddressStatus.ASSIGNED
-            return vote
-        if address in self._pending_addresses:
-            # We are proposing this address ourselves right now.
-            vote.status = AddressStatus.ASSIGNED
-            return vote
         now = self.ctx.sim.now
         reservation = self._borrow_reservations.get(address)
-        if reservation is not None and reservation[1] > now and reservation[0] != attempt:
+        if (
+            record.status is not AddressStatus.FREE
+            or not self.head.pool.is_free(address)
+            # We are proposing this address ourselves right now.
+            or address in self._pending_addresses
+            or (reservation is not None and reservation[1] > now
+                and reservation[0] != attempt)
+        ):
             vote.status = AddressStatus.ASSIGNED
             return vote
         self._borrow_reservations[address] = (
@@ -695,33 +699,28 @@ class QuorumProtocolAgent(
         vote.status = AddressStatus.FREE
         return vote
 
-    def _record_for(self, owner_id: int, address: int) -> AddressRecord:
+    def _view_of(self, owner_id: int, address: int,
+                 block: Optional[Block]) -> AddressRecord:
+        """Our record of a proposal in ``owner_id``'s space (our ledger
+        or our replica of theirs): the address's record, or for a block
+        a summary — the latest timestamp, ASSIGNED if any address is."""
         assert self.head is not None
         if owner_id == self.node_id:
-            return self.head.ledger.get(address)
-        replica = self.head.replicas.get(owner_id)
-        if replica is not None:
-            return replica.record_for(address)
-        return AddressRecord()
-
-    def _block_summary_for(self, owner_id: int, block: Block) -> AddressRecord:
-        assert self.head is not None
-        summary = AddressRecord()
-        source = None
-        if owner_id == self.node_id:
-            source = self.head.ledger
+            ledger = self.head.ledger
         else:
             replica = self.head.replicas.get(owner_id)
-            source = replica.ledger if replica is not None else None
-        if source is None:
-            return summary
-        for address in block.addresses():
-            record = source.peek(address)
-            if record is None:
-                continue
-            summary.timestamp = max(summary.timestamp, record.timestamp)
-            if record.status is AddressStatus.ASSIGNED:
-                summary.status = AddressStatus.ASSIGNED
+            if replica is None:
+                return AddressRecord()
+            ledger = replica.ledger
+        if block is None:
+            return ledger.get(address)
+        summary = AddressRecord()
+        for addr in block.addresses():
+            record = ledger.peek(addr)
+            if record is not None:
+                summary.timestamp = max(summary.timestamp, record.timestamp)
+                if record.status is AddressStatus.ASSIGNED:
+                    summary.status = AddressStatus.ASSIGNED
         return summary
 
     def _handle_quorum_cfm(self, msg: Message) -> None:
@@ -730,11 +729,7 @@ class QuorumProtocolAgent(
         pending = self._pending.get(msg.payload["attempt"])
         if pending is None or pending.collector is None:
             return
-        record = AddressRecord(
-            status=AddressStatus(msg.payload["status"]),
-            timestamp=msg.payload["ts"],
-            holder=msg.payload.get("holder"),
-        )
+        record = self._payload_record(msg.payload)
         if msg.payload.get("conflict"):
             # Cross-owner conflict veto: dominate every honest record,
             # and never let _learn_latest adopt this synthetic entry.
@@ -754,11 +749,11 @@ class QuorumProtocolAgent(
 
     def _on_vote_timeout(self, attempt_id: int) -> None:
         pending = self._pending.get(attempt_id)
-        self._vote_timers.pop(attempt_id, None)
         if pending is None or pending.collector is None:
             return
+        pending.vote_timer = None
         if pending.collector.decide() is not None:
-            return  # already decided
+            return  # already decided (a stranded borrow: see _maybe_decide)
         obs = self.ctx.obs
         if obs:
             responders = pending.collector.responders
@@ -787,11 +782,12 @@ class QuorumProtocolAgent(
             and pending.owner_id not in pending.collector.responders
         ):
             # Borrowing requires the owner's own (reserving) vote; wait
-            # for it — the vote timeout aborts if it never arrives.
+            # for it.  If it never arrives, nothing aborts the attempt:
+            # the vote timeout sees a decided collector and returns, so
+            # the allocator sends no NACK and the address stays held
+            # until a rejoin clears the open transactions.
             return
-        timer = self._vote_timers.pop(pending.attempt_id, None)
-        if timer is not None:
-            timer.stop()
+        pending.disarm()
         obs = self.ctx.obs
         if obs:
             latest = pending.collector.latest_record()
@@ -846,8 +842,11 @@ class QuorumProtocolAgent(
         self._pending_addresses.add(pending.address)
         self._start_vote(pending)
 
-    def _abort_attempt(self, pending: PendingConfig,
-                       reason: str = "aborted") -> None:
+    def _abort_attempt(self, pending: PendingConfig, reason: str,
+                       nack: bool = True) -> None:
+        """Close the transaction unfulfilled: a block goes back to the
+        pool, the span ends, and the requester is NACKed in the
+        transaction's kind."""
         self._drop_pending(pending)
         if pending.block is not None and self.head is not None:
             self.head.pool.absorb_block(pending.block)
@@ -857,29 +856,47 @@ class QuorumProtocolAgent(
                 time=self.ctx.sim.now, node=self.node_id, corr=pending.corr,
                 attempt=pending.attempt_id, requester=pending.requester,
                 reason=reason))
-        nack = m.CH_NACK if pending.kind == "head" else m.COM_NACK
-        self._send(pending.requester, nack,
-                   {"seq": pending.req_seq}, Category.CONFIG,
-                   corr=pending.corr)
+        if nack:
+            refusal = m.CH_NACK if pending.kind == "head" else m.COM_NACK
+            self._send(pending.requester, refusal,
+                       {"seq": pending.req_seq}, Category.CONFIG,
+                       corr=pending.corr)
 
     def _drop_pending(self, pending: PendingConfig) -> None:
         self._pending.pop(pending.attempt_id, None)
         self._pending_addresses.discard(pending.address)
-        timer = self._vote_timers.pop(pending.attempt_id, None)
-        if timer is not None:
-            timer.stop()
+        pending.disarm()
 
     # ==================================================================
-    # Commit — write the update into the quorum
+    # Commit — write the update into the quorum, then grant
     # ==================================================================
     def _commit(self, pending: PendingConfig) -> None:
         assert self.head is not None
         pending.committed = True
         pending.latency_hops += pending.quorum_round_trip()
-        if pending.kind == "common":
-            self._commit_common(pending)
-        else:
-            self._commit_head(pending)
+        # Probe the address, or every address of the block.  On a
+        # conflict, book the truth in our own space and give the proposal
+        # up: a common attempt retries with another address, a head grant
+        # aborts with its block back in the pool (booked after, so the
+        # next take_half carves around the conflicts).
+        block = pending.block
+        addresses = block.addresses() if block is not None else [pending.address]
+        conflicts = [address for address in addresses
+                     if self._acd_conflict(address, pending.requester)]
+        if conflicts:
+            if block is not None:
+                self._abort_attempt(pending, reason="acd-conflict")
+            if pending.owner_id == self.node_id:
+                for address in conflicts:
+                    self.head.pool.allocate(address)
+                    self.head.ledger.mark_assigned(
+                        address, self.ctx.resolve_ip(address))
+            if block is None:
+                self._retry_with_new_address(pending)
+            return
+        record = self._write_grant(pending)
+        if record is not None:
+            self._grant(pending, record)
 
     def _acd_conflict(self, address: int, requester: int) -> bool:
         """Address-conflict detection (RFC 5227-style) at commit time.
@@ -900,82 +917,106 @@ class QuorumProtocolAgent(
             return False
         return getattr(holder, "network_id", None) == self.network_id
 
-    def _commit_common(self, pending: PendingConfig) -> None:
+    def _write_grant(self, pending: PendingConfig) -> Optional[AddressRecord]:
+        """Book the grant in the owner's records: the record to write
+        back, or ``None`` when the attempt retried or aborted instead."""
         assert self.head is not None
         address = pending.address
-        if self._acd_conflict(address, pending.requester):
-            # Adopt the truth and try a different address.
-            if pending.owner_id == self.node_id:
-                self.head.pool.allocate(address)
-                self.head.ledger.mark_assigned(
-                    address, self.ctx.resolve_ip(address))
-            self._retry_with_new_address(pending)
-            return
-        obs = self.ctx.obs
         if pending.owner_id == self.node_id:
-            allocated = self.head.pool.allocate(address)
-            if allocated is None:
+            # A block left the pool when it was proposed.
+            if pending.block is None and self.head.pool.allocate(address) is None:
                 # Lost to a concurrent local assignment; retry.
                 self._retry_with_new_address(pending)
-                return
-            record = self.head.ledger.mark_assigned(address, pending.requester)
-        else:
-            replica = self.head.replicas.get(pending.owner_id)
-            if replica is None:
-                self._abort_attempt(pending, reason="no-replica")
-                return
-            record = replica.ledger.mark_assigned(address, pending.requester)
-            # The owner is the serialization point for its space: the
-            # borrow only stands if the commit reaches it.  An owner
-            # that voted FREE but became unreachable before the commit
-            # would let its reservation lapse and re-grant the address.
-            owner_commit = self._send(pending.owner_id, m.QUORUM_UPD, {
-                "owner_id": pending.owner_id,
-                "address": address,
-                "ts": record.timestamp,
-                "status": record.status.value,
-                "holder": record.holder,
-            }, Category.CONFIG, corr=pending.corr)
-            if not owner_commit.ok:
-                replica.ledger.mark_free(address)
-                self._abort_attempt(pending, reason="owner-unreachable")
-                return
-            self.borrows_performed += 1
-            if obs:
-                obs.emit(obs_ev.AddressBorrowed(
-                    time=self.ctx.sim.now, node=self.node_id,
-                    corr=pending.corr, owner=pending.owner_id,
-                    address=address, requester=pending.requester))
-        owner_ip = self._ip_of_head(pending.owner_id)
-        delivery = self._send(pending.requester, m.COM_CFG, {
+                return None
+            return self.head.ledger.mark_assigned(address, pending.requester)
+        replica = self.head.replicas.get(pending.owner_id)
+        if replica is None:
+            self._abort_attempt(pending, reason="no-replica")
+            return None
+        record = replica.ledger.mark_assigned(address, pending.requester)
+        # The owner is the serialization point for its space: the
+        # borrow only stands if the commit reaches it.  An owner
+        # that voted FREE but became unreachable before the commit
+        # would let its reservation lapse and re-grant the address.
+        owner_commit = self._send(
+            pending.owner_id, m.QUORUM_UPD,
+            self._record_payload(pending.owner_id, address, record),
+            Category.CONFIG, corr=pending.corr)
+        if not owner_commit.ok:
+            replica.ledger.mark_free(address)
+            self._abort_attempt(pending, reason="owner-unreachable")
+            return None
+        self.borrows_performed += 1
+        obs = self.ctx.obs
+        if obs:
+            obs.emit(obs_ev.AddressBorrowed(
+                time=self.ctx.sim.now, node=self.node_id,
+                corr=pending.corr, owner=pending.owner_id,
+                address=address, requester=pending.requester))
+        return record
+
+    def _grant(self, pending: PendingConfig, record: AddressRecord) -> None:
+        """Send the grant, write it back, and schedule its cleanup.  An
+        undeliverable block grant aborts at once, with no NACK."""
+        assert self.head is not None
+        block = pending.block
+        payload: Dict[str, Any] = {
             "seq": pending.req_seq,
-            "address": address,
+            "attempt": pending.attempt_id,
             "allocator_ip": self.head.ip,
             "allocator_id": self.node_id,
             "network_id": self.network_id,
             "lat": pending.latency_hops,
-            "attempt": pending.attempt_id,
-        }, Category.CONFIG, corr=pending.corr)
+        }
+        if block is None:
+            payload["address"] = pending.address
+        else:
+            payload["block"] = (block.start, block.size)
+        grant = m.COM_CFG if block is None else m.CH_CFG
+        delivery = self._send(pending.requester, grant, payload,
+                              Category.CONFIG, corr=pending.corr)
         pending.cfg_delivered = delivery.ok
+        if block is not None and not delivery.ok:
+            self._abort_attempt(pending, reason="grant-undeliverable",
+                                nack=False)
+            return
+        obs = self.ctx.obs
         if obs:
             obs.emit(obs_ev.ConfigCommitted(
                 time=self.ctx.sim.now, node=self.node_id, corr=pending.corr,
                 attempt=pending.attempt_id, requester=pending.requester,
-                address=address, kind="common",
+                address=pending.address, kind=pending.kind,
                 borrowed=pending.owner_id != self.node_id,
                 latency_hops=pending.latency_hops))
-        self._broadcast_update(pending.owner_id, address, record,
+        self._broadcast_update(pending.owner_id, pending.address, record,
                                Category.CONFIG, corr=pending.corr)
-        self.head.configured[address] = pending.requester
+        if block is None:
+            self.head.configured[pending.address] = pending.requester
+        else:
+            # The donated block leaves our space; refresh replicas so
+            # QDSet members stop treating it as ours.
+            self._refresh_replica_at_members(want_ack=False)
         self.ctx.sim.schedule(
             4 * self.cfg.config_timeout, self._grant_cleanup,
             pending.attempt_id)
 
-    def _ip_of_head(self, head_id: int) -> Optional[int]:
-        agent = self.ctx.agent_of(head_id)
-        if agent is not None and getattr(agent, "head", None) is not None:
-            return agent.head.ip
-        return None
+    @staticmethod
+    def _record_payload(owner_id: int, address: int,
+                        record: AddressRecord) -> Dict[str, Any]:
+        """One address record of ``owner_id``'s space, as QUORUM_UPD
+        writes it and QUORUM_CFM votes with it."""
+        return {
+            "owner_id": owner_id,
+            "address": address,
+            "ts": record.timestamp,
+            "status": record.status.value,
+            "holder": record.holder,
+        }
+
+    @staticmethod
+    def _payload_record(payload: Dict[str, Any]) -> AddressRecord:
+        return AddressRecord(AddressStatus(payload["status"]), payload["ts"],
+                             payload.get("holder"))
 
     def _broadcast_update(self, owner_id: int, address: int,
                           record: AddressRecord, category: Category,
@@ -992,13 +1033,7 @@ class QuorumProtocolAgent(
                 owner=owner_id, address=address,
                 status=record.status.value, timestamp=record.timestamp,
                 targets=tuple(sorted(targets))))
-        payload = {
-            "owner_id": owner_id,
-            "address": address,
-            "ts": record.timestamp,
-            "status": record.status.value,
-            "holder": record.holder,
-        }
+        payload = self._record_payload(owner_id, address, record)
         for target in sorted(targets):
             self._send(target, m.QUORUM_UPD, payload, category, corr=corr)
 
@@ -1006,11 +1041,7 @@ class QuorumProtocolAgent(
         if self.head is None:
             return
         owner_id = msg.payload["owner_id"]
-        record = AddressRecord(
-            status=AddressStatus(msg.payload["status"]),
-            timestamp=msg.payload["ts"],
-            holder=msg.payload.get("holder"),
-        )
+        record = self._payload_record(msg.payload)
         address = msg.payload["address"]
         if owner_id == self.node_id:
             # Someone borrowed from (or returned to) our space.
@@ -1028,81 +1059,43 @@ class QuorumProtocolAgent(
             replica.ledger.apply(address, record)
 
     # ==================================================================
-    # Requester handlers for common-node configuration
+    # The grant's outcome: acknowledged, declined, or neither
     # ==================================================================
-    def _handle_com_cfg(self, msg: Message) -> None:
-        if self.is_configured() or self.role is Role.HEAD:
-            if self.common is not None and self.common.ip == msg.payload["address"]:
-                # Duplicate of the grant we accepted: re-acknowledge.
-                self._send(msg.src, m.COM_ACK, {
-                    "attempt": msg.payload.get("attempt"),
-                }, Category.CONFIG, corr=msg.corr)
-            else:
-                # Configured through a different allocator: decline so
-                # the grant is rolled back.
-                self._send(msg.src, m.COM_DECLINE, {
-                    "attempt": msg.payload.get("attempt"),
-                }, Category.CONFIG, corr=msg.corr)
-            return
-        address = msg.payload["address"]
-        self.common = CommonState(
-            ip=address,
-            configurer_id=msg.payload.get("allocator_id", msg.src),
-            configurer_ip=msg.payload["allocator_ip"],
-        )
-        self.network_id = msg.payload.get("network_id")
-        self.config_latency_hops = msg.payload["lat"] + msg.hops
-        self._send_with_retry(msg.src, m.COM_ACK,
-                              {"attempt": msg.payload.get("attempt")},
-                              Category.CONFIG, corr=msg.corr)
-        obs = self.ctx.obs
-        if obs:
-            # The requester's correlation id rode the whole exchange;
-            # adopt it so the span's terminal lands in the right tree.
-            self._corr = msg.corr
-            obs.emit(obs_ev.ConfigCompleted(
-                time=self.ctx.sim.now, node=self.node_id, corr=msg.corr,
-                address=address, kind="common",
-                latency_hops=self.config_latency_hops))
-        self._finish_configuration(self.config_latency_hops)
-
     def _handle_com_ack(self, msg: Message) -> None:
         pending = self._pending.get(msg.payload.get("attempt"))
-        if pending is not None:
-            self._drop_pending(pending)
+        if pending is None:
+            return
+        if pending.block is not None and self.head is not None:
+            # A block is booked to its head once acknowledged; a common
+            # grant was booked when it was sent.
+            self.head.configured[pending.block.start] = pending.requester
+        self._drop_pending(pending)
 
-    # ------------------------------------------------------------------
-    # Grant rollback: declined or never-acknowledged grants return to
-    # the pool instead of leaking.
-    # ------------------------------------------------------------------
+    _handle_ch_ack = _handle_com_ack
+
     def _rollback_grant(self, pending: PendingConfig) -> None:
+        """Return a declined or undelivered grant to its owner's space
+        and write the release back, instead of leaking it."""
         self._drop_pending(pending)
         if self.head is None:
             return
-        if pending.kind == "head" and pending.block is not None:
-            record = self.head.ledger.mark_free(pending.block.start)
-            self.head.pool.absorb_block(pending.block)
-            self.head.configured.pop(pending.block.start, None)
-            self._broadcast_update(
-                self.node_id, pending.block.start, record, Category.CONFIG,
-                corr=pending.corr)
-            self._refresh_replica_at_members(want_ack=False)
-            return
-        address = pending.address
+        address, block = pending.address, pending.block
         if pending.owner_id == self.node_id:
-            if self.head.pool.release(address):
-                record = self.head.ledger.mark_free(address)
-                self.head.configured.pop(address, None)
-                self._broadcast_update(
-                    self.node_id, address, record, Category.CONFIG,
-                    corr=pending.corr)
+            if block is not None:
+                self.head.pool.absorb_block(block)
+            elif not self.head.pool.release(address):
+                return
+            record = self.head.ledger.mark_free(address)
+            self.head.configured.pop(address, None)
         else:
             replica = self.head.replicas.get(pending.owner_id)
-            if replica is not None:
-                record = replica.ledger.mark_free(address)
-                self._broadcast_update(
-                    pending.owner_id, address, record, Category.CONFIG,
-                    corr=pending.corr)
+            if replica is None:
+                return
+            record = replica.ledger.mark_free(address)
+        self._broadcast_update(pending.owner_id, address, record,
+                               Category.CONFIG, corr=pending.corr)
+        if block is not None:
+            self._refresh_replica_at_members(want_ack=False)
 
     def _handle_com_decline(self, msg: Message) -> None:
         pending = self._pending.get(msg.payload.get("attempt"))
@@ -1131,53 +1124,17 @@ class QuorumProtocolAgent(
         else:
             self._drop_pending(pending)
 
+    # ==================================================================
+    # The allocation transaction, requester side.  The ACK and DECLINE
+    # sends stay in each handler: the transition table allows each grant
+    # only its own kind's replies.
+    # ==================================================================
     def _handle_com_nack(self, msg: Message) -> None:
         if self.is_configured():
             return
         self._config_timer.restart(self.cfg.config_timeout * 0.5)
 
     _handle_ch_nack = _handle_com_nack
-
-    # ==================================================================
-    # Cluster-head configuration (Table 1 / Fig. 3)
-    # ==================================================================
-    def _handle_ch_req(self, msg: Message) -> None:
-        if not self.is_allocator():
-            self._abort_unaccepted(msg, "not-allocator")
-            self._send(msg.src, m.CH_NACK,
-                       {"seq": msg.payload.get("seq")}, Category.CONFIG,
-                       corr=msg.corr)
-            return
-        assert self.head is not None
-        block = self.head.pool.take_half()
-        if block is None:
-            self._abort_unaccepted(msg, "dry")
-            self._send(msg.src, m.CH_NACK,
-                       {"seq": msg.payload.get("seq")}, Category.CONFIG,
-                       corr=msg.corr)
-            return
-        pending = PendingConfig(
-            requester=msg.src, kind="head", address=block.start,
-            owner_id=self.node_id, corr=msg.corr, block=block,
-            latency_hops=msg.payload.get("lat", 0) + msg.hops,
-            req_seq=msg.payload.get("seq"),
-        )
-        self._pending[pending.attempt_id] = pending
-        self._pending_addresses.add(block.start)
-        obs = self.ctx.obs
-        if obs:
-            obs.emit(obs_ev.ConfigRequested(
-                time=self.ctx.sim.now, node=self.node_id, corr=pending.corr,
-                attempt=pending.attempt_id, requester=pending.requester,
-                kind="head", address=block.start, owner=self.node_id))
-        delivery = self._send(msg.src, m.CH_PRP, {
-            "seq": msg.payload.get("seq"),
-            "attempt": pending.attempt_id,
-            "block": (block.start, block.size),
-            "lat": pending.latency_hops,
-        }, Category.CONFIG, corr=pending.corr)
-        if not delivery.ok:
-            self._abort_attempt(pending, reason="proposal-undeliverable")
 
     def _handle_ch_prp(self, msg: Message) -> None:
         if self.is_configured():
@@ -1190,119 +1147,56 @@ class QuorumProtocolAgent(
             "lat": msg.payload["lat"] + msg.hops,
         }, Category.CONFIG, corr=msg.corr)
 
-    def _handle_ch_cnf(self, msg: Message) -> None:
-        pending = self._pending.get(msg.payload["attempt"])
-        if pending is None or pending.kind != "head":
-            return
-        pending.latency_hops = msg.payload["lat"] + msg.hops
-        self._start_vote(pending)
-
-    def _commit_head(self, pending: PendingConfig) -> None:
-        assert self.head is not None and pending.block is not None
-        block = pending.block
-        conflicts = [
-            address for address in block.addresses()
-            if self._acd_conflict(address, pending.requester)
-        ]
-        obs = self.ctx.obs
-        if conflicts:
-            # Put the block back, but book the truth first so the next
-            # take_half carves around the conflicting addresses.
-            self.head.pool.absorb_block(block)
-            for address in conflicts:
-                self.head.pool.allocate(address)
-                self.head.ledger.mark_assigned(
-                    address, self.ctx.resolve_ip(address))
-            self._drop_pending(pending)
-            if obs:
-                obs.emit(obs_ev.ConfigAborted(
-                    time=self.ctx.sim.now, node=self.node_id,
-                    corr=pending.corr, attempt=pending.attempt_id,
-                    requester=pending.requester, reason="acd-conflict"))
-            self._send(pending.requester, m.CH_NACK,
-                       {"seq": pending.req_seq},
-                       Category.CONFIG, corr=pending.corr)
-            return
-        record = self.head.ledger.mark_assigned(block.start, pending.requester)
-        delivery = self._send(pending.requester, m.CH_CFG, {
-            "seq": pending.req_seq,
-            "attempt": pending.attempt_id,
-            "block": (block.start, block.size),
-            "allocator_ip": self.head.ip,
-            "allocator_id": self.node_id,
-            "network_id": self.network_id,
-            "lat": pending.latency_hops,
-        }, Category.CONFIG, corr=pending.corr)
-        if not delivery.ok:
-            self.head.pool.absorb_block(block)
-            self._drop_pending(pending)
-            if obs:
-                obs.emit(obs_ev.ConfigAborted(
-                    time=self.ctx.sim.now, node=self.node_id,
-                    corr=pending.corr, attempt=pending.attempt_id,
-                    requester=pending.requester,
-                    reason="grant-undeliverable"))
-            return
-        pending.cfg_delivered = True
-        if obs:
-            obs.emit(obs_ev.ConfigCommitted(
-                time=self.ctx.sim.now, node=self.node_id, corr=pending.corr,
-                attempt=pending.attempt_id, requester=pending.requester,
-                address=block.start, kind="head", borrowed=False,
-                latency_hops=pending.latency_hops))
-        # The donated block leaves our space; refresh replicas so QDSet
-        # members stop treating it as ours.
-        self._broadcast_update(self.node_id, block.start, record,
-                               Category.CONFIG, corr=pending.corr)
-        self._refresh_replica_at_members(want_ack=False)
-        self.ctx.sim.schedule(
-            4 * self.cfg.config_timeout, self._grant_cleanup,
-            pending.attempt_id)
-
-    def _handle_ch_cfg(self, msg: Message) -> None:
+    def _handle_com_cfg(self, msg: Message) -> None:
+        address = msg.payload["address"]
+        reply = {"attempt": msg.payload.get("attempt")}
         if self.is_configured():
-            offered = Block(*msg.payload["block"])
-            if self.head is not None and self.head.ip == offered.start:
-                self._send(msg.src, m.CH_ACK, {
-                    "attempt": msg.payload.get("attempt"),
-                }, Category.CONFIG, corr=msg.corr)
-            else:
-                self._send(msg.src, m.CH_DECLINE, {
-                    "attempt": msg.payload.get("attempt"),
-                }, Category.CONFIG, corr=msg.corr)
+            # Re-acknowledge a duplicate of the grant we accepted;
+            # decline any other, so the allocator rolls it back.
+            held = self.common is not None and self.common.ip == address
+            self._send(msg.src, m.COM_ACK if held else m.COM_DECLINE,
+                       reply, Category.CONFIG, corr=msg.corr)
             return
-        block = Block(*msg.payload["block"])
-        state = HeadState(
-            ip=block.start, blocks=[block],
+        self.common = CommonState(
+            ip=address,
             configurer_id=msg.payload.get("allocator_id", msg.src),
             configurer_ip=msg.payload["allocator_ip"],
         )
-        own_ip = state.pool.allocate(block.start)
-        assert own_ip == block.start
-        state.ledger.mark_assigned(own_ip, self.node_id)
-        self.head = state
         self.network_id = msg.payload.get("network_id")
-        self.config_latency_hops = msg.payload["lat"] + msg.hops
-        self._send_with_retry(msg.src, m.CH_ACK,
-                              {"attempt": msg.payload.get("attempt")},
-                              Category.CONFIG, corr=msg.corr)
-        obs = self.ctx.obs
-        if obs:
-            self._corr = msg.corr
-            obs.emit(obs_ev.ConfigCompleted(
-                time=self.ctx.sim.now, node=self.node_id, corr=msg.corr,
-                address=block.start, kind="head",
-                latency_hops=self.config_latency_hops))
-        self._finish_configuration(self.config_latency_hops)
+        self._send_with_retry(msg.src, m.COM_ACK, reply, Category.CONFIG,
+                              corr=msg.corr)
+        self._complete_grant(msg)
+
+    def _handle_ch_cfg(self, msg: Message) -> None:
+        block = Block(*msg.payload["block"])
+        reply = {"attempt": msg.payload.get("attempt")}
+        if self.is_configured():
+            # As for COM_CFG, with the block's first address.
+            held = self.head is not None and self.head.ip == block.start
+            self._send(msg.src, m.CH_ACK if held else m.CH_DECLINE,
+                       reply, Category.CONFIG, corr=msg.corr)
+            return
+        self.head = HeadState(
+            block, self.node_id,
+            configurer_id=msg.payload.get("allocator_id", msg.src),
+            configurer_ip=msg.payload["allocator_ip"],
+        )
+        self.network_id = msg.payload.get("network_id")
+        self._send_with_retry(msg.src, m.CH_ACK, reply, Category.CONFIG,
+                              corr=msg.corr)
+        self._complete_grant(msg)
         self._initialize_head_neighborhood()
 
-    def _handle_ch_ack(self, msg: Message) -> None:
-        pending = self._pending.get(msg.payload.get("attempt"))
-        if pending is None:
-            return
-        if self.head is not None and pending.block is not None:
-            self.head.configured[pending.block.start] = pending.requester
-        self._drop_pending(pending)
+    def _complete_grant(self, msg: Message) -> None:
+        """The accepted grant's epilogue, once the ACK is on its way."""
+        self.config_latency_hops = msg.payload["lat"] + msg.hops
+        if self.ctx.obs:
+            # The requester's correlation id rode the whole exchange;
+            # adopt it so the span's terminal lands in the right tree.
+            self._corr = msg.corr
+        self._finish_configuration(
+            self.config_latency_hops,
+            kind="common" if self.head is None else "head")
 
     # ==================================================================
     # Replica distribution / QDSet initialization
@@ -1411,9 +1305,8 @@ class QuorumProtocolAgent(
     # ==================================================================
     def _stop_all_timers(self) -> None:
         self._config_timer.stop()
-        for timer in self._vote_timers.values():
-            timer.stop()
-        self._vote_timers.clear()
+        for pending in self._pending.values():
+            pending.disarm()
         self._stop_location_service()
         self._stop_audit()
         self._stop_merge_watch()

@@ -246,11 +246,12 @@ class ReclamationMixin:
         replica = self.head.replicas.get(dead_id)
         if replica is None:
             return
+        # Our copy, in the shape of the owner's own replica snapshot.
         self._send(msg.src, m.REC_SYNC_ACK, {
-            "dead_id": dead_id,
+            "owner_id": dead_id,
             "ver": replica.version,
             "blocks": [(b.start, b.size) for b in replica.blocks],
-            "holders": sorted(replica.holders),
+            "qdset": sorted(replica.holders),
             "records": [
                 (a, r.timestamp, r.status.value, r.holder)
                 for a, r in replica.ledger.items()
@@ -258,22 +259,9 @@ class ReclamationMixin:
         }, Category.RECLAMATION)
 
     def _handle_rec_sync_ack(self, msg: Message) -> None:
-        if self.head is None:
-            return
-        from repro.addrspace.block import Block
-        from repro.quorum.replica import Replica
-        payload = msg.payload
-        incoming = Replica(
-            payload["dead_id"],
-            [Block(s, z) for s, z in payload["blocks"]],
-            holders=set(payload.get("holders", ())),
-            version=payload.get("ver", 0),
-        )
-        for address, ts, status, holder in payload["records"]:
-            incoming.ledger.apply(
-                address, AddressRecord(AddressStatus(status), ts, holder))
-        if self.head.replicas.get(payload["dead_id"]) is not None:
-            self.head.replicas.install(incoming)
+        if (self.head is not None
+                and self.head.replicas.get(msg.payload["owner_id"]) is not None):
+            self._install_replica_from(msg.payload)
 
     def _handle_rec_delegate(self, msg: Message) -> None:
         dead_id = msg.payload["dead_id"]

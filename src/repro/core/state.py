@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.addrspace.block import Block
 from repro.addrspace.pool import AddressPool
@@ -41,13 +41,21 @@ class HeadState:
     * ``replicas`` — the QuorumSpace: copies of QDSet members' spaces;
     * ``configured`` — members this head configured (ip -> node id),
       used for allocator-change notifications and reclamation replies.
+
+    Every head is founded the same way — the first head and a
+    re-founding head on the whole space, a granted head on its block,
+    a bootstrapped head on its share: it owns ``block`` and has
+    assigned the block's first address to itself (``node_id``).
     """
 
-    def __init__(self, ip: int, blocks: List[Block],
-                 configurer_id: Optional[int], configurer_ip: Optional[int]) -> None:
-        self.ip = ip
-        self.pool = AddressPool(blocks)
+    def __init__(self, block: Block, node_id: int,
+                 configurer_id: Optional[int] = None,
+                 configurer_ip: Optional[int] = None) -> None:
+        self.ip = block.start
+        self.pool = AddressPool([block])
+        self.pool.allocate(block.start)
         self.ledger = AddressLedger()
+        self.ledger.mark_assigned(block.start, node_id)
         self.qdset = QDSet()
         self.replicas = ReplicaStore()
         self.configured: Dict[int, int] = {}

@@ -117,14 +117,8 @@ def bulk_configure(
     # Heads: equal power-of-two blocks, own address = block start.
     positions = {node.node_id: node.position(sim.now) for node in nodes}
     for rank, head_id in enumerate(head_ids):
-        block = Block(rank * block_size, block_size)
-        state = HeadState(ip=block.start, blocks=[block],
-                          configurer_id=None, configurer_ip=None)
-        own_ip = state.pool.allocate()
-        state.ip = own_ip
-        state.ledger.mark_assigned(own_ip, head_id)
         agent = by_id[head_id]
-        agent.head = state
+        agent.head = HeadState(Block(rank * block_size, block_size), head_id)
         agent.network_id = network_id
 
     # Commons: group by nearest head, then one allocate_many /

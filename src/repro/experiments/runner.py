@@ -12,7 +12,6 @@ from repro.baselines.manetconf import ManetconfAgent, ManetconfConfig
 from repro.baselines.prophet import ProphetAgent, ProphetConfig
 from repro.baselines.weakdad import WeakDadAgent, WeakDadConfig
 from repro.core.config import ProtocolConfig
-from repro.core.configuration import reset_attempt_ids
 from repro.core.protocol import QuorumProtocolAgent
 from repro.experiments.metrics import DeathRecord, NodeOutcome, RunResult
 from repro.experiments.scenario import Scenario
@@ -84,9 +83,6 @@ class ScenarioRunner:
     def run(self) -> RunResult:
         scenario = self.scenario
         region = Region(*scenario.area)
-        # Attempt-id tokens restart per run so recorded traces don't
-        # depend on how many runs this process executed before.
-        reset_attempt_ids()
         ctx = NetworkContext.build(
             seed=scenario.seed,
             transmission_range=scenario.transmission_range,

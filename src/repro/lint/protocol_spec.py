@@ -75,10 +75,11 @@ EVENT_EMITTERS: Dict[str, FrozenSet[str]] = {
     "PartitionEvent": _fs("repro.core.partition"),
 }
 
-#: Event classes that end an allocation span.
-TERMINAL_EVENTS: FrozenSet[str] = _fs(
-    "ConfigCompleted", "ConfigCommitted", "ConfigAborted",
-    "ConfigTimeout", "VoteTimeout")
+#: The set of event classes that end an allocation span, in the events
+#: module: ``TERMINAL_ETYPES = frozenset({X.etype, ...})``, each element
+#: naming class ``X``.  The obs-coverage rule reads it from that module's
+#: parsed source, as the state-machine rule reads :data:`MESSAGES_TABLE`.
+TERMINAL_SET = "TERMINAL_ETYPES"
 
 #: For each terminal code path, the terminal events its closure must
 #: emit — exactly these, no more, no fewer.  Closures legitimately
@@ -86,9 +87,7 @@ TERMINAL_EVENTS: FrozenSet[str] = _fs(
 #: (commit aborts when the owner is unreachable; a vote timeout aborts
 #: the attempt it times out).
 TERMINAL_PATHS: Dict[str, FrozenSet[str]] = {
-    "repro.core.protocol.QuorumProtocolAgent._commit_common":
-        _fs("ConfigCommitted", "ConfigAborted"),
-    "repro.core.protocol.QuorumProtocolAgent._commit_head":
+    "repro.core.protocol.QuorumProtocolAgent._commit":
         _fs("ConfigCommitted", "ConfigAborted"),
     "repro.core.protocol.QuorumProtocolAgent._abort_attempt":
         _fs("ConfigAborted"),

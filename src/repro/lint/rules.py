@@ -522,6 +522,28 @@ def _state_machine(graph: ProjectGraph) -> Iterator[Hit]:
 # obs-coverage
 # ---------------------------------------------------------------------------
 
+def terminal_events(mod: ModuleInfo) -> Optional[Set[str]]:
+    """Event class names in the events module's
+    ``TERMINAL_ETYPES = frozenset({X.etype, ...})`` literal; ``None``
+    when it is missing or an element is not ``<class of the module>.etype``."""
+    literal = mod.assignments.get(spec.TERMINAL_SET)
+    if (isinstance(literal, ast.Call) and len(literal.args) == 1
+            and not literal.keywords
+            and dotted_source(literal.func) == "frozenset"):
+        literal = literal.args[0]
+    if not isinstance(literal, ast.Set):
+        return None
+    names: Set[str] = set()
+    for element in literal.elts:
+        if not (isinstance(element, ast.Attribute)
+                and element.attr == "etype"
+                and isinstance(element.value, ast.Name)
+                and element.value.id in mod.classes):
+            return None
+        names.add(element.value.id)
+    return names
+
+
 def _obs_coverage(graph: ProjectGraph) -> Iterator[Hit]:
     events_module = spec.EVENTS_MODULE
     constructed: Dict[str, Set[str]] = {}
@@ -550,6 +572,15 @@ def _obs_coverage(graph: ProjectGraph) -> Iterator[Hit]:
                    f"event {event} is never emitted by any scanned "
                    f"module (declared emitters: "
                    f"{', '.join(sorted(spec.EVENT_EMITTERS[event]))})")
+    if events_mod is None:
+        return
+    terminals = terminal_events(events_mod)
+    if terminals is None:
+        yield (events_mod.ctx, events_mod.ctx.tree,
+               f"{events_module}.{spec.TERMINAL_SET} must be "
+               f"frozenset({{X.etype, ...}}) over this module's event "
+               f"classes; the rule cannot read it otherwise")
+        return
     dispatch = _Dispatch(graph)
     for qualname in sorted(spec.TERMINAL_PATHS):
         expected = spec.TERMINAL_PATHS[qualname]
@@ -566,7 +597,7 @@ def _obs_coverage(graph: ProjectGraph) -> Iterator[Hit]:
             continue
         emitted = closure(graph, mod, cls, method, direct_emits,
                           dispatch=dispatch)
-        terminal = {e for e in emitted if e in spec.TERMINAL_EVENTS}
+        terminal = {e for e in emitted if e in terminals}
         for missing in sorted(expected - terminal):
             yield (mod.ctx, info.node,
                    f"terminal path {cls.name}.{method} never emits "

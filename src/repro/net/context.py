@@ -20,7 +20,8 @@ per-component head table knows when to rebuild.
 
 from __future__ import annotations
 
-from typing import (TYPE_CHECKING, Any, Dict, FrozenSet, List,
+import itertools
+from typing import (TYPE_CHECKING, Any, Dict, FrozenSet, Iterator, List,
                     Optional, Set, Tuple)
 
 from repro.net.hello import HelloService
@@ -86,6 +87,10 @@ class NetworkContext:
         #: the component table's cache key (the other half is
         #: ``Topology.graph_version``).
         self.role_epoch = 0
+        #: Allocation attempt ids (``PendingConfig.attempt_id``), drawn
+        #: by every allocator of the run from 1 up, so identical seeded
+        #: runs trace the same ids whatever ran in the process before.
+        self.attempt_ids: Iterator[int] = itertools.count(1)
         self.ip_registry: Dict[int, int] = {}  # ip -> node_id
         # Derived view: component id -> (sorted head ids, head network
         # ids, all configured network ids), shared by every agent that

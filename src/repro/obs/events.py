@@ -355,7 +355,9 @@ EVENT_TYPES: Dict[str, Type[Any]] = {
     )
 }
 
-#: Terminal event types: every span (corr > 0) must end with one.
+#: Terminal event types: every span (corr > 0) must end with one.  The
+#: ``obs-coverage`` lint rule reads this set from the parsed source, so
+#: keep it ``frozenset({X.etype, ...})`` over this module's classes.
 TERMINAL_ETYPES = frozenset({
     ConfigCompleted.etype, ConfigCommitted.etype, ConfigAborted.etype,
     ConfigTimeout.etype, VoteTimeout.etype,

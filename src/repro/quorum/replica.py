@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.addrspace.block import Block
-from repro.addrspace.records import AddressLedger, AddressRecord, AddressStatus
+from repro.addrspace.records import AddressLedger, AddressStatus
 
 
 class Replica:
@@ -38,9 +38,6 @@ class Replica:
 
     def covers(self, address: int) -> bool:
         return any(b.contains(address) for b in self.blocks)
-
-    def record_for(self, address: int) -> AddressRecord:
-        return self.ledger.get(address)
 
     def size(self) -> int:
         return sum(b.size for b in self.blocks)

@@ -16,28 +16,26 @@ from tests.helpers import add_node, line_agents, make_ctx
 # ---------------------------------------------------------------------------
 # select_candidate unit tests
 # ---------------------------------------------------------------------------
-def make_head(blocks, qdset=()):
-    head = HeadState(ip=blocks[0].start, blocks=blocks,
-                     configurer_id=None, configurer_ip=None)
-    head.pool.allocate(blocks[0].start)
+def make_head(block, qdset=()):
+    head = HeadState(block, node_id=0)  # holds the block's first address
     for member in qdset:
         head.qdset.add(member)
     return head
 
 
 def test_own_space_preferred():
-    head = make_head([Block(0, 8)])
+    head = make_head(Block(0, 8))
     assert select_candidate(head, set(), borrowing_enabled=True) == (1, None)
 
 
 def test_reserved_addresses_skipped():
-    head = make_head([Block(0, 8)])
+    head = make_head(Block(0, 8))
     candidate = select_candidate(head, {1, 2}, borrowing_enabled=True)
     assert candidate == (3, None)
 
 
 def test_borrow_when_own_space_dry():
-    head = make_head([Block(0, 2)])
+    head = make_head(Block(0, 2))
     head.pool.allocate()  # exhaust: 0 = own ip, 1 allocated
     head.qdset.add(7)
     replica = Replica(7, [Block(8, 4)])
@@ -47,7 +45,7 @@ def test_borrow_when_own_space_dry():
 
 
 def test_borrow_disabled_returns_none():
-    head = make_head([Block(0, 2)])
+    head = make_head(Block(0, 2))
     head.pool.allocate()
     head.qdset.add(7)
     head.replicas.install(Replica(7, [Block(8, 4)]))
@@ -55,14 +53,14 @@ def test_borrow_disabled_returns_none():
 
 
 def test_borrow_only_from_active_quorum_members():
-    head = make_head([Block(0, 2)])
+    head = make_head(Block(0, 2))
     head.pool.allocate()
     head.replicas.install(Replica(7, [Block(8, 4)]))  # 7 NOT in qdset
     assert select_candidate(head, set(), borrowing_enabled=True) is None
 
 
 def test_borrow_skips_assigned_replica_addresses():
-    head = make_head([Block(0, 2)])
+    head = make_head(Block(0, 2))
     head.pool.allocate()
     head.qdset.add(7)
     replica = Replica(7, [Block(8, 2)])

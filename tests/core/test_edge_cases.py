@@ -6,6 +6,7 @@ from repro.cluster.roles import Role
 from repro.core import ProtocolConfig
 from repro.core import messages as m
 from repro.core.protocol import CONFLICT_TS
+from repro.core.state import CommonState
 from repro.geometry import Point
 from repro.mobility.base import Stationary
 from repro.net.message import Message
@@ -146,7 +147,8 @@ def test_foreign_grant_is_declined_and_rolled_back():
     from repro.core.configuration import PendingConfig
     free = head0.head.pool.peek_free()
     assert free is not None
-    pending = PendingConfig(requester=follower.node_id, kind="common",
+    pending = PendingConfig(attempt_id=next(ctx.attempt_ids),
+                            requester=follower.node_id,
                             address=free, owner_id=head0.node_id)
     pending.collector = None
     head0._pending[pending.attempt_id] = pending
@@ -166,6 +168,192 @@ def test_foreign_grant_is_declined_and_rolled_back():
     # rolled the grant back.
     assert head0.head.pool.is_free(free)
     assert head0.head.ledger.get(free).status is AddressStatus.FREE
+
+
+# ---------------------------------------------------------------------------
+# Head-kind grants (CH_REQ -> CH_PRP -> CH_CNF -> vote -> CH_CFG) and the
+# grant cleanup of both kinds
+# ---------------------------------------------------------------------------
+def received_types(agent, on_arrival=None):
+    """Record the message types ``agent`` receives; ``on_arrival(msg)``
+    runs first and may swallow a message by returning True."""
+    received = []
+    original = agent.on_message
+
+    def on_message(msg):
+        received.append(msg.mtype)
+        if on_arrival is None or not on_arrival(msg):
+            original(msg)
+
+    agent.on_message = on_message
+    return received
+
+
+def request(mtype, requester, head):
+    return Message(mtype, src=requester.node_id, dst=head.node_id,
+                   payload={"seq": 1, "lat": 0})
+
+
+def move_away(ctx, agent):
+    agent.node.mobility = Stationary(Point(5000.0, 5000.0))
+    ctx.topology.invalidate()
+
+
+def test_acd_conflict_on_head_grant_nacks_and_books_the_conflict():
+    ctx = make_ctx()
+    cfg = ProtocolConfig(address_space_bits=6)
+    head, common = configured_chain(ctx, 2, cfg=cfg)
+    requester = add_node(ctx, 50, 100.0, 620.0, cfg=cfg)  # 1 hop from head
+    received = received_types(requester)
+    free_before = set(head.head.pool.free_addresses())
+    head.on_message(request(m.CH_REQ, requester, head))
+    (pending,) = head._pending.values()
+    block = pending.block
+    assert block is not None and pending.kind == "head"
+    # A live node of the same network already answers for an address
+    # of the proposed block: commit-time detection must refuse it.
+    conflict = block.start + 3
+    ctx.bind_ip(conflict, common.node_id)
+    ctx.sim.run(until=ctx.sim.now + 0.5)
+    assert received == [m.CH_PRP, m.CH_NACK]
+    assert head._pending == {}
+    assert conflict in head.head.pool.allocated
+    record = head.head.ledger.get(conflict)
+    assert record.status is AddressStatus.ASSIGNED
+    assert record.holder == common.node_id
+    assert set(head.head.pool.free_addresses()) == free_before - {conflict}
+
+
+def test_declined_head_grant_returns_the_block_and_writes_it_back():
+    ctx = make_ctx()
+    cfg = ProtocolConfig(address_space_bits=6)
+    agents = configured_chain(ctx, 4, cfg=cfg)  # heads at 0 and 3
+    head, other = agents[0], agents[3]
+    assert other.node_id in head.head.qdset
+    requester = add_node(ctx, 50, 100.0, 620.0, cfg=cfg)
+
+    def configured_elsewhere(msg):
+        # The requester got an address from someone else while the
+        # grant was in flight, so it must decline the block.
+        if msg.mtype == m.CH_CFG:
+            requester.common = CommonState(ip=60, configurer_id=other.node_id,
+                                           configurer_ip=other.head.ip)
+        return False
+
+    received = received_types(requester, configured_elsewhere)
+    free_before = head.head.pool.free_count()
+    head.on_message(request(m.CH_REQ, requester, head))
+    (pending,) = head._pending.values()
+    start = pending.block.start
+    ctx.sim.run(until=ctx.sim.now + 0.5)
+    assert received == [m.CH_PRP, m.CH_CFG]
+    assert requester.head is None
+    assert head._pending == {}
+    assert head.head.pool.free_count() == free_before
+    assert head.head.ledger.get(start).status is AddressStatus.FREE
+    assert start not in head.head.configured
+    # The release was written back: the QDSet member's replica agrees.
+    replica = other.head.replicas.get(head.node_id)
+    assert replica.ledger.get(start).status is AddressStatus.FREE
+    assert replica.covers(start)
+
+
+def test_grant_cleanup_rolls_back_an_undelivered_common_grant():
+    ctx = make_ctx()
+    head, _common = configured_chain(ctx, 2)
+    requester = add_node(ctx, 50, 100.0, 620.0)
+    move_away(ctx, requester)
+    head.on_message(request(m.COM_REQ, requester, head))
+    (pending,) = head._pending.values()
+    address = pending.address
+    # Committed at once (empty QDSet), but the grant found no route.
+    assert pending.committed and not pending.cfg_delivered
+    assert address in head.head.pool.allocated
+    ctx.sim.run(until=ctx.sim.now + 4 * head.cfg.config_timeout + 1.0)
+    assert head._pending == {}
+    assert head.head.pool.is_free(address)
+    assert head.head.ledger.get(address).status is AddressStatus.FREE
+    assert address not in head.head.configured
+
+
+def test_grant_cleanup_keeps_a_delivered_unacknowledged_common_grant():
+    ctx = make_ctx()
+    head, _common = configured_chain(ctx, 2)
+    requester = add_node(ctx, 50, 100.0, 620.0)
+    received = received_types(
+        requester, lambda msg: msg.mtype == m.COM_CFG)  # never ACKs
+    head.on_message(request(m.COM_REQ, requester, head))
+    (pending,) = head._pending.values()
+    address = pending.address
+    ctx.sim.run(until=ctx.sim.now + 4 * head.cfg.config_timeout + 1.0)
+    assert received == [m.COM_CFG]
+    assert head._pending == {}
+    assert address in head.head.pool.allocated
+    assert head.head.ledger.get(address).status is AddressStatus.ASSIGNED
+    assert head.head.configured[address] == requester.node_id
+
+
+def test_undelivered_head_grant_returns_the_block_without_a_nack():
+    ctx = make_ctx()
+    cfg = ProtocolConfig(address_space_bits=6)
+    head, _common = configured_chain(ctx, 2, cfg=cfg)
+    requester = add_node(ctx, 50, 100.0, 620.0, cfg=cfg)
+
+    def leave_after_confirming(msg):
+        if msg.mtype == m.CH_PRP:
+            requester._handle_ch_prp(msg)  # CH_CNF is on its way
+            move_away(ctx, requester)
+            return True
+        return False
+
+    received = received_types(requester, leave_after_confirming)
+    free_before = head.head.pool.free_count()
+    head.on_message(request(m.CH_REQ, requester, head))
+    ctx.sim.run(until=ctx.sim.now + 4 * cfg.config_timeout + 1.0)
+    assert received == [m.CH_PRP]
+    assert head._pending == {}
+    assert head.head.pool.free_count() == free_before
+
+
+def test_grant_cleanup_keeps_a_delivered_unacknowledged_head_grant():
+    ctx = make_ctx()
+    cfg = ProtocolConfig(address_space_bits=6)
+    head, _common = configured_chain(ctx, 2, cfg=cfg)
+    requester = add_node(ctx, 50, 100.0, 620.0, cfg=cfg)
+    received = received_types(
+        requester, lambda msg: msg.mtype == m.CH_CFG)  # never ACKs
+    free_before = head.head.pool.free_count()
+    head.on_message(request(m.CH_REQ, requester, head))
+    (pending,) = head._pending.values()
+    block = pending.block
+    ctx.sim.run(until=ctx.sim.now + 4 * cfg.config_timeout + 1.0)
+    assert received == [m.CH_PRP, m.CH_CFG]
+    assert head._pending == {}
+    assert head.head.pool.free_count() == free_before - block.size
+    assert not head.head.pool.owns(block.start)
+    assert head.head.ledger.get(block.start).status is AddressStatus.ASSIGNED
+
+
+def test_vote_timeout_on_head_grant_returns_the_block():
+    ctx = make_ctx()
+    # Majority voting: with one silent member of two, no quorum forms.
+    cfg = ProtocolConfig(address_space_bits=6, use_linear_voting=False)
+    agents = configured_chain(ctx, 4, cfg=cfg)  # heads at 0 and 3
+    head, silent = agents[0], agents[3]
+    assert silent.node_id in head.head.qdset
+    received_types(silent, lambda msg: msg.mtype == m.QUORUM_CLT)
+    requester = add_node(ctx, 50, 100.0, 620.0, cfg=cfg)
+    received = received_types(requester)
+    free_before = head.head.pool.free_count()
+    head.on_message(request(m.CH_REQ, requester, head))
+    (pending,) = head._pending.values()
+    ctx.sim.run(until=ctx.sim.now + 0.5)
+    assert pending.collector is not None and head.live_vote_timers == 1
+    assert head.head.pool.free_count() < free_before
+    ctx.sim.run(until=ctx.sim.now + cfg.config_timeout)
+    assert received == [m.CH_PRP, m.CH_NACK]
+    assert head._pending == {} and head.live_vote_timers == 0
+    assert head.head.pool.free_count() == free_before
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,10 @@ stay positive and within its cell's inline budget — the value measured
 when the budget was written, times 1.25, rounded up.  A change that
 makes the substrate search less lowers the budget in the same commit;
 one that makes it search 25 % more fails here.
+
+The result hashes cannot see the order of emissions or the attempt ids,
+so each cell is also run traced and the sha256 of its JSONL event
+stream is pinned beside them.
 """
 
 import hashlib
@@ -44,22 +48,27 @@ CELLS = {
         dict(),
         "65f6c4e26ba6d0da2156286805d7f014ce2d40c5a69852e53a5daa7d608cdeb8",
         {cnt.CONN_LABEL_HITS: 3969, cnt.BFS_CALLS: 4530,
-         cnt.BFS_CACHE_HITS: 1054, cnt.BFS_NODES_EXPANDED: 18319}),
+         cnt.BFS_CACHE_HITS: 1054, cnt.BFS_NODES_EXPANDED: 18319},
+        "2bc9fcdc528ca5902c8d58dbe47968201142b60b7f244bfc9806200074ac8b4e"),
     "static_lossy": (
         dict(speed_mps=0.0, faults=FaultSpec(loss_rate=0.05)),
         "bb5adedd0b311c98d6ad325d918bb4e797adba5eb0fab000ffafc9418d3cf9d4",
         {cnt.CONN_LABEL_HITS: 3084, cnt.BFS_CALLS: 1123,
          cnt.BFS_CACHE_HITS: 2373, cnt.BFS_NODES_EXPANDED: 5673,
-         cnt.CONN_SPLIT_SLOTS_SCANNED: 59}),
+         cnt.CONN_SPLIT_SLOTS_SCANNED: 59},
+        "5e52007da5574b648aeaef1c632734f9fa9242a0d138a4ec8a4cf152ae017580"),
 }
+
+
+def cell_scenario(cell, **overrides):
+    return Scenario(num_nodes=40, seed=7, depart_fraction=0.3,
+                    abrupt_probability=0.3, **CELLS[cell][0], **overrides)
 
 
 @pytest.mark.parametrize("cell", sorted(CELLS))
 def test_quorum_run_result_hash_is_pinned(cell):
-    extra, pinned, budgets = CELLS[cell]
-    scenario = Scenario(num_nodes=40, seed=7, depart_fraction=0.3,
-                        abrupt_probability=0.3, **extra)
-    payload = ScenarioRunner(scenario, "quorum").run().to_dict()
+    _extra, pinned, budgets, _trace = CELLS[cell]
+    payload = ScenarioRunner(cell_scenario(cell), "quorum").run().to_dict()
     counters = payload["perf_counters"]
     for name, budget in budgets.items():
         assert 0 < counters.pop(name) <= budget, name
@@ -68,3 +77,12 @@ def test_quorum_run_result_hash_is_pinned(cell):
     digest = hashlib.sha256(
         json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
     assert digest == pinned
+
+
+@pytest.mark.parametrize("cell", sorted(CELLS))
+def test_quorum_trace_digest_is_pinned(cell):
+    runner = ScenarioRunner(cell_scenario(cell, trace=True), "quorum")
+    runner.run()
+    digest = hashlib.sha256(
+        runner.recorder.to_jsonl().encode("utf-8")).hexdigest()
+    assert digest == CELLS[cell][3]

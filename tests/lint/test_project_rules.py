@@ -188,7 +188,9 @@ def test_obs_coverage_reports_never_emitted_events(tree):
     # every spec'd event is dead instrumentation.
     tree.write("src/repro/obs/events.py", """\
         class ConfigCommitted:
-            pass
+            etype = "config.commit"
+
+        TERMINAL_ETYPES = frozenset({ConfigCommitted.etype})
         """)
     findings = tree.findings(select={"obs-coverage"})
     assert findings, "expected never-emitted findings"
@@ -199,9 +201,42 @@ def test_obs_coverage_reports_never_emitted_events(tree):
     assert committed and committed[0].line == 1
 
 
+# The obs-coverage rule reads the terminal events from the *parsed*
+# repro.obs.events module of the tree it lints (each ``X.etype`` element
+# of TERMINAL_ETYPES names class X), so the terminal-path fixtures carry
+# their own.
+EVENTS = """\
+    class ConfigCommitted:
+        etype = "config.commit"
+
+    class ConfigAborted:
+        etype = "config.abort"
+
+    class ConfigCompleted:
+        etype = "config.complete"
+
+    class ConfigTimeout:
+        etype = "config.timeout"
+
+    class VoteTimeout:
+        etype = "vote.timeout"
+
+    TERMINAL_ETYPES = frozenset({
+        ConfigCompleted.etype, ConfigCommitted.etype, ConfigAborted.etype,
+        ConfigTimeout.etype, VoteTimeout.etype,
+    })
+    """
+
+
+def terminal_path_findings(tree):
+    return [f for f in tree.findings(select={"obs-coverage"})
+            if "never emitted by any scanned module" not in f.message]
+
+
 def test_obs_coverage_checks_terminal_path_emissions(tree):
     # _abort_attempt must emit exactly {ConfigAborted}; emitting
     # ConfigCompleted instead is one missing + one extra finding.
+    tree.write("src/repro/obs/events.py", EVENTS)
     tree.write("src/repro/core/protocol.py", """\
         import repro.obs.events as ev
 
@@ -209,7 +244,7 @@ def test_obs_coverage_checks_terminal_path_emissions(tree):
             def _abort_attempt(self, bus):
                 bus.emit(ev.ConfigCompleted(t=0.0, node=0))
         """)
-    findings = [f for f in tree.findings(select={"obs-coverage"})
+    findings = [f for f in terminal_path_findings(tree)
                 if "_abort_attempt" in f.message]
     messages = sorted(f.message for f in findings)
     assert len(findings) == 2
@@ -217,21 +252,15 @@ def test_obs_coverage_checks_terminal_path_emissions(tree):
     assert "emits ConfigCompleted" in messages[0]
 
 
-def test_obs_coverage_terminal_path_clean_when_exact(tree):
-    # Every terminal path the spec assigns, emitting exactly its
-    # assigned terminal set.
-    tree.write("src/repro/core/protocol.py", """\
+TERMINAL_PATHS_EXACT = """\
         import repro.obs.events as ev
 
         class QuorumProtocolAgent:
-            def _commit_common(self, bus, ok):
+            def _commit(self, bus, ok):
                 if ok:
                     bus.emit(ev.ConfigCommitted(t=0.0, node=0))
                 else:
-                    bus.emit(ev.ConfigAborted(t=0.0, node=0, reason="x"))
-
-            def _commit_head(self, bus, ok):
-                self._commit_common(bus, ok)
+                    self._abort_attempt(bus, "x")
 
             def _abort_attempt(self, bus, reason):
                 bus.emit(ev.ConfigAborted(t=0.0, node=0, reason=reason))
@@ -251,8 +280,36 @@ def test_obs_coverage_terminal_path_clean_when_exact(tree):
 
             def _handle_ch_cfg(self, bus, msg):
                 bus.emit(ev.ConfigCompleted(t=0.0, node=0))
-        """)
-    assert tree.findings(select={"obs-coverage"}) == []
+        """
+
+
+def test_obs_coverage_terminal_path_clean_when_exact(tree):
+    # Every terminal path the spec assigns, emitting exactly its
+    # assigned terminal set.
+    tree.write("src/repro/obs/events.py", EVENTS)
+    tree.write("src/repro/core/protocol.py", TERMINAL_PATHS_EXACT)
+    assert terminal_path_findings(tree) == []
+
+
+def test_obs_coverage_reads_terminal_events_from_the_linted_tree(tree):
+    # With VoteTimeout left out of this tree's terminal set, the vote
+    # timeout path emits one terminal too few.
+    tree.write("src/repro/obs/events.py", EVENTS.replace(
+        " VoteTimeout.etype,", ""))
+    tree.write("src/repro/core/protocol.py", TERMINAL_PATHS_EXACT)
+    assert [f.message for f in terminal_path_findings(tree)] == [
+        "terminal path QuorumProtocolAgent._on_vote_timeout never emits "
+        "VoteTimeout (required by the emission map)"]
+
+
+def test_obs_coverage_flags_unreadable_terminal_set(tree):
+    tree.write("src/repro/obs/events.py", EVENTS.replace(
+        "ConfigTimeout.etype,", '"config.timeout",'))
+    tree.write("src/repro/core/protocol.py", TERMINAL_PATHS_EXACT)
+    findings = terminal_path_findings(tree)
+    assert len(findings) == 1
+    assert "TERMINAL_ETYPES must be" in findings[0].message
+    assert findings[0].path == "src/repro/obs/events.py"
 
 
 # ---------------------------------------------------------------------------

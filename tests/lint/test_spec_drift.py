@@ -31,11 +31,15 @@ def test_docs_table_matches_spec():
 
 
 def test_terminal_events_are_a_subset_of_emitters():
-    assert spec.TERMINAL_EVENTS <= set(spec.EVENT_EMITTERS)
+    from repro.obs import events as ev
+    terminal = {cls.__name__ for cls in ev.EVENT_TYPES.values()
+                if cls.etype in ev.TERMINAL_ETYPES}
+    assert len(terminal) == len(ev.TERMINAL_ETYPES)
+    assert terminal <= set(spec.EVENT_EMITTERS)
     for path, terminals in spec.TERMINAL_PATHS.items():
-        assert terminals <= spec.TERMINAL_EVENTS, (
+        assert terminals <= terminal, (
             f"{path} assigned non-terminal events "
-            f"{sorted(terminals - spec.TERMINAL_EVENTS)}")
+            f"{sorted(terminals - terminal)}")
 
 
 def test_spec_events_match_obs_module():
