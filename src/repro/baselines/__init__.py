@@ -16,12 +16,15 @@
   Section III): instant self-configuration with (IP, key) pairs and
   routing-carried conflict detection.
 
-All agents share the runner-facing interface of
-:class:`~repro.baselines.base.BaseAutoconfAgent`, which matches
-:class:`~repro.core.protocol.QuorumProtocolAgent`'s.
+* :class:`~repro.baselines.prophet.ProphetAgent` — Prophet allocation
+  (Zhou, Ni & Mutka, INFOCOM 2003), reference [6] of the survey.
+
+Each derives from :class:`repro.net.agent.Agent`, as
+:class:`~repro.core.protocol.QuorumProtocolAgent` does, and defines
+only its protocol: the base owns registration, the metric fields,
+sending, dispatch and teardown.
 """
 
-from repro.baselines.base import BaseAutoconfAgent
 from repro.baselines.buddy import BuddyAgent, BuddyConfig
 from repro.baselines.ctree import CTreeAgent, CTreeConfig
 from repro.baselines.dad import DadAgent, DadConfig
@@ -30,7 +33,6 @@ from repro.baselines.prophet import ProphetAgent, ProphetConfig
 from repro.baselines.weakdad import WeakDadAgent, WeakDadConfig
 
 __all__ = [
-    "BaseAutoconfAgent",
     "ManetconfAgent", "ManetconfConfig",
     "BuddyAgent", "BuddyConfig",
     "CTreeAgent", "CTreeConfig",

@@ -18,11 +18,11 @@ from typing import Dict, Optional, Tuple
 
 from repro.addrspace.block import Block
 from repro.addrspace.pool import AddressPool
+from repro.net.agent import Agent
 from repro.net.context import NetworkContext
 from repro.net.message import Message
 from repro.net.node import Node
 from repro.net.stats import Category
-from repro.baselines.base import BaseAutoconfAgent
 from repro.sim.timers import PeriodicTimer
 
 BD_REQ = "BD_REQ"          # new node -> configured node: want a block
@@ -49,7 +49,7 @@ class BuddyConfig:
         return 1 << self.address_space_bits
 
 
-class BuddyAgent(BaseAutoconfAgent):
+class BuddyAgent(Agent):
     """Per-node implementation of the disjoint-block scheme."""
 
     protocol_name = "buddy"
@@ -201,13 +201,13 @@ class BuddyAgent(BaseAutoconfAgent):
             if node_id == self.node_id or now - seen < horizon:
                 continue
             agent = self.ctx.agent_of(node_id)
-            donor = getattr(agent, "donor_id", None) if agent else None
+            donor = agent.donor_id if agent is not None else None
             if donor != self.node_id:
                 del self.table[node_id]
                 continue
             # Our buddy went silent: claim its space.
             del self.table[node_id]
-            if agent is not None and getattr(agent, "pool", None) is not None \
+            if agent is not None and agent.pool is not None \
                     and self.pool is not None and not agent.node.alive:
                 for block in agent.pool.take_all():
                     self.pool.absorb_block(block)

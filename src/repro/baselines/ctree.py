@@ -15,15 +15,15 @@ the C-root is both the mainstay and the bottleneck.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional, Set, Tuple
+from typing import Any, Dict, Optional, Set
 
 from repro.addrspace.block import Block
 from repro.addrspace.pool import AddressPool
+from repro.net.agent import Agent
 from repro.net.context import NetworkContext
 from repro.net.message import Message
 from repro.net.node import Node
 from repro.net.stats import Category
-from repro.baselines.base import BaseAutoconfAgent
 from repro.sim.timers import PeriodicTimer
 
 CT_REQ = "CT_REQ"            # new node -> coordinator: one address
@@ -57,7 +57,7 @@ class CTreeConfig:
         return 1 << self.address_space_bits
 
 
-class CTreeAgent(BaseAutoconfAgent):
+class CTreeAgent(Agent):
     """Per-node implementation of the C-tree scheme."""
 
     protocol_name = "ctree"
@@ -87,6 +87,17 @@ class CTreeAgent(BaseAutoconfAgent):
             and self.pool is not None
             and self.pool.free_count() > 0
         )
+
+    def death_snapshot(self) -> Dict[str, Any]:
+        """A coordinator's death loses what the C-root has not seen."""
+        return {
+            "was_head": self.is_coordinator and self.is_configured(),
+            "ever_reported": self.ever_reported or self.is_root,
+            "allocations_since_report": self.allocations_since_report,
+            "root_id": self.root_id,
+            "allocations_total": (
+                len(self.pool.allocated) if self.pool is not None else 0),
+        }
 
     # ------------------------------------------------------------------
     # Configuration
@@ -273,7 +284,7 @@ class CTreeAgent(BaseAutoconfAgent):
         # The C-root absorbs what the dead coordinator held, as known
         # from its last report (substrate shortcut: read its pool).
         agent = self.ctx.agent_of(dead_id)
-        if agent is not None and getattr(agent, "pool", None) is not None \
+        if agent is not None and agent.pool is not None \
                 and self.pool is not None and not agent.node.alive:
             for block in agent.pool.take_all():
                 self.pool.absorb_block(block)

@@ -15,11 +15,11 @@ from __future__ import annotations
 import dataclasses
 from typing import Optional
 
+from repro.net.agent import Agent
 from repro.net.context import NetworkContext
 from repro.net.message import Message
 from repro.net.node import Node
 from repro.net.stats import Category
-from repro.baselines.base import BaseAutoconfAgent
 from repro.sim.timers import Timer
 
 AREQ = "AREQ"
@@ -39,7 +39,7 @@ class DadConfig:
         return 1 << self.address_space_bits
 
 
-class DadAgent(BaseAutoconfAgent):
+class DadAgent(Agent):
     """Per-node stateless DAD."""
 
     protocol_name = "dad"

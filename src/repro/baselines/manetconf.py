@@ -14,11 +14,11 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, Optional, Set
 
+from repro.net.agent import Agent
 from repro.net.context import NetworkContext
 from repro.net.message import Message
 from repro.net.node import Node
 from repro.net.stats import Category
-from repro.baselines.base import BaseAutoconfAgent
 from repro.sim.timers import Timer
 
 MC_REQ = "MC_REQ"              # requester -> initiator
@@ -58,7 +58,7 @@ class _InitiatorSession:
     vetoed: bool = False
 
 
-class ManetconfAgent(BaseAutoconfAgent):
+class ManetconfAgent(Agent):
     """Per-node MANETconf implementation."""
 
     protocol_name = "manetconf"
@@ -193,7 +193,7 @@ class ManetconfAgent(BaseAutoconfAgent):
 
     def _address_of(self, node_id: int) -> Optional[int]:
         agent = self.ctx.agent_of(node_id)
-        return getattr(agent, "ip", None) if agent is not None else None
+        return agent.ip if agent is not None else None
 
     def _conclude_session(self, session_id: int) -> None:
         session = self._sessions.pop(session_id, None)

@@ -21,11 +21,11 @@ from __future__ import annotations
 import dataclasses
 from typing import Optional
 
+from repro.net.agent import Agent
 from repro.net.context import NetworkContext
 from repro.net.message import Message
 from repro.net.node import Node
 from repro.net.stats import Category
-from repro.baselines.base import BaseAutoconfAgent
 
 PR_REQ = "PR_REQ"        # newcomer -> configured node
 PR_ASSIGN = "PR_ASSIGN"  # allocator -> newcomer: (address, seed)
@@ -56,7 +56,7 @@ class ProphetConfig:
         return 1 << self.address_space_bits
 
 
-class ProphetAgent(BaseAutoconfAgent):
+class ProphetAgent(Agent):
     """Per-node Prophet allocation."""
 
     protocol_name = "prophet"

@@ -23,11 +23,11 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, Optional, Tuple
 
+from repro.net.agent import Agent
 from repro.net.context import NetworkContext
 from repro.net.message import Message
 from repro.net.node import Node
 from repro.net.stats import Category
-from repro.baselines.base import BaseAutoconfAgent
 from repro.sim.timers import PeriodicTimer
 
 WD_LSA = "WD_LSA"  # link-state advertisement carrying (ip, key)
@@ -45,7 +45,7 @@ class WeakDadConfig:
         return 1 << self.address_space_bits
 
 
-class WeakDadAgent(BaseAutoconfAgent):
+class WeakDadAgent(Agent):
     """Per-node Weak DAD."""
 
     protocol_name = "weakdad"

@@ -79,7 +79,7 @@ class AdjustmentMixin:
         the labels are asked only when some member's node is alive: a
         label question refreshes a stale graph, so it has to fall on
         the same events it always fell on (with nobody alive to ask
-        about, the audit first touches the graph in ``_heads_within``).
+        about, the audit first touches the graph in ``_allocators_within``).
         """
         node_of = self.ctx.node_of
         alive = [member for member in members
@@ -128,7 +128,7 @@ class AdjustmentMixin:
         three-hop adjacency (a quorum of one dead member would
         otherwise strand the head)."""
         assert self.head is not None
-        for head_id, _hops in self._heads_within(ADJACENT_HEAD_HOPS):
+        for head_id, _hops in self._allocators_within(ADJACENT_HEAD_HOPS):
             self._recruit_member(head_id)
         if self.head.qdset.needs_regrow():
             # Regrowing a starved QDSet recruits the nearest heads in
@@ -268,6 +268,6 @@ class AdjustmentMixin:
             return
         dead_ip = None
         agent = self.ctx.agent_of(member)
-        if agent is not None and getattr(agent, "head", None) is not None:
+        if agent is not None and agent.head is not None:
             dead_ip = agent.head.ip
         self.initiate_reclamation(member, dead_ip)

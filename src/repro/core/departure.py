@@ -30,7 +30,10 @@ class DepartureMixin:
 
     def _init_departure_state(self) -> None:
         self._leaving = False
-        self._leave_timer = Timer(self.ctx.sim, self._finalize_leave)
+        # Leave even if no acknowledgement arrives.  The callback is
+        # defined here so the profiler charges the timer to repro.core.
+        self._leave_timer = Timer(self.ctx.sim,
+                                  lambda: self._finalize_leave())
 
     # ------------------------------------------------------------------
     # Entry point (called by the scenario runner)
@@ -49,21 +52,12 @@ class DepartureMixin:
         if self.node.alive:
             self._leave_timer.restart(LEAVE_GRACE)
 
-    def _finalize_leave(self) -> None:
-        if not self.node.alive:
-            return
-        self._stop_all_timers()
-        if self.ip is not None:
-            self.ctx.unbind_ip(self.ip)
-        self.node.kill()
-        self.ctx.topology.remove_node(self.node)
-
     # ------------------------------------------------------------------
     # Common node departure
     # ------------------------------------------------------------------
     def _common_departure(self) -> None:
         assert self.common is not None
-        nearest = self._nearest_head()
+        nearest = self._nearest_allocator()
         if nearest is None:
             self._finalize_leave()
             return
@@ -168,7 +162,7 @@ class DepartureMixin:
         ]
         if candidates:
             return min(candidates, key=lambda mid: (replica_size(mid), mid))
-        nearest = self._nearest_head()
+        nearest = self._nearest_allocator()
         return nearest[0] if nearest is not None else None
 
     def _head_departure(self) -> None:

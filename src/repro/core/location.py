@@ -60,7 +60,7 @@ class LocationMixin:
             anchor_near = hops is not None
         if anchor_near:
             return
-        nearest = self._nearest_head()
+        nearest = self._nearest_allocator()
         if nearest is None or nearest[0] == anchor:
             return
         self._send(nearest[0], m.UPDATE_LOC, {

@@ -9,7 +9,7 @@ message type, the types its handler may send (transitively, through
 every helper its closure reaches).  Everything else derives from it:
 :data:`ALL_TYPES`; agent dispatch (``QuorumProtocolAgent`` cannot be
 created unless its ``_handle_*`` methods and the rows match one-to-one,
-see :class:`repro.net.message.MessageDispatch`); the ``state-machine``
+see :class:`repro.net.agent.Agent`); the ``state-machine``
 lint rule, which reads the rows from this module's parsed source, so
 keep them plain tuples of this module's constants; and the block in
 docs/PROTOCOL.md, which is :func:`render_table` printed.

@@ -113,7 +113,7 @@ class PartitionMixin:
             agent = self.ctx.agent_of(other_id)
             if agent is None or not self.ctx.is_configured(other_id):
                 continue
-            other_net = getattr(agent, "network_id", None)
+            other_net = agent.network_id
             if other_net is not None and other_net != self.network_id:
                 self._on_foreign_network_id(other_net, other_id)
                 return
@@ -186,7 +186,7 @@ class PartitionMixin:
         self._return_resources_for_rejoin()
         if self.ip is not None:
             self.ctx.unbind_ip(self.ip)
-        self._stop_all_timers()
+        self._stop_timers()
         self._pending.clear()
         self._pending_addresses.clear()
         self._borrow_reservations.clear()

@@ -15,7 +15,7 @@ factored into mixins:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.addrspace.block import Block
 from repro.addrspace.records import AddressRecord, AddressStatus
@@ -30,11 +30,12 @@ from repro.core.location import LocationMixin
 from repro.core.partition import PartitionMixin
 from repro.core.reclamation import ReclamationMixin
 from repro.core.state import CommonState, HeadState
+from repro.net.agent import Agent
 from repro.net.context import NetworkContext
-from repro.net.message import Message, MessageDispatch
+from repro.net.message import Message
 from repro.net.node import Node
 from repro.net.stats import Category
-from repro.net.transport import Scope, SendOutcome
+from repro.net.transport import Scope
 from repro.obs import events as obs_ev
 from repro.quorum.linear import DynamicLinearVoting
 from repro.quorum.replica import Replica
@@ -53,7 +54,7 @@ class QuorumProtocolAgent(
     ReclamationMixin,
     AdjustmentMixin,
     PartitionMixin,
-    MessageDispatch,
+    Agent,
 ):
     """Per-node implementation of the quorum-based protocol."""
 
@@ -66,32 +67,20 @@ class QuorumProtocolAgent(
         node: Node,
         cfg: Optional[ProtocolConfig] = None,
     ) -> None:
-        self.ctx = ctx
-        self.node = node
-        self.cfg = cfg or ProtocolConfig()
-        node.agent = self
-        ctx.register(self)
-
-        self.role = Role.UNCONFIGURED
+        # Registration reads ``ip``, which reads the role state.
+        self._role = Role.UNCONFIGURED
+        self._head: Optional[HeadState] = None
+        self._network_id: Optional[int] = None
         self.common: Optional[CommonState] = None
-        self.head = None
-        self.network_id: Optional[int] = None
-
-        # Metrics.
+        super().__init__(ctx, node)
+        self.cfg = cfg or ProtocolConfig()
         self.borrows_performed = 0
-        self.entered_at: Optional[float] = None
-        self.configured_at: Optional[float] = None
-        self.config_latency_hops: Optional[int] = None
-        self.attempts = 0
-        self.failed = False
-        self.reconfigurations = 0
 
         # Requester-side state.
         self._req_seq = 0
         # Correlation id of the in-flight configuration attempt (0 when
         # tracing is off or no attempt is running); see repro.obs.
         self._corr = 0
-        self._config_timer = Timer(ctx.sim, self._on_config_timeout)
         self._init_rounds = 0
         self._init_deferred_until = 0.0
 
@@ -107,9 +96,6 @@ class QuorumProtocolAgent(
         self._borrow_reservations: Dict[int, Tuple[int, float]] = {}
         self._dry_nacks = 0
 
-        # Lifecycle hooks (set by the runner).
-        self.on_configured_callback: Optional[Callable[["QuorumProtocolAgent"], None]] = None
-
         # Mixin state.
         self._init_location_state()
         self._init_departure_state()
@@ -118,12 +104,8 @@ class QuorumProtocolAgent(
         self._init_partition_state()
 
     # ==================================================================
-    # Identity and role queries
+    # Role queries
     # ==================================================================
-    @property
-    def node_id(self) -> int:
-        return self.node.node_id
-
     @property
     def role(self) -> Role:
         return self._role
@@ -142,18 +124,14 @@ class QuorumProtocolAgent(
 
     @head.setter
     def head(self, state: Optional[HeadState]) -> None:
-        flipped = (getattr(self, "_head", None) is None) != (state is None)
+        flipped = (self._head is None) != (state is None)
         self._head = state
         if flipped:
             self.ctx.note_head_state(self.node.node_id)
             self._note_allocator()
 
-    def _note_allocator(self) -> None:
-        """Write :meth:`is_allocator`, liveness aside, through to the
-        set ``NetworkContext.is_head`` answers from."""
-        self.ctx.note_allocator(
-            self.node.node_id,
-            self._role is Role.HEAD and getattr(self, "_head", None) is not None)
+    def _can_allocate(self) -> bool:
+        return self._role is Role.HEAD and self._head is not None
 
     @property
     def network_id(self) -> Optional[int]:
@@ -182,32 +160,9 @@ class QuorumProtocolAgent(
             return common.ip
         return None
 
-    def is_configured(self) -> bool:
-        return self.ip is not None and self.node.alive
-
-    def is_allocator(self) -> bool:
-        return self.role is Role.HEAD and self.head is not None and self.node.alive
-
     # ==================================================================
     # Substrate helpers
     # ==================================================================
-    def _send(
-        self,
-        dst_id: int,
-        mtype: str,
-        payload: Dict[str, Any],
-        category: Category,
-        corr: int = 0,
-    ) -> SendOutcome:
-        dst = self.ctx.node_of(dst_id)
-        if dst is None:
-            return SendOutcome.failure()
-        msg = Message(mtype=mtype, src=self.node_id, dst=dst_id,
-                      payload=payload, network_id=self.network_id,
-                      corr=corr)
-        return self.ctx.transport.send(self.node, dst, msg,
-                                       category=category)
-
     def _send_with_retry(self, dst_id: int, mtype: str,
                          payload: Dict[str, Any], category: Category,
                          retries: int = 3, spacing: float = 1.0,
@@ -221,16 +176,6 @@ class QuorumProtocolAgent(
             self.ctx.sim.schedule(
                 spacing, self._send_with_retry, dst_id, mtype, payload,
                 category, retries - 1, spacing, corr)
-
-    def _heads_within(self, k: int) -> List[Tuple[int, int]]:
-        ctx = self.ctx
-        return ctx.hello.heads_within(
-            self.node_id, k, ctx.is_head, ctx.allocator_ids)
-
-    def _nearest_head(self, max_hops: Optional[int] = None) -> Optional[Tuple[int, int]]:
-        ctx = self.ctx
-        return ctx.hello.nearest_head(
-            self.node_id, ctx.is_head, max_hops, ctx.allocator_ids)
 
     # ==================================================================
     # Entry and configuration (requester side) — Section IV-B
@@ -255,7 +200,8 @@ class QuorumProtocolAgent(
         obs = self.ctx.obs
         self._corr = obs.new_correlation() if obs else 0
 
-        heads_near = self._rank_by_network(self._heads_within(HEAD_SCOPE_HOPS))
+        heads_near = self._rank_by_network(
+            self._allocators_within(HEAD_SCOPE_HOPS))
         role, allocator = decide_role(heads_near)
         if role is Role.COMMON:
             assert allocator is not None
@@ -291,7 +237,7 @@ class QuorumProtocolAgent(
         request = m.COM_REQ if kind == "common" else m.CH_REQ
         self._send(allocator, request, {"seq": self._req_seq, "lat": 0},
                    Category.CONFIG, corr=self._corr)
-        self._config_timer.restart(self.cfg.config_timeout)
+        self._retry_timer.restart(self.cfg.config_timeout)
 
     def _rank_by_network(
         self, heads: List[Tuple[int, int]]
@@ -305,7 +251,7 @@ class QuorumProtocolAgent(
         """
         def network_of(head_id: int) -> int:
             agent = self.ctx.agent_of(head_id)
-            network = getattr(agent, "network_id", None) if agent else None
+            network = agent.network_id if agent is not None else None
             return network if network is not None else 1 << 60
 
         return sorted(heads, key=lambda pair: (
@@ -322,7 +268,7 @@ class QuorumProtocolAgent(
         best_id, best_size = heads_near[0][0], -1
         for head_id, hops in heads_near:
             agent = self.ctx.agent_of(head_id)
-            if agent is None or not getattr(agent, "is_allocator", lambda: False)():
+            if agent is None or not agent.is_allocator():
                 continue
             self.ctx.stats.charge(Category.CONFIG, 2 * hops, messages=2)
             size = agent.head.pool.free_count()
@@ -333,7 +279,7 @@ class QuorumProtocolAgent(
     # --- first node / empty neighborhood (T_e, Max_r) -----------------
     def _first_node_round(self) -> None:
         if self.ctx.sim.now < self._init_deferred_until:
-            self._config_timer.restart(
+            self._retry_timer.restart(
                 self._init_deferred_until - self.ctx.sim.now + 0.01)
             return
         self._init_rounds += 1
@@ -348,7 +294,7 @@ class QuorumProtocolAgent(
             self._found_network()
             self._finish_configuration(latency_hops=0, kind="first")
         else:
-            self._config_timer.restart(self.cfg.te)
+            self._retry_timer.restart(self.cfg.te)
 
     # --- shared configuration epilogue ---------------------------------
     def _finish_configuration(self, latency_hops: int,
@@ -362,7 +308,7 @@ class QuorumProtocolAgent(
             obs.emit(obs_ev.ConfigCompleted(
                 time=self.ctx.sim.now, node=self.node_id, corr=self._corr,
                 address=self.ip, kind=kind, latency_hops=latency_hops))
-        self._config_timer.stop()
+        self._retry_timer.stop()
         self._rejoining = False
         # Damp merge thrash: stay put for a while after (re)configuring
         # unless explicitly commanded to rejoin.
@@ -389,6 +335,9 @@ class QuorumProtocolAgent(
     # Message dispatch
     # ==================================================================
     def on_message(self, msg: Message) -> None:
+        # Merge detection reads every message's network id first.  The
+        # role and head setters write allocator state through, so no
+        # note follows the handler.
         if not self.node.alive:
             return
         self._observe_network_id(msg)
@@ -418,9 +367,9 @@ class QuorumProtocolAgent(
         self._init_rounds = 0
         backoff = self.cfg.te * self.cfg.max_r
         self._init_deferred_until = self.ctx.sim.now + backoff
-        self._config_timer.restart(backoff + 0.01)
+        self._retry_timer.restart(backoff + 0.01)
 
-    def _on_config_timeout(self) -> None:
+    def _on_retry_timeout(self) -> None:
         if self.is_configured() or not self.node.alive:
             return
         if self._init_rounds > 0 and self._init_rounds < self.cfg.max_r:
@@ -915,7 +864,7 @@ class QuorumProtocolAgent(
         holder = self.ctx.agent_of(bound)
         if holder is None or not holder.node.alive:
             return False
-        return getattr(holder, "network_id", None) == self.network_id
+        return holder.network_id == self.network_id
 
     def _write_grant(self, pending: PendingConfig) -> Optional[AddressRecord]:
         """Book the grant in the owner's records: the record to write
@@ -1132,7 +1081,7 @@ class QuorumProtocolAgent(
     def _handle_com_nack(self, msg: Message) -> None:
         if self.is_configured():
             return
-        self._config_timer.restart(self.cfg.config_timeout * 0.5)
+        self._retry_timer.restart(self.cfg.config_timeout * 0.5)
 
     _handle_ch_nack = _handle_com_nack
 
@@ -1223,16 +1172,13 @@ class QuorumProtocolAgent(
         borrowing across network boundaries would mix two address
         spaces that merely share integer values."""
         agent = self.ctx.agent_of(head_id)
-        return (
-            agent is not None
-            and getattr(agent, "network_id", None) == self.network_id
-        )
+        return agent is not None and agent.network_id == self.network_id
 
     def _initialize_head_neighborhood(self) -> None:
         """A newly configured head replicates its space at adjacent heads
         and learns theirs in return (Section IV-C-2)."""
         assert self.head is not None
-        for head_id, _hops in self._heads_within(ADJACENT_HEAD_HOPS):
+        for head_id, _hops in self._allocators_within(ADJACENT_HEAD_HOPS):
             if head_id == self.node_id or not self._same_network_head(head_id):
                 continue
             self.head.qdset.add(head_id)
@@ -1303,8 +1249,8 @@ class QuorumProtocolAgent(
     # ==================================================================
     # Lifecycle teardown
     # ==================================================================
-    def _stop_all_timers(self) -> None:
-        self._config_timer.stop()
+    def _stop_timers(self) -> None:
+        super()._stop_timers()
         for pending in self._pending.values():
             pending.disarm()
         self._stop_location_service()
@@ -1312,11 +1258,3 @@ class QuorumProtocolAgent(
         self._stop_merge_watch()
         self._stop_adjustment_timers()
         self._stop_reclamation_timers()
-
-    def vanish(self) -> None:
-        """Abrupt departure: power off without any protocol exchange."""
-        self._stop_all_timers()
-        if self.ip is not None:
-            self.ctx.unbind_ip(self.ip)
-        self.node.kill()
-        self.ctx.topology.remove_node(self.node)

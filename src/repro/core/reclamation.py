@@ -125,7 +125,7 @@ class ReclamationMixin:
                 or (dead_ip is not None and self.common.configurer_ip == dead_ip)
             )
             if configured_by_dead:
-                nearest = self._nearest_head()
+                nearest = self._nearest_allocator()
                 if nearest is not None:
                     self._send(nearest[0], m.REC_REP, {
                         "ip": self.common.ip,

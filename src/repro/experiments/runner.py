@@ -5,19 +5,19 @@ from __future__ import annotations
 import json
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.baselines.buddy import BuddyAgent, BuddyConfig
-from repro.baselines.ctree import CTreeAgent, CTreeConfig
-from repro.baselines.dad import DadAgent, DadConfig
-from repro.baselines.manetconf import ManetconfAgent, ManetconfConfig
-from repro.baselines.prophet import ProphetAgent, ProphetConfig
-from repro.baselines.weakdad import WeakDadAgent, WeakDadConfig
-from repro.core.config import ProtocolConfig
+from repro.baselines.buddy import BuddyAgent
+from repro.baselines.ctree import CTreeAgent
+from repro.baselines.dad import DadAgent
+from repro.baselines.manetconf import ManetconfAgent
+from repro.baselines.prophet import ProphetAgent
+from repro.baselines.weakdad import WeakDadAgent
 from repro.core.protocol import QuorumProtocolAgent
 from repro.experiments.metrics import DeathRecord, NodeOutcome, RunResult
 from repro.experiments.scenario import Scenario
 from repro.geometry import Point, Region
 from repro.mobility import RandomWaypoint, build_plans
 from repro.mobility.base import Stationary
+from repro.net.agent import Agent
 from repro.net.context import NetworkContext
 from repro.net.node import Node
 from repro.obs import (
@@ -25,25 +25,12 @@ from repro.obs import (
     series_to_jsonl, span_histograms, span_outcomes, trace_export_path,
 )
 
-PROTOCOLS: Dict[str, Callable[..., Any]] = {
-    "quorum": QuorumProtocolAgent,
-    "manetconf": ManetconfAgent,
-    "buddy": BuddyAgent,
-    "ctree": CTreeAgent,
-    "dad": DadAgent,
-    "weakdad": WeakDadAgent,
-    "prophet": ProphetAgent,
-}
-
-DEFAULT_CONFIGS: Dict[str, Callable[[], Any]] = {
-    "quorum": ProtocolConfig,
-    "manetconf": ManetconfConfig,
-    "buddy": BuddyConfig,
-    "ctree": CTreeConfig,
-    "dad": DadConfig,
-    "weakdad": WeakDadConfig,
-    "prophet": ProphetConfig,
-}
+#: Every agent class by its ``protocol_name``.  An agent built with no
+#: config defaults its own.
+PROTOCOLS: Dict[str, Callable[..., Agent]] = {
+    cls.protocol_name: cls for cls in (
+        QuorumProtocolAgent, ManetconfAgent, BuddyAgent, CTreeAgent,
+        DadAgent, WeakDadAgent, ProphetAgent)}
 
 
 class ScenarioRunner:
@@ -61,10 +48,7 @@ class ScenarioRunner:
                 f"unknown protocol {protocol!r}; choose from {sorted(PROTOCOLS)}")
         self.scenario = scenario
         self.protocol = protocol
-        self.protocol_config = (
-            protocol_config if protocol_config is not None
-            else DEFAULT_CONFIGS[protocol]()
-        )
+        self.protocol_config = protocol_config
         self.count_hello_cost = count_hello_cost
         self.ctx: Optional[NetworkContext] = None
         # Populated (and subscribed to the run's event bus) only when
@@ -181,24 +165,13 @@ class ScenarioRunner:
             self.graceful_ids.add(departure.node_id)
             agent.depart_gracefully()
 
-    def _death_record(self, agent: Any) -> DeathRecord:
+    def _death_record(self, agent: Agent) -> DeathRecord:
         assert self.ctx is not None
-        record = DeathRecord(
-            node_id=agent.node_id,
-            time=self.ctx.sim.now,
-            was_head=bool(getattr(agent, "is_allocator", lambda: False)()),
-        )
+        record = DeathRecord(node_id=agent.node_id, time=self.ctx.sim.now,
+                             **agent.death_snapshot())
         head = getattr(agent, "head", None)
         if head is not None:
             record.qdset_members = tuple(head.qdset.members())
-        if isinstance(agent, CTreeAgent):
-            record.was_head = agent.is_coordinator and agent.is_configured()
-            record.ever_reported = agent.ever_reported or agent.is_root
-            record.allocations_since_report = agent.allocations_since_report
-            record.root_id = agent.root_id
-            pool = agent.pool
-            record.allocations_total = (
-                len(pool.allocated) if pool is not None else 0)
         return record
 
     # ------------------------------------------------------------------
@@ -220,7 +193,6 @@ class ScenarioRunner:
                 if agent.configured_at is not None and agent.entered_at is not None
                 else None
             )
-            is_head = bool(getattr(agent, "is_allocator", lambda: False)())
             outcomes.append(NodeOutcome(
                 node_id=node_id,
                 configured=configured,
@@ -228,14 +200,14 @@ class ScenarioRunner:
                 latency_hops=agent.config_latency_hops,
                 latency_time=latency_time,
                 attempts=agent.attempts,
-                is_head=is_head,
+                is_head=agent.is_allocator(),
                 ip=agent.ip,
-                network_id=getattr(agent, "network_id", None),
+                network_id=agent.network_id,
                 alive=agent.node.alive,
-                reconfigurations=getattr(agent, "reconfigurations", 0),
+                reconfigurations=agent.reconfigurations,
             ))
             if agent.node.alive and configured:
-                key = (getattr(agent, "network_id", None), agent.ip)
+                key = (agent.network_id, agent.ip)
                 if key in seen_addresses:
                     duplicates += 1
                 else:

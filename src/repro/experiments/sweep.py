@@ -65,9 +65,7 @@ from typing import (
 
 from repro.experiments.metrics import RunResult
 from repro.experiments.scenario import Scenario
-from repro.obs import (
-    merge_histograms, merge_series, metrics_export_path, trace_export_path,
-)
+from repro.obs import merge_series, metrics_export_path, trace_export_path
 from repro.perf import Counters
 from repro.sim.rng import spawn_key
 
@@ -312,7 +310,7 @@ class SweepSummary:
         for name, count in result.perf_counters.items():
             self._perf[name] = self._perf.get(name, 0) + count
         if result.obs_histograms:
-            self._histograms = merge_histograms(
+            self._histograms = merge_series(
                 self._histograms, result.obs_histograms)
         for outcome, count in result.obs_spans.items():
             self._spans[outcome] = self._spans.get(outcome, 0) + count

@@ -91,7 +91,7 @@ TERMINAL_PATHS: Dict[str, FrozenSet[str]] = {
         _fs("ConfigCommitted", "ConfigAborted"),
     "repro.core.protocol.QuorumProtocolAgent._abort_attempt":
         _fs("ConfigAborted"),
-    "repro.core.protocol.QuorumProtocolAgent._on_config_timeout":
+    "repro.core.protocol.QuorumProtocolAgent._on_retry_timeout":
         _fs("ConfigTimeout", "ConfigCompleted"),
     "repro.core.protocol.QuorumProtocolAgent._on_vote_timeout":
         _fs("VoteTimeout", "ConfigAborted"),

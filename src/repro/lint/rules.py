@@ -504,7 +504,7 @@ def _state_machine(graph: ProjectGraph) -> Iterator[Hit]:
                 mtype = method[len("_handle_"):].upper()
                 # A handler without a row cannot be dispatched to:
                 # creating the agent class fails first (see
-                # repro.net.message.MessageDispatch).
+                # repro.net.agent.Agent).
                 allowed = table.get(mtype)
                 if allowed is None:
                     continue

@@ -1,28 +1,70 @@
-"""Shared agent interface for all autoconfiguration protocols.
+"""The one base class of every autoconfiguration agent.
 
-The scenario runner drives every protocol — the paper's and the three
-baselines — through this surface: ``on_enter`` when the node arrives,
-``on_message`` on delivery, ``depart_gracefully``/``vanish`` on
-departure, and the metric attributes (``config_latency_hops``,
-``configured_at``, ``attempts``, ``failed``).
+The scenario runner drives all seven protocols — the paper's quorum
+agent and the six baselines — through this surface: ``on_enter`` when
+the node arrives, ``on_message`` on delivery, ``depart_gracefully`` /
+``vanish`` on departure, and the metric attributes (``entered_at``,
+``configured_at``, ``config_latency_hops``, ``attempts``, ``failed``,
+``reconfigurations``).  The harness and the context read ``ip``,
+``network_id`` and ``is_allocator()`` of any agent the same way.
+
+**Dispatch.**  A method named ``_handle_<mtype.lower()>`` handles
+messages of type ``<MTYPE>`` (an alias such as
+``_handle_ch_nack = _handle_com_nack`` included).  The functions are
+gathered into ``_handlers`` once, when the class is created, and
+:meth:`Agent.on_message` probes that dict.  A class that sets
+``message_types`` must handle exactly those types, or creating it (or
+a subclass) raises :class:`TypeError`.
+
+**Allocator write-through.**  ``NetworkContext.is_head`` answers from
+the set :meth:`Agent._note_allocator` writes, so whatever changes what
+:meth:`Agent._can_allocate` reads must be noted.
+:meth:`Agent.on_message` notes after every handler; an agent that
+writes through from its own setters overrides it without the note.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import (Any, Callable, ClassVar, Collection, Dict, List,
+                    Optional, Tuple)
 
 from repro.net.context import NetworkContext
-from repro.net.message import Message, MessageDispatch
+from repro.net.message import Message
 from repro.net.node import Node
 from repro.net.stats import Category
 from repro.net.transport import Scope, SendOutcome
 from repro.sim.timers import Timer
 
 
-class BaseAutoconfAgent(MessageDispatch):
-    """Common plumbing: sending, metrics, lifecycle."""
+class Agent:
+    """One node's protocol agent: registration, metrics, sending,
+    dispatch and teardown."""
 
-    protocol_name = "base"
+    #: The protocol's name in ``repro.experiments.runner.PROTOCOLS``.
+    protocol_name: ClassVar[str]
+    message_types: ClassVar[Optional[Collection[str]]] = None
+    _handlers: ClassVar[Dict[str, Callable[[Any, Message], None]]] = {}
+
+    #: The node's address and the partition id its messages carry
+    #: (Section V-C), ``None`` until configured.  An agent may derive
+    #: either from its own state instead; registration reads ``ip``.
+    ip: Optional[int] = None
+    network_id: Optional[int] = None
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._handlers = {
+            name[len("_handle_"):].upper(): getattr(cls, name)
+            for name in dir(cls)
+            if name.startswith("_handle_") and callable(getattr(cls, name))}
+        if cls.message_types is None:
+            return
+        handled, listed = set(cls._handlers), set(cls.message_types)
+        if handled != listed:
+            raise TypeError(
+                f"{cls.__name__}: handlers for unlisted types: "
+                f"{sorted(handled - listed)}; types without a handler: "
+                f"{sorted(listed - handled)}")
 
     def __init__(self, ctx: NetworkContext, node: Node) -> None:
         self.ctx = ctx
@@ -30,14 +72,13 @@ class BaseAutoconfAgent(MessageDispatch):
         node.agent = self
         ctx.register(self)
 
-        self.ip: Optional[int] = None
-        self.network_id: Optional[int] = None
         self.entered_at: Optional[float] = None
         self.configured_at: Optional[float] = None
         self.config_latency_hops: Optional[int] = None
         self.attempts = 0
         self.failed = False
         self.reconfigurations = 0
+        # Lifecycle hook (set by the runner).
         self.on_configured_callback: Optional[Callable[[Any], None]] = None
         self._retry_timer = Timer(ctx.sim, self._on_retry_timeout)
 
@@ -60,19 +101,23 @@ class BaseAutoconfAgent(MessageDispatch):
 
     def _note_allocator(self) -> None:
         """Write :meth:`_can_allocate` through to the set
-        ``NetworkContext.is_head`` answers from.  Message handlers are
-        covered by :meth:`on_message`; any other code that changes what
-        :meth:`_can_allocate` reads calls this itself."""
+        ``NetworkContext.is_head`` answers from."""
         self.ctx.note_allocator(self.node_id, self._can_allocate())
+
+    def death_snapshot(self) -> Dict[str, Any]:
+        """What an abrupt death takes with it (Fig. 13), as
+        ``DeathRecord`` fields beyond the node id and the time."""
+        return {"was_head": self.is_allocator()}
 
     # ------------------------------------------------------------------
     def _send(self, dst_id: int, mtype: str, payload: Dict[str, Any],
-              category: Category) -> SendOutcome:
+              category: Category, corr: int = 0) -> SendOutcome:
         dst = self.ctx.node_of(dst_id)
         if dst is None:
             return SendOutcome.failure()
         msg = Message(mtype=mtype, src=self.node_id, dst=dst_id,
-                      payload=payload, network_id=self.network_id)
+                      payload=payload, network_id=self.network_id,
+                      corr=corr)
         return self.ctx.transport.send(self.node, dst, msg,
                                        category=category)
 
@@ -91,13 +136,14 @@ class BaseAutoconfAgent(MessageDispatch):
 
     def _nearest_allocator(self, max_hops: Optional[int] = None
                            ) -> Optional[Tuple[int, int]]:
-        return self.ctx.hello.nearest_head(
-            self.node_id, self.ctx.is_head, max_hops,
-            self.ctx.allocator_ids)
+        ctx = self.ctx
+        return ctx.hello.nearest_head(
+            self.node_id, ctx.is_head, max_hops, ctx.allocator_ids)
 
     def _allocators_within(self, k: int) -> List[Tuple[int, int]]:
-        return self.ctx.hello.heads_within(
-            self.node_id, k, self.ctx.is_head, self.ctx.allocator_ids)
+        ctx = self.ctx
+        return ctx.hello.heads_within(
+            self.node_id, k, ctx.is_head, ctx.allocator_ids)
 
     # ------------------------------------------------------------------
     def on_enter(self) -> None:
@@ -114,7 +160,6 @@ class BaseAutoconfAgent(MessageDispatch):
     def _on_retry_timeout(self) -> None:
         raise NotImplementedError
 
-    # ------------------------------------------------------------------
     def _mark_configured(self, ip: int, latency_hops: int) -> None:
         self._retry_timer.stop()
         self.ip = ip
@@ -125,21 +170,22 @@ class BaseAutoconfAgent(MessageDispatch):
         if self.on_configured_callback is not None:
             self.on_configured_callback(self)
 
+    # ------------------------------------------------------------------
     def depart_gracefully(self) -> None:
         raise NotImplementedError
 
-    def _finalize_leave(self) -> None:
-        if not self.node.alive:
-            return
-        self._stop_timers()
-        self._note_allocator()  # a departing allocator gave its pool away
-        if self.ip is not None:
-            self.ctx.unbind_ip(self.ip)
-        self.node.kill()
-        self.ctx.topology.remove_node(self.node)
-
     def vanish(self) -> None:
-        """Abrupt departure: no protocol exchange."""
+        """Abrupt departure: power off without any protocol exchange."""
+        self._power_off()
+
+    def _finalize_leave(self) -> None:
+        """End a graceful departure, once: note the pool a departing
+        allocator gave away, then power off."""
+        if self.node.alive:
+            self._note_allocator()
+            self._power_off()
+
+    def _power_off(self) -> None:
         self._stop_timers()
         if self.ip is not None:
             self.ctx.unbind_ip(self.ip)

@@ -12,8 +12,9 @@ protocol needs from its routing substrate:
 The agent table is a plain dict in registration order, and nothing ever
 leaves it: a departed or crashed node keeps its agent, and liveness is
 read off the node.  Beside it the context keeps the one fact it answers
-role queries from — ``allocator_ids``, which every agent type keeps
-current through :meth:`NetworkContext.note_allocator` — and
+role queries from — ``allocator_ids``, which the agent base
+(:class:`repro.net.agent.Agent`) keeps current through
+:meth:`NetworkContext.note_allocator` — and
 ``role_epoch``, which the ``note_*`` hooks bump so the derived
 per-component head table knows when to rebuild.
 """
@@ -21,7 +22,7 @@ per-component head table knows when to rebuild.
 from __future__ import annotations
 
 import itertools
-from typing import (TYPE_CHECKING, Any, Dict, FrozenSet, Iterator, List,
+from typing import (TYPE_CHECKING, Dict, FrozenSet, Iterator, List,
                     Optional, Set, Tuple)
 
 from repro.net.hello import HelloService
@@ -36,6 +37,7 @@ from repro.sim.engine import Simulator
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults.model import FaultModel
     from repro.faults.spec import FaultSpec
+    from repro.net.agent import Agent
 
 
 class NetworkContext:
@@ -72,11 +74,11 @@ class NetworkContext:
         self.obs: EventBus = transport.obs
         #: node id -> agent, in registration order.  Read-only outside
         #: :meth:`register`.
-        self.agents: Dict[int, Any] = {}
+        self.agents: Dict[int, "Agent"] = {}
         #: Ids of the registered agents that can allocate — their
         #: ``is_allocator()`` with liveness left out.  :meth:`is_head`
         #: answers from it and head scans probe it before they ask, so
-        #: :meth:`note_allocator` is an obligation on every agent type.
+        #: every agent writes it through (see :meth:`note_allocator`).
         #: Read-only outside the context.
         self.allocator_ids: Set[int] = set()
         # Registered ids ``bind_ip`` / ``unbind_ip`` last resolved to
@@ -111,20 +113,20 @@ class NetworkContext:
     # ------------------------------------------------------------------
     # Agent registry
     # ------------------------------------------------------------------
-    def register(self, agent: Any) -> None:
+    def register(self, agent: "Agent") -> None:
         """Add ``agent`` under its node's id.  Registering an id again
         replaces the agent where it stands (dict assignment keeps the
         position) and starts what the context holds about it over."""
         node_id = int(agent.node.node_id)
         self.agents[node_id] = agent
         self.allocator_ids.discard(node_id)
-        if getattr(agent, "ip", None) is None:
+        if agent.ip is None:
             self._bound_ids.discard(node_id)
         else:
             self._bound_ids.add(node_id)
         self.role_epoch += 1
 
-    def agent_of(self, node_id: int) -> Optional[Any]:
+    def agent_of(self, node_id: int) -> Optional["Agent"]:
         return self.agents.get(node_id)
 
     def node_of(self, node_id: int) -> Optional[Node]:
@@ -153,9 +155,11 @@ class NetworkContext:
         """Record whether a node can currently allocate addresses.
 
         ``allocator_ids`` *is* the answer to :meth:`is_head` (which only
-        adds the liveness check), so every agent type must call this
-        whenever what its ``is_allocator()`` reads — liveness aside —
-        changes.  Registration starts an agent out of the set."""
+        adds the liveness check), so an agent calls this whenever what
+        its ``is_allocator()`` reads — liveness aside — changes: the
+        agent base after every handler, the quorum agent from its role
+        and head setters.  Registration starts an agent out of the
+        set."""
         self._note_member(self.allocator_ids, node_id, allocator)
 
     def _note_member(self, ids: Set[int], node_id: int, member: bool) -> None:
@@ -267,7 +271,7 @@ class NetworkContext:
                 # ``None`` network ids (configured agents mid-rejoin)
                 # stay in the sets on purpose: they make a component
                 # look heterogeneous, which keeps the merge scan alive.
-                network: Optional[int] = getattr(agent, "network_id", None)
+                network = agent.network_id
                 entry[2].add(network)
                 if agent_id in allocator_ids:
                     entry[0].append(agent_id)

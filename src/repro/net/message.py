@@ -16,11 +16,7 @@ deliveries safe to share between receivers, and
 from __future__ import annotations
 
 import dataclasses
-import itertools
-from typing import (Any, Callable, ClassVar, Collection, Dict, Optional, Type,
-                    TypeVar)
-
-_message_ids = itertools.count()
+from typing import Any, Dict, Optional, Type, TypeVar
 
 _T = TypeVar("_T")
 
@@ -78,11 +74,6 @@ class Message:
             V-C).
         hops: route length travelled, stamped on the delivered copy.
         sent_at: simulation time the message was sent.
-        msg_id: globally unique message number (debugging/tracing).
-            Copies made with :func:`dataclasses.replace` keep their
-            original ``msg_id`` — including the transport's flyweight
-            fan-out copies, which are shared by every receiver at the
-            same hop distance (frozen messages make sharing safe).
         corr: correlation id of the configuration transaction this
             message belongs to (``0`` outside any transaction).  Drawn
             from the run's deterministic event-bus counter — see
@@ -98,37 +89,8 @@ class Message:
     network_id: Optional[int] = None
     hops: int = 0
     sent_at: float = 0.0
-    msg_id: int = dataclasses.field(default_factory=lambda: next(_message_ids))
     corr: int = 0
 
     def __repr__(self) -> str:
         return f"Message({self.mtype}, {self.src}->{self.dst}, hops={self.hops})"
 
-
-class MessageDispatch:
-    """Base of every agent class: a method named ``_handle_<mtype.lower()>``
-    handles messages of type ``<MTYPE>`` (an alias such as
-    ``_handle_ch_nack = _handle_com_nack`` included).  The functions are
-    gathered into ``_handlers`` once, when the class is created, and
-    ``on_message`` probes that dict.  A class that sets ``message_types``
-    must handle exactly those types, or creating it (or a subclass)
-    raises :class:`TypeError`.
-    """
-
-    message_types: ClassVar[Optional[Collection[str]]] = None
-    _handlers: ClassVar[Dict[str, Callable[[Any, Message], None]]] = {}
-
-    def __init_subclass__(cls, **kwargs: Any) -> None:
-        super().__init_subclass__(**kwargs)
-        cls._handlers = {
-            name[len("_handle_"):].upper(): getattr(cls, name)
-            for name in dir(cls)
-            if name.startswith("_handle_") and callable(getattr(cls, name))}
-        if cls.message_types is None:
-            return
-        handled, listed = set(cls._handlers), set(cls.message_types)
-        if handled != listed:
-            raise TypeError(
-                f"{cls.__name__}: handlers for unlisted types: "
-                f"{sorted(handled - listed)}; types without a handler: "
-                f"{sorted(listed - handled)}")

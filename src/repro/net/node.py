@@ -28,7 +28,7 @@ class Node:
         self.node_id = node_id
         self.mobility = mobility
         self.alive = True
-        # The protocol agent bound to this node (set by the runner).
+        # The protocol agent bound to this node (set by the agent).
         self.agent: Optional[Any] = None
 
     def position(self, t: float) -> Point:

@@ -48,7 +48,6 @@ from repro.obs.spans import (
     BUCKET_EDGES,
     Span,
     build_spans,
-    merge_histograms,
     span_histograms,
     span_outcomes,
 )
@@ -75,6 +74,5 @@ __all__ = [
     "Span",
     "build_spans",
     "span_histograms",
-    "merge_histograms",
     "span_outcomes",
 ]

@@ -203,9 +203,10 @@ def merge_series(
 ) -> Dict[str, List[int]]:
     """Elementwise sum of two series maps (ragged tails zero-extended).
 
-    The metrics analogue of :func:`repro.obs.spans.merge_histograms`:
-    associative and order-independent given a fixed cell order, so
-    streamed sweep folds match materialized aggregates byte for byte.
+    Sweep aggregation folds both list carriers of a result with it:
+    gauge series and the fixed-width span histograms.  Associative and
+    order-independent given a fixed cell order, so streamed sweep folds
+    match materialized aggregates byte for byte.
     """
     merged: Dict[str, List[int]] = {k: list(v) for k, v in base.items()}
     for name, values in extra.items():

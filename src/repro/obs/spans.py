@@ -173,18 +173,6 @@ def span_histograms(spans: List[Span]) -> Dict[str, List[int]]:
             if any(counts)}
 
 
-def merge_histograms(base: Dict[str, List[int]],
-                     extra: Dict[str, List[int]]) -> Dict[str, List[int]]:
-    """Elementwise sum of two histogram maps (sweep aggregation)."""
-    merged = {phase: list(counts) for phase, counts in base.items()}
-    for phase, counts in extra.items():
-        if phase in merged:
-            merged[phase] = [a + b for a, b in zip(merged[phase], counts)]
-        else:
-            merged[phase] = list(counts)
-    return merged
-
-
 def span_outcomes(spans: List[Span]) -> Dict[str, int]:
     """Span count per outcome (sorted keys for stable serialization)."""
     counts: Dict[str, int] = {}

@@ -64,7 +64,7 @@ def test_largest_block_allocator_balances_load():
     big, small = sorted(heads, key=lambda h: -h.head.pool.free_count())
     # A newcomer equidistant-ish from both picks the bigger pool.
     probe = add_node(ctx, 77, 340.0, 560.0, cfg=cfg)
-    near = probe._heads_within(2)
+    near = probe._allocators_within(2)
     if len(near) >= 2:
         choice = probe._pick_largest_block_allocator(near)
         assert choice == big.node_id

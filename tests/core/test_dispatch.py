@@ -1,9 +1,10 @@
 """Message dispatch is a per-class dict derived from ``messages.TABLE``.
 
-``MessageDispatch`` gathers ``_handle_<mtype>`` methods into
-``cls._handlers`` when a class is created; ``QuorumProtocolAgent``
-names ``messages.ALL_TYPES`` as its vocabulary, so a handler without a
-table row (or a row without a handler) fails at import, not in review.
+The agent base, ``repro.net.agent.Agent``, gathers ``_handle_<mtype>``
+methods into ``cls._handlers`` when a class is created;
+``QuorumProtocolAgent`` names ``messages.ALL_TYPES`` as its vocabulary,
+so a handler without a table row (or a row without a handler) fails at
+import, not in review.
 """
 
 import pytest

@@ -265,7 +265,7 @@ TERMINAL_PATHS_EXACT = """\
             def _abort_attempt(self, bus, reason):
                 bus.emit(ev.ConfigAborted(t=0.0, node=0, reason=reason))
 
-            def _on_config_timeout(self, bus, late):
+            def _on_retry_timeout(self, bus, late):
                 if late:
                     bus.emit(ev.ConfigCompleted(t=0.0, node=0))
                 else:

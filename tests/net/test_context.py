@@ -11,6 +11,8 @@ from repro.net.context import NetworkContext
 
 
 class FakeAgent:
+    ip = None  # registration reads the address
+
     def __init__(self, ctx, node, allocator=False, configured=False,
                  network_id=None):
         self.ctx = ctx

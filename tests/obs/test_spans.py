@@ -6,7 +6,6 @@ from repro.obs import (
     BUCKET_EDGES,
     TraceRecorder,
     build_spans,
-    merge_histograms,
     span_histograms,
     span_outcomes,
 )
@@ -134,14 +133,6 @@ def test_overflow_bucket_catches_large_latencies():
     ]
     histograms = span_histograms(build_spans(events))
     assert histograms["total"][-1] == 1
-
-
-def test_merge_histograms_is_elementwise_sum():
-    a = {"total": [1, 0, 2]}
-    b = {"total": [0, 1, 1], "vote": [3, 0, 0]}
-    merged = merge_histograms(a, b)
-    assert merged == {"total": [1, 1, 3], "vote": [3, 0, 0]}
-    assert a == {"total": [1, 0, 2]}  # inputs untouched
 
 
 def test_span_outcomes_tally_sorted():
