@@ -33,7 +33,12 @@ The result hashes cannot see the order of emissions or the attempt ids,
 so each cell is also run traced and the sha256 of its JSONL event
 stream is pinned beside them.
 
-The six baselines run both cells too, through the agent base they
+The two ``*_crash`` cells add a crash/restart schedule to each: six of
+the eight victims go down and come back, so the runs cross the liveness
+paths (``node.alive`` flips followed by ``invalidate_nodes``) that the
+derived component table and the periodic polls must follow.
+
+The six baselines run the first two cells too, through the agent base they
 share with the quorum agent; their hashes leave out the same search
 counters (without budgets: only the substrate's search effort is
 unpinned) and were taken before that base was shared.
@@ -45,7 +50,7 @@ import json
 import pytest
 
 from repro.experiments import Scenario, ScenarioRunner
-from repro.faults.spec import FaultSpec
+from repro.faults.spec import FaultSpec, crash_schedule
 from repro.perf import counters as cnt
 
 CELLS = {
@@ -62,6 +67,23 @@ CELLS = {
          cnt.BFS_CACHE_HITS: 2373, cnt.BFS_NODES_EXPANDED: 5673,
          cnt.CONN_SPLIT_SLOTS_SCANNED: 59},
         "5e52007da5574b648aeaef1c632734f9fa9242a0d138a4ec8a4cf152ae017580"),
+    "mobile_crash": (
+        dict(faults=FaultSpec(
+            crashes=crash_schedule(40, 0.2, at=40.0, seed=7))),
+        "fc45baeb4a58dce561d57d4b7c405156676fd001bf02d035a68c3855b75bbe7a",
+        {cnt.CONN_LABEL_HITS: 3890, cnt.BFS_CALLS: 4065,
+         cnt.BFS_CACHE_HITS: 965, cnt.BFS_NODES_EXPANDED: 15489},
+        "2a676ec6e523f585e20e2877fc3cd04df42f9ee40db1ac0f7147a5b89afc8e1c"),
+    "static_lossy_crash": (
+        dict(speed_mps=0.0, faults=FaultSpec(
+            loss_rate=0.05,
+            crashes=crash_schedule(40, 0.2, at=30.0, downtime=20.0,
+                                   seed=7))),
+        "dc354a74bd8d69e445cca2a1c1c6ea9bfd06a7e4178634f17d3cbd48e77be483",
+        {cnt.CONN_LABEL_HITS: 3082, cnt.BFS_CALLS: 1203,
+         cnt.BFS_CACHE_HITS: 2183, cnt.BFS_NODES_EXPANDED: 5648,
+         cnt.CONN_SPLIT_SLOTS_SCANNED: 98},
+        "becd574f7031bcc0dff069ad0c85fb1532ba950ec21a9b70ff87defa80d14d7a"),
 }
 
 
