@@ -18,11 +18,16 @@ MIN_REPLICAS = 3  # below this, start growing replicas again (Section V-B)
 
 
 class QDSet:
-    """An ordered, deduplicated set of adjacent cluster-head ids."""
+    """An ordered, deduplicated set of adjacent cluster-head ids.
+
+    ``version`` counts the changes to the members or the suspects, so a
+    reader can tell that the set is as it last saw it without copying
+    it (the head's audit skips while nothing it reads has moved)."""
 
     def __init__(self, members: Iterable[int] = ()) -> None:
         self._members: Set[int] = set(members)
         self._suspected: Set[int] = set()
+        self.version = 0
 
     # ------------------------------------------------------------------
     def members(self) -> List[int]:
@@ -44,24 +49,28 @@ class QDSet:
         if head_id in self._members:
             return False
         self._members.add(head_id)
-        self._suspected.discard(head_id)
+        self.version += 1
         return True
 
     def remove(self, head_id: int) -> bool:
         """Drop a member (graceful resignation or quorum shrink)."""
-        self._suspected.discard(head_id)
         if head_id in self._members:
             self._members.discard(head_id)
+            self._suspected.discard(head_id)
+            self.version += 1
             return True
         return False
 
     def suspect(self, head_id: int) -> None:
         """Mark a member unresponsive (pending ``T_d`` expiry)."""
-        if head_id in self._members:
+        if head_id in self._members and head_id not in self._suspected:
             self._suspected.add(head_id)
+            self.version += 1
 
     def clear_suspicion(self, head_id: int) -> None:
-        self._suspected.discard(head_id)
+        if head_id in self._suspected:
+            self._suspected.discard(head_id)
+            self.version += 1
 
     def suspected(self) -> List[int]:
         return sorted(self._suspected)

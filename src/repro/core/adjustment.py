@@ -12,14 +12,18 @@ replication is actively regrown when ``|QDSet|`` drops below three.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.cluster.roles import ADJACENT_HEAD_HOPS
 from repro.core import messages as m
+from repro.core.state import HeadState
 from repro.net.message import Message
 from repro.net.stats import Category
 from repro.obs import events as obs_ev
 from repro.sim.timers import PeriodicTimer, Timer
+
+#: (graph version, role epoch, head state, QDSet version).
+AuditStamp = Tuple[int, int, Optional[HeadState], Optional[int]]
 
 
 class AdjustmentMixin:
@@ -29,6 +33,9 @@ class AdjustmentMixin:
         self._audit_timer: Optional[PeriodicTimer] = None
         self._td_timers: Dict[int, Timer] = {}
         self._tr_timers: Dict[int, Timer] = {}
+        # The stamp of the last full audit that changed nothing (see
+        # :meth:`_audit_settled`).
+        self._audit_verdict: Optional[AuditStamp] = None
 
     def _emit_qdset_change(self, member: int, action: str) -> None:
         """QDSetChanged observability event (no-op while tracing is off)."""
@@ -93,12 +100,45 @@ class AdjustmentMixin:
         return {member for member, label in zip(alive, labels)
                 if label == mine}
 
+    def _audit_stamp(self) -> AuditStamp:
+        head = self.head
+        return (self.ctx.topology.graph_version, self.ctx.role_epoch, head,
+                None if head is None else head.qdset.version)
+
+    def _audit_quiet(self) -> bool:
+        """No isolation strike, T_d/T_r timer or reclamation fence is
+        outstanding."""
+        return not (self._isolated_strikes or self._td_timers
+                    or self._tr_timers or self._reclaimed)
+
+    def _audit_settled(self) -> bool:
+        """Would a full audit now change nothing?  True while the stamp
+        of the last full audit that changed nothing still holds, and no
+        strike, timer or fence has appeared since.
+
+        Such an audit read the graph (labels and hop rings), agent
+        state the context's hooks cover (allocators and network ids:
+        ``role_epoch`` is global because :meth:`_same_network_head`
+        reads other heads' network ids), its own head state and QDSet,
+        and what :meth:`_audit_quiet` checks.  A stale graph never
+        skips: the audit's label question is what refreshes it."""
+        verdict = self._audit_verdict
+        return (verdict is not None
+                and verdict[0] == self.ctx.topology.current_version()
+                and verdict == self._audit_stamp()
+                and self._audit_quiet())
+
     def _audit(self) -> None:
+        if self._audit_settled():
+            return
         if not self.is_allocator():
             return
-        assert self.head is not None
+        head = self.head
+        assert head is not None
+        quiet = self._audit_quiet()
+        before = (head.qdset.version, self._ever_had_members)
         any_member_reachable = False
-        members = self.head.qdset.members()
+        members = head.qdset.members()
         # Asked before the walk: nothing in it changes the graph or a
         # liveness flag.
         reachable = self._reachable_members(members)
@@ -115,10 +155,13 @@ class AdjustmentMixin:
                 # network (rejoined after a merge, or demoted): it left
                 # the quorum system; drop it without reclamation.
                 self._clear_suspicion(member)
-                self.head.qdset.remove(member)
-                self.head.replicas.drop(member)
+                head.qdset.remove(member)
+                head.replicas.drop(member)
         self._discover_new_neighbors()
         self._check_isolated(any_member_reachable)
+        if (quiet and self.head is head and self._audit_quiet()
+                and before == (head.qdset.version, self._ever_had_members)):
+            self._audit_verdict = self._audit_stamp()
 
     def _discover_new_neighbors(self) -> None:
         """Quorum expansion: adopt heads that moved within three hops,

@@ -14,21 +14,29 @@ leaves it: a departed or crashed node keeps its agent, and liveness is
 read off the node.  Beside it the context keeps the one fact it answers
 role queries from — ``allocator_ids``, which the agent base
 (:class:`repro.net.agent.Agent`) keeps current through
-:meth:`NetworkContext.note_allocator` — and
-``role_epoch``, which the ``note_*`` hooks bump so the derived
-per-component head table knows when to rebuild.
+:meth:`NetworkContext.note_allocator` — and the per-component table of
+heads and network ids (:meth:`NetworkContext.component_entry`).
+
+The table is kept node by node.  Every ``note_*`` hook names the node
+whose state moved; a lookup at the graph version the table serves
+re-reads only those agents, and a new graph version re-reads them all.
+So an agent notes its *own* transitions, and liveness is read where the
+graph moves: every write of ``node.alive`` is followed, in the same
+call, by ``Topology.invalidate_nodes`` or ``Topology.remove_node``.
+``role_epoch`` counts the notes, for readers that only need to know
+whether any of that state moved anywhere.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import (TYPE_CHECKING, Dict, FrozenSet, Iterator, List,
+from typing import (TYPE_CHECKING, Dict, FrozenSet, Iterator,
                     Optional, Set, Tuple)
 
 from repro.net.hello import HelloService
 from repro.net.node import Node
 from repro.net.stats import MessageStats
-from repro.net.topology import Topology
+from repro.net.topology import STALE, Topology
 from repro.net.transport import Transport
 from repro.obs.bus import EventBus
 from repro.perf import Counters, PerfRecorder
@@ -38,6 +46,35 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults.model import FaultModel
     from repro.faults.spec import FaultSpec
     from repro.net.agent import Agent
+
+
+#: A component table entry: (head ids ascending, head network ids,
+#: configured network ids); see :meth:`NetworkContext.component_entry`.
+_Entry = Tuple[Tuple[int, ...], FrozenSet[Optional[int]],
+               FrozenSet[Optional[int]]]
+#: One component's tallies: head ids, and per network id the number of
+#: heads and of configured nodes carrying it.
+_Tally = Tuple[Set[int], Dict[Optional[int], int], Dict[Optional[int], int]]
+
+
+def _uncount(tally: _Tally, node_id: int, network: Optional[int]) -> None:
+    """Take one agent's contribution back out of ``tally``: the
+    network id it was counted under, and head-ness if it is among the
+    tally's heads."""
+    heads, head_networks, networks = tally
+    _decrement(networks, network)
+    if node_id in heads:
+        heads.discard(node_id)
+        _decrement(head_networks, network)
+
+
+def _decrement(counts: Dict[Optional[int], int],
+               network: Optional[int]) -> None:
+    left = counts[network] - 1
+    if left:
+        counts[network] = left
+    else:
+        del counts[network]
 
 
 class NetworkContext:
@@ -84,31 +121,32 @@ class NetworkContext:
         # Registered ids ``bind_ip`` / ``unbind_ip`` last resolved to
         # bound.  Not "is configured": see :meth:`unbind_ip`.
         self._bound_ids: Set[int] = set()
-        #: Bumped on registration and on role, network-id, head-state,
-        #: allocator and address-bound transitions — the cheap half of
-        #: the component table's cache key (the other half is
-        #: ``Topology.graph_version``).
+        #: Bumped by every note of a registered id — registration and
+        #: role, network-id, head-state, allocator and address-bound
+        #: transitions — so equal epochs mean none of that state moved
+        #: (the head audit keys its verdict on it).
         self.role_epoch = 0
         #: Allocation attempt ids (``PendingConfig.attempt_id``), drawn
         #: by every allocator of the run from 1 up, so identical seeded
         #: runs trace the same ids whatever ran in the process before.
         self.attempt_ids: Iterator[int] = itertools.count(1)
         self.ip_registry: Dict[int, int] = {}  # ip -> node_id
-        # Derived view: component id -> (sorted head ids, head network
-        # ids, all configured network ids), shared by every agent that
-        # asks "does my partition still have allocators" (orphan
-        # rescue, isolation re-founding) or "is there anything foreign
-        # left to merge with" (merge scan).  One O(n) pass builds it;
-        # without the cache each asker walked its own neighborhood or
-        # component per scan — O(n^2) per scan round.  Keyed on
-        # (graph_version, role_epoch): topology rebuilds bump the
-        # former; role, network-id, head-state, and address-bound
-        # transitions bump the latter, so every input the table reads
-        # is covered and no TTL backstop is needed.
-        self._comp_heads_key: Tuple[int, int] = (-1, -1)
-        self._comp_heads: Dict[int, Tuple[Tuple[int, ...],
-                                          FrozenSet[Optional[int]],
-                                          FrozenSet[Optional[int]]]] = {}
+        # Derived view: component index -> (sorted head ids, head
+        # network ids, all configured network ids), shared by every
+        # agent that asks "does my partition still have allocators"
+        # (orphan rescue, isolation re-founding) or "is there anything
+        # foreign left to merge with" (merge scan).  Kept node by node:
+        # ``_comp_counts`` holds each component's tallies (its heads,
+        # and per network id how many heads and how many configured
+        # nodes carry it), ``_counted`` the network id each counted
+        # agent was counted under, and ``_dirty`` the ids noted since
+        # the last patch (see :meth:`_patch_table`).
+        self._table_graph: Optional[int] = None   # no graph served yet
+        self._table_version = 0
+        self._dirty: Set[int] = set()
+        self._counted: Dict[int, Optional[int]] = {}
+        self._comp_counts: Dict[int, _Tally] = {}
+        self._comp_heads: Dict[int, _Entry] = {}
 
     # ------------------------------------------------------------------
     # Agent registry
@@ -124,7 +162,7 @@ class NetworkContext:
             self._bound_ids.discard(node_id)
         else:
             self._bound_ids.add(node_id)
-        self.role_epoch += 1
+        self._note(node_id)
 
     def agent_of(self, node_id: int) -> Optional["Agent"]:
         return self.agents.get(node_id)
@@ -135,21 +173,28 @@ class NetworkContext:
     # ------------------------------------------------------------------
     # Write-through hooks (called at protocol transition points)
     # ------------------------------------------------------------------
-    def note_role(self, node_id: int) -> None:
-        """A registered node's role changed."""
+    def _note(self, node_id: int) -> None:
+        """What every hook does for a registered id: move the epoch and
+        mark the node for the component table's next patch.  Ids that
+        never registered are ignored."""
         if node_id in self.agents:
             self.role_epoch += 1
+            self._dirty.add(node_id)
+
+    def note_role(self, node_id: int) -> None:
+        """A registered node's role changed."""
+        self._note(node_id)
 
     def note_network(self, node_id: int) -> None:
-        """A node's network id changed: the component table caches
+        """A node's network id changed: the component table holds
         which networks still have allocators where."""
-        self.role_epoch += 1
+        self._note(node_id)
 
     def note_head_state(self, node_id: int) -> None:
         """A node adopted or dropped allocator (head) state, which
-        ``is_head`` requires alongside the role, so the flip versions
-        the table even before the role write-through happens."""
-        self.role_epoch += 1
+        ``is_head`` requires alongside the role, so the flip is noted
+        even before the role write-through happens."""
+        self._note(node_id)
 
     def note_allocator(self, node_id: int, allocator: bool) -> None:
         """Record whether a node can currently allocate addresses.
@@ -163,14 +208,14 @@ class NetworkContext:
         self._note_member(self.allocator_ids, node_id, allocator)
 
     def _note_member(self, ids: Set[int], node_id: int, member: bool) -> None:
-        """Put a registered id in or out of ``ids``; only a flip
-        versions the component table."""
+        """Put a registered id in or out of ``ids``; only a flip is
+        noted."""
         if node_id in self.agents and (node_id in ids) != member:
             if member:
                 ids.add(node_id)
             else:
                 ids.discard(node_id)
-            self.role_epoch += 1
+            self._note(node_id)
 
     def bound_address_count(self) -> int:
         """Registered agents with an address noted as bound (see
@@ -182,7 +227,7 @@ class NetworkContext:
     # ------------------------------------------------------------------
     def bind_ip(self, ip: int, node_id: int) -> None:
         # A rebind to another address changes neither configured-ness
-        # nor head-ness, so only the first address versions the table.
+        # nor head-ness, so only the first address is noted.
         self.ip_registry[ip] = node_id
         self._note_member(self._bound_ids, node_id, True)
 
@@ -194,7 +239,10 @@ class NetworkContext:
         same address after a re-found (a fresh network restarts at
         address 0); when one of them unbinds, the other node is the one
         noted.  That makes the bound ids an aggregate, not "is
-        configured": whoever needs that asks ``agent.is_configured()``."""
+        configured": whoever needs that asks ``agent.is_configured()``,
+        and the component table does not rely on this note to learn of
+        the giver's change — the agent notes its own transition too
+        (the quorum agent's role and network-id setters)."""
         node_id = self.ip_registry.pop(ip, None)
         if node_id is not None:
             self._note_member(self._bound_ids, node_id, False)
@@ -223,13 +271,9 @@ class NetworkContext:
     # ------------------------------------------------------------------
     # Component-level role queries (connectivity labels + the registry)
     # ------------------------------------------------------------------
-    _NO_HEADS: Tuple[Tuple[int, ...], FrozenSet[Optional[int]],
-                     FrozenSet[Optional[int]]] = ((), frozenset(), frozenset())
+    _NO_HEADS: _Entry = ((), frozenset(), frozenset())
 
-    def component_entry(
-        self, node_id: int
-    ) -> Tuple[Tuple[int, ...], FrozenSet[Optional[int]],
-               FrozenSet[Optional[int]]]:
+    def component_entry(self, node_id: int) -> _Entry:
         """``(heads, head_networks, networks)`` of ``node_id``'s
         component in one lookup: the allocator node ids, ascending; the
         network ids that still have an allocator there (empty when the
@@ -239,59 +283,117 @@ class NetworkContext:
         equal to the asker's own network means its partition is
         homogeneous: no bounded neighborhood scan can find a foreign
         network id."""
-        topology = self.topology
         # Query the labels first: this forces any pending rebuild, so
-        # graph_version below reflects the graph being answered about.
-        component = topology.component_indices((node_id,))[0]
+        # the patch below reads the graph being answered about.
+        component = self.topology.component_indices((node_id,))[0]
         if component is None:
             return self._NO_HEADS
-        key = (topology.graph_version, self.role_epoch)
-        if key != self._comp_heads_key:
-            # One pass over the registry: one batched label query for
-            # every id, then per agent only what the context does not
-            # hold — the node's live ``alive`` flag (kill and restart
-            # flip it with no hook) and ``agent.is_configured()`` (the
-            # bound ids are not it: see unbind_ip).
-            table: Dict[int, Tuple[List[int], Set[Optional[int]],
-                                   Set[Optional[int]]]] = {}
-            agents = self.agents
-            allocator_ids = self.allocator_ids
-            node_of = topology.get
-            labels = topology.component_indices(agents)
-            for comp, (agent_id, agent) in zip(labels, agents.items()):
-                if comp is None:
-                    continue
-                node = node_of(agent_id)
-                if (node is None or not node.alive
-                        or not agent.is_configured()):
-                    continue
-                entry = table.get(comp)
-                if entry is None:
-                    entry = table[comp] = ([], set(), set())
-                # ``None`` network ids (configured agents mid-rejoin)
-                # stay in the sets on purpose: they make a component
-                # look heterogeneous, which keeps the merge scan alive.
-                network = agent.network_id
-                entry[2].add(network)
-                if agent_id in allocator_ids:
-                    entry[0].append(agent_id)
-                    entry[1].add(network)
-            self._comp_heads = {
-                comp: (tuple(sorted(heads)), frozenset(hnets),
-                       frozenset(nets))
-                for comp, (heads, hnets, nets) in table.items()}
-            self._comp_heads_key = key
+        self._patch_table()
         return self._comp_heads.get(component, self._NO_HEADS)
 
     def component_heads(self, node_id: int) -> Tuple[int, ...]:
         """Allocator node ids in ``node_id``'s component, ascending.
 
-        O(1) amortized: one O(n) table build per topology rebuild /
-        role transition serves every caller in the interval.  The
+        O(1) amortized: a lookup re-reads only the agents noted since
+        the last one, plus every agent once per graph version.  The
         pre-label protocol answered this with an unbounded BFS flood
         per asker; the label layer's ``component_members`` walk was
         bounded but still O(component) per asker per scan."""
         return self.component_entry(node_id)[0]
+
+    def table_version(self) -> int:
+        """The component table's version, patched up to every note so
+        far — or :data:`~repro.net.topology.STALE` unless the graph is
+        current and the table already serves it.
+
+        It moves only when some entry's head-network set or network set
+        changes, or the table moves to a new graph version, so a reader
+        that saw the same version saw every entry's network sets as
+        they are.  Passive on the graph: it refreshes and relabels
+        nothing."""
+        if self._table_graph != self.topology.current_version():
+            return STALE
+        if self._dirty:
+            self._patch_table()
+        return self._table_version
+
+    def _patch_table(self) -> None:
+        """Bring the component table up to the current graph version
+        and every note so far: the one routine that builds it.
+
+        Each dirty agent's old contribution leaves its component's
+        tallies and its new one, read from the agent (``is_configured``,
+        ``network_id``), the allocator set and ``node.alive``, joins
+        them; only the components of dirty agents are frozen again.
+        Labels hold still within a graph version, so an agent's old
+        contribution sits in the component it is in now.  A new graph
+        version may have moved any label: it makes every registered
+        agent dirty and the tallies start from nothing.  Callers have
+        just made sure the graph is current, so the one batched label
+        question below refreshes nothing."""
+        topology = self.topology
+        dirty = self._dirty
+        entries = self._comp_heads
+        changed = False
+        version = topology.graph_version
+        if version != self._table_graph:
+            self._table_graph = version
+            self._counted.clear()
+            self._comp_counts.clear()
+            entries.clear()
+            ids = list(self.agents)         # everyone is dirty
+            changed = True
+        elif dirty:
+            ids = list(dirty)
+        else:
+            return
+        dirty.clear()
+        labels = topology.component_indices(ids)
+        agents = self.agents
+        allocator_ids = self.allocator_ids
+        counted = self._counted
+        counts = self._comp_counts
+        node_of = topology.get
+        for node_id, comp in zip(ids, labels):
+            if comp is None:
+                continue    # out of the graph, so never counted in it
+            tally = counts.get(comp)
+            if tally is None:
+                tally = counts[comp] = (set(), {}, {})
+            if node_id in counted:
+                _uncount(tally, node_id, counted.pop(node_id))
+            node = node_of(node_id)
+            agent = agents[node_id]
+            if node is None or not node.alive or not agent.is_configured():
+                continue
+            # ``None`` network ids (configured agents mid-rejoin) are
+            # counted on purpose: they make a component look
+            # heterogeneous, which keeps the merge scan alive.
+            network = counted[node_id] = agent.network_id
+            networks = tally[2]
+            networks[network] = networks.get(network, 0) + 1
+            if node_id in allocator_ids:
+                tally[0].add(node_id)
+                head_networks = tally[1]
+                head_networks[network] = head_networks.get(network, 0) + 1
+        no_heads = self._NO_HEADS
+        for comp in set(labels):
+            if comp is None:
+                continue
+            before = entries.get(comp, no_heads)
+            heads, head_networks, networks = counts[comp]
+            if networks:
+                entry = entries[comp] = (tuple(sorted(heads)),
+                                         frozenset(head_networks),
+                                         frozenset(networks))
+            else:
+                del counts[comp]
+                entries.pop(comp, None)
+                entry = no_heads
+            if entry[1] != before[1] or entry[2] != before[2]:
+                changed = True
+        if changed:
+            self._table_version += 1
 
     @classmethod
     def build(

@@ -104,6 +104,10 @@ _T = TypeVar("_T")
 #: patching adjacency lists one node at a time.
 DELTA_REBUILD_MAX_DIRTY_FRACTION = 0.25
 
+#: What :meth:`Topology.current_version` answers while the next query
+#: would refresh the graph; versions start at 0 and only grow.
+STALE = -1
+
 
 class Topology:
     """Tracks node positions and answers hop-count queries.
@@ -269,6 +273,7 @@ class Topology:
         graph equivalent to a full rebuild at that query's time.
         """
         now = self.sim.now
+        # current_version()'s test, inlined: every query passes here.
         if (
             self._have_graph
             and not self._force_full
@@ -950,6 +955,21 @@ class Topology:
     @property
     def graph_version(self) -> int:
         return self._graph_version
+
+    def current_version(self) -> int:
+        """:attr:`graph_version` if a query now would be served from
+        the current snapshot without refreshing it, else :data:`STALE`.
+
+        Passive, like :meth:`component_count_stale`: it never refreshes
+        the graph and counts nothing.  A caller that remembers the
+        version under which an answer held can compare it here without
+        deciding when the next refresh falls."""
+        if (self._have_graph
+                and not self._force_full
+                and not self._members_dirty
+                and self.sim.now - self._graph_time <= self.refresh_interval):
+            return self._graph_version
+        return STALE
 
     @property
     def shard_count(self) -> int:

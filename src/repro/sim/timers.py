@@ -85,6 +85,10 @@ class _Cohort:
                     timer._fire()
                 else:
                     hook(timer._fire, ())
+        # Every member has re-armed elsewhere or stopped.  The cohort
+        # and its event refer to each other, so only the cycle collector
+        # frees them: let the members go now, not at its next pass.
+        self.members.clear()
 
 
 class PeriodicTimer:

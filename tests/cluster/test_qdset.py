@@ -58,3 +58,23 @@ def test_needs_regrow_threshold():
     qdset.add(3)
     assert len(qdset) == MIN_REPLICAS
     assert not qdset.needs_regrow()
+
+
+def test_version_counts_real_changes_only():
+    qdset = QDSet([1, 2])
+    assert qdset.version == 0
+    steps = [
+        (lambda: qdset.add(3), 1),
+        (lambda: qdset.add(3), 0),              # already a member
+        (lambda: qdset.suspect(2), 1),
+        (lambda: qdset.suspect(2), 0),          # already suspected
+        (lambda: qdset.suspect(9), 0),          # not a member
+        (lambda: qdset.clear_suspicion(1), 0),  # never suspected
+        (lambda: qdset.clear_suspicion(2), 1),
+        (lambda: qdset.remove(9), 0),
+        (lambda: qdset.remove(1), 1),
+    ]
+    for step, bumps in steps:
+        before = qdset.version
+        step()
+        assert qdset.version == before + bumps

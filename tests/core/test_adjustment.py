@@ -107,3 +107,31 @@ def test_adjustment_disabled_keeps_members():
     # Without adjustment the member lingers (no Td shrink machinery).
     for observer in observers:
         assert victim.node_id in observer.head.qdset
+
+
+def test_audit_skips_only_while_its_stamp_holds():
+    ctx = make_ctx()
+    cfg = ProtocolConfig(td=2.0, tr=1.0, audit_interval=1.0)
+    agents = redundant_rows(ctx, cfg)
+    ctx.sim.run(until=200.0)
+    auditor = next(h for h in heads_of(agents) if len(h.head.qdset))
+    member = ctx.agent_of(auditor.head.qdset.members()[0])
+    ctx.component_entry(auditor.node_id)   # the graph is current
+    auditor._audit()
+    assert auditor._audit_settled()
+    # A member head's network id moves no label and no QDSet entry,
+    # but the audit reads it (same-network check): run in full.
+    member.network_id = member.network_id + 1
+    assert not auditor._audit_settled()
+    member.network_id = auditor.network_id
+    auditor._audit()
+    assert auditor._audit_settled()
+    # Its own QDSet changing, or a timer being armed, also ends it.
+    auditor.head.qdset.suspect(member.node_id)
+    assert not auditor._audit_settled()
+    auditor._audit()        # lifts the suspicion: a change, no verdict
+    assert not auditor._audit_settled()
+    auditor._audit()
+    assert auditor._audit_settled()
+    auditor._suspect_member(member.node_id)
+    assert not auditor._audit_settled()

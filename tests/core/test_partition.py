@@ -150,3 +150,27 @@ def test_orphan_rescue_rejoins_available_network():
     ctx.sim.run(until=ctx.sim.now + 60.0)
     assert orphan.is_configured()
     assert orphan.network_id == right[0].network_id
+
+
+def test_merge_scan_skips_only_while_its_stamp_holds():
+    ctx = make_ctx()
+    agents = line_agents(ctx, 4, cfg=partition_cfg())
+    ctx.sim.run(until=60.0)
+    scanner, other = agents[0], agents[-1]
+    assert scanner.network_id == other.network_id is not None
+    # A lookup refreshes the graph; the next scan finds its partition
+    # homogeneous and leaves a verdict that holds while nothing moves.
+    ctx.component_entry(scanner.node_id)
+    scanner._merge_scan()
+    assert scanner._merge_scan_settled()
+    # Another node takes a foreign network id: no graph change, but the
+    # component's network set moved, so the scan must run in full.
+    other.network_id = other.network_id + 1
+    assert not scanner._merge_scan_settled()
+    other.network_id = scanner.network_id
+    ctx.component_entry(scanner.node_id)
+    scanner._merge_scan()
+    assert scanner._merge_scan_settled()
+    # A stale graph never skips: the scan's lookup refreshes it.
+    ctx.topology.invalidate_nodes([other.node_id])
+    assert not scanner._merge_scan_settled()

@@ -11,10 +11,11 @@ first query that would have read the stale set — the same set head
 scans probe before they ask ``is_head``.
 
 The two batched readers get the same treatment for ``quorum``, on the
-same scenario: at every rebuild ``component_entry`` must answer every
-registered id as the per-node loop it replaced does (the reference in
-``tests/net/test_context.py``), and every audit's one label question
-must find reachable exactly the members ``_member_reachable`` does.
+same scenario: whenever the graph version or ``role_epoch`` has moved,
+``component_entry`` must answer every registered id as the per-node
+loop it replaced does (the reference in ``tests/net/test_context.py``),
+and every audit's one label question must find reachable exactly the
+members ``_member_reachable`` does.
 """
 
 import pytest
@@ -107,8 +108,8 @@ def test_component_table_is_the_per_node_reference_at_every_rebuild(
 
     def component_entry(ctx, node_id):
         entry = one_pass_entry(ctx, node_id)
-        # The lookup above forced any pending graph refresh, so this is
-        # the key the table it answered from was built under.
+        # The lookup above forced any pending graph refresh and patched
+        # the table up to this key.
         key = (ctx.topology.graph_version, ctx.role_epoch)
         if key not in checked_keys:
             checked_keys.add(key)

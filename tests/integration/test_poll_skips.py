@@ -1,0 +1,100 @@
+"""The periodic polls skip while nothing they read has moved, and the
+component table patches only the nodes the hooks noted.  Both are meant
+to be exact, so this test wraps them and checks every use, over the
+pinned cells of ``tests/integration/test_pinned_results.py`` (the two
+crash/restart cells included):
+
+* every ``component_entry`` answer equals ``reference_table``, the
+  per-node loop of ``tests/net/test_context.py``;
+* every merge scan or head audit that would skip is run in full on the
+  spot instead, and must change nothing a poll can change: the agent's
+  fields, its QDSet, its timers, the message and event tallies and the
+  simulator's pending events — and must store the verdict it skipped on.
+"""
+
+import copy
+
+import pytest
+
+from repro.core.protocol import QuorumProtocolAgent
+from repro.experiments import ScenarioRunner
+from repro.net.context import NetworkContext
+from repro.sim.timers import PeriodicTimer, Timer
+
+from tests.integration.test_pinned_results import CELLS, cell_scenario
+from tests.net.test_context import NO_HEADS, reference_table
+
+#: poll -> (its skip predicate, the field holding its verdict).
+POLLS = {
+    "_merge_scan": ("_merge_scan_settled", "_merge_verdict"),
+    "_audit": ("_audit_settled", "_audit_verdict"),
+}
+VERDICTS = {verdict for _settled, verdict in POLLS.values()}
+
+
+def state_of(value):
+    """``value`` with timers read out and containers copied, so that a
+    later ``==`` compares what they hold now."""
+    if isinstance(value, Timer):
+        return ("timer", value.deadline)
+    if isinstance(value, PeriodicTimer):
+        return ("periodic", value.running)
+    if isinstance(value, dict):
+        return {key: state_of(item) for key, item in value.items()}
+    if isinstance(value, (set, list, tuple)):
+        return copy.copy(value)
+    return value
+
+
+def observable(agent):
+    ctx = agent.ctx
+    fields = {name: state_of(value) for name, value in vars(agent).items()
+              if name not in VERDICTS}
+    head = agent.head
+    qdset = None if head is None else (
+        head.qdset.version, head.qdset.members(), head.qdset.suspected())
+    return (fields, qdset, ctx.stats.snapshot(), ctx.events.snapshot(),
+            ctx.sim.pending_events, ctx.role_epoch)
+
+
+@pytest.mark.parametrize("cell", sorted(CELLS))
+def test_skips_and_table_patches_are_exact(cell, monkeypatch):
+    checked = dict.fromkeys(["component_entry", *POLLS], 0)
+    patched_entry = NetworkContext.component_entry
+
+    def component_entry(ctx, node_id):
+        answer = patched_entry(ctx, node_id)
+        # The lookup refreshed the graph; the reference reads it as is.
+        want = reference_table(ctx).get(
+            ctx.topology.component_id(node_id), NO_HEADS)
+        assert answer == want, (ctx.sim.now, node_id)
+        checked["component_entry"] += 1
+        return answer
+
+    def replayed(name, settled, verdict):
+        poll = getattr(QuorumProtocolAgent, name)
+
+        def replay(agent):
+            if not getattr(agent, settled)():
+                return poll(agent)
+            checked[name] += 1
+            before = observable(agent)
+            stamp = getattr(agent, verdict)
+            setattr(agent, verdict, None)
+            poll(agent)
+            assert observable(agent) == before, (name, agent.ctx.sim.now,
+                                                 agent.node_id)
+            assert getattr(agent, verdict) == stamp
+        return replay
+
+    monkeypatch.setattr(NetworkContext, "component_entry", component_entry)
+    for name, (settled, verdict) in POLLS.items():
+        monkeypatch.setattr(QuorumProtocolAgent, name,
+                            replayed(name, settled, verdict))
+    ScenarioRunner(cell_scenario(cell), "quorum").run()
+    # Every cell asks the table many times.  Under mobility every
+    # refresh moves the graph, so a poll never finds its stamp again;
+    # the static cells skip both polls many times.
+    static = CELLS[cell][0].get("speed_mps") == 0.0
+    assert checked["component_entry"] > 100, checked
+    assert all((checked[name] > 100) == static for name in POLLS), checked

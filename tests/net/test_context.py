@@ -8,6 +8,7 @@ from repro.geometry import Point
 from repro.mobility.base import Stationary
 from repro.net import Node
 from repro.net.context import NetworkContext
+from repro.net.topology import STALE
 
 
 class FakeAgent:
@@ -261,14 +262,6 @@ def assert_table_is_the_reference(ctx, component_entry=None):
         assert component_entry(nid) == want, nid
 
 
-def assert_rebuilt_table_is_the_reference(ctx):
-    # ``note_network`` versions the table unconditionally: the next
-    # lookup rebuilds it, whatever the hooks of the change under test
-    # did or (liveness has none) did not do.
-    ctx.note_network(0)
-    assert_table_is_the_reference(ctx)
-
-
 def two_clusters(ctx):
     agents = [
         add(ctx, 1, allocator=True, configured=True, network_id=7, x=0.0),
@@ -304,27 +297,76 @@ def test_table_asks_the_agent_not_the_address_column():
     assert networks(ctx, 4) == frozenset({7, 9})
 
 
-def test_table_reads_liveness_live():
+def test_table_reads_liveness_where_the_graph_moves():
     ctx = make_ctx()
     agents = two_clusters(ctx)
-    # Killed with no invalidate_nodes: still in the graph, not alive.
-    agents[2].node.kill()
-    assert_rebuilt_table_is_the_reference(ctx)
-    assert ctx.component_heads(3) == (1,)
-    # Revived the same way.
-    agents[2].node.alive = True
-    assert_rebuilt_table_is_the_reference(ctx)
-    assert ctx.component_heads(3) == (1, 2)
-    # Killed and refreshed out of the graph, then revived with no
-    # invalidate_nodes: alive, not in the graph (and 3 is cut off).
+    # Killed and refreshed out of the graph: 3 is cut off from the heads.
     agents[2].node.kill()
     ctx.topology.invalidate_nodes([2])
     assert_table_is_the_reference(ctx)
-    agents[2].node.alive = True
-    assert_rebuilt_table_is_the_reference(ctx)
     assert ctx.component_heads(1) == (1,)
     assert ctx.component_entry(2) == NO_HEADS
     assert ctx.component_heads(3) == ()
+    # Revived the same way.
+    agents[2].node.alive = True
+    ctx.topology.invalidate_nodes([2])
+    assert_table_is_the_reference(ctx)
+    assert ctx.component_heads(3) == (1, 2)
+
+
+def test_table_reads_liveness_only_for_noted_nodes():
+    # The contract the test above relies on: liveness is read for the
+    # nodes a hook noted and for everyone when the graph version moves,
+    # never otherwise.  A kill nobody announces is not seen through
+    # another node's note, only through the node's own.
+    ctx = make_ctx()
+    agents = two_clusters(ctx)
+    agents[2].node.kill()
+    ctx.note_role(1)
+    assert ctx.component_heads(3) == (1, 2)
+    ctx.note_role(2)
+    assert ctx.component_heads(3) == (1,)
+
+
+def test_table_rereads_only_the_noted_agents():
+    ctx = make_ctx()
+    agents = two_clusters(ctx)
+    asked = []
+    for node_id, agent in agents.items():
+        agent.is_configured = (
+            lambda node_id=node_id, agent=agent:
+            asked.append(node_id) or agent._configured)
+    ctx.note_role(3)
+    ctx.note_network(11)
+    ctx.component_entry(1)
+    assert sorted(asked) == [3, 11]
+    # A new graph version re-reads everyone in the graph once.
+    del asked[:]
+    agents[4].node.kill()
+    ctx.topology.invalidate_nodes([4])
+    ctx.component_entry(1)
+    assert sorted(asked) == [1, 2, 3, 11, 12]
+    assert_table_is_the_reference(ctx)
+
+
+def test_table_version_moves_only_with_the_network_sets():
+    ctx = make_ctx()
+    agents = two_clusters(ctx)
+    version = ctx.table_version()
+    assert version != STALE
+    # A head that stops allocating leaves its network with a head of
+    # the same network beside it: the sets stand.
+    agents[2].allocator = False
+    assert ctx.table_version() == version
+    assert ctx.component_heads(3) == (1,)
+    # Node 3 leaving network 9 for 7 takes 9 out of the component.
+    agents[3].network_id = 7
+    ctx.note_network(3)
+    assert ctx.table_version() == version + 1
+    assert networks(ctx, 1) == frozenset({7})
+    # And the version is STALE while a query would refresh the graph.
+    ctx.sim.run(until=ctx.topology.refresh_interval * 2)
+    assert ctx.table_version() == STALE
 
 
 def test_table_skips_an_agent_whose_node_left_the_topology():
@@ -332,7 +374,7 @@ def test_table_skips_an_agent_whose_node_left_the_topology():
     agents = two_clusters(ctx)
     ctx.topology.remove_node(agents[11].node)
     assert ctx.agent_of(11) is agents[11]
-    assert_rebuilt_table_is_the_reference(ctx)
+    assert_table_is_the_reference(ctx)
     assert ctx.component_entry(11) == NO_HEADS
     assert ctx.component_entry(12) == ((), frozenset(), frozenset({None}))
 
@@ -355,10 +397,11 @@ def test_table_follows_a_reregistered_agent():
 
 
 # ---------------------------------------------------------------------------
-# role_epoch: which operations version the component table
+# role_epoch: which operations note a node
 # ---------------------------------------------------------------------------
-# The number of table rebuilds is visible (``conn_label_hits``), so the
-# epoch must move at exactly these moments.  Each row starts from:
+# Every hook goes through one helper: a registered id moves the epoch
+# (the head audit's verdict keys on it) and is re-read at the component
+# table's next patch; a stranger does neither.  Each row starts from:
 # node 1 registered, an allocator, address 42 bound; node 2 registered,
 # nothing noted; node 99 never registered.
 ROLE_EPOCH_TABLE = [
@@ -368,9 +411,9 @@ ROLE_EPOCH_TABLE = [
     ("note_role, registered", lambda ctx: ctx.note_role(1), 1),
     ("note_role, stranger", lambda ctx: ctx.note_role(99), 0),
     ("note_network, registered", lambda ctx: ctx.note_network(1), 1),
-    ("note_network, stranger", lambda ctx: ctx.note_network(99), 1),
+    ("note_network, stranger", lambda ctx: ctx.note_network(99), 0),
     ("note_head_state, registered", lambda ctx: ctx.note_head_state(1), 1),
-    ("note_head_state, stranger", lambda ctx: ctx.note_head_state(99), 1),
+    ("note_head_state, stranger", lambda ctx: ctx.note_head_state(99), 0),
     ("note_allocator, flip off", lambda ctx: ctx.note_allocator(1, False), 1),
     ("note_allocator, flip on", lambda ctx: ctx.note_allocator(2, True), 1),
     ("note_allocator, same answer",
@@ -401,7 +444,9 @@ def test_role_epoch_moves_exactly_when_the_table_could_change(
     add(ctx, 1, allocator=True)
     add(ctx, 2)
     ctx.bind_ip(42, 1)
+    ctx.component_entry(1)          # the table is patched: nothing dirty
     epoch = ctx.role_epoch
     operation(ctx)
     assert ctx.role_epoch == epoch + bumps
+    assert bool(ctx._dirty) == bool(bumps)
 

@@ -368,3 +368,24 @@ def test_mobile_fraction_keeps_delta_path_active():
     walkers = POPULATION // WALKER_EVERY
     assert delta["graph_positions_recomputed"] == walkers * refreshes
     assert delta["graph_shards_touched"] < topo.shard_count * refreshes
+
+
+def test_current_version_is_passive_and_stale_when_a_query_would_refresh():
+    from repro.net.topology import STALE
+    sim, topo = make_topology([(0, 0), (100, 0)])
+    assert topo.current_version() == STALE          # never built
+    topo.neighbors(0)
+    version = topo.graph_version
+    assert topo.current_version() == version
+    rebuilds = topo.perf.counters_snapshot()
+    sim.run(until=topo.refresh_interval * 2)
+    assert topo.current_version() == STALE          # the snapshot aged
+    assert topo.perf.counters_snapshot() == rebuilds   # and nothing ran
+    topo.neighbors(0)
+    # A refresh that moved nothing keeps the version.
+    assert topo.current_version() == version
+    topo.get(1).kill()
+    topo.invalidate_nodes([1])
+    assert topo.current_version() == STALE
+    topo.neighbors(0)
+    assert topo.current_version() == version + 1
