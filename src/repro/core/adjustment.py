@@ -20,6 +20,7 @@ from repro.core.state import HeadState
 from repro.net.message import Message
 from repro.net.stats import Category
 from repro.obs import events as obs_ev
+from repro.perf import counters as cnt
 from repro.sim.timers import PeriodicTimer, Timer
 
 #: (graph version, role epoch, head state, QDSet version).
@@ -225,7 +226,7 @@ class AdjustmentMixin:
         if member not in self.head.qdset or member in self._td_timers:
             return
         self.head.qdset.suspect(member)
-        self.ctx.events.incr("quorum_suspect")
+        self.ctx.events.incr(cnt.EV_QUORUM_SUSPECT)
         self._emit_qdset_change(member, "suspect")
         timer = Timer(self.ctx.sim, self._on_td_expire)
         timer.start(self.cfg.td, member)
@@ -272,10 +273,10 @@ class AdjustmentMixin:
         # replica until reclamation decides the member is truly gone.
         if self._majority_reachable():
             self.head.qdset.remove(member)
-            self.ctx.events.incr("quorum_shrink")
+            self.ctx.events.incr(cnt.EV_QUORUM_SHRINK)
             self._emit_qdset_change(member, "shrink")
         self._send(member, m.REP_REQ, {}, Category.MAINTENANCE)
-        self.ctx.events.incr("quorum_probe")
+        self.ctx.events.incr(cnt.EV_QUORUM_PROBE)
         self._emit_qdset_change(member, "probe")
         timer = Timer(self.ctx.sim, self._on_tr_expire)
         timer.start(self.cfg.tr, member)

@@ -115,7 +115,7 @@ class QuorumProtocolAgent(
         # Every role transition versions the context's derived head
         # tables (see NetworkContext.role_epoch).
         self._role = value
-        self.ctx.note_role(self.node.node_id)
+        self.ctx.note(self.node.node_id)
         self._note_allocator()
 
     @property
@@ -127,7 +127,7 @@ class QuorumProtocolAgent(
         flipped = (self._head is None) != (state is None)
         self._head = state
         if flipped:
-            self.ctx.note_head_state(self.node.node_id)
+            self.ctx.note(self.node.node_id)
             self._note_allocator()
 
     def _can_allocate(self) -> bool:
@@ -142,7 +142,7 @@ class QuorumProtocolAgent(
         # Network membership changes version the context's derived
         # per-component head tables (see NetworkContext.component_heads).
         self._network_id = value
-        self.ctx.note_network(self.node.node_id)
+        self.ctx.note(self.node.node_id)
 
     @property
     def live_vote_timers(self) -> int:

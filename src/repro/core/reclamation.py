@@ -38,6 +38,7 @@ from repro.net.stats import Category
 from repro.net.transport import Scope
 from repro.addrspace.records import AddressRecord, AddressStatus
 from repro.obs import events as obs_ev
+from repro.perf import counters as cnt
 from repro.sim.timers import Timer
 
 
@@ -106,7 +107,7 @@ class ReclamationMixin:
             self.node, None, msg, category=Category.RECLAMATION,
             scope=Scope.FLOOD, max_hops=self.cfg.reclamation_radius,
         )
-        self.ctx.events.incr("reclamation_initiated")
+        self.ctx.events.incr(cnt.EV_RECLAMATION_INITIATED)
         self._emit_reclaim(dead_id, "initiated")
         timer = Timer(self.ctx.sim, self._conclude_reclamation)
         timer.start(self.cfg.reclamation_window, dead_id)

@@ -29,6 +29,7 @@ from repro.experiments.scenario import Scenario, fill_defaults
 from repro.experiments.sweep import RunSpec, SweepExecutor, default_executor
 from repro.faults import FaultSpec, crash_schedule
 from repro.obs import TraceRecorder
+from repro.perf import counters as cnt
 
 DEFAULT_SIZES = (50, 100, 150, 200)
 DEFAULT_RANGES = (100.0, 150.0, 200.0, 250.0)
@@ -459,11 +460,11 @@ def robustness_vs_loss(
         return float(result.duplicate_addresses)
 
     def adjustments(result: RunResult) -> float:
-        return float(result.event_count("quorum_shrink")
-                     + result.event_count("quorum_probe"))
+        return float(result.event_count(cnt.EV_QUORUM_SHRINK)
+                     + result.event_count(cnt.EV_QUORUM_PROBE))
 
     def reclamations(result: RunResult) -> float:
-        return float(result.event_count("reclamation_initiated"))
+        return float(result.event_count(cnt.EV_RECLAMATION_INITIATED))
 
     return sweep_figure(
         "Robustness — conflicts and quorum repair vs loss rate",

@@ -41,7 +41,6 @@ class ScenarioRunner:
         scenario: Scenario,
         protocol: str = "quorum",
         protocol_config: Optional[Any] = None,
-        count_hello_cost: bool = False,
     ) -> None:
         if protocol not in PROTOCOLS:
             raise ValueError(
@@ -49,7 +48,6 @@ class ScenarioRunner:
         self.scenario = scenario
         self.protocol = protocol
         self.protocol_config = protocol_config
-        self.count_hello_cost = count_hello_cost
         self.ctx: Optional[NetworkContext] = None
         # Populated (and subscribed to the run's event bus) only when
         # scenario.trace is set; otherwise the bus stays subscriber-free
@@ -70,7 +68,6 @@ class ScenarioRunner:
         ctx = NetworkContext.build(
             seed=scenario.seed,
             transmission_range=scenario.transmission_range,
-            count_hello_cost=self.count_hello_cost,
             faults=scenario.faults,
         )
         self.ctx = ctx
@@ -79,8 +76,6 @@ class ScenarioRunner:
         if scenario.metrics:
             self.metrics = MetricsRecorder(
                 period=scenario.metrics_period).attach(ctx)
-        if self.count_hello_cost:
-            ctx.hello.start()
 
         plans = build_plans(
             num_nodes=scenario.num_nodes,

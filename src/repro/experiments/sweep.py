@@ -92,7 +92,6 @@ class RunSpec:
     protocol: str
     scenario: Scenario
     protocol_config: Optional[Any] = None
-    count_hello_cost: bool = False
 
     def to_dict(self) -> Dict[str, Any]:
         """A JSON-safe description of every run parameter."""
@@ -119,7 +118,6 @@ class RunSpec:
             "scenario": scenario,
             "config_class": type(config).__name__ if config is not None else None,
             "config": dataclasses.asdict(config) if config is not None else None,
-            "count_hello_cost": self.count_hello_cost,
         }
 
     def key(self) -> str:
@@ -180,9 +178,7 @@ def execute_spec(spec: RunSpec) -> RunResult:
     from repro.experiments.runner import ScenarioRunner
 
     return ScenarioRunner(
-        spec.scenario, spec.protocol, spec.protocol_config,
-        count_hello_cost=spec.count_hello_cost,
-    ).run()
+        spec.scenario, spec.protocol, spec.protocol_config).run()
 
 
 def _execute_timed(spec: RunSpec) -> Tuple[RunResult, float]:

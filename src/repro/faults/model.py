@@ -26,6 +26,7 @@ from typing import Optional
 
 from repro.faults.spec import CrashEvent, FaultSpec
 from repro.perf import Counters
+from repro.perf import counters as cnt
 from repro.net.topology import Topology
 from repro.sim.engine import Simulator
 from repro.sim.rng import derive_seed, spawn_key
@@ -81,13 +82,13 @@ class FaultModel:
     def _crash(self, crash: CrashEvent) -> None:
         node = self.topology.get(crash.node_id)
         if node is None or not node.alive:
-            self.events.incr("fault_crash_skipped")
+            self.events.incr(cnt.EV_FAULT_CRASH_SKIPPED)
             return
         node.alive = False
         # Scope is exactly this node: the delta-rebuild path absorbs
         # the flip instead of paying a full O(n) rebuild per crash.
         self.topology.invalidate_nodes((crash.node_id,))
-        self.events.incr("fault_crashes")
+        self.events.incr(cnt.EV_FAULT_CRASHES)
         if crash.restart_at is not None:
             self.sim.schedule_at(crash.restart_at, self._restart, crash)
         else:
@@ -103,7 +104,7 @@ class FaultModel:
             return
         node.alive = True
         self.topology.invalidate_nodes((crash.node_id,))
-        self.events.incr("fault_restarts")
+        self.events.incr(cnt.EV_FAULT_RESTARTS)
 
     # ------------------------------------------------------------------
     # Link-state faults (partition cuts, churn)

@@ -32,7 +32,6 @@ MESSAGES_MODULE = "repro.core.messages"
 MESSAGES_TABLE = "TABLE"
 EVENTS_MODULE = "repro.obs.events"
 COUNTERS_MODULE = "repro.perf.counters"
-METRIC_NAMES_MODULE = "repro.obs.metric_names"
 RNG_MODULE = "repro.sim.rng"
 
 #: ``self.<helper>(dst, m.TYPE, ...)`` calls that perform a send; the

@@ -12,7 +12,7 @@ through each file's :class:`~repro.lint.core.ImportTable`:
 * ``no-oracle-import`` — the runtime never imports numpy, networkx or
   the test-only oracle.
 
-Six need the cross-linked program:
+Five need the cross-linked program:
 
 * ``rng-taint`` — named RNG streams stay inside the subsystem that owns
   them, and generators never flow into cache-key construction.
@@ -23,10 +23,10 @@ Six need the cross-linked program:
 * ``state-machine`` — no message handler sends a message type outside
   its row of the protocol's transition table (``TABLE`` in
   :mod:`repro.core.messages`, read from that module's parsed source).
-* ``counter-registry`` / ``metric-registry`` — every literal
-  ``perf.incr``/``perf.get``/``perf.timer`` and ``metrics.record`` name
-  comes from its central registry (:mod:`repro.perf.counters`,
-  :mod:`repro.obs.metric_names`); dynamically-built names are findings.
+* ``counter-registry`` — every literal ``perf.incr``/``perf.get``/
+  ``perf.timer`` and ``events.incr`` name comes from the central
+  registry (:mod:`repro.perf.counters`); dynamically-built names are
+  findings.
 * ``layering`` — runtime imports respect the layer DAG and introduce
   no module-level cycles.
 
@@ -727,57 +727,69 @@ def _generator_flow(mod: ModuleInfo, node: ast.Call,
 
 
 # ---------------------------------------------------------------------------
-# counter-registry, metric-registry
+# counter-registry
 # ---------------------------------------------------------------------------
 
-def _registry_names(
-        registry: str, receiver: str, methods: Tuple[str, ...], label: str,
-        why: str, legal: Callable[[str, str], bool],
-) -> Callable[[ProjectGraph], Iterator[Hit]]:
-    """Literal names handed to a recorder come from its registry module.
+#: The governed calls, ``(receiver, method)``, and which constants of the
+#: registry each may name: ``TIMER_*`` name perf timers, ``EV_*`` event
+#: tallies, every other constant a perf counter.
+_REGISTRY_CALLS: Dict[Tuple[str, str], str] = {
+    ("perf", "incr"): "counter",
+    ("perf", "get"): "counter",
+    ("perf", "timer"): "timer",
+    ("events", "incr"): "event",
+}
+
+
+def _registry_kind(constant: str) -> str:
+    if constant.startswith("TIMER_"):
+        return "timer"
+    if constant.startswith("EV_"):
+        return "event"
+    return "counter"
+
+
+def _counter_registry(graph: ProjectGraph) -> Iterator[Hit]:
+    """Literal names handed to a recorder come from the registry module.
 
     Governs ``<x>.<method>("name", ...)`` calls whose receiver chain
-    ends in a component named ``receiver`` (``self.perf``,
-    ``ctx.perf``, a ``metrics`` parameter, ...).  ``label`` spells a
-    governed call in messages, ``why`` says what an unregistered name
-    breaks, and ``legal(constant, method)`` says whether a registry
-    constant is a legal argument of that method.
+    ends in ``perf`` or ``events`` (``self.perf``, ``ctx.events``, ...)
+    and whose method is listed in :data:`_REGISTRY_CALLS`.
     """
-    def find(graph: ProjectGraph) -> Iterator[Hit]:
-        module = graph.module(registry)
-        if module is None:
-            return
-        known = {method: {value for name, value in module.constants.items()
-                          if legal(name, method)}
-                 for method in methods}
-        for mod_name in sorted(graph.modules):
-            mod = graph.modules[mod_name]
-            if mod.name == registry:
+    registry = spec.COUNTERS_MODULE
+    module = graph.module(registry)
+    if module is None:
+        return
+    known: Dict[str, Set[str]] = {}
+    for name, value in module.constants.items():
+        known.setdefault(_registry_kind(name), set()).add(value)
+    for mod_name in sorted(graph.modules):
+        mod = graph.modules[mod_name]
+        if mod.name == registry:
+            continue
+        for node in ast.walk(mod.ctx.tree):
+            if not (isinstance(node, ast.Call) and node.args
+                    and isinstance(node.func, ast.Attribute)):
                 continue
-            for node in ast.walk(mod.ctx.tree):
-                if not (isinstance(node, ast.Call) and node.args
-                        and isinstance(node.func, ast.Attribute)
-                        and node.func.attr in methods):
-                    continue
-                dotted = dotted_source(node.func.value)
-                if dotted is None or not (
-                        dotted == receiver
-                        or dotted.endswith("." + receiver)):
-                    continue
-                arg = node.args[0]
-                call = label.format(method=node.func.attr)
-                if isinstance(arg, ast.Constant) and isinstance(arg.value,
-                                                                str):
-                    if arg.value not in known[node.func.attr]:
-                        yield (mod.ctx, node,
-                               f"{call}({arg.value!r}) is not in the "
-                               f"{registry} registry — import the "
-                               f"constant ({why})")
-                elif isinstance(arg, ast.JoinedStr):
+            dotted = dotted_source(node.func.value)
+            if dotted is None:
+                continue
+            receiver = dotted.rpartition(".")[2]
+            kind = _REGISTRY_CALLS.get((receiver, node.func.attr))
+            if kind is None:
+                continue
+            arg = node.args[0]
+            call = f"{receiver}.{node.func.attr}"
+            if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+                if arg.value not in known.get(kind, ()):
                     yield (mod.ctx, node,
-                           f"{call}() name is built dynamically; use a "
-                           f"registry constant or helper from {registry}")
-    return find
+                           f"{call}({arg.value!r}) is not a {kind} in the "
+                           f"{registry} registry — import the constant "
+                           f"(typo'd names report zeros silently)")
+            elif isinstance(arg, ast.JoinedStr):
+                yield (mod.ctx, node,
+                       f"{call}() name is built dynamically; use a "
+                       f"registry constant or helper from {registry}")
 
 
 # ---------------------------------------------------------------------------
@@ -874,24 +886,9 @@ RULES: Tuple[Rule, ...] = (
          "state machine allows for their state",
          _state_machine),
     Rule("counter-registry",
-         "PerfRecorder counter/timer names come from the "
-         "repro.perf.counters registry, never inline literals",
-         _registry_names(
-             spec.COUNTERS_MODULE, "perf", ("incr", "get", "timer"),
-             "perf {method}", "typo'd counters report zeros silently",
-             # TIMER_* constants name timers, every other one a counter.
-             lambda name, method: (
-                 name.startswith("TIMER_") == (method == "timer")))),
-    Rule("metric-registry",
-         "MetricsRecorder gauge names come from the repro.obs.metric_names "
-         "registry, never inline literals",
-         _registry_names(
-             spec.METRIC_NAMES_MODULE, "metrics", ("record",),
-             "metrics.{method}",
-             "unregistered names fragment the series schema across runs",
-             # *_PREFIX constants are family stems consumed by the
-             # registry's helper functions, not sampleable names.
-             lambda name, method: not name.endswith("_PREFIX"))),
+         "PerfRecorder counter/timer names and event tally names come "
+         "from the repro.perf.counters registry, never inline literals",
+         _counter_registry),
     Rule("layering",
          "runtime imports respect the layer DAG and form no module-level "
          "cycles",

@@ -7,7 +7,8 @@ This package models what the paper assumes of the underlying MANET:
 - multi-hop unicast along shortest paths, with per-hop cost accounting
   (the paper's latency and overhead metrics are hop counts);
 - network-wide and k-hop scoped flooding;
-- periodic HELLO beaconing carrying cluster-head advertisements.
+- the neighborhood knowledge HELLO beacons would carry (cluster heads
+  within k hops), answered from the connectivity graph.
 
 All message traffic flows through :class:`~repro.net.transport.Transport`,
 which charges hop counts to per-category counters in

@@ -17,8 +17,8 @@ role queries from — ``allocator_ids``, which the agent base
 :meth:`NetworkContext.note_allocator` — and the per-component table of
 heads and network ids (:meth:`NetworkContext.component_entry`).
 
-The table is kept node by node.  Every ``note_*`` hook names the node
-whose state moved; a lookup at the graph version the table serves
+The table is kept node by node.  Every hook names the node whose state
+moved; a lookup at the graph version the table serves
 re-reads only those agents, and a new graph version re-reads them all.
 So an agent notes its *own* transitions, and liveness is read where the
 graph moves: every write of ``node.alive`` is followed, in the same
@@ -162,7 +162,7 @@ class NetworkContext:
             self._bound_ids.discard(node_id)
         else:
             self._bound_ids.add(node_id)
-        self._note(node_id)
+        self.note(node_id)
 
     def agent_of(self, node_id: int) -> Optional["Agent"]:
         return self.agents.get(node_id)
@@ -173,28 +173,14 @@ class NetworkContext:
     # ------------------------------------------------------------------
     # Write-through hooks (called at protocol transition points)
     # ------------------------------------------------------------------
-    def _note(self, node_id: int) -> None:
-        """What every hook does for a registered id: move the epoch and
-        mark the node for the component table's next patch.  Ids that
-        never registered are ignored."""
+    def note(self, node_id: int) -> None:
+        """A registered node's role, network id or head state changed:
+        move the epoch and mark the node for the component table's next
+        patch.  Every other hook notes through here too.  Ids that never
+        registered are ignored."""
         if node_id in self.agents:
             self.role_epoch += 1
             self._dirty.add(node_id)
-
-    def note_role(self, node_id: int) -> None:
-        """A registered node's role changed."""
-        self._note(node_id)
-
-    def note_network(self, node_id: int) -> None:
-        """A node's network id changed: the component table holds
-        which networks still have allocators where."""
-        self._note(node_id)
-
-    def note_head_state(self, node_id: int) -> None:
-        """A node adopted or dropped allocator (head) state, which
-        ``is_head`` requires alongside the role, so the flip is noted
-        even before the role write-through happens."""
-        self._note(node_id)
 
     def note_allocator(self, node_id: int, allocator: bool) -> None:
         """Record whether a node can currently allocate addresses.
@@ -215,7 +201,7 @@ class NetworkContext:
                 ids.add(node_id)
             else:
                 ids.discard(node_id)
-            self._note(node_id)
+            self.note(node_id)
 
     def bound_address_count(self) -> int:
         """Registered agents with an address noted as bound (see
@@ -400,9 +386,7 @@ class NetworkContext:
         cls,
         seed: int = 0,
         transmission_range: float = 150.0,
-        hello_interval: float = 1.0,
         per_hop_delay: float = 0.01,
-        count_hello_cost: bool = False,
         faults: Optional["FaultSpec"] = None,
     ) -> "NetworkContext":
         """Construct a fully wired context with fresh components.
@@ -423,9 +407,5 @@ class NetworkContext:
             fault_model.install()
         transport = Transport(sim, topology, stats, per_hop_delay,
                               faults=fault_model, perf=perf)
-        hello = HelloService(
-            sim, topology, stats, interval=hello_interval,
-            count_cost=count_hello_cost,
-        )
-        return cls(sim, topology, transport, hello, stats,
+        return cls(sim, topology, transport, HelloService(topology), stats,
                    faults=fault_model, perf=perf)

@@ -1,105 +1,50 @@
-"""The sharded spatial grid behind the topology engine.
+"""The spatial cell index behind the topology engine.
 
 The grid buckets node slots into square cells whose side equals the
-transmission range (so all neighbor candidates of a node live in its
-3x3 cell block).  On top of the flat cell index this module adds a
-*shard* layer: cells are grouped into ``2**shard_shift``-cell-square
-regions, and every mutation (insert / remove / move) marks the shards
-it touched dirty.
-
-Why shards and not just cells:
-
-* **Dirty tracking at the right granularity.**  A 10k-node area has
-  thousands of cells; tracking dirt per cell would cost as much as the
-  mutations themselves, while a single global flag forces full
-  rebuilds.  Shards (64 cells each by default) are coarse enough to be
-  cheap and fine enough that an incremental rebuild provably touched
-  only the regions where something moved — the
-  ``graph_shards_dirty`` / ``graph_shards_total`` perf counters make
-  that visible and CI-gateable.
-
-* **Bounded bookkeeping under churn.**  Per-shard cell registries let
-  the grid drop a whole region's bookkeeping when its last node leaves
-  instead of leaking empty structures across a long mobility run.
-
-The flat ``cell -> [slot]`` dict remains the candidate-lookup hot path
-(two-level lookups would slow the inner rebuild loop); the shard layer
-is pure overlay metadata.  Buckets hold *slots* (see
-:class:`~repro.net.store.NodeStore`), which are insertion-rank ordered
-by construction — the property every adjacency ordering guarantee in
-:mod:`repro.net.topology` rests on.
+transmission range, so all neighbor candidates of a node live in its
+3x3 cell block.  A cell's bucket is deleted when its last slot leaves,
+so a long mobility run keeps no empty buckets.  Buckets hold *slots*
+(see :class:`~repro.net.store.NodeStore`), which are insertion-rank
+ordered by construction — the property every adjacency ordering
+guarantee in :mod:`repro.net.topology` rests on.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Set, Tuple
+from bisect import insort
+from typing import Dict, Iterable, List, Tuple
 
 Cell = Tuple[int, int]
-Shard = Tuple[int, int]
-
-#: Cells per shard edge = 2**SHARD_SHIFT (8x8 cells per shard).  At a
-#: 150 m transmission range one shard covers a 1.2 km square region.
-SHARD_SHIFT = 3
 
 
-class ShardedGrid:
-    """Uniform cell index with per-shard dirty tracking.
+class CellGrid:
+    """Uniform ``cell -> [slot, ...]`` index.
 
-    Buckets map ``cell -> [slot, ...]`` with slots in ascending (rank)
-    order whenever the grid is built through :meth:`rebuild` or
-    mutated through rank-respecting inserts.
+    Each bucket holds its slots in ascending (rank) order: callers feed
+    :meth:`rebuild` ascending slots, and :meth:`insert_ranked` keeps it.
     """
 
-    def __init__(self, cell_size: float, shard_shift: int = SHARD_SHIFT) -> None:
+    def __init__(self, cell_size: float) -> None:
         if cell_size <= 0:
             raise ValueError("cell size must be positive")
         self.cell_size = cell_size
-        self.shard_shift = shard_shift
         self.cells: Dict[Cell, List[int]] = {}
-        #: shard -> number of occupied cells inside it.
-        self._shard_cells: Dict[Shard, int] = {}
-        self._dirty_shards: Set[Shard] = set()
 
-    # ------------------------------------------------------------------
-    # Coordinate mapping
-    # ------------------------------------------------------------------
     def cell_of(self, x: float, y: float) -> Cell:
         size = self.cell_size
         return (int(math.floor(x / size)), int(math.floor(y / size)))
 
-    def shard_of(self, cell: Cell) -> Shard:
-        shift = self.shard_shift
-        return (cell[0] >> shift, cell[1] >> shift)
-
     # ------------------------------------------------------------------
-    # Mutation (marks shards dirty)
+    # Mutation
     # ------------------------------------------------------------------
-    def insert(self, slot: int, cell: Cell) -> None:
-        bucket = self.cells.get(cell)
-        if bucket is None:
-            self.cells[cell] = [slot]
-            shard = self.shard_of(cell)
-            self._shard_cells[shard] = self._shard_cells.get(shard, 0) + 1
-        else:
-            bucket.append(slot)
-        self._dirty_shards.add(self.shard_of(cell))
-
     def insert_ranked(self, slot: int, cell: Cell) -> None:
         """Insert keeping the bucket's ascending slot (= rank) order."""
         bucket = self.cells.get(cell)
-        if bucket is None or not bucket or bucket[-1] < slot:
-            self.insert(slot, cell)
-            return
-        lo, hi = 0, len(bucket)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if bucket[mid] < slot:
-                lo = mid + 1
-            else:
-                hi = mid
-        bucket.insert(lo, slot)
-        self._dirty_shards.add(self.shard_of(cell))
+        if bucket is None:
+            self.cells[cell] = [slot]
+        else:
+            insort(bucket, slot)
 
     def remove(self, slot: int, cell: Cell) -> None:
         bucket = self.cells.get(cell)
@@ -109,21 +54,13 @@ class ShardedGrid:
             bucket.remove(slot)
         except ValueError:
             return
-        shard = self.shard_of(cell)
         if not bucket:
             del self.cells[cell]
-            remaining = self._shard_cells.get(shard, 1) - 1
-            if remaining:
-                self._shard_cells[shard] = remaining
-            else:
-                self._shard_cells.pop(shard, None)
-        self._dirty_shards.add(shard)
 
     def rebuild(self, placements: Iterable[Tuple[int, float, float]]) -> None:
         """Rebuild every bucket from ``(slot, x, y)`` triples.
 
         Feeding slots in ascending order yields rank-ordered buckets.
-        A rebuild leaves the grid clean: everything is fresh.
         """
         size = self.cell_size
         floor = math.floor
@@ -136,13 +73,6 @@ class ShardedGrid:
             else:
                 bucket.append(slot)
         self.cells = cells
-        shard_cells: Dict[Shard, int] = {}
-        shard_of = self.shard_of
-        for cell in cells:
-            shard = shard_of(cell)
-            shard_cells[shard] = shard_cells.get(shard, 0) + 1
-        self._shard_cells = shard_cells
-        self._dirty_shards.clear()
 
     # ------------------------------------------------------------------
     # Queries
@@ -158,16 +88,3 @@ class ShardedGrid:
                 if bucket:
                     out.extend(bucket)
         return out
-
-    @property
-    def shard_count(self) -> int:
-        """Occupied shards."""
-        return len(self._shard_cells)
-
-    @property
-    def dirty_shard_count(self) -> int:
-        """Shards touched by mutations since the last rebuild/clear."""
-        return len(self._dirty_shards)
-
-    def clear_dirty(self) -> None:
-        self._dirty_shards.clear()

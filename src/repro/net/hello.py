@@ -1,4 +1,4 @@
-"""Periodic HELLO beaconing and neighborhood knowledge.
+"""Hello-derived neighborhood knowledge.
 
 Per Section IV-B, every configured node beacons a periodic hello message
 carrying its IP address and the cluster heads within three hops; entering
@@ -6,55 +6,23 @@ nodes listen to these beacons to learn about nearby allocators.
 
 The reproduction models the *knowledge* hellos provide as queries against
 the connectivity oracle (the information a node would have gathered from
-recent beacons), while the *cost* of beaconing is accounted explicitly by
-this service.  Beacon cost is identical across all compared protocols, so
-the paper's overhead figures exclude it; it is tracked under
-``Category.HELLO`` and can be included when studying absolute load.
+recent beacons).  Beacon cost is identical across all compared protocols,
+so the paper's overhead figures exclude it, and no beacon is simulated.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Collection, List, Optional, Tuple
 
-from repro.net.stats import Category, MessageStats
 from repro.net.topology import Topology
-from repro.sim.engine import Simulator
-from repro.sim.timers import PeriodicTimer
 
 
 class HelloService:
-    """Beacon cost accounting plus hello-derived neighborhood queries."""
+    """Hello-derived neighborhood queries."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        topology: Topology,
-        stats: Optional[MessageStats] = None,
-        interval: float = 1.0,
-        count_cost: bool = False,
-    ) -> None:
-        self.sim = sim
+    def __init__(self, topology: Topology) -> None:
         self.topology = topology
-        self.stats = stats
-        self.interval = interval
-        self.count_cost = count_cost
-        self._timer = PeriodicTimer(sim, interval, self._beacon_round)
 
-    def start(self) -> None:
-        self._timer.start(first_delay=self.interval)
-
-    def stop(self) -> None:
-        self._timer.stop()
-
-    def _beacon_round(self) -> None:
-        if self.count_cost and self.stats is not None:
-            alive = len(self.topology.nodes())
-            if alive:
-                self.stats.charge(Category.HELLO, alive, messages=alive)
-
-    # ------------------------------------------------------------------
-    # Hello-derived knowledge
-    # ------------------------------------------------------------------
     def heads_within(
         self,
         node_id: int,

@@ -37,7 +37,7 @@ node just to discover that almost nobody moved.
   O(everything that ever joined).
 
 The store deliberately knows nothing about graphs: it is the substrate
-:class:`~repro.net.topology.Topology` builds its sharded grid and
+:class:`~repro.net.topology.Topology` builds its cell index and
 adjacency on top of.
 """
 

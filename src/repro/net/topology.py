@@ -14,14 +14,13 @@ graph library on the hot path — and, since the scale rework, on
   mostly-stationary network pays array reads, not ``position()``
   calls, per refresh (``graph_positions_recomputed`` counter).
 
-* **Sharded spatial grid.**  Nodes are bucketed into square cells whose
+* **Spatial cell index.**  Nodes are bucketed into square cells whose
   side equals the transmission range (every potential neighbor lies in
-  the 3x3 cell block), and cells are grouped into shards with per-shard
-  dirty tracking (:class:`~repro.net.grid.ShardedGrid`).  Edge
-  construction is ``O(n + edges)``, incremental rebuilds provably touch
-  only the shards where something moved (``graph_shards_touched`` vs
-  the grid's ``shard_count``), and empty regions drop their bookkeeping
-  instead of leaking across long mobility runs.
+  the 3x3 cell block; :class:`~repro.net.grid.CellGrid`).  Edge
+  construction is ``O(n + edges)``, an incremental rebuild re-buckets
+  and re-tests only the slots that moved (``graph_delta_dirty_nodes``),
+  and empty cells drop their buckets instead of leaking across long
+  mobility runs.
 
 * **Hop queries cost their answer.**  There are three kinds of search
   over the slot-indexed adjacency, all on one reusable epoch-stamped
@@ -88,7 +87,7 @@ from bisect import bisect_left, insort
 from typing import (Callable, Collection, Dict, Iterable, Iterator, List,
                     Optional, Set, Tuple, TypeVar)
 
-from repro.net.grid import ShardedGrid
+from repro.net.grid import CellGrid
 from repro.net.node import Node
 from repro.net.store import NodeStore
 from repro.perf import PerfRecorder
@@ -145,7 +144,7 @@ class Topology:
         self._graph_slots: List[int] = []
         self._in_graph = bytearray()     # slot -> 1 if in current graph
         self._adj: List[List[int]] = []  # slot -> neighbor slots, ascending
-        self._grid = ShardedGrid(transmission_range)
+        self._grid = CellGrid(transmission_range)
         # --- invalidation flags ----------------------------------------
         self._force_full = True      # invalidate() / first build
         self._members_dirty = False  # add_node/remove_node since build
@@ -333,7 +332,6 @@ class Topology:
         grid = self._grid
         # Slots ascending => cell buckets are rank-ordered.
         grid.rebuild((slot, xs[slot], ys[slot]) for slot in alive)
-        self.perf.incr(cnt.GRAPH_SHARDS_TOUCHED, grid.shard_count)
         limit = self.transmission_range ** 2
         edges = 0
         # Each unordered cell pair is visited exactly once: within the
@@ -489,8 +487,6 @@ class Topology:
                     insort(adj[u], slot)
                     edges += 1
         self.perf.incr(cnt.GRAPH_EDGES_BUILT, edges)
-        self.perf.incr(cnt.GRAPH_SHARDS_TOUCHED, grid.dirty_shard_count)
-        grid.clear_dirty()
         # Membership changed in place; rebuild the ascending slot list.
         if added or removed:
             self._graph_slots = alive
@@ -970,12 +966,6 @@ class Topology:
                 and self.sim.now - self._graph_time <= self.refresh_interval):
             return self._graph_version
         return STALE
-
-    @property
-    def shard_count(self) -> int:
-        """Occupied grid shards in the current snapshot."""
-        self._ensure_graph()
-        return self._grid.shard_count
 
     def _graph_slot(self, node_id: int) -> Optional[int]:
         """The node's slot if it is in the current graph, else None."""

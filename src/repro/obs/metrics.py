@@ -25,10 +25,10 @@ Design rules, matching the tracing layer:
   exact pre-metrics event sequence.
 
 The recorder produces ``{metric name: [v0, v1, ...]}`` where sample
-``i`` was taken at sim time ``i * period``.  Metric names come from the
-:mod:`repro.obs.metric_names` registry (enforced by the whole-program
-lint); message/drop series are per-interval deltas of the cumulative
-transport counters, i.e. rates per sample period.
+``i`` was taken at sim time ``i * period``.  :func:`sample_gauges` is
+the one place series are named; message/drop series are per-interval
+deltas of the cumulative transport counters, i.e. rates per sample
+period.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.obs import metric_names as mn
 from repro.sim.timers import PeriodicTimer
 
 #: Default sampling cadence in simulated seconds.
@@ -130,7 +129,7 @@ class MetricsRecorder:
 
 
 def sample_gauges(ctx: Any, metrics: MetricsRecorder) -> None:
-    """Take one sample of every registered gauge from ``ctx``.
+    """Take one sample of every gauge from ``ctx``.
 
     Everything read here is passive: agent attributes, cached topology
     facts, cumulative transport counters.  No call may force a graph
@@ -138,8 +137,8 @@ def sample_gauges(ctx: Any, metrics: MetricsRecorder) -> None:
     keeps metrics-on runs bit-identical to metrics-off runs everywhere
     outside ``obs_metrics``.
     """
-    metrics.record(mn.AGENTS_LIVE, len(ctx.agents))
-    metrics.record(mn.AGENTS_CONFIGURED, ctx.bound_address_count())
+    metrics.record("agents_live", len(ctx.agents))
+    metrics.record("agents_configured", ctx.bound_address_count())
 
     role_counts: Dict[str, int] = {}
     qdset_total = 0
@@ -162,21 +161,21 @@ def sample_gauges(ctx: Any, metrics: MetricsRecorder) -> None:
             continue
         free += pool.free_count()
         allocated += pool.allocated_count()
-    metrics.record(mn.QDSET_SIZE_TOTAL, qdset_total)
-    metrics.record(mn.VOTE_TIMERS, vote_timers)
+    metrics.record("qdset_size_total", qdset_total)
+    metrics.record("vote_timers", vote_timers)
     for role in sorted(role_counts):
-        metrics.record(mn.role_metric(role), role_counts[role])
-    metrics.record(mn.POOL_FREE, free)
-    metrics.record(mn.POOL_ALLOCATED, allocated)
+        metrics.record("role_" + (role or "none"), role_counts[role])
+    metrics.record("pool_free", free)
+    metrics.record("pool_allocated", allocated)
 
     topology = ctx.topology
-    metrics.record(mn.COMPONENT_COUNT, topology.component_count_stale())
-    metrics.record(mn.GRAPH_VERSION, topology.graph_version)
+    metrics.record("component_count", topology.component_count_stale())
+    metrics.record("graph_version", topology.graph_version)
 
     sim = ctx.sim
-    metrics.record(mn.HEAP_SIZE, sim.heap_size)
-    metrics.record(mn.HEAP_COMPACTIONS, sim.compactions)
-    metrics.record(mn.PENDING_EVENTS, sim.pending_events)
+    metrics.record("heap_size", sim.heap_size)
+    metrics.record("heap_compactions", sim.compactions)
+    metrics.record("pending_events", sim.pending_events)
 
     # Message/drop rates: per-interval deltas of the cumulative
     # transport counters.  snapshot() enumerates every category, so the
@@ -187,11 +186,11 @@ def sample_gauges(ctx: Any, metrics: MetricsRecorder) -> None:
         total = snapshot[category][1]
         last = metrics._last_msgs.get(category, 0)
         metrics._last_msgs[category] = total
-        metrics.record(mn.msg_metric(category), total - last)
+        metrics.record("msgs_" + category, total - last)
         dropped = drops.get(category, 0)
         last_dropped = metrics._last_drops.get(category, 0)
         metrics._last_drops[category] = dropped
-        metrics.record(mn.drop_metric(category), dropped - last_dropped)
+        metrics.record("drops_" + category, dropped - last_dropped)
 
 
 # ---------------------------------------------------------------------------

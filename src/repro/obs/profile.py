@@ -9,8 +9,8 @@ and charging the call's self time to the subsystem that owns the
 callback (``repro.net``, ``repro.core``, ``repro.sim``,
 ``repro.quorum``, ...).  Timer-wrapped callbacks are unwrapped
 (:func:`package_of` looks through ``Timer``/``PeriodicTimer``
-``_fire`` and ``functools.partial``) so a HELLO beacon is charged to
-``repro.net``, not to the timer plumbing.  Periodic timers that share
+``_fire`` and ``functools.partial``) so a quorum-adjustment tick is
+charged to ``repro.core``, not to the timer plumbing.  Periodic timers that share
 a heap entry still arrive one callback at a time, nested inside the
 ``repro.sim`` call for the entry.
 

@@ -14,8 +14,8 @@ observability data:
 
 * **Nestable wall-clock timers** — accumulated ``perf_counter`` spans
   per name.  Timers may nest (``topology.rebuild`` inside
-  ``transport.send``); re-entering a name that is already running on
-  the stack does not double-count its time.  Timings are *never*
+  ``transport.send``); re-entering a name that is already running does
+  not double-count its time.  Timings are *never*
   serialized into run results: wall clock varies per machine, and the
   determinism tests compare result payloads byte for byte.  The perf
   ledger is the consumer (``ledger/workloads.py`` reads
@@ -30,9 +30,9 @@ from __future__ import annotations
 
 import time
 from collections import defaultdict
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict
 
-__all__ = ["Counters", "PerfRecorder", "TimerStat"]
+__all__ = ["Counters", "PerfRecorder"]
 
 
 class Counters:
@@ -71,23 +71,9 @@ class Counters:
         return f"Counters({parts})"
 
 
-class TimerStat:
-    """Accumulated wall-clock total and call count for one timer name."""
-
-    __slots__ = ("calls", "total_s", "_depth", "_started")
-
-    def __init__(self) -> None:
-        self.calls = 0
-        self.total_s = 0.0
-        self._depth = 0      # re-entrancy guard: only the outermost
-        self._started = 0.0  # frame of a name accumulates time
-
-    def as_dict(self) -> Dict[str, float]:
-        return {"calls": self.calls, "total_s": self.total_s}
-
-
-class _Timer(TimerStat):
-    """One name's stat as its own reusable ``with`` block.
+class _Timer:
+    """One name's accumulated wall-clock total and call count, as its
+    own reusable ``with`` block.
 
     All state a span needs lives in the depth count, none in the
     object handed to ``with``, so the recorder keeps one per name and
@@ -96,13 +82,13 @@ class _Timer(TimerStat):
     the cost, around every search, rebuild and send.)
     """
 
-    __slots__ = ("_name", "_stack", "_clock")
+    __slots__ = ("calls", "total_s", "_depth", "_started", "_clock")
 
-    def __init__(self, name: str, stack: List[str],
-                 clock: Callable[[], float]) -> None:
-        super().__init__()
-        self._name = name
-        self._stack = stack
+    def __init__(self, clock: Callable[[], float]) -> None:
+        self.calls = 0
+        self.total_s = 0.0
+        self._depth = 0      # re-entrancy guard: only the outermost
+        self._started = 0.0  # frame of a name accumulates time
         self._clock = clock
 
     def __enter__(self) -> None:
@@ -110,13 +96,14 @@ class _Timer(TimerStat):
         self._depth += 1
         if self._depth == 1:
             self._started = self._clock()
-        self._stack.append(self._name)
 
     def __exit__(self, *_exc: object) -> None:
-        self._stack.pop()
         self._depth -= 1
         if self._depth == 0:
             self.total_s += self._clock() - self._started
+
+    def as_dict(self) -> Dict[str, float]:
+        return {"calls": self.calls, "total_s": self.total_s}
 
 
 class PerfRecorder:
@@ -139,7 +126,6 @@ class PerfRecorder:
         self.counters = Counters()
         self._clock = clock
         self._timers: Dict[str, _Timer] = {}
-        self._stack: List[str] = []
 
     # ------------------------------------------------------------------
     # Counters (deterministic)
@@ -162,13 +148,8 @@ class PerfRecorder:
         """Time a block under ``name``; nest freely, re-entrancy-safe."""
         timer = self._timers.get(name)
         if timer is None:
-            timer = self._timers[name] = _Timer(
-                name, self._stack, self._clock)
+            timer = self._timers[name] = _Timer(self._clock)
         return timer
-
-    def active_timers(self) -> Tuple[str, ...]:
-        """Names currently on the timer stack, outermost first."""
-        return tuple(self._stack)
 
     def timings_snapshot(self) -> Dict[str, Dict[str, float]]:
         """Sorted ``{name: {"calls": n, "total_s": s}}``."""

@@ -1,24 +1,21 @@
-"""The central registry of deterministic perf counter names.
+"""The central registry of deterministic counter names.
 
 Every :meth:`repro.perf.PerfRecorder.incr` call site names its counter
 through a constant defined here (or through :func:`send_counter` for
-the per-scope send family).  Centralizing the names buys two things:
+the per-scope send family), and so does every ``ctx.events.incr``
+tally of the protocol and fault layers (the ``EV_*`` constants).
+Centralizing the names buys two things:
 
-* a typo'd counter string is a lint error (the ``counter-registry``
-  whole-program rule checks every ``perf.incr``/``perf.get`` literal
-  against :data:`ALL_COUNTERS`), not a silently-empty ledger metric;
+* a typo'd name is a lint error (the ``counter-registry`` whole-program
+  rule checks every ``perf.incr``/``perf.get``/``perf.timer`` and
+  ``events.incr`` literal against this module), not a silently-empty
+  ledger metric;
 * the perf ledger (``ledger/workloads.py``), the pinned-result budgets
   and the docs enumerate counters from one place, so a renamed counter
   cannot drift apart from its consumers.
-
-Stats/event tallies (``MessageStats``, fault event counters) are a
-separate vocabulary and deliberately not registered here — they ride
-plain :class:`repro.perf.Counters` sinks, not the perf recorder.
 """
 
 from __future__ import annotations
-
-from typing import FrozenSet
 
 # --- graph rebuild machinery (repro.net.topology) --------------------------
 GRAPH_REBUILDS = "graph_rebuilds"
@@ -26,7 +23,6 @@ GRAPH_FULL_REBUILDS = "graph_full_rebuilds"
 GRAPH_DELTA_REBUILDS = "graph_delta_rebuilds"
 GRAPH_DELTA_DIRTY_NODES = "graph_delta_dirty_nodes"
 GRAPH_EDGES_BUILT = "graph_edges_built"
-GRAPH_SHARDS_TOUCHED = "graph_shards_touched"
 GRAPH_POSITIONS_RECOMPUTED = "graph_positions_recomputed"
 GRAPH_NODE_INVALIDATIONS = "graph_node_invalidations"
 
@@ -67,34 +63,18 @@ def send_counter(scope_value: str) -> str:
     return _SEND_BY_SCOPE[scope_value]
 
 
-#: Every registered counter name.  The ``counter-registry`` lint rule
-#: checks ``perf.incr``/``perf.get`` string literals against this set.
-ALL_COUNTERS: FrozenSet[str] = frozenset({
-    GRAPH_REBUILDS,
-    GRAPH_FULL_REBUILDS,
-    GRAPH_DELTA_REBUILDS,
-    GRAPH_DELTA_DIRTY_NODES,
-    GRAPH_EDGES_BUILT,
-    GRAPH_SHARDS_TOUCHED,
-    GRAPH_POSITIONS_RECOMPUTED,
-    GRAPH_NODE_INVALIDATIONS,
-    BFS_CALLS,
-    BFS_CACHE_HITS,
-    BFS_NODES_EXPANDED,
-    BFS_UNBOUNDED,
-    CONN_RELABELS,
-    CONN_FULL_RELABELS,
-    CONN_DELTA_RELABELS,
-    CONN_SLOTS_RELABELED,
-    CONN_SPLIT_SLOTS_SCANNED,
-    CONN_LABEL_HITS,
-    MSG_FANOUT_SHARED,
-    SEND_UNICAST,
-    SEND_NEIGHBORS,
-    SEND_FLOOD,
-})
-
 #: Wall-clock timer names (ledger-only; never serialized into results).
 TIMER_TRANSPORT_SEND = "transport.send"
 TIMER_TOPOLOGY_REBUILD = "topology.rebuild"
 TIMER_TOPOLOGY_BFS = "topology.bfs"
+
+#: Protocol and fault event tallies (``ctx.events``; ride on
+#: ``RunResult.events``).  The ledger's ``core.ev.*`` and
+#: ``faults.crashes`` metrics read them by these exact names.
+EV_QUORUM_SUSPECT = "quorum_suspect"
+EV_QUORUM_SHRINK = "quorum_shrink"
+EV_QUORUM_PROBE = "quorum_probe"
+EV_RECLAMATION_INITIATED = "reclamation_initiated"
+EV_FAULT_CRASHES = "fault_crashes"
+EV_FAULT_RESTARTS = "fault_restarts"
+EV_FAULT_CRASH_SKIPPED = "fault_crash_skipped"

@@ -3,8 +3,7 @@
 The protocol layer uses these for the paper's named timers: the
 retransmission timer ``T_e``/``Max_r`` of network initialization, the
 quorum-adjustment timer ``T_d``, the existence-probe timer ``T_r``,
-periodic HELLO beaconing, and the periodic synchronization of the Buddy
-baseline.
+and the periodic synchronization of the Buddy baseline.
 """
 
 from __future__ import annotations

@@ -44,7 +44,6 @@ def test_spec_key_covers_every_input():
     assert base.key() != RunSpec("quorum", tiny(num_nodes=13)).key()
     assert base.key() != RunSpec(
         "quorum", tiny(), ProtocolConfig(borrowing_enabled=False)).key()
-    assert base.key() != RunSpec("quorum", tiny(), count_hello_cost=True).key()
 
 
 # ---------------------------------------------------------------------------

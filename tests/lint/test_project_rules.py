@@ -410,6 +410,7 @@ def test_rng_taint_flags_generator_into_cache_key(tree):
 REGISTRY = """\
     BFS_CALLS = "bfs_calls"
     TIMER_TOPOLOGY_BFS = "topology.bfs"
+    EV_QUORUM_SHRINK = "quorum_shrink"
     """
 
 
@@ -430,8 +431,8 @@ def test_counter_registry_flags_dynamic_names(tree):
     tree.write("src/repro/perf/counters.py", REGISTRY)
     tree.write("src/repro/net/grid.py", """\
         class Grid:
-            def walk(self, shard):
-                self.perf.incr(f"bfs_calls_{shard}")
+            def walk(self, scope):
+                self.perf.incr(f"bfs_calls_{scope}")
         """)
     findings = tree.findings(select={"counter-registry"})
     assert len(findings) == 1
@@ -454,6 +455,33 @@ def test_counter_registry_checks_timers_separately(tree):
     assert "timer('bfs_calls')" in findings[0].message
 
 
+def test_counter_registry_flags_unregistered_event_tally(tree):
+    tree.write("src/repro/perf/counters.py", REGISTRY)
+    tree.write("src/repro/core/adjust.py", """\
+        class Adjuster:
+            def shrink(self):
+                self.ctx.events.incr("quorum_shrnk")
+                self.ctx.events.incr("bfs_calls")
+        """)
+    findings = tree.findings(select={"counter-registry"})
+    # A typo, and a perf counter name where an event tally belongs.
+    assert [f.message.split(" is ")[0] for f in findings] == [
+        "events.incr('quorum_shrnk')", "events.incr('bfs_calls')"]
+
+
+def test_counter_registry_accepts_event_constants(tree):
+    tree.write("src/repro/perf/counters.py", REGISTRY)
+    tree.write("src/repro/core/adjust.py", """\
+        from repro.perf import counters as cnt
+
+        class Adjuster:
+            def shrink(self):
+                self.ctx.events.incr(cnt.EV_QUORUM_SHRINK)
+                self.ctx.events.incr("quorum_shrink")
+        """)
+    assert tree.findings(select={"counter-registry"}) == []
+
+
 def test_counter_registry_silent_without_registry_module(tree):
     # Fixture trees (and partial scans) without repro.perf.counters
     # must not drown in false positives.
@@ -463,78 +491,6 @@ def test_counter_registry_silent_without_registry_module(tree):
                 self.perf.incr("anything_goes")
         """)
     assert tree.findings(select={"counter-registry"}) == []
-
-
-# ---------------------------------------------------------------------------
-# metric-registry
-# ---------------------------------------------------------------------------
-
-METRIC_REGISTRY = """\
-    AGENTS_LIVE = "agents_live"
-    MSGS_PREFIX = "msgs_"
-    """
-
-
-def test_metric_registry_flags_unregistered_literal(tree):
-    tree.write("src/repro/obs/metric_names.py", METRIC_REGISTRY)
-    tree.write("src/repro/obs/sampler.py", """\
-        class Sampler:
-            def sample(self):
-                self.metrics.record("agents_live", 1)
-                self.metrics.record("agents_alive", 1)
-        """)
-    findings = tree.findings(select={"metric-registry"})
-    assert len(findings) == 1
-    assert "'agents_alive'" in findings[0].message
-
-
-def test_metric_registry_prefixes_are_not_sampleable_names(tree):
-    # ``*_PREFIX`` constants are family stems for the helper functions;
-    # recording one directly is a registry miss.
-    tree.write("src/repro/obs/metric_names.py", METRIC_REGISTRY)
-    tree.write("src/repro/obs/sampler.py", """\
-        class Sampler:
-            def sample(self):
-                self.metrics.record("msgs_", 1)
-        """)
-    findings = tree.findings(select={"metric-registry"})
-    assert len(findings) == 1
-
-
-def test_metric_registry_flags_dynamic_names(tree):
-    tree.write("src/repro/obs/metric_names.py", METRIC_REGISTRY)
-    tree.write("src/repro/obs/sampler.py", """\
-        class Sampler:
-            def sample(self, role):
-                self.metrics.record(f"role_{role}", 1)
-        """)
-    findings = tree.findings(select={"metric-registry"})
-    assert len(findings) == 1
-    assert "built dynamically" in findings[0].message
-
-
-def test_metric_registry_accepts_helper_built_names(tree):
-    # Non-literal first arguments (helper calls, constants) pass: the
-    # helpers append to registered prefixes.
-    tree.write("src/repro/obs/metric_names.py", METRIC_REGISTRY)
-    tree.write("src/repro/obs/sampler.py", """\
-        from repro.obs.metric_names import AGENTS_LIVE, msg_metric
-
-        class Sampler:
-            def sample(self, category):
-                self.metrics.record(AGENTS_LIVE, 1)
-                self.metrics.record(msg_metric(category), 1)
-        """)
-    assert tree.findings(select={"metric-registry"}) == []
-
-
-def test_metric_registry_silent_without_registry_module(tree):
-    tree.write("src/repro/obs/sampler.py", """\
-        class Sampler:
-            def sample(self):
-                self.metrics.record("anything_goes", 1)
-        """)
-    assert tree.findings(select={"metric-registry"}) == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Acceptance gate: the real tree is clean under every rule.
 
-This is the test the CI lint job mirrors (``repro lint``): all nine
+This is the test the CI lint job mirrors (``repro lint``): all eight
 rules over ``src``, ``examples`` and ``benchmarks``.  If a rule fires
 here, fix the code — or the rule, if the finding is false.
 """
@@ -32,6 +32,5 @@ def test_all_rules_actually_ran():
     report = _report()
     assert report.rule_names == (
         "determinism", "hop-bound", "no-oracle-import", "rng-taint",
-        "obs-coverage", "state-machine", "counter-registry",
-        "metric-registry", "layering")
+        "obs-coverage", "state-machine", "counter-registry", "layering")
     assert report.files_scanned > 50

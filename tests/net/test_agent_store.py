@@ -69,11 +69,11 @@ def test_note_writes_through_and_missing_ids_noop():
     ctx.unbind_ip(9)
     assert ctx.bound_address_count() == 0
     epoch = ctx.role_epoch
-    ctx.note_role(0)
+    ctx.note(0)
     assert ctx.role_epoch == epoch + 1
     # Ids that never registered are ignored: nothing is counted for
     # them and nothing they do can change the component table.
-    ctx.note_role(99)
+    ctx.note(99)
     ctx.bind_ip(1, 99)
     assert ctx.role_epoch == epoch + 1
     assert ctx.bound_address_count() == 0

@@ -150,7 +150,7 @@ def test_component_tables_refresh_on_role_transition():
     # Demote the head through the write-through hook: the epoch bump
     # must invalidate the cached table without any clock advance.
     head.allocator = False
-    ctx.note_role(1)
+    ctx.note(1)
     assert ctx.component_heads(2) == ()
     assert head_networks(ctx, 2) == frozenset()
 
@@ -161,7 +161,7 @@ def test_component_tables_refresh_on_network_transition():
     add(ctx, 2, configured=True, network_id=7)
     assert head_networks(ctx, 2) == frozenset({7})
     head.network_id = 9
-    ctx.note_network(1)
+    ctx.note(1)
     assert head_networks(ctx, 2) == frozenset({9})
     assert networks(ctx, 2) == frozenset({7, 9})
 
@@ -188,7 +188,7 @@ def test_component_tables_refresh_on_head_state_transition():
     # Dropping head state without a role transition still goes through
     # the write-through hook, which must invalidate the cached table.
     head.allocator = False
-    ctx.note_head_state(1)
+    ctx.note(1)
     assert ctx.component_heads(2) == ()
 
 
@@ -322,9 +322,9 @@ def test_table_reads_liveness_only_for_noted_nodes():
     ctx = make_ctx()
     agents = two_clusters(ctx)
     agents[2].node.kill()
-    ctx.note_role(1)
+    ctx.note(1)
     assert ctx.component_heads(3) == (1, 2)
-    ctx.note_role(2)
+    ctx.note(2)
     assert ctx.component_heads(3) == (1,)
 
 
@@ -336,8 +336,8 @@ def test_table_rereads_only_the_noted_agents():
         agent.is_configured = (
             lambda node_id=node_id, agent=agent:
             asked.append(node_id) or agent._configured)
-    ctx.note_role(3)
-    ctx.note_network(11)
+    ctx.note(3)
+    ctx.note(11)
     ctx.component_entry(1)
     assert sorted(asked) == [3, 11]
     # A new graph version re-reads everyone in the graph once.
@@ -361,7 +361,7 @@ def test_table_version_moves_only_with_the_network_sets():
     assert ctx.component_heads(3) == (1,)
     # Node 3 leaving network 9 for 7 takes 9 out of the component.
     agents[3].network_id = 7
-    ctx.note_network(3)
+    ctx.note(3)
     assert ctx.table_version() == version + 1
     assert networks(ctx, 1) == frozenset({7})
     # And the version is STALE while a query would refresh the graph.
@@ -399,7 +399,7 @@ def test_table_follows_a_reregistered_agent():
 # ---------------------------------------------------------------------------
 # role_epoch: which operations note a node
 # ---------------------------------------------------------------------------
-# Every hook goes through one helper: a registered id moves the epoch
+# Every hook goes through ``note``: a registered id moves the epoch
 # (the head audit's verdict keys on it) and is re-read at the component
 # table's next patch; a stranger does neither.  Each row starts from:
 # node 1 registered, an allocator, address 42 bound; node 2 registered,
@@ -408,12 +408,8 @@ ROLE_EPOCH_TABLE = [
     ("register a new id", lambda ctx: add(ctx, 3), 1),
     ("re-register an id",
      lambda ctx: ctx.register(ctx.agents[1]), 1),
-    ("note_role, registered", lambda ctx: ctx.note_role(1), 1),
-    ("note_role, stranger", lambda ctx: ctx.note_role(99), 0),
-    ("note_network, registered", lambda ctx: ctx.note_network(1), 1),
-    ("note_network, stranger", lambda ctx: ctx.note_network(99), 0),
-    ("note_head_state, registered", lambda ctx: ctx.note_head_state(1), 1),
-    ("note_head_state, stranger", lambda ctx: ctx.note_head_state(99), 0),
+    ("note, registered", lambda ctx: ctx.note(1), 1),
+    ("note, stranger", lambda ctx: ctx.note(99), 0),
     ("note_allocator, flip off", lambda ctx: ctx.note_allocator(1, False), 1),
     ("note_allocator, flip on", lambda ctx: ctx.note_allocator(2, True), 1),
     ("note_allocator, same answer",

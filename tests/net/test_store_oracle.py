@@ -2,7 +2,7 @@
 
 test_topology_oracle.py pins bit-identity for stable populations and
 light membership churn; these tests target the struct-of-arrays layer
-specifically: eviction must scrub every array and every grid shard, and
+specifically: eviction must scrub every array and every grid cell, and
 enough eviction churn to force slot *compaction* (renumbering) must
 leave query results — content and iteration order — bit-identical to
 the oracle's full rebuilds throughout.

@@ -313,7 +313,7 @@ def candidate_sets(topo, accept):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_a_candidate_set_changes_no_answer(seed, predicate):
     topo, _oracle = build_pair(seed)
-    hello = HelloService(topo.sim, topo)
+    hello = HelloService(topo)
     accept = PREDICATES[predicate]
     for among in candidate_sets(topo, accept):
         asked = []
@@ -346,7 +346,7 @@ def test_a_dead_candidate_is_left_to_the_predicate():
     # candidate set (it only narrows); the predicate's live liveness
     # check is what rejects it, exactly as without a candidate set.
     topo, _oracle = build_pair(seed=3)
-    hello = HelloService(topo.sim, topo)
+    hello = HelloService(topo)
     source = min(max(topo.components(), key=len))
     ring = topo.within_hops(source, 3)
     victim = min(ring, key=lambda pair: (pair[1], pair[0]))[0]

@@ -1,9 +1,14 @@
 """Unit tests for the run-level metrics recorder and its serializers."""
 
+from types import SimpleNamespace
+
 import pytest
 
+from repro.cluster.roles import Role
+from repro.geometry import Point
+from repro.mobility.base import Stationary
+from repro.net import Node
 from repro.net.context import NetworkContext
-from repro.obs import metric_names as mn
 from repro.obs.metrics import (
     MetricsRecorder,
     merge_series,
@@ -28,7 +33,7 @@ def test_attach_samples_on_the_sim_cadence():
     assert recorder.samples == 3
     assert len(recorder) == 3
     series = recorder.series()
-    assert series[mn.AGENTS_LIVE] == [0, 0, 0]
+    assert series["agents_live"] == [0, 0, 0]
     assert all(len(values) == 3 for values in series.values())
 
 
@@ -47,7 +52,7 @@ def test_detach_stops_sampling_but_keeps_series():
     recorder.detach()
     ctx.sim.run(until=6.0)
     assert recorder.samples == taken
-    assert recorder.series()[mn.HEAP_SIZE][0] >= 0
+    assert recorder.series()["heap_size"][0] >= 0
 
 
 def test_late_series_are_zero_padded_to_t0():
@@ -138,9 +143,16 @@ def test_csv_is_wide_with_a_time_column():
     assert lines[2] == "0.5,0,2"
 
 
-def test_registry_helpers_build_family_names():
-    assert mn.role_metric("head") == "role_head"
-    assert mn.role_metric(None) == "role_none"
-    assert mn.msg_metric("config") == "msgs_config"
-    assert mn.drop_metric("hello") == "drops_hello"
-    assert mn.AGENTS_LIVE in mn.ALL_METRICS
+def test_gauge_families_are_named_by_role_and_category():
+    ctx = NetworkContext.build(seed=1)
+    for node_id, role in ((1, Role.HEAD), (2, None)):
+        ctx.register(SimpleNamespace(
+            node=Node(node_id, Stationary(Point(0, 0))), ip=None,
+            role=role))
+    recorder = MetricsRecorder().attach(ctx)
+    ctx.sim.run(until=0.0)
+    series = recorder.series()
+    assert series["role_head"] == [1]
+    assert series["role_none"] == [1]
+    assert series["msgs_config"] == [0]
+    assert series["drops_hello"] == [0]

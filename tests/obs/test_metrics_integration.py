@@ -18,7 +18,6 @@ from repro.obs import (
     series_from_jsonl,
     set_metrics_export,
 )
-from repro.obs import metric_names as mn
 
 
 def _metrics_run(num_nodes=25, seed=3, period=1.0, **overrides):
@@ -31,24 +30,24 @@ def _metrics_run(num_nodes=25, seed=3, period=1.0, **overrides):
 def test_series_cover_the_whole_run_and_show_the_ramp():
     result = _metrics_run()
     series = result.obs_metrics
-    samples = len(series[mn.AGENTS_LIVE])
+    samples = len(series["agents_live"])
     # One sample per period from t=0 through the end of the run.
     assert samples >= int(result.duration)
     assert all(len(values) == samples for values in series.values())
     # Nodes arrive one per second: the live count ramps monotonically
     # up to the full population.
-    live = series[mn.AGENTS_LIVE]
+    live = series["agents_live"]
     assert live[0] == 0
     assert live[-1] == 25
     assert all(b >= a for a, b in zip(live, live[1:]))
-    assert series[mn.AGENTS_CONFIGURED][-1] > 0
-    assert max(series[mn.POOL_FREE]) > 0
-    assert series[mn.COMPONENT_COUNT][-1] >= 0
+    assert series["agents_configured"][-1] > 0
+    assert max(series["pool_free"]) > 0
+    assert series["component_count"][-1] >= 0
     # Message-rate series are per-interval deltas of the cumulative
     # counters: their sums reach the run totals up to the handful of
     # messages delivered after the final sample tick.
     for category, total in result.stats_msgs.items():
-        captured = sum(series[mn.msg_metric(category)])
+        captured = sum(series["msgs_" + category])
         assert 0 <= captured <= total
         assert total - captured <= 5
 
@@ -58,24 +57,24 @@ def test_role_and_quorum_gauges_read_the_agents():
     result = _metrics_run(num_nodes=40, seed=2, speed_mps=0.0, period=0.25,
                           faults=FaultSpec(loss_rate=0.1))
     series = result.obs_metrics
-    assert series[mn.role_metric("head")][-1] == result.head_count
-    assert series[mn.QDSET_SIZE_TOTAL][-1] == sum(result.qdset_sizes) > 0
+    assert series["role_head"][-1] == result.head_count
+    assert series["qdset_size_total"][-1] == sum(result.qdset_sizes) > 0
     # Every registered agent is counted under exactly one role at every
     # tick — including the ticks a role (requesting, here) has emptied.
     roles = [values for name, values in series.items()
-             if name.startswith(mn.ROLE_PREFIX)]
-    assert [sum(tick) for tick in zip(*roles)] == series[mn.AGENTS_LIVE]
-    requesting = series[mn.role_metric("requesting")]
+             if name.startswith("role_")]
+    assert [sum(tick) for tick in zip(*roles)] == series["agents_live"]
+    requesting = series["role_requesting"]
     first = next(i for i, count in enumerate(requesting) if count)
     assert 0 in requesting[first:requesting.index(max(requesting))]
     # Lost votes keep allocator-side vote timers alive across a tick.
-    assert max(series[mn.VOTE_TIMERS]) > 0
-    assert series[mn.VOTE_TIMERS][-1] == 0
+    assert max(series["vote_timers"]) > 0
+    assert series["vote_timers"][-1] == 0
     # Agents without a role (every baseline) count under role_none.
     scenario = Scenario(num_nodes=10, seed=1, settle_time=5.0, metrics=True)
     baseline = ScenarioRunner(scenario, "dad").run().obs_metrics
-    assert baseline[mn.role_metric(None)] == baseline[mn.AGENTS_LIVE]
-    assert max(baseline[mn.QDSET_SIZE_TOTAL]) == 0
+    assert baseline["role_none"] == baseline["agents_live"]
+    assert max(baseline["qdset_size_total"]) == 0
 
 
 def test_metrics_do_not_perturb_the_run():

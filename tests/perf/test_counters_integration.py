@@ -47,7 +47,7 @@ def test_hop_bounded_point_query_expands_less():
 
 def test_nearest_head_with_bound_expands_fewer_nodes():
     _, topo = make_chain(40)
-    hello = HelloService(topo.sim, topo)
+    hello = HelloService(topo)
     is_head = lambda nid: nid == 39  # the far end
     assert hello.nearest_head(0, is_head) == (39, 39)
     full = topo.perf.get("bfs_nodes_expanded")

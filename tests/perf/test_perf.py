@@ -1,6 +1,6 @@
 """Unit tests for the repro.perf instrumentation layer."""
 
-from repro.perf import PerfRecorder, TimerStat
+from repro.perf import PerfRecorder
 
 
 def test_counters_increment_and_snapshot_sorted():
@@ -46,13 +46,11 @@ def test_one_cached_timer_object_reentered_while_it_runs():
     try:
         with block:                         # clock 0
             with block:                     # the same object, nested
-                assert perf.active_timers() == ("send", "send")
                 with perf.timer("bfs"):     # clock 1 -> 2
                     raise ValueError("boom")
     except ValueError:
         pass
     # The raise unwound all three frames: outer span 0 -> 3, once.
-    assert perf.active_timers() == ()
     with block:                             # reusable afterwards: 4 -> 5
         pass
     snap = perf.timings_snapshot()
@@ -60,28 +58,28 @@ def test_one_cached_timer_object_reentered_while_it_runs():
     assert snap["bfs"] == {"calls": 1, "total_s": 1.0}
 
 
-def test_nested_distinct_timers_and_active_stack():
-    perf = PerfRecorder()
-    with perf.timer("outer"):
-        with perf.timer("inner"):
-            assert perf.active_timers() == ("outer", "inner")
-    assert perf.active_timers() == ()
-    assert set(perf.timings_snapshot()) == {"inner", "outer"}
+def test_nested_distinct_timers_each_time_their_own_span():
+    ticks = iter(range(100))
+    perf = PerfRecorder(clock=lambda: float(next(ticks)))
+    with perf.timer("outer"):           # clock 0
+        with perf.timer("inner"):       # clock 1 -> 2
+            pass
+    # outer closes at 3.
+    assert perf.timings_snapshot() == {
+        "inner": {"calls": 1, "total_s": 1.0},
+        "outer": {"calls": 1, "total_s": 3.0},
+    }
 
 
 def test_timer_survives_exceptions():
-    perf = PerfRecorder()
+    ticks = iter(range(100))
+    perf = PerfRecorder(clock=lambda: float(next(ticks)))
     try:
-        with perf.timer("risky"):
+        with perf.timer("risky"):       # clock 0 -> 1
             raise ValueError("boom")
     except ValueError:
         pass
-    assert perf.active_timers() == ()
-    assert perf.timings_snapshot()["risky"]["calls"] == 1
+    with perf.timer("risky"):           # closed by the raise: 2 -> 3
+        pass
+    assert perf.timings_snapshot()["risky"] == {"calls": 2, "total_s": 2.0}
 
-
-def test_timerstat_as_dict():
-    stat = TimerStat()
-    stat.calls = 3
-    stat.total_s = 0.25
-    assert stat.as_dict() == {"calls": 3, "total_s": 0.25}
