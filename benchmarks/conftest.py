@@ -13,39 +13,33 @@ import os
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional
 
+import pytest
+
 from repro.experiments import format_series
 from repro.experiments.export import write_series_csv, write_series_json
-from repro.experiments.sweep import (
-    WORKERS_ENV,
-    CACHE_ENV,
-    SweepExecutor,
-    set_default_executor,
-)
+from repro.experiments.sweep import SweepExecutor
 
 ARTIFACTS = Path(__file__).parent / "artifacts"
 
 
-def pytest_configure(config) -> None:
-    """Opt-in parallel figure regeneration.
+@pytest.fixture(scope="session")
+def sweep_executor() -> SweepExecutor:
+    """The executor every figure benchmark hands its sweep.
 
-    ``REPRO_SWEEP_WORKERS=N`` fans every cell of a figure (curve x
-    x-value x seed, one sweep per figure) out over N worker processes; ``REPRO_SWEEP_CACHE=DIR`` (default
-    ``benchmarks/.sweep_cache`` when workers are enabled) persists run
-    results so re-benchmarking only executes missing cells.  Unset, the
-    benchmarks run exactly the serial path CI measures — per-run
-    deterministic seeding makes both paths bit-identical anyway.
+    Opt-in parallel figure regeneration: ``REPRO_SWEEP_WORKERS=N`` fans
+    every cell of a figure (curve x x-value x seed, one sweep per
+    figure) out over N worker processes, and ``REPRO_SWEEP_CACHE=DIR``
+    (default ``benchmarks/.sweep_cache`` when workers are set) persists
+    run results so re-benchmarking only executes missing cells.  Unset,
+    this is the serial, uncached executor CI measures; per-run
+    deterministic seeding makes both paths bit-identical anyway.  The
+    program itself reads neither variable.
     """
-    workers_env = os.environ.get(WORKERS_ENV, "").strip()
-    if not workers_env:
-        return
-    cache_dir = (os.environ.get(CACHE_ENV, "").strip()
-                 or str(Path(__file__).parent / ".sweep_cache"))
-    set_default_executor(SweepExecutor(
-        workers=int(workers_env), cache_dir=cache_dir))
-
-
-def pytest_unconfigure(config) -> None:
-    set_default_executor(None)
+    workers = os.environ.get("REPRO_SWEEP_WORKERS", "").strip()
+    cache_dir = os.environ.get("REPRO_SWEEP_CACHE", "").strip() or None
+    if workers and cache_dir is None:
+        cache_dir = str(Path(__file__).parent / ".sweep_cache")
+    return SweepExecutor(int(workers or 1), cache_dir)
 
 
 def run_figure(benchmark, fn: Callable[[], Dict[str, Any]],

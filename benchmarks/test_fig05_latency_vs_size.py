@@ -10,9 +10,10 @@ from repro.experiments import figures
 from benchmarks.conftest import run_figure
 
 
-def test_fig05_latency_vs_size(benchmark):
+def test_fig05_latency_vs_size(benchmark, sweep_executor):
     result = run_figure(benchmark, lambda: figures.fig05_latency_vs_size(
-        sizes=(50, 100, 150, 200), seeds=(1, 2)))
+        sizes=(50, 100, 150, 200), seeds=(1, 2),
+        executor=sweep_executor))
     quorum = result["series"]["quorum"]
     manetconf = result["series"]["manetconf"]
     for q, mc in zip(quorum, manetconf):

@@ -11,9 +11,10 @@ from repro.experiments import figures
 from benchmarks.conftest import run_figure
 
 
-def test_fig06_latency_vs_range(benchmark):
+def test_fig06_latency_vs_range(benchmark, sweep_executor):
     result = run_figure(benchmark, lambda: figures.fig06_latency_vs_range(
-        ranges=(100.0, 150.0, 200.0, 250.0), num_nodes=100, seeds=(1, 2)))
+        ranges=(100.0, 150.0, 200.0, 250.0), num_nodes=100, seeds=(1, 2),
+        executor=sweep_executor))
     quorum = result["series"]["quorum"]
     manetconf = result["series"]["manetconf"]
     ranges = result["x"]

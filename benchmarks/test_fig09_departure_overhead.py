@@ -10,9 +10,10 @@ from repro.experiments import figures
 from benchmarks.conftest import run_figure
 
 
-def test_fig09_departure_overhead(benchmark):
+def test_fig09_departure_overhead(benchmark, sweep_executor):
     result = run_figure(benchmark, lambda: figures.fig09_departure_overhead(
-        sizes=(50, 100, 150, 200), seeds=(1,)))
+        sizes=(50, 100, 150, 200), seeds=(1,),
+        executor=sweep_executor))
     quorum = result["series"]["quorum"]
     buddy = result["series"]["buddy"]
     for q, b in zip(quorum, buddy):

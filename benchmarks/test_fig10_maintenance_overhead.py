@@ -13,10 +13,11 @@ from repro.experiments import figures
 from benchmarks.conftest import run_figure
 
 
-def test_fig10_maintenance_overhead(benchmark):
+def test_fig10_maintenance_overhead(benchmark, sweep_executor):
     result = run_figure(
         benchmark, lambda: figures.fig10_maintenance_overhead(
-            sizes=(50, 100, 150, 200), seeds=(1,)))
+            sizes=(50, 100, 150, 200), seeds=(1,),
+            executor=sweep_executor))
     import statistics
     periodic = result["series"]["quorum/periodic"]
     upon_leave = result["series"]["quorum/upon-leave"]

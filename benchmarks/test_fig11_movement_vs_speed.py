@@ -11,9 +11,10 @@ from repro.experiments import figures
 from benchmarks.conftest import run_figure
 
 
-def test_fig11_movement_vs_speed(benchmark):
+def test_fig11_movement_vs_speed(benchmark, sweep_executor):
     result = run_figure(benchmark, lambda: figures.fig11_movement_vs_speed(
-        speeds=(5.0, 10.0, 20.0, 30.0, 40.0), num_nodes=150, seeds=(1,)))
+        speeds=(5.0, 10.0, 20.0, 30.0, 40.0), num_nodes=150, seeds=(1,),
+        executor=sweep_executor))
     periodic = result["series"]["quorum/periodic"]
     # Monotone-ish growth with speed: the fastest sweep clearly exceeds
     # the slowest, and the trend is upward overall.

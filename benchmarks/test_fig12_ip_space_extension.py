@@ -22,9 +22,10 @@ from benchmarks.conftest import run_figure
     "stale QDSets under mobility peak the extension at tr=100 m; see "
     "ROADMAP.md, 'Under mobility, partial replication turns into full "
     "replication. Keep each QDSet equal to the 3-hop head ring.'"))
-def test_fig12_ip_space_extension(benchmark):
+def test_fig12_ip_space_extension(benchmark, sweep_executor):
     result = run_figure(benchmark, lambda: figures.fig12_ip_space_extension(
-        ranges=(100.0, 150.0, 200.0, 250.0), sizes=(100, 200), seeds=(1,)))
+        ranges=(100.0, 150.0, 200.0, 250.0), sizes=(100, 200), seeds=(1,),
+        executor=sweep_executor))
     assert all(v == 1.0 for v in result["series"]["ctree (no replication)"])
     for label, values in result["series"].items():
         if label.startswith("quorum"):

@@ -14,10 +14,11 @@ from repro.experiments import figures
 from benchmarks.conftest import run_figure
 
 
-def test_fig13_information_loss(benchmark):
+def test_fig13_information_loss(benchmark, sweep_executor):
     result = run_figure(benchmark, lambda: figures.fig13_information_loss(
         abrupt_ratios=(0.05, 0.1, 0.2, 0.3, 0.4, 0.5),
-        num_nodes=100, seeds=(1, 2, 3)))
+        num_nodes=100, seeds=(1, 2, 3),
+        executor=sweep_executor))
     ratios = result["x"]
     quorum = result["series"]["quorum"]
     ctree = result["series"]["ctree"]

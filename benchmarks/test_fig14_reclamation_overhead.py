@@ -15,10 +15,11 @@ from repro.experiments import figures
 from benchmarks.conftest import run_figure
 
 
-def test_fig14_reclamation_overhead(benchmark):
+def test_fig14_reclamation_overhead(benchmark, sweep_executor):
     result = run_figure(
         benchmark, lambda: figures.fig14_reclamation_overhead(
-            sizes=(50, 80, 120, 170, 200), seeds=(1, 2)))
+            sizes=(50, 80, 120, 170, 200), seeds=(1, 2),
+            executor=sweep_executor))
     quorum = result["series"]["quorum"]
     ctree = result["series"]["ctree"]
     # Both reclamation mechanisms actually fire.

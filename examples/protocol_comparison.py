@@ -19,6 +19,7 @@ Run:
 """
 
 import argparse
+import os
 
 from repro import Scenario
 from repro.experiments import format_table
@@ -32,8 +33,8 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("num_nodes", type=int, nargs="?", default=80)
     parser.add_argument("seed", type=int, nargs="?", default=1)
-    parser.add_argument("--workers", type=int, default=None,
-                        help="worker processes (default: os.cpu_count())")
+    parser.add_argument("--workers", type=int, default=os.cpu_count() or 1,
+                        help="worker processes (default: every core)")
     parser.add_argument("--cache", default=None, metavar="DIR",
                         help="cache run results under DIR")
     args = parser.parse_args()

@@ -24,9 +24,12 @@ summary.
 
 ``run``, ``figure`` and ``sweep`` accept ``--trace`` (record events,
 report span aggregates) and ``--trace-out FILE`` (append each traced
-run's JSONL to FILE; implies ``--trace`` and forces serial, uncached
-execution: worker processes do not inherit the export sink, and a cell
-served from the run cache exports nothing).
+run's JSONL to FILE; implies ``--trace``).  The file is an argument of
+the runs that write it, not process state: a sweep given one runs
+every cell in-process, serially, and reads no cached cell (worker
+processes would race on the file, and a cell served from the run cache
+exports nothing).  ``figure`` and ``sweep`` take their worker count and
+run cache from ``--workers`` / ``--cache`` alone.
 
 ``metrics`` mirrors ``trace`` for the run-level gauge series
 (:mod:`repro.obs.metrics`): it records one scenario — or reloads a
@@ -55,7 +58,6 @@ from repro.experiments.runner import PROTOCOLS, ScenarioRunner
 from repro.experiments.sweep import (
     SweepExecutor,
     SweepSummary,
-    default_executor,
     derive_seeds,
     expand_grid,
 )
@@ -69,8 +71,6 @@ from repro.obs import (
     series_from_jsonl,
     series_to_csv,
     series_to_jsonl,
-    set_metrics_export,
-    set_trace_export,
 )
 from repro.obs.render import (
     render_metrics,
@@ -161,9 +161,9 @@ def build_parser() -> argparse.ArgumentParser:
     fig_p = sub.add_parser("figure", help="regenerate a paper figure")
     fig_p.add_argument("name", choices=sorted(FIGURES) + ["table1", "fig04"])
     fig_p.add_argument("--seeds", type=int, nargs="+", default=[1])
-    fig_p.add_argument("--workers", type=int, default=None,
+    fig_p.add_argument("--workers", type=int, default=1,
                        help="worker processes for the figure's runs "
-                            "(default: serial; 0 = os.cpu_count())")
+                            "(default: 1, serial; 0 = every core)")
     fig_p.add_argument("--cache", default=None, metavar="DIR",
                        help="cache run results under DIR; re-running "
                             "the figure only executes missing cells")
@@ -187,10 +187,9 @@ def build_parser() -> argparse.ArgumentParser:
     sw_p.add_argument("--tr", type=float, default=150.0)
     sw_p.add_argument("--speed", type=float, default=20.0)
     sw_p.add_argument("--settle", type=float, default=30.0)
-    sw_p.add_argument("--workers", type=int, default=None,
-                      help="worker processes (default: REPRO_SWEEP_WORKERS "
-                           "or os.cpu_count(); 1 = serial; "
-                           "0 = os.cpu_count())")
+    sw_p.add_argument("--workers", type=int, default=0,
+                      help="worker processes (default: 0, every core; "
+                           "1 = serial)")
     sw_p.add_argument("--cache", default=None, metavar="DIR",
                       help="cache run results under DIR")
     sw_p.add_argument("--out", default=None, metavar="FILE",
@@ -274,16 +273,13 @@ def _checked(build: Callable[..., T], *args: Any, **kwargs: Any) -> T:
         raise SystemExit(2) from None
 
 
-def worker_count(workers: Optional[int]) -> Optional[int]:
-    """``--workers`` as ``figure`` and ``sweep`` read it: ``None`` leaves
-    the subcommand's default, ``0`` means every core, and a negative
-    count is refused."""
-    if workers is not None and workers < 0:
+def worker_count(workers: int) -> int:
+    """``--workers`` as ``figure`` and ``sweep`` read it: ``0`` means
+    every core, and a negative count is refused."""
+    if workers < 0:
         raise ValueError(f"--workers must be >= 0 (0 = every core), "
                          f"got {workers}")
-    if workers == 0:
-        return os.cpu_count() or 1
-    return workers
+    return workers or os.cpu_count() or 1
 
 
 def scenario_defaults(args: argparse.Namespace) -> Dict[str, Any]:
@@ -316,21 +312,20 @@ def scenario_from(args: argparse.Namespace, **fields: Any) -> Scenario:
         **{**scenario_defaults(args), **fields})
 
 
-def open_export_sinks(args: argparse.Namespace) -> None:
-    """Point the per-run JSONL exporters at ``--trace-out`` /
-    ``--metrics-out``."""
-    for path, install in (
-            (getattr(args, "trace_out", None), set_trace_export),
-            (getattr(args, "metrics_out", None), set_metrics_export)):
+def empty_export_files(args: argparse.Namespace) -> None:
+    """Empty ``--trace-out`` / ``--metrics-out``: every run appends its
+    JSONL, so each invocation starts the files fresh."""
+    for path in (getattr(args, "trace_out", None),
+                 getattr(args, "metrics_out", None)):
         if path:
-            # The per-run exporter appends; start each invocation fresh.
             open(path, "w", encoding="utf-8").close()
-            install(path)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     scenario = scenario_from(args)
-    result = run_scenario(scenario, protocol=args.protocol)
+    result = ScenarioRunner(scenario, args.protocol,
+                            trace_out=args.trace_out,
+                            metrics_out=args.metrics_out).run()
     rows = [
         ["configured",
          f"{result.configured_count()}/{args.nodes} "
@@ -379,30 +374,26 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _note_export(args: argparse.Namespace, executor: SweepExecutor,
-                 was_parallel: bool) -> None:
-    """Say what ``--trace-out`` / ``--metrics-out`` overrode, if anything.
+def sweep_executor(
+        args: argparse.Namespace,
+        progress: Optional[Callable[[int, int, Any], None]] = None,
+) -> SweepExecutor:
+    """The executor ``figure`` / ``sweep`` flags ask for.
 
-    Worker processes never inherit the export sinks, and a cell served
-    from the run cache exports nothing — so the run is serial and the
-    executor reads no cached cell while a sink is set.
+    ``--trace-out`` / ``--metrics-out`` are executor arguments; with
+    either, the executor runs every cell in-process and serially and
+    reads no cached cell, which a note on stderr says when ``--workers``
+    or ``--cache`` asked for more.
     """
-    if was_parallel or executor.cache is not None:
+    workers = _checked(worker_count, args.workers)
+    executor = SweepExecutor(workers, args.cache, progress,
+                             trace_out=args.trace_out,
+                             metrics_out=args.metrics_out)
+    if executor.exporting and (workers != 1 or executor.cache is not None):
         flag = "--trace-out" if args.trace_out else "--metrics-out"
         print(f"note: {flag} forces serial, uncached execution",
               file=sys.stderr)
-
-
-def _figure_executor(args: argparse.Namespace) -> SweepExecutor:
-    """The executor ``--workers`` / ``--cache`` ask for."""
-    workers = _checked(worker_count, args.workers)
-    if args.trace_out or args.metrics_out:
-        executor = SweepExecutor(workers=1, cache_dir=args.cache)
-        _note_export(args, executor, workers not in (None, 1))
-        return executor
-    if workers is None and args.cache is None:
-        return default_executor()  # env-configured, else serial
-    return SweepExecutor(workers=workers or 1, cache_dir=args.cache)
+    return executor
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
@@ -414,17 +405,18 @@ def cmd_figure(args: argparse.Namespace) -> int:
         return 0 if outcome["observed"] == outcome["expected"] else 1
     defaults = scenario_defaults(args)
     if args.name == "fig04":
-        print(format_layout(figures.fig04_layout(defaults=defaults)))
+        print(format_layout(figures.fig04_layout(
+            defaults=defaults, trace_out=args.trace_out,
+            metrics_out=args.metrics_out)))
         return 0
     result = FIGURES[args.name](
-        seeds=tuple(args.seeds), executor=_figure_executor(args),
+        seeds=tuple(args.seeds), executor=sweep_executor(args),
         defaults=defaults)
     print(format_series(result))
     return 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    workers = _checked(worker_count, args.workers)
     seeds = (tuple(args.seeds) if args.seeds is not None
              else derive_seeds(args.master_seed, args.replicates))
     defaults = scenario_defaults(args)
@@ -441,12 +433,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
               f"nn={spec.scenario.num_nodes} seed={spec.scenario.seed}    ",
               end="", file=sys.stderr, flush=True)
 
-    exporting = bool(args.trace_out or args.metrics_out)
-    executor = SweepExecutor(
-        workers=1 if exporting else workers,
-        cache_dir=args.cache, progress=progress)
-    if exporting:
-        _note_export(args, executor, workers != 1)
+    executor = sweep_executor(args, progress)
 
     # Stream cells instead of materializing a SweepReport: rows and the
     # summary fold incrementally, so a large grid never holds every
@@ -595,7 +582,7 @@ def cmd_layout(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    open_export_sinks(args)
+    empty_export_files(args)
     handlers = {
         "run": cmd_run,
         "compare": cmd_compare,
@@ -606,11 +593,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "layout": cmd_layout,
         "lint": lint_cli.run,
     }
-    try:
-        return handlers[args.command](args)
-    finally:
-        set_trace_export(None)
-        set_metrics_export(None)
+    return handlers[args.command](args)
 
 
 if __name__ == "__main__":

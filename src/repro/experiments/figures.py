@@ -10,7 +10,7 @@ quickly; the benchmarks pass the paper's full parameter ranges.
 
 Every sweep figure forwards ``**sweep`` to :func:`sweep_figure`:
 ``executor`` (the :class:`~repro.experiments.sweep.SweepExecutor` its
-cells run on; default :func:`~repro.experiments.sweep.default_executor`)
+cells run on; default a fresh serial, uncached ``SweepExecutor()``)
 and ``defaults`` (scenario fields for
 :func:`~repro.experiments.scenario.fill_defaults` — how the CLI's
 ``--faults`` / ``--trace`` / ``--metrics`` reach a figure's scenarios).
@@ -26,7 +26,7 @@ from repro.core.config import ProtocolConfig
 from repro.experiments.metrics import RunResult
 from repro.experiments.runner import ScenarioRunner
 from repro.experiments.scenario import Scenario, fill_defaults
-from repro.experiments.sweep import RunSpec, SweepExecutor, default_executor
+from repro.experiments.sweep import RunSpec, SweepExecutor
 from repro.faults import FaultSpec, crash_schedule
 from repro.obs import TraceRecorder
 from repro.perf import counters as cnt
@@ -84,7 +84,7 @@ def sweep_figure(
     across curves and x-values, not just seeds; per-run seeding makes
     the parallel path bit-identical to the serial one.
     """
-    executor = executor if executor is not None else default_executor()
+    executor = executor if executor is not None else SweepExecutor()
     unique: Dict[str, RunSpec] = {}
     # curve -> x -> the seeds' spec keys
     grid: List[List[List[str]]] = [[] for _ in curves]
@@ -123,8 +123,14 @@ def sweep_figure(
 def fig04_layout(num_nodes: int = 100, seed: int = 1,
                  transmission_range: float = 150.0,
                  defaults: Optional[Mapping[str, Any]] = None,
+                 trace_out: Optional[str] = None,
+                 metrics_out: Optional[str] = None,
                  ) -> Dict[str, Any]:
-    """A randomly generated layout: positions plus resulting roles."""
+    """A randomly generated layout: positions plus resulting roles.
+
+    The run appends its JSONL to ``trace_out`` / ``metrics_out`` when
+    given (see :class:`~repro.experiments.runner.ScenarioRunner`).
+    """
     # Fig. 4 shows a uniformly random layout, so arrivals here are not
     # connectivity-biased (at nn = 100, tr = 150 m the uniform network
     # is dense enough to be essentially one component anyway).
@@ -133,7 +139,8 @@ def fig04_layout(num_nodes: int = 100, seed: int = 1,
         transmission_range=transmission_range,
         connected_arrivals=False,
     ), defaults)
-    runner = ScenarioRunner(scenario, "quorum", quorum_cfg())
+    runner = ScenarioRunner(scenario, "quorum", quorum_cfg(),
+                            trace_out=trace_out, metrics_out=metrics_out)
     result = runner.run()
     assert runner.ctx is not None
     nodes = []

@@ -21,8 +21,8 @@ from repro.net.agent import Agent
 from repro.net.context import NetworkContext
 from repro.net.node import Node
 from repro.obs import (
-    MetricsRecorder, TraceRecorder, build_spans, metrics_export_path,
-    series_to_jsonl, span_histograms, span_outcomes, trace_export_path,
+    MetricsRecorder, TraceRecorder, build_spans, series_to_jsonl,
+    span_histograms, span_outcomes,
 )
 
 #: Every agent class by its ``protocol_name``.  An agent built with no
@@ -34,13 +34,21 @@ PROTOCOLS: Dict[str, Callable[..., Agent]] = {
 
 
 class ScenarioRunner:
-    """Runs one protocol against one scenario."""
+    """Runs one protocol against one scenario.
+
+    A traced (``scenario.trace``) run appends its JSONL, after a one-line
+    ``{"run": ...}`` header, to ``trace_out`` when given; a sampled
+    (``scenario.metrics``) run appends its series block to
+    ``metrics_out``.
+    """
 
     def __init__(
         self,
         scenario: Scenario,
         protocol: str = "quorum",
         protocol_config: Optional[Any] = None,
+        trace_out: Optional[str] = None,
+        metrics_out: Optional[str] = None,
     ) -> None:
         if protocol not in PROTOCOLS:
             raise ValueError(
@@ -48,6 +56,8 @@ class ScenarioRunner:
         self.scenario = scenario
         self.protocol = protocol
         self.protocol_config = protocol_config
+        self.trace_out = trace_out
+        self.metrics_out = metrics_out
         self.ctx: Optional[NetworkContext] = None
         # Populated (and subscribed to the run's event bus) only when
         # scenario.trace is set; otherwise the bus stays subscriber-free
@@ -252,9 +262,9 @@ class ScenarioRunner:
         )
 
     def _export_trace(self) -> None:
-        """Append this run's JSONL to the process-wide sink, if any."""
+        """Append this run's JSONL to ``trace_out``, if given."""
         assert self.recorder is not None
-        path = trace_export_path()
+        path = self.trace_out
         if path is None:
             return
         header = json.dumps({
@@ -269,9 +279,9 @@ class ScenarioRunner:
             sink.write(self.recorder.to_jsonl())
 
     def _export_metrics(self, series: Dict[str, List[int]]) -> None:
-        """Append this run's series to the process-wide sink, if any."""
+        """Append this run's series to ``metrics_out``, if given."""
         assert self.metrics is not None
-        path = metrics_export_path()
+        path = self.metrics_out
         if path is None:
             return
         block = series_to_jsonl(

@@ -43,11 +43,8 @@ while memory stays bounded by the not-yet-yielded cells::
 
 A figure function (:mod:`repro.experiments.figures`) hands its whole
 (curve x x-value x seed) grid to the executor it is given; given none,
-it uses the process-wide :func:`default_executor`, which stays serial
-and uncached unless the ``REPRO_SWEEP_WORKERS`` / ``REPRO_SWEEP_CACHE``
-environment variables — or :func:`set_default_executor` — say
-otherwise, so tests and CI remain deterministic and dependency-free by
-default.
+it runs on a fresh ``SweepExecutor()`` — serial and uncached, so tests
+and CI stay deterministic and dependency-free by default.
 """
 
 from __future__ import annotations
@@ -55,7 +52,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -65,15 +61,11 @@ from typing import (
 
 from repro.experiments.metrics import RunResult
 from repro.experiments.scenario import Scenario
-from repro.obs import merge_series, metrics_export_path, trace_export_path
+from repro.obs import merge_series
 from repro.perf import Counters
 from repro.sim.rng import spawn_key
 
 CACHE_FORMAT_VERSION = 1
-
-#: Environment knobs (read once per :func:`default_executor` rebuild).
-WORKERS_ENV = "REPRO_SWEEP_WORKERS"
-CACHE_ENV = "REPRO_SWEEP_CACHE"
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +161,11 @@ def expand_grid(
     ]
 
 
-def execute_spec(spec: RunSpec) -> RunResult:
-    """Run one spec to completion (the unit of work a worker executes).
+def execute_spec(spec: RunSpec, trace_out: Optional[str] = None,
+                 metrics_out: Optional[str] = None) -> RunResult:
+    """Run one spec to completion (the unit of work a worker executes);
+    the run appends its trace / metrics JSONL to ``trace_out`` /
+    ``metrics_out`` when given.
 
     Module-level (not a method) so it pickles cleanly into
     :class:`concurrent.futures.ProcessPoolExecutor` workers.
@@ -178,12 +173,15 @@ def execute_spec(spec: RunSpec) -> RunResult:
     from repro.experiments.runner import ScenarioRunner
 
     return ScenarioRunner(
-        spec.scenario, spec.protocol, spec.protocol_config).run()
+        spec.scenario, spec.protocol, spec.protocol_config,
+        trace_out=trace_out, metrics_out=metrics_out).run()
 
 
-def _execute_timed(spec: RunSpec) -> Tuple[RunResult, float]:
+def _execute_timed(spec: RunSpec, trace_out: Optional[str] = None,
+                   metrics_out: Optional[str] = None,
+                   ) -> Tuple[RunResult, float]:
     start = time.perf_counter()
-    result = execute_spec(spec)
+    result = execute_spec(spec, trace_out, metrics_out)
     return result, time.perf_counter() - start
 
 
@@ -272,8 +270,8 @@ class SweepSummary:
     same totals a materialized report would produce — byte-identical,
     not merely equal.  Folds are kept exact by construction: integer
     counter sums are associative, histogram buckets are fixed-width
-    elementwise sums, and cells arrive in spec order from both
-    :meth:`SweepExecutor.stream` and :meth:`SweepReport.stream`, so
+    elementwise sums, and cells arrive in spec order both from
+    :meth:`SweepExecutor.stream` and in :meth:`SweepReport.summary`, so
     ``json.dumps`` of the folded totals matches the materialized
     aggregates byte for byte.
 
@@ -392,15 +390,18 @@ class SweepExecutor:
     """Fans RunSpecs out over worker processes, with caching.
 
     Args:
-        workers: process count.  ``None`` reads ``REPRO_SWEEP_WORKERS``,
-            falling back to ``os.cpu_count()``; ``0`` or ``1`` runs
+        workers: process count; ``0`` or ``1`` (the default) runs
             serially in-process (no pool, no pickling) — the mode CI
             and the tier-1 tests use.
-        cache_dir: where to persist results.  ``None`` reads
-            ``REPRO_SWEEP_CACHE``; if that is unset too, runs are not
-            cached.
+        cache_dir: where to persist results; ``None`` caches nothing.
         progress: optional callback ``(done, total, spec)`` invoked
             after every cell completes (executed or cache hit).
+        trace_out, metrics_out: files every executed run appends its
+            trace / metrics JSONL to.  A run feeds them while it
+            executes, so with either set every cell runs in-process,
+            serially and in spec order (worker processes would race on
+            the files), and no cell is read from the cache (a hit would
+            export nothing); results are still stored.
 
     Determinism: each cell's randomness is fully determined by its spec
     (see the module docstring), and results are returned in spec order
@@ -410,18 +411,18 @@ class SweepExecutor:
 
     def __init__(
         self,
-        workers: Optional[int] = None,
+        workers: int = 1,
         cache_dir: Optional[Union[str, Path]] = None,
         progress: Optional[Callable[[int, int, RunSpec], None]] = None,
+        trace_out: Optional[str] = None,
+        metrics_out: Optional[str] = None,
     ) -> None:
-        if workers is None:
-            env = os.environ.get(WORKERS_ENV, "").strip()
-            workers = int(env) if env else (os.cpu_count() or 1)
         if workers < 0:
             raise ValueError("workers must be non-negative")
-        self.workers = workers
-        if cache_dir is None:
-            cache_dir = os.environ.get(CACHE_ENV, "").strip() or None
+        self.trace_out = trace_out
+        self.metrics_out = metrics_out
+        self.exporting = trace_out is not None or metrics_out is not None
+        self.workers = 1 if self.exporting else workers
         self.cache = RunCache(cache_dir) if cache_dir is not None else None
         self.progress = progress
         self.stats = Counters()
@@ -477,12 +478,7 @@ class SweepExecutor:
         total = len(specs)
         self.stats.incr("scheduled", total)
 
-        # A run feeds the --trace-out / --metrics-out sink while it
-        # executes, so a cell served from the cache would export
-        # nothing: with a sink set every cell runs (and is re-stored).
-        exporting = (trace_export_path() is not None
-                     or metrics_export_path() is not None)
-        read_from = None if exporting else self.cache
+        read_from = None if self.exporting else self.cache
         hits: Dict[int, RunResult] = {}
         pending: List[int] = []
         for i, spec in enumerate(specs):
@@ -548,7 +544,8 @@ class SweepExecutor:
     # ------------------------------------------------------------------
     def _execute_one(self, spec: RunSpec) -> Tuple[RunResult, float]:
         try:
-            result, elapsed = _execute_timed(spec)
+            result, elapsed = _execute_timed(
+                spec, self.trace_out, self.metrics_out)
         except Exception:
             self.stats.incr("failed")
             raise
@@ -561,31 +558,3 @@ class SweepExecutor:
         if self.progress is not None:
             self.progress(done, total, spec)
 
-
-# ---------------------------------------------------------------------------
-# Process-wide default executor (a figure's fallback when handed none)
-# ---------------------------------------------------------------------------
-_default_executor: Optional[SweepExecutor] = None
-
-
-def default_executor() -> SweepExecutor:
-    """The executor a figure sweep uses when its caller passes none.
-
-    Unless configured via :func:`set_default_executor` or the
-    ``REPRO_SWEEP_WORKERS`` / ``REPRO_SWEEP_CACHE`` environment
-    variables, this is a serial, uncached executor — exactly the
-    behavior the pre-sweep serial loops had, keeping tests and CI
-    deterministic with zero extra processes.
-    """
-    global _default_executor
-    if _default_executor is None:
-        env = os.environ.get(WORKERS_ENV, "").strip()
-        workers = int(env) if env else 1
-        _default_executor = SweepExecutor(workers=workers)
-    return _default_executor
-
-
-def set_default_executor(executor: Optional[SweepExecutor]) -> None:
-    """Install (or with ``None`` reset) the process-wide executor."""
-    global _default_executor
-    _default_executor = executor

@@ -28,12 +28,10 @@ from repro.obs.bus import EventBus
 from repro.obs.metrics import (
     MetricsRecorder,
     merge_series,
-    metrics_export_path,
     sample_gauges,
     series_from_jsonl,
     series_to_csv,
     series_to_jsonl,
-    set_metrics_export,
 )
 from repro.obs.profile import SubsystemProfiler, package_of
 from repro.obs.record import (
@@ -41,8 +39,6 @@ from repro.obs.record import (
     events_from_jsonl,
     events_to_jsonl,
     filter_events,
-    set_trace_export,
-    trace_export_path,
 )
 from repro.obs.spans import (
     BUCKET_EDGES,
@@ -58,16 +54,12 @@ __all__ = [
     "events_to_jsonl",
     "events_from_jsonl",
     "filter_events",
-    "set_trace_export",
-    "trace_export_path",
     "MetricsRecorder",
     "sample_gauges",
     "merge_series",
     "series_to_jsonl",
     "series_from_jsonl",
     "series_to_csv",
-    "set_metrics_export",
-    "metrics_export_path",
     "SubsystemProfiler",
     "package_of",
     "BUCKET_EDGES",

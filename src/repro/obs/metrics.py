@@ -275,24 +275,3 @@ def series_to_csv(series: Dict[str, List[int]], period: float) -> str:
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 
-
-# ---------------------------------------------------------------------------
-# Process-wide export sink (the CLI's --metrics-out flag)
-# ---------------------------------------------------------------------------
-_EXPORT_PATH: Optional[str] = None
-
-
-def set_metrics_export(path: Optional[str]) -> None:
-    """Install (or with ``None`` reset) the JSONL metrics sink.
-
-    Mirrors :func:`repro.obs.record.set_trace_export`: process-wide by
-    design — the CLI forces serial execution while a sink is set, so
-    worker processes never inherit (or race on) the file.
-    """
-    global _EXPORT_PATH
-    _EXPORT_PATH = path
-
-
-def metrics_export_path() -> Optional[str]:
-    """The active metrics sink path, or None."""
-    return _EXPORT_PATH

@@ -3,14 +3,10 @@
 A :class:`TraceRecorder` subscribes to an :class:`~repro.obs.bus.EventBus`
 and keeps every event in arrival order (which, the bus being synchronous,
 is emission order — deterministic for a seeded run).  Recorded streams
-filter by node / event type / span / time window and round-trip through
-JSONL: one ``{"etype": ..., ...fields}`` object per line, canonical key
-order, so identical runs export byte-identical files (the trace-smoke CI
-job asserts exactly this).
-
-A process-wide export path (:func:`set_trace_export`) lets the CLI's
-``--trace-out`` collect JSONL from runs it does not construct directly
-(``repro figure`` / serial ``repro sweep``).
+filter by node / event type / span / time window (:func:`filter_events`)
+and round-trip through JSONL: one ``{"etype": ..., ...fields}`` object per
+line, canonical key order, so identical runs export byte-identical files
+(the trace-smoke CI job asserts exactly this).
 """
 
 from __future__ import annotations
@@ -78,7 +74,7 @@ def filter_events(
 
 
 class TraceRecorder:
-    """Records bus events; optionally pre-filtered, always bounded.
+    """Records bus events; optionally pre-filtered by type, always bounded.
 
     Events past ``limit`` are counted in :attr:`truncated` rather than
     silently discarded, so a capped recording is distinguishable from a
@@ -86,13 +82,11 @@ class TraceRecorder:
     """
 
     def __init__(self, limit: int = 1_000_000,
-                 etypes: Optional[Sequence[str]] = None,
-                 nodes: Optional[Sequence[int]] = None) -> None:
+                 etypes: Optional[Sequence[str]] = None) -> None:
         self.events: List[Any] = []
         self.truncated = 0
         self._limit = limit
         self._etypes = set(etypes) if etypes else None
-        self._nodes = set(nodes) if nodes else None
         self._bus: Optional[EventBus] = None
 
     # ------------------------------------------------------------------
@@ -109,17 +103,9 @@ class TraceRecorder:
         self._bus.unsubscribe(self._on_event)
         self._bus = None
 
-    def __enter__(self) -> "TraceRecorder":
-        return self
-
-    def __exit__(self, *_exc: Any) -> None:
-        self.detach()
-
     # ------------------------------------------------------------------
     def _on_event(self, event: Any) -> None:
         if self._etypes is not None and event.etype not in self._etypes:
-            return
-        if self._nodes is not None and event.node not in self._nodes:
             return
         if len(self.events) >= self._limit:
             self.truncated += 1
@@ -127,36 +113,9 @@ class TraceRecorder:
         self.events.append(event)
 
     # ------------------------------------------------------------------
-    def filter(self, nodes: Optional[Sequence[int]] = None,
-               etypes: Optional[Sequence[str]] = None,
-               corr: Optional[int] = None,
-               since: Optional[float] = None,
-               until: Optional[float] = None) -> List[Any]:
-        return filter_events(self.events, nodes=nodes, etypes=etypes,
-                             corr=corr, since=since, until=until)
-
     def to_jsonl(self) -> str:
         return events_to_jsonl(self.events)
 
     def __len__(self) -> int:
         return len(self.events)
 
-
-# ----------------------------------------------------------------------
-# Process-wide JSONL export sink (CLI --trace-out plumbing)
-# ----------------------------------------------------------------------
-_EXPORT_PATH: Optional[str] = None
-
-
-def set_trace_export(path: Optional[str]) -> None:
-    """Route every traced run's JSONL to ``path`` (append); ``None``
-    disables the sink.  Serial execution only: worker processes of a
-    parallel sweep never inherit the sink.  Only an executed run
-    exports, so the sweep executor reads no cached cell while a sink
-    (this one or the metrics one) is set."""
-    global _EXPORT_PATH
-    _EXPORT_PATH = path
-
-
-def trace_export_path() -> Optional[str]:
-    return _EXPORT_PATH

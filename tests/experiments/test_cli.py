@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from repro.cli import _figure_executor, build_parser, main
+from repro.cli import build_parser, main, sweep_executor
 
 
 def test_parser_requires_command():
@@ -90,7 +90,7 @@ def test_workers_zero_means_every_core(capsys):
                  "--settle", "5", "--workers", "0"]) == 0
     assert f"workers={os.cpu_count()}" in capsys.readouterr().out
     args = build_parser().parse_args(["figure", "fig05", "--workers", "0"])
-    assert _figure_executor(args).workers == os.cpu_count()
+    assert sweep_executor(args).workers == os.cpu_count()
 
 
 def test_run_with_faults_reports_fault_activity(capsys):
@@ -165,17 +165,12 @@ def test_sweep_fault_specs_get_distinct_cache_keys(capsys, tmp_path):
 
 
 def test_figure_accepts_workers_and_cache(capsys, tmp_path):
-    from repro.experiments import sweep
-
-    installed = sweep._default_executor
     code = main(["figure", "fig05", "--seeds", "1",
                  "--workers", "1", "--cache", str(tmp_path)])
     out = capsys.readouterr().out
     assert code == 0
     assert "Fig. 5" in out
     assert list(tmp_path.glob("*.json"))  # runs were cached
-    # The executor was passed to the figure, not installed process-wide.
-    assert sweep._default_executor is installed
 
 
 def test_figure_with_faults_rerun_is_all_cache_hits(capsys, tmp_path):
@@ -236,7 +231,7 @@ def test_run_with_trace_reports_span_outcomes(capsys):
 
 def test_sweep_trace_out_forces_serial_and_collects_jsonl(
         capsys, tmp_path):
-    from repro.obs import events_from_jsonl, trace_export_path
+    from repro.obs import events_from_jsonl
 
     out_file = tmp_path / "sweep.jsonl"
     code = main(["sweep", "--protocols", "quorum", "--nodes", "12",
@@ -249,30 +244,27 @@ def test_sweep_trace_out_forces_serial_and_collects_jsonl(
     text = out_file.read_text()
     assert '"run"' in text.splitlines()[0]
     assert events_from_jsonl(text)
-    assert trace_export_path() is None  # sink reset on exit
 
 
 @pytest.mark.parametrize("flag", ["--trace-out", "--metrics-out"])
 def test_export_with_a_warm_cache_rewrites_the_same_bytes(
-        capsys, tmp_path, monkeypatch, flag):
+        capsys, tmp_path, flag):
     """A cache hit never runs the exporter, so an export run executes
-    every cell — whether the cache came from --cache or the env."""
+    every cell."""
     out_file = tmp_path / "export.jsonl"
     base = ["sweep", "--protocols", "quorum", "--nodes", "12",
             "--seeds", "1", "--speed", "0", "--settle", "5",
-            "--workers", "1", flag, str(out_file)]
-    assert main(base + ["--cache", str(tmp_path / "cache")]) == 0
+            "--workers", "1", "--cache", str(tmp_path / "cache"),
+            flag, str(out_file)]
+    assert main(base) == 0
     first = out_file.read_bytes()
     assert first
     capsys.readouterr()
-    assert main(base + ["--cache", str(tmp_path / "cache")]) == 0
+    assert main(base) == 0
     assert out_file.read_bytes() == first
     captured = capsys.readouterr()
     assert "executed=1 cache_hits=0" in captured.out
     assert "uncached" in captured.err
-    monkeypatch.setenv("REPRO_SWEEP_CACHE", str(tmp_path / "cache"))
-    assert main(base) == 0
-    assert out_file.read_bytes() == first
     # The export runs still stored their cells: no sink, all hits.
     assert main(base[:-2] + [flag.replace("-out", "")]) == 0
     assert "cache_hits=1" in capsys.readouterr().out

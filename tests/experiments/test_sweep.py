@@ -178,7 +178,7 @@ def test_cache_hit_returns_without_executing(tmp_path, monkeypatch):
 
     # Re-running must not execute at all: poison the execution path.
     import repro.experiments.sweep as sweep_mod
-    def boom(spec):
+    def boom(spec, trace_out=None, metrics_out=None):
         raise AssertionError("cache hit must not execute the simulation")
     monkeypatch.setattr(sweep_mod, "execute_spec", boom)
 
@@ -224,6 +224,37 @@ def test_version_mismatch_treated_as_miss(tmp_path):
     payload["version"] = 999
     path.write_text(json.dumps(payload))
     assert cache.get(specs[0]) is None
+
+
+@pytest.mark.parametrize("sink", ["trace", "metrics"])
+def test_export_sink_runs_every_cell_here_and_stores_it(
+        tmp_path, monkeypatch, sink):
+    """With a sink every cell runs in-process and in spec order, none is
+    read from the cache (a hit would export nothing) and every result is
+    still stored, so the file holds the serial run's bytes."""
+    import repro.experiments.sweep as sweep_mod
+
+    specs = expand_grid(["quorum", "dad"],
+                        [tiny(seed=s, **{sink: True}) for s in (1, 2)])
+    serial = tmp_path / "serial.jsonl"
+    SweepExecutor(workers=1, **{f"{sink}_out": str(serial)}).run(specs)
+    assert serial.read_bytes()
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("an exporting sweep started a worker pool")
+    monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", no_pool)
+    cache = tmp_path / "cache"
+    out = tmp_path / "pooled.jsonl"
+    for _ in range(2):  # the second pass meets a warm cache
+        out.write_bytes(b"")
+        executor = SweepExecutor(workers=2, cache_dir=cache,
+                                 **{f"{sink}_out": str(out)})
+        report = executor.run(specs)
+        assert executor.workers == 1
+        assert report.cached == [False] * len(specs)
+        assert executor.stats.get("cache_hit") == 0
+        assert len(RunCache(cache)) == len(specs)
+        assert out.read_bytes() == serial.read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +333,7 @@ def test_stream_byte_identity_at_1000_cells(monkeypatch):
     (ordering, folding, serialization) is identical either way."""
     import repro.experiments.sweep as sweep_mod
 
-    def fake(spec):
+    def fake(spec, trace_out=None, metrics_out=None):
         seed = spec.scenario.seed
         return RunResult(
             protocol=spec.protocol, num_nodes=spec.scenario.num_nodes,

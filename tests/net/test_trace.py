@@ -107,15 +107,6 @@ def test_double_attach_rejected():
     trace.detach()
 
 
-def test_context_manager_detaches():
-    ctx, nodes = make_net()
-    with sends().attach(ctx.obs) as trace:
-        ctx.transport.send(nodes[0], nodes[1], Message("A", 0, 1),
-                           category=Category.CONFIG)
-    assert len(trace) == 1
-    assert not ctx.obs
-
-
 def test_limit_bounds_memory_and_counts_truncated():
     ctx, nodes = make_net()
     trace = sends(limit=2).attach(ctx.obs)

@@ -14,9 +14,7 @@ from repro.experiments.sweep import (
 )
 from repro.obs import (
     merge_series,
-    metrics_export_path,
     series_from_jsonl,
-    set_metrics_export,
 )
 
 
@@ -145,12 +143,9 @@ def test_cache_keys_unchanged_when_metrics_are_off():
 
 def test_export_sink_collects_jsonl_per_run(tmp_path):
     out = tmp_path / "metrics.jsonl"
-    try:
-        set_metrics_export(str(out))
-        result = _metrics_run(num_nodes=15, seed=2, settle_time=10.0)
-    finally:
-        set_metrics_export(None)
-    assert metrics_export_path() is None
+    scenario = Scenario(num_nodes=15, seed=2, settle_time=10.0,
+                        metrics=True)
+    result = ScenarioRunner(scenario, metrics_out=str(out)).run()
     blocks = series_from_jsonl(out.read_text())
     assert len(blocks) == 1
     header, series = blocks[0]

@@ -6,6 +6,7 @@ from repro.obs import (
     BUCKET_EDGES,
     TraceRecorder,
     build_spans,
+    filter_events,
     span_histograms,
     span_outcomes,
 )
@@ -163,11 +164,13 @@ def test_recorder_prefilters_and_counts_truncation():
 
 def test_recorder_filter_by_span_and_window():
     bus = EventBus()
-    with TraceRecorder().attach(bus) as recorder:
-        for event in sorted(_transaction(corr=1, t0=10.0)
-                            + _transaction(corr=2, t0=50.0),
-                            key=lambda e: e.time):
-            bus.emit(event)
-    assert {e.corr for e in recorder.filter(corr=2)} == {2}
-    windowed = recorder.filter(since=50.0, until=50.2)
+    recorder = TraceRecorder().attach(bus)
+    for event in sorted(_transaction(corr=1, t0=10.0)
+                        + _transaction(corr=2, t0=50.0),
+                        key=lambda e: e.time):
+        bus.emit(event)
+    recorder.detach()
+    events = recorder.events
+    assert {e.corr for e in filter_events(events, corr=2)} == {2}
+    windowed = filter_events(events, since=50.0, until=50.2)
     assert windowed and all(50.0 <= e.time <= 50.2 for e in windowed)

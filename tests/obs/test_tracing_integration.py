@@ -10,8 +10,6 @@ from repro.faults import FaultSpec
 from repro.obs import (
     build_spans,
     events_from_jsonl,
-    set_trace_export,
-    trace_export_path,
 )
 from repro.obs import events as ev
 from repro.quorum.voting import half_of, majority_threshold
@@ -130,12 +128,10 @@ def test_cache_keys_unchanged_when_tracing_is_off():
 
 def test_export_sink_collects_jsonl_per_run(tmp_path):
     out = tmp_path / "trace.jsonl"
-    try:
-        set_trace_export(str(out))
-        runner, _ = _traced_run(num_nodes=15, seed=2)
-    finally:
-        set_trace_export(None)
-    assert trace_export_path() is None
+    runner = ScenarioRunner(
+        Scenario(num_nodes=15, seed=2, settle_time=20.0, trace=True),
+        trace_out=str(out))
+    runner.run()
     text = out.read_text()
     header = json.loads(text.splitlines()[0])
     assert header["run"]["seed"] == 2
