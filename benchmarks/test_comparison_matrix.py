@@ -1,7 +1,7 @@
 """Overall protocol comparison matrix.
 
 Not a single paper figure, but the evaluation's executive summary: all
-seven implemented protocols on one workload, across the metrics the
+five implemented protocols on one workload, across the metrics the
 paper compares (plus the safety property the quorum protocol is built
 for).
 """
@@ -38,9 +38,8 @@ def test_comparison_matrix(benchmark):
     print()
     print("Protocol comparison — 100 nodes, 30 % departures (20 % abrupt)")
     print("(duplicates for manetconf stem from partition splits this"
-          " reproduction's MANETconf does not re-merge; prophet's from"
-          " its probabilistic allocation — both are the behaviors the"
-          " paper's protocol is designed to avoid)")
+          " reproduction's MANETconf does not re-merge — the behavior"
+          " the paper's protocol is designed to avoid)")
     print(format_table(
         ["protocol", "configured", "latency", "config hops/node",
          "departure hops", "reclamation hops", "duplicates"],

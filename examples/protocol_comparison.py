@@ -3,9 +3,9 @@
 
 Runs the same workload under every implemented protocol (the
 quorum-based protocol of the paper, MANETconf [1], the buddy scheme [2],
-the C-tree scheme [3], plus the surveyed stateless DAD, Weak DAD and
-Prophet schemes) and prints the metrics the paper compares:
-configuration latency, configuration overhead, and departure overhead.
+the C-tree scheme [3], plus the surveyed stateless DAD) and prints the
+metrics the paper compares: configuration latency, configuration
+overhead, and departure overhead.
 
 The runs fan out over the parallel sweep executor
 (`repro.experiments.sweep`), so this example doubles as a smoke test of

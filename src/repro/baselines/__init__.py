@@ -12,12 +12,6 @@
   report periodically to the C-root, which drives reclamation.
 * :class:`~repro.baselines.dad.DadAgent` — stateless query-based DAD
   (Perkins et al., Section III), included for the protocol survey.
-* :class:`~repro.baselines.weakdad.WeakDadAgent` — Weak DAD (Vaidya,
-  Section III): instant self-configuration with (IP, key) pairs and
-  routing-carried conflict detection.
-
-* :class:`~repro.baselines.prophet.ProphetAgent` — Prophet allocation
-  (Zhou, Ni & Mutka, INFOCOM 2003), reference [6] of the survey.
 
 Each derives from :class:`repro.net.agent.Agent`, as
 :class:`~repro.core.protocol.QuorumProtocolAgent` does, and defines
@@ -29,14 +23,10 @@ from repro.baselines.buddy import BuddyAgent, BuddyConfig
 from repro.baselines.ctree import CTreeAgent, CTreeConfig
 from repro.baselines.dad import DadAgent, DadConfig
 from repro.baselines.manetconf import ManetconfAgent, ManetconfConfig
-from repro.baselines.prophet import ProphetAgent, ProphetConfig
-from repro.baselines.weakdad import WeakDadAgent, WeakDadConfig
 
 __all__ = [
     "ManetconfAgent", "ManetconfConfig",
     "BuddyAgent", "BuddyConfig",
     "CTreeAgent", "CTreeConfig",
     "DadAgent", "DadConfig",
-    "WeakDadAgent", "WeakDadConfig",
-    "ProphetAgent", "ProphetConfig",
 ]

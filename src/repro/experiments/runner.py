@@ -9,8 +9,6 @@ from repro.baselines.buddy import BuddyAgent
 from repro.baselines.ctree import CTreeAgent
 from repro.baselines.dad import DadAgent
 from repro.baselines.manetconf import ManetconfAgent
-from repro.baselines.prophet import ProphetAgent
-from repro.baselines.weakdad import WeakDadAgent
 from repro.core.protocol import QuorumProtocolAgent
 from repro.experiments.metrics import DeathRecord, NodeOutcome, RunResult
 from repro.experiments.scenario import Scenario
@@ -30,7 +28,7 @@ from repro.obs import (
 PROTOCOLS: Dict[str, Callable[..., Agent]] = {
     cls.protocol_name: cls for cls in (
         QuorumProtocolAgent, ManetconfAgent, BuddyAgent, CTreeAgent,
-        DadAgent, WeakDadAgent, ProphetAgent)}
+        DadAgent)}
 
 
 class ScenarioRunner:

@@ -1,6 +1,6 @@
 """Parallel sweep executor with deterministic seeding and a run cache.
 
-The paper's evaluation is a grid: seven protocols x several scenario
+The paper's evaluation is a grid: five protocols x several scenario
 axes (network size, transmission range, speed, departure mix) x seeds.
 Every cell is an independent simulation, which makes the whole grid
 embarrassingly parallel — as long as parallel execution cannot change

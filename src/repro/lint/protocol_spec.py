@@ -109,8 +109,6 @@ TERMINAL_PATHS: Dict[str, FrozenSet[str]] = {
 #: streams under that prefix.  Longest prefix wins.
 STREAM_OWNERS: Dict[str, str] = {
     "faults.": "repro.faults",
-    "weakdad-": "repro.baselines",
-    "prophet-": "repro.baselines",
     "dad-": "repro.baselines",
     "scenario": "repro.experiments",
     "placement": "repro.experiments",

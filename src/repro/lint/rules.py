@@ -2,15 +2,13 @@
 
 A :class:`Rule` is a name, a one-line description and a ``find``
 function over the whole :class:`~repro.lint.project.ProjectGraph`.
-Three rules walk the parsed files one at a time and read their imports
+Two rules walk the parsed files one at a time and read their imports
 through each file's :class:`~repro.lint.core.ImportTable`:
 
 * ``determinism`` — no wall clock, module-level ``random``, ``uuid``/
   ``secrets``, or ``random.Random`` built outside :mod:`repro.sim.rng`.
 * ``hop-bound`` — topology hop queries state their search bound, and
   protocol code never floods one on purpose.
-* ``no-oracle-import`` — the runtime never imports numpy, networkx or
-  the test-only oracle.
 
 Five need the cross-linked program:
 
@@ -27,8 +25,8 @@ Five need the cross-linked program:
   ``perf.timer`` and ``events.incr`` name comes from the central
   registry (:mod:`repro.perf.counters`); dynamically-built names are
   findings.
-* ``layering`` — runtime imports respect the layer DAG and introduce
-  no module-level cycles.
+* ``layering`` — runtime imports respect the layer DAG, introduce no
+  module-level cycles, and never reach numpy or networkx.
 
 Resolution is syntactic (see :mod:`repro.lint.project`); the rules are
 written so a *missing* edge can only hide a violation, never invent one
@@ -206,11 +204,8 @@ def _hop_bound(graph: ProjectGraph) -> Iterator[Hit]:
     asks "same partition?" and "who is in my partition?" through the
     connectivity labels (``same_component`` in O(1),
     ``component_members`` in O(component)), which replaced every such
-    flood.  Engine, instrument and oracle code may still flood."""
+    flood.  Engine and instrument code may still flood."""
     for ctx in graph.files:
-        # The legacy oracle keeps its own (test-only) API.
-        if ctx.is_module("repro.net.oracle"):
-            continue
         protocol = ctx.in_package("repro.core", "repro.quorum")
         for node in ast.walk(ctx.tree):
             if not (isinstance(node, ast.Call)
@@ -235,43 +230,6 @@ def _hop_bound(graph: ProjectGraph) -> Iterator[Hit]:
                        "component; protocol code should use same_component()"
                        " / component_members() (O(1)/O(component) label "
                        "queries) instead")
-
-
-# ---------------------------------------------------------------------------
-# no-oracle-import
-# ---------------------------------------------------------------------------
-
-_ORACLE_ROOTS = {"numpy", "networkx"}
-
-
-def _no_oracle_import(graph: ProjectGraph) -> Iterator[Hit]:
-    """The runtime stays dependency-free: numpy/networkx live behind
-    the test-only oracle (:mod:`repro.net.oracle`), and only the oracle
-    itself may touch them."""
-    for ctx in graph.files:
-        if not ctx.in_package("repro") or ctx.is_module("repro.net.oracle"):
-            continue
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name.split(".")[0] in _ORACLE_ROOTS or \
-                            alias.name.startswith("repro.net.oracle"):
-                        yield (ctx, node,
-                               f"runtime import of {alias.name!r}; the "
-                               "simulator runtime is dependency-free "
-                               "(oracle/numpy/networkx are test-only)")
-            elif isinstance(node, ast.ImportFrom) and node.module and \
-                    node.level == 0:
-                imports_oracle = (
-                    node.module == "repro.net"
-                    and any(alias.name == "oracle" for alias in node.names))
-                if node.module.split(".")[0] in _ORACLE_ROOTS or \
-                        node.module.startswith("repro.net.oracle") or \
-                        imports_oracle:
-                    yield (ctx, node,
-                           f"runtime import from {node.module!r}; the "
-                           "simulator runtime is dependency-free "
-                           "(oracle/numpy/networkx are test-only)")
 
 
 # ---------------------------------------------------------------------------
@@ -814,7 +772,22 @@ def _layer(module: str) -> Optional[int]:
     return best
 
 
+#: Third-party roots the runtime never imports: the simulator is
+#: dependency-free, and numpy/networkx serve only the tests' oracle.
+_TEST_ONLY_ROOTS = {"numpy", "networkx"}
+
+
 def _layering(graph: ProjectGraph) -> Iterator[Hit]:
+    for ctx in graph.files:
+        if not ctx.in_package("repro"):
+            continue
+        for node in ast.walk(ctx.tree):
+            for name in _imported_modules(node):
+                if name.split(".")[0] in _TEST_ONLY_ROOTS:
+                    yield (ctx, node,
+                           f"runtime import of {name!r}; the simulator "
+                           "runtime is dependency-free (numpy/networkx "
+                           "are test-only)")
     edges = list(graph.import_edges())
     for src, dst, lineno in edges:
         src_layer, dst_layer = _layer(src), _layer(dst)
@@ -867,10 +840,6 @@ RULES: Tuple[Rule, ...] = (
          "explicit hop bound; max_hops=None floods in repro.core/"
          "repro.quorum",
          _hop_bound),
-    Rule("no-oracle-import",
-         "runtime import of numpy/networkx or the test-only "
-         "repro.net.oracle",
-         _no_oracle_import),
     Rule("rng-taint",
          "named RNG streams stay inside their owning subsystem; "
          "generators never reach another package or cache-key "
@@ -890,8 +859,8 @@ RULES: Tuple[Rule, ...] = (
          "from the repro.perf.counters registry, never inline literals",
          _counter_registry),
     Rule("layering",
-         "runtime imports respect the layer DAG and form no module-level "
-         "cycles",
+         "runtime imports respect the layer DAG, form no module-level "
+         "cycles, and never reach numpy/networkx (test-only)",
          _layering),
 )
 

@@ -1,7 +1,7 @@
 """The one base class of every autoconfiguration agent.
 
-The scenario runner drives all seven protocols — the paper's quorum
-agent and the six baselines — through this surface: ``on_enter`` when
+The scenario runner drives all five protocols — the paper's quorum
+agent and the four baselines — through this surface: ``on_enter`` when
 the node arrives, ``on_message`` on delivery, ``depart_gracefully`` /
 ``vanish`` on departure, and the metric attributes (``entered_at``,
 ``configured_at``, ``config_latency_hops``, ``attempts``, ``failed``,

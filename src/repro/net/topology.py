@@ -28,12 +28,12 @@ graph library on the hot path — and, since the scale rework, on
   counted together (``bfs_calls`` / ``bfs_nodes_expanded``):
 
   - *Map builds* (:meth:`reachable`, :meth:`within_hops`,
-    :meth:`warm_bfs`, :meth:`eccentricity_from`) run a level-list BFS
-    that yields nodes in exactly the order
-    ``networkx.single_source_shortest_path_length`` produced.  Callers
-    that only need a ``k``-hop neighborhood (QDSet discovery: 3, HELLO
-    scans: 2, reclamation floods: ``reclamation_radius``) pass
-    ``max_hops`` and the search stops at that level.  Maps are
+    :meth:`warm_bfs`) run a level-list BFS that yields nodes in exactly
+    the order ``networkx.single_source_shortest_path_length``
+    produced.  Callers that only need a ``k``-hop neighborhood (QDSet
+    discovery: 3, HELLO scans: 2, reclamation floods:
+    ``reclamation_radius``) pass ``max_hops`` and the search stops at
+    that level.  Maps are
     memoized per source until the graph *changes* (a refresh that
     finds nothing moved keeps the memo — the graph is identical, so
     the cached answers are too); a deeper query upgrades the cached
@@ -61,7 +61,7 @@ graph library on the hot path — and, since the scale rework, on
 
 * **Incremental connectivity labels.**  Connected-component membership
   is a first-class product of the rebuild machinery: once a caller
-  asks a label question (:meth:`component_id`, :meth:`same_component`,
+  asks a label question (:meth:`same_component`,
   :meth:`component_size`, :meth:`component_members`), per-slot labels
   are maintained alongside the graph.  Full rebuilds relabel every
   slot in one sweep; delta rebuilds relabel only the dirty region —
@@ -75,17 +75,16 @@ graph library on the hot path — and, since the scale rework, on
   ``conn_*`` counters prove the floods are gone).
 
 The engine is validated against a networkx oracle
-(:mod:`repro.net.oracle`, a test-only dependency) for edge sets,
-hop counts, iteration order and connected components — see
-``tests/net/test_topology_oracle.py`` and
-``tests/net/test_store_oracle.py``.
+(``tests/net/oracle.py``) for edge sets, hop counts, iteration order
+and connected components — see ``tests/net/test_topology_oracle.py``
+and ``tests/net/test_store_oracle.py``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from typing import (Callable, Collection, Dict, Iterable, Iterator, List,
-                    Optional, Set, Tuple, TypeVar)
+from typing import (Callable, Collection, Dict, Iterable, List, Optional,
+                    Set, Tuple, TypeVar)
 
 from repro.net.grid import CellGrid
 from repro.net.node import Node
@@ -827,21 +826,6 @@ class Topology:
         return relabeled
 
     # --- public label queries -----------------------------------------
-    def component_id(self, node_id: int) -> Optional[int]:
-        """Canonical component id for ``node_id`` (None if not in graph).
-
-        The id is the node id of the component's earliest-inserted
-        member — stable under queries, derived (never stored), and
-        exactly the id every other member reports.  O(1) after the
-        labels are current.
-        """
-        self._ensure_labels()
-        slot = self._graph_slot(node_id)
-        if slot is None:
-            return None
-        self.perf.incr(cnt.CONN_LABEL_HITS)
-        return self._nodes.ids[self._comp_members[self._comp_of[slot]][0]]
-
     def same_component(self, a: int, b: int) -> bool:
         """True iff ``a`` and ``b`` are in one connected component.
 
@@ -868,17 +852,15 @@ class Topology:
 
         Two ids share a component exactly when their indices are equal
         and not ``None`` — the pointwise :meth:`same_component`.  The
-        index is the labels' internal name for a component, cheaper
-        than the derived public :meth:`component_id`; like every label
-        it is good only until the graph next changes
+        index is the labels' internal name for a component; like every
+        label it is good only until the graph next changes
         (:attr:`graph_version`), so use it to compare and group within
         one query round and do not store it past one.
 
         One graph-and-label currency check covers the whole batch, and
         the batch is one question served from the labels:
         ``conn_label_hits`` goes up by one per call that finds at least
-        one id in the graph, however many ids it carries
-        (:meth:`same_partition` counts its list the same way).
+        one id in the graph, however many ids it carries.
         """
         self._ensure_labels()
         slot_of = self._nodes.slot_of
@@ -901,8 +883,7 @@ class Topology:
     def component_size(self, component_id: int) -> int:
         """Member count of the given component (0 if unknown).
 
-        Accepts a canonical id from :meth:`component_id` — or, since
-        the canonical id is itself a member, any member's node id.
+        Accepts any member's node id.
         """
         self._ensure_labels()
         slot = self._graph_slot(component_id)
@@ -913,8 +894,8 @@ class Topology:
 
     def component_members(self, component_id: int) -> List[int]:
         """Member node ids of the given component, in graph (insertion)
-        order; empty if unknown.  Accepts a canonical id from
-        :meth:`component_id` or any member's node id.  O(component) —
+        order, so the earliest-inserted member comes first; empty if
+        unknown.  Accepts any member's node id.  O(component) —
         the bounded replacement for an unbounded ``reachable`` flood.
         """
         self._ensure_labels()
@@ -946,7 +927,7 @@ class Topology:
         return len(self._comp_members)
 
     # ------------------------------------------------------------------
-    # Structure queries (test / oracle surface)
+    # Graph version and size
     # ------------------------------------------------------------------
     @property
     def graph_version(self) -> int:
@@ -973,30 +954,6 @@ class Topology:
         if slot is None or slot >= len(self._in_graph) or not self._in_graph[slot]:
             return None
         return slot
-
-    def node_ids(self) -> List[int]:
-        """Alive node ids in graph (insertion) order."""
-        self._ensure_graph()
-        ids = self._nodes.ids
-        return [ids[slot] for slot in self._graph_slots]
-
-    def has_edge(self, a: int, b: int) -> bool:
-        self._ensure_graph()
-        slot_a = self._graph_slot(a)
-        slot_b = self._graph_slot(b)
-        if slot_a is None or slot_b is None:
-            return False
-        return slot_b in self._adj[slot_a]
-
-    def edges(self) -> Iterator[Tuple[int, int]]:
-        """Every edge once, as ``(lower-rank id, higher-rank id)``."""
-        self._ensure_graph()
-        ids = self._nodes.ids
-        adj = self._adj
-        for slot in self._graph_slots:
-            for u in adj[slot]:
-                if u > slot:
-                    yield (ids[slot], ids[u])
 
     def edge_count(self) -> int:
         self._ensure_graph()
@@ -1315,11 +1272,6 @@ class Topology:
             return dict(lengths)
         return {other: d for other, d in lengths.items() if d <= max_hops}
 
-    def eccentricity_from(self, node_id: int) -> int:
-        """Max hop distance to any reachable node (0 if isolated)."""
-        lengths = self._bfs_from(node_id)
-        return max(lengths.values()) if lengths else 0
-
     def components(self) -> List[Set[int]]:
         """Connected components of the current graph (sets of node ids)."""
         self._ensure_graph()
@@ -1346,26 +1298,3 @@ class Topology:
                 frontier = nxt
             out.append(component)
         return out
-
-    def same_partition(self, ids: Iterable[int]) -> bool:
-        """True iff all given nodes are in one connected component.
-
-        Served from the connectivity labels — O(len(ids)) lookups, no
-        component walk (the pre-label implementation flooded from the
-        first id).
-        """
-        ids = list(ids)
-        if len(ids) <= 1:
-            return True
-        self._ensure_labels()
-        first = self._graph_slot(ids[0])
-        if first is None:
-            return False
-        comp_of = self._comp_of
-        target = comp_of[first]
-        self.perf.incr(cnt.CONN_LABEL_HITS)
-        for other in ids[1:]:
-            slot = self._graph_slot(other)
-            if slot is None or comp_of[slot] != target:
-                return False
-        return True

@@ -1,10 +1,11 @@
 """Buddy baseline [2]: disjoint blocks, periodic global sync."""
 
-from repro.baselines.buddy import BuddyAgent, BuddyConfig
+from repro.baselines.buddy import BD_NACK, BuddyAgent, BuddyConfig
 from repro.geometry import Point
 from repro.mobility.base import Stationary
 from repro.net import Node
 from repro.net.context import NetworkContext
+from repro.net.message import Message
 from repro.net.stats import Category
 
 
@@ -98,3 +99,25 @@ def test_redirect_to_largest_block_peer():
     configured = [a for a in agents if a.ip is not None]
     ips = [a.ip for a in configured]
     assert len(set(ips)) == len(ips)
+
+
+def test_nack_rearms_an_unconfigured_requester_at_half_its_timeout():
+    cfg = BuddyConfig(config_timeout=4.0)
+    ctx, (allocator, requester) = build(chain(2), cfg, enter_gap=10.0)
+    ctx.sim.run(until=5.0)
+    requester.on_enter()  # asks the allocator and waits config_timeout
+    assert requester._retry_timer.deadline == 5.0 + 4.0
+    requester.on_message(
+        Message(BD_NACK, allocator.node_id, requester.node_id))
+    assert requester.ip is None
+    assert requester._retry_timer.deadline == 5.0 + 4.0 * 0.5
+
+
+def test_configured_agent_ignores_a_nack():
+    ctx, (allocator, requester) = build(chain(2))
+    ctx.sim.run(until=15.0)
+    ip = requester.ip
+    assert ip is not None and not requester._retry_timer.armed
+    requester.on_message(
+        Message(BD_NACK, allocator.node_id, requester.node_id))
+    assert requester.ip == ip and not requester._retry_timer.armed

@@ -9,17 +9,15 @@ import, not in review.
 
 import pytest
 
-from repro import baselines
 from repro.core import messages as m
 from repro.core.protocol import QuorumProtocolAgent
+from repro.experiments.runner import PROTOCOLS
 from repro.net.message import Message
 
 from tests.helpers import add_node, make_ctx
 
 BASELINE_AGENTS = [
-    baselines.ManetconfAgent, baselines.BuddyAgent, baselines.CTreeAgent,
-    baselines.DadAgent, baselines.WeakDadAgent, baselines.ProphetAgent,
-]
+    cls for cls in PROTOCOLS.values() if cls is not QuorumProtocolAgent]
 
 
 def handler_names(cls):

@@ -5,6 +5,7 @@ import os
 import pytest
 
 from repro.cli import build_parser, main, sweep_executor
+from repro.experiments.runner import PROTOCOLS
 
 
 def test_parser_requires_command():
@@ -38,8 +39,7 @@ def test_compare_lists_all_protocols(capsys):
     code = main(["compare", "--nodes", "15", "--settle", "10"])
     out = capsys.readouterr().out
     assert code == 0
-    for protocol in ("quorum", "manetconf", "buddy", "ctree", "dad",
-                     "weakdad"):
+    for protocol in PROTOCOLS:
         assert protocol in out
 
 

@@ -162,7 +162,7 @@ def test_derived_seeds_stable_and_distinct():
 
 
 def test_results_keep_spec_order():
-    specs = tiny_specs(protocols=("dad", "quorum", "weakdad"), seeds=(1,))
+    specs = tiny_specs(protocols=("dad", "quorum", "buddy"), seeds=(1,))
     report = SweepExecutor(workers=3).run(specs)
     assert [r.protocol for r in report.results] == [
         s.protocol for s in specs]

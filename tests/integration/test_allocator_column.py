@@ -24,6 +24,7 @@ from repro.baselines.buddy import BuddyConfig
 from repro.baselines.ctree import CTreeConfig
 from repro.core.protocol import QuorumProtocolAgent
 from repro.experiments import Scenario, ScenarioRunner
+from repro.experiments.runner import PROTOCOLS
 from repro.faults.spec import CrashEvent, FaultSpec
 from repro.net.context import NetworkContext
 from repro.sim.timers import PeriodicTimer
@@ -92,8 +93,7 @@ def churn_runner(protocol):
     return ScenarioRunner(scenario, protocol, TIGHT_POOLS.get(protocol))
 
 
-@pytest.mark.parametrize(
-    "protocol", ["quorum", "manetconf", "buddy", "ctree", "dad", "weakdad"])
+@pytest.mark.parametrize("protocol", list(PROTOCOLS))
 def test_column_agrees_with_is_allocator_at_every_query(
         protocol, checked_is_head):
     runner = churn_runner(protocol)

@@ -4,9 +4,8 @@ Whether a run exports its trace or metrics, whether a sweep runs in
 parallel and whether it reads a cache are arguments of the call that
 asks for them (``ScenarioRunner``, ``execute_spec``, ``SweepExecutor``),
 never a module global a setter installs or an environment variable read
-from a distance.  So ``src/repro`` holds no ``global`` statement except
-the oracle's lazy import of its optional dependencies, and reads no
-environment variable.
+from a distance.  So ``src/repro`` holds no ``global`` statement and
+reads no environment variable.
 """
 
 import ast
@@ -34,13 +33,13 @@ def process_state(source):
     return sorted(found)
 
 
-def test_only_the_oracle_lazy_import_is_process_state():
+def test_src_holds_no_process_state():
     found = {}
     for path in sorted(SRC.rglob("*.py")):
         hits = process_state(path.read_text(encoding="utf-8"))
         if hits:
             found[path.relative_to(SRC).as_posix()] = [what for _, what in hits]
-    assert found == {"net/oracle.py": ["global nx, np"]}
+    assert found == {}
 
 
 @pytest.mark.parametrize("source", [

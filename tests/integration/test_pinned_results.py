@@ -111,14 +111,6 @@ BASELINE_PINS = {
         "7202c9b721ef6c3ac665be0c887b83eb1450c96a873b33f6fd34fcc1d75125ed",
     ("dad", "static_lossy"):
         "3663c88e06f9cadb50147b56018b9cffe7aad5dfd9cc46f12dc09cd4b7d54211",
-    ("weakdad", "mobile"):
-        "cc9ead969d12033858ecece585f97f3680abfdf5a86030597128ba8ab7c06fcd",
-    ("weakdad", "static_lossy"):
-        "7b0563456694fbc6e519bcb2666c1183a584e6a0daeb3e1fa5e86fc5ab571c01",
-    ("prophet", "mobile"):
-        "922a5fd1f89cea1898cce7cb9186677fa0082927d8bc0d337bc23d9db8b6e4c4",
-    ("prophet", "static_lossy"):
-        "ea556c99ebade27b19bef303b9e74fc9b43b8b4cb94a51503369e37116030a84",
 }
 
 

@@ -22,6 +22,7 @@ from repro.net.context import NetworkContext
 from repro.sim.timers import PeriodicTimer, Timer
 
 from tests.integration.test_pinned_results import CELLS, cell_scenario
+from tests.net.structure import component_id
 from tests.net.test_context import NO_HEADS, reference_table
 
 #: poll -> (its skip predicate, the field holding its verdict).
@@ -66,7 +67,7 @@ def test_skips_and_table_patches_are_exact(cell, monkeypatch):
         answer = patched_entry(ctx, node_id)
         # The lookup refreshed the graph; the reference reads it as is.
         want = reference_table(ctx).get(
-            ctx.topology.component_id(node_id), NO_HEADS)
+            component_id(ctx.topology, node_id), NO_HEADS)
         assert answer == want, (ctx.sim.now, node_id)
         checked["component_entry"] += 1
         return answer

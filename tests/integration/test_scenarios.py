@@ -5,6 +5,7 @@ import pytest
 from repro.core import ProtocolConfig
 from repro.core.protocol import QuorumProtocolAgent
 from repro.experiments import Scenario, ScenarioRunner
+from repro.experiments.runner import PROTOCOLS
 from repro.geometry import Point
 from repro.mobility.base import Stationary
 from repro.net.context import NetworkContext
@@ -88,8 +89,7 @@ def test_hotspot_arrivals_with_tight_space():
     assert result.uniqueness_ok()
 
 
-@pytest.mark.parametrize("protocol", ["quorum", "manetconf", "buddy",
-                                      "ctree", "prophet", "weakdad"])
+@pytest.mark.parametrize("protocol", list(PROTOCOLS))
 def test_high_churn_soak(protocol):
     """Every protocol survives sustained churn without crashing, and
     the quorum protocol additionally keeps addresses unique."""

@@ -36,7 +36,7 @@ def test_clean_tree_exits_zero(checkout, capsys):
     checkout.write("src/repro/core/good.py", CLEAN)
     assert lint() == 0
     out = capsys.readouterr().out
-    assert "1 files scanned, 8 rules, 0 findings" in out
+    assert "1 files scanned, 7 rules, 0 findings" in out
 
 
 def test_findings_exit_one_with_rendered_lines(checkout, capsys):

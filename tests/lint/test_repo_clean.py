@@ -31,6 +31,6 @@ def test_repo_is_clean_under_all_rules():
 def test_all_rules_actually_ran():
     report = _report()
     assert report.rule_names == (
-        "determinism", "hop-bound", "no-oracle-import", "rng-taint",
-        "obs-coverage", "state-machine", "counter-registry", "layering")
+        "determinism", "hop-bound", "rng-taint", "obs-coverage",
+        "state-machine", "counter-registry", "layering")
     assert report.files_scanned > 50

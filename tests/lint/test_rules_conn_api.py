@@ -3,8 +3,8 @@
 The incremental connectivity layer replaced every
 ``reachable(..., max_hops=None)`` / ``hops(..., max_hops=None)`` call
 in ``repro.core`` / ``repro.quorum`` with O(1)/O(component) label
-queries.  The rule keeps it that way; engine, bench, and oracle code
-may still flood deliberately.
+queries.  The rule keeps it that way; engine and bench code may still
+flood deliberately.
 """
 
 

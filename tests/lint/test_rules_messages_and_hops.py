@@ -34,13 +34,13 @@ def test_hop_bound_applies_outside_repro_modules_too(tree):
     assert len(tree.findings(select={"hop-bound"})) == 1
 
 
-def test_oracle_module_exempt(tree):
+def test_no_module_is_exempt(tree):
     tree.write("src/repro/net/oracle.py", """\
         class OracleTopology:
             def eccentricity(self, a):
                 return max(self.reachable(a).values())
         """)
-    assert tree.findings(select={"hop-bound"}) == []
+    assert len(tree.findings(select={"hop-bound"})) == 1
 
 
 def test_unrelated_attributes_not_flagged(tree):

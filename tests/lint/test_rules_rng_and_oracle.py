@@ -1,4 +1,5 @@
-"""determinism (generator construction) and no-oracle-import rules."""
+"""determinism (generator construction), and layering's ban on the
+test-only numpy/networkx."""
 
 
 # --- determinism: generators ----------------------------------------
@@ -44,35 +45,34 @@ def test_stream_consumers_not_flagged(tree):
     assert tree.findings(select={"determinism"}) == []
 
 
-# --- no-oracle-import ------------------------------------------------
+# --- layering: numpy and networkx are test-only ---------------------
 
 
-def test_numpy_networkx_and_oracle_imports_flagged(tree):
+def test_numpy_and_networkx_imports_break_layering(tree):
     tree.write("src/repro/core/bad.py", """\
         import numpy
         import networkx as nx
-        from repro.net.oracle import OracleTopology
-        from repro.net import oracle
+        from numpy.linalg import norm
         """)
-    findings = tree.findings(select={"no-oracle-import"})
-    assert len(findings) == 4
-    assert all(f.rule == "no-oracle-import" for f in findings)
+    findings = tree.findings(select={"layering"})
+    assert len(findings) == 3
+    assert all(f.rule == "layering" for f in findings)
 
 
-def test_only_the_oracle_module_is_exempt(tree):
+def test_no_runtime_module_may_import_numpy_or_networkx(tree):
     tree.write("src/repro/net/oracle.py", """\
         import networkx as nx
         import numpy as np
         """)
-    assert tree.findings(select={"no-oracle-import"}) == []
-    # No harness carve-out: repro.perf is runtime like everything else.
+    # Not even lazily, and with no harness carve-out.
     tree.write("src/repro/perf/probe.py", """\
         def run():
-            from repro.net.oracle import OracleTopology
-            return OracleTopology
+            from networkx import Graph
+            return Graph
         """)
-    findings = tree.findings(select={"no-oracle-import"})
-    assert [f.path.endswith("perf/probe.py") for f in findings] == [True]
+    findings = tree.findings(select={"layering"})
+    assert sorted(f.path.rsplit("/", 1)[-1] for f in findings) == [
+        "oracle.py", "oracle.py", "probe.py"]
 
 
 def test_runtime_imports_not_flagged(tree):
@@ -81,4 +81,4 @@ def test_runtime_imports_not_flagged(tree):
         from repro.net import topology
         import json
         """)
-    assert tree.findings(select={"no-oracle-import"}) == []
+    assert tree.findings(select={"layering"}) == []

@@ -8,18 +8,17 @@ engine is validated against it — edge sets, hop-count dicts *including
 iteration order*, and connected components must match exactly
 (``tests/net/test_topology_oracle.py``).
 
-numpy and networkx are imported lazily so the runtime package no longer
-depends on either (they live in the ``test`` extra); importing this
-module without them installed raises only when an ``OracleTopology`` is
-actually constructed.
+numpy and networkx live in the ``test`` extra, not in the runtime
+package; every module that imports this one calls
+``pytest.importorskip("networkx")`` first.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-if TYPE_CHECKING:
-    import networkx as nx
+import networkx as nx
+import numpy as np
 
 from repro.net.node import Node
 from repro.perf import PerfRecorder
@@ -40,9 +39,6 @@ class OracleTopology:
         transmission_range: float,
         refresh_interval: float = 0.5,
     ) -> None:
-        global nx, np
-        import networkx as nx
-        import numpy as np
         if transmission_range <= 0:
             raise ValueError("transmission range must be positive")
         self.sim = sim
@@ -172,11 +168,3 @@ class OracleTopology:
     def components(self) -> List[Set[int]]:
         """Connected components of the current graph (sets of node ids)."""
         return [set(c) for c in nx.connected_components(self.graph())]
-
-    def same_partition(self, ids: Iterable[int]) -> bool:
-        """True iff all given nodes are in one connected component."""
-        ids = list(ids)
-        if len(ids) <= 1:
-            return True
-        lengths = self._bfs_from(ids[0])
-        return all(other in lengths for other in ids[1:])

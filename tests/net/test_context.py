@@ -9,6 +9,7 @@ from repro.mobility.base import Stationary
 from repro.net import Node
 from repro.net.context import NetworkContext
 from repro.net.topology import STALE
+from tests.net.structure import component_id
 
 
 class FakeAgent:
@@ -237,7 +238,7 @@ def reference_table(ctx):
     for nid, agent in ctx.agents.items():
         if not ctx.is_configured(nid):
             continue
-        comp = topology.component_id(nid)
+        comp = component_id(topology, nid)
         if comp is None:
             continue
         ids, head_networks, networks = table.setdefault(
@@ -258,7 +259,7 @@ def assert_table_is_the_reference(ctx, component_entry=None):
         component_entry = ctx.component_entry
     table = reference_table(ctx)
     for nid in list(ctx.agents) + [99]:
-        want = table.get(ctx.topology.component_id(nid), NO_HEADS)
+        want = table.get(component_id(ctx.topology, nid), NO_HEADS)
         assert component_entry(nid) == want, nid
 
 

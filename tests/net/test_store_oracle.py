@@ -17,11 +17,13 @@ from repro.geometry.region import Region
 from repro.mobility.base import Stationary
 from repro.mobility.waypoint import RandomWaypoint
 from repro.net.node import Node
-from repro.net.oracle import OracleTopology
 from repro.net.topology import Topology
 from repro.sim.engine import Simulator
 
 pytest.importorskip("networkx")
+
+from tests.net.oracle import OracleTopology
+from tests.net.structure import edges, node_ids
 
 
 def _population(n, area, speed, seed):
@@ -57,7 +59,7 @@ def _assert_equivalent(native, oracle, present, probe_every=1):
                 == list(oracle.reachable(i).items()))
         assert native.within_hops(i, 3) == oracle.within_hops(i, 3)
     assert native.components() == oracle.components()
-    assert sorted(native.edges()) == sorted(
+    assert sorted(edges(native)) == sorted(
         tuple(sorted(e)) for e in oracle.graph().edges())
 
 
@@ -105,7 +107,7 @@ def test_permanent_crash_scrubs_every_shard_and_array():
         assert 13 not in native.reachable(i)
         assert all(other != 13 for other, _ in native.within_hops(i, 3))
     assert native.get(13) is None
-    assert 13 not in native.node_ids()
+    assert 13 not in node_ids(native)
 
 
 def test_eviction_churn_through_compaction_matches_oracle():

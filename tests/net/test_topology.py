@@ -8,6 +8,8 @@ from repro.mobility.base import Stationary
 from repro.net import Node, Topology
 from repro.sim import Simulator
 from repro.sim.rng import generator_from_seed
+from tests.net.structure import (eccentricity_from, edges, has_edge,
+                                  same_partition)
 
 
 def make_topology(positions, tr=150.0, seed=1):
@@ -20,15 +22,15 @@ def make_topology(positions, tr=150.0, seed=1):
 
 def test_edges_respect_range():
     _, topo = make_topology([(0, 0), (100, 0), (300, 0)])
-    assert topo.has_edge(0, 1)
-    assert not topo.has_edge(0, 2)
-    assert not topo.has_edge(1, 2)
-    assert list(topo.edges()) == [(0, 1)]
+    assert has_edge(topo, 0, 1)
+    assert not has_edge(topo, 0, 2)
+    assert not has_edge(topo, 1, 2)
+    assert list(edges(topo)) == [(0, 1)]
 
 
 def test_edge_at_exact_range():
     _, topo = make_topology([(0, 0), (150, 0)])
-    assert topo.has_edge(0, 1)
+    assert has_edge(topo, 0, 1)
 
 
 def test_hops_along_chain():
@@ -65,8 +67,8 @@ def test_reachable_includes_self():
 
 def test_eccentricity():
     _, topo = make_topology([(0, 0), (120, 0), (240, 0)])
-    assert topo.eccentricity_from(0) == 2
-    assert topo.eccentricity_from(1) == 1
+    assert eccentricity_from(topo, 0) == 2
+    assert eccentricity_from(topo, 1) == 1
 
 
 def test_components():
@@ -77,9 +79,9 @@ def test_components():
 
 def test_same_partition():
     _, topo = make_topology([(0, 0), (100, 0), (900, 900)])
-    assert topo.same_partition([0, 1])
-    assert not topo.same_partition([0, 2])
-    assert topo.same_partition([0])
+    assert same_partition(topo, [0, 1])
+    assert not same_partition(topo, [0, 2])
+    assert same_partition(topo, [0])
 
 
 def test_dead_nodes_excluded():
@@ -216,7 +218,7 @@ def test_invalidate_nodes_equivalent_to_blanket_invalidate():
     scoped.invalidate_nodes([1])
     blanket.get(1).kill()
     blanket.invalidate()
-    assert list(scoped.edges()) == list(blanket.edges())
+    assert list(edges(scoped)) == list(edges(blanket))
     assert scoped.hops(0, LAST) is None and blanket.hops(0, LAST) is None
     # ...but only the blanket spelling paid for a second full rebuild.
     assert counters(scoped)["graph_full_rebuilds"] == 1
@@ -335,7 +337,7 @@ def test_fault_churn_rides_the_node_scoped_delta_path():
     _, topo, side = make_population()
     batch = central_batch(topo, side)
     ids = [node.node_id for node in batch]
-    edges = topo.edge_count()
+    edge_count = topo.edge_count()
     for alive in (False, True):
         base = counters(topo)
         for node in batch:
@@ -347,7 +349,7 @@ def test_fault_churn_rides_the_node_scoped_delta_path():
         assert delta["graph_delta_rebuilds"] == 1
         assert "graph_full_rebuilds" not in delta
         assert delta["graph_delta_dirty_nodes"] == len(batch)
-    assert topo.edge_count() == edges  # everyone revived in place
+    assert topo.edge_count() == edge_count  # everyone revived in place
 
 
 def test_mobile_fraction_keeps_delta_path_active():

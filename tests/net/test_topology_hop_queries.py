@@ -20,12 +20,13 @@ from repro.geometry import Point
 from repro.mobility.base import Stationary
 from repro.net.hello import HelloService
 from repro.net.node import Node
-from repro.net.oracle import OracleTopology
 from repro.net.topology import Topology
 from repro.perf import counters as cnt
 from repro.sim.engine import Simulator
 
 pytest.importorskip("networkx")
+
+from tests.net.oracle import OracleTopology
 
 BOUNDS = (1, 2, 3, 5, None)
 STRANGER = 999          # an id neither engine ever heard of

@@ -31,6 +31,7 @@ from repro.mobility.waypoint import RandomWaypoint
 from repro.net.node import Node
 from repro.net.topology import Topology
 from repro.sim.engine import Simulator
+from tests.net.structure import component_id, edges, has_edge
 from tests.net.test_topology import (central_batch, counters, counters_since,
                                      make_population)
 
@@ -59,11 +60,11 @@ def assert_labels_match_oracle(topo):
     seen_canonical = set()
     for members in oracle:
         ids = sorted(members)
-        canonical = topo.component_id(ids[0])
+        canonical = component_id(topo, ids[0])
         assert canonical in members
         seen_canonical.add(canonical)
         for nid in ids:
-            assert topo.component_id(nid) == canonical
+            assert component_id(topo, nid) == canonical
             assert topo.component_size(nid) == len(members)
             assert set(topo.component_members(nid)) == members
             assert topo.same_component(ids[0], nid)
@@ -89,7 +90,7 @@ def assert_batched_query_is_pointwise(topo, oracle):
     assert len(indices) == len(ids)
     groups = {}
     for nid, index in zip(ids, indices):
-        assert (index is None) == (topo.component_id(nid) is None), nid
+        assert (index is None) == (component_id(topo, nid) is None), nid
         if index is not None:
             groups.setdefault(index, set()).add(nid)
     assert sorted(map(sorted, groups.values())) == sorted(map(sorted, oracle))
@@ -208,22 +209,22 @@ def test_add_nodes_batch_equivalent_to_loop():
     batch.add_nodes(Node(i, Stationary(p)) for i, p in enumerate(points))
     for i, p in enumerate(points):
         loop.add_node(Node(i, Stationary(p)))
-    assert sorted(batch.edges()) == sorted(loop.edges())
+    assert sorted(edges(batch)) == sorted(edges(loop))
     assert batch.components() == loop.components()
     for i in range(70):
-        assert batch.component_id(i) == loop.component_id(i)
+        assert component_id(batch, i) == component_id(loop, i)
         assert batch.component_members(i) == loop.component_members(i)
 
 
 def test_unknown_and_dead_nodes_answer_conservatively():
     _, topo, nodes = build(10, 400, 150, seed=41)
-    assert topo.component_id(999) is None
+    assert component_id(topo, 999) is None
     assert topo.component_size(999) == 0
     assert topo.component_members(999) == []
     assert not topo.same_component(0, 999)
     nodes[0].kill()
     topo.invalidate_nodes([0])
-    assert topo.component_id(0) is None
+    assert component_id(topo, 0) is None
     assert not topo.same_component(0, 1)
 
 
@@ -251,7 +252,7 @@ def test_batched_query_edge_cases_and_its_hit_rule():
     # a refresh finds it — what component_id says of it too.
     nodes[0].alive = True
     assert hits_of([0]) == ([None], 0)
-    assert topo.component_id(0) is None
+    assert component_id(topo, 0) is None
     topo.invalidate_nodes([0])
     (index,), hits = hits_of([0])
     assert index is not None and hits == 1
@@ -479,7 +480,7 @@ def test_two_adjacent_bridges_are_one_hole():
               (150, 0), (150, 40), (200, 20), (250, 20)]    # r1, r2 ..
     _, intact, _ = place(points, 60.0)
     assert intact.neighbors(4) == [2, 3, 5] and intact.neighbors(5) == [4, 6, 7]
-    assert intact.has_edge(2, 3) and intact.has_edge(6, 7)
+    assert has_edge(intact, 2, 3) and has_edge(intact, 6, 7)
     topo, _ = kill_together(points, 60.0, [4, 5])
     assert topo.component_count() == 2
     assert topo.component_members(0) == [0, 1, 2, 3]
