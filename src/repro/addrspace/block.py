@@ -1,15 +1,15 @@
 """Aligned power-of-two address blocks (binary buddies).
 
-A block of size ``2^k`` starts at a multiple of ``2^k``.  Splitting
-yields its two buddies; two buddies merge back into their parent.  This
-is the block algebra behind the paper's IPSpace halving on cluster-head
-configuration and behind the Buddy baseline [2].
+A block of size ``2^k`` starts at a multiple of ``2^k``.  Blocks are
+the unit in which IPSpace changes hands — the paper's halving on
+cluster-head configuration and the Buddy baseline [2]; a pool derives
+them from its free ranges (:meth:`repro.addrspace.ranges.RangeSet.blocks`).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterator, Tuple
+from typing import Iterator
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -40,33 +40,8 @@ class Block:
     def end(self) -> int:
         return self.start + self.size
 
-    def contains(self, address: int) -> bool:
-        return self.start <= address < self.end
-
     def addresses(self) -> Iterator[int]:
         return iter(range(self.start, self.end))
-
-    def split(self) -> Tuple["Block", "Block"]:
-        """Split into (lower, upper) buddies."""
-        if self.size == 1:
-            raise ValueError("cannot split a unit block")
-        half = self.size // 2
-        return Block(self.start, half), Block(self.start + half, half)
-
-    def buddy(self) -> "Block":
-        """The sibling block this one merges with."""
-        if self.start % (self.size * 2) == 0:
-            return Block(self.start + self.size, self.size)
-        return Block(self.start - self.size, self.size)
-
-    def is_buddy_of(self, other: "Block") -> bool:
-        return self.size == other.size and other == self.buddy()
-
-    def merge(self, other: "Block") -> "Block":
-        """Merge with a buddy into the parent block."""
-        if not self.is_buddy_of(other):
-            raise ValueError(f"{self} and {other} are not buddies")
-        return Block(min(self.start, other.start), self.size * 2)
 
     def __repr__(self) -> str:
         return f"Block[{self.start},{self.end})"

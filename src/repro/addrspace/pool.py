@@ -1,170 +1,90 @@
-"""Allocation pools over buddy blocks.
+"""Allocation pools over address range sets.
 
-An :class:`AddressPool` is the IPSpace of one allocator: a set of free
-buddy blocks plus the individual addresses it has handed out.  All free
-space is represented as maximally-coalesced buddy blocks (a freed single
-address is a unit block that merges with its buddy recursively), so the
-pool supports the three operations the protocols need:
+An :class:`AddressPool` is the IPSpace of one allocator: two disjoint
+range sets, ``free`` and ``allocated`` (the addresses it has handed
+out).  The pool supports the operations the protocols need:
 
 * ``allocate()`` — take one address for a common node;
 * ``release(addr)`` — return an address (graceful departure / reclaim);
-* ``take_half()`` — split off half of the largest free block for a newly
+* ``absorb(start, end)`` — take in space handed over by another node;
+* ``take_half()`` — split off a block of the free space for a newly
   configured cluster head (Section IV-B / the Buddy baseline [2]).
+
+Blocks appear only where space changes hands (``take_half``,
+``take_all``), derived on demand by :meth:`RangeSet.blocks`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Set
+from typing import Iterable, List, Optional
 
 from repro.addrspace.block import Block
+from repro.addrspace.ranges import RangeSet
 
 
 class AddressPool:
-    """Free-list buddy allocator for one node's IPSpace."""
+    """One node's IPSpace: its free and allocated addresses."""
 
     def __init__(self, blocks: Iterable[Block] = ()) -> None:
-        self._free_blocks: List[Block] = []
-        self._allocated: Set[int] = set()
-        for block in blocks:
-            self.add_block(block)
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def allocated(self) -> Set[int]:
-        return set(self._allocated)
-
-    def allocated_count(self) -> int:
-        """Addresses handed out, without copying the set (cheap read)."""
-        return len(self._allocated)
-
-    def free_count(self) -> int:
-        return sum(b.size for b in self._free_blocks)
+        self.free = RangeSet((b.start, b.end) for b in blocks)
+        self.allocated = RangeSet()
 
     def total_count(self) -> int:
-        return self.free_count() + len(self._allocated)
+        return len(self.free) + len(self.allocated)
 
     def owns(self, address: int) -> bool:
         """True if the address belongs to this pool (free or allocated)."""
-        if address in self._allocated:
-            return True
-        return any(b.contains(address) for b in self._free_blocks)
-
-    def free_blocks(self) -> List[Block]:
-        return sorted(self._free_blocks)
-
-    def snapshot_blocks(self) -> List[Block]:
-        """Every address this pool owns, as blocks (free + allocated).
-
-        This is the block list shipped in replica snapshots: replicas
-        must cover the whole IPSpace, not just its free part.
-        """
-        blocks = sorted(self._free_blocks)
-        blocks.extend(Block(a, 1) for a in sorted(self._allocated))
-        return blocks
-
-    def peek_free(self) -> Optional[int]:
-        """Lowest free address without allocating it."""
-        if not self._free_blocks:
-            return None
-        return min(b.start for b in self._free_blocks)
-
-    def free_addresses(self) -> List[int]:
-        """All free addresses, ascending (small pools only — O(size))."""
-        addresses: List[int] = []
-        for block in self._free_blocks:
-            addresses.extend(block.addresses())
-        return sorted(addresses)
-
-    def is_free(self, address: int) -> bool:
-        return any(b.contains(address) for b in self._free_blocks)
-
-    # ------------------------------------------------------------------
-    # Mutation
-    # ------------------------------------------------------------------
-    def add_block(self, block: Block) -> None:
-        """Add a whole free block, coalescing buddies recursively."""
-        while True:
-            buddy = block.buddy()
-            if buddy in self._free_blocks:
-                self._free_blocks.remove(buddy)
-                block = block.merge(buddy)
-            else:
-                break
-        self._free_blocks.append(block)
+        return address in self.allocated or address in self.free
 
     def allocate(self, preferred: Optional[int] = None) -> Optional[int]:
         """Take one free address (lowest available, or ``preferred``)."""
-        if preferred is not None:
-            for block in list(self._free_blocks):
-                if block.contains(preferred):
-                    self._carve_single(block, preferred)
-                    self._allocated.add(preferred)
-                    return preferred
+        address = self.free.first() if preferred is None else preferred
+        if address is None or address not in self.free:
             return None
-        if not self._free_blocks:
-            return None
-        block = min(self._free_blocks, key=lambda b: b.start)
-        address = block.start
-        self._carve_single(block, address)
-        self._allocated.add(address)
+        self.free.remove(address, address + 1)
+        self.allocated.add(address, address + 1)
         return address
 
     def allocate_many(self, count: int) -> List[int]:
-        """Take the ``count`` lowest free addresses in one carve pass.
+        """Take the ``count`` lowest free addresses at once.
 
-        Equivalent to ``count`` successive :meth:`allocate` calls — same
-        addresses, same remaining free-block structure (the buddy
-        decomposition of each block's unconsumed suffix) — but without
-        the per-address block scan, so bulk bootstrap paths can build a
-        whole cluster's worth of assignments at once.  Returns fewer
-        than ``count`` addresses (possibly none) when the pool runs dry.
+        Equivalent to ``count`` successive :meth:`allocate` calls, so
+        bulk bootstrap paths can build a whole cluster's worth of
+        assignments in one pass.  Returns fewer than ``count`` addresses
+        (possibly none) when the pool runs dry.
         """
         taken: List[int] = []
-        while len(taken) < count and self._free_blocks:
-            block = min(self._free_blocks, key=lambda b: b.start)
-            self._free_blocks.remove(block)
-            need = count - len(taken)
-            while block.size > need:
-                low, high = block.split()
-                self._free_blocks.append(high)
-                block = low
-            taken.extend(range(block.start, block.start + block.size))
-        self._allocated.update(taken)
+        for start, end in self.free.ranges():
+            stop = min(end, start + count - len(taken))
+            if stop <= start:
+                break
+            taken.extend(range(start, stop))
+            self.allocated.add(start, stop)
+        if taken:
+            # Every free address between the first and last taken is taken.
+            self.free.remove(taken[0], taken[-1] + 1)
         return taken
-
-    def _carve_single(self, block: Block, address: int) -> None:
-        """Remove ``address`` from ``block``, keeping the rest free."""
-        self._free_blocks.remove(block)
-        while block.size > 1:
-            low, high = block.split()
-            if low.contains(address):
-                self._free_blocks.append(high)
-                block = low
-            else:
-                self._free_blocks.append(low)
-                block = high
-        # block is now the unit block at ``address``; the caller marks
-        # the address allocated or hands it out.
 
     def release(self, address: int) -> bool:
         """Return an allocated address to the free set."""
-        if address not in self._allocated:
+        if address not in self.allocated:
             return False
-        self._allocated.discard(address)
-        self.add_block(Block(address, 1))
+        self.allocated.remove(address, address + 1)
+        self.free.add(address, address + 1)
         return True
 
-    def absorb_free(self, address: int) -> None:
-        """Add a single free address that this pool did not allocate.
+    def absorb(self, start: int, end: int) -> None:
+        """Add ``[start, end)`` as free space, overlap-safely.
 
-        Used when reclaiming leaked addresses or receiving returned
-        space from another allocator.
+        Space received over the network — returned IP blocks, reclaimed
+        ranges, a departed head's own address — may overlap what this
+        pool already tracks: under churn the sender's view of ownership
+        can lag ours.  Addresses already free stay free, and allocated
+        ones stay allocated, never both.
         """
-        if address in self._allocated or self.is_free(address):
-            return
-        self.add_block(Block(address, 1))
+        self.free.add(start, end)
+        for low, high in self.allocated.ranges(start, end):
+            self.free.remove(low, high)
 
     def absorb_assigned(self, address: int) -> None:
         """Take ownership of an address that is already held by a node.
@@ -172,67 +92,47 @@ class AddressPool:
         Used when absorbing a departed allocator's space: the address
         stays assigned but this pool becomes responsible for it.
         """
-        if self.is_free(address):
+        if address in self.free:
             # Should not happen, but never double-book an address.
             self.allocate(preferred=address)
             return
-        self._allocated.add(address)
-
-    def absorb_free_many(self, addresses: Iterable[int]) -> None:
-        """Bulk variant of :meth:`absorb_free`."""
-        for address in addresses:
-            self.absorb_free(address)
-
-    def absorb_block(self, block: Block) -> None:
-        """Add a block received from another node, overlap-safely.
-
-        Unlike :meth:`add_block` (which trusts the caller that the block
-        is disjoint from the pool), this skips any address the pool
-        already tracks.  Space received over the network — returned
-        IP blocks, reclaimed ranges — must use this: under churn the
-        sender's view of ownership can lag ours, and blindly adding an
-        overlapping block would make addresses simultaneously free and
-        allocated.
-        """
-        for address in block.addresses():
-            self.absorb_free(address)
+        self.allocated.add(address, address + 1)
 
     def take_half(self) -> Optional[Block]:
-        """Donate (roughly) half the free space to a new allocator.
+        """Donate a block of the free space to a new allocator.
 
-        "The allocator assigns half its IP block" (Section IV-B).  When
-        the free space is a single buddy block, it is split and one half
-        donated; otherwise the largest free block — which, in a buddy
-        pool, holds at least half the free space — is donated whole.
+        "The allocator assigns half its IP block" (Section IV-B).  Of
+        the free space's buddy blocks, the largest (lowest start on a
+        tie) is chosen.  When it is the only free block it is split and
+        its upper half donated; otherwise it is donated whole.  That
+        block need not be half the free space: free space {1, 3, 5, 7}
+        is four unit blocks, and the donation is one address, a quarter.
+        A fragmented pool thus founds a new head on a single address.
 
-        Returns the donated block, or ``None`` when nothing splittable
-        remains (a single free address cannot be halved; the requester
-        must borrow or be relayed instead, Section V-A).
+        Returns ``None`` when the free space is empty or one address (a
+        single free address cannot be halved; the requester must borrow
+        or be relayed instead, Section V-A).
         """
-        if not self._free_blocks:
+        block = max(self.free.blocks(), key=lambda b: (b.size, -b.start),
+                    default=None)
+        if block is None:
             return None
-        block = max(self._free_blocks, key=lambda b: (b.size, -b.start))
-        if block.size == self.free_count():
-            # Sole free block: split it, keep one half.
+        if block.size == len(self.free):
             if block.size == 1:
                 return None
-            self._free_blocks.remove(block)
-            keep, give = block.split()
-            self._free_blocks.append(keep)
-            return give
-        if block.size == 1 and self.free_count() <= 1:
-            return None
-        self._free_blocks.remove(block)
+            half = block.size // 2
+            block = Block(block.start + half, half)
+        self.free.remove(block.start, block.end)
         return block
 
     def take_all(self) -> List[Block]:
         """Remove and return every free block (graceful CH departure)."""
-        blocks = sorted(self._free_blocks)
-        self._free_blocks = []
+        blocks = list(self.free.blocks())
+        self.free = RangeSet()
         return blocks
 
     def __repr__(self) -> str:
         return (
-            f"AddressPool(free={self.free_count()}, "
-            f"allocated={len(self._allocated)})"
+            f"AddressPool(free={len(self.free)}, "
+            f"allocated={len(self.allocated)})"
         )

@@ -69,7 +69,7 @@ class BuddyAgent(Agent):
         return (
             self.ip is not None
             and self.pool is not None
-            and self.pool.free_count() > 0
+            and len(self.pool.free) > 0
         )
 
     # ------------------------------------------------------------------
@@ -108,7 +108,7 @@ class BuddyAgent(Agent):
     def _finish(self, ip: int, latency_hops: int) -> None:
         self._mark_configured(ip, latency_hops)
         self.table[self.node_id] = (
-            ip, self.pool.free_count() if self.pool else 0, self.ctx.sim.now)
+            ip, len(self.pool.free) if self.pool else 0, self.ctx.sim.now)
         self._start_sync()
 
     def _on_retry_timeout(self) -> None:
@@ -184,7 +184,7 @@ class BuddyAgent(Agent):
             return
         self._flood(BD_SYNC, {
             "ip": self.ip,
-            "free": self.pool.free_count(),
+            "free": len(self.pool.free),
         }, Category.MAINTENANCE)
         self._check_buddy_liveness()
 
@@ -210,8 +210,8 @@ class BuddyAgent(Agent):
             if agent is not None and agent.pool is not None \
                     and self.pool is not None and not agent.node.alive:
                 for block in agent.pool.take_all():
-                    self.pool.absorb_block(block)
-                self.pool.absorb_free_many([ip])
+                    self.pool.absorb(block.start, block.end)
+                self.pool.absorb(ip, ip + 1)
                 agent._note_allocator()
                 self._note_allocator()
                 self._flood(BD_CLAIM, {"of": node_id}, Category.RECLAMATION)
@@ -239,8 +239,8 @@ class BuddyAgent(Agent):
         if self.pool is None:
             return
         for start, size in msg.payload["blocks"]:
-            self.pool.absorb_block(Block(start, size))
-        self.pool.absorb_free_many([msg.payload["ip"]])
+            self.pool.absorb(start, start + size)
+        self.pool.absorb(msg.payload["ip"], msg.payload["ip"] + 1)
         self.table.pop(msg.src, None)
 
     def _stop_timers(self) -> None:

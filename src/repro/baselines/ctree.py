@@ -85,7 +85,7 @@ class CTreeAgent(Agent):
             self.ip is not None
             and self.is_coordinator
             and self.pool is not None
-            and self.pool.free_count() > 0
+            and len(self.pool.free) > 0
         )
 
     def death_snapshot(self) -> Dict[str, Any]:
@@ -222,7 +222,7 @@ class CTreeAgent(Agent):
         if not self.is_coordinator or self.is_root or self.root_id is None:
             return
         delivery = self._send(self.root_id, CT_REPORT, {
-            "free": self.pool.free_count() if self.pool else 0,
+            "free": len(self.pool.free) if self.pool else 0,
         }, Category.MAINTENANCE)
         if delivery.ok:
             self.allocations_since_report = 0
@@ -287,9 +287,9 @@ class CTreeAgent(Agent):
         if agent is not None and agent.pool is not None \
                 and self.pool is not None and not agent.node.alive:
             for block in agent.pool.take_all():
-                self.pool.absorb_block(block)
+                self.pool.absorb(block.start, block.end)
             if agent.ip is not None:
-                self.pool.absorb_free_many([agent.ip])
+                self.pool.absorb(agent.ip, agent.ip + 1)
             agent._note_allocator()
             self._note_allocator()
 
@@ -328,14 +328,15 @@ class CTreeAgent(Agent):
 
     def _handle_ct_return(self, msg: Message) -> None:
         if self.pool is not None:
-            self.pool.absorb_free_many([msg.payload["address"]])
+            address = msg.payload["address"]
+            self.pool.absorb(address, address + 1)
 
     def _handle_ct_pool_return(self, msg: Message) -> None:
         if self.pool is None:
             return
         for start, size in msg.payload["blocks"]:
-            self.pool.absorb_block(Block(start, size))
-        self.pool.absorb_free_many([msg.payload["ip"]])
+            self.pool.absorb(start, start + size)
+        self.pool.absorb(msg.payload["ip"], msg.payload["ip"] + 1)
         self.coordinator_last_report.pop(msg.src, None)
 
     def _stop_timers(self) -> None:

@@ -31,7 +31,7 @@ def select_candidate(
         allocator's own IPSpace, or the replica owner's node id when
         borrowing; ``None`` when nothing is available.
     """
-    for address in head.pool.free_addresses():
+    for address in head.pool.free:
         if address not in reserved:
             return address, None
     if not borrowing_enabled:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from repro.addrspace.block import Block
 from repro.addrspace.records import AddressRecord, AddressStatus
 from repro.cluster.roles import ADJACENT_HEAD_HOPS, Role
 from repro.core import messages as m
@@ -186,7 +185,7 @@ class DepartureMixin:
         assert self.head is not None
         assigned = [
             (address, self.head.configured.get(address, -1))
-            for address in sorted(self.head.pool.allocated)
+            for address in self.head.pool.allocated
             if address != self.head.ip
         ]
         blocks = [(b.start, b.size) for b in self.head.pool.take_all()]
@@ -214,7 +213,7 @@ class DepartureMixin:
         self._send(msg.src, m.CH_RETURN_ACK, {}, Category.DEPARTURE)
         payload = msg.payload
         for start, size in payload["blocks"]:
-            self.head.pool.absorb_block(Block(start, size))
+            self.head.pool.absorb(start, start + size)
         for address, ts, status, holder in payload["records"]:
             self.head.ledger.apply(
                 address, AddressRecord(AddressStatus(status), ts, holder))
@@ -223,7 +222,7 @@ class DepartureMixin:
             if holder is not None and holder >= 0:
                 self.head.configured[address] = holder
         own_ip = payload["own_ip"]
-        self.head.pool.absorb_free_many([own_ip])
+        self.head.pool.absorb(own_ip, own_ip + 1)
         self.head.ledger.mark_free(own_ip)
         # Tell the adopted nodes who their allocator is now.
         for address, holder in payload["assigned"]:

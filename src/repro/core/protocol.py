@@ -271,7 +271,7 @@ class QuorumProtocolAgent(
             if agent is None or not agent.is_allocator():
                 continue
             self.ctx.stats.charge(Category.CONFIG, 2 * hops, messages=2)
-            size = agent.head.pool.free_count()
+            size = len(agent.head.pool.free)
             if size > best_size:
                 best_id, best_size = head_id, size
         return best_id
@@ -598,7 +598,7 @@ class QuorumProtocolAgent(
         """
         assert self.head is not None
         addresses = (
-            list(Block(*block).addresses()) if block is not None else [address]
+            Block(*block).addresses() if block is not None else [address]
         )
         for addr in addresses:
             if (
@@ -635,7 +635,7 @@ class QuorumProtocolAgent(
         reservation = self._borrow_reservations.get(address)
         if (
             record.status is not AddressStatus.FREE
-            or not self.head.pool.is_free(address)
+            or address not in self.head.pool.free
             # We are proposing this address ourselves right now.
             or address in self._pending_addresses
             or (reservation is not None and reservation[1] > now
@@ -798,7 +798,7 @@ class QuorumProtocolAgent(
         transaction's kind."""
         self._drop_pending(pending)
         if pending.block is not None and self.head is not None:
-            self.head.pool.absorb_block(pending.block)
+            self.head.pool.absorb(pending.block.start, pending.block.end)
         obs = self.ctx.obs
         if obs:
             obs.emit(obs_ev.ConfigAborted(
@@ -1031,7 +1031,7 @@ class QuorumProtocolAgent(
         address, block = pending.address, pending.block
         if pending.owner_id == self.node_id:
             if block is not None:
-                self.head.pool.absorb_block(block)
+                self.head.pool.absorb(block.start, block.end)
             elif not self.head.pool.release(address):
                 return
             record = self.head.ledger.mark_free(address)
@@ -1157,7 +1157,8 @@ class QuorumProtocolAgent(
             "ver": self.head.snapshot_version,
             "owner_id": self.node_id,
             "owner_ip": self.head.ip,
-            "blocks": [(b.start, b.size) for b in self.head.pool.snapshot_blocks()],
+            "free": self.head.pool.free.ranges(),
+            "assigned": self.head.pool.allocated.ranges(),
             "records": [
                 (a, r.timestamp, r.status.value, r.holder)
                 for a, r in self.head.ledger.items()
@@ -1195,8 +1196,8 @@ class QuorumProtocolAgent(
 
     def _install_replica_from(self, payload: Dict[str, Any]) -> None:
         assert self.head is not None
-        blocks = [Block(s, z) for s, z in payload["blocks"]]
-        replica = Replica(payload["owner_id"], blocks,
+        replica = Replica(payload["owner_id"], payload["free"],
+                          payload["assigned"],
                           holders=set(payload.get("qdset", ())),
                           version=payload.get("ver", 0))
         for address, ts, status, holder in payload["records"]:

@@ -251,7 +251,8 @@ class ReclamationMixin:
         self._send(msg.src, m.REC_SYNC_ACK, {
             "owner_id": dead_id,
             "ver": replica.version,
-            "blocks": [(b.start, b.size) for b in replica.blocks],
+            "free": replica.free.ranges(),
+            "assigned": replica.assigned.ranges(),
             "qdset": sorted(replica.holders),
             "records": [
                 (a, r.timestamp, r.status.value, r.holder)
@@ -300,25 +301,22 @@ class ReclamationMixin:
         if replica is None:
             return
         self._reclaimed.add(dead_id)
-        free: List[int] = []
         assigned: List[Tuple[int, AddressRecord]] = []
-        for block in replica.blocks:
-            for address in block.addresses():
-                record = replica.ledger.peek(address)
-                held = (
-                    record is not None
-                    and record.status is AddressStatus.ASSIGNED
-                    and record.holder != dead_id
-                    and record.holder is not None
-                )
-                if held:
-                    assigned.append((address, record))
-                else:
-                    stamp = record.timestamp + 1 if record is not None else 1
-                    free.append(address)
-                    self.head.ledger.apply(
-                        address, AddressRecord(AddressStatus.FREE, stamp, None))
-        self.head.pool.absorb_free_many(free)
+        for address in replica.addresses():
+            record = replica.ledger.peek(address)
+            held = (
+                record is not None
+                and record.status is AddressStatus.ASSIGNED
+                and record.holder != dead_id
+                and record.holder is not None
+            )
+            if held:
+                assigned.append((address, record))
+            else:
+                stamp = record.timestamp + 1 if record is not None else 1
+                self.head.pool.absorb(address, address + 1)
+                self.head.ledger.apply(
+                    address, AddressRecord(AddressStatus.FREE, stamp, None))
         for address, record in assigned:
             self.head.pool.absorb_assigned(address)
             self.head.ledger.apply(address, record)
@@ -383,22 +381,24 @@ class ReclamationMixin:
             return
         assert self.head is not None
         claims = self._self_audit_claims
-        for address in sorted(self.head.pool.allocated):
-            if address == self.head.ip or address in claims:
-                continue
-            holder = self.head.configured.get(address)
-            if holder is not None and holder >= 0:
-                node = self.ctx.node_of(holder)
-                if node is not None and node.alive:
-                    # Alive somewhere — possibly behind a partition.
-                    # Freeing now could mint a duplicate when it
-                    # returns; keep the address booked.
+        # ranges() copies the bounds, so releasing during the walk is safe.
+        for start, end in self.head.pool.allocated.ranges():
+            for address in range(start, end):
+                if address == self.head.ip or address in claims:
                     continue
-            self.head.pool.release(address)
-            record = self.head.ledger.mark_free(address)
-            self.head.configured.pop(address, None)
-            self._broadcast_update(self.node_id, address, record,
-                                   Category.RECLAMATION)
+                holder = self.head.configured.get(address)
+                if holder is not None and holder >= 0:
+                    node = self.ctx.node_of(holder)
+                    if node is not None and node.alive:
+                        # Alive somewhere — possibly behind a partition.
+                        # Freeing now could mint a duplicate when it
+                        # returns; keep the address booked.
+                        continue
+                self.head.pool.release(address)
+                record = self.head.ledger.mark_free(address)
+                self.head.configured.pop(address, None)
+                self._broadcast_update(self.node_id, address, record,
+                                       Category.RECLAMATION)
 
     # ------------------------------------------------------------------
     # Zombie fence (see module docstring)

@@ -159,8 +159,8 @@ def sample_gauges(ctx: Any, metrics: MetricsRecorder) -> None:
         pool = getattr(head, "pool", None)
         if pool is None:
             continue
-        free += pool.free_count()
-        allocated += pool.allocated_count()
+        free += len(pool.free)
+        allocated += len(pool.allocated)
     metrics.record("qdset_size_total", qdset_total)
     metrics.record("vote_timers", vote_timers)
     for role in sorted(role_counts):

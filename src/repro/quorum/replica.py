@@ -2,57 +2,64 @@
 
 Each cluster head stores a physical copy of every adjacent cluster
 head's IP space (Section II-C).  A :class:`Replica` is one such copy —
-the owner's block list plus a timestamped ledger; a
+the owner's free and assigned ranges plus a timestamped ledger; a
 :class:`ReplicaStore` is the set of replicas one node holds (its
 QuorumSpace, Section IV-A).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+import itertools
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from repro.addrspace.block import Block
+from repro.addrspace.ranges import Range, RangeSet
 from repro.addrspace.records import AddressLedger, AddressStatus
 
 
 class Replica:
     """One node's copy of another allocator's IP space.
 
+    ``free`` and ``assigned`` are the owner's pool's two range sets.
     ``holders`` is the owner's QDSet at distribution time — i.e. the set
     of nodes expected to hold a copy of this same replica.  Reclamation
     uses it to elect a single absorber deterministically (lowest
     surviving holder id) without extra coordination.
     """
 
-    def __init__(self, owner: int, blocks: List[Block],
+    def __init__(self, owner: int, free: Iterable[Range] = (),
+                 assigned: Iterable[Range] = (),
                  holders: Optional[Set[int]] = None, version: int = 0) -> None:
         self.owner = owner
-        self.blocks = list(blocks)
+        self.free = RangeSet(free)
+        self.assigned = RangeSet(assigned)
         self.ledger = AddressLedger()
         self.holders = set(holders or ())
-        # Owner-issued snapshot version: a replica's block list (the
-        # owner's IPSpace extent) may only move forward.  Without this,
-        # a holder that missed the refresh following a block grant
-        # would still believe the owner holds the donated range.
+        # Owner-issued snapshot version: a replica's extent may only
+        # move forward.  Without this, a holder that missed the refresh
+        # following a block grant would still believe the owner holds
+        # the donated range.
         self.version = version
 
     def covers(self, address: int) -> bool:
-        return any(b.contains(address) for b in self.blocks)
+        return address in self.free or address in self.assigned
 
     def size(self) -> int:
-        return sum(b.size for b in self.blocks)
+        return len(self.free) + len(self.assigned)
+
+    def addresses(self) -> Iterator[int]:
+        """The owner's addresses: its free ones, then its assigned ones."""
+        return itertools.chain(self.free, self.assigned)
 
     def free_addresses(self) -> Iterator[int]:
         """Addresses this replica believes are free (latest local view)."""
-        for block in self.blocks:
-            for address in block.addresses():
-                record = self.ledger.peek(address)
-                if record is None or record.status is AddressStatus.FREE:
-                    yield address
+        for address in self.addresses():
+            record = self.ledger.peek(address)
+            if record is None or record.status is AddressStatus.FREE:
+                yield address
 
     def copy(self) -> "Replica":
-        clone = Replica(self.owner, self.blocks, holders=self.holders,
-                        version=self.version)
+        clone = Replica(self.owner, self.free.ranges(), self.assigned.ranges(),
+                        holders=self.holders, version=self.version)
         clone.ledger.merge(self.ledger)
         return clone
 
@@ -74,7 +81,8 @@ class ReplicaStore:
             self._replicas[replica.owner] = replica.copy()
         else:
             if replica.version >= existing.version:
-                existing.blocks = list(replica.blocks)
+                existing.free = RangeSet(replica.free.ranges())
+                existing.assigned = RangeSet(replica.assigned.ranges())
                 existing.version = replica.version
                 if replica.holders:
                     existing.holders = set(replica.holders)
@@ -90,7 +98,7 @@ class ReplicaStore:
         return sorted(self._replicas)
 
     def find_covering(self, address: int) -> Optional[Replica]:
-        """The replica whose block list covers ``address``, if any."""
+        """The replica whose extent covers ``address``, if any."""
         for replica in self._replicas.values():
             if replica.covers(address):
                 return replica

@@ -1,4 +1,4 @@
-"""Unit and property tests for the buddy allocation pool."""
+"""Unit and property tests for the range-set allocation pool."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,16 +12,16 @@ def pool_of(size=16):
 
 def test_initial_counts():
     pool = pool_of(16)
-    assert pool.free_count() == 16
+    assert len(pool.free) == 16
     assert pool.total_count() == 16
-    assert pool.allocated == set()
+    assert len(pool.allocated) == 0
 
 
 def test_allocate_lowest_first():
     pool = pool_of(8)
     assert pool.allocate() == 0
     assert pool.allocate() == 1
-    assert pool.free_count() == 6
+    assert len(pool.free) == 6
 
 
 def test_allocate_preferred():
@@ -42,7 +42,7 @@ def test_release_and_reallocate():
     pool = pool_of(4)
     a = pool.allocate()
     assert pool.release(a)
-    assert pool.free_count() == 4
+    assert len(pool.free) == 4
     assert pool.allocate() == a
 
 
@@ -54,8 +54,8 @@ def test_owns_and_is_free():
     pool = pool_of(8)
     a = pool.allocate()
     assert pool.owns(a)
-    assert not pool.is_free(a)
-    assert pool.owns(5) and pool.is_free(5)
+    assert a not in pool.free
+    assert pool.owns(5) and 5 in pool.free
     assert not pool.owns(8)
 
 
@@ -63,7 +63,7 @@ def test_take_half_halves_largest_block():
     pool = pool_of(16)
     given_block = pool.take_half()
     assert given_block == Block(8, 8)
-    assert pool.free_count() == 8
+    assert len(pool.free) == 8
     assert pool.owns(0) and not pool.owns(8)
 
 
@@ -76,17 +76,26 @@ def test_take_half_until_unit():
             break
         sizes.append(block.size)
     assert sizes == [4, 2, 1]
-    assert pool.free_count() == 1  # the unit block cannot be halved
+    assert len(pool.free) == 1  # the unit block cannot be halved
 
 
 def test_take_half_empty_pool():
     assert AddressPool().take_half() is None
 
 
-def test_add_block_coalesces_buddies():
+def test_absorb_coalesces_buddies():
     pool = AddressPool([Block(0, 4)])
-    pool.add_block(Block(4, 4))
-    assert pool.free_blocks() == [Block(0, 8)]
+    pool.absorb(4, 8)
+    assert list(pool.free.blocks()) == [Block(0, 8)]
+
+
+def test_absorb_skips_tracked_addresses():
+    pool = pool_of(8)
+    pool.allocate(preferred=5)
+    pool.absorb(4, 12)
+    assert 5 in pool.allocated and 5 not in pool.free
+    assert pool.free.ranges() == [(0, 5), (6, 12)]
+    assert len(pool.free) == 11
 
 
 def test_release_coalesces_singles():
@@ -95,15 +104,16 @@ def test_release_coalesces_singles():
     b = pool.allocate()  # 1
     pool.release(a)
     pool.release(b)
-    assert pool.free_blocks() == [Block(0, 4)]
-    assert pool.free_count() == 4
+    assert list(pool.free.blocks()) == [Block(0, 4)]
+    assert len(pool.free) == 4
 
 
-def test_absorb_free_many_coalesces():
+def test_absorb_singles_coalesce():
     pool = AddressPool()
-    pool.absorb_free_many([0, 1, 2, 3])
-    assert pool.free_count() == 4
-    assert pool.free_blocks() == [Block(0, 4)]
+    for address in (2, 0, 3, 1):
+        pool.absorb(address, address + 1)
+    assert len(pool.free) == 4
+    assert list(pool.free.blocks()) == [Block(0, 4)]
 
 
 def test_absorb_assigned_tracks_ownership():
@@ -112,7 +122,7 @@ def test_absorb_assigned_tracks_ownership():
     assert 9 in pool.allocated
     assert pool.owns(9)
     assert pool.release(9)
-    assert pool.is_free(9)
+    assert 9 in pool.free
 
 
 def test_take_all_empties_free_space():
@@ -120,33 +130,31 @@ def test_take_all_empties_free_space():
     pool.allocate()
     blocks = pool.take_all()
     assert sum(b.size for b in blocks) == 7
-    assert pool.free_count() == 0
+    assert len(pool.free) == 0
     assert len(pool.allocated) == 1
 
 
-def test_snapshot_blocks_cover_everything():
+def test_free_and_allocated_cover_everything():
     pool = pool_of(8)
     a = pool.allocate()
-    covered = set()
-    for block in pool.snapshot_blocks():
-        covered.update(block.addresses())
-    assert covered == set(range(8))
-    assert a in covered
+    assert pool.free.ranges() + pool.allocated.ranges() == [(1, 8), (0, 1)]
+    assert a in pool.allocated
 
 
 def test_peek_free():
     pool = pool_of(4)
-    assert pool.peek_free() == 0
+    assert pool.free.first() == 0
     pool.allocate()
-    assert pool.peek_free() == 1
+    assert pool.free.first() == 1
     # peek does not allocate
-    assert pool.peek_free() == 1
+    assert pool.free.first() == 1
 
 
-def test_free_addresses_sorted():
+def test_free_iterates_ascending():
     pool = pool_of(4)
     pool.allocate(preferred=1)
-    assert pool.free_addresses() == [0, 2, 3]
+    pool.release(pool.allocate(preferred=3))
+    assert list(pool.free) == [0, 2, 3]
 
 
 def test_allocate_many_matches_repeated_allocate():
@@ -154,8 +162,8 @@ def test_allocate_many_matches_repeated_allocate():
     loop = pool_of(16)
     taken = bulk.allocate_many(5)
     assert taken == [loop.allocate() for _ in range(5)]
-    assert bulk.allocated == loop.allocated
-    assert bulk.free_blocks() == loop.free_blocks()
+    assert bulk.allocated.ranges() == loop.allocated.ranges()
+    assert bulk.free.ranges() == loop.free.ranges()
 
 
 def test_allocate_many_after_fragmentation():
@@ -166,21 +174,21 @@ def test_allocate_many_after_fragmentation():
         pool.allocate(preferred=6)
     taken = bulk.allocate_many(7)
     assert taken == [loop.allocate() for _ in range(7)]
-    assert bulk.free_blocks() == loop.free_blocks()
+    assert bulk.free.ranges() == loop.free.ranges()
 
 
 def test_allocate_many_short_return_when_dry():
     pool = pool_of(4)
     assert pool.allocate_many(10) == [0, 1, 2, 3]
-    assert pool.free_count() == 0
+    assert len(pool.free) == 0
     assert pool.allocate_many(1) == []
 
 
 def test_allocate_many_zero_is_noop():
     pool = pool_of(8)
     assert pool.allocate_many(0) == []
-    assert pool.free_count() == 8
-    assert pool.free_blocks() == [Block(0, 8)]
+    assert len(pool.free) == 8
+    assert list(pool.free.blocks()) == [Block(0, 8)]
 
 
 @settings(max_examples=50, deadline=None)
@@ -199,8 +207,8 @@ def test_allocate_many_property_equivalence(count, holes):
             break
         expected.append(a)
     assert taken == expected
-    assert bulk.allocated == loop.allocated
-    assert bulk.free_blocks() == loop.free_blocks()
+    assert bulk.allocated.ranges() == loop.allocated.ranges()
+    assert bulk.free.ranges() == loop.free.ranges()
 
 
 # ---------------------------------------------------------------------------
@@ -234,10 +242,10 @@ def test_conservation_under_operations(ops):
             block = pool.take_half()
             if block is not None:
                 donated += block.size
-    assert pool.free_count() + len(pool.allocated) + donated == 32
+    assert len(pool.free) + len(pool.allocated) + donated == 32
     # No address is both free and allocated.
     for address in pool.allocated:
-        assert not pool.is_free(address)
+        assert address not in pool.free
 
 
 @settings(max_examples=50, deadline=None)
@@ -250,5 +258,5 @@ def test_release_all_restores_full_pool(addresses):
             taken.append(a)
     for a in taken:
         assert pool.release(a)
-    assert pool.free_count() == 32
-    assert pool.free_blocks() == [Block(0, 32)]
+    assert len(pool.free) == 32
+    assert list(pool.free.blocks()) == [Block(0, 32)]

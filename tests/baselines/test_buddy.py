@@ -39,9 +39,7 @@ def test_blocks_are_disjoint():
     seen = set()
     for agent in agents:
         assert agent.pool is not None
-        addresses = set()
-        for block in agent.pool.snapshot_blocks():
-            addresses.update(block.addresses())
+        addresses = set(agent.pool.free) | set(agent.pool.allocated)
         assert not (addresses & seen)
         seen |= addresses
 

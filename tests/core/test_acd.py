@@ -15,7 +15,7 @@ def test_no_conflict_for_unbound_address():
     ctx = make_ctx()
     agents = configured_chain(ctx, 2)
     head = agents[0]
-    free = head.head.pool.peek_free()
+    free = head.head.pool.free.first()
     assert not head._acd_conflict(free, requester=99)
 
 
@@ -68,7 +68,7 @@ def test_commit_retries_past_conflicted_address():
     head, common = agents
     # Fabricate a fork: the pool believes some address is free although
     # a live node of the same network answers for it.
-    victim_address = head.head.pool.peek_free()
+    victim_address = head.head.pool.free.first()
     ctx.bind_ip(victim_address, common.node_id)
     newcomer = add_node(ctx, 77, 160.0, 560.0)
     newcomer.on_enter()

@@ -61,7 +61,7 @@ def test_largest_block_allocator_balances_load():
     ctx.sim.run(until=60.0)
     heads = [a for a in agents if a.head is not None]
     assert len(heads) == 2
-    big, small = sorted(heads, key=lambda h: -h.head.pool.free_count())
+    big, small = sorted(heads, key=lambda h: -len(h.head.pool.free))
     # A newcomer equidistant-ish from both picks the bigger pool.
     probe = add_node(ctx, 77, 340.0, 560.0, cfg=cfg)
     near = probe._allocators_within(2)

@@ -38,7 +38,7 @@ def test_borrow_when_own_space_dry():
     head = make_head(Block(0, 2))
     head.pool.allocate()  # exhaust: 0 = own ip, 1 allocated
     head.qdset.add(7)
-    replica = Replica(7, [Block(8, 4)])
+    replica = Replica(7, free=[(8, 12)])
     head.replicas.install(replica)
     candidate = select_candidate(head, set(), borrowing_enabled=True)
     assert candidate == (8, 7)
@@ -48,14 +48,14 @@ def test_borrow_disabled_returns_none():
     head = make_head(Block(0, 2))
     head.pool.allocate()
     head.qdset.add(7)
-    head.replicas.install(Replica(7, [Block(8, 4)]))
+    head.replicas.install(Replica(7, free=[(8, 12)]))
     assert select_candidate(head, set(), borrowing_enabled=False) is None
 
 
 def test_borrow_only_from_active_quorum_members():
     head = make_head(Block(0, 2))
     head.pool.allocate()
-    head.replicas.install(Replica(7, [Block(8, 4)]))  # 7 NOT in qdset
+    head.replicas.install(Replica(7, free=[(8, 12)]))  # 7 NOT in qdset
     assert select_candidate(head, set(), borrowing_enabled=True) is None
 
 
@@ -63,7 +63,7 @@ def test_borrow_skips_assigned_replica_addresses():
     head = make_head(Block(0, 2))
     head.pool.allocate()
     head.qdset.add(7)
-    replica = Replica(7, [Block(8, 2)])
+    replica = Replica(7, free=[(8, 10)])
     replica.ledger.mark_assigned(8, holder=9)
     head.replicas.install(replica)
     assert select_candidate(head, set(), borrowing_enabled=True) == (9, 7)
@@ -87,7 +87,7 @@ def test_dry_head_borrows_from_quorum_space(dry_allocator_network):
     ctx, cfg, agents = dry_allocator_network
     head3 = agents[3]
     # Exhaust head3's own space.
-    while head3.head.pool.peek_free() is not None:
+    while head3.head.pool.free.first() is not None:
         head3.head.pool.allocate()
     # A newcomer next to head3 must still be configured — with an
     # address borrowed from head0's space.
@@ -101,7 +101,7 @@ def test_dry_head_borrows_from_quorum_space(dry_allocator_network):
 def test_borrow_commits_at_owner(dry_allocator_network):
     ctx, cfg, agents = dry_allocator_network
     head0, head3 = agents[0], agents[3]
-    while head3.head.pool.peek_free() is not None:
+    while head3.head.pool.free.first() is not None:
         head3.head.pool.allocate()
     newcomer = add_node(ctx, 50, 100.0 + 120.0 * 4, cfg=cfg)
     newcomer.on_enter()
@@ -114,7 +114,7 @@ def test_borrow_commits_at_owner(dry_allocator_network):
 def test_borrowed_addresses_stay_unique(dry_allocator_network):
     ctx, cfg, agents = dry_allocator_network
     head3 = agents[3]
-    while head3.head.pool.peek_free() is not None:
+    while head3.head.pool.free.first() is not None:
         head3.head.pool.allocate()
     newcomers = []
     for i in range(2):

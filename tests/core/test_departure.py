@@ -21,7 +21,7 @@ def test_common_departure_returns_address():
     common.depart_gracefully()
     ctx.sim.run(until=ctx.sim.now + 20.0)
     assert not common.node.alive
-    assert head.head.pool.is_free(address)
+    assert address in head.head.pool.free
     assert head.head.ledger.get(address).status is AddressStatus.FREE
     assert address not in head.head.configured
 

@@ -34,7 +34,7 @@ def test_dry_head_without_quorum_relays_to_configurer():
     # head0 as well, so select_candidate finds nothing and the request
     # must be relayed (or self-audited).
     for agent in (agents[0], head3):
-        while agent.head.pool.peek_free() is not None:
+        while agent.head.pool.free.first() is not None:
             agent.head.pool.allocate()
         for address in list(agent.head.pool.allocated):
             agent.head.ledger.mark_assigned(address, holder=999)
@@ -66,8 +66,8 @@ def test_conflict_veto_blocks_forked_ownership():
     a, b = heads[0], heads[1]
     # Fork ownership artificially: give head A a free block that B also
     # owns (the corruption the veto defends against).
-    stolen = sorted(b.head.pool.allocated)[0]
-    a.head.pool.absorb_free(stolen)
+    stolen = b.head.pool.allocated.first()
+    a.head.pool.absorb(stolen, stolen + 1)
     before = ctx.agent_of(b.head.configured.get(stolen, -1))
     # A proposes the stolen address to a newcomer.
     newcomer = add_node(ctx, 60, 100.0, 560.0, cfg=cfg)
@@ -145,7 +145,7 @@ def test_foreign_grant_is_declined_and_rolled_back():
     follower = agents[4]
     # head0 "grants" the follower an address it never asked to keep.
     from repro.core.configuration import PendingConfig
-    free = head0.head.pool.peek_free()
+    free = head0.head.pool.free.first()
     assert free is not None
     pending = PendingConfig(attempt_id=next(ctx.attempt_ids),
                             requester=follower.node_id,
@@ -166,7 +166,7 @@ def test_foreign_grant_is_declined_and_rolled_back():
     ctx.sim.run(until=ctx.sim.now + 5.0)
     # The follower declined (already configured elsewhere) and head0
     # rolled the grant back.
-    assert head0.head.pool.is_free(free)
+    assert free in head0.head.pool.free
     assert head0.head.ledger.get(free).status is AddressStatus.FREE
 
 
@@ -205,7 +205,7 @@ def test_acd_conflict_on_head_grant_nacks_and_books_the_conflict():
     head, common = configured_chain(ctx, 2, cfg=cfg)
     requester = add_node(ctx, 50, 100.0, 620.0, cfg=cfg)  # 1 hop from head
     received = received_types(requester)
-    free_before = set(head.head.pool.free_addresses())
+    free_before = set(head.head.pool.free)
     head.on_message(request(m.CH_REQ, requester, head))
     (pending,) = head._pending.values()
     block = pending.block
@@ -221,7 +221,7 @@ def test_acd_conflict_on_head_grant_nacks_and_books_the_conflict():
     record = head.head.ledger.get(conflict)
     assert record.status is AddressStatus.ASSIGNED
     assert record.holder == common.node_id
-    assert set(head.head.pool.free_addresses()) == free_before - {conflict}
+    assert set(head.head.pool.free) == free_before - {conflict}
 
 
 def test_declined_head_grant_returns_the_block_and_writes_it_back():
@@ -241,7 +241,7 @@ def test_declined_head_grant_returns_the_block_and_writes_it_back():
         return False
 
     received = received_types(requester, configured_elsewhere)
-    free_before = head.head.pool.free_count()
+    free_before = len(head.head.pool.free)
     head.on_message(request(m.CH_REQ, requester, head))
     (pending,) = head._pending.values()
     start = pending.block.start
@@ -249,7 +249,7 @@ def test_declined_head_grant_returns_the_block_and_writes_it_back():
     assert received == [m.CH_PRP, m.CH_CFG]
     assert requester.head is None
     assert head._pending == {}
-    assert head.head.pool.free_count() == free_before
+    assert len(head.head.pool.free) == free_before
     assert head.head.ledger.get(start).status is AddressStatus.FREE
     assert start not in head.head.configured
     # The release was written back: the QDSet member's replica agrees.
@@ -271,7 +271,7 @@ def test_grant_cleanup_rolls_back_an_undelivered_common_grant():
     assert address in head.head.pool.allocated
     ctx.sim.run(until=ctx.sim.now + 4 * head.cfg.config_timeout + 1.0)
     assert head._pending == {}
-    assert head.head.pool.is_free(address)
+    assert address in head.head.pool.free
     assert head.head.ledger.get(address).status is AddressStatus.FREE
     assert address not in head.head.configured
 
@@ -307,12 +307,12 @@ def test_undelivered_head_grant_returns_the_block_without_a_nack():
         return False
 
     received = received_types(requester, leave_after_confirming)
-    free_before = head.head.pool.free_count()
+    free_before = len(head.head.pool.free)
     head.on_message(request(m.CH_REQ, requester, head))
     ctx.sim.run(until=ctx.sim.now + 4 * cfg.config_timeout + 1.0)
     assert received == [m.CH_PRP]
     assert head._pending == {}
-    assert head.head.pool.free_count() == free_before
+    assert len(head.head.pool.free) == free_before
 
 
 def test_grant_cleanup_keeps_a_delivered_unacknowledged_head_grant():
@@ -322,14 +322,14 @@ def test_grant_cleanup_keeps_a_delivered_unacknowledged_head_grant():
     requester = add_node(ctx, 50, 100.0, 620.0, cfg=cfg)
     received = received_types(
         requester, lambda msg: msg.mtype == m.CH_CFG)  # never ACKs
-    free_before = head.head.pool.free_count()
+    free_before = len(head.head.pool.free)
     head.on_message(request(m.CH_REQ, requester, head))
     (pending,) = head._pending.values()
     block = pending.block
     ctx.sim.run(until=ctx.sim.now + 4 * cfg.config_timeout + 1.0)
     assert received == [m.CH_PRP, m.CH_CFG]
     assert head._pending == {}
-    assert head.head.pool.free_count() == free_before - block.size
+    assert len(head.head.pool.free) == free_before - block.size
     assert not head.head.pool.owns(block.start)
     assert head.head.ledger.get(block.start).status is AddressStatus.ASSIGNED
 
@@ -344,16 +344,16 @@ def test_vote_timeout_on_head_grant_returns_the_block():
     received_types(silent, lambda msg: msg.mtype == m.QUORUM_CLT)
     requester = add_node(ctx, 50, 100.0, 620.0, cfg=cfg)
     received = received_types(requester)
-    free_before = head.head.pool.free_count()
+    free_before = len(head.head.pool.free)
     head.on_message(request(m.CH_REQ, requester, head))
     (pending,) = head._pending.values()
     ctx.sim.run(until=ctx.sim.now + 0.5)
     assert pending.collector is not None and head.live_vote_timers == 1
-    assert head.head.pool.free_count() < free_before
+    assert len(head.head.pool.free) < free_before
     ctx.sim.run(until=ctx.sim.now + cfg.config_timeout)
     assert received == [m.CH_PRP, m.CH_NACK]
     assert head._pending == {} and head.live_vote_timers == 0
-    assert head.head.pool.free_count() == free_before
+    assert len(head.head.pool.free) == free_before
 
 
 # ---------------------------------------------------------------------------
@@ -370,13 +370,13 @@ def test_self_audit_recovers_dead_holders_addresses():
     ctx.sim.run(until=ctx.sim.now + 5.0)
     assert leaked in head.head.pool.allocated
     # Exhaust the pool so a new request triggers the audit.
-    while head.head.pool.peek_free() is not None:
+    while head.head.pool.free.first() is not None:
         head.head.pool.allocate()
     newcomer = add_node(ctx, 50, 220.0, 560.0, cfg=cfg)
     newcomer.on_enter()
     ctx.sim.run(until=ctx.sim.now + 30.0)
     # The dead node's address was recovered (and possibly reused).
-    assert (head.head.pool.is_free(leaked)
+    assert (leaked in head.head.pool.free
             or head.head.configured.get(leaked) not in (victim.node_id,))
 
 
@@ -389,7 +389,7 @@ def test_self_audit_spares_alive_distant_holders():
     # The member wanders away (alive, unreachable).
     member.node.mobility = Stationary(Point(5000.0, 5000.0))
     ctx.topology.invalidate()
-    while head.head.pool.peek_free() is not None:
+    while head.head.pool.free.first() is not None:
         head.head.pool.allocate()
     newcomer = add_node(ctx, 50, 220.0, 560.0, cfg=cfg)
     newcomer.on_enter()

@@ -16,7 +16,7 @@ def test_first_node_becomes_head_with_whole_space():
     assert agent.ip == 0
     assert agent.head is not None
     # Whole space minus its own address is free.
-    assert agent.head.pool.free_count() == 63
+    assert len(agent.head.pool.free) == 63
     assert agent.network_id is not None
 
 

@@ -51,9 +51,8 @@ def test_single_absorber_no_double_ownership():
     agents = redundant_network(ctx, cfg)
     heads = [a for a in agents if a.role is Role.HEAD]
     victim = heads[1]
-    victim_addresses = set()
-    for block in victim.head.pool.snapshot_blocks():
-        victim_addresses.update(block.addresses())
+    victim_addresses = set(victim.head.pool.free) | set(
+        victim.head.pool.allocated)
     victim.vanish()
     ctx.sim.run(until=ctx.sim.now + 30.0)
     owners = {}
