@@ -49,6 +49,13 @@ grid's shard overlay, bookkeeping laid over the cell index, not the
 graph: which regions a rebuild marked, never which edges it built.  The
 hashes were re-taken without it on the last commit that still had the
 overlay, so they hold across its removal.
+
+The same precedent covers two ``RunResult`` fields nothing read:
+``extension_ratios`` (a per-head list; Fig. 12 reads the
+``ip_space_total``/``quorum_space_total`` aggregates) and
+``leaked_addresses`` (always 0).  All twelve hashes were re-taken
+without those two keys on the last commit that still had the fields,
+so they hold across the fields' removal.
 """
 
 import hashlib
@@ -63,13 +70,13 @@ from repro.perf import counters as cnt
 CELLS = {
     "mobile": (
         dict(),
-        "e0a8bf804e0458243a5f4cc94729ca690aec70a5c55e9b07e213b47fa1af188f",
+        "92e05690c0c259fa57b66908c5d704b1715f7e3e7345bff3e181a47aa0b474f4",
         {cnt.CONN_LABEL_HITS: 3969, cnt.BFS_CALLS: 4530,
          cnt.BFS_CACHE_HITS: 1054, cnt.BFS_NODES_EXPANDED: 18319},
         "2bc9fcdc528ca5902c8d58dbe47968201142b60b7f244bfc9806200074ac8b4e"),
     "static_lossy": (
         dict(speed_mps=0.0, faults=FaultSpec(loss_rate=0.05)),
-        "28ed307ce6452d7ef9f3a04fe1cf46e7a6c2e6830b7556fd9b703bd9ece1d3b9",
+        "c4f2c7804f2599704afe814a3fcb794bb5aeb67631650a92b0e82d7bad5c7a3c",
         {cnt.CONN_LABEL_HITS: 1400, cnt.BFS_CALLS: 1123,
          cnt.BFS_CACHE_HITS: 1910, cnt.BFS_NODES_EXPANDED: 5673,
          cnt.CONN_SPLIT_SLOTS_SCANNED: 59},
@@ -77,7 +84,7 @@ CELLS = {
     "mobile_crash": (
         dict(faults=FaultSpec(
             crashes=crash_schedule(40, 0.2, at=40.0, seed=7))),
-        "446cf044fcdac8d146355e920167874d54249dc394f84bf61760df828e0af491",
+        "92a7fe8f7f0ed4cca1191a636a0ac39882453f6f7bdedca35d470246c3abc70e",
         {cnt.CONN_LABEL_HITS: 3890, cnt.BFS_CALLS: 4065,
          cnt.BFS_CACHE_HITS: 965, cnt.BFS_NODES_EXPANDED: 15489},
         "2a676ec6e523f585e20e2877fc3cd04df42f9ee40db1ac0f7147a5b89afc8e1c"),
@@ -86,7 +93,7 @@ CELLS = {
             loss_rate=0.05,
             crashes=crash_schedule(40, 0.2, at=30.0, downtime=20.0,
                                    seed=7))),
-        "da2e70489b977292676ee1bc53bab2f3f4fe7a1f4ce411b89ff0a18447397f8e",
+        "bc21a0db50760700216a0df27a1c875020a2aec00c241bf1f1b9428187eb416f",
         {cnt.CONN_LABEL_HITS: 1683, cnt.BFS_CALLS: 1203,
          cnt.BFS_CACHE_HITS: 1833, cnt.BFS_NODES_EXPANDED: 5648,
          cnt.CONN_SPLIT_SLOTS_SCANNED: 98},
@@ -96,21 +103,21 @@ CELLS = {
 
 BASELINE_PINS = {
     ("manetconf", "mobile"):
-        "d6ba4e60af0f23ca715f28faea1ee509d9726021b9a93cf74f6f8eeab2cdf03b",
+        "e0d6cca895646a1ab33100e41bdb1dec09adada0f2a2ba8521e2ee6d0b055289",
     ("manetconf", "static_lossy"):
-        "680ebf722f084ff5ea10ea185ab501d6f3c61a78ef5cebb9244bcb08863b639e",
+        "6b0a8184fedb8633caa2b4bdc32f6727084a6ab0ac58dfd67f05348aa6259a24",
     ("buddy", "mobile"):
-        "ec68035c12bbe2d8afdb21807a8368fe4878d865b0ec61a10d48bd349aba4f35",
+        "961ff9f186e78168fd864729d64cadef212557e42488913dfd2d29ec08d36fb7",
     ("buddy", "static_lossy"):
-        "53a206e3b4ed901c5be825ebbcdd6c70ba4a1ebaecfad2a06e6eb52d0da6d2ce",
+        "6e0d2ce401fb0be93e5879b994ea4d42ff5d4cb778fa0b561a27285b500ed904",
     ("ctree", "mobile"):
-        "a443791ba1a8106d0d4861a1aa296945a4206d0c33c586b5da6c1e3c2b2e54df",
+        "79e962b40221a7f198392de4465a48d5141447425e44bf470dd17e89a9f0cc94",
     ("ctree", "static_lossy"):
-        "ba6eab1640603b3ff590829ac31770c3bf80ad6af7873c5756ef2f5d47a6c79c",
+        "cb2c6b115d562b6c3282ae0427f9f5079af5f5c5739241a55fa597f8b26aa84d",
     ("dad", "mobile"):
-        "7202c9b721ef6c3ac665be0c887b83eb1450c96a873b33f6fd34fcc1d75125ed",
+        "526f4263f73c3049e99747c1198f286346f6f459b854329e032c2ca873183e2b",
     ("dad", "static_lossy"):
-        "3663c88e06f9cadb50147b56018b9cffe7aad5dfd9cc46f12dc09cd4b7d54211",
+        "b309f17719fc20c61dc228c905c553d1c58105bab0417b4d51c52b11dd864951",
 }
 
 
@@ -123,6 +130,8 @@ def payload_digest(payload):
     # Floods only: the static quorum cell's two floods are both bounded.
     payload["perf_counters"].pop(cnt.BFS_UNBOUNDED, None)
     payload["perf_counters"].pop("graph_shards_touched", None)
+    payload.pop("extension_ratios", None)
+    payload.pop("leaked_addresses", None)
     return hashlib.sha256(
         json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
 
