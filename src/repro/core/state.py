@@ -78,10 +78,3 @@ class HeadState:
 
     def quorum_space_size(self) -> int:
         return self.replicas.total_size()
-
-    def extension_ratio(self) -> float:
-        """(IPSpace + QuorumSpace) / IPSpace — the Fig. 12 metric."""
-        own = self.ip_space_size()
-        if own == 0:
-            return 1.0
-        return (own + self.quorum_space_size()) / own

@@ -60,12 +60,10 @@ class RunResult:
     graceful_ids: frozenset = frozenset()
     # Quorum-protocol structure metrics (empty for baselines).
     qdset_sizes: List[int] = dataclasses.field(default_factory=list)
-    extension_ratios: List[float] = dataclasses.field(default_factory=list)
     ip_space_total: int = 0
     quorum_space_total: int = 0
     head_count: int = 0
     duplicate_addresses: int = 0
-    leaked_addresses: int = 0
     # Fault-injection observability (empty for fault-free runs):
     # per-category hops lost to injected faults, and named protocol /
     # fault events (quorum_shrink, reclamation_initiated, fault_crashes,

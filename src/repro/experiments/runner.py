@@ -183,7 +183,6 @@ class ScenarioRunner:
         ctx = self.ctx
         outcomes: List[NodeOutcome] = []
         qdset_sizes: List[int] = []
-        extension_ratios: List[float] = []
         ip_space_total = 0
         quorum_space_total = 0
         head_count = 0
@@ -219,7 +218,6 @@ class ScenarioRunner:
             if head is not None and agent.node.alive:
                 head_count += 1
                 qdset_sizes.append(len(head.qdset))
-                extension_ratios.append(head.extension_ratio())
                 ip_space_total += head.ip_space_size()
                 quorum_space_total += head.quorum_space_size()
         obs_histograms: Dict[str, List[int]] = {}
@@ -245,12 +243,10 @@ class ScenarioRunner:
             abrupt_departures=self.abrupt_departures,
             graceful_ids=frozenset(self.graceful_ids),
             qdset_sizes=qdset_sizes,
-            extension_ratios=extension_ratios,
             ip_space_total=ip_space_total,
             quorum_space_total=quorum_space_total,
             head_count=head_count,
             duplicate_addresses=duplicates,
-            leaked_addresses=0,
             stats_drops=dict(ctx.stats.drops_snapshot()),
             events=dict(ctx.events.snapshot()),
             perf_counters=ctx.perf.counters_snapshot(),

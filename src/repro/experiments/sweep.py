@@ -65,7 +65,7 @@ from repro.obs import merge_series
 from repro.perf import Counters
 from repro.sim.rng import spawn_key
 
-CACHE_FORMAT_VERSION = 1
+CACHE_FORMAT_VERSION = 2
 
 
 # ---------------------------------------------------------------------------

@@ -82,12 +82,10 @@ def test_runresult_roundtrip_covers_every_field():
         abrupt_departures=1,
         graceful_ids=frozenset({3}),
         qdset_sizes=[2, 3],
-        extension_ratios=[0.5],
         ip_space_total=64,
         quorum_space_total=16,
         head_count=1,
         duplicate_addresses=0,
-        leaked_addresses=0,
         stats_drops={"config": 1},
         events={"quorum_shrink": 2},
         perf_counters={"graph_rebuilds": 5},
