@@ -19,8 +19,8 @@ Packages:
 * :mod:`repro.sim` — discrete-event simulation kernel;
 * :mod:`repro.geometry`, :mod:`repro.mobility` — area & movement models;
 * :mod:`repro.net` — wireless multi-hop substrate with hop accounting;
-* :mod:`repro.addrspace` — buddy blocks, pools, timestamped ledgers;
-* :mod:`repro.quorum` — quorum systems, voting, dynamic linear voting;
+* :mod:`repro.addrspace` — range sets, pools, timestamped ledgers;
+* :mod:`repro.quorum` — the quorum rule, vote collection, replicas;
 * :mod:`repro.cluster` — clustering roles and QDSets;
 * :mod:`repro.core` — the paper's protocol;
 * :mod:`repro.baselines` — MANETconf, Buddy, C-tree, stateless DAD;

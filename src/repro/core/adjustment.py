@@ -21,6 +21,7 @@ from repro.net.message import Message
 from repro.net.stats import Category
 from repro.obs import events as obs_ev
 from repro.perf import counters as cnt
+from repro.quorum.voting import is_quorum
 from repro.sim.timers import PeriodicTimer, Timer
 
 #: (graph version, role epoch, head state, QDSet version).
@@ -258,9 +259,8 @@ class AdjustmentMixin:
         if self.head is None:
             return False
         members = self.head.qdset.members()
-        universe_size = len(members) + 1
-        reachable = 1 + len(self._reachable_members(members))
-        return 2 * reachable > universe_size
+        return is_quorum(self._reachable_members(members) | {self.node_id},
+                         set(members) | {self.node_id})
 
     def _on_td_expire(self, member: int) -> None:
         self._td_timers.pop(member, None)

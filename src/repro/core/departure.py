@@ -88,7 +88,6 @@ class DepartureMixin:
         self.head.pool.release(address)
         record = self.head.ledger.mark_free(address)
         self.head.configured.pop(address, None)
-        self.head.administered.pop(address, None)
         self._broadcast_update(self.node_id, address, record, Category.DEPARTURE)
 
     def _route_returned_address(self, address: int, configurer_ip: int,

@@ -70,8 +70,6 @@ class LocationMixin:
         self.common.administrator_id = nearest[0]
 
     def _handle_update_loc(self, msg: Message) -> None:
-        if self.head is None:
-            return
-        self.head.administered[msg.payload["ip"]] = (
-            msg.src, msg.payload["configurer_ip"]
-        )
+        """The administrator keeps no record of the member: its
+        departure's ``RETURN_ADDR`` carries the configurer's IP, which
+        is all the return needs (Section IV-C-1)."""

@@ -37,9 +37,7 @@ from repro.net.node import Node
 from repro.net.stats import Category
 from repro.net.transport import Scope
 from repro.obs import events as obs_ev
-from repro.quorum.linear import DynamicLinearVoting
 from repro.quorum.replica import Replica
-from repro.quorum.system import MajorityQuorumSystem
 from repro.quorum.voting import Vote, VoteCollector
 from repro.sim.timers import Timer
 
@@ -520,13 +518,12 @@ class QuorumProtocolAgent(
     def _start_vote(self, pending: PendingConfig) -> None:
         assert self.head is not None
         universe = set(self.head.qdset.active_members()) | {self.node_id}
-        if self.cfg.use_linear_voting:
-            system = DynamicLinearVoting(distinguished=pending.owner_id)
-        else:
-            system = MajorityQuorumSystem()
+        distinguished = (pending.owner_id if self.cfg.use_linear_voting
+                         else None)
         own_record = self._view_of(pending.owner_id, pending.address,
                                    pending.block)
-        pending.collector = VoteCollector(pending.address, universe, system)
+        pending.collector = VoteCollector(pending.address, universe,
+                                          distinguished)
         pending.collector.add_vote(
             Vote(self.node_id, pending.address, own_record)
         )

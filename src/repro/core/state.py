@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.addrspace.block import Block
 from repro.addrspace.pool import AddressPool
@@ -59,9 +59,6 @@ class HeadState:
         self.qdset = QDSet()
         self.replicas = ReplicaStore()
         self.configured: Dict[int, int] = {}
-        # Nodes administered after migrating away from their configurer
-        # (Section IV-C-1): ip -> (node_id, configurer_ip).
-        self.administered: Dict[int, Tuple[int, int]] = {}
         self.configurer_id = configurer_id
         self.configurer_ip = configurer_ip
         # Monotone snapshot version stamped on every replica snapshot
@@ -69,10 +66,6 @@ class HeadState:
         self.snapshot_version = 0
 
     # ------------------------------------------------------------------
-    def owns(self, address: int) -> bool:
-        """Is ``address`` part of this head's IPSpace?"""
-        return self.pool.owns(address)
-
     def ip_space_size(self) -> int:
         return self.pool.total_count()
 

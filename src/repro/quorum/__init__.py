@@ -1,34 +1,20 @@
-"""Quorum systems, voting and replica management.
+"""Quorum decisions, voting and replica management.
 
 Implements the consistency-control core of the paper (Sections II-C and
-II-D): majority quorum systems over a cluster head's QDSet, read/write
-quorum constraints (``w > v/2`` and ``r + w > v``), dynamic linear
-voting with a distinguished node for even replica counts, vote
-collection with latest-timestamp resolution, and the replica store each
-cluster head keeps for its adjacent cluster heads' IP spaces.
+II-D): the one quorum rule over a cluster head's QDSet — a strict
+majority (``w > v/2``), or under dynamic linear voting half of an even
+universe that holds the distinguished node — vote collection with
+latest-timestamp resolution, and the replica store each cluster head
+keeps for its adjacent cluster heads' IP spaces.
 """
 
-from repro.quorum.system import MajorityQuorumSystem, QuorumSystem, is_quorum_system
-from repro.quorum.linear import DynamicLinearVoting
-from repro.quorum.voting import (
-    ReadWriteThresholds,
-    Vote,
-    VoteCollector,
-    half_of,
-    majority_threshold,
-)
+from repro.quorum.voting import Vote, VoteCollector, is_quorum
 from repro.quorum.replica import Replica, ReplicaStore
 
 __all__ = [
-    "QuorumSystem",
-    "MajorityQuorumSystem",
-    "is_quorum_system",
-    "DynamicLinearVoting",
-    "ReadWriteThresholds",
+    "is_quorum",
     "Vote",
     "VoteCollector",
-    "half_of",
-    "majority_threshold",
     "Replica",
     "ReplicaStore",
 ]

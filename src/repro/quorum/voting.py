@@ -10,61 +10,33 @@ time stamp is chosen to determine the availability of the address"
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Dict, Optional, Set
+from typing import AbstractSet, Dict, Optional, Set
 
 from repro.addrspace.records import AddressRecord, AddressStatus
 
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.quorum.system import QuorumSystem
 
+def is_quorum(responders: AbstractSet[int], universe: AbstractSet[int],
+              distinguished: Optional[int] = None) -> bool:
+    """Do ``responders`` form a quorum of ``universe``?
 
-def majority_threshold(total: int) -> int:
-    """Smallest quorum satisfying ``w > v/2`` over ``total`` votes.
-
-    The one place the paper's Section II-C write condition is turned
-    into arithmetic: ``floor(v/2) + 1``.  With an odd universe this is
-    ``(v+1)/2``; with an even universe a bare half does *not* qualify
-    (two disjoint halves could otherwise both proceed).
-    ``tests/lint/test_timer_and_quorum_literals.py`` keeps callers from
-    re-deriving it inline.
+    The one place the paper's quorum conditions are turned into
+    arithmetic.  Only responders inside the universe count.  A strict
+    majority always qualifies (``w > v/2``, Section II-C).  Under
+    dynamic linear voting (Jajodia & Mutchler [19], Section II-D)
+    exactly half of an even universe qualifies too, if it holds the
+    ``distinguished`` node — for address operations, the head whose
+    IPSpace holds the address.  Two such halves meet at that node, so
+    any two quorums still intersect (Definition 1).  With
+    ``distinguished=None`` a bare half never qualifies, since two
+    disjoint halves could both proceed.
+    ``tests/lint/test_timer_and_quorum_literals.py`` keeps callers
+    from re-deriving either condition inline.
     """
-    return total // 2 + 1
-
-
-def half_of(total: int) -> int:
-    """Exactly half of an (even) universe — the linear-voting set size.
-
-    Dynamic linear voting (Section II-D) accepts a half-set quorum iff
-    it contains the distinguished node; this helper names that size so
-    the ``// 2`` never appears at call sites.
-    """
-    return total // 2
-
-
-@dataclasses.dataclass(frozen=True)
-class ReadWriteThresholds:
-    """Gifford-style read/write quorum sizes over ``v`` votes.
-
-    The paper's conditions (Section II-C): ``w > v/2`` and ``r + w > v``.
-    """
-
-    read: int
-    write: int
-    total: int
-
-    def valid(self) -> bool:
-        return (
-            0 < self.read <= self.total
-            and 0 < self.write <= self.total
-            and self.write * 2 > self.total
-            and self.read + self.write > self.total
-        )
-
-    @classmethod
-    def majority(cls, total: int) -> "ReadWriteThresholds":
-        """The symmetric choice ``r = w = floor(v/2) + 1``."""
-        majority = majority_threshold(total)
-        return cls(read=majority, write=majority, total=total)
+    members = responders & universe
+    votes, size = len(members), len(universe)
+    if 2 * votes > size:
+        return True
+    return size % 2 == 0 and votes == size // 2 and distinguished in members
 
 
 @dataclasses.dataclass(frozen=True)
@@ -80,19 +52,20 @@ class VoteCollector:
     """Accumulates votes for one proposed address.
 
     The collector is created with the QDSet *universe* at proposal time
-    and a :class:`QuorumSystem` deciding sufficiency.  The allocator's
-    own record counts as a vote (it holds a copy too).
+    and, under dynamic linear voting, the *distinguished* node;
+    :func:`is_quorum` decides sufficiency.  The allocator's own record
+    counts as a vote (it holds a copy too).
     """
 
     def __init__(
         self,
         address: int,
         universe: Set[int],
-        system: QuorumSystem,
+        distinguished: Optional[int] = None,
     ) -> None:
         self.address = address
         self.universe = set(universe)
-        self.system = system
+        self.distinguished = distinguished
         self._votes: Dict[int, Vote] = {}
 
     def add_vote(self, vote: Vote) -> None:
@@ -107,9 +80,6 @@ class VoteCollector:
     def responders(self) -> Set[int]:
         return set(self._votes)
 
-    def have_quorum(self) -> bool:
-        return self.system.is_quorum(self.responders, self.universe)
-
     def latest_record(self) -> Optional[AddressRecord]:
         """The record with the highest timestamp among votes received."""
         if not self._votes:
@@ -119,7 +89,7 @@ class VoteCollector:
 
     def decide(self) -> Optional[bool]:
         """None until a quorum exists; then True iff the address is free."""
-        if not self.have_quorum():
+        if not is_quorum(self.responders, self.universe, self.distinguished):
             return None
         record = self.latest_record()
         assert record is not None

@@ -95,7 +95,7 @@ def test_dry_head_borrows_from_quorum_space(dry_allocator_network):
     newcomer.on_enter()
     ctx.sim.run(until=ctx.sim.now + 30.0)
     assert newcomer.is_configured()
-    assert agents[0].head.owns(newcomer.ip)
+    assert agents[0].head.pool.owns(newcomer.ip)
 
 
 def test_borrow_commits_at_owner(dry_allocator_network):

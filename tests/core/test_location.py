@@ -1,11 +1,12 @@
 """Location update for mobile common nodes (Section IV-C-1)."""
 
+from repro.addrspace.records import AddressStatus
 from repro.core import ProtocolConfig
 from repro.geometry import Point
 from repro.mobility.base import Stationary
 from repro.net.stats import Category
 
-from tests.helpers import line_agents, make_ctx
+from tests.helpers import add_node, line_agents, make_ctx
 
 
 def test_no_updates_while_near_configurer():
@@ -35,19 +36,40 @@ def test_update_loc_after_moving_beyond_three_hops():
     assert hops is not None and hops <= 3
 
 
-def test_administrator_recorded_at_head():
+def test_migrated_member_returns_address_through_nearest_head():
+    """A member that migrated away departs gracefully: its address goes
+    back through the nearest head, carrying the configurer's IP, and
+    ends FREE in the configurer's pool (Section IV-C-1)."""
     ctx = make_ctx()
-    agents = line_agents(ctx, 8)
+    line_agents(ctx, 8)
     ctx.sim.run(until=130.0)
-    mover = agents[1]
-    mover.node.mobility = Stationary(Point(100.0 + 120.0 * 7, 500.0))
+    # A member beside the chain's first head, so that its leaving does
+    # not cut the chain (moving a chain node would strand node 0).
+    mover = add_node(ctx, 8, 100.0, y=600.0)
+    mover.on_enter()
+    ctx.sim.run(until=ctx.sim.now + 20.0)
+    configurer = ctx.agent_of(mover.common.configurer_id)
+    address, configurer_ip = mover.ip, mover.common.configurer_ip
+    mover.node.mobility = Stationary(Point(100.0 + 120.0 * 7, 600.0))
     ctx.topology.invalidate()
     ctx.sim.run(until=ctx.sim.now + 15.0)
-    admin = ctx.agent_of(mover.common.administrator_id)
-    assert mover.common.ip in admin.head.administered
-    node_id, configurer_ip = admin.head.administered[mover.common.ip]
-    assert node_id == mover.node_id
-    assert configurer_ip == mover.common.configurer_ip
+    assert mover.common.administrator_id is not None
+    assert configurer.network_id == mover.network_id
+    nearest = ctx.agent_of(mover._nearest_allocator()[0])
+    assert nearest is not configurer
+    routed = []
+    route = nearest._route_returned_address
+
+    def recording_route(*args):
+        routed.append(args)
+        route(*args)
+
+    nearest._route_returned_address = recording_route
+    mover.depart_gracefully()
+    ctx.sim.run(until=ctx.sim.now + 20.0)
+    assert routed == [(address, configurer_ip, "periodic")]
+    assert address in configurer.head.pool.free
+    assert configurer.head.ledger.peek(address).status is AddressStatus.FREE
 
 
 def test_upon_leave_mode_sends_no_location_updates():

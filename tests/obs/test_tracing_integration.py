@@ -1,6 +1,7 @@
 """End-to-end tracing acceptance: spans from real runs, determinism,
 cache-key neutrality and the JSONL export sink."""
 
+import itertools
 import json
 
 from repro.experiments.scenario import Scenario
@@ -12,7 +13,7 @@ from repro.obs import (
     events_from_jsonl,
 )
 from repro.obs import events as ev
-from repro.quorum.voting import half_of, majority_threshold
+from repro.quorum import is_quorum
 
 
 def _traced_run(num_nodes=25, seed=3, **overrides):
@@ -38,20 +39,34 @@ def test_every_successful_allocation_is_a_complete_span():
         if not starts:
             continue  # "first" spans (network founding) never vote
         voted += 1
-        # The quorum condition: a majority of the voting universe — or
-        # a distinguished half-set under linear voting (Section II-D) —
-        # answered, each verdict carrying status + timestamp.
+        # The quorum condition, exactly: the voters heard between the
+        # last vote's start and its decision form a quorum of the
+        # voting universe, with the address's owner as the
+        # distinguished node under linear voting (Section II-D).
+        # Events carry the universe's size only; negative stand-ins
+        # (never a node id, so never the owner) fill in the members
+        # that did not vote.
         start = starts[-1]
-        needed = (half_of(start.universe) if start.quorum == "linear"
-                  else majority_threshold(start.universe))
-        votes = span.vote_events()
-        assert len(votes) >= max(1, needed)
-        for vote in votes:
-            assert vote.status in ("free", "assigned")
-            assert vote.timestamp >= 0
-        decided = [e for e in span.events if isinstance(e, ev.VoteDecided)]
-        assert decided and decided[-1].granted
-        assert span.deciding_ts == decided[-1].deciding_ts
+        voters = set()
+        decided = None
+        for event in itertools.dropwhile(lambda e: e is not start,
+                                         span.events):
+            if isinstance(event, ev.VoteReceived):
+                assert event.status in ("free", "assigned")
+                assert event.timestamp >= 0
+                voters.add(event.voter)
+            elif isinstance(event, ev.VoteDecided):
+                decided = event
+                break
+        assert decided is not None and decided.granted
+        assert decided.responders == len(voters)
+        assert decided.universe == start.universe
+        stand_ins = range(-1, len(voters) - start.universe - 1, -1)
+        universe = voters | set(stand_ins)
+        assert len(universe) == start.universe
+        distinguished = start.owner if start.quorum == "linear" else None
+        assert is_quorum(voters, universe, distinguished)
+        assert span.deciding_ts == decided.deciding_ts
         # ...and the decided record was written back to the replicas.
         assert any(isinstance(e, ev.WriteBack) for e in span.events)
     assert voted, "no completed span went through a quorum vote"
