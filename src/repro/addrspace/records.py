@@ -10,12 +10,16 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Dict, Iterable, Iterator, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 
 class AddressStatus(enum.Enum):
     FREE = "free"
     ASSIGNED = "assigned"
+
+
+#: One record on the wire: ``(address, timestamp, status value, holder)``.
+LedgerRow = Tuple[int, int, str, Optional[int]]
 
 
 @dataclasses.dataclass
@@ -109,6 +113,19 @@ class AddressLedger:
 
     def items(self) -> Iterator[Tuple[int, AddressRecord]]:
         return iter(self._records.items())
+
+    def rows(self) -> List[LedgerRow]:
+        """Every record as a ``(address, timestamp, status, holder)``
+        row, the shape replica snapshots and handoffs carry."""
+        return [(address, record.timestamp, record.status.value,
+                 record.holder)
+                for address, record in self._records.items()]
+
+    def apply_rows(self, rows: Iterable[LedgerRow]) -> None:
+        """:meth:`apply` every row of :meth:`rows` output."""
+        for address, timestamp, status, holder in rows:
+            self.apply(address, AddressRecord(AddressStatus(status),
+                                              timestamp, holder))
 
     def assigned_addresses(self) -> Iterator[int]:
         return (

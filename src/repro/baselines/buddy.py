@@ -42,7 +42,6 @@ class BuddyConfig:
     sync_interval: float = 5.0
     stale_syncs: int = 3        # missed syncs before reclaiming a buddy
     config_timeout: float = 2.0
-    max_attempts: int = 8
 
     @property
     def address_space_size(self) -> int:
@@ -75,17 +74,7 @@ class BuddyAgent(Agent):
     # ------------------------------------------------------------------
     # Configuration
     # ------------------------------------------------------------------
-    def on_enter(self) -> None:
-        self.entered_at = self.ctx.sim.now
-        self._try_configure()
-
-    def _try_configure(self) -> None:
-        if self.is_configured() or not self.node.alive:
-            return
-        if self.attempts >= self.cfg.max_attempts:
-            self.failed = True
-            return
-        self.attempts += 1
+    def _request(self) -> None:
         target = self._redirect_target
         self._redirect_target = None
         if target is None or not self.ctx.is_configured(target):
@@ -109,10 +98,10 @@ class BuddyAgent(Agent):
         self._mark_configured(ip, latency_hops)
         self.table[self.node_id] = (
             ip, len(self.pool.free) if self.pool else 0, self.ctx.sim.now)
-        self._start_sync()
-
-    def _on_retry_timeout(self) -> None:
-        self._try_configure()
+        interval = self.cfg.sync_interval
+        self._sync_timer = self._every(self._sync_timer, interval,
+                                       self._sync_round,
+                                       self._stagger(interval, 10))
 
     # --- allocator side -------------------------------------------------
     def _handle_bd_req(self, msg: Message) -> None:
@@ -128,6 +117,7 @@ class BuddyAgent(Agent):
             else:
                 self._send(msg.src, BD_NACK, {}, Category.CONFIG)
             return
+        self._note_allocator()
         self._send(msg.src, BD_ASSIGN, {
             "block": (block.start, block.size),
             "lat": msg.payload.get("lat", 0) + msg.hops,
@@ -170,15 +160,6 @@ class BuddyAgent(Agent):
     # ------------------------------------------------------------------
     # Periodic global synchronization (the scheme's defining cost)
     # ------------------------------------------------------------------
-    def _start_sync(self) -> None:
-        if self._sync_timer is not None:
-            return
-        timer = PeriodicTimer(self.ctx.sim, self.cfg.sync_interval,
-                              self._sync_round)
-        stagger = (self.node_id % 10) / 10.0 * self.cfg.sync_interval
-        timer.start(first_delay=self.cfg.sync_interval + stagger)
-        self._sync_timer = timer
-
     def _sync_round(self) -> None:
         if not self.is_configured() or self.pool is None:
             return
@@ -241,10 +222,5 @@ class BuddyAgent(Agent):
         for start, size in msg.payload["blocks"]:
             self.pool.absorb(start, start + size)
         self.pool.absorb(msg.payload["ip"], msg.payload["ip"] + 1)
+        self._note_allocator()
         self.table.pop(msg.src, None)
-
-    def _stop_timers(self) -> None:
-        super()._stop_timers()
-        if self._sync_timer is not None:
-            self._sync_timer.stop()
-            self._sync_timer = None

@@ -50,7 +50,6 @@ class CTreeConfig:
     stale_reports: int = 3
     collect_window: float = 2.0
     config_timeout: float = 2.0
-    max_attempts: int = 8
 
     @property
     def address_space_size(self) -> int:
@@ -102,17 +101,7 @@ class CTreeAgent(Agent):
     # ------------------------------------------------------------------
     # Configuration
     # ------------------------------------------------------------------
-    def on_enter(self) -> None:
-        self.entered_at = self.ctx.sim.now
-        self._try_configure()
-
-    def _try_configure(self) -> None:
-        if self.is_configured() or not self.node.alive:
-            return
-        if self.attempts >= self.cfg.max_attempts:
-            self.failed = True
-            return
-        self.attempts += 1
+    def _request(self) -> None:
         near = self._allocators_within(COORDINATOR_SCOPE_HOPS)
         if near:
             self._send(near[0][0], CT_REQ, {"lat": 0}, Category.CONFIG)
@@ -138,13 +127,10 @@ class CTreeAgent(Agent):
         self._start_root_liveness_check()
 
     def _start_root_liveness_check(self) -> None:
-        timer = PeriodicTimer(self.ctx.sim, self.cfg.report_interval,
-                              self._check_coordinator_liveness)
-        timer.start(first_delay=self.cfg.report_interval * 1.5)
-        self._root_check_timer = timer
-
-    def _on_retry_timeout(self) -> None:
-        self._try_configure()
+        interval = self.cfg.report_interval
+        self._root_check_timer = self._every(
+            self._root_check_timer, interval,
+            self._check_coordinator_liveness, interval * 1.5)
 
     # --- coordinator side -----------------------------------------------
     def _handle_ct_req(self, msg: Message) -> None:
@@ -156,6 +142,7 @@ class CTreeAgent(Agent):
         if address is None:
             self._send(msg.src, CT_NACK, {}, Category.CONFIG)
             return
+        self._note_allocator()
         self.allocations_since_report += 1
         self._send(msg.src, CT_ASSIGN, {
             "address": address,
@@ -171,6 +158,7 @@ class CTreeAgent(Agent):
         if block is None:
             self._send(msg.src, CT_NACK, {}, Category.CONFIG)
             return
+        self._note_allocator()
         self.allocations_since_report += 1
         self._send(msg.src, CT_BLOCK_ASSIGN, {
             "block": (block.start, block.size),
@@ -210,13 +198,12 @@ class CTreeAgent(Agent):
     # Periodic reporting to the C-root
     # ------------------------------------------------------------------
     def _start_reporting(self) -> None:
-        if self._report_timer is not None or self.is_root:
+        if self.is_root:
             return
-        timer = PeriodicTimer(self.ctx.sim, self.cfg.report_interval,
-                              self._report_round)
-        stagger = (self.node_id % 10) / 10.0 * self.cfg.report_interval
-        timer.start(first_delay=self.cfg.report_interval + stagger)
-        self._report_timer = timer
+        interval = self.cfg.report_interval
+        self._report_timer = self._every(self._report_timer, interval,
+                                         self._report_round,
+                                         self._stagger(interval, 10))
 
     def _report_round(self) -> None:
         if not self.is_coordinator or self.is_root or self.root_id is None:
@@ -253,7 +240,6 @@ class CTreeAgent(Agent):
             self.root_id = self.node_id
             if self._report_timer is not None:
                 self._report_timer.stop()
-                self._report_timer = None
             self._start_root_liveness_check()
             self._flood(CT_NEWROOT, {"root": self.node_id},
                         Category.MAINTENANCE)
@@ -330,6 +316,7 @@ class CTreeAgent(Agent):
         if self.pool is not None:
             address = msg.payload["address"]
             self.pool.absorb(address, address + 1)
+            self._note_allocator()
 
     def _handle_ct_pool_return(self, msg: Message) -> None:
         if self.pool is None:
@@ -337,13 +324,5 @@ class CTreeAgent(Agent):
         for start, size in msg.payload["blocks"]:
             self.pool.absorb(start, start + size)
         self.pool.absorb(msg.payload["ip"], msg.payload["ip"] + 1)
+        self._note_allocator()
         self.coordinator_last_report.pop(msg.src, None)
-
-    def _stop_timers(self) -> None:
-        super()._stop_timers()
-        if self._report_timer is not None:
-            self._report_timer.stop()
-            self._report_timer = None
-        if self._root_check_timer is not None:
-            self._root_check_timer.stop()
-            self._root_check_timer = None

@@ -20,7 +20,6 @@ from repro.net.context import NetworkContext
 from repro.net.message import Message
 from repro.net.node import Node
 from repro.net.stats import Category
-from repro.sim.timers import Timer
 
 AREQ = "AREQ"
 AREP = "AREP"
@@ -52,7 +51,7 @@ class DadAgent(Agent):
         self._round = 0
         self._conflicted = False
         self._latency_accum = 0
-        self._round_timer = Timer(ctx.sim, self._next_round)
+        self._round_timer = self._timer(self._next_round)
 
     def on_enter(self) -> None:
         self.entered_at = self.ctx.sim.now
@@ -88,11 +87,3 @@ class DadAgent(Agent):
         if not self.is_configured():
             self._latency_accum += msg.hops
             self._conflicted = True
-
-    def depart_gracefully(self) -> None:
-        # Stateless: nothing to return, nobody to tell.
-        self._finalize_leave()
-
-    def _stop_timers(self) -> None:
-        super()._stop_timers()
-        self._round_timer.stop()

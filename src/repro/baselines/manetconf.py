@@ -39,7 +39,6 @@ class ManetconfConfig:
     address_space_bits: int = 10
     reply_timeout: float = 2.0
     config_timeout: float = 4.0
-    max_attempts: int = 8
 
     @property
     def address_space_size(self) -> int:
@@ -77,17 +76,7 @@ class ManetconfAgent(Agent):
     # ------------------------------------------------------------------
     # Requester side
     # ------------------------------------------------------------------
-    def on_enter(self) -> None:
-        self.entered_at = self.ctx.sim.now
-        self._try_configure()
-
-    def _try_configure(self) -> None:
-        if self.is_configured() or not self.node.alive:
-            return
-        if self.attempts >= self.cfg.max_attempts:
-            self.failed = True
-            return
-        self.attempts += 1
+    def _request(self) -> None:
         initiator = self._nearest_configured()
         if initiator is None:
             # First node in the (sub)network.
@@ -97,9 +86,6 @@ class ManetconfAgent(Agent):
             return
         self._send(initiator[0], MC_REQ, {"lat": 0}, Category.CONFIG)
         self._retry_timer.restart(self.cfg.config_timeout)
-
-    def _on_retry_timeout(self) -> None:
-        self._try_configure()
 
     # ------------------------------------------------------------------
     # Initiator side

@@ -49,26 +49,10 @@ class AdjustmentMixin:
                 size=len(self.head.qdset.members())))
 
     def _start_audit(self) -> None:
-        if self._audit_timer is not None:
-            return
-        timer = PeriodicTimer(self.ctx.sim, self.cfg.audit_interval, self._audit)
-        stagger = (self.node_id % 7) / 7.0 * self.cfg.audit_interval
-        timer.start(first_delay=self.cfg.audit_interval + stagger)
-        self._audit_timer = timer
-
-    def _stop_audit(self) -> None:
-        if self._audit_timer is not None:
-            self._audit_timer.stop()
-            self._audit_timer = None
-
-    def _stop_adjustment_timers(self) -> None:
-        self._stop_audit()
-        for timer in self._td_timers.values():
-            timer.stop()
-        for timer in self._tr_timers.values():
-            timer.stop()
-        self._td_timers.clear()
-        self._tr_timers.clear()
+        interval = self.cfg.audit_interval
+        self._audit_timer = self._every(self._audit_timer, interval,
+                                        self._audit,
+                                        self._stagger(interval, 7))
 
     # ------------------------------------------------------------------
     def _member_reachable(self, member: int) -> bool:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from repro.addrspace.records import AddressRecord, AddressStatus
 from repro.cluster.roles import ADJACENT_HEAD_HOPS, Role
 from repro.core import messages as m
 from repro.net.message import Message
@@ -198,10 +197,7 @@ class DepartureMixin:
             "own_ip": self.head.ip,
             "blocks": blocks,
             "assigned": assigned,
-            "records": [
-                (a, r.timestamp, r.status.value, r.holder)
-                for a, r in self.head.ledger.items()
-            ],
+            "records": self.head.ledger.rows(),
         }
 
     def _handle_ch_return(self, msg: Message) -> None:
@@ -213,9 +209,7 @@ class DepartureMixin:
         payload = msg.payload
         for start, size in payload["blocks"]:
             self.head.pool.absorb(start, start + size)
-        for address, ts, status, holder in payload["records"]:
-            self.head.ledger.apply(
-                address, AddressRecord(AddressStatus(status), ts, holder))
+        self.head.ledger.apply_rows(payload["records"])
         for address, holder in payload["assigned"]:
             self.head.pool.absorb_assigned(address)
             if holder is not None and holder >= 0:

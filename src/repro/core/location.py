@@ -28,18 +28,10 @@ class LocationMixin:
     def _start_location_service(self) -> None:
         if self.cfg.location_update_mode != "periodic":
             return
-        timer = PeriodicTimer(
-            self.ctx.sim, self.cfg.location_check_interval, self._check_location
-        )
-        # Stagger deterministically so nodes don't check in lock-step.
-        stagger = (self.node_id % 10) / 10.0 * self.cfg.location_check_interval
-        timer.start(first_delay=self.cfg.location_check_interval + stagger)
-        self._location_timer = timer
-
-    def _stop_location_service(self) -> None:
-        if self._location_timer is not None:
-            self._location_timer.stop()
-            self._location_timer = None
+        interval = self.cfg.location_check_interval
+        self._location_timer = self._every(self._location_timer, interval,
+                                           self._check_location,
+                                           self._stagger(interval, 10))
 
     # ------------------------------------------------------------------
     def _location_anchor(self) -> Optional[int]:

@@ -81,18 +81,12 @@ class PartitionMixin:
         self.network_id = self._new_network_id()
 
     def _start_merge_watch(self) -> None:
-        if self._merge_timer is not None or not self.cfg.merge_detection_enabled:
+        if not self.cfg.merge_detection_enabled:
             return
-        timer = PeriodicTimer(
-            self.ctx.sim, self.cfg.merge_check_interval, self._merge_scan)
-        stagger = (self.node_id % 5) / 5.0 * self.cfg.merge_check_interval
-        timer.start(first_delay=self.cfg.merge_check_interval + stagger)
-        self._merge_timer = timer
-
-    def _stop_merge_watch(self) -> None:
-        if self._merge_timer is not None:
-            self._merge_timer.stop()
-            self._merge_timer = None
+        interval = self.cfg.merge_check_interval
+        self._merge_timer = self._every(self._merge_timer, interval,
+                                        self._merge_scan,
+                                        self._stagger(interval, 5))
 
     # ------------------------------------------------------------------
     # Detection

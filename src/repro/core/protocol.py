@@ -333,9 +333,7 @@ class QuorumProtocolAgent(
     # Message dispatch
     # ==================================================================
     def on_message(self, msg: Message) -> None:
-        # Merge detection reads every message's network id first.  The
-        # role and head setters write allocator state through, so no
-        # note follows the handler.
+        # Merge detection reads every message's network id first.
         if not self.node.alive:
             return
         self._observe_network_id(msg)
@@ -1156,10 +1154,7 @@ class QuorumProtocolAgent(
             "owner_ip": self.head.ip,
             "free": self.head.pool.free.ranges(),
             "assigned": self.head.pool.allocated.ranges(),
-            "records": [
-                (a, r.timestamp, r.status.value, r.holder)
-                for a, r in self.head.ledger.items()
-            ],
+            "records": self.head.ledger.rows(),
             # The expected holder set of this replica (for absorber
             # election during reclamation).
             "qdset": self.head.qdset.members(),
@@ -1197,9 +1192,7 @@ class QuorumProtocolAgent(
                           payload["assigned"],
                           holders=set(payload.get("qdset", ())),
                           version=payload.get("ver", 0))
-        for address, ts, status, holder in payload["records"]:
-            replica.ledger.apply(
-                address, AddressRecord(AddressStatus(status), ts, holder))
+        replica.ledger.apply_rows(payload["records"])
         self.head.replicas.install(replica)
 
     def _handle_replica_dist(self, msg: Message) -> None:
@@ -1248,11 +1241,15 @@ class QuorumProtocolAgent(
     # Lifecycle teardown
     # ==================================================================
     def _stop_timers(self) -> None:
+        """The base stops the timers the agent owns; these are keyed by
+        attempt, member and dead head.  The leave timer is neither: a
+        rejoin during the leave grace must not cancel the leave."""
         super()._stop_timers()
         for pending in self._pending.values():
             pending.disarm()
-        self._stop_location_service()
-        self._stop_audit()
-        self._stop_merge_watch()
-        self._stop_adjustment_timers()
-        self._stop_reclamation_timers()
+        for timers in (self._td_timers, self._tr_timers,
+                       self._reclaim_timers):
+            for timer in timers.values():
+                timer.stop()
+            timers.clear()
+        self._reclaim_holders.clear()

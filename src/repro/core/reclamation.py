@@ -65,15 +65,6 @@ class ReclamationMixin:
         self._self_audit_timer: Optional[Timer] = None
         self._self_audit_last = -1e9
 
-    def _stop_reclamation_timers(self) -> None:
-        for timer in self._reclaim_timers.values():
-            timer.stop()
-        self._reclaim_timers.clear()
-        self._reclaim_holders.clear()
-        if self._self_audit_timer is not None:
-            self._self_audit_timer.stop()
-            self._self_audit_timer = None
-
     # ------------------------------------------------------------------
     def initiate_reclamation(self, dead_id: int, dead_ip: Optional[int]) -> None:
         """Start reclaiming the space of departed head ``dead_id``."""
@@ -254,10 +245,7 @@ class ReclamationMixin:
             "free": replica.free.ranges(),
             "assigned": replica.assigned.ranges(),
             "qdset": sorted(replica.holders),
-            "records": [
-                (a, r.timestamp, r.status.value, r.holder)
-                for a, r in replica.ledger.items()
-            ],
+            "records": replica.ledger.rows(),
         }, Category.RECLAMATION)
 
     def _handle_rec_sync_ack(self, msg: Message) -> None:
@@ -352,9 +340,9 @@ class ReclamationMixin:
         self.ctx.transport.send(self.node, None, msg,
                                 category=Category.RECLAMATION,
                                 scope=Scope.FLOOD)
-        timer = Timer(self.ctx.sim, self._conclude_self_audit)
-        timer.start(self.cfg.reclamation_window)
-        self._self_audit_timer = timer
+        if self._self_audit_timer is None:
+            self._self_audit_timer = self._timer(self._conclude_self_audit)
+        self._self_audit_timer.start(self.cfg.reclamation_window)
 
     def _handle_rec_audit(self, msg: Message) -> None:
         if not self.node.alive or not self.is_configured():
@@ -376,7 +364,6 @@ class ReclamationMixin:
         self._self_audit_claims.add(msg.payload["ip"])
 
     def _conclude_self_audit(self) -> None:
-        self._self_audit_timer = None
         if not self.is_allocator():
             return
         assert self.head is not None

@@ -17,12 +17,12 @@ The CLI accepts a compact spec string (see :meth:`FaultSpec.parse`)::
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional, Tuple, Type
+from typing import Dict, Optional, Tuple
 
 from repro.sim.rng import spawn_key
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class CrashEvent:
     """Crash node ``node_id`` at ``at``; restart at ``restart_at`` if set.
 
@@ -31,8 +31,6 @@ class CrashEvent:
     but protocol state survives, so a restarted node resumes with stale
     timers and replicas — exactly the stress ``T_d``/``T_r`` exist for.
     """
-
-    __slots__ = ("node_id", "at", "restart_at")
 
     node_id: int
     at: float
@@ -44,14 +42,8 @@ class CrashEvent:
         if self.restart_at is not None and self.restart_at <= self.at:
             raise ValueError("CrashEvent.restart_at must be after at")
 
-    def __reduce__(
-            self) -> Tuple[Type["CrashEvent"], Tuple[object, ...]]:
-        # Manual __slots__ (3.9-compatible) breaks default pickling of
-        # frozen dataclasses; rebuild through the constructor instead.
-        return (self.__class__, (self.node_id, self.at, self.restart_at))
 
-
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class PartitionEvent:
     """Jam every link between ``group`` and the rest of the network.
 
@@ -62,8 +54,6 @@ class PartitionEvent:
     must be discovered through timeouts.
     """
 
-    __slots__ = ("group", "at", "heal_at")
-
     group: Tuple[int, ...]
     at: float
     heal_at: float
@@ -73,10 +63,6 @@ class PartitionEvent:
             raise ValueError("PartitionEvent.group must be non-empty")
         if self.heal_at <= self.at:
             raise ValueError("PartitionEvent.heal_at must be after at")
-
-    def __reduce__(
-            self) -> Tuple[Type["PartitionEvent"], Tuple[object, ...]]:
-        return (self.__class__, (self.group, self.at, self.heal_at))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -16,24 +16,34 @@ gathered into ``_handlers`` once, when the class is created, and
 ``message_types`` must handle exactly those types, or creating it (or
 a subclass) raises :class:`TypeError`.
 
+**Lifecycle.**  :meth:`Agent.on_enter` and the retry timer run one
+attempt loop: :meth:`Agent._try_configure` counts the attempt, gives
+up (``failed``) after :attr:`Agent.MAX_ATTEMPTS` and otherwise calls
+the protocol's :meth:`Agent._request`.  The agent owns the timers it
+arms through :meth:`Agent._timer` and :meth:`Agent._every` (periodic,
+first delay from :meth:`Agent._stagger`); :meth:`Agent._stop_timers`
+stops them all.  A timer keyed by a member, a dead head or a session
+lives in the protocol's own dict, and the protocol stops it.
+
 **Allocator write-through.**  ``NetworkContext.is_head`` answers from
-the set :meth:`Agent._note_allocator` writes, so whatever changes what
-:meth:`Agent._can_allocate` reads must be noted.
-:meth:`Agent.on_message` notes after every handler; an agent that
-writes through from its own setters overrides it without the note.
+the set :meth:`Agent._note_allocator` writes, so every change to what
+:meth:`Agent._can_allocate` reads is noted where it happens: the base
+notes in :meth:`Agent._mark_configured` and
+:meth:`Agent._finalize_leave`, a protocol wherever its pool or role
+changes.  No note follows a message handler.
 """
 
 from __future__ import annotations
 
 from typing import (Any, Callable, ClassVar, Collection, Dict, List,
-                    Optional, Tuple)
+                    Optional, Tuple, Union)
 
 from repro.net.context import NetworkContext
 from repro.net.message import Message
 from repro.net.node import Node
 from repro.net.stats import Category
 from repro.net.transport import Scope, SendOutcome
-from repro.sim.timers import Timer
+from repro.sim.timers import PeriodicTimer, Timer
 
 
 class Agent:
@@ -42,6 +52,8 @@ class Agent:
 
     #: The protocol's name in ``repro.experiments.runner.PROTOCOLS``.
     protocol_name: ClassVar[str]
+    #: Configuration attempts before :meth:`_try_configure` gives up.
+    MAX_ATTEMPTS: ClassVar[int] = 8
     message_types: ClassVar[Optional[Collection[str]]] = None
     _handlers: ClassVar[Dict[str, Callable[[Any, Message], None]]] = {}
 
@@ -80,7 +92,8 @@ class Agent:
         self.reconfigurations = 0
         # Lifecycle hook (set by the runner).
         self.on_configured_callback: Optional[Callable[[Any], None]] = None
-        self._retry_timer = Timer(ctx.sim, self._on_retry_timeout)
+        self._timers: List[Union[Timer, PeriodicTimer]] = []
+        self._retry_timer = self._timer(self._on_retry_timeout)
 
     # ------------------------------------------------------------------
     @property
@@ -146,8 +159,34 @@ class Agent:
             self.node_id, k, ctx.is_head, ctx.allocator_ids)
 
     # ------------------------------------------------------------------
+    def _timer(self, callback: Callable[..., Any]) -> Timer:
+        """A one-shot timer that :meth:`_stop_timers` stops."""
+        timer = Timer(self.ctx.sim, callback)
+        self._timers.append(timer)
+        return timer
+
+    def _every(self, timer: Optional[PeriodicTimer], interval: float,
+               callback: Callable[[], Any],
+               first_delay: float) -> PeriodicTimer:
+        """Arm the periodic ``timer``, built on its first arm and owned
+        from then on; arming it while it runs does nothing."""
+        if timer is None:
+            timer = PeriodicTimer(self.ctx.sim, interval, callback)
+            self._timers.append(timer)
+        timer.start(first_delay)
+        return timer
+
+    def _stagger(self, interval: float, spread: int) -> float:
+        """A periodic check's first delay: one ``interval`` plus this
+        node's share of it, one of ``spread`` slots, so that nodes do
+        not check in lock step."""
+        return interval + (self.node_id % spread) / spread * interval
+
+    # ------------------------------------------------------------------
     def on_enter(self) -> None:
-        raise NotImplementedError
+        """The node has arrived: start acquiring an address."""
+        self.entered_at = self.ctx.sim.now
+        self._try_configure()
 
     def on_message(self, msg: Message) -> None:
         if not self.node.alive:
@@ -155,9 +194,24 @@ class Agent:
         handler = self._handlers.get(msg.mtype)
         if handler is not None:
             handler(self, msg)
-            self._note_allocator()
 
     def _on_retry_timeout(self) -> None:
+        self._try_configure()
+
+    def _try_configure(self) -> None:
+        """One configuration attempt, unless configured, dead or out of
+        attempts (then ``failed``)."""
+        if self.is_configured() or not self.node.alive:
+            return
+        if self.attempts >= self.MAX_ATTEMPTS:
+            self.failed = True
+            return
+        self.attempts += 1
+        self._request()
+
+    def _request(self) -> None:
+        """Ask for an address, arming the retry timer, or configure
+        alone."""
         raise NotImplementedError
 
     def _mark_configured(self, ip: int, latency_hops: int) -> None:
@@ -172,7 +226,8 @@ class Agent:
 
     # ------------------------------------------------------------------
     def depart_gracefully(self) -> None:
-        raise NotImplementedError
+        """Leave; by default with no protocol exchange."""
+        self._finalize_leave()
 
     def vanish(self) -> None:
         """Abrupt departure: power off without any protocol exchange."""
@@ -193,4 +248,5 @@ class Agent:
         self.ctx.topology.remove_node(self.node)
 
     def _stop_timers(self) -> None:
-        self._retry_timer.stop()
+        for timer in self._timers:
+            timer.stop()

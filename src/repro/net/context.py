@@ -188,9 +188,9 @@ class NetworkContext:
         ``allocator_ids`` *is* the answer to :meth:`is_head` (which only
         adds the liveness check), so an agent calls this whenever what
         its ``is_allocator()`` reads — liveness aside — changes: the
-        agent base after every handler, the quorum agent from its role
-        and head setters.  Registration starts an agent out of the
-        set."""
+        agent base when the agent configures and leaves, Buddy and C-tree
+        where a pool changes, the quorum agent from its role and head
+        setters.  Registration starts an agent out of the set."""
         self._note_member(self.allocator_ids, node_id, allocator)
 
     def _note_member(self, ids: Set[int], node_id: int, member: bool) -> None:

@@ -16,51 +16,10 @@ deliveries safe to share between receivers, and
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, Optional, Type, TypeVar
-
-_T = TypeVar("_T")
+from typing import Any, Dict, Optional
 
 
-def slotted(cls: Type[_T]) -> Type[_T]:
-    """Rebuild a dataclass with ``__slots__`` (3.9-compatible).
-
-    ``@dataclass(slots=True)`` only exists from Python 3.10; this
-    decorator backports it the way CPython implements it — recreate the
-    class with ``__slots__`` drawn from the dataclass fields and drop
-    the per-instance ``__dict__``.  Field defaults live on the original
-    class, which is why slots cannot simply be declared in the class
-    body (the names would collide with the default class attributes).
-
-    Frozen dataclasses additionally need pickling support: without a
-    ``__dict__`` the default reducer applies slot state via ``setattr``,
-    which a frozen class rejects, so ``__getstate__``/``__setstate__``
-    are attached using ``object.__setattr__``.
-    """
-    fields = dataclasses.fields(cls)  # type: ignore[arg-type]
-    field_names = tuple(f.name for f in fields)
-    namespace = dict(cls.__dict__)
-    namespace["__slots__"] = field_names
-    for name in field_names:
-        namespace.pop(name, None)
-    namespace.pop("__dict__", None)
-    namespace.pop("__weakref__", None)
-    rebuilt = type(cls)(cls.__name__, cls.__bases__, namespace)
-    rebuilt.__qualname__ = getattr(cls, "__qualname__", cls.__name__)
-
-    def __getstate__(self: object) -> Dict[str, Any]:
-        return {name: getattr(self, name) for name in field_names}
-
-    def __setstate__(self: object, state: Dict[str, Any]) -> None:
-        for name, value in state.items():
-            object.__setattr__(self, name, value)
-
-    rebuilt.__getstate__ = __getstate__  # type: ignore[attr-defined]
-    rebuilt.__setstate__ = __setstate__  # type: ignore[attr-defined]
-    return rebuilt
-
-
-@slotted
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class Message:
     """A protocol message (immutable).
 

@@ -32,8 +32,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import (TYPE_CHECKING, Callable, Dict, List, Optional,
-                    Tuple, Type)
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.net.message import Message
 from repro.net.node import Node
@@ -65,7 +64,7 @@ _KIND_BY_SCOPE = {
 }
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class SendOutcome:
     """The uniform result of :meth:`Transport.send`.
 
@@ -83,23 +82,12 @@ class SendOutcome:
         dropped: deliveries suppressed by fault injection.
     """
 
-    __slots__ = ("ok", "hops", "receivers", "cost_hops", "eccentricity",
-                 "dropped")
-
     ok: bool
     hops: int
     receivers: Tuple[Tuple[int, int], ...]
     cost_hops: int
     eccentricity: int
     dropped: int
-
-    def __reduce__(
-            self) -> Tuple[Type["SendOutcome"], Tuple[object, ...]]:
-        # Manual __slots__ (3.9-compatible) breaks default pickling of
-        # frozen dataclasses; rebuild through the constructor instead.
-        return (self.__class__, (self.ok, self.hops, self.receivers,
-                                 self.cost_hops, self.eccentricity,
-                                 self.dropped))
 
     @classmethod
     def failure(cls) -> "SendOutcome":
@@ -110,9 +98,6 @@ class SendOutcome:
     def delivered(self) -> bool:
         """Did at least one copy reach an agent?"""
         return bool(self.receivers)
-
-    def receiver_ids(self) -> List[int]:
-        return [node_id for node_id, _hops in self.receivers]
 
 
 class Transport:
@@ -177,7 +162,6 @@ class Transport:
         category: Category,
         scope: Scope = Scope.UNICAST,
         max_hops: Optional[int] = None,
-        accept: Optional[Callable[[Node], bool]] = None,
     ) -> SendOutcome:
         """Send ``msg`` from ``src`` with the given ``scope``.
 
@@ -190,10 +174,7 @@ class Transport:
           neighbor receives.  Cost: 1 hop.  ``dst`` must be ``None``.
         * ``Scope.FLOOD`` — every node within ``max_hops`` (or the
           whole component) receives a copy; the charged cost is one
-          transmission per forwarding node.  ``accept`` filters which
-          receivers get the message *delivered* (e.g. only cluster
-          heads process ADDR_REC), but forwarding — and therefore cost
-          — is unaffected by it.
+          transmission per forwarding node.
         """
         self.perf.incr(cnt.send_counter(scope.value))
         with self.perf.timer(cnt.TIMER_TRANSPORT_SEND):
@@ -206,8 +187,7 @@ class Transport:
             elif scope is Scope.NEIGHBORS:
                 outcome = self._send_neighbors(src, msg, category)
             else:
-                outcome = self._send_flood(src, msg, category, max_hops,
-                                           accept)
+                outcome = self._send_flood(src, msg, category, max_hops)
         obs = self.obs
         if obs:
             obs.emit(MessageSend(
@@ -285,7 +265,6 @@ class Transport:
         msg: Message,
         category: Category,
         max_hops: Optional[int],
-        accept: Optional[Callable[[Node], bool]],
     ) -> SendOutcome:
         if not src.alive:
             return SendOutcome.failure()
@@ -303,7 +282,6 @@ class Transport:
         # distance, shared by every receiver at that distance (frozen
         # messages make sharing safe).
         copies: Dict[int, Message] = {}
-        delivered_count = 0
         for nid, hops in reachable.items():
             if nid == src.node_id or hops == 0:
                 continue
@@ -325,17 +303,15 @@ class Transport:
                 continue
             receivers.append((nid, hops))
             eccentricity = max(eccentricity, hops)
-            if accept is None or accept(node):
-                delivered = copies.get(hops)
-                if delivered is None:
-                    delivered = dataclasses.replace(msg, hops=hops)
-                    copies[hops] = delivered
-                delivered_count += 1
-                self._schedule_delivery(
-                    hops * self.per_hop_delay, node, delivered)
-        if delivered_count > len(copies):
+            delivered = copies.get(hops)
+            if delivered is None:
+                delivered = dataclasses.replace(msg, hops=hops)
+                copies[hops] = delivered
+            self._schedule_delivery(
+                hops * self.per_hop_delay, node, delivered)
+        if len(receivers) > len(copies):
             self.perf.incr(cnt.MSG_FANOUT_SHARED,
-                           delivered_count - len(copies))
+                           len(receivers) - len(copies))
         self.stats.charge(category, forwarders, messages=forwarders)
         return SendOutcome(True, 0, tuple(receivers), forwarders,
                            eccentricity, dropped)

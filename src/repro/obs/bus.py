@@ -37,10 +37,6 @@ class EventBus:
         """Truthy iff anyone is listening (the emission gate)."""
         return bool(self._subscribers)
 
-    @property
-    def enabled(self) -> bool:
-        return bool(self._subscribers)
-
     def subscribe(self, subscriber: Subscriber) -> Subscriber:
         """Register ``subscriber``; events are delivered in subscribe
         order, synchronously, on the emitting call stack."""

@@ -23,11 +23,8 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, ClassVar, Dict, Optional, Tuple, Type
 
-from repro.net.message import slotted
 
-
-@slotted
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class MessageSend:
     """One transport send (unicast, 1-hop broadcast or flood); a
     :class:`~repro.obs.record.TraceRecorder` with
@@ -58,8 +55,7 @@ class MessageSend:
                 f"{self.category})")
 
 
-@slotted
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class AttemptStarted:
     """A requester begins a configuration attempt (REQ leg of a span)."""
 
@@ -73,8 +69,7 @@ class AttemptStarted:
     target: Optional[int]     # the allocator asked (None for "first")
 
 
-@slotted
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class ConfigRequested:
     """An allocator accepted a request and is proposing an address."""
 
@@ -91,8 +86,7 @@ class ConfigRequested:
     relayed: bool = False     # Section V-A agent relay
 
 
-@slotted
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class VoteStarted:
     """Quorum collection opens: QUORUM_CLT goes out to the universe."""
 
@@ -108,8 +102,7 @@ class VoteStarted:
     quorum: str               # "linear" | "majority"
 
 
-@slotted
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class VoteReceived:
     """One member's verdict arrived (QUORUM_CFM, or the own vote)."""
 
@@ -126,8 +119,7 @@ class VoteReceived:
     conflict: bool = False    # cross-owner conflict veto
 
 
-@slotted
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class VoteDecided:
     """The collector reached a quorum and resolved the address."""
 
@@ -144,8 +136,7 @@ class VoteDecided:
     universe: int
 
 
-@slotted
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class VoteTimeout:
     """The vote window closed without a quorum (dropped/late votes)."""
 
@@ -161,8 +152,7 @@ class VoteTimeout:
     missing: Tuple[int, ...]  # members that never answered
 
 
-@slotted
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class WriteBack:
     """QUORUM_UPD write-back of a decided record to the replica set."""
 
@@ -178,8 +168,7 @@ class WriteBack:
     targets: Tuple[int, ...]  # replica holders written to
 
 
-@slotted
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class ConfigCommitted:
     """The allocator committed a grant (COM_CFG / CH_CFG sent)."""
 
@@ -196,8 +185,7 @@ class ConfigCommitted:
     latency_hops: int
 
 
-@slotted
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class ConfigAborted:
     """An attempt ended without a grant (terminal span event)."""
 
@@ -211,8 +199,7 @@ class ConfigAborted:
     reason: str               # "vote-timeout", "address-retries", "dry", ...
 
 
-@slotted
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class ConfigCompleted:
     """The requester accepted its grant (terminal span event)."""
 
@@ -226,8 +213,7 @@ class ConfigCompleted:
     latency_hops: int
 
 
-@slotted
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class ConfigTimeout:
     """The requester's attempt timer fired with no grant (terminal)."""
 
@@ -239,8 +225,7 @@ class ConfigTimeout:
     attempt: int              # requester-side attempt sequence number
 
 
-@slotted
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class RoleAssigned:
     """A node settled into a role (election outcome / configuration)."""
 
@@ -254,8 +239,7 @@ class RoleAssigned:
     network_id: Optional[int]
 
 
-@slotted
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class HeadHandoff:
     """A departing/rejoining head returns its block(s) to another head."""
 
@@ -270,8 +254,7 @@ class HeadHandoff:
     assigned: int             # live assignments handed over
 
 
-@slotted
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class AddressBorrowed:
     """A commit drew the address from another head's IPSpace."""
 
@@ -285,8 +268,7 @@ class AddressBorrowed:
     requester: int
 
 
-@slotted
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class QDSetChanged:
     """Quorum-set adjustment (Section V-B lifecycle).
 
@@ -306,8 +288,7 @@ class QDSetChanged:
     size: int                 # |QDSet| after the change
 
 
-@slotted
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class ReclamationEvent:
     """Address reclamation lifecycle (Section IV-D).
 
@@ -325,8 +306,7 @@ class ReclamationEvent:
     phase: str
 
 
-@slotted
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class PartitionEvent:
     """Partition/merge lifecycle (Section V-C).
 

@@ -3,7 +3,8 @@
 The protocol layer uses these for the paper's named timers: the
 retransmission timer ``T_e``/``Max_r`` of network initialization, the
 quorum-adjustment timer ``T_d``, the existence-probe timer ``T_r``,
-and the periodic synchronization of the Buddy baseline.
+and the periodic checks every agent arms through
+:meth:`repro.net.agent.Agent._every`.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ class Timer:
     ``start`` arms the timer; ``restart`` cancels and re-arms it (the
     common "push back the deadline" pattern); ``stop`` disarms it.
     """
+
+    __slots__ = ("_sim", "_callback", "_handle")
 
     def __init__(self, sim: Simulator, callback: Callable[..., Any]) -> None:
         self._sim = sim
@@ -101,6 +104,8 @@ class PeriodicTimer:
     instant is a cohort of one.  docs/ARCHITECTURE.md states the
     resulting event order.
     """
+
+    __slots__ = ("_sim", "interval", "_callback", "_cohort")
 
     def __init__(
         self,

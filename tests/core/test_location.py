@@ -82,20 +82,3 @@ def test_upon_leave_mode_sends_no_location_updates():
     ctx.topology.invalidate()
     ctx.sim.run(until=ctx.sim.now + 20.0)
     assert ctx.stats.hops[Category.MOVEMENT] == 0
-
-
-def test_departure_after_migration_routes_address_home():
-    """A node that migrated away returns its address via its current
-    nearest head; the address ends up free at the original allocator."""
-    ctx = make_ctx()
-    agents = line_agents(ctx, 8)
-    ctx.sim.run(until=130.0)
-    mover = agents[1]
-    allocator = ctx.agent_of(mover.common.configurer_id)
-    address = mover.ip
-    mover.node.mobility = Stationary(Point(100.0 + 120.0 * 7, 500.0))
-    ctx.topology.invalidate()
-    ctx.sim.run(until=ctx.sim.now + 15.0)
-    mover.depart_gracefully()
-    ctx.sim.run(until=ctx.sim.now + 20.0)
-    assert address in allocator.head.pool.free

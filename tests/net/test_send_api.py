@@ -62,7 +62,7 @@ def test_neighbors_outcome():
                                  scope=Scope.NEIGHBORS)
     ctx.sim.run()
     assert outcome.ok
-    assert sorted(outcome.receiver_ids()) == [0, 2]
+    assert sorted(nid for nid, _ in outcome.receivers) == [0, 2]
     assert outcome.cost_hops == 1
     assert nodes[0].agent.received == ["HELLO"]
     assert nodes[3].agent.received == []

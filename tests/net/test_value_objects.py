@@ -1,10 +1,11 @@
-"""Messages, obs events and send outcomes are immutable value objects.
+"""Messages, obs events, send outcomes and fault schedule entries are
+immutable value objects.
 
 Frozen and slotted is what makes one delivered message safe to share
 between fan-out receivers and a recorded event stream impossible to
 mutate after emission; pickling is how both reach worker processes.
-The classes are inspected as built, so this also sees what the
-``slotted`` decorator actually produced.
+The classes are inspected as built, so this also sees what
+``dataclass(slots=True)`` actually produced.
 """
 
 import dataclasses
@@ -12,8 +13,8 @@ import pickle
 
 import pytest
 
+from repro.faults.spec import CrashEvent, PartitionEvent
 from repro.net import Message, SendOutcome
-from repro.net.message import slotted
 from repro.obs import events as ev
 
 
@@ -36,6 +37,10 @@ def defects(value):
 
 VALUES = [Message("PING", 0, 2), SendOutcome(True, 2, ((2, 2),), 2, 2, 0)]
 VALUES += [_sample(cls) for cls in ev.EVENT_TYPES.values()]
+# The obs vocabulary has a PartitionEvent too: name the fault one apart.
+VALUES += [pytest.param(CrashEvent(3, 1.0, 2.0), id="faults.CrashEvent"),
+           pytest.param(PartitionEvent((1, 2), 1.0, 2.0),
+                        id="faults.PartitionEvent")]
 
 
 @pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
@@ -53,8 +58,8 @@ def test_is_a_frozen_slotted_picklable_value(value):
     (False, True, ["not frozen"]),
     (True, True, []),
 ], ids=["unfrozen-unslotted", "frozen-unslotted", "unfrozen-slotted",
-        "slotted-decorator"])
+        "frozen-slotted"])
 def test_each_defect_is_caught(frozen, slots, expected):
-    cls = dataclasses.make_dataclass("Fixture", ["mtype"], frozen=frozen)
-    cls = slotted(cls) if slots else cls
+    cls = dataclasses.make_dataclass("Fixture", ["mtype"], frozen=frozen,
+                                     slots=slots)
     assert defects(cls("PING")) == expected
