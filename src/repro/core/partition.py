@@ -21,7 +21,7 @@ minority-rejoins semantics, made well-defined (documented in DESIGN.md).
 
 from __future__ import annotations
 
-from typing import FrozenSet, Optional, Tuple
+from typing import FrozenSet, Optional
 
 from repro.addrspace.block import Block
 from repro.cluster.roles import HEAD_SCOPE_HOPS, Role
@@ -32,9 +32,6 @@ from repro.net.stats import Category
 from repro.net.transport import Scope
 from repro.obs import events as obs_ev
 from repro.sim.timers import PeriodicTimer
-
-#: (graph version, component table version, network id, head is None).
-MergeStamp = Tuple[int, int, Optional[int], bool]
 
 ISOLATION_STRIKES = 4   # consecutive audits without a quorum majority
 MERGE_GRACE = 10.0      # ignore foreign IDs right after founding a network
@@ -51,9 +48,6 @@ class PartitionMixin:
         self._ever_had_members = False
         self._orphan_strikes = 0
         self._rejoin_cooldown_until = 0.0
-        # The stamp of the last full merge scan that found nothing to do
-        # (see :meth:`_merge_scan_settled`).
-        self._merge_verdict: Optional[MergeStamp] = None
         # How many networks this node has founded (0 = none yet).  Each
         # founding event needs a globally unique network ID: re-founding
         # must never reuse the ID of the network this node founded
@@ -92,8 +86,6 @@ class PartitionMixin:
     # Detection
     # ------------------------------------------------------------------
     def _merge_scan(self) -> None:
-        if self._merge_scan_settled():
-            return
         if not self.is_configured() or self.network_id is None:
             return
         # One component-table lookup serves both checks below.
@@ -110,8 +102,13 @@ class PartitionMixin:
         # below runs only while there is actually something to merge.
         if len(networks) == 1 and self.network_id in networks:
             if self._orphan_strikes == 0:
-                # The lookup above left the table serving this graph.
-                self._merge_verdict = self._merge_stamp()
+                # A scan changes nothing until the stamp moves or the
+                # network id and head setters unpark it.  The lookup
+                # above left the table serving this graph; a stale graph
+                # matches no stamp, so the next scan's label question
+                # refreshes it at the same instant as ever.
+                assert self._merge_timer is not None   # it called us
+                self._merge_timer.park(self.ctx.table_stamp)
             return
         for other_id, _hops in self.ctx.topology.within_hops(
                 self.node_id, HEAD_SCOPE_HOPS):
@@ -123,31 +120,11 @@ class PartitionMixin:
                 self._on_foreign_network_id(other_net, other_id)
                 return
 
-    def _merge_stamp(self) -> MergeStamp:
-        ctx = self.ctx
-        return (ctx.topology.graph_version, ctx.table_version(),
-                self.network_id, self.head is None)
-
-    def _merge_scan_settled(self) -> bool:
-        """Would a full scan now change nothing?  True while the stamp
-        of the last full scan that found its partition homogeneous,
-        with no orphan strike and no rejoin under way, still holds.
-
-        Such a scan read its component's network sets and its own
-        network id and head-ness, and nothing else.  The component
-        table's version moves whenever some entry's network sets do,
-        and is ``STALE`` unless the graph is current and the table
-        serves it: so equal stamps mean the scan would read the same
-        again, and a stale graph never skips, because the scan's label
-        question is what refreshes it, at this instant.  The graph
-        version is compared first: under mobility it is what misses,
-        and a miss must stay cheap."""
-        verdict = self._merge_verdict
-        return (verdict is not None
-                and verdict[0] == self.ctx.topology.graph_version
-                and verdict[1] == self.ctx.table_version()
-                and verdict[2] == self.network_id
-                and verdict[3] == (self.head is None))
+    def _unpark_merge_scan(self) -> None:
+        """The parked merge scan read this node's network id and
+        head-ness too: a change to either must run it again."""
+        if self._merge_timer is not None:
+            self._merge_timer.unpark()
 
     def _orphan_check(self, networks: FrozenSet[Optional[int]]) -> None:
         """Orphan rescue: a common node that can reach heads, but none

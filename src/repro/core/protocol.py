@@ -127,6 +127,7 @@ class QuorumProtocolAgent(
         if flipped:
             self.ctx.note(self.node.node_id)
             self._note_allocator()
+            self._unpark_merge_scan()
 
     def _can_allocate(self) -> bool:
         return self._role is Role.HEAD and self._head is not None
@@ -141,6 +142,7 @@ class QuorumProtocolAgent(
         # per-component head tables (see NetworkContext.component_heads).
         self._network_id = value
         self.ctx.note(self.node.node_id)
+        self._unpark_merge_scan()
 
     @property
     def live_vote_timers(self) -> int:

@@ -303,6 +303,13 @@ class NetworkContext:
             self._patch_table()
         return self._table_version
 
+    def table_stamp(self) -> Tuple[int, int]:
+        """``(graph_version, table_version())``: equal stamps mean the
+        same graph and every entry's network sets as they were, and a
+        stale graph never matches an earlier stamp.  A probe for
+        :meth:`~repro.sim.timers.PeriodicTimer.park`."""
+        return self.topology.graph_version, self.table_version()
+
     def _patch_table(self) -> None:
         """Bring the component table up to the current graph version
         and every note so far: the one routine that builds it.

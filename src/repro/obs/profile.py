@@ -12,7 +12,11 @@ callback (``repro.net``, ``repro.core``, ``repro.sim``,
 ``_fire`` and ``functools.partial``) so a quorum-adjustment tick is
 charged to ``repro.core``, not to the timer plumbing.  Periodic timers that share
 a heap entry still arrive one callback at a time, nested inside the
-``repro.sim`` call for the entry.
+``repro.sim`` call for the entry.  A parked member that the round
+passes over (:meth:`~repro.sim.timers.PeriodicTimer.park`) never
+reaches the hook: its probe read and re-arm are part of that
+``repro.sim`` round's self time, and ``Simulator.parked_rearms``
+counts them.
 
 Per-phase and per-layer attribution of a whole workload is the perf
 ledger's job (``ledger/trace.py`` keys its spans with

@@ -68,6 +68,7 @@ class Simulator:
         self._running: bool = False
         self._pending: int = 0
         self._compactions: int = 0
+        self._parked_rearms: int = 0
         # Schedule-op count at the last compaction; primed so the first
         # compaction is never delayed by the amortization interval.
         self._last_compact_seq: int = -self.COMPACT_MIN_INTERVAL
@@ -100,6 +101,12 @@ class Simulator:
     def compactions(self) -> int:
         """How many times the heap has been compacted so far."""
         return self._compactions
+
+    @property
+    def parked_rearms(self) -> int:
+        """How many periodic timers have re-armed without a call so far,
+        passed over while parked (see :mod:`repro.sim.timers`)."""
+        return self._parked_rearms
 
     def peek(self) -> Optional[float]:
         """Time of the next live event, or ``None`` if the queue is empty."""

@@ -9,7 +9,8 @@ and the periodic checks every agent arms through
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional
+from itertools import chain
+from typing import Any, Callable, Dict, Iterator, Optional, Tuple
 
 from repro.sim.engine import Simulator
 from repro.sim.events import Event
@@ -56,6 +57,10 @@ class Timer:
         self._callback(*args)
 
 
+#: A probe value no probe returns: "not read yet this round".
+_UNREAD = object()
+
+
 class _Cohort:
     """Periodic timers due at one exact instant, behind one heap entry.
 
@@ -79,10 +84,16 @@ class _Cohort:
     def _fire(self, sim: Simulator) -> None:
         self.close(sim)
         hook = sim._profile_hook
-        for timer in list(self.members):
+        members = iter(list(self.members))
+        for timer in members:
             # An earlier member of this round may have stopped (or
             # restarted, into another cohort) a later one.
             if timer._cohort is self:
+                if timer._parked is not None:
+                    called = self._pass_parked(sim, timer, members)
+                    if called is None:
+                        break
+                    timer = called
                 if hook is None:
                     timer._fire()
                 else:
@@ -91,6 +102,40 @@ class _Cohort:
         # and its event refer to each other, so only the cycle collector
         # frees them: let the members go now, not at its next pass.
         self.members.clear()
+
+    def _pass_parked(self, sim: Simulator, first: "PeriodicTimer",
+                     members: Iterator["PeriodicTimer"]
+                     ) -> Optional["PeriodicTimer"]:
+        """Re-arm ``first`` and the members after it in place of their
+        calls while each is parked and its probe still reads the value
+        it parked on; return the first member this round must call
+        (unparked, if its probe read something else), or ``None`` when
+        none is left.  Nothing runs between two passed members, so
+        each probe is read once, and the cohort a re-arm joins stays
+        open for the next member due at the same instant."""
+        now = sim.now
+        reads: Dict[Callable[[], Any], Any] = {}
+        passed = 0
+        called: Optional[PeriodicTimer] = None
+        for timer in chain((first,), members):
+            if timer._cohort is not self:
+                continue
+            parked = timer._parked
+            if parked is None:
+                called = timer
+                break
+            probe, value = parked
+            read = reads.get(probe, _UNREAD)
+            if read is _UNREAD:
+                read = reads[probe] = probe()
+            if read != value:
+                timer._parked = None
+                called = timer
+                break
+            timer._arm(now + timer.interval)
+            passed += 1
+        sim._parked_rearms += passed
+        return called
 
 
 class PeriodicTimer:
@@ -103,9 +148,16 @@ class PeriodicTimer:
     order and each re-arms at ``now + interval``.  A timer alone at its
     instant is a cohort of one.  docs/ARCHITECTURE.md states the
     resulting event order.
+
+    A callback that found nothing to do may :meth:`park` its timer on
+    a *probe*, a no-argument callable whose value stands for what the
+    callback read.  While the probe reads the value it read when the
+    timer parked, the timer keeps its place and instants but its
+    callback is not called.  A changed read, :meth:`unpark` or
+    :meth:`start` ends the park.
     """
 
-    __slots__ = ("_sim", "interval", "_callback", "_cohort")
+    __slots__ = ("_sim", "interval", "_callback", "_cohort", "_parked")
 
     def __init__(
         self,
@@ -119,13 +171,21 @@ class PeriodicTimer:
         self.interval = interval
         self._callback = callback
         self._cohort: Optional[_Cohort] = None
+        self._parked: Optional[Tuple[Callable[[], Any], Any]] = None
 
     @property
     def running(self) -> bool:
         return self._cohort is not None
 
+    def park(self, probe: Callable[[], Any]) -> None:
+        self._parked = (probe, probe())
+
+    def unpark(self) -> None:
+        self._parked = None
+
     def start(self, first_delay: Optional[float] = None) -> None:
         if self._cohort is None:
+            self._parked = None
             delay = self.interval if first_delay is None else first_delay
             self._arm(self._sim.now + delay)
 

@@ -9,6 +9,7 @@ from tests.helpers import (
     assert_unique_addresses,
     line_agents,
     make_ctx,
+    passes_over,
     positions_cluster,
 )
 
@@ -157,20 +158,32 @@ def test_merge_scan_skips_only_while_its_stamp_holds():
     agents = line_agents(ctx, 4, cfg=partition_cfg())
     ctx.sim.run(until=60.0)
     scanner, other = agents[0], agents[-1]
+    timer = scanner._merge_timer
     assert scanner.network_id == other.network_id is not None
     # A lookup refreshes the graph; the next scan finds its partition
-    # homogeneous and leaves a verdict that holds while nothing moves.
+    # homogeneous and parks its timer on a stamp that holds while
+    # nothing moves.
     ctx.component_entry(scanner.node_id)
     scanner._merge_scan()
-    assert scanner._merge_scan_settled()
+    assert passes_over(timer)
     # Another node takes a foreign network id: no graph change, but the
     # component's network set moved, so the scan must run in full.
     other.network_id = other.network_id + 1
-    assert not scanner._merge_scan_settled()
+    assert not passes_over(timer)
     other.network_id = scanner.network_id
     ctx.component_entry(scanner.node_id)
     scanner._merge_scan()
-    assert scanner._merge_scan_settled()
+    assert passes_over(timer)
+    # The scan read the node's own network id and head-ness too.
+    scanner.network_id = scanner.network_id
+    assert not passes_over(timer)
+    scanner._merge_scan()
+    assert passes_over(timer)
+    head, scanner.head = scanner.head, None
+    assert not passes_over(timer)
+    scanner.head = head
+    scanner._merge_scan()
+    assert passes_over(timer)
     # A stale graph never skips: the scan's lookup refreshes it.
     ctx.topology.invalidate_nodes([other.node_id])
-    assert not scanner._merge_scan_settled()
+    assert not passes_over(timer)

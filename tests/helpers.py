@@ -15,6 +15,7 @@ from repro.geometry import Point
 from repro.mobility.base import Stationary
 from repro.net.context import NetworkContext
 from repro.net.node import Node
+from repro.sim.timers import PeriodicTimer
 
 HOP = 120.0  # meters between chain neighbors; 1 hop at tr = 150 m
 
@@ -73,6 +74,13 @@ def positions_cluster(
         ctx.sim.schedule(enter_gap * i + 0.1, agent.on_enter)
         agents.append(agent)
     return agents
+
+
+def passes_over(timer: PeriodicTimer) -> bool:
+    """Whether ``timer``'s next fire would re-arm it without a call:
+    it is parked and its probe reads the value it parked on."""
+    parked = timer._parked
+    return parked is not None and bool(parked[0]() == parked[1])
 
 
 def assert_unique_addresses(agents: Sequence[QuorumProtocolAgent]) -> None:

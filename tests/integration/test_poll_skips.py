@@ -6,10 +6,12 @@ crash/restart cells included):
 
 * every ``component_entry`` answer equals ``reference_table``, the
   per-node loop of ``tests/net/test_context.py``;
-* every merge scan or head audit that would skip is run in full on the
-  spot instead, and must change nothing a poll can change: the agent's
+* every merge scan a cohort passes over while its timer is parked, and
+  every head audit that would skip, is run in full on the spot
+  instead, and must change nothing a poll can change: the agent's
   fields, its QDSet, its timers, the message and event tallies and the
-  simulator's pending events — and must store the verdict it skipped on.
+  simulator's pending events — and must leave the park or the verdict
+  it skipped on.
 """
 
 import copy
@@ -19,18 +21,16 @@ import pytest
 from repro.core.protocol import QuorumProtocolAgent
 from repro.experiments import ScenarioRunner
 from repro.net.context import NetworkContext
-from repro.sim.timers import PeriodicTimer, Timer
+from repro.sim.timers import PeriodicTimer, Timer, _Cohort
 
+from tests.helpers import passes_over
 from tests.integration.test_pinned_results import CELLS, cell_scenario
 from tests.net.structure import component_id
 from tests.net.test_context import NO_HEADS, reference_table
 
-#: poll -> (its skip predicate, the field holding its verdict).
-POLLS = {
-    "_merge_scan": ("_merge_scan_settled", "_merge_verdict"),
-    "_audit": ("_audit_settled", "_audit_verdict"),
-}
-VERDICTS = {verdict for _settled, verdict in POLLS.values()}
+#: The audit's skip predicate and the field holding its verdict.
+AUDIT_SETTLED, AUDIT_VERDICT = "_audit_settled", "_audit_verdict"
+POLLS = ("_merge_scan", "_audit")
 
 
 def state_of(value):
@@ -50,7 +50,7 @@ def state_of(value):
 def observable(agent):
     ctx = agent.ctx
     fields = {name: state_of(value) for name, value in vars(agent).items()
-              if name not in VERDICTS}
+              if name != AUDIT_VERDICT}
     head = agent.head
     qdset = None if head is None else (
         head.qdset.version, head.qdset.members(), head.qdset.suspected())
@@ -72,26 +72,50 @@ def test_skips_and_table_patches_are_exact(cell, monkeypatch):
         checked["component_entry"] += 1
         return answer
 
-    def replayed(name, settled, verdict):
-        poll = getattr(QuorumProtocolAgent, name)
+    def exact(agent, poll, skipped_on, verdict):
+        """Run ``poll`` in full where it was skipped: it must change
+        nothing and arrive at the verdict it skipped on again."""
+        checked[poll.__name__] += 1
+        before = observable(agent)
+        poll(agent)
+        assert observable(agent) == before, (poll.__name__,
+                                             agent.ctx.sim.now,
+                                             agent.node_id)
+        assert verdict() == skipped_on
 
-        def replay(agent):
-            if not getattr(agent, settled)():
-                return poll(agent)
-            checked[name] += 1
-            before = observable(agent)
-            stamp = getattr(agent, verdict)
-            setattr(agent, verdict, None)
-            poll(agent)
-            assert observable(agent) == before, (name, agent.ctx.sim.now,
-                                                 agent.node_id)
-            assert getattr(agent, verdict) == stamp
-        return replay
+    audit = QuorumProtocolAgent._audit
+
+    def replayed_audit(agent):
+        if not getattr(agent, AUDIT_SETTLED)():
+            return audit(agent)
+        skipped_on = getattr(agent, AUDIT_VERDICT)
+        setattr(agent, AUDIT_VERDICT, None)
+        exact(agent, audit, skipped_on,
+              lambda: getattr(agent, AUDIT_VERDICT))
+
+    scan = QuorumProtocolAgent._merge_scan
+    pass_parked = _Cohort._pass_parked
+
+    def replayed_pass(cohort, sim, timer, members):
+        # Hand the cohort's parked branch one member at a time, and
+        # replay each merge scan it passes over before it re-arms.
+        while timer is not None:
+            agent = getattr(timer._callback, "__self__", None)
+            if (timer._cohort is cohort
+                    and isinstance(agent, QuorumProtocolAgent)
+                    and agent._merge_timer is timer and passes_over(timer)):
+                skipped_on = timer._parked
+                timer.unpark()
+                exact(agent, scan, skipped_on, lambda: timer._parked)
+            called = pass_parked(cohort, sim, timer, iter(()))
+            if called is not None:
+                return called
+            timer = next(members, None)
+        return None
 
     monkeypatch.setattr(NetworkContext, "component_entry", component_entry)
-    for name, (settled, verdict) in POLLS.items():
-        monkeypatch.setattr(QuorumProtocolAgent, name,
-                            replayed(name, settled, verdict))
+    monkeypatch.setattr(QuorumProtocolAgent, "_audit", replayed_audit)
+    monkeypatch.setattr(_Cohort, "_pass_parked", replayed_pass)
     ScenarioRunner(cell_scenario(cell), "quorum").run()
     # Every cell asks the table many times.  Under mobility every
     # refresh moves the graph, so a poll never finds its stamp again;

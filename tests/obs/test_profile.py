@@ -109,7 +109,7 @@ def test_events_are_charged_to_the_owning_package():
 def test_cohort_members_are_charged_one_by_one():
     """Timers sharing a heap entry still reach the hook callback by
     callback; the cohort's own round is one extra ``repro.sim`` call
-    charged with its self time only."""
+    charged with its self time only, parked members' re-arms included."""
     sim = Simulator()
     profiler = SubsystemProfiler().install(sim)
     spins = []
@@ -117,15 +117,22 @@ def test_cohort_members_are_charged_one_by_one():
     def busy():
         spins.append(sum(range(20_000)))
 
+    def settled():
+        parker.park(lambda: None)
+
     timers = [PeriodicTimer(sim, 1.0, busy) for _ in range(4)]
-    for timer in timers:
+    parker = PeriodicTimer(sim, 1.0, settled)
+    for timer in [*timers, parker]:
         timer.start()
     assert sim.run(until=2.5) == 2          # two heap entries...
     profiler.uninstall()
     packages = profiler.packages()
     bucket = package_of(busy)
-    assert packages[bucket]["events"] == 8  # ...eight callbacks
+    # ...eight busy callbacks and the parker's first; its second fire
+    # passes it over inside the repro.sim round.
+    assert packages[bucket]["events"] == 9
     assert packages["repro.sim"]["events"] == 2
+    assert sim.parked_rearms == 1
     assert len(spins) == 8
     # Nested calls are not double-counted into the round that hosts them.
     assert packages["repro.sim"]["wall_s"] < packages[bucket]["wall_s"]

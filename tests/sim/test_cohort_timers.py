@@ -7,7 +7,9 @@ mix of coinciding and distinct phases, with timers stopping, starting
 and restarting themselves and each other from inside callbacks and from
 plain events, and with plain events landing on the very instants the
 timers share, must produce the same (time, owner) callback sequence
-under both.
+under both.  Timers also park on a shared probe whose value flips at
+seeded instants; the reference calls a parked timer, which returns at
+once while the probe still reads its parked value.
 """
 
 import random
@@ -16,6 +18,8 @@ import pytest
 
 from repro.sim.engine import Simulator
 from repro.sim.timers import PeriodicTimer
+
+from tests.helpers import passes_over
 
 
 class ReferenceTimer:
@@ -26,13 +30,26 @@ class ReferenceTimer:
         self.interval = interval
         self._callback = callback
         self._event = None
+        self._parked = None
+        self.skips = 0
 
     @property
     def running(self):
         return self._event is not None
 
+    @property
+    def next_at(self):
+        return self._event.time if self._event is not None else None
+
+    def park(self, probe):
+        self._parked = (probe, probe())
+
+    def unpark(self):
+        self._parked = None
+
     def start(self, first_delay=None):
         if self._event is None:
+            self._parked = None
             delay = self.interval if first_delay is None else first_delay
             self._event = self._sim.schedule(delay, self._fire)
 
@@ -43,9 +60,28 @@ class ReferenceTimer:
 
     def _fire(self):
         event = self._event
-        self._callback()
+        self._call()
         if self._event is event:  # neither stopped nor restarted inside
             self._event = self._sim.schedule(self.interval, self._fire)
+
+    def _call(self):
+        """The callback, unless parked on a probe that still reads the
+        parked value: then return at once."""
+        parked = self._parked
+        if parked is not None:
+            probe, value = parked
+            if probe() == value:
+                self.skips += 1
+                return
+            self._parked = None
+        self._callback()
+
+
+def next_at(timer):
+    """When ``timer`` fires next (``None`` if stopped)."""
+    if isinstance(timer, ReferenceTimer):
+        return timer.next_at
+    return timer._cohort.event.time if timer.running else None
 
 
 INTERVALS = (0.25, 0.5, 1.0, 1.5)
@@ -53,12 +89,19 @@ PHASES = (0.0, 0.125, 0.25, 0.5, 0.75)
 TIMERS = 40
 
 
-def drive(timer_cls, seed):
-    """Run the scripted mix; returns (callback log, entries fired, now)."""
+def drive(timer_cls, seed, hook=None):
+    """Run the scripted mix; returns (callback log, entries fired, now,
+    every timer's next fire time, parked timers passed over)."""
     sim = Simulator()
+    if hook is not None:
+        sim.set_profile_hook(hook)
     rng = random.Random(seed)
     log = []
     timers = []
+    flips = [0]
+
+    def probe():
+        return flips[0] % 3
 
     def plain(tag):
         log.append((sim.now, "plain", tag))
@@ -67,6 +110,13 @@ def drive(timer_cls, seed):
         """One seeded action on a random victim (possibly the actor)."""
         victim = timers[rng.randrange(TIMERS)]
         roll = rng.random()
+        park = rng.random()
+        if park < 0.1:
+            flips[0] += 1
+        elif park < 0.2:
+            victim.park(probe)
+        elif park < 0.25:
+            victim.unpark()
         if roll < 0.25:
             return
         if roll < 0.40:
@@ -86,28 +136,115 @@ def drive(timer_cls, seed):
         def callback():
             log.append((sim.now, index, timers[index].running))
             act(index)
+            if rng.random() < 0.5:
+                # Found nothing to do: skip until the probe flips.
+                timers[index].park(probe)
         return timer_cls(sim, rng.choice(INTERVALS), callback)
+
+    def flip():
+        flips[0] += 1
 
     timers.extend(make(index) for index in range(TIMERS))
     for timer in timers:
         timer.start(first_delay=rng.choice(PHASES))
-    # Plain events, off the timers' grid, that meddle from outside.
+    # Plain events, off the timers' grid, that meddle from outside, and
+    # probe flips, some on the grid.
     for k in range(60):
         sim.schedule(0.1 + 0.37 * k, act, None)
+        sim.schedule(rng.choice((0.5, 0.3)) * k, flip)
     fired = sim.run(until=25.0)
-    return log, fired, sim.now
+    passed = (sum(timer.skips for timer in timers)
+              if timer_cls is ReferenceTimer else sim.parked_rearms)
+    return log, fired, sim.now, [next_at(timer) for timer in timers], passed
+
+
+def calling_hook(calls):
+    """A profile hook that counts what it fires."""
+    def hook(callback, args):
+        calls.append(callback)
+        callback(*args)
+    return hook
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
 def test_cohorts_match_one_entry_per_timer(seed):
-    cohort_log, cohort_fired, cohort_now = drive(PeriodicTimer, seed)
-    reference_log, reference_fired, reference_now = drive(ReferenceTimer, seed)
+    (reference_log, reference_fired, reference_now, reference_next,
+     reference_passed) = drive(ReferenceTimer, seed)
     assert len(reference_log) > 1000
     assert sum(1 for entry in reference_log if entry[1] == "plain") > 100
-    assert cohort_log == reference_log
-    assert cohort_now == reference_now
-    # Same callbacks from fewer heap entries: phases coincide by design.
-    assert cohort_fired < 0.75 * reference_fired
+    assert reference_passed > 100
+    for hooked in (False, True):
+        calls = []
+        log, fired, now, next_fires, passed = drive(
+            PeriodicTimer, seed, calling_hook(calls) if hooked else None)
+        assert log == reference_log
+        assert now == reference_now
+        assert next_fires == reference_next
+        assert passed == reference_passed
+        # Same callbacks from fewer heap entries: phases coincide by
+        # design.
+        assert fired < 0.75 * reference_fired
+        if hooked:
+            # The hook fires every heap entry and every member called,
+            # and no parked one.
+            members = sum(1 for entry in log if entry[1] != "plain")
+            assert len(calls) == fired + members
+
+
+def test_a_called_member_makes_later_parked_members_read_again():
+    sim = Simulator()
+    log, reads, state = [], [], [0]
+
+    def probe():
+        reads.append(sim.now)
+        return state[0]
+
+    def flip():
+        log.append("flip")
+        state[0] += 1
+
+    a, c, d = (PeriodicTimer(sim, 1.0, lambda tag=tag: log.append(tag))
+               for tag in "acd")
+    timers = [a, PeriodicTimer(sim, 1.0, flip), c, d]
+    for timer in timers:
+        timer.start()
+    for timer in (a, c, d):
+        timer.park(probe)
+    reads.clear()
+    sim.run(until=1.0)
+    # a passes on the first read; flip runs; c reads again, sees the
+    # flip and is called, unparked; so d reads again too.
+    assert log == ["flip", "c", "d"]
+    assert reads == [1.0, 1.0, 1.0]
+    assert sim.parked_rearms == 1
+    # Parked members with nothing called between them: one read.
+    for timer in timers:
+        timer.park(probe)
+    reads.clear()
+    sim.run(until=2.0)
+    assert log == ["flip", "c", "d"]
+    assert reads == [2.0]
+    assert sim.parked_rearms == 5
+
+
+def test_start_ends_the_park():
+    sim = Simulator()
+    called = []
+    timer = PeriodicTimer(sim, 1.0, lambda: called.append(sim.now))
+    timer.start()
+    timer.park(lambda: 0)
+    assert passes_over(timer)
+    sim.run(until=2.5)
+    assert called == [] and sim.parked_rearms == 2
+    # Arming it while it runs keeps the park; stopping it and arming
+    # it again does not: the first fire calls.
+    timer.start()
+    assert passes_over(timer)
+    timer.stop()
+    timer.start()
+    assert not passes_over(timer)
+    sim.run(until=3.5)
+    assert called == [3.5] and sim.parked_rearms == 2
 
 
 def test_mixed_intervals_at_one_instant_fire_in_arming_order():
