@@ -102,7 +102,7 @@ class DepartureMixin:
                 self._send(member, m.RETURN_FWD, payload, Category.DEPARTURE)
             self._apply_return_to_replica(address)
             return
-        owner_id = self.ctx.resolve_ip(configurer_ip)
+        owner_id = self.ctx.resolve_ip(self.network_id, configurer_ip)
         if owner_id is not None and self.ctx.is_head(owner_id):
             delivery = self._send(owner_id, m.RETURN_FWD, payload,
                                   Category.DEPARTURE)

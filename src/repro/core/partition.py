@@ -193,7 +193,7 @@ class PartitionMixin:
         # eventually exhausts the whole address space.
         self._return_resources_for_rejoin()
         if self.ip is not None:
-            self.ctx.unbind_ip(self.ip)
+            self.ctx.unbind_ip(self.network_id, self.ip)
         self._stop_timers()
         self._pending.clear()
         self._pending_addresses.clear()
@@ -288,9 +288,9 @@ class PartitionMixin:
         self._ever_had_members = False
         old_members = dict(self.head.configured)
         if self.ip is not None:
-            self.ctx.unbind_ip(self.ip)
+            self.ctx.unbind_ip(self.network_id, self.ip)
         self._found_network()
-        self.ctx.bind_ip(self.head.ip, self.node_id)
+        self.ctx.bind_ip(self.network_id, self.head.ip, self.node_id)
         obs = self.ctx.obs
         if obs:
             obs.emit(obs_ev.PartitionEvent(

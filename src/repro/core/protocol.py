@@ -317,7 +317,7 @@ class QuorumProtocolAgent(
         self.configured_at = self.ctx.sim.now
         if self.config_latency_hops is None:
             self.config_latency_hops = latency_hops
-        self.ctx.bind_ip(self.ip, self.node_id)
+        self.ctx.bind_ip(self.network_id, self.ip, self.node_id)
         if obs:
             obs.emit(obs_ev.RoleAssigned(
                 time=self.ctx.sim.now, node=self.node_id, corr=self._corr,
@@ -836,7 +836,7 @@ class QuorumProtocolAgent(
                 for address in conflicts:
                     self.head.pool.allocate(address)
                     self.head.ledger.mark_assigned(
-                        address, self.ctx.resolve_ip(address))
+                        address, self.ctx.resolve_ip(self.network_id, address))
             if block is None:
                 self._retry_with_new_address(pending)
             return
@@ -855,7 +855,7 @@ class QuorumProtocolAgent(
         replicas unanimously stale.  The probe is the practical last
         line of defense any real deployment layers on an allocator.
         """
-        bound = self.ctx.resolve_ip(address)
+        bound = self.ctx.resolve_ip(self.network_id, address)
         if bound is None or bound == requester:
             return False
         holder = self.ctx.agent_of(bound)

@@ -220,7 +220,7 @@ class Agent:
         self._note_allocator()
         self.configured_at = self.ctx.sim.now
         self.config_latency_hops = latency_hops
-        self.ctx.bind_ip(ip, self.node_id)
+        self.ctx.bind_ip(self.network_id, ip, self.node_id)
         if self.on_configured_callback is not None:
             self.on_configured_callback(self)
 
@@ -243,7 +243,7 @@ class Agent:
     def _power_off(self) -> None:
         self._stop_timers()
         if self.ip is not None:
-            self.ctx.unbind_ip(self.ip)
+            self.ctx.unbind_ip(self.network_id, self.ip)
         self.node.kill()
         self.ctx.topology.remove_node(self.node)
 

@@ -4,7 +4,9 @@ Bundles the simulator, topology, transport, hello service and message
 accounting, plus two idealized registries every autoconfiguration
 protocol needs from its routing substrate:
 
-* ``ip_registry`` — IP -> node id resolution (the ARP/routing analogue);
+* ``ip_registry`` — (network id, IP) -> node id resolution (the
+  ARP/routing analogue, one per network: two networks hold the same
+  addresses after any re-found);
 * the agent table — node id -> protocol agent, used by the substrate to
   deliver messages and by hello queries to ask "is this node a cluster
   head?".
@@ -130,7 +132,8 @@ class NetworkContext:
         #: by every allocator of the run from 1 up, so identical seeded
         #: runs trace the same ids whatever ran in the process before.
         self.attempt_ids: Iterator[int] = itertools.count(1)
-        self.ip_registry: Dict[int, int] = {}  # ip -> node_id
+        # (network id, ip) -> node id.
+        self.ip_registry: Dict[Tuple[Optional[int], int], int] = {}
         # Derived view: component index -> (sorted head ids, head
         # network ids, all configured network ids), shared by every
         # agent that asks "does my partition still have allocators"
@@ -211,30 +214,27 @@ class NetworkContext:
     # ------------------------------------------------------------------
     # IP resolution
     # ------------------------------------------------------------------
-    def bind_ip(self, ip: int, node_id: int) -> None:
+    def bind_ip(self, network_id: Optional[int], ip: int,
+                node_id: int) -> None:
         # A rebind to another address changes neither configured-ness
         # nor head-ness, so only the first address is noted.
-        self.ip_registry[ip] = node_id
+        self.ip_registry[network_id, ip] = node_id
         self._note_member(self._bound_ids, node_id, True)
 
-    def unbind_ip(self, ip: int) -> None:
-        """Forget ``ip`` and note its node as unbound.
-
-        ``ip_registry`` is keyed by ip alone, so this names whichever
-        node bound ``ip`` *last*.  Two networks legitimately hold the
-        same address after a re-found (a fresh network restarts at
-        address 0); when one of them unbinds, the other node is the one
-        noted.  That makes the bound ids an aggregate, not "is
-        configured": whoever needs that asks ``agent.is_configured()``,
-        and the component table does not rely on this note to learn of
-        the giver's change — the agent notes its own transition too
-        (the quorum agent's role and network-id setters)."""
-        node_id = self.ip_registry.pop(ip, None)
+    def unbind_ip(self, network_id: Optional[int], ip: int) -> None:
+        """Forget ``ip`` in ``network_id`` and note its node as
+        unbound.  The bound ids are an aggregate, not "is configured":
+        whoever needs that asks ``agent.is_configured()``, and the
+        component table does not rely on this note to learn of the
+        giver's change — the agent notes its own transition too (the
+        quorum agent's role and network-id setters)."""
+        node_id = self.ip_registry.pop((network_id, ip), None)
         if node_id is not None:
             self._note_member(self._bound_ids, node_id, False)
 
-    def resolve_ip(self, ip: int) -> Optional[int]:
-        return self.ip_registry.get(ip)
+    def resolve_ip(self, network_id: Optional[int], ip: int) -> Optional[int]:
+        """The node that answers for ``ip`` in ``network_id``."""
+        return self.ip_registry.get((network_id, ip))
 
     # ------------------------------------------------------------------
     # Role queries (used by hello-derived knowledge)

@@ -52,12 +52,13 @@ def test_no_conflict_across_networks():
     ctx.sim.run(until=ctx.sim.now + 20.0)
     assert loner.head is not None
     assert loner.network_id != left[0].network_id
-    # The loner's address 0 is bound, but in a different network:
-    # left's head probing 0 for its own network sees no conflict...
-    # unless the registry says the binder is in OUR network.
-    binder = ctx.resolve_ip(0)
-    if binder == loner.node_id:
-        assert not left[0]._acd_conflict(0, requester=99)
+    # Both networks bind address 0; left's first head holds it in its
+    # own network, so probing it there is a conflict, and the loner's
+    # binding in the other network is none of left's business.
+    assert ctx.resolve_ip(loner.network_id, 0) == loner.node_id
+    assert ctx.resolve_ip(left[0].network_id, 0) == left[0].node_id
+    assert left[0]._acd_conflict(0, requester=99)
+    assert not loner._acd_conflict(left[1].ip, requester=99)
 
 
 def test_commit_retries_past_conflicted_address():
@@ -69,7 +70,7 @@ def test_commit_retries_past_conflicted_address():
     # Fabricate a fork: the pool believes some address is free although
     # a live node of the same network answers for it.
     victim_address = head.head.pool.free.first()
-    ctx.bind_ip(victim_address, common.node_id)
+    ctx.bind_ip(common.network_id, victim_address, common.node_id)
     newcomer = add_node(ctx, 77, 160.0, 560.0)
     newcomer.on_enter()
     ctx.sim.run(until=ctx.sim.now + 20.0)

@@ -100,7 +100,7 @@ def test_ip_registry_binding():
     agents = line_agents(ctx, 3)
     ctx.sim.run(until=40.0)
     for agent in agents:
-        assert ctx.resolve_ip(agent.ip) == agent.node_id
+        assert ctx.resolve_ip(agent.network_id, agent.ip) == agent.node_id
 
 
 def test_balance_allocators_picks_largest_block():

@@ -137,4 +137,4 @@ def test_departure_unbinds_ip():
     address = agents[1].ip
     agents[1].depart_gracefully()
     ctx.sim.run(until=ctx.sim.now + 10.0)
-    assert ctx.resolve_ip(address) is None
+    assert ctx.resolve_ip(agents[1].network_id, address) is None

@@ -213,7 +213,7 @@ def test_acd_conflict_on_head_grant_nacks_and_books_the_conflict():
     # A live node of the same network already answers for an address
     # of the proposed block: commit-time detection must refuse it.
     conflict = block.start + 3
-    ctx.bind_ip(conflict, common.node_id)
+    ctx.bind_ip(common.network_id, conflict, common.node_id)
     ctx.sim.run(until=ctx.sim.now + 0.5)
     assert received == [m.CH_PRP, m.CH_NACK]
     assert head._pending == {}

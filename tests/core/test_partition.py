@@ -112,6 +112,25 @@ def test_isolated_head_refounds_network():
         assert member.network_id == edge.network_id
 
 
+def test_refounded_networks_keep_both_bindings_of_one_address():
+    """After a re-found two networks hold address 0: each keeps its own
+    binding, and unbinding one leaves the other."""
+    ctx = make_ctx()
+    agents = line_agents(ctx, 4, cfg=partition_cfg())  # heads at 0 and 3
+    ctx.sim.run(until=60.0)
+    first, edge = agents[0], agents[3]
+    assert first.ip == 0 and edge.role is Role.HEAD and edge.ip != 0
+    old_net = first.network_id
+    edge._become_isolated_network()
+    assert edge.ip == 0 and edge.network_id != old_net
+    assert ctx.resolve_ip(old_net, 0) == first.node_id
+    assert ctx.resolve_ip(edge.network_id, 0) == edge.node_id
+    new_net = edge.network_id
+    edge.vanish()
+    assert ctx.resolve_ip(new_net, 0) is None
+    assert ctx.resolve_ip(old_net, 0) == first.node_id
+
+
 def test_partitioned_networks_never_share_addresses():
     """Even while partitioned, (network, address) pairs stay unique."""
     ctx = make_ctx()

@@ -55,7 +55,7 @@ def test_bulk_configure_addresses_unique_and_bound():
     assert None not in addresses
     assert len(set(addresses)) == len(addresses)
     for agent in setup.agents:
-        assert ctx.resolve_ip(agent.ip) == agent.node_id
+        assert ctx.resolve_ip(agent.network_id, agent.ip) == agent.node_id
 
 
 def test_bulk_configure_heads_get_qdsets():

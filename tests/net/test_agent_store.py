@@ -64,9 +64,9 @@ def test_add_snapshots_address_from_agent():
 
 def test_note_writes_through_and_missing_ids_noop():
     ctx = make_ctx(2)
-    ctx.bind_ip(9, 0)
+    ctx.bind_ip(None, 9, 0)
     assert ctx.bound_address_count() == 1
-    ctx.unbind_ip(9)
+    ctx.unbind_ip(None, 9)
     assert ctx.bound_address_count() == 0
     epoch = ctx.role_epoch
     ctx.note(0)
@@ -74,10 +74,10 @@ def test_note_writes_through_and_missing_ids_noop():
     # Ids that never registered are ignored: nothing is counted for
     # them and nothing they do can change the component table.
     ctx.note(99)
-    ctx.bind_ip(1, 99)
+    ctx.bind_ip(None, 1, 99)
     assert ctx.role_epoch == epoch + 1
     assert ctx.bound_address_count() == 0
-    assert ctx.resolve_ip(1) == 99
+    assert ctx.resolve_ip(None, 1) == 99
 
 
 def test_allocator_ids_version_on_flips_and_start_over_on_reregistration():
@@ -103,7 +103,7 @@ def test_allocator_ids_version_on_flips_and_start_over_on_reregistration():
 
 def test_bound_address_count_counts_registered_ids_once():
     ctx = make_ctx(6)
-    ctx.bind_ip(10, 0)
-    ctx.bind_ip(11, 1)
-    ctx.bind_ip(12, 1)                  # a second address, same node
+    ctx.bind_ip(None, 10, 0)
+    ctx.bind_ip(None, 11, 1)
+    ctx.bind_ip(None, 12, 1)                  # a second address, same node
     assert ctx.bound_address_count() == 2

@@ -76,10 +76,23 @@ def test_register_and_lookup():
 def test_ip_registry():
     ctx = make_ctx()
     add(ctx, 1)
-    ctx.bind_ip(42, 1)
-    assert ctx.resolve_ip(42) == 1
-    ctx.unbind_ip(42)
-    assert ctx.resolve_ip(42) is None
+    ctx.bind_ip(None, 42, 1)
+    assert ctx.resolve_ip(None, 42) == 1
+    ctx.unbind_ip(None, 42)
+    assert ctx.resolve_ip(None, 42) is None
+
+
+def test_ip_registry_keys_addresses_by_network():
+    ctx = make_ctx()
+    add(ctx, 1)
+    add(ctx, 2)
+    ctx.bind_ip(7, 0, 1)
+    ctx.bind_ip(9, 0, 2)
+    assert (ctx.resolve_ip(7, 0), ctx.resolve_ip(9, 0)) == (1, 2)
+    assert ctx.resolve_ip(8, 0) is None
+    ctx.unbind_ip(9, 0)
+    assert (ctx.resolve_ip(7, 0), ctx.resolve_ip(9, 0)) == (1, None)
+    assert ctx.bound_address_count() == 1
 
 
 def test_is_head_requires_alive_allocator():
@@ -201,24 +214,24 @@ def test_component_tables_refresh_when_address_bound_ness_flips():
     # Binding an IP flips bound-ness, which versions the table.
     agent._configured = True
     agent.network_id = 9
-    ctx.bind_ip(42, 2)
+    ctx.bind_ip(None, 42, 2)
     assert networks(ctx, 1) == frozenset({7, 9})
     # Unbinding flips it back — again through the hook.
     agent._configured = False
-    ctx.unbind_ip(42)
+    ctx.unbind_ip(None, 42)
     assert networks(ctx, 1) == frozenset({7})
 
 
 def test_rebinding_to_a_new_address_does_not_version_the_tables():
     ctx = make_ctx()
     add(ctx, 1, configured=True, network_id=7)
-    ctx.bind_ip(42, 1)
+    ctx.bind_ip(None, 42, 1)
     epoch = ctx.role_epoch
     # Same bound-ness, different address: configured-ness and head-ness
     # are unchanged, so the derived tables stay valid.
-    ctx.bind_ip(43, 1)
+    ctx.bind_ip(None, 43, 1)
     assert ctx.role_epoch == epoch
-    ctx.unbind_ip(43)
+    ctx.unbind_ip(None, 43)
     assert ctx.role_epoch == epoch + 1
 
 
@@ -282,15 +295,14 @@ def two_clusters(ctx):
 def test_table_asks_the_agent_not_the_address_column():
     ctx = make_ctx()
     agents = two_clusters(ctx)
-    # After a re-found two networks hold address 0.  The registry is
-    # keyed by ip alone, so when node 1 gives its address up the unbind
-    # resolves to node 3 — the last to bind it — and clears *it*:
-    # node 1 stays noted as bound while unconfigured, node 3 is not
-    # while configured.
-    ctx.bind_ip(0, 1)
-    ctx.bind_ip(0, 3)
+    # After a re-found two networks hold address 0, each under its own
+    # key: when node 1 gives its address up, the unbind clears node 1
+    # and leaves node 3 bound.  The table reads the agents either way.
+    ctx.bind_ip(7, 0, 1)
+    ctx.bind_ip(9, 0, 3)
     agents[1]._configured = False
-    ctx.unbind_ip(0)
+    ctx.unbind_ip(7, 0)
+    assert ctx.resolve_ip(9, 0) == 3
     assert ctx.bound_address_count() == 1
     assert not ctx.is_configured(1) and ctx.is_configured(3)
     assert_table_is_the_reference(ctx)
@@ -416,18 +428,18 @@ ROLE_EPOCH_TABLE = [
     ("note_allocator, same answer",
      lambda ctx: ctx.note_allocator(1, True), 0),
     ("note_allocator, stranger", lambda ctx: ctx.note_allocator(99, True), 0),
-    ("bind_ip, first address", lambda ctx: ctx.bind_ip(7, 2), 1),
-    ("bind_ip, second address of a bound id", lambda ctx: ctx.bind_ip(43, 1), 0),
-    ("bind_ip, stranger", lambda ctx: ctx.bind_ip(7, 99), 0),
-    ("unbind_ip, bound", lambda ctx: ctx.unbind_ip(42), 1),
-    ("unbind_ip, unknown address", lambda ctx: ctx.unbind_ip(7), 0),
-    # ip_registry is keyed by ip alone: after 2 binds 1's address too,
-    # the unbind names 2 — the last to bind it — whoever gave it up.
+    ("bind_ip, first address", lambda ctx: ctx.bind_ip(None, 7, 2), 1),
+    ("bind_ip, second address of a bound id", lambda ctx: ctx.bind_ip(None, 43, 1), 0),
+    ("bind_ip, stranger", lambda ctx: ctx.bind_ip(None, 7, 99), 0),
+    ("unbind_ip, bound", lambda ctx: ctx.unbind_ip(None, 42), 1),
+    ("unbind_ip, unknown address", lambda ctx: ctx.unbind_ip(None, 7), 0),
+    # Within one network an address has one binder: after 2 binds 1's
+    # address too, the unbind names 2 — the last to bind it.
     ("unbind_ip after another id bound the same address",
-     lambda ctx: (ctx.bind_ip(42, 2), ctx.unbind_ip(42)), 2),
+     lambda ctx: (ctx.bind_ip(None, 42, 2), ctx.unbind_ip(None, 42)), 2),
     ("unbind_ip again: the first binder stays noted",
-     lambda ctx: (ctx.bind_ip(42, 2), ctx.unbind_ip(42),
-                  ctx.unbind_ip(42)), 2),
+     lambda ctx: (ctx.bind_ip(None, 42, 2), ctx.unbind_ip(None, 42),
+                  ctx.unbind_ip(None, 42)), 2),
 ]
 
 
@@ -440,7 +452,7 @@ def test_role_epoch_moves_exactly_when_the_table_could_change(
     ctx = make_ctx()
     add(ctx, 1, allocator=True)
     add(ctx, 2)
-    ctx.bind_ip(42, 1)
+    ctx.bind_ip(None, 42, 1)
     ctx.component_entry(1)          # the table is patched: nothing dirty
     epoch = ctx.role_epoch
     operation(ctx)
