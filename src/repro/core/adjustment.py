@@ -12,7 +12,7 @@ replication is actively regrown when ``|QDSet|`` drops below three.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.cluster.roles import ADJACENT_HEAD_HOPS
 from repro.core import messages as m
@@ -24,8 +24,10 @@ from repro.perf import counters as cnt
 from repro.quorum.voting import is_quorum
 from repro.sim.timers import PeriodicTimer, Timer
 
-#: (graph version, role epoch, head state, QDSet version).
-AuditStamp = Tuple[int, int, Optional[HeadState], Optional[int]]
+#: (graph version, role epoch, head state, QDSet version, reclaimed
+#: heads).
+AuditStamp = Tuple[int, int, Optional[HeadState], Optional[int],
+                   FrozenSet[int]]
 
 
 class AdjustmentMixin:
@@ -89,13 +91,13 @@ class AdjustmentMixin:
     def _audit_stamp(self) -> AuditStamp:
         head = self.head
         return (self.ctx.topology.graph_version, self.ctx.role_epoch, head,
-                None if head is None else head.qdset.version)
+                None if head is None else head.qdset.version,
+                frozenset(self._reclaimed))
 
     def _audit_quiet(self) -> bool:
-        """No isolation strike, T_d/T_r timer or reclamation fence is
-        outstanding."""
+        """No isolation strike or T_d/T_r timer is outstanding."""
         return not (self._isolated_strikes or self._td_timers
-                    or self._tr_timers or self._reclaimed)
+                    or self._tr_timers)
 
     def _audit_settled(self) -> bool:
         """Would a full audit now change nothing?  True while the stamp
@@ -106,7 +108,8 @@ class AdjustmentMixin:
         state the context's hooks cover (allocators and network ids:
         ``role_epoch`` is global because :meth:`_same_network_head`
         reads other heads' network ids), its own head state and QDSet,
-        and what :meth:`_audit_quiet` checks.  A stale graph never
+        the reclaimed heads it will not recruit, and what
+        :meth:`_audit_quiet` checks.  A stale graph never
         skips: the audit's label question is what refreshes it."""
         verdict = self._audit_verdict
         return (verdict is not None

@@ -2,9 +2,10 @@
 
 A :class:`PendingConfig` is the whole record of one in-flight
 allocation: the requester, the proposed address (or block for
-cluster-head grants), the vote collector over the QDSet universe and
-the vote timer bounding it, and the accumulated critical-path hop count
-that becomes the paper's configuration-latency metric.
+cluster-head grants), the vote collector over the QDSet universe, the
+timer bounding the open leg (a head proposal's wait for ``CH_CNF``, then
+the vote), and the accumulated critical-path hop count that becomes the
+paper's configuration-latency metric.
 """
 
 from __future__ import annotations
@@ -30,8 +31,9 @@ class PendingConfig:
             normal allocation, another head when borrowing).
         block: proposed block for head grants, ``None`` for common.
         collector: quorum vote collector; ``None`` before voting starts.
-        vote_timer: the armed vote timeout of the current vote round;
-            ``None`` once the round decided, timed out or was dropped.
+        vote_timer: the armed timeout of the open leg: a head
+            proposal's wait for CH_CNF, then each vote round; ``None``
+            once the leg closed, timed out or was dropped.
         latency_hops: critical-path hops accumulated so far (request leg
             plus any proposal legs); the quorum round trip and the final
             grant leg are added as they happen.
@@ -70,7 +72,7 @@ class PendingConfig:
         return "common" if self.block is None else "head"
 
     def disarm(self) -> None:
-        """Stop the vote timer, if one is armed."""
+        """Stop the armed timer, if any."""
         if self.vote_timer is not None:
             self.vote_timer.stop()
             self.vote_timer = None

@@ -7,11 +7,22 @@ whole IP block to its configurer if within three hops, otherwise to the
 QDSet member with the smallest IP block, resigns from the QDSets of its
 neighbors, and the receiver informs the departed head's configured nodes
 of their new allocator.
+
+The paper resigns before the return is known to have arrived, so a lost
+``CH_RETURN`` strands the space in no pool and no replica.  Here a head
+(departing or rejoining) resigns only once ``CH_RETURN_ACK`` arrives; it
+resends once if none has come halfway through :data:`LEAVE_GRACE`, and
+gives up at its end without resigning, so that its QDSet members'
+replicas let Section IV-D reclamation recover the space.  A receiver
+remembers whose space it absorbed, and answers a reclamation of that
+head with "already absorbed", so that a lost acknowledgement does not
+put one space in two pools.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+import dataclasses
+from typing import Any, Dict, List, Optional
 
 from repro.cluster.roles import ADJACENT_HEAD_HOPS, Role
 from repro.core import messages as m
@@ -23,6 +34,35 @@ from repro.sim.timers import Timer
 LEAVE_GRACE = 2.0  # leave even if the acknowledgement never arrives
 
 
+@dataclasses.dataclass
+class HandOff:
+    """A head's ``CH_RETURN`` awaiting its acknowledgement.
+
+    Attributes:
+        seq: the sender's hand-off number, echoed by the ACK; a
+            receiver that absorbed it once only re-acknowledges it.
+        body: the ``CH_RETURN`` payload: the whole space handed over.
+        targets: same-network heads to return to, in preference order.
+        network_id: the network the space belongs to.  A rejoining
+            head has left it by the time it resends.
+        own_ip: the head's address, which ``RESIGN`` names.
+        members: the QDSet members to resign from once acknowledged.
+        category: what the messages are charged to.
+        timer: the resend, then the give-up.
+        resent: whether the one resend has gone out.
+    """
+
+    seq: int
+    body: Dict[str, Any]
+    targets: List[int]
+    network_id: Optional[int]
+    own_ip: int
+    members: List[int]
+    category: Category
+    timer: Timer
+    resent: bool = False
+
+
 class DepartureMixin:
     """Graceful-leave behavior for both node roles."""
 
@@ -32,6 +72,12 @@ class DepartureMixin:
         # defined here so the profiler charges the timer to repro.core.
         self._leave_timer = Timer(self.ctx.sim,
                                   lambda: self._finalize_leave())
+        # Our hand-offs awaiting CH_RETURN_ACK, by seq.  Their timers
+        # are not the agent's: a rejoin must not stop them.
+        self._handoffs: Dict[int, HandOff] = {}
+        self._handoff_seq = 0
+        # Sender -> seq of the last hand-off we absorbed from it.
+        self._absorbed_handoffs: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # Entry point (called by the scenario runner)
@@ -134,46 +180,94 @@ class DepartureMixin:
     # ------------------------------------------------------------------
     # Cluster head departure
     # ------------------------------------------------------------------
-    def _return_target(self) -> Optional[int]:
-        """Configurer if within three hops, else smallest-block QDSet
-        member, else the nearest head."""
+    def _return_targets(self) -> List[int]:
+        """Same-network heads a hand-off may go to, best first: the
+        configurer if within three hops, then the QDSet members in the
+        partition, smallest block first; with none of those, the
+        nearest head."""
         assert self.head is not None
+        targets = []
         configurer = self.head.configurer_id
         if configurer is not None and self.ctx.is_head(configurer):
             hops = self.ctx.topology.hops(self.node_id, configurer,
                                           max_hops=ADJACENT_HEAD_HOPS)
             if hops is not None:
-                return configurer
+                targets.append(configurer)
 
         def replica_size(member: int) -> int:
             replica = self.head.replicas.get(member)
             return replica.size() if replica is not None else 1 << 30
 
-        candidates = [
+        targets += sorted((
             member for member in self.head.qdset.active_members()
             # Any reachable co-holder in the partition may take the
             # block, however far away — an O(1) connectivity-label
             # check per member, not an unbounded BFS.
-            if self.ctx.is_head(member)
+            if member not in targets and self.ctx.is_head(member)
             and self.ctx.topology.same_component(self.node_id, member)
-        ]
-        if candidates:
-            return min(candidates, key=lambda mid: (replica_size(mid), mid))
-        nearest = self._nearest_allocator()
-        return nearest[0] if nearest is not None else None
+        ), key=lambda mid: (replica_size(mid), mid))
+        if not targets:
+            nearest = self._nearest_allocator()
+            if nearest is not None:
+                targets.append(nearest[0])
+        return [target for target in targets
+                if self._same_network_head(target)]
 
     def _head_departure(self) -> None:
         assert self.head is not None
-        for member in self.head.qdset.members():
-            self._send(member, m.RESIGN, {"ip": self.head.ip},
-                       Category.DEPARTURE)
-        target = self._return_target()
-        if target is None:
-            # Nobody to return to: the space leaks until reclamation.
+        if not self._hand_off(Category.DEPARTURE):
+            # Nobody to return to: leave without resigning, so that the
+            # QDSet members' replicas let reclamation recover the space.
             self._finalize_leave()
+
+    def _hand_off(self, category: Category) -> bool:
+        """Hand our whole space to the best return target, keeping the
+        QDSet's replicas of it until the target acknowledges.  False
+        when there is no target."""
+        assert self.head is not None
+        self._close_open_proposals()
+        targets = self._return_targets()
+        if not targets:
+            return False
+        self._handoff_seq += 1
+        body = self._hand_off_to(targets[0])
+        body["seq"] = self._handoff_seq
+        handoff = HandOff(
+            seq=self._handoff_seq, body=body, targets=targets,
+            network_id=self.network_id, own_ip=self.head.ip,
+            members=self.head.qdset.members(), category=category,
+            timer=Timer(self.ctx.sim, self._on_handoff_timeout))
+        self._handoffs[handoff.seq] = handoff
+        self._send_handoff(handoff, targets[0])
+        handoff.timer.start(LEAVE_GRACE / 2, handoff.seq)
+        return True
+
+    def _send_handoff(self, handoff: HandOff, target: int) -> None:
+        dst = self.ctx.node_of(target)
+        if dst is None:
             return
-        self._send(target, m.CH_RETURN, self._hand_off_to(target),
-                   Category.DEPARTURE)
+        msg = Message(mtype=m.CH_RETURN, src=self.node_id, dst=target,
+                      payload=handoff.body, network_id=handoff.network_id)
+        self.ctx.transport.send(self.node, dst, msg,
+                                category=handoff.category)
+
+    def _on_handoff_timeout(self, seq: int) -> None:
+        """No ACK yet: resend once, to the first target that is still a
+        head (the same one when only a message was lost: a second head
+        would absorb a space the first may already hold).  No ACK by
+        the end of the grace: give up without resigning."""
+        handoff = self._handoffs.get(seq)
+        if handoff is None or not self.node.alive:
+            return
+        if handoff.resent:
+            del self._handoffs[seq]
+            return
+        handoff.resent = True
+        target = next((target for target in handoff.targets
+                       if self.ctx.is_head(target)), None)
+        if target is not None:
+            self._send_handoff(handoff, target)
+        handoff.timer.start(LEAVE_GRACE / 2, seq)
 
     def _hand_off_to(self, target: int) -> Dict[str, Any]:
         """Empty our pool into a CH_RETURN body for ``target`` — free
@@ -205,8 +299,14 @@ class DepartureMixin:
             return
         if msg.network_id != self.network_id:
             return  # blocks from another network's address space
-        self._send(msg.src, m.CH_RETURN_ACK, {}, Category.DEPARTURE)
         payload = msg.payload
+        self._send(msg.src, m.CH_RETURN_ACK, {"seq": payload["seq"]},
+                   Category.DEPARTURE)
+        if self._absorbed_handoffs.get(msg.src) == payload["seq"]:
+            return  # a resend: only our acknowledgement was lost
+        self._absorbed_handoffs[msg.src] = payload["seq"]
+        # The space is ours now, not a replica's.
+        self._forget_head(msg.src)
         for start, size in payload["blocks"]:
             self.head.pool.absorb(start, start + size)
         self.head.ledger.apply_rows(payload["records"])
@@ -228,16 +328,29 @@ class DepartureMixin:
         self._refresh_replica_at_members(want_ack=False)
 
     def _handle_ch_return_ack(self, msg: Message) -> None:
+        handoff = self._handoffs.pop(msg.payload["seq"], None)
+        if handoff is None:
+            return
+        handoff.timer.stop()
+        # The target holds the space: only now may the replicas go.
+        for member in handoff.members:
+            self._send(member, m.RESIGN, {"ip": handoff.own_ip},
+                       handoff.category)
         if self._leaving:
             self._leave_timer.stop()
             self._finalize_leave()
 
     def _handle_resign(self, msg: Message) -> None:
+        self._forget_head(msg.src)
+
+    def _forget_head(self, head_id: int) -> None:
+        """``head_id`` left the quorum system with its space in safe
+        hands: drop it from the QDSet, with its replica."""
         if self.head is None:
             return
-        self.head.qdset.remove(msg.src)
-        self.head.replicas.drop(msg.src)
-        self._clear_suspicion(msg.src)
+        self.head.qdset.remove(head_id)
+        self.head.replicas.drop(head_id)
+        self._clear_suspicion(head_id)
 
     def _handle_alloc_change(self, msg: Message) -> None:
         if self.common is None:

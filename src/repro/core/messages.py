@@ -111,7 +111,8 @@ TABLE: Dict[str, Tuple[str, ...]] = {
     RETURN_ACK: (),
     RETURN_FWD: (QUORUM_UPD,),
     CH_RETURN: (CH_RETURN_ACK, ALLOC_CHANGE, REPLICA_DIST),
-    CH_RETURN_ACK: (),
+    # The hand-off's sender resigns once the space is known to be safe.
+    CH_RETURN_ACK: (RESIGN,),
     RESIGN: (),
     ALLOC_CHANGE: (),
     # --- reclamation of departed addresses (REC_*) ------------------------
@@ -130,7 +131,10 @@ TABLE: Dict[str, Tuple[str, ...]] = {
     REP_REQ: (REP_ACK,),
     REP_ACK: (),
     # --- partition merge / location --------------------------------------
-    MERGE_JOIN: (MERGE_JOIN, RESIGN, CH_RETURN, RETURN_ADDR),
+    # A rejoining head closes its open proposals (no NACK is sent, but
+    # the abort path can) and hands its space over; it resigns on the
+    # CH_RETURN_ACK.
+    MERGE_JOIN: (MERGE_JOIN, CH_RETURN, RETURN_ADDR, CH_NACK, COM_NACK),
     UPDATE_LOC: (),
 }
 

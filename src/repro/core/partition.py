@@ -180,14 +180,12 @@ class PartitionMixin:
                 phase="rejoin", network_id=self.network_id))
         was_head = self.head is not None
         if self.head is not None:
-            # Propagate to our cluster and leave the quorum system.
+            # Propagate to our cluster.  We leave the quorum system once
+            # the hand-off below is acknowledged.
             for address, holder in sorted(self.head.configured.items()):
                 if holder is None or holder < 0:
                     continue
                 self._send(holder, m.MERGE_JOIN, {}, Category.PARTITION)
-            for member in self.head.qdset.members():
-                self._send(member, m.RESIGN, {"ip": self.head.ip},
-                           Category.PARTITION)
         # Hand our address resources back to the network we are leaving
         # — without this, every rejoin leaks a block and sustained churn
         # eventually exhausts the whole address space.
@@ -218,11 +216,7 @@ class PartitionMixin:
         """Return our address (or IP block) to a head of the network we
         are abandoning, exactly as a graceful departure would."""
         if self.head is not None:
-            target = self._return_target()
-            if target is not None and self._same_network_head(target):
-                self._send_with_retry(target, m.CH_RETURN,
-                                      self._hand_off_to(target),
-                                      Category.PARTITION)
+            self._hand_off(Category.PARTITION)
         elif self.common is not None:
             nearest = self.ctx.hello.nearest_head(
                 self.node_id,

@@ -146,7 +146,8 @@ class QuorumProtocolAgent(
 
     @property
     def live_vote_timers(self) -> int:
-        """Allocator-side attempts still collecting votes."""
+        """Allocator-side attempts waiting on a timed leg: a head
+        proposal's CH_CNF, or votes."""
         return sum(1 for pending in self._pending.values()
                    if pending.vote_timer is not None)
 
@@ -422,11 +423,16 @@ class QuorumProtocolAgent(
         }, Category.CONFIG, corr=pending.corr)
         if not delivery.ok:
             self._abort_attempt(pending, reason="proposal-undeliverable")
+            return
+        # The block is out of the pool: bound the wait for CH_CNF, or a
+        # lost CH_PRP or CH_CNF strands it.
+        self._arm(pending, self.cfg.config_timeout)
 
     def _handle_ch_cnf(self, msg: Message) -> None:
         pending = self._pending.get(msg.payload["attempt"])
         if pending is None or pending.kind != "head":
             return
+        pending.disarm()
         pending.latency_hops = msg.payload["lat"] + msg.hops
         self._start_vote(pending)
 
@@ -554,10 +560,13 @@ class QuorumProtocolAgent(
                 pending.vote_sent[member] = delivery.hops
             elif self.cfg.adjustment_enabled:
                 self._suspect_member(member)
-        pending.vote_timer = Timer(self.ctx.sim, self._on_vote_timeout)
-        pending.vote_timer.start(self.cfg.config_timeout * 0.75,
-                                 pending.attempt_id)
+        self._arm(pending, self.cfg.config_timeout * 0.75)
         self._maybe_decide(pending)
+
+    def _arm(self, pending: PendingConfig, delay: float) -> None:
+        """Time out the transaction's open leg after ``delay``."""
+        pending.vote_timer = Timer(self.ctx.sim, self._on_vote_timeout)
+        pending.vote_timer.start(delay, pending.attempt_id)
 
     def _handle_quorum_clt(self, msg: Message) -> None:
         if self.head is None:
@@ -695,9 +704,16 @@ class QuorumProtocolAgent(
 
     def _on_vote_timeout(self, attempt_id: int) -> None:
         pending = self._pending.get(attempt_id)
-        if pending is None or pending.collector is None:
+        if pending is None:
             return
         pending.vote_timer = None
+        if pending.collector is None:
+            # No CH_CNF: the proposal or its answer was lost.  The block
+            # goes back to the pool; the requester's own retry timer
+            # ends its side.
+            self._abort_attempt(pending, reason="proposal-timeout",
+                                nack=False)
+            return
         if pending.collector.decide() is not None:
             return  # already decided (a stranded borrow: see _maybe_decide)
         obs = self.ctx.obs
@@ -807,6 +823,13 @@ class QuorumProtocolAgent(
             self._send(pending.requester, refusal,
                        {"seq": pending.req_seq}, Category.CONFIG,
                        corr=pending.corr)
+
+    def _close_open_proposals(self) -> None:
+        """Before the pool is handed over: return the block of every
+        head proposal not yet granted to it."""
+        for pending in list(self._pending.values()):
+            if pending.block is not None and not pending.committed:
+                self._abort_attempt(pending, reason="hand-off", nack=False)
 
     def _drop_pending(self, pending: PendingConfig) -> None:
         self._pending.pop(pending.attempt_id, None)

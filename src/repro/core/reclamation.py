@@ -22,6 +22,12 @@ but does not spell these out):
   transient partition, not a death.
 * **Majority consent.**  Only the majority side of the quorum universe
   may absorb (see :meth:`AdjustmentMixin._majority_reachable`).
+* **Handed-off space.**  A head that left without the acknowledgement
+  of its ``CH_RETURN`` did not resign, so its QDSet members reclaim it;
+  but the receiver may have absorbed the space all the same.  The
+  receiver answers the ``ADDR_REC`` (``REC_HOLDER``) and the read-repair
+  (``REC_SYNC_ACK``) with "absorbed", and the reclaimer drops its
+  replica instead of absorbing the space a second time.
 * **Zombie fence.**  A head that was reclaimed while merely partitioned
   must not keep allocating from its old space once it re-encounters the
   network: any vote or replica exchange it attempts with a node that
@@ -72,6 +78,9 @@ class ReclamationMixin:
             return
         if dead_id in self._reclaim_timers:
             return  # collection already under way
+        if dead_id in self._absorbed_handoffs:
+            self._forget_head(dead_id)   # its space is in our pool
+            return
         assert self.head is not None
         replica = self.head.replicas.get(dead_id)
         if replica is None:
@@ -125,7 +134,11 @@ class ReclamationMixin:
                     }, Category.RECLAMATION)
         if self.head is not None and initiator != self.node_id:
             self._reclaim_observed[dead_id] = self.ctx.sim.now
-            if self.head.replicas.get(dead_id) is not None:
+            if dead_id in self._absorbed_handoffs:
+                self._send(initiator, m.REC_HOLDER, {
+                    "dead_id": dead_id, "absorbed": True,
+                }, Category.RECLAMATION)
+            elif self.head.replicas.get(dead_id) is not None:
                 self._send(initiator, m.REC_HOLDER, {"dead_id": dead_id},
                            Category.RECLAMATION)
             if dead_id in self.head.qdset:
@@ -133,9 +146,22 @@ class ReclamationMixin:
                 self._suspect_member(dead_id)
 
     def _handle_rec_holder(self, msg: Message) -> None:
+        if msg.payload.get("absorbed"):
+            self._drop_handed_off(msg.payload["dead_id"])
+            return
         holders = self._reclaim_holders.get(msg.payload["dead_id"])
         if holders is not None:
             holders.add(msg.src)
+
+    def _drop_handed_off(self, dead_id: int) -> None:
+        """Another head absorbed ``dead_id``'s hand-off: end our
+        reclamation of it, and drop the replica, which is stale."""
+        timer = self._reclaim_timers.pop(dead_id, None)
+        if timer is not None:
+            timer.stop()
+        self._reclaim_holders.pop(dead_id, None)
+        self._forget_head(dead_id)
+        self._emit_reclaim(dead_id, "handed-off")
 
     def _apply_rec_rep(self, dead_id: int, address: int, holder: int) -> bool:
         assert self.head is not None
@@ -223,6 +249,9 @@ class ReclamationMixin:
         of the granted range."""
         if self.head is None or dead_id in self._reclaimed:
             return
+        if dead_id in self._absorbed_handoffs:
+            self._drop_handed_off(dead_id)   # delegated to us
+            return
         for holder in sorted(self._surviving_holders(dead_id, set())):
             if holder != self.node_id:
                 self._send(holder, m.REC_SYNC, {"dead_id": dead_id},
@@ -235,6 +264,11 @@ class ReclamationMixin:
         if self.head is None:
             return
         dead_id = msg.payload["dead_id"]
+        if dead_id in self._absorbed_handoffs:
+            self._send(msg.src, m.REC_SYNC_ACK, {
+                "owner_id": dead_id, "absorbed": True,
+            }, Category.RECLAMATION)
+            return
         replica = self.head.replicas.get(dead_id)
         if replica is None:
             return
@@ -249,7 +283,9 @@ class ReclamationMixin:
         }, Category.RECLAMATION)
 
     def _handle_rec_sync_ack(self, msg: Message) -> None:
-        if (self.head is not None
+        if msg.payload.get("absorbed"):
+            self._drop_handed_off(msg.payload["owner_id"])
+        elif (self.head is not None
                 and self.head.replicas.get(msg.payload["owner_id"]) is not None):
             self._install_replica_from(msg.payload)
 

@@ -293,8 +293,9 @@ class ReclamationEvent:
     """Address reclamation lifecycle (Section IV-D).
 
     ``phase``: "initiated" (ADDR_REC flood), "cancelled" (dead head
-    reachable again), "delegated" (another holder absorbs) or
-    "absorbed" (space taken over).
+    reachable again), "delegated" (another holder absorbs),
+    "absorbed" (space taken over) or "handed-off" (the dead head's
+    hand-off already put its space in another head's pool).
     """
 
     etype: ClassVar[str] = "reclaim.phase"

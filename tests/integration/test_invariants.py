@@ -9,6 +9,7 @@ import itertools
 
 import pytest
 
+from repro.core import protocol
 from repro.experiments import Scenario, ScenarioRunner
 from repro.faults import FaultSpec
 from repro.addrspace.records import AddressStatus
@@ -36,11 +37,13 @@ def test_address_uniqueness_with_churn(seed):
 
 
 # The meltdown item's probe cell (ROADMAP, "Fix the meltdown"): a lossy
-# static run with departures, 30 % of them abrupt.  At its end live
-# heads 80 and 145 of network 1096 both book address 267: head 1
-# granted it to head 145 as a one-address block (t=222.60), then head
-# 80 absorbed dead head 1's space from a replica that still covered it
-# (t=240.17).
+# static run with departures, 30 % of them abrupt.  Before head
+# proposals timed out, live heads 80 and 145 of network 1096 both
+# ended it booking address 267: head 1 granted it to head 145 as a
+# one-address block (t=222.60), then head 80 absorbed dead head 1's
+# space from a replica that still covered it (t=240.17).  The run no
+# longer reaches that schedule; whether a stale replica can still be
+# absorbed elsewhere is open (ROADMAP).
 STALE_REPLICA_CELL = Scenario(
     num_nodes=200, seed=11, speed_mps=0.0, depart_fraction=0.3,
     abrupt_probability=0.3, faults=FaultSpec(loss_rate=0.05))
@@ -51,11 +54,7 @@ STALE_REPLICA_CELL = Scenario(
         seed=seed, num_nodes=60, settle_time=25.0), id=str(seed))
     for seed in (1, 2)
 ] + [
-    pytest.param(STALE_REPLICA_CELL, id="stale-replica-absorb", marks=(
-        pytest.mark.xfail(strict=True, reason=(
-            "an absorber reclaims a block its dead owner had granted, "
-            "from a stale replica; ROADMAP: Fix the meltdown / stale "
-            "transactions")))),
+    pytest.param(STALE_REPLICA_CELL, id="stale-replica-absorb"),
 ])
 def test_no_address_owned_by_two_heads(scenario):
     """Within one network, every address has at most one owning pool."""
@@ -71,6 +70,27 @@ def test_no_address_owned_by_two_heads(scenario):
             assert key not in owners, (
                 f"{key} owned by {owners[key]} and {agent.node_id}")
             owners[key] = agent.node_id
+
+
+@pytest.mark.parametrize("num_nodes, seed", [(100, 11), (200, 11), (200, 12)])
+def test_no_space_stranded_in_unclosed_head_proposals(num_nodes, seed,
+                                                      monkeypatch):
+    """A head proposal takes its block out of the pool; one whose
+    CH_PRP or CH_CNF was lost used to keep it for good.  On the lossy
+    static cells (bankruptcy re-founds off, so nothing refills the
+    space) no live head ends the run with a proposal still holding a
+    block it never put to the vote."""
+    monkeypatch.setattr(protocol, "DRY_BANKRUPTCY_THRESHOLD", 10**9)
+    runner = ScenarioRunner(Scenario(
+        num_nodes=num_nodes, seed=seed, speed_mps=0.0, depart_fraction=0.3,
+        abrupt_probability=0.3, faults=FaultSpec(loss_rate=0.05)))
+    runner.run()
+    stranded = sum(
+        pending.block.size for agent in runner.ctx.agents.values()
+        if agent.node.alive and agent.head is not None
+        for pending in agent._pending.values()
+        if pending.block is not None and pending.collector is None)
+    assert stranded == 0
 
 
 @pytest.mark.parametrize("seed", [1, 2])

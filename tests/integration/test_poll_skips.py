@@ -2,7 +2,8 @@
 component table patches only the nodes the hooks noted.  Both are meant
 to be exact, so this test wraps them and checks every use, over the
 pinned cells of ``tests/integration/test_pinned_results.py`` (the two
-crash/restart cells included):
+crash/restart cells included), each run for ten seconds past its pinned
+settle time:
 
 * every ``component_entry`` answer equals ``reference_table``, the
   per-node loop of ``tests/net/test_context.py``;
@@ -28,6 +29,8 @@ from tests.integration.test_pinned_results import CELLS, cell_scenario
 from tests.net.structure import component_id
 from tests.net.test_context import NO_HEADS, reference_table
 
+#: The pinned cells' settle time, plus ten seconds.
+SETTLE_S = 40.0
 #: The audit's skip predicate and the field holding its verdict.
 AUDIT_SETTLED, AUDIT_VERDICT = "_audit_settled", "_audit_verdict"
 POLLS = ("_merge_scan", "_audit")
@@ -116,7 +119,15 @@ def test_skips_and_table_patches_are_exact(cell, monkeypatch):
     monkeypatch.setattr(NetworkContext, "component_entry", component_entry)
     monkeypatch.setattr(QuorumProtocolAgent, "_audit", replayed_audit)
     monkeypatch.setattr(_Cohort, "_pass_parked", replayed_pass)
-    ScenarioRunner(cell_scenario(cell), "quorum").run()
+    # Polls skip in a settled run's quiet stretches, and the last ten
+    # seconds give each static cell one more.  The crash cell needs it:
+    # since head proposals time out, its run takes another course, in
+    # which head 25's departure at t=96.7 cuts head 27 off from its
+    # whole QDSet, and four heads suspect one another through 27's
+    # re-found until t=110.  At the pinned length the audit skips 98
+    # times there.
+    ScenarioRunner(cell_scenario(cell, settle_time=SETTLE_S),
+                   "quorum").run()
     # Every cell asks the table many times.  Under mobility every
     # refresh moves the graph, so a poll never finds its stamp again;
     # the static cells skip both polls many times.

@@ -65,7 +65,8 @@ def test_role_and_quorum_gauges_read_the_agents():
     requesting = series["role_requesting"]
     first = next(i for i, count in enumerate(requesting) if count)
     assert 0 in requesting[first:requesting.index(max(requesting))]
-    # Lost votes keep allocator-side vote timers alive across a tick.
+    # Lost proposals and votes keep allocator-side timers alive across
+    # a tick.
     assert max(series["vote_timers"]) > 0
     assert series["vote_timers"][-1] == 0
     # Agents without a role (every baseline) count under role_none.
