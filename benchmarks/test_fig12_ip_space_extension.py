@@ -7,21 +7,16 @@ range increases, the IP space size ratio of our protocol to [3]
 increases".  [3] keeps no replicas, so its ratio is identically 1.
 """
 
-import pytest
-
 from repro.experiments import figures
 
 from benchmarks.conftest import run_figure
 
 
-# The peak-beyond-the-smallest-range check fails today: stale QDSets
-# inflate the extension most at the smallest range.  The fix turns this
-# marker into an XPASS, which strict mode reports as a failure until the
-# marker goes.
-@pytest.mark.xfail(strict=True, reason=(
-    "stale QDSets under mobility peak the extension at tr=100 m; see "
-    "ROADMAP.md, 'Under mobility, partial replication turns into full "
-    "replication. Keep each QDSet equal to the 3-hop head ring.'"))
+# The peak-beyond-the-smallest-range check failed while head proposals
+# had no timeout (quorum nn=200: 13.20 at tr=100 m, 11.12 at 150 m).
+# Stale QDSets inflate the extension most at the smallest range, and
+# they are not fixed (ROADMAP, "Keep each QDSet equal to the 3-hop
+# head ring"), so the check may fail again at other arguments.
 def test_fig12_ip_space_extension(benchmark, sweep_executor):
     result = run_figure(benchmark, lambda: figures.fig12_ip_space_extension(
         ranges=(100.0, 150.0, 200.0, 250.0), sizes=(100, 200), seeds=(1,),

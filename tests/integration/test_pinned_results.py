@@ -56,6 +56,18 @@ The same precedent covers two ``RunResult`` fields nothing read:
 ``leaked_addresses`` (always 0).  All twelve hashes were re-taken
 without those two keys on the last commit that still had the fields,
 so they hold across the fields' removal.
+
+All eight quorum pins were re-taken when the protocol's outputs moved
+on purpose, on the commit that keys the IP registry by network and
+times out head proposals and unacknowledged hand-offs.  The registry
+alone moves all four cells: after a re-found, commit-time conflict
+probes and returned-address routing now resolve addresses in their
+own network.  The proposal timeout and the hand-off order move every
+cell with a lost or undeliverable ``CH_PRP``, ``CH_CNF`` or
+``CH_RETURN``, and every graceful head departure (``RESIGN`` now
+follows ``CH_RETURN_ACK``).  The baseline pins did not move.  Where a
+cell's search counters came in under their budget by more than the
+25 % margin, the budget was lowered to the new reading times 1.25.
 """
 
 import hashlib
@@ -70,34 +82,34 @@ from repro.perf import counters as cnt
 CELLS = {
     "mobile": (
         dict(),
-        "92e05690c0c259fa57b66908c5d704b1715f7e3e7345bff3e181a47aa0b474f4",
+        "00d39db59b1d669c109024aaebedf2de6f51a55fe74235ea84f107980592091e",
         {cnt.CONN_LABEL_HITS: 3969, cnt.BFS_CALLS: 4530,
          cnt.BFS_CACHE_HITS: 1054, cnt.BFS_NODES_EXPANDED: 18319},
-        "2bc9fcdc528ca5902c8d58dbe47968201142b60b7f244bfc9806200074ac8b4e"),
+        "faaf0b239846230873357e9798566a9606921ace79b104917c07a010696eac70"),
     "static_lossy": (
         dict(speed_mps=0.0, faults=FaultSpec(loss_rate=0.05)),
-        "c4f2c7804f2599704afe814a3fcb794bb5aeb67631650a92b0e82d7bad5c7a3c",
+        "8cd08bd08d71e6775aceb3b4ef1ca8f2368bba73e1fde79955930630618487d9",
         {cnt.CONN_LABEL_HITS: 1400, cnt.BFS_CALLS: 1123,
-         cnt.BFS_CACHE_HITS: 1910, cnt.BFS_NODES_EXPANDED: 5673,
+         cnt.BFS_CACHE_HITS: 1748, cnt.BFS_NODES_EXPANDED: 5300,
          cnt.CONN_SPLIT_SLOTS_SCANNED: 59},
-        "5e52007da5574b648aeaef1c632734f9fa9242a0d138a4ec8a4cf152ae017580"),
+        "f364fb653347ff2ccd66f07ff33091db127a26dd1457c322cb751151583146bf"),
     "mobile_crash": (
         dict(faults=FaultSpec(
             crashes=crash_schedule(40, 0.2, at=40.0, seed=7))),
-        "92a7fe8f7f0ed4cca1191a636a0ac39882453f6f7bdedca35d470246c3abc70e",
+        "17980684f74636f45926bfe6efebaccf813f903c7a0a05a6e47e9b959ef87bfc",
         {cnt.CONN_LABEL_HITS: 3890, cnt.BFS_CALLS: 4065,
          cnt.BFS_CACHE_HITS: 965, cnt.BFS_NODES_EXPANDED: 15489},
-        "2a676ec6e523f585e20e2877fc3cd04df42f9ee40db1ac0f7147a5b89afc8e1c"),
+        "5afc5b6748253dc58241f737986d66b345b48c106e1fdc78f2acd3f58e5ad393"),
     "static_lossy_crash": (
         dict(speed_mps=0.0, faults=FaultSpec(
             loss_rate=0.05,
             crashes=crash_schedule(40, 0.2, at=30.0, downtime=20.0,
                                    seed=7))),
-        "bc21a0db50760700216a0df27a1c875020a2aec00c241bf1f1b9428187eb416f",
+        "906ba55737a1ebbde8f120ddd41f505dd64fb27d956781a70e75c5852e5981e0",
         {cnt.CONN_LABEL_HITS: 1683, cnt.BFS_CALLS: 1203,
-         cnt.BFS_CACHE_HITS: 1833, cnt.BFS_NODES_EXPANDED: 5648,
+         cnt.BFS_CACHE_HITS: 1804, cnt.BFS_NODES_EXPANDED: 5648,
          cnt.CONN_SPLIT_SLOTS_SCANNED: 98},
-        "becd574f7031bcc0dff069ad0c85fb1532ba950ec21a9b70ff87defa80d14d7a"),
+        "c385c22c0c0237cef61de59b6556e19642f3b0e674c2bc369af11d61938c6a80"),
 }
 
 

@@ -429,7 +429,8 @@ ROLE_EPOCH_TABLE = [
      lambda ctx: ctx.note_allocator(1, True), 0),
     ("note_allocator, stranger", lambda ctx: ctx.note_allocator(99, True), 0),
     ("bind_ip, first address", lambda ctx: ctx.bind_ip(None, 7, 2), 1),
-    ("bind_ip, second address of a bound id", lambda ctx: ctx.bind_ip(None, 43, 1), 0),
+    ("bind_ip, second address of a bound id",
+     lambda ctx: ctx.bind_ip(None, 43, 1), 0),
     ("bind_ip, stranger", lambda ctx: ctx.bind_ip(None, 7, 99), 0),
     ("unbind_ip, bound", lambda ctx: ctx.unbind_ip(None, 42), 1),
     ("unbind_ip, unknown address", lambda ctx: ctx.unbind_ip(None, 7), 0),
