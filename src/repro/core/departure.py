@@ -39,24 +39,22 @@ class HandOff:
     """A head's ``CH_RETURN`` awaiting its acknowledgement.
 
     Attributes:
-        seq: the sender's hand-off number, echoed by the ACK; a
-            receiver that absorbed it once only re-acknowledges it.
-        body: the ``CH_RETURN`` payload: the whole space handed over.
+        body: the ``CH_RETURN`` payload: the whole space handed over,
+            the head's address (``own_ip``, which ``RESIGN`` names)
+            and the sender's hand-off number (``seq``), which the ACK
+            echoes and by which a receiver knows a resend.
         targets: same-network heads to return to, in preference order.
         network_id: the network the space belongs to.  A rejoining
             head has left it by the time it resends.
-        own_ip: the head's address, which ``RESIGN`` names.
         members: the QDSet members to resign from once acknowledged.
         category: what the messages are charged to.
         timer: the resend, then the give-up.
         resent: whether the one resend has gone out.
     """
 
-    seq: int
     body: Dict[str, Any]
     targets: List[int]
     network_id: Optional[int]
-    own_ip: int
     members: List[int]
     category: Category
     timer: Timer
@@ -233,13 +231,12 @@ class DepartureMixin:
         body = self._hand_off_to(targets[0])
         body["seq"] = self._handoff_seq
         handoff = HandOff(
-            seq=self._handoff_seq, body=body, targets=targets,
-            network_id=self.network_id, own_ip=self.head.ip,
+            body=body, targets=targets, network_id=self.network_id,
             members=self.head.qdset.members(), category=category,
             timer=Timer(self.ctx.sim, self._on_handoff_timeout))
-        self._handoffs[handoff.seq] = handoff
+        self._handoffs[self._handoff_seq] = handoff
         self._send_handoff(handoff, targets[0])
-        handoff.timer.start(LEAVE_GRACE / 2, handoff.seq)
+        handoff.timer.start(LEAVE_GRACE / 2, self._handoff_seq)
         return True
 
     def _send_handoff(self, handoff: HandOff, target: int) -> None:
@@ -334,7 +331,7 @@ class DepartureMixin:
         handoff.timer.stop()
         # The target holds the space: only now may the replicas go.
         for member in handoff.members:
-            self._send(member, m.RESIGN, {"ip": handoff.own_ip},
+            self._send(member, m.RESIGN, {"ip": handoff.body["own_ip"]},
                        handoff.category)
         if self._leaving:
             self._leave_timer.stop()

@@ -249,9 +249,6 @@ class ReclamationMixin:
         of the granted range."""
         if self.head is None or dead_id in self._reclaimed:
             return
-        if dead_id in self._absorbed_handoffs:
-            self._drop_handed_off(dead_id)   # delegated to us
-            return
         for holder in sorted(self._surviving_holders(dead_id, set())):
             if holder != self.node_id:
                 self._send(holder, m.REC_SYNC, {"dead_id": dead_id},
