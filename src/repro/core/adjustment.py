@@ -12,22 +12,17 @@ replication is actively regrown when ``|QDSet|`` drops below three.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro.cluster.roles import ADJACENT_HEAD_HOPS
 from repro.core import messages as m
-from repro.core.state import HeadState
 from repro.net.message import Message
 from repro.net.stats import Category
+from repro.net.topology import STALE
 from repro.obs import events as obs_ev
 from repro.perf import counters as cnt
 from repro.quorum.voting import is_quorum
 from repro.sim.timers import PeriodicTimer, Timer
-
-#: (graph version, role epoch, head state, QDSet version, reclaimed
-#: heads).
-AuditStamp = Tuple[int, int, Optional[HeadState], Optional[int],
-                   FrozenSet[int]]
 
 
 class AdjustmentMixin:
@@ -37,9 +32,6 @@ class AdjustmentMixin:
         self._audit_timer: Optional[PeriodicTimer] = None
         self._td_timers: Dict[int, Timer] = {}
         self._tr_timers: Dict[int, Timer] = {}
-        # The stamp of the last full audit that changed nothing (see
-        # :meth:`_audit_settled`).
-        self._audit_verdict: Optional[AuditStamp] = None
 
     def _emit_qdset_change(self, member: int, action: str) -> None:
         """QDSetChanged observability event (no-op while tracing is off)."""
@@ -88,9 +80,25 @@ class AdjustmentMixin:
         return {member for member, label in zip(alive, labels)
                 if label == mine}
 
-    def _audit_stamp(self) -> AuditStamp:
+    def _audit_stamp(self) -> object:
+        """The probe a full audit that changed nothing parks its timer
+        on: ``(graph version, role epoch, head state, QDSet version,
+        reclaimed heads)`` while the graph is current and the agent
+        quiet (:meth:`_audit_quiet`), else a fresh object, which
+        matches nothing.
+
+        The audit read the graph (labels and hop rings), agent state
+        the context's hooks cover (allocators and network ids:
+        ``role_epoch`` is global because :meth:`_same_network_head`
+        reads other heads' network ids), its own head state and QDSet,
+        and the reclaimed heads it will not recruit.  A stale graph
+        never matches: the audit's label question is what refreshes
+        it."""
+        version = self.ctx.topology.current_version()
+        if version == STALE or not self._audit_quiet():
+            return object()
         head = self.head
-        return (self.ctx.topology.graph_version, self.ctx.role_epoch, head,
+        return (version, self.ctx.role_epoch, head,
                 None if head is None else head.qdset.version,
                 frozenset(self._reclaimed))
 
@@ -99,27 +107,7 @@ class AdjustmentMixin:
         return not (self._isolated_strikes or self._td_timers
                     or self._tr_timers)
 
-    def _audit_settled(self) -> bool:
-        """Would a full audit now change nothing?  True while the stamp
-        of the last full audit that changed nothing still holds, and no
-        strike, timer or fence has appeared since.
-
-        Such an audit read the graph (labels and hop rings), agent
-        state the context's hooks cover (allocators and network ids:
-        ``role_epoch`` is global because :meth:`_same_network_head`
-        reads other heads' network ids), its own head state and QDSet,
-        the reclaimed heads it will not recruit, and what
-        :meth:`_audit_quiet` checks.  A stale graph never
-        skips: the audit's label question is what refreshes it."""
-        verdict = self._audit_verdict
-        return (verdict is not None
-                and verdict[0] == self.ctx.topology.current_version()
-                and verdict == self._audit_stamp()
-                and self._audit_quiet())
-
     def _audit(self) -> None:
-        if self._audit_settled():
-            return
         if not self.is_allocator():
             return
         head = self.head
@@ -150,7 +138,9 @@ class AdjustmentMixin:
         self._check_isolated(any_member_reachable)
         if (quiet and self.head is head and self._audit_quiet()
                 and before == (head.qdset.version, self._ever_had_members)):
-            self._audit_verdict = self._audit_stamp()
+            # An audit changes nothing until the stamp moves.
+            assert self._audit_timer is not None   # it called us
+            self._audit_timer.park(self._audit_stamp)
 
     def _discover_new_neighbors(self) -> None:
         """Quorum expansion: adopt heads that moved within three hops,

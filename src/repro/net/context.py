@@ -20,11 +20,12 @@ role queries from — ``allocator_ids``, which the agent base
 heads and network ids (:meth:`NetworkContext.component_entry`).
 
 The table is kept node by node.  Every hook names the node whose state
-moved; a lookup at the graph version the table serves
-re-reads only those agents, and a new graph version re-reads them all.
-So an agent notes its *own* transitions, and liveness is read where the
-graph moves: every write of ``node.alive`` is followed, in the same
-call, by ``Topology.invalidate_nodes`` or ``Topology.remove_node``.
+moved, and the topology's label journal names the nodes whose component
+label moved; a lookup re-reads only those agents, and only a full
+relabel makes it re-read them all.  So an agent notes its *own*
+transitions, and liveness is read where the graph moves: every write of
+``node.alive`` is followed, in the same call, by
+``Topology.invalidate_nodes`` or ``Topology.remove_node``.
 ``role_epoch`` counts the notes, for readers that only need to know
 whether any of that state moved anywhere.
 """
@@ -32,8 +33,8 @@ whether any of that state moved anywhere.
 from __future__ import annotations
 
 import itertools
-from typing import (TYPE_CHECKING, Dict, FrozenSet, Iterator,
-                    Optional, Set, Tuple)
+from typing import (TYPE_CHECKING, Collection, Dict, FrozenSet,
+                    Iterator, Optional, Set, Tuple)
 
 from repro.net.hello import HelloService
 from repro.net.node import Node
@@ -57,6 +58,8 @@ _Entry = Tuple[Tuple[int, ...], FrozenSet[Optional[int]],
 #: One component's tallies: head ids, and per network id the number of
 #: heads and of configured nodes carrying it.
 _Tally = Tuple[Set[int], Dict[Optional[int], int], Dict[Optional[int], int]]
+#: Where a counted agent was counted: its network id and its component.
+_Counted = Tuple[Optional[int], int]
 
 
 def _uncount(tally: _Tally, node_id: int, network: Optional[int]) -> None:
@@ -126,7 +129,7 @@ class NetworkContext:
         #: Bumped by every note of a registered id — registration and
         #: role, network-id, head-state, allocator and address-bound
         #: transitions — so equal epochs mean none of that state moved
-        #: (the head audit keys its verdict on it).
+        #: (the head audit's park stamp reads it).
         self.role_epoch = 0
         #: Allocation attempt ids (``PendingConfig.attempt_id``), drawn
         #: by every allocator of the run from 1 up, so identical seeded
@@ -141,13 +144,14 @@ class NetworkContext:
         # foreign left to merge with" (merge scan).  Kept node by node:
         # ``_comp_counts`` holds each component's tallies (its heads,
         # and per network id how many heads and how many configured
-        # nodes carry it), ``_counted`` the network id each counted
-        # agent was counted under, and ``_dirty`` the ids noted since
-        # the last patch (see :meth:`_patch_table`).
-        self._table_graph: Optional[int] = None   # no graph served yet
+        # nodes carry it), ``_counted`` the network id and component
+        # each counted agent was counted under, ``_dirty`` the ids
+        # noted since the last patch, and ``_table_mark`` the label
+        # journal's mark at that patch (see :meth:`_patch_table`).
+        self._table_mark: Optional[Tuple[int, int]] = None  # none yet
         self._table_version = 0
         self._dirty: Set[int] = set()
-        self._counted: Dict[int, Optional[int]] = {}
+        self._counted: Dict[int, _Counted] = {}
         self._comp_counts: Dict[int, _Tally] = {}
         self._comp_heads: Dict[int, _Entry] = {}
 
@@ -280,89 +284,116 @@ class NetworkContext:
     def component_heads(self, node_id: int) -> Tuple[int, ...]:
         """Allocator node ids in ``node_id``'s component, ascending.
 
-        O(1) amortized: a lookup re-reads only the agents noted since
-        the last one, plus every agent once per graph version.  The
+        O(1) amortized: a lookup re-reads only the agents noted or
+        relabeled since the last one, plus every agent once per full
+        relabel.  The
         pre-label protocol answered this with an unbounded BFS flood
         per asker; the label layer's ``component_members`` walk was
         bounded but still O(component) per asker per scan."""
         return self.component_entry(node_id)[0]
 
     def table_version(self) -> int:
-        """The component table's version, patched up to every note so
-        far — or :data:`~repro.net.topology.STALE` unless the graph is
-        current and the table already serves it.
+        """The component table's version, patched up to every note and
+        label move so far — or :data:`~repro.net.topology.STALE` while
+        the graph is due a refresh or its labels are not current
+        (:meth:`~repro.net.topology.Topology.label_mark`).
 
-        It moves only when some entry's head-network set or network set
-        changes, or the table moves to a new graph version, so a reader
-        that saw the same version saw every entry's network sets as
-        they are.  Passive on the graph: it refreshes and relabels
-        nothing."""
-        if self._table_graph != self.topology.current_version():
+        It moves only when
+
+        * some entry's head-network set or network set changes;
+        * a configured agent is counted under another component than
+          the one it was last counted under;
+        * a counted agent leaves the graph while its node is still in
+          the store (a crash in place: the agent's timers keep running);
+        * a full relabel starts the table over.
+
+        So a reader that saw the same version saw its own component's
+        entry as it is.  Passive on the graph: it refreshes and
+        relabels nothing."""
+        mark = self.topology.label_mark()
+        if mark is None:
             return STALE
-        if self._dirty:
+        if mark != self._table_mark or self._dirty:
             self._patch_table()
         return self._table_version
 
-    def table_stamp(self) -> Tuple[int, int]:
-        """``(graph_version, table_version())``: equal stamps mean the
-        same graph and every entry's network sets as they were, and a
-        stale graph never matches an earlier stamp.  A probe for
-        :meth:`~repro.sim.timers.PeriodicTimer.park`."""
-        return self.topology.graph_version, self.table_version()
+    def table_stamp(self) -> int:
+        """:meth:`table_version` — a probe for
+        :meth:`~repro.sim.timers.PeriodicTimer.park`: equal stamps mean
+        every configured agent's entry as it was, and a stale graph
+        never matches an earlier stamp."""
+        return self.table_version()
 
     def _patch_table(self) -> None:
-        """Bring the component table up to the current graph version
-        and every note so far: the one routine that builds it.
+        """Bring the component table up to the current labels and every
+        note so far: the one routine that builds it.
 
-        Each dirty agent's old contribution leaves its component's
-        tallies and its new one, read from the agent (``is_configured``,
-        ``network_id``), the allocator set and ``node.alive``, joins
-        them; only the components of dirty agents are frozen again.
-        Labels hold still within a graph version, so an agent's old
-        contribution sits in the component it is in now.  A new graph
-        version may have moved any label: it makes every registered
-        agent dirty and the tallies start from nothing.  Callers have
-        just made sure the graph is current, so the one batched label
-        question below refreshes nothing."""
+        Each agent that was noted or whose label moved (the topology's
+        label journal) is re-tallied: its old contribution leaves the
+        component it was counted under, and its new one, read from the
+        agent (``is_configured``, ``network_id``), the allocator set
+        and ``node.alive``, joins its component now; only those
+        components are frozen again.  Every other agent keeps its label
+        and its tally.  A full relabel renames every component: the
+        tallies start from nothing and everyone is re-read.  Callers
+        have just made sure the graph and labels are current, so the
+        one batched label question below refreshes nothing."""
         topology = self.topology
         dirty = self._dirty
-        entries = self._comp_heads
-        changed = False
-        version = topology.graph_version
-        if version != self._table_graph:
-            self._table_graph = version
-            self._counted.clear()
-            self._comp_counts.clear()
-            entries.clear()
-            ids = list(self.agents)         # everyone is dirty
-            changed = True
-        elif dirty:
-            ids = list(dirty)
-        else:
+        moved = (None if self._table_mark is None
+                 else topology.moved_labels(self._table_mark))
+        if moved is not None and not moved and not dirty:
             return
-        dirty.clear()
-        labels = topology.component_indices(ids)
         agents = self.agents
-        allocator_ids = self.allocator_ids
+        entries = self._comp_heads
         counted = self._counted
         counts = self._comp_counts
+        changed = False
+        self._table_mark = topology.label_mark()
+        ids: Collection[int]
+        if moved is None:
+            counted.clear()
+            counts.clear()
+            entries.clear()
+            ids = list(agents)              # everyone is dirty
+            changed = True
+        elif moved:
+            ids = dirty.union(node_id for node_id in moved
+                              if node_id in agents)
+        else:
+            ids = list(dirty)
+        dirty.clear()
+        labels = topology.component_indices(ids)
+        allocator_ids = self.allocator_ids
         node_of = topology.get
+        # The components to freeze again: the re-read agents' old and
+        # new ones.
+        touched = {comp for comp in labels if comp is not None}
         for node_id, comp in zip(ids, labels):
+            was = counted.pop(node_id, None)
+            if was is not None:
+                touched.add(was[1])
+                _uncount(counts[was[1]], node_id, was[0])
             if comp is None:
-                continue    # out of the graph, so never counted in it
-            tally = counts.get(comp)
-            if tally is None:
-                tally = counts[comp] = (set(), {}, {})
-            if node_id in counted:
-                _uncount(tally, node_id, counted.pop(node_id))
+                # Out of the graph, so not counted in it.  A node still
+                # in the store crashed in place: its polls run on.
+                if was is not None and node_of(node_id) is not None:
+                    changed = True
+                continue
             node = node_of(node_id)
             agent = agents[node_id]
             if node is None or not node.alive or not agent.is_configured():
                 continue
+            if was is not None and was[1] != comp:
+                changed = True
+            tally = counts.get(comp)
+            if tally is None:
+                tally = counts[comp] = (set(), {}, {})
             # ``None`` network ids (configured agents mid-rejoin) are
             # counted on purpose: they make a component look
             # heterogeneous, which keeps the merge scan alive.
-            network = counted[node_id] = agent.network_id
+            network = agent.network_id
+            counted[node_id] = (network, comp)
             networks = tally[2]
             networks[network] = networks.get(network, 0) + 1
             if node_id in allocator_ids:
@@ -370,17 +401,16 @@ class NetworkContext:
                 head_networks = tally[1]
                 head_networks[network] = head_networks.get(network, 0) + 1
         no_heads = self._NO_HEADS
-        for comp in set(labels):
-            if comp is None:
-                continue
+        for comp in touched:
             before = entries.get(comp, no_heads)
-            heads, head_networks, networks = counts[comp]
-            if networks:
+            tally = counts.get(comp)
+            if tally is not None and tally[2]:
+                heads, head_networks, networks = tally
                 entry = entries[comp] = (tuple(sorted(heads)),
                                          frozenset(head_networks),
                                          frozenset(networks))
             else:
-                del counts[comp]
+                counts.pop(comp, None)
                 entries.pop(comp, None)
                 entry = no_heads
             if entry[1] != before[1] or entry[2] != before[2]:

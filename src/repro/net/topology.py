@@ -106,6 +106,14 @@ DELTA_REBUILD_MAX_DIRTY_FRACTION = 0.25
 #: would refresh the graph; versions start at 0 and only grow.
 STALE = -1
 
+#: The label journal (:meth:`Topology.moved_labels`) starts a new
+#: generation once it names more ids than this many per slot.  A reader
+#: starting over re-reads everything it derived from the labels (the
+#: component table also moves its version, so every parked merge scan
+#: runs once), so the bound sits well above the longest journal the
+#: ledger's workloads grow between full relabels (1.3 per slot).
+JOURNAL_MAX_PER_SLOT = 4
+
 
 class Topology:
     """Tracks node positions and answers hop-count queries.
@@ -162,6 +170,12 @@ class Topology:
         self._comp_next = 0
         self._labels_active = False  # a label query has happened
         self._labels_valid = False   # labels match the current graph
+        # The label journal: ids whose label a delta relabel wrote since
+        # the journal's generation began (see :meth:`moved_labels`).
+        self._label_gen = 0
+        self._label_moves: List[int] = []
+        # The edge-removal epoch (see :meth:`removal_stamp`).
+        self._removals = 0
 
     # ------------------------------------------------------------------
     # Population management
@@ -313,6 +327,7 @@ class Topology:
 
     def _full_rebuild(self, alive: List[int]) -> None:
         self.perf.incr(cnt.GRAPH_FULL_REBUILDS)
+        self._removals += 1
         self._ensure_capacity()
         # Slot-to-label assignments cannot survive a wholesale rebuild
         # (compaction may even have renumbered slots); the next label
@@ -413,6 +428,8 @@ class Topology:
             return False  # refresh-interval expiry, nobody moved
         self.perf.incr(cnt.GRAPH_DELTA_REBUILDS)
         self.perf.incr(cnt.GRAPH_DELTA_DIRTY_NODES, dirty_count)
+        if removed or moved:
+            self._removals += 1  # only a pure arrival drops no edge
         adj = self._adj
         grid = self._grid
         xs, ys = store.xs, store.ys
@@ -552,6 +569,8 @@ class Topology:
             members[idx] = comp
         self._comp_next = nxt
         self._labels_valid = True
+        self._label_gen += 1
+        self._label_moves = []
         self.perf.incr(cnt.CONN_SLOTS_RELABELED, len(self._graph_slots))
 
     def _delta_relabel(
@@ -599,6 +618,9 @@ class Topology:
         members = self._comp_members
         relabeled = 0
         scanned = 0
+        moves = self._label_moves
+        ids = self._nodes.ids
+        moves.extend(ids[slot] for slot in detached)
         # 1) detach
         for slot in detached:
             idx = comp_of[slot]
@@ -623,6 +645,10 @@ class Topology:
         relabeled += self._label_reinserted(reinserted)
         self.perf.incr(cnt.CONN_SLOTS_RELABELED, relabeled)
         self.perf.incr(cnt.CONN_SPLIT_SLOTS_SCANNED, scanned)
+        if len(moves) > JOURNAL_MAX_PER_SLOT * self._nodes.capacity:
+            # A bound on the journal's memory: readers start over.
+            self._label_gen += 1
+            self._label_moves = []
 
     def _locally_intact(
         self, idx: int, clusters: List[Set[int]],
@@ -780,6 +806,7 @@ class Topology:
                 comp_of[slot] = new_idx
                 del comp[bisect_left(comp, slot)]
             relabeled += len(region)
+            self._label_moves.extend(self._nodes.ids[s] for s in region)
         return relabeled, read
 
     def _label_reinserted(self, reinserted: List[int]) -> int:
@@ -789,6 +816,9 @@ class Topology:
         adj = self._adj
         comp_of = self._comp_of
         members = self._comp_members
+        moves = self._label_moves
+        ids = self._nodes.ids
+        moves.extend(ids[slot] for slot in reinserted)
         relabeled = 0
         for slot in reinserted:
             neigh: List[int] = []
@@ -818,6 +848,7 @@ class Topology:
                     for s in lost:
                         comp_of[s] = winner
                     merged.extend(lost)
+                    moves.extend(ids[s] for s in lost)
                     relabeled += len(lost)
                 merged.sort()
             insort(members[winner], slot)
@@ -947,6 +978,44 @@ class Topology:
                 and self.sim.now - self._graph_time <= self.refresh_interval):
             return self._graph_version
         return STALE
+
+    def removal_stamp(self) -> int:
+        """The edge-removal epoch, or :data:`STALE` whenever
+        :meth:`current_version` is.
+
+        The epoch moves with every graph change that may drop an edge:
+        a full rebuild, or a delta rebuild with a removed, crashed or
+        moved slot.  A pure arrival (a new or restarted node) only adds
+        edges, and added edges never lengthen a shortest path, so a
+        hop bound that held at one reading still holds at an equal
+        one.  Passive, like :meth:`current_version`."""
+        if self.current_version() == STALE:
+            return STALE
+        return self._removals
+
+    def label_mark(self) -> Optional[Tuple[int, int]]:
+        """Where the label journal stands, ``(generation, length)``,
+        while the graph is current and its labels are maintained; else
+        ``None`` (a query now would refresh the graph or relabel it).
+        Passive.  Hand it back to :meth:`moved_labels` later."""
+        if (not self._labels_valid
+                or self.current_version() == STALE):
+            return None
+        return self._label_gen, len(self._label_moves)
+
+    def moved_labels(self, mark: Tuple[int, int]) -> Optional[List[int]]:
+        """Ids whose label a delta relabel wrote since ``mark`` (a
+        :meth:`label_mark`), each at least once, in no promised order:
+        slots that left or joined the graph, pieces split off and
+        components merged away.  Every other id has the label it had
+        at ``mark``.  ``None`` when the journal began a new generation
+        since — a full relabel, which may move every label, or a trim
+        of a journal grown past :data:`JOURNAL_MAX_PER_SLOT` ids per
+        slot."""
+        generation, start = mark
+        if generation != self._label_gen:
+            return None
+        return self._label_moves[start:]
 
     def _graph_slot(self, node_id: int) -> Optional[int]:
         """The node's slot if it is in the current graph, else None."""

@@ -16,6 +16,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.sim.events import Event
 from repro.sim.rng import RandomStreams
 
+_INF = float("inf")
+
 
 class SimulationError(RuntimeError):
     """Raised for invalid engine usage (e.g. scheduling in the past)."""
@@ -150,6 +152,15 @@ class Simulator:
         self._pending += 1
         return event
 
+    def _enqueue(self, event: Event) -> None:
+        """Queue ``event`` at ``event.time``, priority 0, with the next
+        ``seq``: how a cohort of periodic timers puts itself on the heap
+        (:mod:`repro.sim.timers`), with no cohort to close at its
+        instant.  An event that already fired may be queued again."""
+        heapq.heappush(self._heap, (event.time, 0, self._seq, event))
+        self._seq += 1
+        self._pending += 1
+
     def cancel(self, event: Event) -> None:
         """Cancel a pending event (no-op if it already fired/was cancelled)."""
         if event.pending:
@@ -191,9 +202,9 @@ class Simulator:
         heap = self._heap
         if len(heap) == self._pending:
             return
-        live = [entry for entry in heap if entry[3].pending]
-        heapq.heapify(live)
-        self._heap = live
+        # In place: a running loop holds the list.
+        heap[:] = [entry for entry in heap if entry[3].pending]
+        heapq.heapify(heap)
         self._compactions += 1
         self._last_compact_seq = self._seq
 
@@ -243,17 +254,38 @@ class Simulator:
         one instant share an entry).  When ``until`` is given the clock
         is advanced to exactly ``until`` even if the queue drained
         earlier, so periodic observers see a consistent end time.
+
+        The loop is :meth:`peek` and :meth:`step` in one: tombstones on
+        top of the heap are dropped, and the next live entry fires
+        unless it lies past ``until``.
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")
         self._running = True
         fired = 0
+        heap = self._heap
+        pop = heapq.heappop
+        limit = _INF if until is None else until
+        budget = _INF if max_events is None else max_events
         try:
-            while max_events is None or fired < max_events:
-                next_time = self.peek()
-                if next_time is None or (until is not None and next_time > until):
+            while fired < budget and heap:
+                entry = heap[0]
+                event = entry[3]
+                if not event.pending:
+                    pop(heap)
+                    continue
+                time = entry[0]
+                if time > limit:
                     break
-                self.step()
+                pop(heap)
+                event.pending = False  # fired: a late cancel() is a no-op
+                self._pending -= 1
+                self._now = time
+                hook = self._profile_hook
+                if hook is None:
+                    event.callback(*event.args)
+                else:
+                    hook(event.callback, event.args)
                 fired += 1
             if until is not None and self._now < until:
                 self._now = until

@@ -61,25 +61,42 @@ class Timer:
 _UNREAD = object()
 
 
-class _Cohort:
-    """Periodic timers due at one exact instant, behind one heap entry.
+class _Cohort(Event):
+    """Periodic timers due at one exact instant, behind one heap entry:
+    the cohort itself, an :class:`~repro.sim.events.Event` that calls
+    its own :meth:`_fire`.
 
     ``members`` is an insertion-ordered set (arming order).  The cohort
     is *open*, listed in ``sim.cohorts`` for later timers to join,
     until it fires, empties, or any other event is scheduled for its
     instant; timers armed after that start a new cohort, so the firing
-    order is exactly that of one heap entry per timer."""
+    order is exactly that of one heap entry per timer.  A lone member
+    passed over while parked takes the fired cohort along to its next
+    instant, when no cohort is open there (:meth:`_rearm`)."""
 
-    __slots__ = ("members", "event")
+    __slots__ = ("members",)
 
     def __init__(self, sim: Simulator, time: float) -> None:
+        # Event's fields, set here: a cohort is made per fired round.
+        self.time = time
+        self.callback = self._fire
+        self.args = (sim,)
+        self.pending = True
         self.members: Dict["PeriodicTimer", None] = {}
-        self.event = sim.schedule_at(time, self._fire, sim)
+        sim._enqueue(self)
         sim.cohorts[time] = self
 
     def close(self, sim: Simulator) -> None:
-        if sim.cohorts.get(self.event.time) is self:
-            del sim.cohorts[self.event.time]
+        if sim.cohorts.get(self.time) is self:
+            del sim.cohorts[self.time]
+
+    def _rearm(self, sim: Simulator, time: float) -> None:
+        """Queue this fired cohort again, open at ``time``, with a fresh
+        ``seq``: the entry a new cohort would have been."""
+        self.time = time
+        self.pending = True
+        sim._enqueue(self)
+        sim.cohorts[time] = self
 
     def _fire(self, sim: Simulator) -> None:
         self.close(sim)
@@ -98,10 +115,12 @@ class _Cohort:
                     timer._fire()
                 else:
                     hook(timer._fire, ())
-        # Every member has re-armed elsewhere or stopped.  The cohort
-        # and its event refer to each other, so only the cycle collector
-        # frees them: let the members go now, not at its next pass.
-        self.members.clear()
+        # Unless a lone parked member took the cohort along, every
+        # member has re-armed elsewhere or stopped.  The cohort refers
+        # to itself (its callback), so only the cycle collector frees
+        # it: let the members go now, not at its next pass.
+        if not self.pending:
+            self.members.clear()
 
     def _pass_parked(self, sim: Simulator, first: "PeriodicTimer",
                      members: Iterator["PeriodicTimer"]
@@ -112,8 +131,11 @@ class _Cohort:
         (unparked, if its probe read something else), or ``None`` when
         none is left.  Nothing runs between two passed members, so
         each probe is read once, and the cohort a re-arm joins stays
-        open for the next member due at the same instant."""
+        open for the next member due at the same instant.  A member
+        alone in this cohort keeps it when no cohort is open at its
+        next instant."""
         now = sim.now
+        cohorts = sim.cohorts
         reads: Dict[Callable[[], Any], Any] = {}
         passed = 0
         called: Optional[PeriodicTimer] = None
@@ -132,7 +154,11 @@ class _Cohort:
                 timer._parked = None
                 called = timer
                 break
-            timer._arm(now + timer.interval)
+            time = now + timer.interval
+            if len(self.members) == 1 and time not in cohorts:
+                self._rearm(sim, time)
+            else:
+                timer._arm(time)
             passed += 1
         sim._parked_rearms += passed
         return called
@@ -194,7 +220,7 @@ class PeriodicTimer:
         if cohort is not None:
             del cohort.members[self]
             if not cohort.members:  # no-ops if the cohort is firing
-                self._sim.cancel(cohort.event)
+                self._sim.cancel(cohort)
                 cohort.close(self._sim)
 
     def _arm(self, time: float) -> None:

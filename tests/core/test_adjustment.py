@@ -3,7 +3,8 @@
 from repro.cluster.roles import Role
 from repro.core import ProtocolConfig
 
-from tests.helpers import line_agents, make_ctx, positions_cluster
+from tests.helpers import (line_agents, make_ctx, passes_over,
+                           positions_cluster)
 
 
 def heads_of(agents):
@@ -116,22 +117,37 @@ def test_audit_skips_only_while_its_stamp_holds():
     ctx.sim.run(until=200.0)
     auditor = next(h for h in heads_of(agents) if len(h.head.qdset))
     member = ctx.agent_of(auditor.head.qdset.members()[0])
+    timer = auditor._audit_timer
     ctx.component_entry(auditor.node_id)   # the graph is current
     auditor._audit()
-    assert auditor._audit_settled()
+    assert passes_over(timer)
     # A member head's network id moves no label and no QDSet entry,
     # but the audit reads it (same-network check): run in full.
     member.network_id = member.network_id + 1
-    assert not auditor._audit_settled()
+    assert not passes_over(timer)
     member.network_id = auditor.network_id
     auditor._audit()
-    assert auditor._audit_settled()
+    assert passes_over(timer)
+    # A graph due a refresh never matches: the audit's label question
+    # is what refreshes it.  A refresh that changes nothing keeps the
+    # stamp.
+    ctx.topology.invalidate_nodes([member.node_id])
+    assert not passes_over(timer)
+    ctx.component_entry(auditor.node_id)
+    assert passes_over(timer)
     # Its own QDSet changing, or a timer being armed, also ends it.
     auditor.head.qdset.suspect(member.node_id)
-    assert not auditor._audit_settled()
-    auditor._audit()        # lifts the suspicion: a change, no verdict
-    assert not auditor._audit_settled()
+    assert not passes_over(timer)
+    timer.unpark()
+    auditor._audit()        # lifts the suspicion: a change, no park
+    assert timer._parked is None
     auditor._audit()
-    assert auditor._audit_settled()
+    assert passes_over(timer)
+    # An isolation strike moves no QDSet entry, but the agent is no
+    # longer quiet.
+    auditor._isolated_strikes = 1
+    assert not passes_over(timer)
+    auditor._isolated_strikes = 0
+    assert passes_over(timer)
     auditor._suspect_member(member.node_id)
-    assert not auditor._audit_settled()
+    assert not passes_over(timer)

@@ -6,7 +6,7 @@ from repro.geometry import Point
 from repro.mobility.base import Stationary
 from repro.net.stats import Category
 
-from tests.helpers import add_node, line_agents, make_ctx
+from tests.helpers import add_node, line_agents, make_ctx, passes_over
 
 
 def test_no_updates_while_near_configurer():
@@ -81,4 +81,42 @@ def test_upon_leave_mode_sends_no_location_updates():
     mover.node.mobility = Stationary(Point(100.0 + 120.0 * 7, 500.0))
     ctx.topology.invalidate()
     ctx.sim.run(until=ctx.sim.now + 20.0)
+    assert ctx.stats.hops[Category.MOVEMENT] == 0
+
+
+def test_location_check_parks_only_while_its_stamp_holds():
+    ctx = make_ctx()
+    agents = line_agents(ctx, 8)
+    ctx.sim.run(until=130.0)
+    checker = agents[1]
+    anchor = checker._location_anchor()
+    assert checker.common is not None and ctx.is_head(anchor)
+    timer = checker._location_timer
+    timer.unpark()
+    # Two "anchor near" verdicts with no edge removed between them: the
+    # second parks the check on what the verdict rests on.
+    checker._check_location()
+    checker._check_location()
+    assert passes_over(timer)
+    # A node arriving only adds edges: once the graph is refreshed
+    # (stale, it matches nothing), the park holds.
+    add_node(ctx, 20, 100.0 + 120.0 * 3, y=620.0)
+    assert not passes_over(timer)
+    ctx.topology.neighbors(checker.node_id)
+    assert passes_over(timer)
+    # The anchor no longer allocating ends it.
+    ctx.note_allocator(anchor, False)
+    assert not passes_over(timer)
+    ctx.note_allocator(anchor, True)
+    assert passes_over(timer)
+    # So does an edge removed anywhere, and the next check does not park
+    # again: under mobility that is every refresh.
+    ctx.topology.remove_node(agents[7].node)
+    ctx.topology.neighbors(checker.node_id)
+    assert not passes_over(timer)
+    timer.unpark()
+    checker._check_location()
+    assert timer._parked is None
+    checker._check_location()
+    assert passes_over(timer)
     assert ctx.stats.hops[Category.MOVEMENT] == 0

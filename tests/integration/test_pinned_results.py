@@ -68,6 +68,11 @@ cell with a lost or undeliverable ``CH_PRP``, ``CH_CNF`` or
 follows ``CH_RETURN_ACK``).  The baseline pins did not move.  Where a
 cell's search counters came in under their budget by more than the
 25 % margin, the budget was lowered to the new reading times 1.25.
+
+The static cells' budgets were lowered the same way when the location
+check and the QDSet audit began to park and arrivals stopped moving
+the component table's version: fewer polls run, so fewer hop and
+label questions are asked.  No hash or digest moved.
 """
 
 import hashlib
@@ -89,8 +94,8 @@ CELLS = {
     "static_lossy": (
         dict(speed_mps=0.0, faults=FaultSpec(loss_rate=0.05)),
         "8cd08bd08d71e6775aceb3b4ef1ca8f2368bba73e1fde79955930630618487d9",
-        {cnt.CONN_LABEL_HITS: 1400, cnt.BFS_CALLS: 1123,
-         cnt.BFS_CACHE_HITS: 1748, cnt.BFS_NODES_EXPANDED: 5300,
+        {cnt.CONN_LABEL_HITS: 1002, cnt.BFS_CALLS: 973,
+         cnt.BFS_CACHE_HITS: 725, cnt.BFS_NODES_EXPANDED: 5075,
          cnt.CONN_SPLIT_SLOTS_SCANNED: 59},
         "f364fb653347ff2ccd66f07ff33091db127a26dd1457c322cb751151583146bf"),
     "mobile_crash": (
@@ -106,8 +111,8 @@ CELLS = {
             crashes=crash_schedule(40, 0.2, at=30.0, downtime=20.0,
                                    seed=7))),
         "906ba55737a1ebbde8f120ddd41f505dd64fb27d956781a70e75c5852e5981e0",
-        {cnt.CONN_LABEL_HITS: 1683, cnt.BFS_CALLS: 1203,
-         cnt.BFS_CACHE_HITS: 1804, cnt.BFS_NODES_EXPANDED: 5648,
+        {cnt.CONN_LABEL_HITS: 1404, cnt.BFS_CALLS: 1094,
+         cnt.BFS_CACHE_HITS: 838, cnt.BFS_NODES_EXPANDED: 5450,
          cnt.CONN_SPLIT_SLOTS_SCANNED: 98},
         "c385c22c0c0237cef61de59b6556e19642f3b0e674c2bc369af11d61938c6a80"),
 }

@@ -1,18 +1,19 @@
-"""The periodic polls skip while nothing they read has moved, and the
-component table patches only the nodes the hooks noted.  Both are meant
-to be exact, so this test wraps them and checks every use, over the
-pinned cells of ``tests/integration/test_pinned_results.py`` (the two
-crash/restart cells included), each run for ten seconds past its pinned
-settle time:
+"""The periodic polls are passed over while nothing they read has
+moved, and the component table patches only the nodes the hooks noted
+or whose label moved.  Both are meant to be exact, so this test wraps
+them and checks every use, over the pinned cells of
+``tests/integration/test_pinned_results.py`` (the two crash/restart
+cells included), each run for ten seconds past its pinned settle time:
 
 * every ``component_entry`` answer equals ``reference_table``, the
   per-node loop of ``tests/net/test_context.py``;
-* every merge scan a cohort passes over while its timer is parked, and
-  every head audit that would skip, is run in full on the spot
-  instead, and must change nothing a poll can change: the agent's
-  fields, its QDSet, its timers, the message and event tallies and the
-  simulator's pending events — and must leave the park or the verdict
-  it skipped on.
+* every merge scan, head audit and location check a cohort passes over
+  while its timer is parked (a lone member re-armed in its own cohort
+  included) is run in full on the spot instead, and must change
+  nothing a poll can change: the agent's fields, a common node's
+  administrator, its QDSet, its timers, the message and event tallies
+  and the simulator's pending events — and must park again on the
+  value it was passed over on.
 """
 
 import copy
@@ -31,9 +32,7 @@ from tests.net.test_context import NO_HEADS, reference_table
 
 #: The pinned cells' settle time, plus ten seconds.
 SETTLE_S = 40.0
-#: The audit's skip predicate and the field holding its verdict.
-AUDIT_SETTLED, AUDIT_VERDICT = "_audit_settled", "_audit_verdict"
-POLLS = ("_merge_scan", "_audit")
+POLLS = ("_merge_scan", "_audit", "_check_location")
 
 
 def state_of(value):
@@ -52,13 +51,14 @@ def state_of(value):
 
 def observable(agent):
     ctx = agent.ctx
-    fields = {name: state_of(value) for name, value in vars(agent).items()
-              if name != AUDIT_VERDICT}
+    fields = {name: state_of(value) for name, value in vars(agent).items()}
     head = agent.head
     qdset = None if head is None else (
         head.qdset.version, head.qdset.members(), head.qdset.suspected())
-    return (fields, qdset, ctx.stats.snapshot(), ctx.events.snapshot(),
-            ctx.sim.pending_events, ctx.role_epoch)
+    common = agent.common
+    administrator = None if common is None else common.administrator_id
+    return (fields, administrator, qdset, ctx.stats.snapshot(),
+            ctx.events.snapshot(), ctx.sim.pending_events, ctx.role_epoch)
 
 
 @pytest.mark.parametrize("cell", sorted(CELLS))
@@ -75,41 +75,33 @@ def test_skips_and_table_patches_are_exact(cell, monkeypatch):
         checked["component_entry"] += 1
         return answer
 
-    def exact(agent, poll, skipped_on, verdict):
-        """Run ``poll`` in full where it was skipped: it must change
-        nothing and arrive at the verdict it skipped on again."""
+    def exact(agent, timer):
+        """Run ``timer``'s poll in full where it is passed over: it must
+        change nothing and park again on the value it parked on."""
+        poll = timer._callback
         checked[poll.__name__] += 1
+        parked_on = timer._parked
+        timer.unpark()
         before = observable(agent)
-        poll(agent)
+        poll()
         assert observable(agent) == before, (poll.__name__,
                                              agent.ctx.sim.now,
                                              agent.node_id)
-        assert verdict() == skipped_on
+        assert timer._parked == parked_on, (poll.__name__,
+                                            agent.ctx.sim.now,
+                                            agent.node_id)
 
-    audit = QuorumProtocolAgent._audit
-
-    def replayed_audit(agent):
-        if not getattr(agent, AUDIT_SETTLED)():
-            return audit(agent)
-        skipped_on = getattr(agent, AUDIT_VERDICT)
-        setattr(agent, AUDIT_VERDICT, None)
-        exact(agent, audit, skipped_on,
-              lambda: getattr(agent, AUDIT_VERDICT))
-
-    scan = QuorumProtocolAgent._merge_scan
     pass_parked = _Cohort._pass_parked
 
     def replayed_pass(cohort, sim, timer, members):
         # Hand the cohort's parked branch one member at a time, and
-        # replay each merge scan it passes over before it re-arms.
+        # replay each poll it passes over before it re-arms.
         while timer is not None:
             agent = getattr(timer._callback, "__self__", None)
             if (timer._cohort is cohort
                     and isinstance(agent, QuorumProtocolAgent)
-                    and agent._merge_timer is timer and passes_over(timer)):
-                skipped_on = timer._parked
-                timer.unpark()
-                exact(agent, scan, skipped_on, lambda: timer._parked)
+                    and passes_over(timer)):
+                exact(agent, timer)
             called = pass_parked(cohort, sim, timer, iter(()))
             if called is not None:
                 return called
@@ -117,7 +109,6 @@ def test_skips_and_table_patches_are_exact(cell, monkeypatch):
         return None
 
     monkeypatch.setattr(NetworkContext, "component_entry", component_entry)
-    monkeypatch.setattr(QuorumProtocolAgent, "_audit", replayed_audit)
     monkeypatch.setattr(_Cohort, "_pass_parked", replayed_pass)
     # Polls skip in a settled run's quiet stretches, and the last ten
     # seconds give each static cell one more.  The crash cell needs it:
@@ -130,7 +121,7 @@ def test_skips_and_table_patches_are_exact(cell, monkeypatch):
                    "quorum").run()
     # Every cell asks the table many times.  Under mobility every
     # refresh moves the graph, so a poll never finds its stamp again;
-    # the static cells skip both polls many times.
+    # the static cells pass over all three polls many times.
     static = CELLS[cell][0].get("speed_mps") == 0.0
     assert checked["component_entry"] > 100, checked
     assert all((checked[name] > 100) == static for name in POLLS), checked

@@ -1,5 +1,6 @@
 """Unit tests for the shared network context."""
 
+import random
 import re
 
 import pytest
@@ -8,6 +9,7 @@ from repro.geometry import Point
 from repro.mobility.base import Stationary
 from repro.net import Node
 from repro.net.context import NetworkContext
+from repro.net import topology
 from repro.net.topology import STALE
 from tests.net.structure import component_id
 
@@ -329,8 +331,8 @@ def test_table_reads_liveness_where_the_graph_moves():
 
 def test_table_reads_liveness_only_for_noted_nodes():
     # The contract the test above relies on: liveness is read for the
-    # nodes a hook noted and for everyone when the graph version moves,
-    # never otherwise.  A kill nobody announces is not seen through
+    # nodes a hook noted and for those whose label moved, never
+    # otherwise.  A kill nobody announces is not seen through
     # another node's note, only through the node's own.
     ctx = make_ctx()
     agents = two_clusters(ctx)
@@ -353,12 +355,28 @@ def test_table_rereads_only_the_noted_agents():
     ctx.note(11)
     ctx.component_entry(1)
     assert sorted(asked) == [3, 11]
-    # A new graph version re-reads everyone in the graph once.
+    # A new graph version re-reads the agents whose label moved, and no
+    # one else.  A node arriving next to 12 moves no label but its own,
+    # and it has no agent: nobody is re-read.
     del asked[:]
-    agents[4].node.kill()
-    ctx.topology.invalidate_nodes([4])
+    version = ctx.topology.graph_version
+    ctx.topology.add_node(Node(20, Stationary(Point(5200.0, 0))))
     ctx.component_entry(1)
-    assert sorted(asked) == [1, 2, 3, 11, 12]
+    assert ctx.topology.graph_version == version + 1
+    assert asked == []
+    # Killing the bridge 2 cuts 1 off from 3 and 4: the piece that
+    # came off is relabeled and re-read, the other piece and the far
+    # cluster are not.
+    ids = sorted(agents)
+    before = ctx.topology.component_indices(ids)
+    agents[2].node.kill()
+    ctx.topology.invalidate_nodes([2])
+    ctx.component_entry(1)
+    after = ctx.topology.component_indices(ids)
+    moved = [node_id for node_id, old, new in zip(ids, before, after)
+             if new is not None and new != old]
+    assert moved in ([1], [3, 4])
+    assert sorted(asked) == moved
     assert_table_is_the_reference(ctx)
 
 
@@ -380,6 +398,94 @@ def test_table_version_moves_only_with_the_network_sets():
     # And the version is STALE while a query would refresh the graph.
     ctx.sim.run(until=ctx.topology.refresh_interval * 2)
     assert ctx.table_version() == STALE
+
+
+def entry_sets(ctx):
+    """Each configured agent in the graph -> its entry's head-network
+    and network sets, as the reference table has them."""
+    table = reference_table(ctx)
+    sets = {}
+    for node_id in ctx.agents:
+        comp = component_id(ctx.topology, node_id)
+        if comp is not None and ctx.is_configured(node_id):
+            sets[node_id] = table[comp][1:]
+    return sets
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_table_follows_seeded_churn(seed, monkeypatch):
+    """Arrivals, departures, crash/restarts, moves and noted
+    transitions in a seeded mix, on a line where cuts and bridges are
+    common: after
+    every step the table is the reference, and the version moved
+    whenever some configured agent's entry sets changed.  Odd seeds
+    bound the label journal tightly, so the table also starts over
+    when the journal is trimmed."""
+    if seed % 2:
+        monkeypatch.setattr(topology, "JOURNAL_MAX_PER_SLOT", 0.5)
+    rng = random.Random(seed)
+    ctx = make_ctx()
+    ids = iter(range(1, 1000))
+    in_store = []
+    sets = entry_sets(ctx)
+    version = ctx.table_version()
+    kinds = dict.fromkeys(
+        ["arrive", "depart", "crash", "restart", "move", "note"], 0)
+    for _step in range(200):
+        roll = rng.random()
+        dead = [agent for agent in in_store if not agent.node.alive]
+        if roll < 0.3 or len(in_store) < 3:
+            kind = "arrive"
+            agent = add(ctx, next(ids), allocator=rng.random() < 0.3,
+                        configured=rng.random() < 0.7,
+                        network_id=rng.choice([7, 8, None]),
+                        x=rng.uniform(0.0, 1200.0))
+            in_store.append(agent)
+        elif roll < 0.4:
+            kind = "depart"
+            agent = in_store.pop(rng.randrange(len(in_store)))
+            ctx.topology.remove_node(agent.node)
+        elif roll < 0.55:
+            kind = "crash"
+            agent = rng.choice(in_store)
+            agent.node.kill()
+            ctx.topology.invalidate_nodes([agent.node.node_id])
+        elif roll < 0.65 and dead:
+            kind = "restart"
+            agent = rng.choice(dead)
+            agent.node.alive = True
+            ctx.topology.invalidate_nodes([agent.node.node_id])
+        elif roll < 0.75:
+            # A node moved: the next refresh, once the snapshot ages,
+            # detaches it and puts it back where it is now.
+            kind = "move"
+            agent = rng.choice(in_store)
+            agent.node.mobility = Stationary(Point(rng.uniform(0.0, 1200.0),
+                                                   0.0))
+            ctx.sim.run(until=ctx.sim.now + ctx.topology.refresh_interval
+                        * 2)
+        else:
+            kind = "note"
+            agent = rng.choice(in_store)
+            what = rng.randrange(3)
+            if what == 0:
+                agent.allocator = not agent.allocator
+            elif what == 1:
+                agent._configured = not agent._configured
+            else:
+                agent.network_id = rng.choice([7, 8, 9, None])
+            ctx.note(agent.node.node_id)
+        kinds[kind] += 1
+        assert_table_is_the_reference(ctx)
+        now = entry_sets(ctx)
+        moved = any(now[node_id] != sets[node_id]
+                    for node_id in now.keys() & sets.keys())
+        later = ctx.table_version()
+        assert later != STALE
+        assert later >= version
+        assert later > version or not moved, (kind, _step)
+        sets, version = now, later
+    assert all(kinds.values()), kinds
 
 
 def test_table_skips_an_agent_whose_node_left_the_topology():

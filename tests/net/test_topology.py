@@ -389,3 +389,67 @@ def test_current_version_is_passive_and_stale_when_a_query_would_refresh():
     assert topo.current_version() == STALE
     topo.neighbors(0)
     assert topo.current_version() == version + 1
+
+
+# ---------------------------------------------------------------------------
+# The edge-removal epoch
+# ---------------------------------------------------------------------------
+def revive(topo, node_id):
+    topo.get(node_id).alive = True
+    topo.invalidate_nodes([node_id])
+
+
+def move(topo, node_id):
+    topo.get(node_id).mobility = Stationary(Point(node_id * 100.0, 50.0))
+
+
+#: (change, whether it may drop an edge).  Each starts from a line of
+#: eight nodes 100 m apart, node 3 crashed and refreshed out of the
+#: graph; one node is an eighth of them, so every change but the
+#: blanket invalidate() rides the delta path.
+REMOVAL_TABLE = [
+    ("arrival", lambda topo: topo.add_node(
+        Node(8, Stationary(Point(800.0, 0.0)))), False),
+    ("restart", lambda topo: revive(topo, 3), False),
+    ("departure", lambda topo: topo.remove_node(topo.get(7)), True),
+    ("crash", lambda topo: (topo.get(5).kill(),
+                            topo.invalidate_nodes([5])), True),
+    ("moved node", lambda topo: move(topo, 6), True),
+    ("blanket invalidate", lambda topo: topo.invalidate(), True),
+]
+
+
+@pytest.mark.parametrize("change, removes", [
+    pytest.param(change, removes, id=name.replace(" ", "-"))
+    for name, change, removes in REMOVAL_TABLE])
+def test_removal_stamp_moves_only_where_an_edge_may_drop(change, removes):
+    from repro.net.topology import STALE
+    sim, topo = make_topology([(x * 100.0, 0.0) for x in range(8)])
+    topo.get(3).kill()
+    topo.invalidate_nodes([3])
+    topo.neighbors(0)
+    stamp = topo.removal_stamp()
+    assert stamp != STALE
+    version = topo.graph_version
+    change(topo)
+    # A move is seen when the snapshot ages; everything else dirties it.
+    sim.run(until=topo.refresh_interval * 2)
+    assert topo.removal_stamp() == STALE      # a query would refresh
+    topo.neighbors(0)
+    assert topo.graph_version == version + 1
+    assert (topo.removal_stamp() != stamp) == removes
+
+
+def test_removal_stamp_is_passive_and_stale_with_the_version():
+    from repro.net.topology import STALE
+    sim, topo = make_topology([(0, 0), (100, 0)])
+    assert topo.removal_stamp() == STALE          # never built
+    topo.neighbors(0)
+    stamp = topo.removal_stamp()
+    counters = topo.perf.counters_snapshot()
+    sim.run(until=topo.refresh_interval * 2)
+    assert topo.removal_stamp() == STALE          # the snapshot aged
+    assert topo.perf.counters_snapshot() == counters   # and nothing ran
+    topo.neighbors(0)
+    # A refresh that moved nothing keeps the stamp.
+    assert topo.removal_stamp() == stamp

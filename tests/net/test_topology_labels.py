@@ -29,6 +29,7 @@ from repro.geometry.region import Region
 from repro.mobility.base import Stationary
 from repro.mobility.waypoint import RandomWaypoint
 from repro.net.node import Node
+from repro.net import topology
 from repro.net.topology import Topology
 from repro.sim.engine import Simulator
 from tests.net.structure import component_id, edges, has_edge
@@ -196,6 +197,52 @@ def test_membership_churn_with_departures_and_entrants():
             pool[nid].alive = not pool[nid].alive
             topo.invalidate_nodes([nid])
         assert_labels_match_oracle(topo)
+
+
+@pytest.mark.parametrize("per_slot", [None, 0.5])
+def test_label_journal_names_every_moved_label(per_slot, monkeypatch):
+    """``moved_labels(mark)`` names every id whose label index changed
+    since ``mark`` (dropping out of the graph and joining it included),
+    and answers ``None`` only across a new journal generation, which
+    a full relabel or a trim starts.  A tight bound trims often."""
+    if per_slot is not None:
+        monkeypatch.setattr(topology, "JOURNAL_MAX_PER_SLOT", per_slot)
+    rng = random.Random(31)
+    _, topo, nodes = build(50, 600, 140, seed=31)
+    pool = {node.node_id: node for node in nodes}
+    ids = sorted(pool)
+    present = set(pool)
+    assert_labels_match_oracle(topo)
+    restarts = 0
+    for step in range(150):
+        labels = topo.component_indices(ids)
+        mark = topo.label_mark()
+        assert mark is not None
+        full = topo.perf.get("conn_full_relabels")
+        roll = rng.random()
+        nid = rng.choice(ids)
+        if nid not in present:
+            present.add(nid)
+            topo.add_node(pool[nid])
+        elif roll < 0.3:
+            present.discard(nid)
+            topo.remove_node(pool[nid])
+        else:
+            pool[nid].alive = not pool[nid].alive
+            topo.invalidate_nodes([nid])
+        assert topo.label_mark() is None        # the graph is due
+        after = topo.component_indices(ids)
+        moved = topo.moved_labels(mark)
+        if moved is None:
+            restarts += 1
+            assert (topo.perf.get("conn_full_relabels") > full
+                    or topo.label_mark()[1] == 0)
+            continue
+        assert {i for i, old, new in zip(ids, labels, after)
+                if old != new} <= set(moved), step
+    assert_labels_match_oracle(topo)
+    assert (restarts > 0) == (per_slot is not None)
+    assert restarts < 150 // 4
 
 
 def test_add_nodes_batch_equivalent_to_loop():

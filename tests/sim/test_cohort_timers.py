@@ -81,7 +81,7 @@ def next_at(timer):
     """When ``timer`` fires next (``None`` if stopped)."""
     if isinstance(timer, ReferenceTimer):
         return timer.next_at
-    return timer._cohort.event.time if timer.running else None
+    return timer._cohort.time if timer.running else None
 
 
 INTERVALS = (0.25, 0.5, 1.0, 1.5)
@@ -262,3 +262,36 @@ def test_mixed_intervals_at_one_instant_fire_in_arming_order():
         # t=1.0 in arming order; t=1.5 fast alone; at t=2.0 fast re-armed
         # (at 1.5) after slow and last did (at 1.0).
         assert log == ["slow", "fast", "last", "fast", "slow", "last", "fast"]
+
+
+def test_a_lone_parked_member_keeps_its_cohort():
+    sim = Simulator()
+    log = []
+    loner = PeriodicTimer(sim, 1.0, lambda: log.append("loner"))
+    loner.start()
+    loner.park(lambda: 0)
+    cohort = loner._cohort
+    assert sim.run(until=2.0) == 2
+    # Passed over twice, re-armed in the cohort it fired from, which
+    # is back on the heap under the seq a new cohort would have taken.
+    assert log == [] and sim.parked_rearms == 2
+    assert loner._cohort is cohort and cohort.time == 3.0
+    assert sim.cohorts == {3.0: cohort}
+    assert sim._heap == [(3.0, 0, sim._seq - 1, cohort)]
+    # A cohort open at its next instant is joined, as a new entry would
+    # have been: it fires at 4.0 after the member that opened it.
+    other = PeriodicTimer(sim, 2.0, lambda: log.append("other"))
+    other.start(first_delay=2.0)
+    sim.run(until=3.0)
+    assert loner._cohort is other._cohort is not cohort
+    loner.unpark()
+    sim.run(until=4.0)
+    assert log == ["other", "loner"]
+    # Stopping it takes the entry off the heap, as for any cohort.
+    other.stop()
+    loner.park(lambda: 0)
+    sim.run(until=5.0)
+    kept = loner._cohort
+    loner.stop()
+    assert not kept.pending and sim.pending_events == 0
+    assert sim.run(until=9.0) == 0
