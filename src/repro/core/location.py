@@ -47,17 +47,13 @@ class LocationMixin:
     def _location_stamp(self) -> Tuple[int, Optional[int], bool]:
         """What an "anchor within three hops" verdict rests on, read
         without a graph query: ``(edge-removal stamp, anchor, anchor is
-        a live allocator)``, the last being ``ctx.is_head``'s two reads,
-        made directly.  Nodes and edges that only arrive never
-        lengthen a shortest path, so the verdict holds while this reads
-        the same; a graph due a refresh reads ``STALE`` and matches no
-        stamp taken on a current one."""
+        a head)``.  Nodes and edges that only arrive never lengthen a
+        shortest path, so the verdict holds while this reads the same;
+        a graph due a refresh reads ``STALE`` and matches no stamp
+        taken on a current one."""
         ctx = self.ctx
         anchor = self._location_anchor()
-        head = False
-        if anchor is not None and anchor in ctx.allocator_ids:
-            node = ctx.topology.get(anchor)
-            head = node is not None and node.alive
+        head = anchor is not None and ctx.is_head(anchor)
         return ctx.topology.removal_stamp(), anchor, head
 
     def _check_location(self) -> None:

@@ -108,7 +108,7 @@ class PartitionMixin:
                 # matches no stamp, so the next scan's label question
                 # refreshes it at the same instant as ever.
                 assert self._merge_timer is not None   # it called us
-                self._merge_timer.park(self.ctx.table_stamp)
+                self._merge_timer.park(self.ctx.table_version)
             return
         for other_id, _hops in self.ctx.topology.within_hops(
                 self.node_id, HEAD_SCOPE_HOPS):

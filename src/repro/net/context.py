@@ -145,10 +145,8 @@ class NetworkContext:
         # ``_comp_counts`` holds each component's tallies (its heads,
         # and per network id how many heads and how many configured
         # nodes carry it), ``_counted`` the network id and component
-        # each counted agent was counted under, ``_dirty`` the ids
-        # noted since the last patch, and ``_table_mark`` the label
-        # journal's mark at that patch (see :meth:`_patch_table`).
-        self._table_mark: Optional[Tuple[int, int]] = None  # none yet
+        # each counted agent was counted under, and ``_dirty`` the ids
+        # noted since the last patch (see :meth:`_patch_table`).
         self._table_version = 0
         self._dirty: Set[int] = set()
         self._counted: Dict[int, _Counted] = {}
@@ -296,7 +294,7 @@ class NetworkContext:
         """The component table's version, patched up to every note and
         label move so far — or :data:`~repro.net.topology.STALE` while
         the graph is due a refresh or its labels are not current
-        (:meth:`~repro.net.topology.Topology.label_mark`).
+        (:meth:`~repro.net.topology.Topology.labels_current`).
 
         It moves only when
 
@@ -308,21 +306,14 @@ class NetworkContext:
         * a full relabel starts the table over.
 
         So a reader that saw the same version saw its own component's
-        entry as it is.  Passive on the graph: it refreshes and
-        relabels nothing."""
-        mark = self.topology.label_mark()
-        if mark is None:
+        entry as it is, and a stale graph matches no version read
+        earlier: a probe for
+        :meth:`~repro.sim.timers.PeriodicTimer.park`.  Passive on the
+        graph: it refreshes and relabels nothing."""
+        if not self.topology.labels_current():
             return STALE
-        if mark != self._table_mark or self._dirty:
-            self._patch_table()
+        self._patch_table()
         return self._table_version
-
-    def table_stamp(self) -> int:
-        """:meth:`table_version` — a probe for
-        :meth:`~repro.sim.timers.PeriodicTimer.park`: equal stamps mean
-        every configured agent's entry as it was, and a stale graph
-        never matches an earlier stamp."""
-        return self.table_version()
 
     def _patch_table(self) -> None:
         """Bring the component table up to the current labels and every
@@ -340,8 +331,7 @@ class NetworkContext:
         one batched label question below refreshes nothing."""
         topology = self.topology
         dirty = self._dirty
-        moved = (None if self._table_mark is None
-                 else topology.moved_labels(self._table_mark))
+        moved = topology.take_moved_labels()
         if moved is not None and not moved and not dirty:
             return
         agents = self.agents
@@ -349,7 +339,6 @@ class NetworkContext:
         counted = self._counted
         counts = self._comp_counts
         changed = False
-        self._table_mark = topology.label_mark()
         ids: Collection[int]
         if moved is None:
             counted.clear()

@@ -106,12 +106,12 @@ DELTA_REBUILD_MAX_DIRTY_FRACTION = 0.25
 #: would refresh the graph; versions start at 0 and only grow.
 STALE = -1
 
-#: The label journal (:meth:`Topology.moved_labels`) starts a new
-#: generation once it names more ids than this many per slot.  A reader
-#: starting over re-reads everything it derived from the labels (the
-#: component table also moves its version, so every parked merge scan
-#: runs once), so the bound sits well above the longest journal the
-#: ledger's workloads grow between full relabels (1.3 per slot).
+#: The label journal (:meth:`Topology.take_moved_labels`) is dropped
+#: once it names more ids than this many per slot, and its reader
+#: starts over.  That re-reads everything it derived from the labels
+#: (the component table also moves its version, so every parked merge
+#: scan runs once), so the bound sits well above the longest journal
+#: the ledger's workloads grow between two takes (0.4 per slot).
 JOURNAL_MAX_PER_SLOT = 4
 
 
@@ -171,9 +171,10 @@ class Topology:
         self._labels_active = False  # a label query has happened
         self._labels_valid = False   # labels match the current graph
         # The label journal: ids whose label a delta relabel wrote since
-        # the journal's generation began (see :meth:`moved_labels`).
-        self._label_gen = 0
+        # the last take, and whether labels may have moved that it does
+        # not name (see :meth:`take_moved_labels`).
         self._label_moves: List[int] = []
+        self._journal_lost = True
         # The edge-removal epoch (see :meth:`removal_stamp`).
         self._removals = 0
 
@@ -569,7 +570,7 @@ class Topology:
             members[idx] = comp
         self._comp_next = nxt
         self._labels_valid = True
-        self._label_gen += 1
+        self._journal_lost = True
         self._label_moves = []
         self.perf.incr(cnt.CONN_SLOTS_RELABELED, len(self._graph_slots))
 
@@ -646,8 +647,8 @@ class Topology:
         self.perf.incr(cnt.CONN_SLOTS_RELABELED, relabeled)
         self.perf.incr(cnt.CONN_SPLIT_SLOTS_SCANNED, scanned)
         if len(moves) > JOURNAL_MAX_PER_SLOT * self._nodes.capacity:
-            # A bound on the journal's memory: readers start over.
-            self._label_gen += 1
+            # A bound on the journal's memory: its reader starts over.
+            self._journal_lost = True
             self._label_moves = []
 
     def _locally_intact(
@@ -993,29 +994,28 @@ class Topology:
             return STALE
         return self._removals
 
-    def label_mark(self) -> Optional[Tuple[int, int]]:
-        """Where the label journal stands, ``(generation, length)``,
-        while the graph is current and its labels are maintained; else
-        ``None`` (a query now would refresh the graph or relabel it).
-        Passive.  Hand it back to :meth:`moved_labels` later."""
-        if (not self._labels_valid
-                or self.current_version() == STALE):
-            return None
-        return self._label_gen, len(self._label_moves)
+    def labels_current(self) -> bool:
+        """Whether a label query now would be answered without a graph
+        refresh or a relabel.  Passive, like :meth:`current_version`."""
+        return self._labels_valid and self.current_version() != STALE
 
-    def moved_labels(self, mark: Tuple[int, int]) -> Optional[List[int]]:
-        """Ids whose label a delta relabel wrote since ``mark`` (a
-        :meth:`label_mark`), each at least once, in no promised order:
-        slots that left or joined the graph, pieces split off and
-        components merged away.  Every other id has the label it had
-        at ``mark``.  ``None`` when the journal began a new generation
-        since — a full relabel, which may move every label, or a trim
-        of a journal grown past :data:`JOURNAL_MAX_PER_SLOT` ids per
-        slot."""
-        generation, start = mark
-        if generation != self._label_gen:
-            return None
-        return self._label_moves[start:]
+    def take_moved_labels(self) -> Optional[List[int]]:
+        """Hand over the label journal and start it afresh: the ids
+        whose label a delta relabel wrote since the last take, each at
+        least once, in no promised order (slots that left or joined the
+        graph, pieces split off and components merged away).  Every
+        other id has the label it had at the last take.  ``None`` when
+        labels may have moved that the journal does not name: a full
+        relabel since (or no take yet), or a journal grown past
+        :data:`JOURNAL_MAX_PER_SLOT` ids per slot.  The journal has one
+        reader, the component table
+        (:class:`~repro.net.context.NetworkContext`)."""
+        moves: Optional[List[int]] = self._label_moves
+        if self._journal_lost:
+            self._journal_lost = False
+            moves = None
+        self._label_moves = []
+        return moves
 
     def _graph_slot(self, node_id: int) -> Optional[int]:
         """The node's slot if it is in the current graph, else None."""

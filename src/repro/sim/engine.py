@@ -157,6 +157,10 @@ class Simulator:
         ``seq``: how a cohort of periodic timers puts itself on the heap
         (:mod:`repro.sim.timers`), with no cohort to close at its
         instant.  An event that already fired may be queued again."""
+        if event.time < self._now:
+            raise SimulationError(
+                f"cannot schedule at t={event.time} before current time "
+                f"t={self._now}")
         heapq.heappush(self._heap, (event.time, 0, self._seq, event))
         self._seq += 1
         self._pending += 1
@@ -218,7 +222,7 @@ class Simulator:
         """Install a profiling hook that fires events on the engine's
         behalf.
 
-        With a hook set, :meth:`step` calls ``hook(callback, args)``
+        With a hook set, :meth:`run` calls ``hook(callback, args)``
         instead of ``callback(*args)``; the hook must invoke the
         callback exactly once.  Calls nest: a cohort of periodic timers
         fires each member through the hook from inside the call for its
@@ -233,19 +237,7 @@ class Simulator:
 
     def step(self) -> bool:
         """Fire the next live event.  Returns False if the queue is empty."""
-        heap = self._heap
-        while heap:
-            time, _priority, _seq, event = heapq.heappop(heap)
-            if event.pending:
-                event.pending = False  # fired: a late cancel() is a no-op
-                self._pending -= 1
-                self._now = time
-                if self._profile_hook is None:
-                    event.callback(*event.args)
-                else:
-                    self._profile_hook(event.callback, event.args)
-                return True
-        return False
+        return self.run(max_events=1) > 0
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
         """Run until the queue drains, ``until`` is reached, or ``max_events``.
@@ -255,9 +247,10 @@ class Simulator:
         is advanced to exactly ``until`` even if the queue drained
         earlier, so periodic observers see a consistent end time.
 
-        The loop is :meth:`peek` and :meth:`step` in one: tombstones on
-        top of the heap are dropped, and the next live entry fires
-        unless it lies past ``until``.
+        The loop pops the heap itself: tombstones on top are dropped,
+        and the next live entry fires unless it lies past ``until``.
+        It is the engine's one firing path (:meth:`step` runs it for
+        one event).
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")

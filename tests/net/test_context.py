@@ -422,7 +422,7 @@ def test_table_follows_seeded_churn(seed, monkeypatch):
     bound the label journal tightly, so the table also starts over
     when the journal is trimmed."""
     if seed % 2:
-        monkeypatch.setattr(topology, "JOURNAL_MAX_PER_SLOT", 0.5)
+        monkeypatch.setattr(topology, "JOURNAL_MAX_PER_SLOT", 0.1)
     rng = random.Random(seed)
     ctx = make_ctx()
     ids = iter(range(1, 1000))

