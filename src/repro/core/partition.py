@@ -102,13 +102,14 @@ class PartitionMixin:
         # below runs only while there is actually something to merge.
         if len(networks) == 1 and self.network_id in networks:
             if self._orphan_strikes == 0:
-                # A scan changes nothing until the stamp moves or the
-                # network id and head setters unpark it.  The lookup
-                # above left the table serving this graph; a stale graph
-                # matches no stamp, so the next scan's label question
-                # refreshes it at the same instant as ever.
+                # A scan changes nothing until this node's entry changes
+                # its sets (the table wakes it) or the network id and
+                # head setters unpark it.  The lookup above left the
+                # table serving this graph; a stale graph ends the park,
+                # so the next scan's label question refreshes it at the
+                # same instant as ever.
                 assert self._merge_timer is not None   # it called us
-                self._merge_timer.park(self.ctx.table_version)
+                self.ctx.park_on_entry(self.node_id, self._merge_timer)
             return
         for other_id, _hops in self.ctx.topology.within_hops(
                 self.node_id, HEAD_SCOPE_HOPS):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import abc
+from typing import Tuple
 
 from repro.geometry import Point
 
@@ -13,6 +14,13 @@ class MobilityModel(abc.ABC):
     @abc.abstractmethod
     def position(self, t: float) -> Point:
         """The node's position at absolute simulation time ``t``."""
+
+    def xy(self, t: float) -> Tuple[float, float]:
+        """``position(t)`` as a bare ``(x, y)`` pair, bit for bit: the
+        read the topology's position refresh makes per node, which a
+        model may serve without building a :class:`Point`."""
+        point = self.position(t)
+        return point.x, point.y
 
     def speed(self) -> float:
         """Nominal speed in m/s (0 for stationary models)."""

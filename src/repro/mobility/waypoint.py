@@ -46,6 +46,10 @@ class RandomWaypoint(MobilityModel):
         self._legs: List[Tuple[float, float, Point, Point]] = []
         self._frontier_time = start_time
         self._frontier_point = start
+        # The finite leg the last position() landed in: xy() reads it
+        # while its time stays strictly inside the leg.
+        self._current: Tuple[float, float, Point, Point] = (
+            float("inf"), float("inf"), start, start)
 
     def speed(self) -> float:
         return self.speed_mps
@@ -73,10 +77,24 @@ class RandomWaypoint(MobilityModel):
         self._extend_to(t)
         # Legs are few and time-ordered; scan from the back (queries are
         # overwhelmingly monotone in t).
-        for t0, t1, a, b in reversed(self._legs):
+        for leg in reversed(self._legs):
+            t0, t1, a, b = leg
             if t0 <= t <= t1:
                 if t1 == float("inf"):
                     return a
+                self._current = leg
                 return lerp(a, b, (t - t0) / (t1 - t0))
         # t precedes all legs (possible after start_time epsilon issues).
         return self._legs[0][2]
+
+    def xy(self, t: float) -> Tuple[float, float]:
+        # ``lerp``'s arithmetic on the cached leg, without the Point.
+        # Only strictly inside it: at an end ``position`` may answer
+        # from the neighbouring leg, and at ``start_time`` it answers
+        # the start point itself.
+        t0, t1, a, b = self._current
+        if t0 < t < t1:
+            f = (t - t0) / (t1 - t0)
+            return a.x + (b.x - a.x) * f, a.y + (b.y - a.y) * f
+        point = self.position(t)
+        return point.x, point.y

@@ -21,29 +21,34 @@ heads and network ids (:meth:`NetworkContext.component_entry`).
 
 The table is kept node by node.  Every hook names the node whose state
 moved, and the topology's label journal names the nodes whose component
-label moved; a lookup re-reads only those agents, and only a full
-relabel makes it re-read them all.  So an agent notes its *own*
-transitions, and liveness is read where the graph moves: every write of
-``node.alive`` is followed, in the same call, by
-``Topology.invalidate_nodes`` or ``Topology.remove_node``.
-``role_epoch`` counts the notes, for readers that only need to know
-whether any of that state moved anywhere.
+label moved; a lookup re-reads only those agents, and only a journal the
+topology lost (the first relabel, a compaction) makes it re-read them
+all.  So an agent notes its *own* transitions, and liveness is read
+where the graph moves: every write of ``node.alive`` is followed, in the
+same call, by ``Topology.invalidate_nodes`` or
+``Topology.remove_node``.  ``role_epoch`` counts the notes, for readers
+that only need to know whether any of that state moved anywhere.
+
+A periodic check that read nothing but its own node's entry parks its
+timer through :meth:`NetworkContext.park_on_entry`, and the patch that
+changes what that entry reads wakes it (the merge scan).
 """
 
 from __future__ import annotations
 
 import itertools
 from typing import (TYPE_CHECKING, Collection, Dict, FrozenSet,
-                    Iterator, Optional, Set, Tuple)
+                    Iterator, List, Optional, Set, Tuple)
 
 from repro.net.hello import HelloService
 from repro.net.node import Node
 from repro.net.stats import MessageStats
-from repro.net.topology import STALE, Topology
+from repro.net.topology import Topology
 from repro.net.transport import Transport
 from repro.obs.bus import EventBus
 from repro.perf import Counters, PerfRecorder
 from repro.sim.engine import Simulator
+from repro.sim.timers import PeriodicTimer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults.model import FaultModel
@@ -55,18 +60,20 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: configured network ids); see :meth:`NetworkContext.component_entry`.
 _Entry = Tuple[Tuple[int, ...], FrozenSet[Optional[int]],
                FrozenSet[Optional[int]]]
-#: One component's tallies: head ids, and per network id the number of
-#: heads and of configured nodes carrying it.
-_Tally = Tuple[Set[int], Dict[Optional[int], int], Dict[Optional[int], int]]
+#: One component's tallies: head ids, per network id the number of
+#: heads and of configured nodes carrying it, and the counted ids.
+_Tally = Tuple[Set[int], Dict[Optional[int], int], Dict[Optional[int], int],
+               Set[int]]
 #: Where a counted agent was counted: its network id and its component.
 _Counted = Tuple[Optional[int], int]
 
 
 def _uncount(tally: _Tally, node_id: int, network: Optional[int]) -> None:
-    """Take one agent's contribution back out of ``tally``: the
-    network id it was counted under, and head-ness if it is among the
-    tally's heads."""
-    heads, head_networks, networks = tally
+    """Take one agent's contribution back out of ``tally``: its place
+    among the counted ids, the network id it was counted under, and
+    head-ness if it is among the tally's heads."""
+    heads, head_networks, networks, members = tally
+    members.discard(node_id)
     _decrement(networks, network)
     if node_id in heads:
         heads.discard(node_id)
@@ -147,11 +154,14 @@ class NetworkContext:
         # nodes carry it), ``_counted`` the network id and component
         # each counted agent was counted under, and ``_dirty`` the ids
         # noted since the last patch (see :meth:`_patch_table`).
-        self._table_version = 0
         self._dirty: Set[int] = set()
         self._counted: Dict[int, _Counted] = {}
         self._comp_counts: Dict[int, _Tally] = {}
         self._comp_heads: Dict[int, _Entry] = {}
+        # node id -> the timer it parked on its entry, and the one probe
+        # they all park on (one read serves a whole cohort).
+        self._entry_parks: Dict[int, PeriodicTimer] = {}
+        self._table_probe = self.table_current
 
     # ------------------------------------------------------------------
     # Agent registry
@@ -283,37 +293,48 @@ class NetworkContext:
         """Allocator node ids in ``node_id``'s component, ascending.
 
         O(1) amortized: a lookup re-reads only the agents noted or
-        relabeled since the last one, plus every agent once per full
-        relabel.  The
+        relabeled since the last one, plus every agent once per journal
+        the topology lost.  The
         pre-label protocol answered this with an unbounded BFS flood
         per asker; the label layer's ``component_members`` walk was
         bounded but still O(component) per asker per scan."""
         return self.component_entry(node_id)[0]
 
-    def table_version(self) -> int:
-        """The component table's version, patched up to every note and
-        label move so far — or :data:`~repro.net.topology.STALE` while
-        the graph is due a refresh or its labels are not current
-        (:meth:`~repro.net.topology.Topology.labels_current`).
-
-        It moves only when
-
-        * some entry's head-network set or network set changes;
-        * a configured agent is counted under another component than
-          the one it was last counted under;
-        * a counted agent leaves the graph while its node is still in
-          the store (a crash in place: the agent's timers keep running);
-        * a full relabel starts the table over.
-
-        So a reader that saw the same version saw its own component's
-        entry as it is, and a stale graph matches no version read
-        earlier: a probe for
-        :meth:`~repro.sim.timers.PeriodicTimer.park`.  Passive on the
-        graph: it refreshes and relabels nothing."""
+    def table_current(self) -> bool:
+        """Whether the component table serves the current graph: False
+        while the graph is due a refresh or its labels are not current
+        (:meth:`~repro.net.topology.Topology.labels_current`), else
+        True once the table is patched up to every note and label move
+        so far.  Passive on the graph: it refreshes and relabels
+        nothing.  The probe :meth:`park_on_entry` parks on."""
         if not self.topology.labels_current():
-            return STALE
+            return False
         self._patch_table()
-        return self._table_version
+        return True
+
+    def park_on_entry(self, node_id: int, timer: PeriodicTimer) -> None:
+        """Park ``timer`` (see :meth:`~repro.sim.timers.PeriodicTimer.park`)
+        on the head-network and network sets of ``node_id``'s entry, as
+        a :meth:`component_entry` lookup of this graph just read them:
+        a stale graph ends the park, and so does the patch that finds
+        them changed.  That patch wakes the timer when
+
+        * the entry of the node's component changes either set;
+        * the node is counted under another component, whose entry has
+          other sets than the one it was counted under before;
+        * the node leaves the graph while it is still in the store (a
+          crash in place: the agent's timers keep running);
+        * the table starts over (:meth:`_patch_table`).
+
+        The park holds across graph changes elsewhere.  Whatever else
+        the timer's check read is the caller's to unpark on."""
+        self._entry_parks[node_id] = timer
+        timer.park(self._table_probe)
+
+    def _wake(self, node_id: int) -> None:
+        timer = self._entry_parks.pop(node_id, None)
+        if timer is not None:
+            timer.unpark()
 
     def _patch_table(self) -> None:
         """Bring the component table up to the current labels and every
@@ -325,10 +346,13 @@ class NetworkContext:
         agent (``is_configured``, ``network_id``), the allocator set
         and ``node.alive``, joins its component now; only those
         components are frozen again.  Every other agent keeps its label
-        and its tally.  A full relabel renames every component: the
-        tallies start from nothing and everyone is re-read.  Callers
-        have just made sure the graph and labels are current, so the
-        one batched label question below refreshes nothing."""
+        and its tally.  When the topology lost the journal the tallies
+        start from nothing and everyone is re-read.  Callers have just
+        made sure the graph and labels are current, so the one batched
+        label question below refreshes nothing.
+
+        The patch also wakes the entry parks (:meth:`park_on_entry`)
+        whose sets it changed; starting over wakes them all."""
         topology = self.topology
         dirty = self._dirty
         moved = topology.take_moved_labels()
@@ -338,14 +362,16 @@ class NetworkContext:
         entries = self._comp_heads
         counted = self._counted
         counts = self._comp_counts
-        changed = False
+        wake = self._wake
         ids: Collection[int]
         if moved is None:
             counted.clear()
             counts.clear()
             entries.clear()
             ids = list(agents)              # everyone is dirty
-            changed = True
+            for timer in self._entry_parks.values():
+                timer.unpark()
+            self._entry_parks.clear()
         elif moved:
             ids = dirty.union(node_id for node_id in moved
                               if node_id in agents)
@@ -358,6 +384,9 @@ class NetworkContext:
         # The components to freeze again: the re-read agents' old and
         # new ones.
         touched = {comp for comp in labels if comp is not None}
+        # Agents counted under another component than before: (id, old
+        # component, new component).
+        crossed: List[Tuple[int, int, int]] = []
         for node_id, comp in zip(ids, labels):
             was = counted.pop(node_id, None)
             if was is not None:
@@ -367,17 +396,17 @@ class NetworkContext:
                 # Out of the graph, so not counted in it.  A node still
                 # in the store crashed in place: its polls run on.
                 if was is not None and node_of(node_id) is not None:
-                    changed = True
+                    wake(node_id)
                 continue
             node = node_of(node_id)
             agent = agents[node_id]
             if node is None or not node.alive or not agent.is_configured():
                 continue
             if was is not None and was[1] != comp:
-                changed = True
+                crossed.append((node_id, was[1], comp))
             tally = counts.get(comp)
             if tally is None:
-                tally = counts[comp] = (set(), {}, {})
+                tally = counts[comp] = (set(), {}, {}, set())
             # ``None`` network ids (configured agents mid-rejoin) are
             # counted on purpose: they make a component look
             # heterogeneous, which keeps the merge scan alive.
@@ -385,27 +414,32 @@ class NetworkContext:
             counted[node_id] = (network, comp)
             networks = tally[2]
             networks[network] = networks.get(network, 0) + 1
+            tally[3].add(node_id)
             if node_id in allocator_ids:
                 tally[0].add(node_id)
                 head_networks = tally[1]
                 head_networks[network] = head_networks.get(network, 0) + 1
         no_heads = self._NO_HEADS
+        before: Dict[int, _Entry] = {}
         for comp in touched:
-            before = entries.get(comp, no_heads)
+            old = before[comp] = entries.get(comp, no_heads)
             tally = counts.get(comp)
             if tally is not None and tally[2]:
-                heads, head_networks, networks = tally
+                heads, head_networks, networks, members = tally
                 entry = entries[comp] = (tuple(sorted(heads)),
                                          frozenset(head_networks),
                                          frozenset(networks))
+                if entry[1] != old[1] or entry[2] != old[2]:
+                    for node_id in members:
+                        wake(node_id)
             else:
                 counts.pop(comp, None)
                 entries.pop(comp, None)
-                entry = no_heads
-            if entry[1] != before[1] or entry[2] != before[2]:
-                changed = True
-        if changed:
-            self._table_version += 1
+        for node_id, was_comp, comp in crossed:
+            old = before[was_comp]
+            entry = entries[comp]
+            if entry[1] != old[1] or entry[2] != old[2]:
+                wake(node_id)
 
     @classmethod
     def build(

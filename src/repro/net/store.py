@@ -86,7 +86,7 @@ class NodeStore:
         #: Bumped whenever slot numbering changes (compaction).  Slot
         #: references held outside the store are invalid across bumps.
         self.layout_version = 0
-        #: ``position()`` evaluations the last refresh actually
+        #: Model reads (``xy()``) the last refresh actually
         #: performed (static nodes are skipped) — surfaced as the
         #: ``graph_positions_recomputed`` perf counter.
         self.last_refresh_recomputed = 0
@@ -220,8 +220,10 @@ class NodeStore:
         when its coordinates differ from the cached ones (bit-exact
         comparison, mirroring the engine's original position diff).
         Slots whose mobility model is the same ``Stationary`` object as
-        last refresh are skipped without calling ``position()`` at all;
-        freshly added or model-swapped slots always recompute.
+        last refresh are skipped without reading the model at all;
+        the others are read through ``MobilityModel.xy``, which a
+        walker serves without building a ``Point``.  Freshly added or
+        model-swapped slots always recompute.
         """
         alive: List[int] = []
         moved: List[Tuple[int, float, float]] = []
@@ -236,9 +238,8 @@ class NodeStore:
             if static[slot] and mob is mobility[slot]:
                 continue  # provably unchanged: Stationary + same object
             first = mobility[slot] is None
-            point = mob.position(now)
+            x, y = mob.xy(now)
             recomputed += 1
-            x, y = point.x, point.y
             if first or x != xs[slot] or y != ys[slot]:
                 if not first:
                     moved.append((slot, xs[slot], ys[slot]))

@@ -64,7 +64,9 @@ graph library on the hot path — and, since the scale rework, on
   asks a label question (:meth:`same_component`,
   :meth:`component_size`, :meth:`component_members`), per-slot labels
   are maintained alongside the graph.  Full rebuilds relabel every
-  slot in one sweep; delta rebuilds relabel only the dirty region —
+  slot in one sweep, and each component keeps the label its minimum
+  slot had, so a refresh that leaves the partition alone moves no
+  label; delta rebuilds relabel only the dirty region —
   detached slots leave their components, a probe around each hole
   they leave proves no split happened (or a race from the whole
   boundary relabels exactly the pieces that came off when one did),
@@ -83,8 +85,8 @@ and ``tests/net/test_store_oracle.py``.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from typing import (Callable, Collection, Dict, Iterable, List, Optional,
-                    Set, Tuple, TypeVar)
+from typing import (Callable, Collection, Dict, Hashable, Iterable, List,
+                    Optional, Set, Tuple, TypeVar)
 
 from repro.net.grid import CellGrid
 from repro.net.node import Node
@@ -109,9 +111,9 @@ STALE = -1
 #: The label journal (:meth:`Topology.take_moved_labels`) is dropped
 #: once it names more ids than this many per slot, and its reader
 #: starts over.  That re-reads everything it derived from the labels
-#: (the component table also moves its version, so every parked merge
-#: scan runs once), so the bound sits well above the longest journal
-#: the ledger's workloads grow between two takes (0.4 per slot).
+#: (the component table also wakes every parked merge scan), so the
+#: bound sits well above the longest journal the ledger's workloads
+#: grow between two takes (0.4 per slot).
 JOURNAL_MAX_PER_SLOT = 4
 
 
@@ -170,13 +172,19 @@ class Topology:
         self._comp_next = 0
         self._labels_active = False  # a label query has happened
         self._labels_valid = False   # labels match the current graph
-        # The label journal: ids whose label a delta relabel wrote since
-        # the last take, and whether labels may have moved that it does
-        # not name (see :meth:`take_moved_labels`).
+        self._labels_layout = -1     # store.layout_version at relabel
+        # The label journal: ids whose label moved since the last take,
+        # and whether labels may have moved that it does not name (see
+        # :meth:`take_moved_labels`).
         self._label_moves: List[int] = []
         self._journal_lost = True
-        # The edge-removal epoch (see :meth:`removal_stamp`).
+        # The edge-removal epoch, and per label the epoch of the last
+        # removal from that component (``_removal_base`` for components
+        # none touched since the last full relabel; see
+        # :meth:`removal_stamp`).
         self._removals = 0
+        self._comp_removals: Dict[int, int] = {}
+        self._removal_base = 0
 
     # ------------------------------------------------------------------
     # Population management
@@ -330,9 +338,8 @@ class Topology:
         self.perf.incr(cnt.GRAPH_FULL_REBUILDS)
         self._removals += 1
         self._ensure_capacity()
-        # Slot-to-label assignments cannot survive a wholesale rebuild
-        # (compaction may even have renumbered slots); the next label
-        # query runs a full relabel sweep.
+        # The labels no longer match the graph; the next label query
+        # runs a full relabel sweep.
         self._labels_valid = False
         store = self._nodes
         cap = store.capacity
@@ -533,11 +540,23 @@ class Topology:
 
         Ascending iteration guarantees each component's BFS starts at
         its minimum slot, so table entries are discovered in canonical
-        order and the whole procedure is deterministic.
+        order and the whole procedure is deterministic.  Each component
+        takes the label its minimum slot had before, unless an earlier
+        component already took that label; only then a fresh one, and
+        fresh labels never repeat an old one.  So a sweep that finds the
+        partition it replaces moves no label, and the journal gains
+        exactly the ids whose label differs (slots that left the graph
+        included).  Slot numbers that compaction changed share nothing
+        with the old labels: then every label is fresh and the journal
+        is lost.
         """
         self.perf.incr(cnt.CONN_RELABELS)
         self.perf.incr(cnt.CONN_FULL_RELABELS)
-        cap = max(self._nodes.capacity, len(self._in_graph))
+        store = self._nodes
+        cap = max(store.capacity, len(self._in_graph))
+        kept = self._labels_layout == store.layout_version
+        old = self._comp_of if kept else []
+        old.extend([-1] * (cap - len(old)))
         comp_of = [-1] * cap
         self._comp_of = comp_of
         members: Dict[int, List[int]] = {}
@@ -550,8 +569,10 @@ class Topology:
         for slot in self._graph_slots:
             if mark[slot] == epoch:
                 continue
-            idx = nxt
-            nxt += 1
+            idx = old[slot]
+            if idx < 0 or idx in members:
+                idx = nxt
+                nxt += 1
             mark[slot] = epoch
             comp_of[slot] = idx
             comp = [slot]
@@ -570,8 +591,18 @@ class Topology:
             members[idx] = comp
         self._comp_next = nxt
         self._labels_valid = True
-        self._journal_lost = True
-        self._label_moves = []
+        self._labels_layout = store.layout_version
+        # Every component's removal epoch starts over above every
+        # stamp read so far (a full rebuild moved ``_removals``).
+        self._comp_removals.clear()
+        self._removal_base = self._removals
+        moves = self._label_moves
+        if kept:
+            moves.extend(node_id for node_id, was, now
+                         in zip(store.ids, old, comp_of) if was != now)
+        if not kept or len(moves) > JOURNAL_MAX_PER_SLOT * store.capacity:
+            self._journal_lost = True
+            self._label_moves = []
         self.perf.incr(cnt.CONN_SLOTS_RELABELED, len(self._graph_slots))
 
     def _delta_relabel(
@@ -617,19 +648,22 @@ class Topology:
         self.perf.incr(cnt.CONN_DELTA_RELABELS)
         comp_of = self._comp_of
         members = self._comp_members
+        removals = self._comp_removals
         relabeled = 0
         scanned = 0
         moves = self._label_moves
         ids = self._nodes.ids
         moves.extend(ids[slot] for slot in detached)
-        # 1) detach
+        # 1) detach; every component a slot leaves may have lost a path
         for slot in detached:
             idx = comp_of[slot]
             comp_of[slot] = -1
+            removals[idx] = self._removals
             comp = members[idx]
             del comp[bisect_left(comp, slot)]
             if not comp:
                 del members[idx]
+                del removals[idx]
         # 2) split verification (or exact repair) per affected component
         for idx in sorted(clusters_by_comp):
             if idx not in members:
@@ -846,6 +880,7 @@ class Topology:
                     if idx == winner:
                         continue
                     lost = members.pop(idx)
+                    self._comp_removals.pop(idx, None)
                     for s in lost:
                         comp_of[s] = winner
                     merged.extend(lost)
@@ -884,10 +919,11 @@ class Topology:
 
         Two ids share a component exactly when their indices are equal
         and not ``None`` — the pointwise :meth:`same_component`.  The
-        index is the labels' internal name for a component; like every
-        label it is good only until the graph next changes
-        (:attr:`graph_version`), so use it to compare and group within
-        one query round and do not store it past one.
+        index is the labels' internal name for a component.  An id keeps
+        its index until :meth:`take_moved_labels` names it, so only the
+        journal's reader may keep an index past the graph's next change
+        (:attr:`graph_version`); anyone else compares and groups within
+        one query round.
 
         One graph-and-label currency check covers the whole batch, and
         the batch is one question served from the labels:
@@ -980,19 +1016,33 @@ class Topology:
             return self._graph_version
         return STALE
 
-    def removal_stamp(self) -> int:
-        """The edge-removal epoch, or :data:`STALE` whenever
-        :meth:`current_version` is.
+    def removal_stamp(self, node_id: int) -> Hashable:
+        """The edge-removal epoch of ``node_id``'s component, or
+        :data:`STALE` whenever :meth:`current_version` is, and while the
+        node is out of the graph.
 
-        The epoch moves with every graph change that may drop an edge:
-        a full rebuild, or a delta rebuild with a removed, crashed or
-        moved slot.  A pure arrival (a new or restarted node) only adds
-        edges, and added edges never lengthen a shortest path, so a
-        hop bound that held at one reading still holds at an equal
-        one.  Passive, like :meth:`current_version`."""
+        The epoch moves with every graph change that may drop an edge
+        on a path from ``node_id``: a full rebuild, or a delta rebuild
+        that removes, crashes or moves a slot of its component.  A pure
+        arrival (a new or restarted node) only adds edges, and added
+        edges never lengthen a shortest path, so a hop bound that held
+        at one reading still holds at an equal one.  A path never leaves
+        its component, so a removal elsewhere leaves the stamp alone.
+
+        While the labels are current the stamp is ``(label, epoch of
+        the label)``: a node whose component changed label reads
+        another stamp.  Otherwise it is the epoch of every removal in
+        the graph, an int, which no label stamp equals.  Passive, like
+        :meth:`current_version`."""
         if self.current_version() == STALE:
             return STALE
-        return self._removals
+        if not self._labels_valid:
+            return self._removals
+        slot = self._graph_slot(node_id)
+        if slot is None:
+            return STALE
+        label = self._comp_of[slot]
+        return label, self._comp_removals.get(label, self._removal_base)
 
     def labels_current(self) -> bool:
         """Whether a label query now would be answered without a graph
@@ -1001,14 +1051,15 @@ class Topology:
 
     def take_moved_labels(self) -> Optional[List[int]]:
         """Hand over the label journal and start it afresh: the ids
-        whose label a delta relabel wrote since the last take, each at
-        least once, in no promised order (slots that left or joined the
-        graph, pieces split off and components merged away).  Every
-        other id has the label it had at the last take.  ``None`` when
-        labels may have moved that the journal does not name: a full
-        relabel since (or no take yet), or a journal grown past
-        :data:`JOURNAL_MAX_PER_SLOT` ids per slot.  The journal has one
-        reader, the component table
+        whose label moved since the last take, each at least once, in
+        no promised order (slots that left or joined the graph, pieces
+        split off, components merged away, and whatever a full relabel
+        found in another component than before).  Every other id has
+        the label it had at the last take.  ``None`` when labels may
+        have moved that the journal does not name: no take yet, the
+        first relabel or one after a store compaction since, or a
+        journal grown past :data:`JOURNAL_MAX_PER_SLOT` ids per slot.
+        The journal has one reader, the component table
         (:class:`~repro.net.context.NetworkContext`)."""
         moves: Optional[List[int]] = self._label_moves
         if self._journal_lost:

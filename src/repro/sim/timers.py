@@ -150,7 +150,8 @@ class _Cohort(Event):
             read = reads.get(probe, _UNREAD)
             if read is _UNREAD:
                 read = reads[probe] = probe()
-            if read != value:
+            # The read may also have unparked this very member.
+            if read != value or timer._parked is None:
                 timer._parked = None
                 called = timer
                 break
@@ -180,7 +181,9 @@ class PeriodicTimer:
     callback read.  While the probe reads the value it read when the
     timer parked, the timer keeps its place and instants but its
     callback is not called.  A changed read, :meth:`unpark` or
-    :meth:`start` ends the park.
+    :meth:`start` ends the park.  A probe may itself unpark timers
+    (one read serves every member of a cohort that parked on it), the
+    timer whose turn it is included.
     """
 
     __slots__ = ("_sim", "interval", "_callback", "_cohort", "_parked")

@@ -174,19 +174,26 @@ def test_orphan_rescue_rejoins_available_network():
 
 def test_merge_scan_skips_only_while_its_stamp_holds():
     ctx = make_ctx()
-    agents = line_agents(ctx, 4, cfg=partition_cfg())
+    cfg = partition_cfg()
+    agents = line_agents(ctx, 4, cfg=cfg)
+    far = positions_cluster_offset(ctx, (900, 900), 1, cfg)
     ctx.sim.run(until=60.0)
     scanner, other = agents[0], agents[-1]
     timer = scanner._merge_timer
     assert scanner.network_id == other.network_id is not None
+    assert far.network_id not in (None, scanner.network_id)
     # A lookup refreshes the graph; the next scan finds its partition
-    # homogeneous and parks its timer on a stamp that holds while
-    # nothing moves.
+    # homogeneous and parks its timer on its own node's entry, which
+    # holds while nothing in its component moves.
     ctx.component_entry(scanner.node_id)
     scanner._merge_scan()
     assert passes_over(timer)
-    # Another node takes a foreign network id: no graph change, but the
-    # component's network set moved, so the scan must run in full.
+    # The other component's network set moves: not this scan's entry.
+    far.network_id = far.network_id + 1
+    assert passes_over(timer)
+    # Another node of its own component takes a foreign network id: no
+    # graph change, but the entry's network set moved, so the scan
+    # must run in full.
     other.network_id = other.network_id + 1
     assert not passes_over(timer)
     other.network_id = scanner.network_id

@@ -78,9 +78,11 @@ def positions_cluster(
 
 def passes_over(timer: PeriodicTimer) -> bool:
     """Whether ``timer``'s next fire would re-arm it without a call:
-    it is parked and its probe reads the value it parked on."""
+    it is parked, its probe reads the value it parked on, and the read
+    left it parked."""
     parked = timer._parked
-    return parked is not None and bool(parked[0]() == parked[1])
+    return (parked is not None and bool(parked[0]() == parked[1])
+            and timer._parked is not None)
 
 
 def assert_unique_addresses(agents: Sequence[QuorumProtocolAgent]) -> None:

@@ -104,20 +104,32 @@ def test_column_agrees_with_is_allocator_at_every_query(
 def test_component_table_is_the_per_node_reference_at_every_rebuild(
         monkeypatch):
     one_pass_entry = NetworkContext.component_entry
+    table_current = NetworkContext.table_current
     checked_keys = set()
 
-    def component_entry(ctx, node_id):
-        entry = one_pass_entry(ctx, node_id)
-        # The lookup above forced any pending graph refresh and patched
-        # the table up to this key.
+    def check(ctx):
+        # The table was just patched up to this key.
         key = (ctx.topology.graph_version, ctx.role_epoch)
         if key not in checked_keys:
             checked_keys.add(key)
             assert_table_is_the_reference(
                 ctx, lambda nid: one_pass_entry(ctx, nid))
+
+    def component_entry(ctx, node_id):
+        # The lookup forces any pending graph refresh and patches.
+        entry = one_pass_entry(ctx, node_id)
+        check(ctx)
         return entry
 
+    def probe(ctx):
+        # The parked merge scans' probe patches on a current graph.
+        current = table_current(ctx)
+        if current:
+            check(ctx)
+        return current
+
     monkeypatch.setattr(NetworkContext, "component_entry", component_entry)
+    monkeypatch.setattr(NetworkContext, "table_current", probe)
     runner = churn_runner("quorum")
     runner.run()
     assert len(checked_keys) > 10 * len(runner.ctx.agents)

@@ -119,9 +119,16 @@ def test_skips_and_table_patches_are_exact(cell, monkeypatch):
     # times there.
     ScenarioRunner(cell_scenario(cell, settle_time=SETTLE_S),
                    "quorum").run()
-    # Every cell asks the table many times.  Under mobility every
-    # refresh moves the graph, so a poll never finds its stamp again;
-    # the static cells pass over all three polls many times.
+    # Every cell asks the table many times and passes over many merge
+    # scans: a scan parks on its own node's entry, which a refresh that
+    # moves the graph mostly leaves as it was.  Under mobility every
+    # refresh is a full rebuild, which moves every removal stamp and
+    # the audit's graph version, so neither the location check nor the
+    # audit finds its stamp again there; the static cells pass over
+    # both many times.
     static = CELLS[cell][0].get("speed_mps") == 0.0
     assert checked["component_entry"] > 100, checked
-    assert all((checked[name] > 100) == static for name in POLLS), checked
+    assert checked["_merge_scan"] > 100, checked
+    for name in ("_audit", "_check_location"):
+        assert checked[name] > 100 if static else checked[name] == 0, (
+            name, checked)

@@ -90,3 +90,110 @@ def test_displacement_bounded_by_speed(seed, speed):
     p1 = model.position(10.0)
     p2 = model.position(14.0)
     assert distance(p1, p2) <= speed * 4.0 + 1e-6
+
+
+# ---------------------------------------------------------------------------
+# xy(t): position(t)'s coordinates, bit for bit, without a Point
+# ---------------------------------------------------------------------------
+def bits(pair):
+    """Each coordinate's type and exact bits (``-0.0`` is not ``0.0``)."""
+    return tuple((type(value), float(value).hex()) for value in pair)
+
+
+def leg_times(model, t_max):
+    """Every leg end and start up to ``t_max``, with the floats just
+    inside and outside each, and each leg's midpoint."""
+    model.position(t_max)
+    times = []
+    for t0, t1, _a, _b in model._legs:
+        times += [t0, math.nextafter(t0, math.inf), math.nextafter(t0, -math.inf)]
+        if t1 != math.inf:
+            times += [t1, math.nextafter(t1, -math.inf), (t0 + t1) / 2]
+    return times
+
+
+def assert_xy_is_position(times, **kwargs):
+    """``xy`` on one model and ``position`` on its twin (same seed),
+    queried in the same order, agree bit for bit."""
+    reader, twin = make_model(**kwargs), make_model(**kwargs)
+    for t in times:
+        point = twin.position(t)
+        assert bits(reader.xy(t)) == bits((point.x, point.y)), t
+
+
+def test_xy_is_position_at_leg_boundaries():
+    model = make_model(start_time=3.0)
+    times = leg_times(model, 400.0)
+    # In order (legs generated one by one, a leg's end asked before the
+    # next leg exists), then shuffled (the cached leg is rarely the one
+    # asked about).
+    assert_xy_is_position(sorted(times), start_time=3.0)
+    random.Random(5).shuffle(times)
+    assert_xy_is_position(times, start_time=3.0)
+    # Each leg's end right after its middle, with the next leg already
+    # there: ``position`` answers from the next leg's start, which the
+    # interpolation at fraction 1.0 misses by an ulp on about a third
+    # of the legs.
+    ends = [400.0]
+    for t0, t1, _a, _b in model._legs[:-1]:
+        ends += [(t0 + t1) / 2, t1]
+    assert_xy_is_position(ends, start_time=3.0)
+
+
+def test_xy_is_position_at_and_before_start():
+    times = [0.0, 9.0, 10.0, math.nextafter(10.0, math.inf), 12.5, 10.0, 2.0]
+    assert_xy_is_position(times, start_time=10.0)
+    assert_xy_is_position(times, start_time=10.0, speed=0.0)
+
+
+class PinnedRegion(Region):
+    """Every waypoint is the start: each leg is degenerate."""
+
+    def random_point(self, rng):
+        return Point(500, 500)
+
+
+def test_xy_is_position_on_a_degenerate_leg():
+    model = RandomWaypoint(PinnedRegion(1000, 1000), Point(500, 500), 20.0,
+                           random.Random(1))
+    for t in (0.0, 1.0, 50.0, 1e9):
+        point = model.position(t)
+        assert bits(model.xy(t)) == bits((point.x, point.y))
+    assert model._legs[0][1] == math.inf
+
+
+def test_stationary_xy_is_its_point():
+    point = Point(0.1 + 0.2, -0.0)
+    assert bits(Stationary(point).xy(7.0)) == bits((point.x, point.y))
+
+
+def test_store_reads_xy_across_model_swaps():
+    """A node starts stationary, starts walking when it configures (the
+    runner's ``_start_movement``), and is pinned (``Node.pin``): after
+    each refresh the store holds ``position(t)``, bit for bit, of a twin
+    node put through the same swaps."""
+    from repro.net.node import Node
+    from repro.net.store import NodeStore
+
+    store = NodeStore()
+    node = Node(1, Stationary(Point(500, 500)))
+    twin = Node(1, Stationary(Point(500, 500)))
+    slot = store.add(node)
+
+    def check(t):
+        store.refresh_positions(t)
+        point = twin.position(t)
+        assert bits((store.xs[slot], store.ys[slot])) == bits(
+            (float(point.x), float(point.y))), t
+
+    for t in (0.0, 1.0):
+        check(t)
+    for each in (node, twin):
+        each.mobility = make_model(start_time=1.0)
+    legs = leg_times(make_model(start_time=1.0), 200.0)
+    for t in sorted(legs) + [250.0]:
+        check(t)
+    for each in (node, twin):
+        each.pin(250.0)
+    for t in (250.0, 300.0):
+        check(t)

@@ -10,7 +10,8 @@ from repro.mobility.base import Stationary
 from repro.net import Node
 from repro.net.context import NetworkContext
 from repro.net import topology
-from repro.net.topology import STALE
+from repro.sim.timers import PeriodicTimer
+from tests.helpers import passes_over
 from tests.net.structure import component_id
 
 
@@ -380,24 +381,51 @@ def test_table_rereads_only_the_noted_agents():
     assert_table_is_the_reference(ctx)
 
 
-def test_table_version_moves_only_with_the_network_sets():
+def parked_timer(ctx, node_id):
+    """A timer parked on ``node_id``'s entry, as the merge scan parks."""
+    timer = PeriodicTimer(ctx.sim, 1.0, lambda: None)
+    ctx.park_on_entry(node_id, timer)
+    return timer
+
+
+def test_entry_park_wakes_only_with_its_own_sets():
     ctx = make_ctx()
     agents = two_clusters(ctx)
-    version = ctx.table_version()
-    assert version != STALE
+    near, far = parked_timer(ctx, 3), parked_timer(ctx, 12)
+    assert passes_over(near) and passes_over(far)
     # A head that stops allocating leaves its network with a head of
     # the same network beside it: the sets stand.
     agents[2].allocator = False
-    assert ctx.table_version() == version
+    assert passes_over(near)
     assert ctx.component_heads(3) == (1,)
-    # Node 3 leaving network 9 for 7 takes 9 out of the component.
+    # Node 3 leaving network 9 for 7 takes 9 out of the component: its
+    # members wake, the other component's stay parked.
     agents[3].network_id = 7
     ctx.note(3)
-    assert ctx.table_version() == version + 1
+    assert not passes_over(near)
+    assert passes_over(far)
     assert networks(ctx, 1) == frozenset({7})
-    # And the version is STALE while a query would refresh the graph.
+    # A graph due a refresh ends every park.
+    near = parked_timer(ctx, 3)
     ctx.sim.run(until=ctx.topology.refresh_interval * 2)
-    assert ctx.table_version() == STALE
+    assert not ctx.table_current()
+    assert not passes_over(near) and not passes_over(far)
+
+
+def test_entry_park_holds_across_a_change_elsewhere_and_wakes_a_crash():
+    ctx = make_ctx()
+    agents = two_clusters(ctx)
+    parks = {node_id: parked_timer(ctx, node_id) for node_id in (1, 3, 12)}
+    # 12 crashes in place: its own park ends, the other cluster's hold.
+    agents[12].node.kill()
+    ctx.topology.invalidate_nodes([12])
+    ctx.component_entry(1)
+    assert not passes_over(parks[12])
+    assert passes_over(parks[1]) and passes_over(parks[3])
+    # 4 (unconfigured) leaves: 1 and 3 keep their component and sets.
+    ctx.topology.remove_node(agents[4].node)
+    ctx.component_entry(1)
+    assert passes_over(parks[1]) and passes_over(parks[3])
 
 
 def entry_sets(ctx):
@@ -414,11 +442,12 @@ def entry_sets(ctx):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_table_follows_seeded_churn(seed, monkeypatch):
-    """Arrivals, departures, crash/restarts, moves and noted
-    transitions in a seeded mix, on a line where cuts and bridges are
-    common: after
-    every step the table is the reference, and the version moved
-    whenever some configured agent's entry sets changed.  Odd seeds
+    """Arrivals, departures, crash/restarts, moves, mobile refreshes
+    that move more than a quarter of the nodes (the full rebuild path)
+    and noted transitions in a seeded mix, on a line where cuts and
+    bridges are common: after every step the table is the reference,
+    and every entry park of a configured agent whose entry sets
+    changed, or that crashed in place, has been woken.  Odd seeds
     bound the label journal tightly, so the table also starts over
     when the journal is trimmed."""
     if seed % 2:
@@ -428,10 +457,12 @@ def test_table_follows_seeded_churn(seed, monkeypatch):
     ids = iter(range(1, 1000))
     in_store = []
     sets = entry_sets(ctx)
-    version = ctx.table_version()
+    parks = {}
+    kept = full = 0
     kinds = dict.fromkeys(
-        ["arrive", "depart", "crash", "restart", "move", "note"], 0)
-    for _step in range(200):
+        ["arrive", "depart", "crash", "restart", "move", "mobile", "note"],
+        0)
+    for _step in range(240):
         roll = rng.random()
         dead = [agent for agent in in_store if not agent.node.alive]
         if roll < 0.3 or len(in_store) < 3:
@@ -445,23 +476,28 @@ def test_table_follows_seeded_churn(seed, monkeypatch):
             kind = "depart"
             agent = in_store.pop(rng.randrange(len(in_store)))
             ctx.topology.remove_node(agent.node)
-        elif roll < 0.55:
+        elif roll < 0.5:
             kind = "crash"
             agent = rng.choice(in_store)
             agent.node.kill()
             ctx.topology.invalidate_nodes([agent.node.node_id])
-        elif roll < 0.65 and dead:
+        elif roll < 0.6 and dead:
             kind = "restart"
             agent = rng.choice(dead)
             agent.node.alive = True
             ctx.topology.invalidate_nodes([agent.node.node_id])
         elif roll < 0.75:
-            # A node moved: the next refresh, once the snapshot ages,
-            # detaches it and puts it back where it is now.
-            kind = "move"
-            agent = rng.choice(in_store)
-            agent.node.mobility = Stationary(Point(rng.uniform(0.0, 1200.0),
-                                                   0.0))
+            # Nodes moved: the next refresh, once the snapshot ages,
+            # detaches them and puts them back where they are now.  A
+            # mobile step moves a third of them, so the refresh takes
+            # the full path.
+            kind = "move" if roll < 0.67 else "mobile"
+            movers = (1 if kind == "move"
+                      else max(2, len(in_store) // 3))
+            for agent in rng.sample(in_store, movers):
+                x = (agent.node.position(0.0).x + rng.uniform(-80.0, 80.0)
+                     if kind == "mobile" else rng.uniform(0.0, 1200.0))
+                agent.node.mobility = Stationary(Point(x, 0.0))
             ctx.sim.run(until=ctx.sim.now + ctx.topology.refresh_interval
                         * 2)
         else:
@@ -476,16 +512,26 @@ def test_table_follows_seeded_churn(seed, monkeypatch):
                 agent.network_id = rng.choice([7, 8, 9, None])
             ctx.note(agent.node.node_id)
         kinds[kind] += 1
+        relabels = ctx.perf.get("conn_full_relabels")
         assert_table_is_the_reference(ctx)
+        full += ctx.perf.get("conn_full_relabels") - relabels
+        assert ctx.table_current()
         now = entry_sets(ctx)
-        moved = any(now[node_id] != sets[node_id]
-                    for node_id in now.keys() & sets.keys())
-        later = ctx.table_version()
-        assert later != STALE
-        assert later >= version
-        assert later > version or not moved, (kind, _step)
-        sets, version = now, later
+        for node_id, timer in parks.items():
+            if timer._parked is None:
+                continue
+            agent = ctx.agents[node_id]
+            crashed = (ctx.node_of(node_id) is not None
+                       and not agent.node.alive)
+            assert not crashed, (kind, _step, node_id)
+            if node_id in now:
+                assert now[node_id] == sets[node_id], (kind, _step, node_id)
+                kept += 1
+        # Park every configured agent, as its merge scan would.
+        parks = {node_id: parked_timer(ctx, node_id) for node_id in now}
+        sets = now
     assert all(kinds.values()), kinds
+    assert kept > 0 and full > 0
 
 
 def test_table_skips_an_agent_whose_node_left_the_topology():

@@ -4,7 +4,7 @@ import pytest
 
 from repro.geometry import Point, Region, distance
 from repro.mobility import RandomWaypoint
-from repro.mobility.base import Stationary
+from repro.mobility.base import MobilityModel, Stationary
 from repro.net import Node, Topology
 from repro.sim import Simulator
 from repro.sim.rng import generator_from_seed
@@ -109,7 +109,7 @@ def test_graph_refreshes_as_nodes_move():
     topo = Topology(sim, transmission_range=150.0, refresh_interval=0.1)
     import random
 
-    class Runner:
+    class Runner(MobilityModel):
         """Deterministic straight-line mover."""
 
         def __init__(self, start, velocity):
@@ -403,53 +403,84 @@ def move(topo, node_id):
     topo.get(node_id).mobility = Stationary(Point(node_id * 100.0, 50.0))
 
 
-#: (change, whether it may drop an edge).  Each starts from a line of
-#: eight nodes 100 m apart, node 3 crashed and refreshed out of the
-#: graph; one node is an eighth of them, so every change but the
-#: blanket invalidate() rides the delta path.
+#: (change, the node whose stamp is read, whether the change may drop
+#: an edge on a path from it).  Each starts from a line of eight nodes
+#: 100 m apart, node 3 crashed and refreshed out of the graph, so 0-2
+#: and 4-7 are two components; one node is an eighth of them, so every
+#: change but the blanket invalidate() rides the delta path.  The
+#: restart bridges the two; 0's side keeps its label.
 REMOVAL_TABLE = [
     ("arrival", lambda topo: topo.add_node(
-        Node(8, Stationary(Point(800.0, 0.0)))), False),
-    ("restart", lambda topo: revive(topo, 3), False),
-    ("departure", lambda topo: topo.remove_node(topo.get(7)), True),
+        Node(8, Stationary(Point(800.0, 0.0)))), 6, False),
+    ("restart", lambda topo: revive(topo, 3), 0, False),
+    ("departure", lambda topo: topo.remove_node(topo.get(7)), 6, True),
     ("crash", lambda topo: (topo.get(5).kill(),
-                            topo.invalidate_nodes([5])), True),
-    ("moved node", lambda topo: move(topo, 6), True),
-    ("blanket invalidate", lambda topo: topo.invalidate(), True),
+                            topo.invalidate_nodes([5])), 6, True),
+    ("moved node", lambda topo: move(topo, 6), 7, True),
+    ("blanket invalidate", lambda topo: topo.invalidate(), 0, True),
 ]
 
 
-@pytest.mark.parametrize("change, removes", [
-    pytest.param(change, removes, id=name.replace(" ", "-"))
-    for name, change, removes in REMOVAL_TABLE])
-def test_removal_stamp_moves_only_where_an_edge_may_drop(change, removes):
-    from repro.net.topology import STALE
+def split_line():
+    """The table's starting line, labels on."""
     sim, topo = make_topology([(x * 100.0, 0.0) for x in range(8)])
     topo.get(3).kill()
     topo.invalidate_nodes([3])
-    topo.neighbors(0)
-    stamp = topo.removal_stamp()
+    topo.component_count()
+    return sim, topo
+
+
+@pytest.mark.parametrize("change, observer, removes", [
+    pytest.param(change, observer, removes, id=name.replace(" ", "-"))
+    for name, change, observer, removes in REMOVAL_TABLE])
+def test_removal_stamp_moves_only_where_an_edge_may_drop(change, observer,
+                                                         removes):
+    from repro.net.topology import STALE
+    sim, topo = split_line()
+    stamp = topo.removal_stamp(observer)
     assert stamp != STALE
     version = topo.graph_version
     change(topo)
     # A move is seen when the snapshot ages; everything else dirties it.
     sim.run(until=topo.refresh_interval * 2)
-    assert topo.removal_stamp() == STALE      # a query would refresh
-    topo.neighbors(0)
+    assert topo.removal_stamp(observer) == STALE  # a query would refresh
+    topo.component_count()
     assert topo.graph_version == version + 1
-    assert (topo.removal_stamp() != stamp) == removes
+    assert (topo.removal_stamp(observer) != stamp) == removes
+
+
+@pytest.mark.parametrize("change, far", [
+    ("departure", 1), ("crash", 1), ("moved node", 0),
+])
+def test_removal_stamp_ignores_removals_in_other_components(change, far):
+    """A removal in 4-7 moves its members' stamps and leaves 0-2's: no
+    path from 0-2 runs through 4-7."""
+    run = {name: fn for name, fn, _observer, _removes in REMOVAL_TABLE}
+    sim, topo = split_line()
+    near = {node_id: topo.removal_stamp(node_id) for node_id in (4, far)}
+    run[change](topo)
+    sim.run(until=topo.refresh_interval * 2)
+    topo.component_count()
+    assert topo.removal_stamp(far) == near[far]
+    assert topo.removal_stamp(4) != near[4]
 
 
 def test_removal_stamp_is_passive_and_stale_with_the_version():
     from repro.net.topology import STALE
     sim, topo = make_topology([(0, 0), (100, 0)])
-    assert topo.removal_stamp() == STALE          # never built
+    assert topo.removal_stamp(0) == STALE         # never built
+    # Without labels the stamp is the whole graph's epoch; a label
+    # query switches it to the component's, which no earlier read
+    # equals.
     topo.neighbors(0)
-    stamp = topo.removal_stamp()
+    unlabeled = topo.removal_stamp(0)
+    topo.component_count()
+    stamp = topo.removal_stamp(0)
+    assert STALE != stamp != unlabeled
     counters = topo.perf.counters_snapshot()
     sim.run(until=topo.refresh_interval * 2)
-    assert topo.removal_stamp() == STALE          # the snapshot aged
+    assert topo.removal_stamp(0) == STALE         # the snapshot aged
     assert topo.perf.counters_snapshot() == counters   # and nothing ran
-    topo.neighbors(0)
+    topo.component_count()
     # A refresh that moved nothing keeps the stamp.
-    assert topo.removal_stamp() == stamp
+    assert topo.removal_stamp(0) == stamp

@@ -251,6 +251,66 @@ def test_label_journal_names_every_moved_label(per_slot, monkeypatch):
     assert trims < takes // 2
 
 
+def members_of(topo, ids):
+    """Each id in the graph -> the ids of its component."""
+    return {node_id: frozenset(topo.component_members(node_id))
+            for node_id in ids if component_id(topo, node_id) is not None}
+
+
+@pytest.mark.parametrize("seed", [5, 6, 7])
+def test_full_relabel_keeps_labels_and_journals_exactly(seed):
+    """Steps that move more than a quarter of the nodes, so every refresh
+    takes the full path: after each one the journal names exactly the
+    ids whose label index changed, no id whose component kept its
+    members is among them, and the labels still group ids as
+    ``tests/net/structure.py`` does.  ``take_moved_labels()`` answers
+    ``None`` only for the first relabel and after a compaction."""
+    rng = random.Random(seed)
+    sim, topo, nodes = build(60, 700, 150, seed=seed)
+    pool = {node.node_id: node for node in nodes}
+    ids = sorted(pool)
+    assert_labels_match_oracle(topo)
+    assert topo.take_moved_labels() is None         # the first relabel
+    kept = moved_total = 0
+    for step in range(40):
+        labels = topo.component_indices(ids)
+        before = members_of(topo, ids)
+        full = topo.perf.get("conn_full_relabels")
+        for node in rng.sample(nodes, 20):
+            old = node.position(0.0)
+            node.mobility = Stationary(Point(
+                min(700.0, max(0.0, old.x + rng.uniform(-60.0, 60.0))),
+                min(700.0, max(0.0, old.y + rng.uniform(-60.0, 60.0)))))
+        if step % 10 == 9:
+            victim = rng.choice(sorted(pool))
+            topo.remove_node(pool.pop(victim))
+        sim.run(until=sim.now + topo.refresh_interval * 2)
+        after = topo.component_indices(ids)
+        assert topo.perf.get("conn_full_relabels") == full + 1
+        moved = topo.take_moved_labels()
+        assert moved is not None, step
+        assert sorted(moved) == [node_id for node_id, old, new
+                                 in zip(ids, labels, after) if old != new]
+        now = members_of(topo, ids)
+        for node_id, members in now.items():
+            if before.get(node_id) == members:
+                assert node_id not in moved, (step, node_id)
+                kept += 1
+            assert all(after[ids.index(other)] == after[ids.index(node_id)]
+                       for other in members)
+        moved_total += len(moved)
+        assert_labels_match_oracle(topo)
+    assert kept > 0 and moved_total > 0
+    # Compaction renumbers the slots: the journal is lost once.
+    for node_id in sorted(pool)[:40]:
+        topo.remove_node(pool.pop(node_id))
+    topo.store.compact()
+    topo.component_count()
+    assert topo.take_moved_labels() is None
+    assert_labels_match_oracle(topo)
+    assert topo.take_moved_labels() == []
+
+
 def test_add_nodes_batch_equivalent_to_loop():
     sim_a = Simulator(seed=31)
     sim_b = Simulator(seed=31)
