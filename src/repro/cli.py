@@ -7,7 +7,6 @@ Subcommands::
     python -m repro figure   fig05 --workers 4  # any figNN or table1
     python -m repro sweep    --protocols quorum manetconf --nodes 50 100
     python -m repro layout   --nodes 100      # Fig. 4-style ASCII map
-    python -m repro lint     --out F.json     # static invariant checks
     python -m repro trace    --nodes 30 --seed 1 --format spans
     python -m repro metrics  --nodes 30 --seed 1 --format spark
 
@@ -15,12 +14,10 @@ Subcommands::
 tabulates all protocols on the same workload; ``figure`` regenerates a
 paper figure's series (optionally fanned out over worker processes);
 ``sweep`` runs an explicit (protocol x size x seed) grid through the
-parallel executor; ``layout`` draws the clustered network; ``lint``
-runs the AST-based determinism and protocol-invariant analyzer
-(:mod:`repro.lint`); ``trace`` records a scenario's structured event
-stream (:mod:`repro.obs`) — or loads one exported with ``--trace-out``
-— and renders it as a timeline, span trees, JSONL or an outcome
-summary.
+parallel executor; ``layout`` draws the clustered network; ``trace``
+records a scenario's structured event stream (:mod:`repro.obs`) — or
+loads one exported with ``--trace-out`` — and renders it as a timeline,
+span trees, JSONL or an outcome summary.
 
 ``run``, ``figure`` and ``sweep`` accept ``--trace`` (record events,
 report span aggregates) and ``--trace-out FILE`` (append each traced
@@ -62,7 +59,6 @@ from repro.experiments.sweep import (
     expand_grid,
 )
 from repro.faults import FaultSpec
-from repro.lint import cli as lint_cli
 from repro.obs import (
     build_spans,
     events_from_jsonl,
@@ -253,11 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     lay_p.add_argument("--nodes", type=int, default=100)
     lay_p.add_argument("--seed", type=int, default=1)
     lay_p.add_argument("--tr", type=float, default=150.0)
-
-    lint_p = sub.add_parser(
-        "lint",
-        help="static determinism & protocol-invariant checks")
-    lint_cli.configure_parser(lint_p)
     return parser
 
 
@@ -591,7 +582,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "trace": cmd_trace,
         "metrics": cmd_metrics,
         "layout": cmd_layout,
-        "lint": lint_cli.run,
     }
     return handlers[args.command](args)
 

@@ -25,9 +25,10 @@ hook's price tag), and per-run memory is its ``peak_rss_mb``.
 
 Everything here is wall-clock and machine-dependent by design, which is
 why it lives outside the determinism boundary: profiler output is never
-part of a cache key, a result hash, or a regression gate.  The lint
-suite sanctions the wall-clock reads in this one observability module
-(see ``_WALLCLOCK_ALLOWED`` in :mod:`repro.lint.rules`).
+part of a cache key, a result hash, or a regression gate.  The
+``determinism`` rule sanctions the wall-clock reads in this one
+observability module (see ``_WALLCLOCK_ALLOWED`` in
+``tests/lint/rules.py``).
 """
 
 from __future__ import annotations

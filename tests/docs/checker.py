@@ -1,10 +1,9 @@
-"""Docs currency checker (``python -m repro.lint.docs``).
+"""Docs currency checker (run by ``tests/docs/test_docs_current.py``).
 
-The CI ``docs`` job used to assert one thing: every file under
-``docs/`` is linked from the README.  That catches orphaned documents
-but none of the ways docs actually rot — links to renamed anchors,
-references to modules that moved, paths that were true three PRs ago.
-This checker makes those failures build failures:
+Every file under ``docs/`` being linked from the README catches
+orphaned documents but none of the ways docs actually rot — links to
+renamed anchors, references to modules that moved, paths that were
+true three PRs ago.  This checker makes those failures test failures:
 
 * **Coverage** — every file in ``docs/`` is linked from ``README.md``
   (the original check).
@@ -27,15 +26,14 @@ This checker makes those failures build failures:
 
 Fenced code blocks are skipped entirely: example output and shell
 transcripts are not claims about the tree.  The checker is stdlib-only
-and, like the rest of :mod:`repro.lint`, mypy ``--strict``-clean.
+and, like the rule modules in ``tests/lint/``, mypy ``--strict``-clean.
 """
 
 from __future__ import annotations
 
 import re
-import sys
 from pathlib import Path
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Tuple
 
 #: Inline-code tokens ending in one of these are treated as repo-path
 #: claims and must exist on disk.
@@ -188,20 +186,3 @@ def check_docs(root: Path) -> List[Finding]:
                         f"(not found at repo root or under src/)"))
     return findings
 
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point; exits non-zero when any doc claim is broken."""
-    args = list(sys.argv[1:]) if argv is None else list(argv)
-    root = Path(args[0]) if args else Path.cwd()
-    findings = check_docs(root)
-    for finding in findings:
-        print(finding.format())
-    if findings:
-        print(f"{len(findings)} broken doc reference(s)")
-        return 1
-    print("docs are linked and current (links, anchors, code refs OK)")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

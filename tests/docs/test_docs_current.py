@@ -2,12 +2,12 @@
 
 Fixture tests pin each failure mode (orphan doc, dead link, dead
 anchor, stale code path); the final test runs the checker against the
-real repository, which is the same gate CI's docs job applies.
+real repository.
 """
 
 from pathlib import Path
 
-from repro.lint.docs import _anchors_of, _github_slug, check_docs, main
+from tests.docs.checker import _anchors_of, _github_slug, check_docs
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -95,20 +95,13 @@ def test_fenced_blocks_are_not_claims(tmp_path):
 def test_github_slugs_match_renderer_conventions():
     seen = {}
     assert _github_slug("Quick Start", seen) == "quick-start"
-    assert _github_slug("The `repro lint` CLI", seen) == "the-repro-lint-cli"
+    assert _github_slug("The `repro trace` CLI", seen) == "the-repro-trace-cli"
     assert _github_slug("Quick Start", seen) == "quick-start-1"  # duplicate
     text = "# Top\n\n## A & B (c)\n"
     assert _anchors_of(text) == ["top", "a--b-c"]
 
 
-def test_main_exit_codes(tmp_path, capsys):
-    root = _fixture(tmp_path, "# Repo\n", {"LOST.md": "# Lost\n"})
-    assert main([str(root)]) == 1
-    _write(root, "README.md", "# Repo\n\n[found](docs/LOST.md)\n")
-    assert main([str(root)]) == 0
-
-
 def test_live_repo_docs_are_current():
-    """The gate CI applies: this repository's own docs must be clean."""
+    """This repository's own docs must be clean."""
     findings = check_docs(REPO_ROOT)
     assert findings == [], "\n".join(f.format() for f in findings)

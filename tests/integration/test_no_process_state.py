@@ -9,19 +9,17 @@ reads no environment variable.
 """
 
 import ast
-from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
 
 
-def process_state(source):
+def process_state(tree):
     """``(line, what)`` for every ``global`` statement and every read of
     the environment through ``os``."""
     found = []
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Global):
             found.append((node.lineno, "global " + ", ".join(node.names)))
         elif (isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT
@@ -33,12 +31,12 @@ def process_state(source):
     return sorted(found)
 
 
-def test_src_holds_no_process_state():
+def test_src_holds_no_process_state(program_files):
     found = {}
-    for path in sorted(SRC.rglob("*.py")):
-        hits = process_state(path.read_text(encoding="utf-8"))
+    for relpath, ctx in program_files.items():
+        hits = process_state(ctx.tree)
         if hits:
-            found[path.relative_to(SRC).as_posix()] = [what for _, what in hits]
+            found[relpath] = [what for _, what in hits]
     assert found == {}
 
 
@@ -49,7 +47,7 @@ def test_src_holds_no_process_state():
     "from os import environ\n",
 ], ids=["global", "os.environ", "os.getenv", "from-os-import"])
 def test_each_kind_of_process_state_is_caught(source):
-    assert len(process_state(source)) == 1
+    assert len(process_state(ast.parse(source))) == 1
 
 
 @pytest.mark.parametrize("source", [
@@ -57,4 +55,4 @@ def test_each_kind_of_process_state_is_caught(source):
     "import os\nCORES = os.cpu_count()\n",
 ], ids=["argument", "os.cpu_count"])
 def test_arguments_and_other_os_calls_pass(source):
-    assert process_state(source) == []
+    assert process_state(ast.parse(source)) == []

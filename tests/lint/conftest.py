@@ -1,8 +1,8 @@
-"""Shared fixtures: build throwaway ``src/repro/...`` trees and lint them.
+"""Shared fixtures: build throwaway ``src/repro/...`` trees and check them.
 
 Rule tests write inline fixture snippets into a tmp tree laid out like
-the real repo (so module inference kicks in), then run one rule — or
-the whole suite — over it.
+the real repo (so module inference kicks in), then run one rule over
+it.
 """
 
 import textwrap
@@ -10,11 +10,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import run_lint
+from tests.lint.core import parse_tree
+from tests.lint.project import ProjectGraph
+from tests.lint.rules import check
 
 
 class LintTree:
-    """A scratch checkout-shaped directory to lint."""
+    """A scratch checkout-shaped directory to check."""
 
     def __init__(self, root: Path) -> None:
         self.root = root
@@ -25,12 +27,12 @@ class LintTree:
         path.write_text(textwrap.dedent(source))
         return path
 
-    def lint(self, select=None, ignore=None):
-        return run_lint([self.root], select=select, ignore=ignore,
-                        root=self.root)
+    def graph(self) -> ProjectGraph:
+        names = sorted(path.name for path in self.root.iterdir())
+        return ProjectGraph(parse_tree(self.root, names))
 
-    def findings(self, select=None):
-        return list(self.lint(select=select).findings)
+    def findings(self, rule):
+        return check(rule, self.graph())
 
 
 @pytest.fixture

@@ -2,33 +2,28 @@
 
 A :class:`FileContext` is one file's AST, its inferred dotted module
 name and its :class:`ImportTable`; a :class:`Finding` is one violation
-anchored to a line of it.  Rules never do I/O — the engine
-(:mod:`repro.lint.engine`) owns file discovery, parsing and reporting,
-so a rule body is pure AST traversal.
+anchored to a line of it.  :func:`parse_tree` reads and parses the
+files, once; a rule body is pure AST traversal.
 """
 
 from __future__ import annotations
 
 import ast
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from pathlib import Path
+from typing import Dict, List, Optional, Sequence
 
 
 @dataclasses.dataclass(frozen=True)
 class Finding:
-    """One rule violation, anchored to a source line (``line_text`` is
-    the stripped source line, carried into the JSON report).  Every
-    finding fails the run."""
+    """One rule violation, anchored to a source line.  Every finding
+    fails the rule's test."""
 
     rule: str
     path: str
     line: int
     col: int
     message: str
-    line_text: str = ""
-
-    def sort_key(self) -> Tuple[str, int, int, str]:
-        return (self.path, self.line, self.col, self.rule)
 
     def render(self) -> str:
         return (f"{self.path}:{self.line}:{self.col}: "
@@ -151,14 +146,16 @@ class ImportTable:
 
 class FileContext:
     """Everything a rule may look at for one file: its path relative to
-    the report root, its dotted module name (``None`` outside a
-    ``repro`` package), AST, source lines and import table."""
+    the scanned root, its dotted module name (``None`` outside a
+    ``repro`` package), AST, every node of it in ``ast.walk`` order,
+    source lines and import table."""
 
     def __init__(self, relpath: str, module: Optional[str], tree: ast.Module,
                  lines: List[str]) -> None:
         self.relpath = relpath
         self.module = module
         self.tree = tree
+        self.nodes = list(ast.walk(tree))
         self.lines = lines
         self.imports = ImportTable(tree, module)
 
@@ -173,9 +170,43 @@ class FileContext:
         return self.module is not None and self.module in names
 
     def finding(self, rule: str, node: object, message: str) -> Finding:
-        line = getattr(node, "lineno", 1)
-        col = getattr(node, "col_offset", 0)
-        text = self.lines[line - 1].strip() if 0 < line <= len(self.lines) \
-            else ""
-        return Finding(rule=rule, path=self.relpath, line=line, col=col,
-                       message=message, line_text=text)
+        return Finding(rule=rule, path=self.relpath,
+                       line=getattr(node, "lineno", 1),
+                       col=getattr(node, "col_offset", 0), message=message)
+
+
+def module_name_for(path: Path) -> Optional[str]:
+    """Infer the dotted module name from a file path.
+
+    The convention is positional: the module path starts at the last
+    ``repro`` directory component (``.../src/repro/core/state.py`` ->
+    ``repro.core.state``), which also maps fixture trees laid out as
+    ``<tmp>/src/repro/...`` in tests.  Files outside a ``repro``
+    package (examples, benchmarks) have no module name; per-package
+    rules skip them while path-scoped rules (hop-bound) still apply.
+    """
+    parts = list(path.with_suffix("").parts)
+    for index in range(len(parts) - 1, -1, -1):
+        if parts[index] == "repro":
+            dotted = parts[index:]
+            if dotted[-1] == "__init__":
+                dotted = dotted[:-1]
+            return ".".join(dotted)
+    return None
+
+
+def parse_source(relpath: str, source: str) -> FileContext:
+    """Parse ``source`` as the file at ``relpath``; a ``SyntaxError``
+    propagates with that path and the line."""
+    return FileContext(relpath=relpath, module=module_name_for(Path(relpath)),
+                       tree=ast.parse(source, filename=relpath),
+                       lines=source.splitlines())
+
+
+def parse_tree(root: Path, names: Sequence[str]) -> List[FileContext]:
+    """Every ``.py`` file under ``root/<name>`` for each existing name,
+    in path order, parsed once; paths are relative to ``root``."""
+    return [parse_source(path.relative_to(root).as_posix(),
+                         path.read_text(encoding="utf-8"))
+            for name in names if (root / name).is_dir()
+            for path in sorted((root / name).rglob("*.py"))]

@@ -4,8 +4,8 @@ A rule that looks at one file at a time cannot see invariants that
 *span* modules — an RNG stream created in one subsystem and consumed
 in another, a protocol terminal path whose obs event is emitted by a
 helper two calls away, an import cycle.  :class:`ProjectGraph` is built
-once per lint run from every parsed
-:class:`~repro.lint.core.FileContext` and is what every rule receives:
+once per test session from every parsed
+:class:`~tests.lint.core.FileContext` and is what every rule receives:
 ``files`` for rules that walk the parsed files themselves, ``modules``
 for the cross-linked view — per ``repro`` module a symbol table of
 top-level functions/classes/assignments, and ``self.method`` call
@@ -25,7 +25,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.lint.core import FileContext, dotted_source
+from tests.lint.core import FileContext, dotted_source
 
 
 def package_of(module: str) -> str:
@@ -36,13 +36,15 @@ def package_of(module: str) -> str:
 
 
 class FunctionInfo:
-    """One function or method: its AST and the methods it invokes as
+    """One function or method: its AST, every node of it in
+    ``ast.walk`` order, and the methods it invokes as
     ``self.<name>(...)``."""
 
     def __init__(self, node: ast.AST) -> None:
         self.node = node
+        self.nodes = list(ast.walk(node))
         self.self_calls: Set[str] = set()
-        for call in ast.walk(node):
+        for call in self.nodes:
             if not (isinstance(call, ast.Call)
                     and isinstance(call.func, ast.Attribute)):
                 continue
@@ -156,8 +158,7 @@ class ProjectGraph:
         for ctx in self.files:
             if ctx.module is None:
                 continue
-            # First spelling wins on duplicate module names (e.g. the
-            # same tree passed twice); engine de-duplicates paths.
+            # First spelling wins on duplicate module names.
             self.modules.setdefault(ctx.module, ModuleInfo(ctx.module, ctx))
 
     # -- lookups --------------------------------------------------------

@@ -1,15 +1,15 @@
 """The machine-readable conformance spec of the cross-module rules.
 
 This module is pure data: the declarative statement of what the
-implementation is *allowed* to do, checked by the lint rules
-(:mod:`repro.lint.rules`).
+implementation is *allowed* to do, checked by the rules
+(:mod:`tests.lint.rules`).
 
 The protocol's **state machine** — for each message, the types its
 handler may emit — is *not* here: it is ``TABLE`` in
 :mod:`repro.core.messages`, the one table dispatch, the docs and the
 ``state-machine`` rule all derive from.  The rule reads its rows from
 that module's parsed source (:data:`MESSAGES_MODULE`,
-:data:`MESSAGES_TABLE`); ``repro.lint`` imports nothing from the program.
+:data:`MESSAGES_TABLE`); the rules import nothing from the program.
 
 Two families of facts live here:
 
@@ -145,7 +145,6 @@ LAYERS: Dict[str, int] = {
     "repro.sim": 0,
     "repro.addrspace": 0,
     "repro.cluster": 0,
-    "repro.lint": 0,
     # 1 — instruments: mobility models, perf recorder + counter registry
     "repro.mobility": 1,
     "repro.perf": 1,

@@ -1,9 +1,12 @@
 """The rule suite: the checks only source analysis can make.
 
-A :class:`Rule` is a name, a one-line description and a ``find``
-function over the whole :class:`~repro.lint.project.ProjectGraph`.
-Two rules walk the parsed files one at a time and read their imports
-through each file's :class:`~repro.lint.core.ImportTable`:
+A rule is a function over the whole
+:class:`~tests.lint.project.ProjectGraph` that yields one ``(file,
+node, message)`` hit per violation; :func:`check` turns a rule's hits
+into sorted :class:`~tests.lint.core.Finding` rows named after the
+function (``hop_bound`` -> ``hop-bound``).  Two rules walk the parsed
+files one at a time and read their imports through each file's
+:class:`~tests.lint.core.ImportTable`:
 
 * ``determinism`` — no wall clock, module-level ``random``, ``uuid``/
   ``secrets``, or ``random.Random`` built outside :mod:`repro.sim.rng`.
@@ -28,41 +31,40 @@ Five need the cross-linked program:
 * ``layering`` — runtime imports respect the layer DAG, introduce no
   module-level cycles, and never reach numpy or networkx.
 
-Resolution is syntactic (see :mod:`repro.lint.project`); the rules are
+Resolution is syntactic (see :mod:`tests.lint.project`); the rules are
 written so a *missing* edge can only hide a violation, never invent one
 — over-approximation lives in the committed spec
-(:mod:`repro.lint.protocol_spec`), which is reviewed rather than
+(:mod:`tests.lint.protocol_spec`), which is reviewed rather than
 inferred at check time.
 """
 
 from __future__ import annotations
 
 import ast
-import dataclasses
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.lint import protocol_spec as spec
-from repro.lint.core import FileContext, Finding, dotted_source
-from repro.lint.project import (ClassInfo, FunctionInfo, ModuleInfo,
+from tests.lint import protocol_spec as spec
+from tests.lint.core import FileContext, Finding, dotted_source
+from tests.lint.project import (ClassInfo, FunctionInfo, ModuleInfo,
                                 ProjectGraph, package_of,
                                 strongly_connected_components)
 
-#: What a rule's ``find`` yields: the file, the node the finding
-#: anchors to (anything with ``lineno``/``col_offset``) and the message.
+#: What a rule yields: the file, the node the finding anchors to
+#: (anything with ``lineno``/``col_offset``) and the message.
 Hit = Tuple[FileContext, object, str]
 
 
-@dataclasses.dataclass(frozen=True)
-class Rule:
-    """One named invariant, checked over the whole program."""
+def rule_name(rule: Callable[[ProjectGraph], Iterator[Hit]]) -> str:
+    return rule.__name__.replace("_", "-")
 
-    name: str
-    description: str
-    find: Callable[[ProjectGraph], Iterator[Hit]]
 
-    def check(self, graph: ProjectGraph) -> Iterator[Finding]:
-        for ctx, node, message in self.find(graph):
-            yield ctx.finding(self.name, node, message)
+def check(rule: Callable[[ProjectGraph], Iterator[Hit]],
+          graph: ProjectGraph) -> List[Finding]:
+    """Every finding of ``rule`` over ``graph``, in path and line order."""
+    name = rule_name(rule)
+    found = [ctx.finding(name, node, message)
+             for ctx, node, message in rule(graph)]
+    return sorted(found, key=lambda f: (f.path, f.line, f.col))
 
 
 # ---------------------------------------------------------------------------
@@ -71,11 +73,11 @@ class Rule:
 
 # Packages whose runtime must stay deterministic and dependency-free.
 # repro.perf (wall-clock timers by design), repro.experiments.sweep
-# (wall-clock reporting around the cached runs), the lint CLI and
-# repro.obs.profile (the subsystem profiler times event callbacks on
-# the engine's behalf) are the sanctioned exceptions.
+# (wall-clock reporting around the cached runs) and repro.obs.profile
+# (the subsystem profiler times event callbacks on the engine's
+# behalf) are the sanctioned exceptions.
 _WALLCLOCK_ALLOWED = ("repro.perf", "repro.experiments.sweep",
-                      "repro.lint.cli", "repro.obs.profile")
+                      "repro.obs.profile")
 
 _TIME_BANNED = {
     "time", "time_ns", "perf_counter", "perf_counter_ns",
@@ -94,8 +96,13 @@ _GENERATORS = {"Random", "SystemRandom"}
 _GENERATOR_ORIGINS = {f"random.{name}" for name in _GENERATORS}
 
 
-def _determinism(graph: ProjectGraph) -> Iterator[Hit]:
-    """Serial/parallel bit-identity and fault-injection cache safety
+def determinism(graph: ProjectGraph) -> Iterator[Hit]:
+    """time.time/perf_counter/datetime.now, module-level random and
+    uuid/secrets are banned in ``repro`` outside repro.perf,
+    repro.experiments.sweep and repro.obs.profile; random.Random()/
+    SystemRandom() are built only in repro.sim.rng.
+
+    Serial/parallel bit-identity and fault-injection cache safety
     both require every source of nondeterminism to flow through the
     simulated clock (:mod:`repro.sim.engine`) and named RNG streams
     (:mod:`repro.sim.rng`) — and every generator to be built in that one
@@ -106,7 +113,7 @@ def _determinism(graph: ProjectGraph) -> Iterator[Hit]:
             continue
         clock = not ctx.in_package(*_WALLCLOCK_ALLOWED)
         generators = not ctx.is_module(spec.RNG_MODULE)
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if clock:
                 yield from _clock_and_entropy(ctx, node)
             if generators and isinstance(node, ast.Call) and \
@@ -192,8 +199,12 @@ _HOP_QUERIES = {
 }
 
 
-def _hop_bound(graph: ProjectGraph) -> Iterator[Hit]:
-    """``reachable`` builds the whole component's distance map unless
+def hop_bound(graph: ProjectGraph) -> Iterator[Hit]:
+    """topology.hops()/reachable()/within_hops()/nearest() state an
+    explicit hop bound, and repro.core/repro.quorum never pass
+    max_hops=None to hops()/reachable().
+
+    ``reachable`` builds the whole component's distance map unless
     ``max_hops`` stops it; ``hops`` and ``nearest`` stop at their
     answer, but a missing one is still searched for to the edge of the
     component.  An explicit ``max_hops=None`` documents a *deliberately*
@@ -207,7 +218,7 @@ def _hop_bound(graph: ProjectGraph) -> Iterator[Hit]:
     flood.  Engine and instrument code may still flood."""
     for ctx in graph.files:
         protocol = ctx.in_package("repro.core", "repro.quorum")
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
                     and node.func.attr in _HOP_QUERIES):
@@ -267,10 +278,10 @@ def _message_names_in(expr: ast.AST, mod: ModuleInfo,
     return set()
 
 
-def _local_message_bindings(func: ast.AST,
+def _local_message_bindings(info: FunctionInfo,
                             mod: ModuleInfo) -> Dict[str, Set[str]]:
     out: Dict[str, Set[str]] = {}
-    for node in ast.walk(func):
+    for node in info.nodes:
         if (isinstance(node, ast.Assign) and len(node.targets) == 1
                 and isinstance(node.targets[0], ast.Name)):
             names = _message_names_in(node.value, mod, {})
@@ -288,9 +299,9 @@ def direct_sends(info: FunctionInfo, mod: ModuleInfo) -> Dict[str, int]:
     and hand it to ``transport.send``).  Reads used purely for
     comparison (``msg.mtype == m.X``) do not count.
     """
-    local_map = _local_message_bindings(info.node, mod)
+    local_map = _local_message_bindings(info, mod)
     sends: Dict[str, int] = {}
-    for node in ast.walk(info.node):
+    for node in info.nodes:
         if not isinstance(node, ast.Call):
             continue
         dotted = dotted_source(node.func)
@@ -361,12 +372,12 @@ class _Dispatch:
         return None
 
 
-def _event_calls(root: ast.AST,
+def _event_calls(nodes: List[ast.AST],
                  mod: ModuleInfo) -> Iterator[Tuple[str, ast.Call]]:
     """``(event class name, call)`` for every obs event constructed
-    under ``root``."""
+    among ``nodes``."""
     prefix = spec.EVENTS_MODULE + "."
-    for node in ast.walk(root):
+    for node in nodes:
         if isinstance(node, ast.Call):
             resolved = mod.resolve_call(node.func)
             if (resolved is not None and resolved.startswith(prefix)
@@ -377,7 +388,7 @@ def _event_calls(root: ast.AST,
 def direct_emits(info: FunctionInfo, mod: ModuleInfo) -> Dict[str, int]:
     """Obs event classes this function constructs directly -> first line."""
     emits: Dict[str, int] = {}
-    for name, node in _event_calls(info.node, mod):
+    for name, node in _event_calls(info.nodes, mod):
         emits.setdefault(name, node.lineno)
     return emits
 
@@ -438,7 +449,9 @@ def transition_table(mod: ModuleInfo) -> Optional[Dict[str, Set[str]]]:
 # state-machine
 # ---------------------------------------------------------------------------
 
-def _state_machine(graph: ProjectGraph) -> Iterator[Hit]:
+def state_machine(graph: ProjectGraph) -> Iterator[Hit]:
+    """Message handlers send only the message types the protocol's
+    transition table allows in response to the message they handle."""
     messages = graph.module(spec.MESSAGES_MODULE)
     if messages is None:
         return
@@ -502,14 +515,17 @@ def terminal_events(mod: ModuleInfo) -> Optional[Set[str]]:
     return names
 
 
-def _obs_coverage(graph: ProjectGraph) -> Iterator[Hit]:
+def obs_coverage(graph: ProjectGraph) -> Iterator[Hit]:
+    """Obs events are constructed only by their declared modules, every
+    event type has an emitter, and terminal paths emit exactly their
+    assigned terminal events."""
     events_module = spec.EVENTS_MODULE
     constructed: Dict[str, Set[str]] = {}
     for mod_name in sorted(graph.modules):
         mod = graph.modules[mod_name]
         if mod.name == events_module:
             continue
-        for event, node in _event_calls(mod.ctx.tree, mod):
+        for event, node in _event_calls(mod.ctx.nodes, mod):
             if event not in spec.EVENT_EMITTERS:
                 continue
             constructed.setdefault(event, set()).add(mod.name)
@@ -551,7 +567,7 @@ def _obs_coverage(graph: ProjectGraph) -> Iterator[Hit]:
         if info is None:
             yield (mod.ctx, cls.node,
                    f"terminal path {qualname} listed in the spec does "
-                   f"not exist; update repro/lint/protocol_spec.py")
+                   f"not exist; update tests/lint/protocol_spec.py")
             continue
         emitted = closure(graph, mod, cls, method, direct_emits,
                           dispatch=dispatch)
@@ -606,7 +622,10 @@ def _stream_owner(name: str) -> Optional[str]:
     return best
 
 
-def _rng_taint(graph: ProjectGraph) -> Iterator[Hit]:
+def rng_taint(graph: ProjectGraph) -> Iterator[Hit]:
+    """Named RNG streams stay inside their owning subsystem, and
+    generators never reach another package or cache-key construction
+    undeclared."""
     for mod_name in sorted(graph.modules):
         mod = graph.modules[mod_name]
         if mod.name == spec.RNG_MODULE:
@@ -621,14 +640,14 @@ def _rng_taint(graph: ProjectGraph) -> Iterator[Hit]:
 
 def _rng_taint_in(mod: ModuleInfo, info: FunctionInfo) -> Iterator[Hit]:
     tainted: Set[str] = set()
-    for node in ast.walk(info.node):
+    for node in info.nodes:
         if (isinstance(node, ast.Assign) and len(node.targets) == 1
                 and isinstance(node.value, ast.Call)
                 and _stream_creation(node.value, mod) is not None):
             target = dotted_source(node.targets[0])
             if target is not None:
                 tainted.add(target)
-    for node in ast.walk(info.node):
+    for node in info.nodes:
         if not isinstance(node, ast.Call):
             continue
         created = _stream_creation(node, mod)
@@ -638,7 +657,7 @@ def _rng_taint_in(mod: ModuleInfo, info: FunctionInfo) -> Iterator[Hit]:
             if name is not None and owner is None:
                 yield (mod.ctx, node,
                        f"stream {name!r} has no declared owner; add it "
-                       f"to STREAM_OWNERS in repro/lint/protocol_spec.py")
+                       f"to STREAM_OWNERS in tests/lint/protocol_spec.py")
             elif (owner is not None and owner != mod.package
                   and (mod.package, owner) not in spec.STREAM_SHARING):
                 yield (mod.ctx, node,
@@ -707,8 +726,9 @@ def _registry_kind(constant: str) -> str:
     return "counter"
 
 
-def _counter_registry(graph: ProjectGraph) -> Iterator[Hit]:
-    """Literal names handed to a recorder come from the registry module.
+def counter_registry(graph: ProjectGraph) -> Iterator[Hit]:
+    """Literal names handed to a recorder come from the registry module
+    (:mod:`repro.perf.counters`), never inline literals.
 
     Governs ``<x>.<method>("name", ...)`` calls whose receiver chain
     ends in ``perf`` or ``events`` (``self.perf``, ``ctx.events``, ...)
@@ -725,7 +745,7 @@ def _counter_registry(graph: ProjectGraph) -> Iterator[Hit]:
         mod = graph.modules[mod_name]
         if mod.name == registry:
             continue
-        for node in ast.walk(mod.ctx.tree):
+        for node in mod.ctx.nodes:
             if not (isinstance(node, ast.Call) and node.args
                     and isinstance(node.func, ast.Attribute)):
                 continue
@@ -777,11 +797,13 @@ def _layer(module: str) -> Optional[int]:
 _TEST_ONLY_ROOTS = {"numpy", "networkx"}
 
 
-def _layering(graph: ProjectGraph) -> Iterator[Hit]:
+def layering(graph: ProjectGraph) -> Iterator[Hit]:
+    """Runtime imports respect the layer DAG, form no module-level
+    cycles, and never reach numpy/networkx (test-only)."""
     for ctx in graph.files:
         if not ctx.in_package("repro"):
             continue
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             for name in _imported_modules(node):
                 if name.split(".")[0] in _TEST_ONLY_ROOTS:
                     yield (ctx, node,
@@ -825,55 +847,3 @@ def _layering(graph: ProjectGraph) -> Iterator[Hit]:
         yield (graph.modules[head].ctx, _ImportAnchor(lineno),
                f"import cycle between modules: {' -> '.join(members)} "
                f"(runtime, module-scope imports only)")
-
-
-#: Report order; ``--select`` / ``--ignore`` match on ``Rule.name``.
-RULES: Tuple[Rule, ...] = (
-    Rule("determinism",
-         "time.time/perf_counter/datetime.now/module-level random and "
-         "uuid/secrets banned outside repro.perf, repro.experiments.sweep, "
-         "repro.obs.profile and the lint CLI; random.Random()/"
-         "SystemRandom() built only in repro.sim.rng",
-         _determinism),
-    Rule("hop-bound",
-         "topology.hops()/reachable()/within_hops()/nearest() without an "
-         "explicit hop bound; max_hops=None floods in repro.core/"
-         "repro.quorum",
-         _hop_bound),
-    Rule("rng-taint",
-         "named RNG streams stay inside their owning subsystem; "
-         "generators never reach another package or cache-key "
-         "construction undeclared",
-         _rng_taint),
-    Rule("obs-coverage",
-         "obs events are emitted only by their declared modules, every "
-         "event type has an emitter, and terminal paths emit exactly "
-         "their assigned events",
-         _obs_coverage),
-    Rule("state-machine",
-         "message handlers may only send message types the protocol "
-         "state machine allows for their state",
-         _state_machine),
-    Rule("counter-registry",
-         "PerfRecorder counter/timer names and event tally names come "
-         "from the repro.perf.counters registry, never inline literals",
-         _counter_registry),
-    Rule("layering",
-         "runtime imports respect the layer DAG, form no module-level "
-         "cycles, and never reach numpy/networkx (test-only)",
-         _layering),
-)
-
-
-def resolve_rules(select: Optional[Set[str]] = None,
-                  ignore: Optional[Set[str]] = None) -> Tuple[Rule, ...]:
-    """The active rules for a ``--select`` / ``--ignore`` pair."""
-    known = {rule.name for rule in RULES}
-    unknown = (set(select or ()) | set(ignore or ())) - known
-    if unknown:
-        raise ValueError(
-            f"unknown rule(s): {', '.join(sorted(unknown))} "
-            f"(known: {', '.join(sorted(known))})")
-    return tuple(rule for rule in RULES
-                 if (select is None or rule.name in select)
-                 and (ignore is None or rule.name not in ignore))

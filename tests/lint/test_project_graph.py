@@ -1,20 +1,13 @@
 """The whole-program layer: import tables, symbol tables, self-call edges.
 
-These tests exercise :mod:`repro.lint.project` directly — the graph the
+These tests exercise :mod:`tests.lint.project` directly — the graph the
 cross-module rules (tested in ``test_project_rules.py``) are built on.
 Fixture trees are laid out ``src/repro/...`` so module-name inference
 matches the real checkout.
 """
 
-from repro.lint.engine import iter_python_files, parse_context
-from repro.lint.project import (ProjectGraph, package_of,
-                                strongly_connected_components)
-from repro.lint.rules import _Dispatch, closure, direct_sends
-
-
-def build_graph(tree) -> ProjectGraph:
-    files = iter_python_files([tree.root])
-    return ProjectGraph([parse_context(p, root=tree.root) for p in files])
+from tests.lint.project import package_of, strongly_connected_components
+from tests.lint.rules import _Dispatch, closure, direct_sends
 
 
 def test_package_of():
@@ -32,7 +25,7 @@ def test_import_table_aliases_and_from_imports(tree):
         def f():
             return Msg, m.COM_REQ
         """)
-    graph = build_graph(tree)
+    graph = tree.graph()
     mod = graph.module("repro.core.agent")
     assert mod is not None
     assert mod.resolve("m.COM_REQ") == "repro.core.messages.COM_REQ"
@@ -54,7 +47,7 @@ def test_import_scopes_top_level_vs_gated(tree):
             from repro.obs import events
             return events
         """)
-    graph = build_graph(tree)
+    graph = tree.graph()
     table = graph.module("repro.core.agent").imports
     assert "repro.sim" in table.top_level
     assert "repro.net.grid" not in table.top_level
@@ -70,7 +63,7 @@ def test_relative_imports_resolve_against_package(tree):
         from .message import Message
         from ..sim import clock
         """)
-    graph = build_graph(tree)
+    graph = tree.graph()
     table = graph.module("repro.net.grid").imports
     assert "repro.net" in table.top_level
     assert "repro.net.message" in table.top_level
@@ -90,7 +83,7 @@ def test_constants_and_method_aliases(tree):
 
             _handle_ch_nack = _handle_com_nack
         """)
-    graph = build_graph(tree)
+    graph = tree.graph()
     mod = graph.module("repro.core.agent")
     assert mod.constants == {"COM_REQ": "com-req", "ANNOTATED": "annotated"}
     cls = mod.classes["Agent"]
@@ -112,7 +105,7 @@ def test_method_lookup_walks_mixin_bases(tree):
             def run(self):
                 self._commit()
         """)
-    graph = build_graph(tree)
+    graph = tree.graph()
     mod = graph.module("repro.core.agent")
     cls = mod.classes["Agent"]
     located = graph.method_lookup(mod, cls, "_commit")
@@ -128,7 +121,7 @@ def test_import_edges_are_repro_only_with_linenos(tree):
         import repro.sim
         from repro.net.message import Message
         """)
-    graph = build_graph(tree)
+    graph = tree.graph()
     edges = {(src, dst): line for src, dst, line in graph.import_edges()}
     assert ("repro.core.agent", "repro.sim") in edges
     assert edges[("repro.core.agent", "repro.net.message")] == 3
@@ -166,7 +159,7 @@ def test_dispatch_bounces_through_composed_subclass(tree):
             def _notify(self, msg):
                 self._send(msg.src, m.QUORUM_CFM)
         """)
-    graph = build_graph(tree)
+    graph = tree.graph()
     mixin_mod = graph.module("repro.core.mixin")
     mixin_cls = mixin_mod.classes["VoteMixin"]
     dispatch = _Dispatch(graph)
@@ -201,7 +194,7 @@ def test_send_closure_is_transitive_and_cycle_safe(tree):
             def _compare_only(self, msg):
                 return msg.mtype == m.COM_NACK
         """)
-    graph = build_graph(tree)
+    graph = tree.graph()
     mod = graph.module("repro.core.agent")
     cls = mod.classes["Agent"]
     sends = closure(graph, mod, cls, "_handle_com_req", direct_sends)

@@ -4,6 +4,8 @@ Each test writes a tmp ``src/repro/...`` tree shaped like the real
 checkout and runs one rule over it via the shared ``tree`` fixture.
 """
 
+from tests.lint import rules
+
 
 def rules_of(findings):
     return sorted({f.rule for f in findings})
@@ -52,7 +54,7 @@ def test_state_machine_flags_illegal_transition(tree):
             def _handle_com_ack(self, msg):
                 self._send(msg.src, m.COM_REQ)
         """)
-    findings = tree.findings(select={"state-machine"})
+    findings = tree.findings(rules.state_machine)
     assert len(findings) == 1
     assert "may send COM_REQ" in findings[0].message
     assert "COM_ACK" in findings[0].message
@@ -76,7 +78,7 @@ def test_state_machine_catches_send_through_helper(tree):
             def _escalate(self, msg):
                 self._send(msg.src, m.COM_CFG)
         """)
-    findings = tree.findings(select={"state-machine"})
+    findings = tree.findings(rules.state_machine)
     assert len(findings) == 1
     assert "may send COM_CFG" in findings[0].message
 
@@ -94,7 +96,7 @@ def test_state_machine_accepts_legal_transitions(tree):
                 ack = m.COM_ACK if msg.ok else m.COM_DECLINE
                 self._send(msg.src, ack)
         """)
-    assert tree.findings(select={"state-machine"}) == []
+    assert tree.findings(rules.state_machine) == []
 
 
 def test_state_machine_reads_rows_from_the_linted_tree(tree):
@@ -110,7 +112,7 @@ def test_state_machine_reads_rows_from_the_linted_tree(tree):
             def _handle_quorum_clt(self, msg):
                 self._send(msg.src, m.QUORUM_CFM)
         """)
-    findings = tree.findings(select={"state-machine"})
+    findings = tree.findings(rules.state_machine)
     assert [f.message for f in findings] == [
         "Agent._handle_quorum_clt may send QUORUM_CFM, which the state "
         "machine does not allow in response to QUORUM_CLT (allowed: none)"]
@@ -121,7 +123,7 @@ def test_state_machine_flags_unreadable_table(tree):
     # A row the rule cannot read syntactically must not pass silently.
     write_messages(tree, MESSAGES.replace(
         "QUORUM_UPD: (),", "QUORUM_UPD: frozenset(),"))
-    findings = tree.findings(select={"state-machine"})
+    findings = tree.findings(rules.state_machine)
     assert len(findings) == 1
     assert "TABLE must be a dict literal" in findings[0].message
     assert findings[0].path == "src/repro/core/messages.py"
@@ -137,7 +139,7 @@ def test_state_machine_skipped_without_messages_module(tree):
             def _handle_com_ack(self, msg):
                 self._send(msg.src, m.COM_REQ)
         """)
-    assert tree.findings(select={"state-machine"}) == []
+    assert tree.findings(rules.state_machine) == []
 
 
 def test_state_machine_ignores_packages_outside_protocol(tree):
@@ -151,7 +153,7 @@ def test_state_machine_ignores_packages_outside_protocol(tree):
             def _handle_com_ack(self, msg):
                 self._send(msg.src, m.COM_REQ)
         """)
-    assert tree.findings(select={"state-machine"}) == []
+    assert tree.findings(rules.state_machine) == []
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +168,7 @@ def test_obs_coverage_flags_undeclared_emitter(tree):
         def summarize(bus, run):
             bus.emit(ev.ConfigCommitted(t=run.t, node=0))
         """)
-    findings = tree.findings(select={"obs-coverage"})
+    findings = tree.findings(rules.obs_coverage)
     assert len(findings) == 1
     assert "ConfigCommitted is constructed outside" in findings[0].message
     assert findings[0].path == "src/repro/experiments/report.py"
@@ -180,7 +182,7 @@ def test_obs_coverage_accepts_declared_emitter(tree):
             def _emit(self, bus):
                 bus.emit(ev.ConfigCommitted(t=0.0, node=0))
         """)
-    assert tree.findings(select={"obs-coverage"}) == []
+    assert tree.findings(rules.obs_coverage) == []
 
 
 def test_obs_coverage_reports_never_emitted_events(tree):
@@ -192,7 +194,7 @@ def test_obs_coverage_reports_never_emitted_events(tree):
 
         TERMINAL_ETYPES = frozenset({ConfigCommitted.etype})
         """)
-    findings = tree.findings(select={"obs-coverage"})
+    findings = tree.findings(rules.obs_coverage)
     assert findings, "expected never-emitted findings"
     assert all("never emitted" in f.message for f in findings)
     committed = [f for f in findings
@@ -229,7 +231,7 @@ EVENTS = """\
 
 
 def terminal_path_findings(tree):
-    return [f for f in tree.findings(select={"obs-coverage"})
+    return [f for f in tree.findings(rules.obs_coverage)
             if "never emitted by any scanned module" not in f.message]
 
 
@@ -323,7 +325,7 @@ def test_rng_taint_flags_foreign_stream_consumption(tree):
             rng = ctx.streams.get("faults.drop")
             return rng.random()
         """)
-    findings = tree.findings(select={"rng-taint"})
+    findings = tree.findings(rules.rng_taint)
     assert len(findings) == 1
     assert "belongs to repro.faults" in findings[0].message
 
@@ -338,7 +340,7 @@ def test_rng_taint_accepts_owned_stream(tree):
         def build(ctx):
             return ctx.streams.get("scenario")
         """)
-    assert tree.findings(select={"rng-taint"}) == []
+    assert tree.findings(rules.rng_taint) == []
 
 
 def test_rng_taint_flags_unowned_stream_name(tree):
@@ -346,7 +348,7 @@ def test_rng_taint_flags_unowned_stream_name(tree):
         def drive(ctx):
             return ctx.streams.get("mystery-stream")
         """)
-    findings = tree.findings(select={"rng-taint"})
+    findings = tree.findings(rules.rng_taint)
     assert len(findings) == 1
     assert "no declared owner" in findings[0].message
 
@@ -364,7 +366,7 @@ def test_rng_taint_flags_undeclared_generator_flow(tree):
             gen = generator_from_seed(seed)
             return grid.build(gen)
         """)
-    findings = tree.findings(select={"rng-taint"})
+    findings = tree.findings(rules.rng_taint)
     assert len(findings) == 1
     assert "flows from repro.experiments into repro.net" in \
         findings[0].message
@@ -385,7 +387,7 @@ def test_rng_taint_accepts_declared_generator_flow(tree):
             gen = generator_from_seed(seed)
             return walk.step(gen)
         """)
-    assert tree.findings(select={"rng-taint"}) == []
+    assert tree.findings(rules.rng_taint) == []
 
 
 def test_rng_taint_flags_generator_into_cache_key(tree):
@@ -398,7 +400,7 @@ def test_rng_taint_flags_generator_into_cache_key(tree):
             gen = generator_from_seed(seed)
             return hashlib.sha256(gen).hexdigest()
         """)
-    findings = tree.findings(select={"rng-taint"})
+    findings = tree.findings(rules.rng_taint)
     assert len(findings) == 1
     assert "cache-key" in findings[0].message
 
@@ -422,7 +424,7 @@ def test_counter_registry_flags_unregistered_literal(tree):
                 self.perf.incr("bfs_calls")
                 self.perf.incr("bfs_callz")
         """)
-    findings = tree.findings(select={"counter-registry"})
+    findings = tree.findings(rules.counter_registry)
     assert len(findings) == 1
     assert "'bfs_callz'" in findings[0].message
 
@@ -434,7 +436,7 @@ def test_counter_registry_flags_dynamic_names(tree):
             def walk(self, scope):
                 self.perf.incr(f"bfs_calls_{scope}")
         """)
-    findings = tree.findings(select={"counter-registry"})
+    findings = tree.findings(rules.counter_registry)
     assert len(findings) == 1
     assert "built dynamically" in findings[0].message
 
@@ -449,7 +451,7 @@ def test_counter_registry_checks_timers_separately(tree):
                 with ctx.perf.timer("bfs_calls"):
                     pass
         """)
-    findings = tree.findings(select={"counter-registry"})
+    findings = tree.findings(rules.counter_registry)
     # "bfs_calls" is a counter name, not a timer name.
     assert len(findings) == 1
     assert "timer('bfs_calls')" in findings[0].message
@@ -463,7 +465,7 @@ def test_counter_registry_flags_unregistered_event_tally(tree):
                 self.ctx.events.incr("quorum_shrnk")
                 self.ctx.events.incr("bfs_calls")
         """)
-    findings = tree.findings(select={"counter-registry"})
+    findings = tree.findings(rules.counter_registry)
     # A typo, and a perf counter name where an event tally belongs.
     assert [f.message.split(" is ")[0] for f in findings] == [
         "events.incr('quorum_shrnk')", "events.incr('bfs_calls')"]
@@ -479,7 +481,7 @@ def test_counter_registry_accepts_event_constants(tree):
                 self.ctx.events.incr(cnt.EV_QUORUM_SHRINK)
                 self.ctx.events.incr("quorum_shrink")
         """)
-    assert tree.findings(select={"counter-registry"}) == []
+    assert tree.findings(rules.counter_registry) == []
 
 
 def test_counter_registry_silent_without_registry_module(tree):
@@ -490,7 +492,7 @@ def test_counter_registry_silent_without_registry_module(tree):
             def walk(self):
                 self.perf.incr("anything_goes")
         """)
-    assert tree.findings(select={"counter-registry"}) == []
+    assert tree.findings(rules.counter_registry) == []
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +509,7 @@ def test_layering_flags_upward_import(tree):
         class AgentState:
             pass
         """)
-    findings = tree.findings(select={"layering"})
+    findings = tree.findings(rules.layering)
     assert len(findings) == 1
     assert "layer violation" in findings[0].message
     assert "repro.sim.clock (layer 0, foundation)" in findings[0].message
@@ -526,7 +528,7 @@ def test_layering_accepts_downward_and_lateral_imports(tree):
         def tally():
             pass
         """)
-    assert tree.findings(select={"layering"}) == []
+    assert tree.findings(rules.layering) == []
 
 
 def test_layering_detects_import_cycles(tree):
@@ -539,7 +541,7 @@ def test_layering_detects_import_cycles(tree):
         class Bus:
             pass
         """)
-    findings = tree.findings(select={"layering"})
+    findings = tree.findings(rules.layering)
     assert len(findings) == 1
     assert "import cycle" in findings[0].message
     assert "repro.net.grid -> repro.obs.bus" in findings[0].message
@@ -560,7 +562,7 @@ def test_layering_exempts_type_checking_and_lazy_imports(tree):
         class AgentState:
             pass
         """)
-    assert tree.findings(select={"layering"}) == []
+    assert tree.findings(rules.layering) == []
 
 
 def test_layering_allows_package_reexport_idiom(tree):
@@ -571,4 +573,4 @@ def test_layering_allows_package_reexport_idiom(tree):
         class Grid:
             pass
         """)
-    assert tree.findings(select={"layering"}) == []
+    assert tree.findings(rules.layering) == []

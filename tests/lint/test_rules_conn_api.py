@@ -7,6 +7,8 @@ queries.  The rule keeps it that way; engine and bench code may still
 flood deliberately.
 """
 
+from tests.lint import rules
+
 
 def test_unbounded_queries_flagged_in_core(tree):
     tree.write("src/repro/core/bad.py", """\
@@ -15,7 +17,7 @@ def test_unbounded_queries_flagged_in_core(tree):
             far = topo.reachable(nid, max_hops=None)
             return near, far
         """)
-    findings = tree.findings(select={"hop-bound"})
+    findings = tree.findings(rules.hop_bound)
     assert len(findings) == 2
     assert [f.line for f in findings] == [2, 3]
     assert "same_component" in findings[0].message
@@ -26,7 +28,7 @@ def test_unbounded_queries_flagged_in_quorum(tree):
         def members(topo, nid):
             return topo.reachable(nid, max_hops=None)
         """)
-    assert len(tree.findings(select={"hop-bound"})) == 1
+    assert len(tree.findings(rules.hop_bound)) == 1
 
 
 def test_bounded_queries_not_flagged(tree):
@@ -38,7 +40,7 @@ def test_bounded_queries_not_flagged(tree):
             return a, b, c
         """)
     # Only c, and for the rule's other half: it states no bound at all.
-    findings = tree.findings(select={"hop-bound"})
+    findings = tree.findings(rules.hop_bound)
     assert [f.line for f in findings] == [4]
     assert "without a hop bound" in findings[0].message
 
@@ -50,7 +52,7 @@ def test_label_queries_not_flagged(tree):
                 return topo.component_members(a)
             return []
         """)
-    assert tree.findings(select={"hop-bound"}) == []
+    assert tree.findings(rules.hop_bound) == []
 
 
 def test_non_protocol_packages_out_of_scope(tree):
@@ -63,4 +65,4 @@ def test_non_protocol_packages_out_of_scope(tree):
         def walk(topo, nid):
             return topo.reachable(nid, max_hops=None)
         """)
-    assert tree.findings(select={"hop-bound"}) == []
+    assert tree.findings(rules.hop_bound) == []

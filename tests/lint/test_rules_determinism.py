@@ -1,6 +1,8 @@
 """determinism rule: wall clocks and global randomness stay out of the
 simulation packages."""
 
+from tests.lint import rules
+
 
 def _rules(findings):
     return sorted({f.rule for f in findings})
@@ -13,7 +15,7 @@ def test_time_time_flagged_in_core(tree):
         def stamp() -> float:
             return time.time()
         """)
-    findings = tree.findings(select={"determinism"})
+    findings = tree.findings(rules.determinism)
     assert len(findings) == 1
     assert findings[0].rule == "determinism"
     assert "time.time" in findings[0].message
@@ -27,7 +29,7 @@ def test_perf_counter_and_aliased_import_flagged(tree):
         def t() -> float:
             return clock.perf_counter()
         """)
-    assert len(tree.findings(select={"determinism"})) == 1
+    assert len(tree.findings(rules.determinism)) == 1
 
 
 def test_from_import_perf_counter_flagged(tree):
@@ -37,7 +39,7 @@ def test_from_import_perf_counter_flagged(tree):
         def t() -> float:
             return perf_counter()
         """)
-    findings = tree.findings(select={"determinism"})
+    findings = tree.findings(rules.determinism)
     # One for the import's binding use; anchored to the call site too.
     assert findings and all(f.rule == "determinism" for f in findings)
 
@@ -49,7 +51,7 @@ def test_module_level_random_flagged(tree):
         def pick(xs):
             return random.choice(xs)
         """)
-    findings = tree.findings(select={"determinism"})
+    findings = tree.findings(rules.determinism)
     assert len(findings) == 1
     assert "random.choice" in findings[0].message
 
@@ -65,7 +67,7 @@ def test_datetime_now_flagged_both_import_styles(tree):
         def b():
             return dt.now()
         """)
-    findings = tree.findings(select={"determinism"})
+    findings = tree.findings(rules.determinism)
     assert len(findings) == 2
 
 
@@ -79,7 +81,7 @@ def test_perf_and_sweep_are_allowlisted(tree):
     tree.write("src/repro/perf/timers.py", source)
     tree.write("src/repro/perf/sub/inner.py", source)
     tree.write("src/repro/experiments/sweep.py", source)
-    assert tree.findings(select={"determinism"}) == []
+    assert tree.findings(rules.determinism) == []
 
 
 def test_sim_clock_and_stream_usage_not_flagged(tree):
@@ -90,7 +92,7 @@ def test_sim_clock_and_stream_usage_not_flagged(tree):
         def pick(rng, xs):
             return rng.choice(xs)
         """)
-    assert tree.findings(select={"determinism"}) == []
+    assert tree.findings(rules.determinism) == []
 
 
 def test_non_repro_files_out_of_scope(tree):
@@ -99,7 +101,7 @@ def test_non_repro_files_out_of_scope(tree):
 
         print(time.time())
         """)
-    assert tree.findings(select={"determinism"}) == []
+    assert tree.findings(rules.determinism) == []
 
 
 def test_uuid_import_in_obs_flagged(tree):
@@ -109,7 +111,7 @@ def test_uuid_import_in_obs_flagged(tree):
         def new_correlation():
             return uuid.uuid4()
         """)
-    findings = tree.findings(select={"determinism"})
+    findings = tree.findings(rules.determinism)
     assert len(findings) == 1
     assert "uuid" in findings[0].message
 
@@ -126,6 +128,6 @@ def test_entropy_and_generators_keep_their_own_scopes(tree):
 
         rng = random.Random(0)
         """)
-    findings = tree.findings(select={"determinism"})
+    findings = tree.findings(rules.determinism)
     assert [(f.path, f.line) for f in findings] == [
         ("src/repro/experiments/tags.py", 1), ("src/repro/perf/probe.py", 4)]

@@ -1,5 +1,7 @@
 """hop-bound rule: every topology hop query states its bound."""
 
+from tests.lint import rules
+
 
 def test_unbounded_queries_flagged(tree):
     tree.write("src/repro/core/bad.py", """\
@@ -7,7 +9,7 @@ def test_unbounded_queries_flagged(tree):
             topo.hops(a, b)
             topo.reachable(a)
         """)
-    findings = tree.findings(select={"hop-bound"})
+    findings = tree.findings(rules.hop_bound)
     assert len(findings) == 2
     assert all(f.rule == "hop-bound" for f in findings)
 
@@ -23,7 +25,7 @@ def test_explicit_bounds_clean(tree):
             topo.within_hops(a, k)
             topo.within_hops(a, k=2)
         """)
-    assert tree.findings(select={"hop-bound"}) == []
+    assert tree.findings(rules.hop_bound) == []
 
 
 def test_hop_bound_applies_outside_repro_modules_too(tree):
@@ -31,7 +33,7 @@ def test_hop_bound_applies_outside_repro_modules_too(tree):
         def scan(topo, a):
             return topo.reachable(a)
         """)
-    assert len(tree.findings(select={"hop-bound"})) == 1
+    assert len(tree.findings(rules.hop_bound)) == 1
 
 
 def test_no_module_is_exempt(tree):
@@ -40,7 +42,7 @@ def test_no_module_is_exempt(tree):
             def eccentricity(self, a):
                 return max(self.reachable(a).values())
         """)
-    assert len(tree.findings(select={"hop-bound"})) == 1
+    assert len(tree.findings(rules.hop_bound)) == 1
 
 
 def test_unrelated_attributes_not_flagged(tree):
@@ -48,7 +50,7 @@ def test_unrelated_attributes_not_flagged(tree):
         def stats(result):
             return result.avg_config_latency_hops(), result.stats_hops
         """)
-    assert tree.findings(select={"hop-bound"}) == []
+    assert tree.findings(rules.hop_bound) == []
 
 
 def test_nearest_without_bound_flagged(tree):
@@ -56,7 +58,7 @@ def test_nearest_without_bound_flagged(tree):
         def closest(topo, a, accept):
             return topo.nearest(a, accept)
         """)
-    findings = tree.findings(select={"hop-bound"})
+    findings = tree.findings(rules.hop_bound)
     assert len(findings) == 1
     assert "max_hops" in findings[0].message
 
@@ -68,4 +70,4 @@ def test_nearest_with_explicit_bound_clean(tree):
             topo.nearest(a, accept, max_hops=2)
             return topo.nearest(a, accept, max_hops=None)
         """)
-    assert tree.findings(select={"hop-bound"}) == []
+    assert tree.findings(rules.hop_bound) == []

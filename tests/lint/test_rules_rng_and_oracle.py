@@ -1,6 +1,8 @@
 """determinism (generator construction), and layering's ban on the
 test-only numpy/networkx."""
 
+from tests.lint import rules
+
 
 # --- determinism: generators ----------------------------------------
 
@@ -12,7 +14,7 @@ def test_random_random_flagged_outside_sim_rng(tree):
         def make(seed: int):
             return random.Random(seed)
         """)
-    findings = tree.findings(select={"determinism"})
+    findings = tree.findings(rules.determinism)
     assert len(findings) == 1
     assert findings[0].rule == "determinism"
 
@@ -24,7 +26,7 @@ def test_from_import_random_and_systemrandom_flagged(tree):
         a = Random(1)
         b = SystemRandom()
         """)
-    assert len(tree.findings(select={"determinism"})) == 2
+    assert len(tree.findings(rules.determinism)) == 2
 
 
 def test_sim_rng_module_is_the_blessed_home(tree):
@@ -34,7 +36,7 @@ def test_sim_rng_module_is_the_blessed_home(tree):
         def generator_from_seed(seed: int) -> random.Random:
             return random.Random(seed)
         """)
-    assert tree.findings(select={"determinism"}) == []
+    assert tree.findings(rules.determinism) == []
 
 
 def test_stream_consumers_not_flagged(tree):
@@ -42,7 +44,7 @@ def test_stream_consumers_not_flagged(tree):
         def draw(streams):
             return streams.get("mobility").random()
         """)
-    assert tree.findings(select={"determinism"}) == []
+    assert tree.findings(rules.determinism) == []
 
 
 # --- layering: numpy and networkx are test-only ---------------------
@@ -54,7 +56,7 @@ def test_numpy_and_networkx_imports_break_layering(tree):
         import networkx as nx
         from numpy.linalg import norm
         """)
-    findings = tree.findings(select={"layering"})
+    findings = tree.findings(rules.layering)
     assert len(findings) == 3
     assert all(f.rule == "layering" for f in findings)
 
@@ -70,7 +72,7 @@ def test_no_runtime_module_may_import_numpy_or_networkx(tree):
             from networkx import Graph
             return Graph
         """)
-    findings = tree.findings(select={"layering"})
+    findings = tree.findings(rules.layering)
     assert sorted(f.path.rsplit("/", 1)[-1] for f in findings) == [
         "oracle.py", "oracle.py", "probe.py"]
 
@@ -81,4 +83,4 @@ def test_runtime_imports_not_flagged(tree):
         from repro.net import topology
         import json
         """)
-    assert tree.findings(select={"layering"}) == []
+    assert tree.findings(rules.layering) == []

@@ -10,7 +10,7 @@ hand-editing the block, is drift, and this test fails on it.
 from pathlib import Path
 
 from repro.core.messages import render_table
-from repro.lint import protocol_spec as spec
+from tests.lint import protocol_spec as spec
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 PROTOCOL_MD = REPO_ROOT / "docs" / "PROTOCOL.md"

@@ -13,11 +13,9 @@ the transmission range).
 import io
 import re
 import tokenize
-from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 TIMER = re.compile(r"(?i)\bt_?[edr]\s*(?::[^=\n]*)?[-+*/]?=\s*[-+]?\s*\d")
 HALVING = re.compile(r"//\s*2\b")
 # Code tokens are joined by single spaces, so ``2*w>v`` reads "2 * w > v".
@@ -40,11 +38,10 @@ def violations(relpath, source):
     return found
 
 
-def test_tree_has_no_timer_or_halving_literals():
-    for path in sorted(SRC.rglob("*.py")):
-        relpath = path.relative_to(SRC).as_posix()
-        assert violations(relpath, path.read_text(encoding="utf-8")) == [], \
-            relpath
+def test_tree_has_no_timer_or_halving_literals(program_files):
+    for relpath, ctx in program_files.items():
+        source = "".join(line + "\n" for line in ctx.lines)
+        assert violations(relpath, source) == [], relpath
 
 
 @pytest.mark.parametrize("source", [

@@ -11,11 +11,9 @@ refresh the graph.  ``Node`` itself, which owns the flag
 """
 
 import ast
-from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 ANNOUNCE = {"invalidate_nodes", "remove_node"}
 
 
@@ -23,11 +21,11 @@ def _is_self(expr):
     return isinstance(expr, ast.Name) and expr.id == "self"
 
 
-def liveness_writes(source):
+def liveness_writes(tree):
     """``(line, announced)`` per liveness write: whether an announcement
     follows it in the same function."""
     found = []
-    for func in ast.walk(ast.parse(source)):
+    for func in ast.walk(tree):
         if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         writes, announced = [], []
@@ -50,17 +48,16 @@ def liveness_writes(source):
     return sorted(set(found))
 
 
-def unannounced(source):
-    return [line for line, announced in liveness_writes(source)
+def unannounced(tree):
+    return [line for line, announced in liveness_writes(tree)
             if not announced]
 
 
-def test_every_liveness_write_in_the_program_is_announced():
+def test_every_liveness_write_in_the_program_is_announced(program_files):
     writes = 0
-    for path in sorted(SRC.rglob("*.py")):
-        source = path.read_text(encoding="utf-8")
-        assert unannounced(source) == [], path.relative_to(SRC).as_posix()
-        writes += len(liveness_writes(source))
+    for relpath, ctx in program_files.items():
+        assert unannounced(ctx.tree) == [], relpath
+        writes += len(liveness_writes(ctx.tree))
     # At least the fault model's crash and restart and the agent's
     # power-off.
     assert writes >= 3
@@ -74,7 +71,7 @@ def test_every_liveness_write_in_the_program_is_announced():
     "def revive(nodes):\n    for node in nodes:\n        node.alive = True\n",
 ], ids=["no-announcement", "announced-before", "kill", "in-a-loop"])
 def test_each_unannounced_write_is_caught(source):
-    assert len(unannounced(source)) == 1
+    assert len(unannounced(ast.parse(source))) == 1
 
 
 @pytest.mark.parametrize("source", [
@@ -86,4 +83,4 @@ def test_each_unannounced_write_is_caught(source):
     "def alive(node):\n    return node.alive\n",
 ], ids=["invalidated", "removed", "the-owner", "a-read"])
 def test_announced_writes_and_reads_pass(source):
-    assert unannounced(source) == []
+    assert unannounced(ast.parse(source)) == []
