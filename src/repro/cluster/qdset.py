@@ -12,7 +12,7 @@ Section V-B adds quorum adjustment: members that stop responding are
 
 from __future__ import annotations
 
-from typing import Iterable, List, Set
+from typing import Callable, Iterable, List, Set
 
 MIN_REPLICAS = 3  # below this, start growing replicas again (Section V-B)
 
@@ -22,12 +22,18 @@ class QDSet:
 
     ``version`` counts the changes to the members or the suspects, so a
     reader can tell that the set is as it last saw it without copying
-    it (the head's audit skips while nothing it reads has moved)."""
+    it, and each change calls ``changed`` (the owning head's audit
+    wake, which the head setter installs)."""
 
     def __init__(self, members: Iterable[int] = ()) -> None:
         self._members: Set[int] = set(members)
         self._suspected: Set[int] = set()
         self.version = 0
+        self.changed: Callable[[], None] = lambda: None
+
+    def _bump(self) -> None:
+        self.version += 1
+        self.changed()
 
     # ------------------------------------------------------------------
     def members(self) -> List[int]:
@@ -49,7 +55,7 @@ class QDSet:
         if head_id in self._members:
             return False
         self._members.add(head_id)
-        self.version += 1
+        self._bump()
         return True
 
     def remove(self, head_id: int) -> bool:
@@ -57,7 +63,7 @@ class QDSet:
         if head_id in self._members:
             self._members.discard(head_id)
             self._suspected.discard(head_id)
-            self.version += 1
+            self._bump()
             return True
         return False
 
@@ -65,12 +71,12 @@ class QDSet:
         """Mark a member unresponsive (pending ``T_d`` expiry)."""
         if head_id in self._members and head_id not in self._suspected:
             self._suspected.add(head_id)
-            self.version += 1
+            self._bump()
 
     def clear_suspicion(self, head_id: int) -> None:
         if head_id in self._suspected:
             self._suspected.discard(head_id)
-            self.version += 1
+            self._bump()
 
     def suspected(self) -> List[int]:
         return sorted(self._suspected)

@@ -18,7 +18,6 @@ from repro.cluster.roles import ADJACENT_HEAD_HOPS
 from repro.core import messages as m
 from repro.net.message import Message
 from repro.net.stats import Category
-from repro.net.topology import STALE
 from repro.obs import events as obs_ev
 from repro.perf import counters as cnt
 from repro.quorum.voting import is_quorum
@@ -80,27 +79,12 @@ class AdjustmentMixin:
         return {member for member, label in zip(alive, labels)
                 if label == mine}
 
-    def _audit_stamp(self) -> object:
-        """The probe a full audit that changed nothing parks its timer
-        on: ``(graph version, role epoch, head state, QDSet version,
-        reclaimed heads)`` while the graph is current and the agent
-        quiet (:meth:`_audit_quiet`), else a fresh object, which
-        matches nothing.
-
-        The audit read the graph (labels and hop rings), agent state
-        the context's hooks cover (allocators and network ids:
-        ``role_epoch`` is global because :meth:`_same_network_head`
-        reads other heads' network ids), its own head state and QDSet,
-        and the reclaimed heads it will not recruit.  A stale graph
-        never matches: the audit's label question is what refreshes
-        it."""
-        version = self.ctx.topology.current_version()
-        if version == STALE or not self._audit_quiet():
-            return object()
-        head = self.head
-        return (version, self.ctx.role_epoch, head,
-                None if head is None else head.qdset.version,
-                frozenset(self._reclaimed))
+    def _wake_audit(self) -> None:
+        """Its own head state or QDSet changed, T_d was armed (the audit
+        does not park while T_d or T_r is out), or a reclaimed head may
+        be recruited again."""
+        if self._audit_timer is not None:
+            self._audit_timer.unpark()
 
     def _audit_quiet(self) -> bool:
         """No isolation strike or T_d/T_r timer is outstanding."""
@@ -138,9 +122,10 @@ class AdjustmentMixin:
         self._check_isolated(any_member_reachable)
         if (quiet and self.head is head and self._audit_quiet()
                 and before == (head.qdset.version, self._ever_had_members)):
-            # An audit changes nothing until the stamp moves.
+            # An audit changes nothing until something it read moves
+            # (NetworkContext.park_audit).
             assert self._audit_timer is not None   # it called us
-            self._audit_timer.park(self._audit_stamp)
+            self.ctx.park_audit(self.node_id, self._audit_timer)
 
     def _discover_new_neighbors(self) -> None:
         """Quorum expansion: adopt heads that moved within three hops,
@@ -209,6 +194,7 @@ class AdjustmentMixin:
         timer = Timer(self.ctx.sim, self._on_td_expire)
         timer.start(self.cfg.td, member)
         self._td_timers[member] = timer
+        self._wake_audit()
 
     def _clear_suspicion(self, member: int) -> None:
         td_timer = self._td_timers.pop(member, None)

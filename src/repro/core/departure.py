@@ -355,3 +355,5 @@ class DepartureMixin:
         self.common.configurer_id = msg.payload["new_id"]
         self.common.configurer_ip = msg.payload["new_ip"]
         self.common.administrator_id = None
+        if self._location_timer is not None:
+            self._location_timer.unpark()   # its anchor moved

@@ -10,13 +10,12 @@ announces the address at departure (Fig. 10 contrasts the two).
 
 from __future__ import annotations
 
-from typing import Hashable, Optional, Tuple
+from typing import Optional
 
 from repro.cluster.roles import ADJACENT_HEAD_HOPS
 from repro.core import messages as m
 from repro.net.message import Message
 from repro.net.stats import Category
-from repro.net.topology import STALE
 from repro.sim.timers import PeriodicTimer
 
 
@@ -25,8 +24,6 @@ class LocationMixin:
 
     def _init_location_state(self) -> None:
         self._location_timer: Optional[PeriodicTimer] = None
-        # The edge-removal stamp the last "anchor near" verdict read.
-        self._location_removals: Hashable = STALE
 
     def _start_location_service(self) -> None:
         if self.cfg.location_update_mode != "periodic":
@@ -44,19 +41,6 @@ class LocationMixin:
             return self.common.administrator_id
         return self.common.configurer_id
 
-    def _location_stamp(self) -> Tuple[Hashable, Optional[int], bool]:
-        """What an "anchor within three hops" verdict rests on, read
-        without a graph query: ``(edge-removal stamp of this node's
-        component, anchor, anchor is a head)``.  Nodes and edges that
-        only arrive never lengthen a shortest path, and a removal in
-        another component is on no path from here, so the verdict
-        holds while this reads the same; a graph due a refresh reads
-        ``STALE`` and matches no stamp taken on a current one."""
-        ctx = self.ctx
-        anchor = self._location_anchor()
-        head = anchor is not None and ctx.is_head(anchor)
-        return ctx.topology.removal_stamp(self.node_id), anchor, head
-
     def _check_location(self) -> None:
         if self.common is None or not self.node.alive:
             return
@@ -67,15 +51,11 @@ class LocationMixin:
                                           max_hops=ADJACENT_HEAD_HOPS)
             anchor_near = hops is not None
         if anchor_near:
-            # The check changes nothing until the stamp moves.  Under
-            # mobility every refresh removes edges, so park only when no
-            # edge was removed since the last near verdict: a park the
-            # next round would end at once costs more than it saves.
-            removals = self.ctx.topology.removal_stamp(self.node_id)
-            if removals == self._location_removals != STALE:
-                assert self._location_timer is not None   # it called us
-                self._location_timer.park(self._location_stamp)
-            self._location_removals = removals
+            # The check changes nothing until the verdict may move
+            # (NetworkContext.park_location).
+            assert anchor is not None and self._location_timer is not None
+            self.ctx.park_location(self.node_id, anchor,
+                                   self._location_timer)
             return
         nearest = self._nearest_allocator()
         if nearest is None or nearest[0] == anchor:

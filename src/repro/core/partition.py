@@ -103,11 +103,11 @@ class PartitionMixin:
         if len(networks) == 1 and self.network_id in networks:
             if self._orphan_strikes == 0:
                 # A scan changes nothing until this node's entry changes
-                # its sets (the table wakes it) or the network id and
-                # head setters unpark it.  The lookup above left the
-                # table serving this graph; a stale graph ends the park,
-                # so the next scan's label question refreshes it at the
-                # same instant as ever.
+                # its sets (the table wakes it; a network-id or head
+                # change of its own that matters moves them too).  The
+                # lookup above left the table serving this graph; a
+                # stale graph ends the park, so the next scan's label
+                # question refreshes it at the same instant as ever.
                 assert self._merge_timer is not None   # it called us
                 self.ctx.park_on_entry(self.node_id, self._merge_timer)
             return
@@ -120,12 +120,6 @@ class PartitionMixin:
             if other_net is not None and other_net != self.network_id:
                 self._on_foreign_network_id(other_net, other_id)
                 return
-
-    def _unpark_merge_scan(self) -> None:
-        """The parked merge scan read this node's network id and
-        head-ness too: a change to either must run it again."""
-        if self._merge_timer is not None:
-            self._merge_timer.unpark()
 
     def _orphan_check(self, networks: FrozenSet[Optional[int]]) -> None:
         """Orphan rescue: a common node that can reach heads, but none

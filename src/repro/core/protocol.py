@@ -110,8 +110,8 @@ class QuorumProtocolAgent(
 
     @role.setter
     def role(self, value: Role) -> None:
-        # Every role transition versions the context's derived head
-        # tables (see NetworkContext.role_epoch).
+        # Every role transition is noted for the context's derived
+        # head tables (see NetworkContext.note).
         self._role = value
         self.ctx.note(self.node.node_id)
         self._note_allocator()
@@ -124,10 +124,12 @@ class QuorumProtocolAgent(
     def head(self, state: Optional[HeadState]) -> None:
         flipped = (self._head is None) != (state is None)
         self._head = state
+        self._wake_audit()
+        if state is not None:
+            state.qdset.changed = self._wake_audit
         if flipped:
             self.ctx.note(self.node.node_id)
             self._note_allocator()
-            self._unpark_merge_scan()
 
     def _can_allocate(self) -> bool:
         return self._role is Role.HEAD and self._head is not None
@@ -142,7 +144,6 @@ class QuorumProtocolAgent(
         # per-component head tables (see NetworkContext.component_heads).
         self._network_id = value
         self.ctx.note(self.node.node_id)
-        self._unpark_merge_scan()
 
     @property
     def live_vote_timers(self) -> int:

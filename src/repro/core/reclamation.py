@@ -226,6 +226,7 @@ class ReclamationMixin:
         if self._member_reachable(dead_id):
             # Transient partition, not a death: cancel entirely.
             self._reclaimed.discard(dead_id)
+            self._wake_audit()   # it may recruit the head again
             if self.ctx.is_head(dead_id):
                 self.head.qdset.add(dead_id)
             self._emit_reclaim(dead_id, "cancelled")
@@ -433,5 +434,6 @@ class ReclamationMixin:
         if head_id not in self._reclaimed:
             return False
         self._reclaimed.discard(head_id)
+        self._wake_audit()
         self._send(head_id, m.MERGE_JOIN, {}, Category.PARTITION)
         return True

@@ -26,19 +26,27 @@ topology lost (the first relabel, a compaction) makes it re-read them
 all.  So an agent notes its *own* transitions, and liveness is read
 where the graph moves: every write of ``node.alive`` is followed, in the
 same call, by ``Topology.invalidate_nodes`` or
-``Topology.remove_node``.  ``role_epoch`` counts the notes, for readers
-that only need to know whether any of that state moved anywhere.
+``Topology.remove_node``.
 
-A periodic check that read nothing but its own node's entry parks its
-timer through :meth:`NetworkContext.park_on_entry`, and the patch that
-changes what that entry reads wakes it (the merge scan).
+The periodic checks park their timers here, and the writer that
+changes what a parked check read wakes it.  The wake table (the agent
+wakes its own checks for its own state):
+
+* merge scan (:meth:`NetworkContext.park_on_entry`): a patch that
+  changes its entry's sets, its node crashing in place;
+* head audit (:meth:`NetworkContext.park_audit`): any graph change or
+  :meth:`NetworkContext.note`;
+* location check (:meth:`NetworkContext.park_location`): a lost slot in
+  its component, a label move of its node, its anchor's allocator flip.
+
+:meth:`NetworkContext.table_current` is the simulator's park gate.
 """
 
 from __future__ import annotations
 
 import itertools
 from typing import (TYPE_CHECKING, Collection, Dict, FrozenSet,
-                    Iterator, List, Optional, Set, Tuple)
+                    Iterable, Iterator, List, Optional, Set, Tuple)
 
 from repro.net.hello import HelloService
 from repro.net.node import Node
@@ -133,11 +141,6 @@ class NetworkContext:
         # Registered ids ``bind_ip`` / ``unbind_ip`` last resolved to
         # bound.  Not "is configured": see :meth:`unbind_ip`.
         self._bound_ids: Set[int] = set()
-        #: Bumped by every note of a registered id — registration and
-        #: role, network-id, head-state, allocator and address-bound
-        #: transitions — so equal epochs mean none of that state moved
-        #: (the head audit's park stamp reads it).
-        self.role_epoch = 0
         #: Allocation attempt ids (``PendingConfig.attempt_id``), drawn
         #: by every allocator of the run from 1 up, so identical seeded
         #: runs trace the same ids whatever ran in the process before.
@@ -158,10 +161,14 @@ class NetworkContext:
         self._counted: Dict[int, _Counted] = {}
         self._comp_counts: Dict[int, _Tally] = {}
         self._comp_heads: Dict[int, _Entry] = {}
-        # node id -> the timer it parked on its entry, and the one probe
-        # they all park on (one read serves a whole cohort).
+        # node id -> its parked poll's timer, per poll, and the anchor its
+        # location check parked on; the graph version audits parked on.
         self._entry_parks: Dict[int, PeriodicTimer] = {}
-        self._table_probe = self.table_current
+        self._audit_parks: Dict[int, PeriodicTimer] = {}
+        self._location_parks: Dict[int, PeriodicTimer] = {}
+        self._anchors: Dict[int, int] = {}
+        self._audit_version = topology.graph_version
+        sim.park_gate = self.table_current
 
     # ------------------------------------------------------------------
     # Agent registry
@@ -190,12 +197,13 @@ class NetworkContext:
     # ------------------------------------------------------------------
     def note(self, node_id: int) -> None:
         """A registered node's role, network id or head state changed:
-        move the epoch and mark the node for the component table's next
-        patch.  Every other hook notes through here too.  Ids that never
-        registered are ignored."""
+        mark the node for the component table's next patch and wake the
+        parked audits.  Every other hook notes through here too.  Ids
+        that never registered are ignored."""
         if node_id in self.agents:
-            self.role_epoch += 1
             self._dirty.add(node_id)
+            if self._audit_parks:
+                self._wake(self._audit_parks, list(self._audit_parks))
 
     def note_allocator(self, node_id: int, allocator: bool) -> None:
         """Record whether a node can currently allocate addresses.
@@ -205,7 +213,12 @@ class NetworkContext:
         its ``is_allocator()`` reads — liveness aside — changes: the
         agent base when the agent configures and leaves, Buddy and C-tree
         where a pool changes, the quorum agent from its role and head
-        setters.  Registration starts an agent out of the set."""
+        setters.  Registration starts an agent out of the set.  A flip
+        wakes the location checks parked on the node as their anchor."""
+        if (node_id in self.allocator_ids) != allocator:
+            self._wake(self._location_parks, [
+                parked for parked, anchor in self._anchors.items()
+                if anchor == node_id])
         self._note_member(self.allocator_ids, node_id, allocator)
 
     def _note_member(self, ids: Set[int], node_id: int, member: bool) -> None:
@@ -306,7 +319,7 @@ class NetworkContext:
         (:meth:`~repro.net.topology.Topology.labels_current`), else
         True once the table is patched up to every note and label move
         so far.  Passive on the graph: it refreshes and relabels
-        nothing.  The probe :meth:`park_on_entry` parks on."""
+        nothing.  The simulator's park gate."""
         if not self.topology.labels_current():
             return False
         self._patch_table()
@@ -329,12 +342,41 @@ class NetworkContext:
         The park holds across graph changes elsewhere.  Whatever else
         the timer's check read is the caller's to unpark on."""
         self._entry_parks[node_id] = timer
-        timer.park(self._table_probe)
+        timer.park()
 
-    def _wake(self, node_id: int) -> None:
-        timer = self._entry_parks.pop(node_id, None)
-        if timer is not None:
-            timer.unpark()
+    def park_audit(self, node_id: int, timer: PeriodicTimer) -> None:
+        """Park ``node_id``'s head audit, which read the graph and other
+        heads' roles and network ids: the next graph change or
+        :meth:`note` anywhere wakes it."""
+        self._sync_audits()
+        self._audit_parks[node_id] = timer
+        timer.park()
+
+    def park_location(self, node_id: int, anchor: int,
+                      timer: PeriodicTimer) -> None:
+        """Park ``node_id``'s location check on its verdict that the
+        head ``anchor`` is within three hops, which holds until the
+        component loses a slot, the node's label moves, or ``anchor``
+        stops allocating."""
+        self._location_parks[node_id] = timer
+        self._anchors[node_id] = anchor
+        timer.park()
+
+    def _sync_audits(self) -> None:
+        """Wake the parked audits if the graph changed since they read
+        it."""
+        version = self.topology.graph_version
+        if version != self._audit_version:
+            self._audit_version = version
+            self._wake(self._audit_parks, list(self._audit_parks))
+
+    @staticmethod
+    def _wake(parks: Dict[int, PeriodicTimer],
+              node_ids: Iterable[int]) -> None:
+        for node_id in node_ids:
+            timer = parks.pop(node_id, None)
+            if timer is not None:
+                timer.unpark()
 
     def _patch_table(self) -> None:
         """Bring the component table up to the current labels and every
@@ -352,16 +394,24 @@ class NetworkContext:
         label question below refreshes nothing.
 
         The patch also wakes the entry parks (:meth:`park_on_entry`)
-        whose sets it changed; starting over wakes them all."""
+        whose sets it changed, and reads the topology's journals for
+        the location parks (:meth:`park_location`); starting over wakes
+        them all."""
         topology = self.topology
         dirty = self._dirty
+        self._sync_audits()
+        removed = topology.take_removals()
         moved = topology.take_moved_labels()
+        parks = self._location_parks
+        self._wake(parks, list(parks) if removed is None or moved is None
+                   else moved)
         if moved is not None and not moved and not dirty:
             return
         agents = self.agents
         entries = self._comp_heads
         counted = self._counted
         counts = self._comp_counts
+        entry_parks = self._entry_parks
         wake = self._wake
         ids: Collection[int]
         if moved is None:
@@ -369,9 +419,7 @@ class NetworkContext:
             counts.clear()
             entries.clear()
             ids = list(agents)              # everyone is dirty
-            for timer in self._entry_parks.values():
-                timer.unpark()
-            self._entry_parks.clear()
+            wake(entry_parks, list(entry_parks))
         elif moved:
             ids = dirty.union(node_id for node_id in moved
                               if node_id in agents)
@@ -396,7 +444,7 @@ class NetworkContext:
                 # Out of the graph, so not counted in it.  A node still
                 # in the store crashed in place: its polls run on.
                 if was is not None and node_of(node_id) is not None:
-                    wake(node_id)
+                    wake(entry_parks, (node_id,))
                 continue
             node = node_of(node_id)
             agent = agents[node_id]
@@ -430,8 +478,7 @@ class NetworkContext:
                                          frozenset(head_networks),
                                          frozenset(networks))
                 if entry[1] != old[1] or entry[2] != old[2]:
-                    for node_id in members:
-                        wake(node_id)
+                    wake(entry_parks, members)
             else:
                 counts.pop(comp, None)
                 entries.pop(comp, None)
@@ -439,7 +486,13 @@ class NetworkContext:
             old = before[was_comp]
             entry = entries[comp]
             if entry[1] != old[1] or entry[2] != old[2]:
-                wake(node_id)
+                wake(entry_parks, (node_id,))
+        if removed:
+            # Counted under a component that lost a slot (its label did
+            # not move, or it woke above), or not counted at all.
+            wake(parks, [node_id for node_id in parks
+                         if counted.get(node_id, (None, None))[1] in removed
+                         or node_id not in counted])
 
     @classmethod
     def build(

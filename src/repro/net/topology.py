@@ -85,7 +85,7 @@ and ``tests/net/test_store_oracle.py``.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from typing import (Callable, Collection, Dict, Hashable, Iterable, List,
+from typing import (Callable, Collection, Dict, Iterable, List,
                     Optional, Set, Tuple, TypeVar)
 
 from repro.net.grid import CellGrid
@@ -178,13 +178,10 @@ class Topology:
         # :meth:`take_moved_labels`).
         self._label_moves: List[int] = []
         self._journal_lost = True
-        # The edge-removal epoch, and per label the epoch of the last
-        # removal from that component (``_removal_base`` for components
-        # none touched since the last full relabel; see
-        # :meth:`removal_stamp`).
-        self._removals = 0
-        self._comp_removals: Dict[int, int] = {}
-        self._removal_base = 0
+        # The removal journal: labels of the components that lost a
+        # slot since the last take, ``None`` when any may have (see
+        # :meth:`take_removals`).
+        self._removed_from: Optional[Set[int]] = None
 
     # ------------------------------------------------------------------
     # Population management
@@ -336,7 +333,7 @@ class Topology:
 
     def _full_rebuild(self, alive: List[int]) -> None:
         self.perf.incr(cnt.GRAPH_FULL_REBUILDS)
-        self._removals += 1
+        self._removed_from = None
         self._ensure_capacity()
         # The labels no longer match the graph; the next label query
         # runs a full relabel sweep.
@@ -436,8 +433,9 @@ class Topology:
             return False  # refresh-interval expiry, nobody moved
         self.perf.incr(cnt.GRAPH_DELTA_REBUILDS)
         self.perf.incr(cnt.GRAPH_DELTA_DIRTY_NODES, dirty_count)
-        if removed or moved:
-            self._removals += 1  # only a pure arrival drops no edge
+        track_labels = self._labels_active and self._labels_valid
+        if (removed or moved) and not track_labels:
+            self._removed_from = None  # only a pure arrival drops no edge
         adj = self._adj
         grid = self._grid
         xs, ys = store.xs, store.ys
@@ -454,7 +452,6 @@ class Topology:
         # through another, so the component stays whole exactly when
         # every cluster's boundary stays mutually connected — which
         # :meth:`_delta_relabel` proves around each hole, or repairs.
-        track_labels = self._labels_active and self._labels_valid
         clusters_by_comp: Dict[int, List[Set[int]]] = {}
         if track_labels:
             comp_of = self._comp_of
@@ -592,10 +589,6 @@ class Topology:
         self._comp_next = nxt
         self._labels_valid = True
         self._labels_layout = store.layout_version
-        # Every component's removal epoch starts over above every
-        # stamp read so far (a full rebuild moved ``_removals``).
-        self._comp_removals.clear()
-        self._removal_base = self._removals
         moves = self._label_moves
         if kept:
             moves.extend(node_id for node_id, was, now
@@ -648,7 +641,7 @@ class Topology:
         self.perf.incr(cnt.CONN_DELTA_RELABELS)
         comp_of = self._comp_of
         members = self._comp_members
-        removals = self._comp_removals
+        removed_from = self._removed_from
         relabeled = 0
         scanned = 0
         moves = self._label_moves
@@ -658,12 +651,12 @@ class Topology:
         for slot in detached:
             idx = comp_of[slot]
             comp_of[slot] = -1
-            removals[idx] = self._removals
+            if removed_from is not None:
+                removed_from.add(idx)
             comp = members[idx]
             del comp[bisect_left(comp, slot)]
             if not comp:
                 del members[idx]
-                del removals[idx]
         # 2) split verification (or exact repair) per affected component
         for idx in sorted(clusters_by_comp):
             if idx not in members:
@@ -880,7 +873,6 @@ class Topology:
                     if idx == winner:
                         continue
                     lost = members.pop(idx)
-                    self._comp_removals.pop(idx, None)
                     for s in lost:
                         comp_of[s] = winner
                     merged.extend(lost)
@@ -1016,38 +1008,19 @@ class Topology:
             return self._graph_version
         return STALE
 
-    def removal_stamp(self, node_id: int) -> Hashable:
-        """The edge-removal epoch of ``node_id``'s component, or
-        :data:`STALE` whenever :meth:`current_version` is, and while the
-        node is out of the graph.
-
-        The epoch moves with every graph change that may drop an edge
-        on a path from ``node_id``: a full rebuild, or a delta rebuild
-        that removes, crashes or moves a slot of its component.  A pure
-        arrival (a new or restarted node) only adds edges, and added
-        edges never lengthen a shortest path, so a hop bound that held
-        at one reading still holds at an equal one.  A path never leaves
-        its component, so a removal elsewhere leaves the stamp alone.
-
-        While the labels are current the stamp is ``(label, epoch of
-        the label)``: a node whose component changed label reads
-        another stamp.  Otherwise it is the epoch of every removal in
-        the graph, an int, which no label stamp equals.  Passive, like
-        :meth:`current_version`."""
-        if self.current_version() == STALE:
-            return STALE
-        if not self._labels_valid:
-            return self._removals
-        slot = self._graph_slot(node_id)
-        if slot is None:
-            return STALE
-        label = self._comp_of[slot]
-        return label, self._comp_removals.get(label, self._removal_base)
-
     def labels_current(self) -> bool:
         """Whether a label query now would be answered without a graph
         refresh or a relabel.  Passive, like :meth:`current_version`."""
         return self._labels_valid and self.current_version() != STALE
+
+    def take_removals(self) -> Optional[Set[int]]:
+        """Hand over the removal journal and start it afresh: the labels
+        of the components that lost a slot (a departure, crash or move:
+        only that may lengthen a path) since the last take, or ``None``
+        when any may have (no take yet, a full rebuild, or a removal
+        while the labels were not current)."""
+        removed, self._removed_from = self._removed_from, set()
+        return removed
 
     def take_moved_labels(self) -> Optional[List[int]]:
         """Hand over the label journal and start it afresh: the ids

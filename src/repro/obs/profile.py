@@ -14,9 +14,10 @@ charged to ``repro.core``, not to the timer plumbing.  Periodic timers that shar
 a heap entry still arrive one callback at a time, nested inside the
 ``repro.sim`` call for the entry.  A parked member that the round
 passes over (:meth:`~repro.sim.timers.PeriodicTimer.park`) never
-reaches the hook: its probe read and re-arm are part of that
+reaches the hook: its re-arm, and the park gate the round reads once
+per run of parked members (``Simulator.park_gate``), are part of that
 ``repro.sim`` round's self time, and ``Simulator.parked_rearms``
-counts them.
+counts the re-arms.
 
 Per-phase and per-layer attribution of a whole workload is the perf
 ledger's job (``ledger/trace.py`` keys its spans with

@@ -79,6 +79,9 @@ class Simulator:
         #: Fire time -> the cohort of periodic timers still open for
         #: joining at that instant (see :mod:`repro.sim.timers`).
         self.cohorts: Dict[float, Any] = {}
+        #: Read once per run of parked periodic timers due now: True
+        #: passes them over, False calls the one whose turn it is.
+        self.park_gate: Callable[[], bool] = lambda: True
         self.streams = RandomStreams(seed)
 
     # ------------------------------------------------------------------

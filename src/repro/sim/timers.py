@@ -10,7 +10,7 @@ and the periodic checks every agent arms through
 from __future__ import annotations
 
 from itertools import chain
-from typing import Any, Callable, Dict, Iterator, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, Optional
 
 from repro.sim.engine import Simulator
 from repro.sim.events import Event
@@ -55,10 +55,6 @@ class Timer:
     def _fire(self, *args: Any) -> None:
         self._handle = None
         self._callback(*args)
-
-
-#: A probe value no probe returns: "not read yet this round".
-_UNREAD = object()
 
 
 class _Cohort(Event):
@@ -106,7 +102,7 @@ class _Cohort(Event):
             # An earlier member of this round may have stopped (or
             # restarted, into another cohort) a later one.
             if timer._cohort is self:
-                if timer._parked is not None:
+                if timer._parked:
                     called = self._pass_parked(sim, timer, members)
                     if called is None:
                         break
@@ -126,33 +122,25 @@ class _Cohort(Event):
                      members: Iterator["PeriodicTimer"]
                      ) -> Optional["PeriodicTimer"]:
         """Re-arm ``first`` and the members after it in place of their
-        calls while each is parked and its probe still reads the value
-        it parked on; return the first member this round must call
-        (unparked, if its probe read something else), or ``None`` when
-        none is left.  Nothing runs between two passed members, so
-        each probe is read once, and the cohort a re-arm joins stays
-        open for the next member due at the same instant.  A member
-        alone in this cohort keeps it when no cohort is open at its
-        next instant."""
+        calls while each is parked and the simulator's park gate
+        (:attr:`~repro.sim.engine.Simulator.park_gate`) reads True;
+        return the first member this round must call (unparked, if the
+        gate read False or woke it), or ``None`` when none is left.
+        Nothing runs between two passed members, so the gate is read
+        once, and the cohort a re-arm joins stays open for the next
+        member due at the same instant.  A member alone in this cohort
+        keeps it when no cohort is open at its next instant."""
         now = sim.now
         cohorts = sim.cohorts
-        reads: Dict[Callable[[], Any], Any] = {}
+        current = sim.park_gate()
         passed = 0
         called: Optional[PeriodicTimer] = None
         for timer in chain((first,), members):
             if timer._cohort is not self:
                 continue
-            parked = timer._parked
-            if parked is None:
-                called = timer
-                break
-            probe, value = parked
-            read = reads.get(probe, _UNREAD)
-            if read is _UNREAD:
-                read = reads[probe] = probe()
-            # The read may also have unparked this very member.
-            if read != value or timer._parked is None:
-                timer._parked = None
+            # The gate may also have woken this very member.
+            if not (current and timer._parked):
+                timer._parked = False
                 called = timer
                 break
             time = now + timer.interval
@@ -176,13 +164,13 @@ class PeriodicTimer:
     instant is a cohort of one.  docs/ARCHITECTURE.md states the
     resulting event order.
 
-    A callback that found nothing to do may :meth:`park` its timer on
-    a *probe*, a no-argument callable whose value stands for what the
-    callback read.  While the probe reads the value it read when the
-    timer parked, the timer keeps its place and instants but its
-    callback is not called.  A changed read, :meth:`unpark` or
-    :meth:`start` ends the park.  A probe may itself unpark timers
-    (one read serves every member of a cohort that parked on it), the
+    A callback that found nothing to do may :meth:`park` its timer:
+    while it is parked and the simulator's park gate reads True, the
+    timer keeps its place and instants but its callback is not called.
+    Whoever changes what the callback read ends the park with
+    :meth:`unpark`, and so does :meth:`start`; a gate that reads False
+    ends the park of the timer whose turn it is.  The gate may itself
+    unpark timers (one read serves a whole run of parked members), the
     timer whose turn it is included.
     """
 
@@ -200,21 +188,21 @@ class PeriodicTimer:
         self.interval = interval
         self._callback = callback
         self._cohort: Optional[_Cohort] = None
-        self._parked: Optional[Tuple[Callable[[], Any], Any]] = None
+        self._parked = False
 
     @property
     def running(self) -> bool:
         return self._cohort is not None
 
-    def park(self, probe: Callable[[], Any]) -> None:
-        self._parked = (probe, probe())
+    def park(self) -> None:
+        self._parked = True
 
     def unpark(self) -> None:
-        self._parked = None
+        self._parked = False
 
     def start(self, first_delay: Optional[float] = None) -> None:
         if self._cohort is None:
-            self._parked = None
+            self._parked = False
             delay = self.interval if first_delay is None else first_delay
             self._arm(self._sim.now + delay)
 

@@ -2,8 +2,10 @@
 
 from repro.cluster.roles import Role
 from repro.core import ProtocolConfig
+from repro.core import messages as m
+from repro.net.message import Message
 
-from tests.helpers import (line_agents, make_ctx, passes_over,
+from tests.helpers import (add_node, line_agents, make_ctx, passes_over,
                            positions_cluster)
 
 
@@ -110,44 +112,72 @@ def test_adjustment_disabled_keeps_members():
         assert victim.node_id in observer.head.qdset
 
 
+def parked_auditor(ctx, agents):
+    """A head with QDSet members whose audit just parked, on a current
+    graph and labels."""
+    auditor = next(h for h in heads_of(agents) if len(h.head.qdset))
+    ctx.component_entry(auditor.node_id)
+    auditor._audit()
+    assert passes_over(auditor._audit_timer)
+    return auditor
+
+
 def test_audit_skips_only_while_its_stamp_holds():
+    """Named for the stamp the audit's wakes replaced: a parked audit
+    is passed over until a write to what it read wakes it."""
     ctx = make_ctx()
     cfg = ProtocolConfig(td=2.0, tr=1.0, audit_interval=1.0)
     agents = redundant_rows(ctx, cfg)
     ctx.sim.run(until=200.0)
-    auditor = next(h for h in heads_of(agents) if len(h.head.qdset))
+    auditor = parked_auditor(ctx, agents)
     member = ctx.agent_of(auditor.head.qdset.members()[0])
     timer = auditor._audit_timer
-    ctx.component_entry(auditor.node_id)   # the graph is current
-    auditor._audit()
-    assert passes_over(timer)
     # A member head's network id moves no label and no QDSet entry,
-    # but the audit reads it (same-network check): run in full.
+    # but the audit reads it (same-network check): the note wakes it.
     member.network_id = member.network_id + 1
     assert not passes_over(timer)
     member.network_id = auditor.network_id
     auditor._audit()
     assert passes_over(timer)
-    # A graph due a refresh never matches: the audit's label question
-    # is what refreshes it.  A refresh that changes nothing keeps the
-    # stamp.
+    # A graph due a refresh reads False at the gate: the audit's label
+    # question is what refreshes it.  A refresh that changes nothing
+    # keeps the park; one that changes the graph anywhere wakes it.
     ctx.topology.invalidate_nodes([member.node_id])
     assert not passes_over(timer)
     ctx.component_entry(auditor.node_id)
     assert passes_over(timer)
+    add_node(ctx, 99, 100.0, y=1400.0)
+    ctx.component_entry(auditor.node_id)
+    assert not passes_over(timer)
+    auditor._audit()
+    assert passes_over(timer)
     # Its own QDSet changing, or a timer being armed, also ends it.
     auditor.head.qdset.suspect(member.node_id)
     assert not passes_over(timer)
-    timer.unpark()
     auditor._audit()        # lifts the suspicion: a change, no park
-    assert timer._parked is None
+    assert not timer._parked
     auditor._audit()
     assert passes_over(timer)
-    # An isolation strike moves no QDSet entry, but the agent is no
-    # longer quiet.
-    auditor._isolated_strikes = 1
-    assert not passes_over(timer)
-    auditor._isolated_strikes = 0
-    assert passes_over(timer)
     auditor._suspect_member(member.node_id)
+    assert not passes_over(timer)
+
+
+def test_a_qdset_member_added_by_a_handler_wakes_the_parked_audit():
+    ctx = make_ctx()
+    cfg = ProtocolConfig(td=2.0, tr=1.0, audit_interval=1.0)
+    agents = redundant_rows(ctx, cfg)
+    ctx.sim.run(until=200.0)
+    auditor = parked_auditor(ctx, agents)
+    member = auditor.head.qdset.members()[0]
+    # Reclaimed, so the audit does not recruit it back: an add only
+    # narrows what the audit recruits, and wakes nothing.
+    auditor._reclaimed.add(member)
+    auditor.head.qdset.remove(member)
+    auditor._audit()
+    timer = auditor._audit_timer
+    assert passes_over(timer) and member not in auditor.head.qdset
+    auditor._handle_rep_ack(Message(
+        mtype=m.REP_ACK, src=member, dst=auditor.node_id,
+        payload={"is_head": True}, network_id=auditor.network_id))
+    assert member in auditor.head.qdset
     assert not passes_over(timer)

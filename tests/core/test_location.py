@@ -4,6 +4,8 @@ from repro.addrspace.records import AddressStatus
 from repro.core import ProtocolConfig
 from repro.geometry import Point
 from repro.mobility.base import Stationary
+from repro.core import messages as m
+from repro.net.message import Message
 from repro.net.stats import Category
 
 from tests.helpers import add_node, line_agents, make_ctx, passes_over
@@ -84,39 +86,66 @@ def test_upon_leave_mode_sends_no_location_updates():
     assert ctx.stats.hops[Category.MOVEMENT] == 0
 
 
-def test_location_check_parks_only_while_its_stamp_holds():
-    ctx = make_ctx()
-    agents = line_agents(ctx, 8)
-    ctx.sim.run(until=130.0)
+def parked_checker(ctx, agents):
+    """Common node 1 of a settled line, its location check just run on
+    a current graph and labels."""
     checker = agents[1]
     anchor = checker._location_anchor()
     assert checker.common is not None and ctx.is_head(anchor)
+    checker._location_timer.unpark()
+    ctx.component_entry(checker.node_id)
+    checker._check_location()
+    return checker, anchor
+
+
+def test_location_check_parks_only_while_its_stamp_holds():
+    """Named for the stamp the check's wakes replaced: a parked check is
+    passed over until a write to what its verdict rests on wakes it."""
+    ctx = make_ctx()
+    agents = line_agents(ctx, 8)
+    ctx.sim.run(until=130.0)
+    checker, anchor = parked_checker(ctx, agents)
     timer = checker._location_timer
-    timer.unpark()
-    # Two "anchor near" verdicts with no edge removed between them: the
-    # second parks the check on what the verdict rests on.
-    checker._check_location()
-    checker._check_location()
     assert passes_over(timer)
     # A node arriving only adds edges: once the graph is refreshed
-    # (stale, it matches nothing), the park holds.
+    # (the gate reads False until then), the park holds.
     add_node(ctx, 20, 100.0 + 120.0 * 3, y=620.0)
     assert not passes_over(timer)
     ctx.topology.neighbors(checker.node_id)
     assert passes_over(timer)
-    # The anchor no longer allocating ends it.
-    ctx.note_allocator(anchor, False)
-    assert not passes_over(timer)
-    ctx.note_allocator(anchor, True)
-    assert passes_over(timer)
-    # So does an edge removed anywhere, and the next check does not park
-    # again: under mobility that is every refresh.
+    # An edge removed in its component wakes it, and the next check
+    # parks again: the verdict still holds.
     ctx.topology.remove_node(agents[7].node)
     ctx.topology.neighbors(checker.node_id)
     assert not passes_over(timer)
-    timer.unpark()
-    checker._check_location()
-    assert timer._parked is None
     checker._check_location()
     assert passes_over(timer)
+    # So does its own anchor moving.
+    checker._handle_alloc_change(Message(
+        mtype=m.ALLOC_CHANGE, src=anchor, dst=checker.node_id,
+        payload={"new_id": anchor,
+                 "new_ip": checker.common.configurer_ip}))
+    assert not passes_over(timer)
     assert ctx.stats.hops[Category.MOVEMENT] == 0
+
+
+def test_location_check_parks_on_its_first_near_verdict():
+    ctx = make_ctx()
+    agents = line_agents(ctx, 8)
+    ctx.sim.run(until=130.0)
+    checker, _anchor = parked_checker(ctx, agents)
+    assert passes_over(checker._location_timer)
+
+
+def test_only_the_anchors_allocator_flip_wakes_the_check():
+    ctx = make_ctx()
+    agents = line_agents(ctx, 8)
+    stranger = add_node(ctx, 30, 100.0, y=1400.0)   # its own component
+    ctx.sim.run(until=130.0)
+    checker, anchor = parked_checker(ctx, agents)
+    timer = checker._location_timer
+    ctx.note_allocator(stranger.node_id, True)
+    ctx.note_allocator(stranger.node_id, False)
+    assert passes_over(timer)
+    ctx.note_allocator(anchor, False)
+    assert not passes_over(timer)

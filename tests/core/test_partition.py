@@ -200,14 +200,18 @@ def test_merge_scan_skips_only_while_its_stamp_holds():
     ctx.component_entry(scanner.node_id)
     scanner._merge_scan()
     assert passes_over(timer)
-    # The scan read the node's own network id and head-ness too.
+    # The scan read the node's own network id and head-ness too, and
+    # its entry carries both: a write that cannot move the verdict
+    # leaves the park (head 3 still heads the network), one that can
+    # moves the entry's sets and wakes it.
     scanner.network_id = scanner.network_id
-    assert not passes_over(timer)
-    scanner._merge_scan()
-    assert passes_over(timer)
     head, scanner.head = scanner.head, None
-    assert not passes_over(timer)
+    assert passes_over(timer)
     scanner.head = head
+    assert passes_over(timer)
+    scanner.network_id = scanner.network_id + 1
+    assert not passes_over(timer)
+    scanner.network_id = other.network_id
     scanner._merge_scan()
     assert passes_over(timer)
     # A stale graph never skips: the scan's lookup refreshes it.

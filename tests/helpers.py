@@ -78,11 +78,10 @@ def positions_cluster(
 
 def passes_over(timer: PeriodicTimer) -> bool:
     """Whether ``timer``'s next fire would re-arm it without a call:
-    it is parked, its probe reads the value it parked on, and the read
+    it is parked, the simulator's park gate reads True, and the read
     left it parked."""
-    parked = timer._parked
-    return (parked is not None and bool(parked[0]() == parked[1])
-            and timer._parked is not None)
+    return (timer._parked and timer._sim.park_gate()
+            and timer._parked)
 
 
 def assert_unique_addresses(agents: Sequence[QuorumProtocolAgent]) -> None:

@@ -11,7 +11,7 @@ first query that would have read the stale set — the same set head
 scans probe before they ask ``is_head``.
 
 The two batched readers get the same treatment for ``quorum``, on the
-same scenario: whenever the graph version or ``role_epoch`` has moved,
+same scenario: whenever the graph version has moved or a node was noted,
 ``component_entry`` must answer every registered id as the per-node
 loop it replaced does (the reference in ``tests/net/test_context.py``),
 and every audit's one label question must find reachable exactly the
@@ -105,11 +105,17 @@ def test_component_table_is_the_per_node_reference_at_every_rebuild(
         monkeypatch):
     one_pass_entry = NetworkContext.component_entry
     table_current = NetworkContext.table_current
+    note = NetworkContext.note
     checked_keys = set()
+    notes = [0]
+
+    def counted_note(ctx, node_id):
+        notes[0] += node_id in ctx.agents
+        note(ctx, node_id)
 
     def check(ctx):
         # The table was just patched up to this key.
-        key = (ctx.topology.graph_version, ctx.role_epoch)
+        key = (ctx.topology.graph_version, notes[0])
         if key not in checked_keys:
             checked_keys.add(key)
             assert_table_is_the_reference(
@@ -121,18 +127,19 @@ def test_component_table_is_the_per_node_reference_at_every_rebuild(
         check(ctx)
         return entry
 
-    def probe(ctx):
-        # The parked merge scans' probe patches on a current graph.
+    def gate(ctx):
+        # The park gate patches on a current graph.
         current = table_current(ctx)
         if current:
             check(ctx)
         return current
 
     monkeypatch.setattr(NetworkContext, "component_entry", component_entry)
-    monkeypatch.setattr(NetworkContext, "table_current", probe)
+    monkeypatch.setattr(NetworkContext, "table_current", gate)
+    monkeypatch.setattr(NetworkContext, "note", counted_note)
     runner = churn_runner("quorum")
     runner.run()
-    assert len(checked_keys) > 10 * len(runner.ctx.agents)
+    assert len(checked_keys) >= 324
 
 
 def test_audit_reachability_is_the_per_member_walk(monkeypatch):

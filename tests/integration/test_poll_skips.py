@@ -12,8 +12,7 @@ cells included), each run for ten seconds past its pinned settle time:
   included) is run in full on the spot instead, and must change
   nothing a poll can change: the agent's fields, a common node's
   administrator, its QDSet, its timers, the message and event tallies
-  and the simulator's pending events — and must park again on the
-  value it was passed over on.
+  and the simulator's pending events — and must park again.
 """
 
 import copy
@@ -33,6 +32,10 @@ from tests.net.test_context import NO_HEADS, reference_table
 #: The pinned cells' settle time, plus ten seconds.
 SETTLE_S = 40.0
 POLLS = ("_merge_scan", "_audit", "_check_location")
+#: Per cell, the passes over each poll (in ``POLLS`` order) to keep.
+FLOORS = {"mobile": (301, 0, 0), "mobile_crash": (334, 0, 0),
+          "static_lossy": (1615, 193, 1299),
+          "static_lossy_crash": (1618, 116, 1331)}
 
 
 def state_of(value):
@@ -58,7 +61,7 @@ def observable(agent):
     common = agent.common
     administrator = None if common is None else common.administrator_id
     return (fields, administrator, qdset, ctx.stats.snapshot(),
-            ctx.events.snapshot(), ctx.sim.pending_events, ctx.role_epoch)
+            ctx.events.snapshot(), ctx.sim.pending_events)
 
 
 @pytest.mark.parametrize("cell", sorted(CELLS))
@@ -77,19 +80,17 @@ def test_skips_and_table_patches_are_exact(cell, monkeypatch):
 
     def exact(agent, timer):
         """Run ``timer``'s poll in full where it is passed over: it must
-        change nothing and park again on the value it parked on."""
+        change nothing and park again."""
         poll = timer._callback
         checked[poll.__name__] += 1
-        parked_on = timer._parked
         timer.unpark()
         before = observable(agent)
         poll()
         assert observable(agent) == before, (poll.__name__,
                                              agent.ctx.sim.now,
                                              agent.node_id)
-        assert timer._parked == parked_on, (poll.__name__,
-                                            agent.ctx.sim.now,
-                                            agent.node_id)
+        assert timer._parked, (poll.__name__, agent.ctx.sim.now,
+                               agent.node_id)
 
     pass_parked = _Cohort._pass_parked
 
@@ -119,16 +120,11 @@ def test_skips_and_table_patches_are_exact(cell, monkeypatch):
     # times there.
     ScenarioRunner(cell_scenario(cell, settle_time=SETTLE_S),
                    "quorum").run()
-    # Every cell asks the table many times and passes over many merge
-    # scans: a scan parks on its own node's entry, which a refresh that
-    # moves the graph mostly leaves as it was.  Under mobility every
-    # refresh is a full rebuild, which moves every removal stamp and
-    # the audit's graph version, so neither the location check nor the
-    # audit finds its stamp again there; the static cells pass over
-    # both many times.
-    static = CELLS[cell][0].get("speed_mps") == 0.0
+    # Every cell asks the table many times, and passes over each poll at
+    # least as often as the per-timer stamps it replaced did (their
+    # counts are the floors, where this protocol does not pass more).
+    # Under mobility every refresh moves nodes, which wakes every
+    # parked location check and audit, so only merge scans pass there.
     assert checked["component_entry"] > 100, checked
-    assert checked["_merge_scan"] > 100, checked
-    for name in ("_audit", "_check_location"):
-        assert checked[name] > 100 if static else checked[name] == 0, (
-            name, checked)
+    for name, floor in zip(POLLS, FLOORS[cell]):
+        assert checked[name] >= floor, (name, checked)

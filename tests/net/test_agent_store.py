@@ -1,8 +1,9 @@
 """The agent registry on ``NetworkContext``: a dict in registration
-order, ``allocator_ids``, the bound-address count and ``role_epoch``.
+order, ``allocator_ids``, the bound-address count and the notes that
+wake a parked head audit.
 
 Nothing unregisters an agent, so there is nothing here about eviction;
-which operations move ``role_epoch`` is pinned as a table in
+which operations wake a parked audit is pinned as a table in
 ``tests/net/test_context.py``.
 """
 
@@ -10,6 +11,7 @@ from repro.geometry import Point
 from repro.mobility.base import Stationary
 from repro.net.context import NetworkContext
 from repro.net.node import Node
+from repro.sim.timers import PeriodicTimer
 
 
 class FakeAgent:
@@ -25,6 +27,13 @@ def make_ctx(n=0, **kw):
     for i in range(n):
         ctx.register(FakeAgent(i, **kw))
     return ctx
+
+
+def parked_audit(ctx):
+    """A timer parked as a head audit parks."""
+    timer = PeriodicTimer(ctx.sim, 1.0, lambda: None)
+    ctx.park_audit(0, timer)
+    return timer
 
 
 def test_registry_surface_matches_dict_semantics():
@@ -68,14 +77,15 @@ def test_note_writes_through_and_missing_ids_noop():
     assert ctx.bound_address_count() == 1
     ctx.unbind_ip(None, 9)
     assert ctx.bound_address_count() == 0
-    epoch = ctx.role_epoch
+    audit = parked_audit(ctx)
     ctx.note(0)
-    assert ctx.role_epoch == epoch + 1
+    assert not audit._parked
     # Ids that never registered are ignored: nothing is counted for
     # them and nothing they do can change the component table.
+    audit = parked_audit(ctx)
     ctx.note(99)
     ctx.bind_ip(None, 1, 99)
-    assert ctx.role_epoch == epoch + 1
+    assert audit._parked
     assert ctx.bound_address_count() == 0
     assert ctx.resolve_ip(None, 1) == 99
 
@@ -83,16 +93,17 @@ def test_note_writes_through_and_missing_ids_noop():
 def test_allocator_ids_version_on_flips_and_start_over_on_reregistration():
     ctx = make_ctx(6)
     assert ctx.allocator_ids == set()   # registration starts outside
-    epoch = ctx.role_epoch
-    ctx.note_allocator(2, True)
-    ctx.note_allocator(4, True)
-    assert ctx.role_epoch == epoch + 2
+    for node_id in (2, 4):
+        audit = parked_audit(ctx)
+        ctx.note_allocator(node_id, True)
+        assert not audit._parked
     assert ctx.allocator_ids == {2, 4}
     # Re-noting the same answer is free; unknown ids are ignored.
+    audit = parked_audit(ctx)
     ctx.note_allocator(2, True)
     ctx.note_allocator(99, True)
     ctx.note_allocator(3, False)
-    assert ctx.role_epoch == epoch + 2
+    assert audit._parked
     assert ctx.allocator_ids == {2, 4}
     ctx.note_allocator(4, False)
     ctx.note_allocator(4, False)        # idempotent both ways

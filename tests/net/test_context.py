@@ -229,13 +229,13 @@ def test_rebinding_to_a_new_address_does_not_version_the_tables():
     ctx = make_ctx()
     add(ctx, 1, configured=True, network_id=7)
     ctx.bind_ip(None, 42, 1)
-    epoch = ctx.role_epoch
+    audit = parked_audit(ctx)
     # Same bound-ness, different address: configured-ness and head-ness
     # are unchanged, so the derived tables stay valid.
     ctx.bind_ip(None, 43, 1)
-    assert ctx.role_epoch == epoch
+    assert audit._parked
     ctx.unbind_ip(None, 43)
-    assert ctx.role_epoch == epoch + 1
+    assert not audit._parked
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +388,13 @@ def parked_timer(ctx, node_id):
     return timer
 
 
+def parked_audit(ctx, node_id=1):
+    """A timer parked as ``node_id``'s head audit parks."""
+    timer = PeriodicTimer(ctx.sim, 1.0, lambda: None)
+    ctx.park_audit(node_id, timer)
+    return timer
+
+
 def test_entry_park_wakes_only_with_its_own_sets():
     ctx = make_ctx()
     agents = two_clusters(ctx)
@@ -518,7 +525,7 @@ def test_table_follows_seeded_churn(seed, monkeypatch):
         assert ctx.table_current()
         now = entry_sets(ctx)
         for node_id, timer in parks.items():
-            if timer._parked is None:
+            if not timer._parked:
                 continue
             agent = ctx.agents[node_id]
             crashed = (ctx.node_of(node_id) is not None
@@ -562,14 +569,15 @@ def test_table_follows_a_reregistered_agent():
 
 
 # ---------------------------------------------------------------------------
-# role_epoch: which operations note a node
+# Which operations note a node, and so wake a parked audit
 # ---------------------------------------------------------------------------
-# Every hook goes through ``note``: a registered id moves the epoch
-# (the head audit's verdict keys on it) and is re-read at the component
-# table's next patch; a stranger does neither.  Each row starts from:
-# node 1 registered, an allocator, address 42 bound; node 2 registered,
+# Every hook goes through ``note``: a registered id wakes every parked
+# head audit (its verdict read other heads' roles and network ids) and
+# is re-read at the component table's next patch; a stranger does
+# neither.  Each row gives the notes it makes, and starts from: node 1
+# registered, an allocator, address 42 bound; node 2 registered,
 # nothing noted; node 99 never registered.
-ROLE_EPOCH_TABLE = [
+NOTE_TABLE = [
     ("register a new id", lambda ctx: add(ctx, 3), 1),
     ("re-register an id",
      lambda ctx: ctx.register(ctx.agents[1]), 1),
@@ -597,18 +605,28 @@ ROLE_EPOCH_TABLE = [
 
 
 @pytest.mark.parametrize(
-    "operation, bumps", [
-        pytest.param(op, bumps, id=re.sub(r"\W+", "-", name))
-        for name, op, bumps in ROLE_EPOCH_TABLE])
+    "operation, notes", [
+        pytest.param(op, notes, id=re.sub(r"\W+", "-", name))
+        for name, op, notes in NOTE_TABLE])
 def test_role_epoch_moves_exactly_when_the_table_could_change(
-        operation, bumps):
+        operation, notes, monkeypatch):
+    """Named for the note counter the audit's wake replaced: the
+    operations that note a registered id are the ones that wake a
+    parked audit, and mark the id for the table's next patch."""
     ctx = make_ctx()
     add(ctx, 1, allocator=True)
     add(ctx, 2)
     ctx.bind_ip(None, 42, 1)
     ctx.component_entry(1)          # the table is patched: nothing dirty
-    epoch = ctx.role_epoch
+    audit = parked_audit(ctx)
+    noted = []
+    note = ctx.note
+    monkeypatch.setattr(ctx, "note",
+                        lambda node_id: (noted.append(node_id),
+                                         note(node_id)))
     operation(ctx)
-    assert ctx.role_epoch == epoch + bumps
-    assert bool(ctx._dirty) == bool(bumps)
+    assert len([node_id for node_id in noted
+                if node_id in ctx.agents]) == notes
+    assert audit._parked == (not notes)
+    assert bool(ctx._dirty) == bool(notes)
 

@@ -8,6 +8,8 @@ from repro.mobility.base import MobilityModel, Stationary
 from repro.net import Node, Topology
 from repro.sim import Simulator
 from repro.sim.rng import generator_from_seed
+from repro.sim.timers import PeriodicTimer
+from tests.helpers import passes_over
 from tests.net.structure import (eccentricity_from, edges, has_edge,
                                   same_partition)
 
@@ -392,8 +394,10 @@ def test_current_version_is_passive_and_stale_when_a_query_would_refresh():
 
 
 # ---------------------------------------------------------------------------
-# The edge-removal epoch
+# The removal journal: which graph changes wake a parked location check
 # ---------------------------------------------------------------------------
+# The three tests below keep the names of the edge-removal stamp they
+# replaced.
 def revive(topo, node_id):
     topo.get(node_id).alive = True
     topo.invalidate_nodes([node_id])
@@ -403,12 +407,13 @@ def move(topo, node_id):
     topo.get(node_id).mobility = Stationary(Point(node_id * 100.0, 50.0))
 
 
-#: (change, the node whose stamp is read, whether the change may drop
-#: an edge on a path from it).  Each starts from a line of eight nodes
-#: 100 m apart, node 3 crashed and refreshed out of the graph, so 0-2
-#: and 4-7 are two components; one node is an eighth of them, so every
-#: change but the blanket invalidate() rides the delta path.  The
-#: restart bridges the two; 0's side keeps its label.
+#: (change, the node whose location check is parked, whether the change
+#: may drop an edge on a path from it and so wakes the check).  Each
+#: starts from a line of eight configured nodes 100 m apart, node 3
+#: crashed and refreshed out of the graph, so 0-2 and 4-7 are two
+#: components; one node is an eighth of them, so every change but the
+#: blanket invalidate() rides the delta path.  The restart bridges the
+#: two; 0's side keeps its label.
 REMOVAL_TABLE = [
     ("arrival", lambda topo: topo.add_node(
         Node(8, Stationary(Point(800.0, 0.0)))), 6, False),
@@ -422,12 +427,27 @@ REMOVAL_TABLE = [
 
 
 def split_line():
-    """The table's starting line, labels on."""
-    sim, topo = make_topology([(x * 100.0, 0.0) for x in range(8)])
-    topo.get(3).kill()
-    topo.invalidate_nodes([3])
-    topo.component_count()
-    return sim, topo
+    """The table's starting line, labels on and the table patched."""
+    from tests.net.test_context import add, make_ctx
+    ctx = make_ctx()
+    for node_id in range(8):
+        add(ctx, node_id, configured=True, network_id=7,
+            x=node_id * 100.0)
+    ctx.topology.get(3).kill()
+    ctx.topology.invalidate_nodes([3])
+    ctx.component_entry(0)
+    return ctx
+
+
+def sim_run_past_refresh(ctx):
+    ctx.sim.run(until=ctx.sim.now + ctx.topology.refresh_interval * 2)
+
+
+def parked_location(ctx, node_id, anchor):
+    """A timer parked as ``node_id``'s location check parks."""
+    timer = PeriodicTimer(ctx.sim, 1.0, lambda: None)
+    ctx.park_location(node_id, anchor, timer)
+    return timer
 
 
 @pytest.mark.parametrize("change, observer, removes", [
@@ -435,52 +455,57 @@ def split_line():
     for name, change, observer, removes in REMOVAL_TABLE])
 def test_removal_stamp_moves_only_where_an_edge_may_drop(change, observer,
                                                          removes):
-    from repro.net.topology import STALE
-    sim, topo = split_line()
-    stamp = topo.removal_stamp(observer)
-    assert stamp != STALE
+    ctx = split_line()
+    topo = ctx.topology
+    check = parked_location(ctx, observer, observer + 1)
+    assert passes_over(check)
     version = topo.graph_version
     change(topo)
     # A move is seen when the snapshot ages; everything else dirties it.
-    sim.run(until=topo.refresh_interval * 2)
-    assert topo.removal_stamp(observer) == STALE  # a query would refresh
+    sim_run_past_refresh(ctx)
+    assert not ctx.table_current()      # a query would refresh
+    assert check._parked
     topo.component_count()
     assert topo.graph_version == version + 1
-    assert (topo.removal_stamp(observer) != stamp) == removes
+    assert passes_over(check) == (not removes)
 
 
 @pytest.mark.parametrize("change, far", [
     ("departure", 1), ("crash", 1), ("moved node", 0),
 ])
 def test_removal_stamp_ignores_removals_in_other_components(change, far):
-    """A removal in 4-7 moves its members' stamps and leaves 0-2's: no
+    """A removal in 4-7 wakes its members' checks and leaves 0-2's: no
     path from 0-2 runs through 4-7."""
     run = {name: fn for name, fn, _observer, _removes in REMOVAL_TABLE}
-    sim, topo = split_line()
-    near = {node_id: topo.removal_stamp(node_id) for node_id in (4, far)}
-    run[change](topo)
-    sim.run(until=topo.refresh_interval * 2)
-    topo.component_count()
-    assert topo.removal_stamp(far) == near[far]
-    assert topo.removal_stamp(4) != near[4]
+    ctx = split_line()
+    checks = {node_id: parked_location(ctx, node_id, 2)
+              for node_id in (4, far)}
+    run[change](ctx.topology)
+    sim_run_past_refresh(ctx)
+    ctx.topology.component_count()
+    assert passes_over(checks[far])
+    assert not passes_over(checks[4])
 
 
 def test_removal_stamp_is_passive_and_stale_with_the_version():
-    from repro.net.topology import STALE
-    sim, topo = make_topology([(0, 0), (100, 0)])
-    assert topo.removal_stamp(0) == STALE         # never built
-    # Without labels the stamp is the whole graph's epoch; a label
-    # query switches it to the component's, which no earlier read
-    # equals.
+    """The park gate reads False, and runs nothing, while the graph is
+    due a refresh or its labels are not current; a refresh that moves
+    nothing keeps a parked location check parked."""
+    from tests.net.test_context import add, make_ctx
+    ctx = make_ctx()
+    for node_id in (0, 1):
+        add(ctx, node_id, configured=True, x=node_id * 100.0)
+    topo = ctx.topology
+    assert not ctx.table_current()                # never built
     topo.neighbors(0)
-    unlabeled = topo.removal_stamp(0)
-    topo.component_count()
-    stamp = topo.removal_stamp(0)
-    assert STALE != stamp != unlabeled
+    assert not ctx.table_current()                # no labels yet
+    ctx.component_entry(0)
+    check = parked_location(ctx, 0, 1)
+    assert passes_over(check)
     counters = topo.perf.counters_snapshot()
-    sim.run(until=topo.refresh_interval * 2)
-    assert topo.removal_stamp(0) == STALE         # the snapshot aged
+    sim_run_past_refresh(ctx)
+    assert not passes_over(check)                 # the snapshot aged
     assert topo.perf.counters_snapshot() == counters   # and nothing ran
+    assert check._parked
     topo.component_count()
-    # A refresh that moved nothing keeps the stamp.
-    assert topo.removal_stamp(0) == stamp
+    assert passes_over(check)

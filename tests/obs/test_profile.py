@@ -118,7 +118,7 @@ def test_cohort_members_are_charged_one_by_one():
         spins.append(sum(range(20_000)))
 
     def settled():
-        parker.park(lambda: None)
+        parker.park()
 
     timers = [PeriodicTimer(sim, 1.0, busy) for _ in range(4)]
     parker = PeriodicTimer(sim, 1.0, settled)

@@ -7,9 +7,9 @@ mix of coinciding and distinct phases, with timers stopping, starting
 and restarting themselves and each other from inside callbacks and from
 plain events, and with plain events landing on the very instants the
 timers share, must produce the same (time, owner) callback sequence
-under both.  Timers also park on a shared probe whose value flips at
-seeded instants; the reference calls a parked timer, which returns at
-once while the probe still reads its parked value.
+under both.  Timers also park, and the simulator's park gate opens and
+closes at seeded instants; the reference calls a parked timer, which
+returns at once while the gate reads True.
 """
 
 import random
@@ -30,7 +30,7 @@ class ReferenceTimer:
         self.interval = interval
         self._callback = callback
         self._event = None
-        self._parked = None
+        self._parked = False
         self.skips = 0
 
     @property
@@ -41,15 +41,15 @@ class ReferenceTimer:
     def next_at(self):
         return self._event.time if self._event is not None else None
 
-    def park(self, probe):
-        self._parked = (probe, probe())
+    def park(self):
+        self._parked = True
 
     def unpark(self):
-        self._parked = None
+        self._parked = False
 
     def start(self, first_delay=None):
         if self._event is None:
-            self._parked = None
+            self._parked = False
             delay = self.interval if first_delay is None else first_delay
             self._event = self._sim.schedule(delay, self._fire)
 
@@ -65,15 +65,13 @@ class ReferenceTimer:
             self._event = self._sim.schedule(self.interval, self._fire)
 
     def _call(self):
-        """The callback, unless parked on a probe that still reads the
-        parked value: then return at once."""
-        parked = self._parked
-        if parked is not None:
-            probe, value = parked
-            if probe() == value:
+        """The callback, unless parked while the gate reads True: then
+        return at once."""
+        if self._parked:
+            if self._sim.park_gate():
                 self.skips += 1
                 return
-            self._parked = None
+            self._parked = False
         self._callback()
 
 
@@ -99,9 +97,7 @@ def drive(timer_cls, seed, hook=None):
     log = []
     timers = []
     flips = [0]
-
-    def probe():
-        return flips[0] % 3
+    sim.park_gate = lambda: flips[0] % 3 == 0
 
     def plain(tag):
         log.append((sim.now, "plain", tag))
@@ -114,7 +110,7 @@ def drive(timer_cls, seed, hook=None):
         if park < 0.1:
             flips[0] += 1
         elif park < 0.2:
-            victim.park(probe)
+            victim.park()
         elif park < 0.25:
             victim.unpark()
         if roll < 0.25:
@@ -137,8 +133,9 @@ def drive(timer_cls, seed, hook=None):
             log.append((sim.now, index, timers[index].running))
             act(index)
             if rng.random() < 0.5:
-                # Found nothing to do: skip until the probe flips.
-                timers[index].park(probe)
+                # Found nothing to do: skip until woken or the gate
+                # closes.
+                timers[index].park()
         return timer_cls(sim, rng.choice(INTERVALS), callback)
 
     def flip():
@@ -148,7 +145,7 @@ def drive(timer_cls, seed, hook=None):
     for timer in timers:
         timer.start(first_delay=rng.choice(PHASES))
     # Plain events, off the timers' grid, that meddle from outside, and
-    # probe flips, some on the grid.
+    # gate flips, some on the grid.
     for k in range(60):
         sim.schedule(0.1 + 0.37 * k, act, None)
         sim.schedule(rng.choice((0.5, 0.3)) * k, flip)
@@ -191,40 +188,93 @@ def test_cohorts_match_one_entry_per_timer(seed):
             assert len(calls) == fired + members
 
 
-def test_a_called_member_makes_later_parked_members_read_again():
-    sim = Simulator()
-    log, reads, state = [], [], [0]
+def gated(sim, state):
+    """Install a park gate that reads ``state[0]``; returns the list
+    of instants it was read at."""
+    reads = []
 
-    def probe():
+    def gate():
         reads.append(sim.now)
         return state[0]
 
-    def flip():
-        log.append("flip")
-        state[0] += 1
+    sim.park_gate = gate
+    return reads
+
+
+def test_a_called_member_makes_later_parked_members_read_again():
+    sim = Simulator()
+    log, state = [], [True]
+    reads = gated(sim, state)
+
+    def close():
+        log.append("close")
+        state[0] = False
 
     a, c, d = (PeriodicTimer(sim, 1.0, lambda tag=tag: log.append(tag))
                for tag in "acd")
-    timers = [a, PeriodicTimer(sim, 1.0, flip), c, d]
+    timers = [a, PeriodicTimer(sim, 1.0, close), c, d]
     for timer in timers:
         timer.start()
     for timer in (a, c, d):
-        timer.park(probe)
-    reads.clear()
+        timer.park()
     sim.run(until=1.0)
-    # a passes on the first read; flip runs; c reads again, sees the
-    # flip and is called, unparked; so d reads again too.
-    assert log == ["flip", "c", "d"]
+    # a passes on the first read; close runs; c reads again, finds the
+    # gate closed and is called, unparked; so d reads again too.
+    assert log == ["close", "c", "d"]
     assert reads == [1.0, 1.0, 1.0]
     assert sim.parked_rearms == 1
     # Parked members with nothing called between them: one read.
+    state[0] = True
     for timer in timers:
-        timer.park(probe)
+        timer.park()
     reads.clear()
     sim.run(until=2.0)
-    assert log == ["flip", "c", "d"]
+    assert log == ["close", "c", "d"]
     assert reads == [2.0]
     assert sim.parked_rearms == 5
+
+
+def test_a_closed_gate_calls_only_the_member_whose_turn_it_is():
+    """The member called on a closed gate may open it (a refresh does,
+    at the instant it falls on): the members after it pass again."""
+    sim = Simulator()
+    log, state = [], [False]
+    reads = gated(sim, state)
+
+    def refresh():
+        log.append("refresh")
+        state[0] = True
+        timers[0].park()
+
+    timers = [PeriodicTimer(sim, 1.0, refresh),
+              *(PeriodicTimer(sim, 1.0, lambda: log.append("late"))
+                for _ in range(3))]
+    for timer in timers:
+        timer.start()
+        timer.park()
+    sim.run(until=1.0)
+    assert log == ["refresh"] and reads == [1.0, 1.0]
+    assert sim.parked_rearms == 3
+    assert all(timer._parked for timer in timers)
+
+
+def test_a_gate_that_wakes_the_member_whose_turn_it_is_calls_it():
+    sim = Simulator()
+    log = []
+    timers = [PeriodicTimer(sim, 1.0, lambda tag=tag: log.append(tag))
+              for tag in "ab"]
+
+    def gate():
+        timers[0].unpark()      # a patch that finds a's input moved
+        return True
+
+    sim.park_gate = gate
+    for timer in timers:
+        timer.start()
+        timer.park()
+    sim.run(until=1.0)
+    assert log == ["a"] and sim.parked_rearms == 1
+    assert not timers[0]._parked and timers[1]._parked
 
 
 def test_start_ends_the_park():
@@ -232,7 +282,7 @@ def test_start_ends_the_park():
     called = []
     timer = PeriodicTimer(sim, 1.0, lambda: called.append(sim.now))
     timer.start()
-    timer.park(lambda: 0)
+    timer.park()
     assert passes_over(timer)
     sim.run(until=2.5)
     assert called == [] and sim.parked_rearms == 2
@@ -245,6 +295,11 @@ def test_start_ends_the_park():
     assert not passes_over(timer)
     sim.run(until=3.5)
     assert called == [3.5] and sim.parked_rearms == 2
+    # unpark() ends it too.
+    timer.park()
+    timer.unpark()
+    sim.run(until=4.5)
+    assert called == [3.5, 4.5] and sim.parked_rearms == 2
 
 
 def test_mixed_intervals_at_one_instant_fire_in_arming_order():
@@ -269,7 +324,7 @@ def test_a_lone_parked_member_keeps_its_cohort():
     log = []
     loner = PeriodicTimer(sim, 1.0, lambda: log.append("loner"))
     loner.start()
-    loner.park(lambda: 0)
+    loner.park()
     cohort = loner._cohort
     assert sim.run(until=2.0) == 2
     # Passed over twice, re-armed in the cohort it fired from, which
@@ -289,7 +344,7 @@ def test_a_lone_parked_member_keeps_its_cohort():
     assert log == ["other", "loner"]
     # Stopping it takes the entry off the heap, as for any cohort.
     other.stop()
-    loner.park(lambda: 0)
+    loner.park()
     sim.run(until=5.0)
     kept = loner._cohort
     loner.stop()
