@@ -18,7 +18,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.addrspace.block import Block
 from repro.addrspace.pool import AddressPool
-from repro.net.agent import Agent
+from repro.net.agent import RETRY, Agent
 from repro.net.context import NetworkContext
 from repro.net.message import Message
 from repro.net.node import Node
@@ -84,7 +84,7 @@ class BuddyAgent(Agent):
                 return
             target = nearest[0]
         self._send(target, BD_REQ, {"lat": 0}, Category.CONFIG)
-        self._retry_timer.restart(self.cfg.config_timeout)
+        self._await(RETRY, self.cfg.config_timeout, self._try_configure)
 
     def _become_first(self) -> None:
         whole = Block(0, self.cfg.address_space_size)
@@ -151,11 +151,12 @@ class BuddyAgent(Agent):
         if self.is_configured():
             return
         self._redirect_target = msg.payload["target"]
-        self._retry_timer.restart(0.05)
+        self._await(RETRY, 0.05, self._try_configure)
 
     def _handle_bd_nack(self, msg: Message) -> None:
         if not self.is_configured():
-            self._retry_timer.restart(self.cfg.config_timeout * 0.5)
+            self._await(RETRY, self.cfg.config_timeout * 0.5,
+                        self._try_configure)
 
     # ------------------------------------------------------------------
     # Periodic global synchronization (the scheme's defining cost)

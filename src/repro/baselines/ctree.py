@@ -19,7 +19,7 @@ from typing import Any, Dict, Optional, Set
 
 from repro.addrspace.block import Block
 from repro.addrspace.pool import AddressPool
-from repro.net.agent import Agent
+from repro.net.agent import RETRY, Agent
 from repro.net.context import NetworkContext
 from repro.net.message import Message
 from repro.net.node import Node
@@ -103,16 +103,13 @@ class CTreeAgent(Agent):
     # ------------------------------------------------------------------
     def _request(self) -> None:
         near = self._allocators_within(COORDINATOR_SCOPE_HOPS)
-        if near:
-            self._send(near[0][0], CT_REQ, {"lat": 0}, Category.CONFIG)
-            self._retry_timer.restart(self.cfg.config_timeout)
+        target = near[0] if near else self._nearest_allocator()
+        if target is None:
+            self._become_root()
             return
-        nearest = self._nearest_allocator()
-        if nearest is not None:
-            self._send(nearest[0], CT_BLOCK_REQ, {"lat": 0}, Category.CONFIG)
-            self._retry_timer.restart(self.cfg.config_timeout)
-            return
-        self._become_root()
+        self._send(target[0], CT_REQ if near else CT_BLOCK_REQ, {"lat": 0},
+                   Category.CONFIG)
+        self._await(RETRY, self.cfg.config_timeout, self._try_configure)
 
     def _become_root(self) -> None:
         whole = Block(0, self.cfg.address_space_size)
@@ -192,7 +189,8 @@ class CTreeAgent(Agent):
 
     def _handle_ct_nack(self, msg: Message) -> None:
         if not self.is_configured():
-            self._retry_timer.restart(self.cfg.config_timeout * 0.5)
+            self._await(RETRY, self.cfg.config_timeout * 0.5,
+                        self._try_configure)
 
     # ------------------------------------------------------------------
     # Periodic reporting to the C-root

@@ -51,7 +51,6 @@ class DadAgent(Agent):
         self._round = 0
         self._conflicted = False
         self._latency_accum = 0
-        self._round_timer = self._timer(self._next_round)
 
     def on_enter(self) -> None:
         self.entered_at = self.ctx.sim.now
@@ -77,7 +76,7 @@ class DadAgent(Agent):
         result = self._flood(AREQ, {"address": self._candidate},
                              Category.CONFIG)
         self._latency_accum += result.eccentricity
-        self._round_timer.restart(self.cfg.reply_wait)
+        self._await(("round", None), self.cfg.reply_wait, self._next_round)
 
     def _handle_areq(self, msg: Message) -> None:
         if self.is_configured() and self.ip == msg.payload["address"]:

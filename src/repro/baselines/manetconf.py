@@ -14,12 +14,11 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, Optional, Set
 
-from repro.net.agent import Agent
+from repro.net.agent import RETRY, Agent
 from repro.net.context import NetworkContext
 from repro.net.message import Message
 from repro.net.node import Node
 from repro.net.stats import Category
-from repro.sim.timers import Timer
 
 MC_REQ = "MC_REQ"              # requester -> initiator
 MC_INIT_REQ = "MC_INIT_REQ"    # initiator flood: may I use addr?
@@ -61,6 +60,7 @@ class ManetconfAgent(Agent):
     """Per-node MANETconf implementation."""
 
     protocol_name = "manetconf"
+    SURVIVORS = frozenset({"session"})
 
     def __init__(self, ctx: NetworkContext, node: Node,
                  cfg: Optional[ManetconfConfig] = None) -> None:
@@ -70,7 +70,6 @@ class ManetconfAgent(Agent):
         self.in_use: Set[int] = set()
         self.pending: Set[int] = set()
         self._sessions: Dict[int, _InitiatorSession] = {}
-        self._session_timers: Dict[int, Timer] = {}
         self._session_seq = 0
 
     # ------------------------------------------------------------------
@@ -85,7 +84,7 @@ class ManetconfAgent(Agent):
             self._mark_configured(0, latency_hops=0)
             return
         self._send(initiator[0], MC_REQ, {"lat": 0}, Category.CONFIG)
-        self._retry_timer.restart(self.cfg.config_timeout)
+        self._await(RETRY, self.cfg.config_timeout, self._try_configure)
 
     # ------------------------------------------------------------------
     # Initiator side
@@ -127,9 +126,8 @@ class ManetconfAgent(Agent):
             "session": session_id, "address": address,
         }, Category.CONFIG)
         session.flood_ecc = result.eccentricity
-        timer = Timer(self.ctx.sim, self._on_session_timeout)
-        timer.start(self.cfg.reply_timeout, session_id)
-        self._session_timers[session_id] = timer
+        self._await(("session", session_id), self.cfg.reply_timeout,
+                    self._on_session_timeout, session_id)
         if not session.expected:
             self._conclude_session(session_id)
 
@@ -185,9 +183,7 @@ class ManetconfAgent(Agent):
         session = self._sessions.pop(session_id, None)
         if session is None:
             return
-        timer = self._session_timers.pop(session_id, None)
-        if timer is not None:
-            timer.stop()
+        self._settle(("session", session_id))
         self.pending.discard(session.address)
         if session.vetoed:
             self._send(session.requester, MC_NACK, {}, Category.CONFIG)
@@ -224,7 +220,7 @@ class ManetconfAgent(Agent):
 
     def _handle_mc_nack(self, msg: Message) -> None:
         if not self.is_configured():
-            self._retry_timer.restart(self.cfg.reply_timeout)
+            self._await(RETRY, self.cfg.reply_timeout, self._try_configure)
 
     def _handle_mc_commit(self, msg: Message) -> None:
         self.pending.discard(msg.payload["address"])

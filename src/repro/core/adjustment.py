@@ -12,7 +12,7 @@ replication is actively regrown when ``|QDSet|`` drops below three.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import List, Optional, Set
 
 from repro.cluster.roles import ADJACENT_HEAD_HOPS
 from repro.core import messages as m
@@ -21,7 +21,7 @@ from repro.net.stats import Category
 from repro.obs import events as obs_ev
 from repro.perf import counters as cnt
 from repro.quorum.voting import is_quorum
-from repro.sim.timers import PeriodicTimer, Timer
+from repro.sim.timers import PeriodicTimer
 
 
 class AdjustmentMixin:
@@ -29,8 +29,6 @@ class AdjustmentMixin:
 
     def _init_adjustment_state(self) -> None:
         self._audit_timer: Optional[PeriodicTimer] = None
-        self._td_timers: Dict[int, Timer] = {}
-        self._tr_timers: Dict[int, Timer] = {}
 
     def _emit_qdset_change(self, member: int, action: str) -> None:
         """QDSetChanged observability event (no-op while tracing is off)."""
@@ -87,9 +85,9 @@ class AdjustmentMixin:
             self._audit_timer.unpark()
 
     def _audit_quiet(self) -> bool:
-        """No isolation strike or T_d/T_r timer is outstanding."""
-        return not (self._isolated_strikes or self._td_timers
-                    or self._tr_timers)
+        """No isolation strike is counted and no T_d/T_r is awaited."""
+        return not (self._isolated_strikes or any(
+            kind in ("td", "tr") for kind, _ in self._awaited))
 
     def _audit(self) -> None:
         if not self.is_allocator():
@@ -186,26 +184,20 @@ class AdjustmentMixin:
     def _suspect_member(self, member: int) -> None:
         if not self.cfg.adjustment_enabled or self.head is None:
             return
-        if member not in self.head.qdset or member in self._td_timers:
+        if member not in self.head.qdset or ("td", member) in self._awaited:
             return
         self.head.qdset.suspect(member)
         self.ctx.events.incr(cnt.EV_QUORUM_SUSPECT)
         self._emit_qdset_change(member, "suspect")
-        timer = Timer(self.ctx.sim, self._on_td_expire)
-        timer.start(self.cfg.td, member)
-        self._td_timers[member] = timer
+        self._await(("td", member), self.cfg.td, self._on_td_expire, member)
         self._wake_audit()
 
     def _clear_suspicion(self, member: int) -> None:
-        td_timer = self._td_timers.pop(member, None)
-        if td_timer is not None:
-            td_timer.stop()
-        timer = self._tr_timers.pop(member, None)
-        if timer is not None:
-            timer.stop()
+        suspected = self._settle(("td", member))
+        self._settle(("tr", member))
         if self.head is not None:
             self.head.qdset.clear_suspicion(member)
-            if td_timer is not None:
+            if suspected:
                 # Only a real suspicion being lifted is worth an event;
                 # this is also called defensively on every vote reply.
                 self._emit_qdset_change(member, "clear")
@@ -226,7 +218,6 @@ class AdjustmentMixin:
                          set(members) | {self.node_id})
 
     def _on_td_expire(self, member: int) -> None:
-        self._td_timers.pop(member, None)
         if self.head is None:
             return
         if self._member_reachable(member):
@@ -241,9 +232,7 @@ class AdjustmentMixin:
         self._send(member, m.REP_REQ, {}, Category.MAINTENANCE)
         self.ctx.events.incr(cnt.EV_QUORUM_PROBE)
         self._emit_qdset_change(member, "probe")
-        timer = Timer(self.ctx.sim, self._on_tr_expire)
-        timer.start(self.cfg.tr, member)
-        self._tr_timers[member] = timer
+        self._await(("tr", member), self.cfg.tr, self._on_tr_expire, member)
 
     def _handle_rep_req(self, msg: Message) -> None:
         if self.node.alive:
@@ -252,9 +241,7 @@ class AdjustmentMixin:
                        Category.MAINTENANCE)
 
     def _handle_rep_ack(self, msg: Message) -> None:
-        timer = self._tr_timers.pop(msg.src, None)
-        if timer is not None:
-            timer.stop()
+        self._settle(("tr", msg.src))
         if self.head is None:
             return
         if msg.payload.get("is_head") and self.ctx.is_head(msg.src):
@@ -267,7 +254,6 @@ class AdjustmentMixin:
             self._emit_qdset_change(msg.src, "remove")
 
     def _on_tr_expire(self, member: int) -> None:
-        self._tr_timers.pop(member, None)
         if self.head is None:
             return
         if self._member_reachable(member):

@@ -1,11 +1,11 @@
 """Allocator-side configuration attempts.
 
-A :class:`PendingConfig` is the whole record of one in-flight
-allocation: the requester, the proposed address (or block for
-cluster-head grants), the vote collector over the QDSet universe, the
-timer bounding the open leg (a head proposal's wait for ``CH_CNF``, then
-the vote), and the accumulated critical-path hop count that becomes the
-paper's configuration-latency metric.
+A :class:`PendingConfig` records one in-flight allocation: the
+requester, the proposed address (or block for cluster-head grants),
+the vote collector over the QDSet universe, and the accumulated
+critical-path hop count that becomes the paper's configuration-latency
+metric.  Its open leg is the allocator's awaited reply
+``("vote", attempt_id)``.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from typing import Dict, Optional
 
 from repro.addrspace.block import Block
 from repro.quorum.voting import VoteCollector
-from repro.sim.timers import Timer
 
 
 @dataclasses.dataclass
@@ -31,9 +30,6 @@ class PendingConfig:
             normal allocation, another head when borrowing).
         block: proposed block for head grants, ``None`` for common.
         collector: quorum vote collector; ``None`` before voting starts.
-        vote_timer: the armed timeout of the open leg: a head
-            proposal's wait for CH_CNF, then each vote round; ``None``
-            once the leg closed, timed out or was dropped.
         latency_hops: critical-path hops accumulated so far (request leg
             plus any proposal legs); the quorum round trip and the final
             grant leg are added as they happen.
@@ -57,7 +53,6 @@ class PendingConfig:
     corr: int = 0
     block: Optional[Block] = None
     collector: Optional[VoteCollector] = None
-    vote_timer: Optional[Timer] = None
     latency_hops: int = 0
     vote_sent: Dict[int, int] = dataclasses.field(default_factory=dict)
     address_retries: int = 0
@@ -70,12 +65,6 @@ class PendingConfig:
     def kind(self) -> str:
         """``"head"`` for a block grant, ``"common"`` for one address."""
         return "common" if self.block is None else "head"
-
-    def disarm(self) -> None:
-        """Stop the armed timer, if any."""
-        if self.vote_timer is not None:
-            self.vote_timer.stop()
-            self.vote_timer = None
 
     def quorum_round_trip(self) -> int:
         """2 x the farthest responding voter (self-votes are 0 hops)."""

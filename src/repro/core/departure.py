@@ -29,9 +29,9 @@ from repro.core import messages as m
 from repro.net.message import Message
 from repro.net.stats import Category
 from repro.obs import events as obs_ev
-from repro.sim.timers import Timer
 
 LEAVE_GRACE = 2.0  # leave even if the acknowledgement never arrives
+LEAVE = ("leave", None)  # the wait for it, which marks a node as leaving
 
 
 @dataclasses.dataclass
@@ -48,8 +48,6 @@ class HandOff:
             head has left it by the time it resends.
         members: the QDSet members to resign from once acknowledged.
         category: what the messages are charged to.
-        timer: the resend, then the give-up.
-        resent: whether the one resend has gone out.
     """
 
     body: Dict[str, Any]
@@ -57,21 +55,13 @@ class HandOff:
     network_id: Optional[int]
     members: List[int]
     category: Category
-    timer: Timer
-    resent: bool = False
 
 
 class DepartureMixin:
     """Graceful-leave behavior for both node roles."""
 
     def _init_departure_state(self) -> None:
-        self._leaving = False
-        # Leave even if no acknowledgement arrives.  The callback is
-        # defined here so the profiler charges the timer to repro.core.
-        self._leave_timer = Timer(self.ctx.sim,
-                                  lambda: self._finalize_leave())
-        # Our hand-offs awaiting CH_RETURN_ACK, by seq.  Their timers
-        # are not the agent's: a rejoin must not stop them.
+        # Our hand-offs awaiting CH_RETURN_ACK, by seq.
         self._handoffs: Dict[int, HandOff] = {}
         self._handoff_seq = 0
         # Sender -> seq of the last hand-off we absorbed from it.
@@ -81,9 +71,8 @@ class DepartureMixin:
     # Entry point (called by the scenario runner)
     # ------------------------------------------------------------------
     def depart_gracefully(self) -> None:
-        if not self.node.alive or self._leaving:
+        if not self.node.alive or LEAVE in self._awaited:
             return
-        self._leaving = True
         if not self.is_configured():
             self._finalize_leave()
             return
@@ -92,7 +81,11 @@ class DepartureMixin:
         else:
             self._common_departure()
         if self.node.alive:
-            self._leave_timer.restart(LEAVE_GRACE)
+            self._await(LEAVE, LEAVE_GRACE, self._on_leave_grace_end)
+
+    def _on_leave_grace_end(self) -> None:
+        """No acknowledgement within the grace: leave all the same."""
+        self._finalize_leave()
 
     # ------------------------------------------------------------------
     # Common node departure
@@ -121,8 +114,7 @@ class DepartureMixin:
         )
 
     def _handle_return_ack(self, msg: Message) -> None:
-        if self._leaving:
-            self._leave_timer.stop()
+        if self._settle(LEAVE):
             self._finalize_leave()
 
     def _free_locally(self, address: int) -> None:
@@ -232,11 +224,11 @@ class DepartureMixin:
         body["seq"] = self._handoff_seq
         handoff = HandOff(
             body=body, targets=targets, network_id=self.network_id,
-            members=self.head.qdset.members(), category=category,
-            timer=Timer(self.ctx.sim, self._on_handoff_timeout))
+            members=self.head.qdset.members(), category=category)
         self._handoffs[self._handoff_seq] = handoff
         self._send_handoff(handoff, targets[0])
-        handoff.timer.start(LEAVE_GRACE / 2, self._handoff_seq)
+        self._await(("handoff", self._handoff_seq), LEAVE_GRACE / 2,
+                    self._on_handoff_timeout, self._handoff_seq)
         return True
 
     def _send_handoff(self, handoff: HandOff, target: int) -> None:
@@ -251,20 +243,21 @@ class DepartureMixin:
     def _on_handoff_timeout(self, seq: int) -> None:
         """No ACK yet: resend once, to the first target that is still a
         head (the same one when only a message was lost: a second head
-        would absorb a space the first may already hold).  No ACK by
-        the end of the grace: give up without resigning."""
+        would absorb a space the first may already hold)."""
         handoff = self._handoffs.get(seq)
         if handoff is None or not self.node.alive:
             return
-        if handoff.resent:
-            del self._handoffs[seq]
-            return
-        handoff.resent = True
         target = next((target for target in handoff.targets
                        if self.ctx.is_head(target)), None)
         if target is not None:
             self._send_handoff(handoff, target)
-        handoff.timer.start(LEAVE_GRACE / 2, seq)
+        self._await(("handoff", seq), LEAVE_GRACE / 2,
+                    self._give_up_handoff, seq)
+
+    def _give_up_handoff(self, seq: int) -> None:
+        """No ACK by the end of the grace: give up without resigning."""
+        if self.node.alive:
+            self._handoffs.pop(seq, None)
 
     def _hand_off_to(self, target: int) -> Dict[str, Any]:
         """Empty our pool into a CH_RETURN body for ``target`` — free
@@ -328,13 +321,12 @@ class DepartureMixin:
         handoff = self._handoffs.pop(msg.payload["seq"], None)
         if handoff is None:
             return
-        handoff.timer.stop()
+        self._settle(("handoff", msg.payload["seq"]))
         # The target holds the space: only now may the replicas go.
         for member in handoff.members:
             self._send(member, m.RESIGN, {"ip": handoff.body["own_ip"]},
                        handoff.category)
-        if self._leaving:
-            self._leave_timer.stop()
+        if self._settle(LEAVE):
             self._finalize_leave()
 
     def _handle_resign(self, msg: Message) -> None:

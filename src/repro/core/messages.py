@@ -13,6 +13,9 @@ see :class:`repro.net.agent.Agent`); the ``state-machine``
 lint rule, which reads the rows from this module's parsed source, so
 keep them plain tuples of this module's constants; and the block in
 docs/PROTOCOL.md, which is :func:`render_table` printed.
+
+:data:`AWAITED`: per request whose sender keeps state until the reply
+comes, the kind of awaited reply that closes it (``Agent._await``).
 """
 
 from __future__ import annotations
@@ -140,14 +143,24 @@ TABLE: Dict[str, Tuple[str, ...]] = {
 
 ALL_TYPES = tuple(TABLE)
 
+AWAITED: Dict[str, str] = {
+    INIT_REQ: "retry", COM_REQ: "retry", CH_REQ: "retry",   # T_e, Max_r
+    CH_PRP: "vote", QUORUM_CLT: "vote",    # the CH_CNF, then the votes
+    COM_CFG: "grant", CH_CFG: "grant",     # a lost grant is rolled back
+    RETURN_ADDR: "leave", CH_RETURN: "handoff",
+    ADDR_REC: "reclaim", REC_SYNC: "reclaim", REC_AUDIT: "self_audit",
+    REP_REQ: "tr",
+}
+
 
 def render_table() -> str:
     """The markdown rows docs/PROTOCOL.md carries between its
     ``state-machine-table`` markers (``tests/lint/test_spec_drift.py``
-    compares the two)."""
-    lines = ["| received message | handler may send (transitive closure) |",
-             "|---|---|"]
+    compares the two), with the :data:`AWAITED` kind of each request."""
+    lines = ["| received message | handler may send (transitive closure) "
+             "| sender awaits |", "|---|---|---|"]
     for mtype, may_send in TABLE.items():
         cell = ", ".join(f"`{name}`" for name in sorted(may_send)) or "—"
-        lines.append(f"| `{mtype}` | {cell} |")
+        awaited = f"`{AWAITED[mtype]}`" if mtype in AWAITED else "—"
+        lines.append(f"| `{mtype}` | {cell} | {awaited} |")
     return "\n".join(lines)

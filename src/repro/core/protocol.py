@@ -30,7 +30,7 @@ from repro.core.location import LocationMixin
 from repro.core.partition import PartitionMixin
 from repro.core.reclamation import ReclamationMixin
 from repro.core.state import CommonState, HeadState
-from repro.net.agent import Agent
+from repro.net.agent import RETRY, Agent, AwaitKey
 from repro.net.context import NetworkContext
 from repro.net.message import Message
 from repro.net.node import Node
@@ -39,7 +39,6 @@ from repro.net.transport import Scope
 from repro.obs import events as obs_ev
 from repro.quorum.replica import Replica
 from repro.quorum.voting import Vote, VoteCollector
-from repro.sim.timers import Timer
 
 MAX_ADDRESS_RETRIES = 3  # candidate addresses per configuration attempt
 DRY_BANKRUPTCY_THRESHOLD = 12  # dry NACKs before re-founding the network
@@ -58,6 +57,7 @@ class QuorumProtocolAgent(
 
     protocol_name = "quorum"
     message_types = m.ALL_TYPES
+    SURVIVORS = frozenset({"grant", "handoff", "leave"})
 
     def __init__(
         self,
@@ -147,10 +147,8 @@ class QuorumProtocolAgent(
 
     @property
     def live_vote_timers(self) -> int:
-        """Allocator-side attempts waiting on a timed leg: a head
-        proposal's CH_CNF, or votes."""
-        return sum(1 for pending in self._pending.values()
-                   if pending.vote_timer is not None)
+        """Open attempts awaiting a head proposal's CH_CNF, or votes."""
+        return sum(1 for kind, _ in self._awaited if kind == "vote")
 
     @property
     def ip(self) -> Optional[int]:
@@ -239,7 +237,7 @@ class QuorumProtocolAgent(
         request = m.COM_REQ if kind == "common" else m.CH_REQ
         self._send(allocator, request, {"seq": self._req_seq, "lat": 0},
                    Category.CONFIG, corr=self._corr)
-        self._retry_timer.restart(self.cfg.config_timeout)
+        self._await(RETRY, self.cfg.config_timeout, self._on_retry_timeout)
 
     def _rank_by_network(
         self, heads: List[Tuple[int, int]]
@@ -280,9 +278,9 @@ class QuorumProtocolAgent(
 
     # --- first node / empty neighborhood (T_e, Max_r) -----------------
     def _first_node_round(self) -> None:
-        if self.ctx.sim.now < self._init_deferred_until:
-            self._retry_timer.restart(
-                self._init_deferred_until - self.ctx.sim.now + 0.01)
+        wait = self._init_deferred_until - self.ctx.sim.now
+        if wait > 0:
+            self._await(RETRY, wait + 0.01, self._on_retry_timeout)
             return
         self._init_rounds += 1
         msg = Message(mtype=m.INIT_REQ, src=self.node_id, dst=None,
@@ -296,7 +294,7 @@ class QuorumProtocolAgent(
             self._found_network()
             self._finish_configuration(latency_hops=0, kind="first")
         else:
-            self._retry_timer.restart(self.cfg.te)
+            self._await(RETRY, self.cfg.te, self._on_retry_timeout)
 
     # --- shared configuration epilogue ---------------------------------
     def _finish_configuration(self, latency_hops: int,
@@ -310,7 +308,7 @@ class QuorumProtocolAgent(
             obs.emit(obs_ev.ConfigCompleted(
                 time=self.ctx.sim.now, node=self.node_id, corr=self._corr,
                 address=self.ip, kind=kind, latency_hops=latency_hops))
-        self._retry_timer.stop()
+        self._settle(RETRY)
         self._rejoining = False
         # Damp merge thrash: stay put for a while after (re)configuring
         # unless explicitly commanded to rejoin.
@@ -367,7 +365,7 @@ class QuorumProtocolAgent(
         self._init_rounds = 0
         backoff = self.cfg.te * self.cfg.max_r
         self._init_deferred_until = self.ctx.sim.now + backoff
-        self._retry_timer.restart(backoff + 0.01)
+        self._await(RETRY, backoff + 0.01, self._on_retry_timeout)
 
     def _on_retry_timeout(self) -> None:
         if self.is_configured() or not self.node.alive:
@@ -427,13 +425,14 @@ class QuorumProtocolAgent(
             return
         # The block is out of the pool: bound the wait for CH_CNF, or a
         # lost CH_PRP or CH_CNF strands it.
-        self._arm(pending, self.cfg.config_timeout)
+        self._await(("vote", pending.attempt_id), self.cfg.config_timeout,
+                    self._on_vote_timeout, pending.attempt_id)
 
     def _handle_ch_cnf(self, msg: Message) -> None:
         pending = self._pending.get(msg.payload["attempt"])
         if pending is None or pending.kind != "head":
             return
-        pending.disarm()
+        self._settle(("vote", pending.attempt_id))
         pending.latency_hops = msg.payload["lat"] + msg.hops
         self._start_vote(pending)
 
@@ -561,13 +560,10 @@ class QuorumProtocolAgent(
                 pending.vote_sent[member] = delivery.hops
             elif self.cfg.adjustment_enabled:
                 self._suspect_member(member)
-        self._arm(pending, self.cfg.config_timeout * 0.75)
+        self._await(("vote", pending.attempt_id),
+                    self.cfg.config_timeout * 0.75, self._on_vote_timeout,
+                    pending.attempt_id)
         self._maybe_decide(pending)
-
-    def _arm(self, pending: PendingConfig, delay: float) -> None:
-        """Time out the transaction's open leg after ``delay``."""
-        pending.vote_timer = Timer(self.ctx.sim, self._on_vote_timeout)
-        pending.vote_timer.start(delay, pending.attempt_id)
 
     def _handle_quorum_clt(self, msg: Message) -> None:
         if self.head is None:
@@ -707,7 +703,6 @@ class QuorumProtocolAgent(
         pending = self._pending.get(attempt_id)
         if pending is None:
             return
-        pending.vote_timer = None
         if pending.collector is None:
             # No CH_CNF: the proposal or its answer was lost.  The block
             # goes back to the pool; the requester's own retry timer
@@ -750,7 +745,7 @@ class QuorumProtocolAgent(
             # the allocator sends no NACK and the address stays held
             # until a rejoin clears the open transactions.
             return
-        pending.disarm()
+        self._settle(("vote", pending.attempt_id))
         obs = self.ctx.obs
         if obs:
             latest = pending.collector.latest_record()
@@ -835,7 +830,7 @@ class QuorumProtocolAgent(
     def _drop_pending(self, pending: PendingConfig) -> None:
         self._pending.pop(pending.attempt_id, None)
         self._pending_addresses.discard(pending.address)
-        pending.disarm()
+        self._settle(("vote", pending.attempt_id))
 
     # ==================================================================
     # Commit — write the update into the quorum, then grant
@@ -966,9 +961,10 @@ class QuorumProtocolAgent(
             # The donated block leaves our space; refresh replicas so
             # QDSet members stop treating it as ours.
             self._refresh_replica_at_members(want_ack=False)
-        self.ctx.sim.schedule(
-            4 * self.cfg.config_timeout, self._grant_cleanup,
-            pending.attempt_id)
+        # Not settled by the ACK: the cleanup then finds nothing to do.
+        self._await(("grant", pending.attempt_id),
+                    4 * self.cfg.config_timeout, self._grant_cleanup,
+                    pending.attempt_id)
 
     @staticmethod
     def _record_payload(owner_id: int, address: int,
@@ -1100,9 +1096,9 @@ class QuorumProtocolAgent(
     # only its own kind's replies.
     # ==================================================================
     def _handle_com_nack(self, msg: Message) -> None:
-        if self.is_configured():
-            return
-        self._retry_timer.restart(self.cfg.config_timeout * 0.5)
+        if not self.is_configured():
+            self._await(RETRY, self.cfg.config_timeout * 0.5,
+                        self._on_retry_timeout)
 
     _handle_ch_nack = _handle_com_nack
 
@@ -1267,15 +1263,12 @@ class QuorumProtocolAgent(
     # Lifecycle teardown
     # ==================================================================
     def _stop_timers(self) -> None:
-        """The base stops the timers the agent owns; these are keyed by
-        attempt, member and dead head.  The leave timer is neither: a
-        rejoin during the leave grace must not cancel the leave."""
         super()._stop_timers()
-        for pending in self._pending.values():
-            pending.disarm()
-        for timers in (self._td_timers, self._tr_timers,
-                       self._reclaim_timers):
-            for timer in timers.values():
-                timer.stop()
-            timers.clear()
         self._reclaim_holders.clear()
+
+    def _teardown_order(self) -> List[AwaitKey]:
+        """The self-audit, the attempts in the order they opened (ids
+        grow), then ``T_d``, ``T_r`` and reclamations in record order."""
+        rank = ("self_audit", "vote", "td", "tr", "reclaim").index
+        return sorted(super()._teardown_order(), key=lambda key: (
+            rank(key[0]), key[1] if key[0] == "vote" else 0))

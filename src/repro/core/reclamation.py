@@ -45,7 +45,6 @@ from repro.net.transport import Scope
 from repro.addrspace.records import AddressRecord, AddressStatus
 from repro.obs import events as obs_ev
 from repro.perf import counters as cnt
-from repro.sim.timers import Timer
 
 
 class ReclamationMixin:
@@ -61,14 +60,12 @@ class ReclamationMixin:
 
     def _init_reclamation_state(self) -> None:
         self._reclaimed: Set[int] = set()
-        self._reclaim_timers: Dict[int, Timer] = {}
         self._reclaim_holders: Dict[int, Set[int]] = {}
         # dead_id -> last time we heard someone else's ADDR_REC for it;
         # suppresses duplicate reclamation floods from every detector.
         self._reclaim_observed: Dict[int, float] = {}
         # Self-audit (out-of-addresses reclamation, Section IV-D).
         self._self_audit_claims: Set[int] = set()
-        self._self_audit_timer: Optional[Timer] = None
         self._self_audit_last = -1e9
 
     # ------------------------------------------------------------------
@@ -76,7 +73,7 @@ class ReclamationMixin:
         """Start reclaiming the space of departed head ``dead_id``."""
         if not self.is_allocator() or dead_id in self._reclaimed:
             return
-        if dead_id in self._reclaim_timers:
+        if ("reclaim", dead_id) in self._awaited:
             return  # collection already under way
         if dead_id in self._absorbed_handoffs:
             self._forget_head(dead_id)   # its space is in our pool
@@ -109,9 +106,8 @@ class ReclamationMixin:
         )
         self.ctx.events.incr(cnt.EV_RECLAMATION_INITIATED)
         self._emit_reclaim(dead_id, "initiated")
-        timer = Timer(self.ctx.sim, self._conclude_reclamation)
-        timer.start(self.cfg.reclamation_window, dead_id)
-        self._reclaim_timers[dead_id] = timer
+        self._await(("reclaim", dead_id), self.cfg.reclamation_window,
+                    self._conclude_reclamation, dead_id)
 
     # ------------------------------------------------------------------
     def _handle_addr_rec(self, msg: Message) -> None:
@@ -156,9 +152,7 @@ class ReclamationMixin:
     def _drop_handed_off(self, dead_id: int) -> None:
         """Another head absorbed ``dead_id``'s hand-off: end our
         reclamation of it, and drop the replica, which is stale."""
-        timer = self._reclaim_timers.pop(dead_id, None)
-        if timer is not None:
-            timer.stop()
+        self._settle(("reclaim", dead_id))
         self._reclaim_holders.pop(dead_id, None)
         self._forget_head(dead_id)
         self._emit_reclaim(dead_id, "handed-off")
@@ -219,7 +213,6 @@ class ReclamationMixin:
         return survivors
 
     def _conclude_reclamation(self, dead_id: int) -> None:
-        self._reclaim_timers.pop(dead_id, None)
         holders = self._reclaim_holders.pop(dead_id, set())
         if self.head is None:
             return
@@ -254,9 +247,11 @@ class ReclamationMixin:
             if holder != self.node_id:
                 self._send(holder, m.REC_SYNC, {"dead_id": dead_id},
                            Category.RECLAMATION)
-        timer = Timer(self.ctx.sim, self._absorb_dead_head)
-        timer.start(1.0, dead_id)
-        self._reclaim_timers[dead_id] = timer
+        # A wait already under way (a delegation crossed our own) is
+        # disowned, not stopped: it runs out and forgets this one too.
+        self._awaited.pop(("reclaim", dead_id), None)
+        self._await(("reclaim", dead_id), 1.0, self._absorb_dead_head,
+                    dead_id)
 
     def _handle_rec_sync(self, msg: Message) -> None:
         if self.head is None:
@@ -306,7 +301,6 @@ class ReclamationMixin:
 
     def _absorb_dead_head(self, dead_id: int) -> None:
         """Take ownership of the dead head's space (single absorber)."""
-        self._reclaim_timers.pop(dead_id, None)
         if not self.is_allocator():
             return
         assert self.head is not None
@@ -374,9 +368,8 @@ class ReclamationMixin:
         self.ctx.transport.send(self.node, None, msg,
                                 category=Category.RECLAMATION,
                                 scope=Scope.FLOOD)
-        if self._self_audit_timer is None:
-            self._self_audit_timer = self._timer(self._conclude_self_audit)
-        self._self_audit_timer.start(self.cfg.reclamation_window)
+        self._await(("self_audit", None), self.cfg.reclamation_window,
+                    self._conclude_self_audit)
 
     def _handle_rec_audit(self, msg: Message) -> None:
         if not self.node.alive or not self.is_configured():

@@ -16,14 +16,14 @@ gathered into ``_handlers`` once, when the class is created, and
 ``message_types`` must handle exactly those types, or creating it (or
 a subclass) raises :class:`TypeError`.
 
-**Lifecycle.**  :meth:`Agent.on_enter` and the retry timer run one
-attempt loop: :meth:`Agent._try_configure` counts the attempt, gives
-up (``failed``) after :attr:`Agent.MAX_ATTEMPTS` and otherwise calls
-the protocol's :meth:`Agent._request`.  The agent owns the timers it
-arms through :meth:`Agent._timer` and :meth:`Agent._every` (periodic,
-first delay from :meth:`Agent._stagger`); :meth:`Agent._stop_timers`
-stops them all.  A timer keyed by a member, a dead head or a session
-lives in the protocol's own dict, and the protocol stops it.
+**Lifecycle.**  :meth:`Agent.on_enter` and the retry run one attempt
+loop: :meth:`Agent._try_configure` counts the attempt, gives up
+(``failed``) after :attr:`Agent.MAX_ATTEMPTS` and otherwise calls the
+protocol's :meth:`Agent._request`.  Every wait for a reply is an entry
+``(kind, id)`` of the record ``_awaited`` (:meth:`Agent._await`,
+:meth:`Agent._settle`); periodic checks go through :meth:`Agent._every`.
+:meth:`Agent._stop_timers` stops both but the kinds in the class's
+:attr:`Agent.SURVIVORS`.
 
 **Allocator write-through.**  ``NetworkContext.is_head`` answers from
 the set :meth:`Agent._note_allocator` writes, so every change to what
@@ -35,8 +35,8 @@ changes.  No note follows a message handler.
 
 from __future__ import annotations
 
-from typing import (Any, Callable, ClassVar, Collection, Dict, List,
-                    Optional, Tuple, Union)
+from typing import (Any, Callable, ClassVar, Collection, Dict, FrozenSet,
+                    List, Optional, Tuple)
 
 from repro.net.context import NetworkContext
 from repro.net.message import Message
@@ -44,6 +44,27 @@ from repro.net.node import Node
 from repro.net.stats import Category
 from repro.net.transport import Scope, SendOutcome
 from repro.sim.timers import PeriodicTimer, Timer
+
+#: An awaited reply: a kind and an id within it (``None``: the only one).
+AwaitKey = Tuple[str, Any]
+RETRY: AwaitKey = ("retry", None)  # a requester's wait for an answer
+
+
+class _Awaited(Timer):
+    """A one-shot timer whose expiry forgets its record entry first."""
+
+    __slots__ = ("_record", "_key")
+
+    def __init__(self, agent: Agent, key: AwaitKey,
+                 on_expire: Callable[..., Any]) -> None:
+        super().__init__(agent.ctx.sim, on_expire)
+        self._record = agent._awaited
+        self._key = key
+
+    def _fire(self, *args: Any) -> None:
+        self._handle = None
+        self._record.pop(self._key, None)
+        self._callback(*args)
 
 
 class Agent:
@@ -55,6 +76,8 @@ class Agent:
     #: Configuration attempts before :meth:`_try_configure` gives up.
     MAX_ATTEMPTS: ClassVar[int] = 8
     message_types: ClassVar[Optional[Collection[str]]] = None
+    #: Kinds of awaited reply that outlive teardown (power-off, rejoin).
+    SURVIVORS: ClassVar[FrozenSet[str]] = frozenset()
     _handlers: ClassVar[Dict[str, Callable[[Any, Message], None]]] = {}
 
     #: The node's address and the partition id its messages carry
@@ -92,8 +115,8 @@ class Agent:
         self.reconfigurations = 0
         # Lifecycle hook (set by the runner).
         self.on_configured_callback: Optional[Callable[[Any], None]] = None
-        self._timers: List[Union[Timer, PeriodicTimer]] = []
-        self._retry_timer = self._timer(self._on_retry_timeout)
+        self._timers: List[PeriodicTimer] = []
+        self._awaited: Dict[AwaitKey, _Awaited] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -159,11 +182,20 @@ class Agent:
             self.node_id, k, ctx.is_head, ctx.allocator_ids)
 
     # ------------------------------------------------------------------
-    def _timer(self, callback: Callable[..., Any]) -> Timer:
-        """A one-shot timer that :meth:`_stop_timers` stops."""
-        timer = Timer(self.ctx.sim, callback)
-        self._timers.append(timer)
-        return timer
+    def _await(self, key: AwaitKey, delay: float,
+               on_expire: Callable[..., Any], *args: Any) -> None:
+        """Await the reply ``key``: ``on_expire(*args)`` runs after
+        ``delay`` unless it is settled first.  Re-awaiting restarts."""
+        self._settle(key)
+        entry = self._awaited[key] = _Awaited(self, key, on_expire)
+        entry.start(delay, *args)
+
+    def _settle(self, key: AwaitKey) -> bool:
+        """Stop and forget the wait ``key``; whether it was armed."""
+        entry = self._awaited.pop(key, None)
+        if entry is not None:
+            entry.stop()
+        return entry is not None
 
     def _every(self, timer: Optional[PeriodicTimer], interval: float,
                callback: Callable[[], Any],
@@ -195,9 +227,6 @@ class Agent:
         if handler is not None:
             handler(self, msg)
 
-    def _on_retry_timeout(self) -> None:
-        self._try_configure()
-
     def _try_configure(self) -> None:
         """One configuration attempt, unless configured, dead or out of
         attempts (then ``failed``)."""
@@ -215,7 +244,7 @@ class Agent:
         raise NotImplementedError
 
     def _mark_configured(self, ip: int, latency_hops: int) -> None:
-        self._retry_timer.stop()
+        self._settle(RETRY)
         self.ip = ip
         self._note_allocator()
         self.configured_at = self.ctx.sim.now
@@ -248,5 +277,14 @@ class Agent:
         self.ctx.topology.remove_node(self.node)
 
     def _stop_timers(self) -> None:
+        """Settle ``RETRY``, stop the periodic timers, settle the rest."""
+        self._settle(RETRY)
         for timer in self._timers:
             timer.stop()
+        for key in self._teardown_order():
+            self._settle(key)
+
+    def _teardown_order(self) -> List[AwaitKey]:
+        """All entries but the :attr:`SURVIVORS`, in record order."""
+        survivors = self.SURVIVORS
+        return [key for key in self._awaited if key[0] not in survivors]

@@ -1,10 +1,11 @@
 """One-shot and periodic timers built on the event heap.
 
-The protocol layer uses these for the paper's named timers: the
-retransmission timer ``T_e``/``Max_r`` of network initialization, the
-quorum-adjustment timer ``T_d``, the existence-probe timer ``T_r``,
-and the periodic checks every agent arms through
-:meth:`repro.net.agent.Agent._every`.
+The protocol layer uses these for the paper's named timers: every
+wait for a reply (the retransmission timer ``T_e``/``Max_r`` of
+network initialization, the quorum-adjustment timer ``T_d``, the
+existence-probe timer ``T_r``, ...) is a one-shot entry of an agent's
+record, :meth:`repro.net.agent.Agent._await`, and the periodic checks
+are armed through :meth:`repro.net.agent.Agent._every`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ class Timer:
     """A restartable one-shot timer.
 
     ``start`` arms the timer; ``restart`` cancels and re-arms it (the
-    common "push back the deadline" pattern); ``stop`` disarms it.
+    common "push back the deadline" pattern); ``stop`` cancels it.
     """
 
     __slots__ = ("_sim", "_callback", "_handle")

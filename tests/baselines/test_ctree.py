@@ -4,6 +4,7 @@ from repro.baselines.ctree import CT_NACK, CTreeAgent, CTreeConfig
 from repro.geometry import Point
 from repro.mobility.base import Stationary
 from repro.net import Node
+from repro.net.agent import RETRY
 from repro.net.context import NetworkContext
 from repro.net.message import Message
 from repro.net.stats import Category
@@ -122,18 +123,18 @@ def test_nack_rearms_an_unconfigured_requester_at_half_its_timeout():
     ctx, (allocator, requester) = build(chain(2), cfg, enter_gap=10.0)
     ctx.sim.run(until=5.0)
     requester.on_enter()  # asks the allocator and waits config_timeout
-    assert requester._retry_timer.deadline == 5.0 + 4.0
+    assert requester._awaited[RETRY].deadline == 5.0 + 4.0
     requester.on_message(
         Message(CT_NACK, allocator.node_id, requester.node_id))
     assert requester.ip is None
-    assert requester._retry_timer.deadline == 5.0 + 4.0 * 0.5
+    assert requester._awaited[RETRY].deadline == 5.0 + 4.0 * 0.5
 
 
 def test_configured_agent_ignores_a_nack():
     ctx, (allocator, requester) = build(chain(2))
     ctx.sim.run(until=15.0)
     ip = requester.ip
-    assert ip is not None and not requester._retry_timer.armed
+    assert ip is not None and RETRY not in requester._awaited
     requester.on_message(
         Message(CT_NACK, allocator.node_id, requester.node_id))
-    assert requester.ip == ip and not requester._retry_timer.armed
+    assert requester.ip == ip and RETRY not in requester._awaited

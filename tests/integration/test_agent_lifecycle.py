@@ -8,13 +8,14 @@ agent arms is torn down at least once here.
 
 Teardown is not a rejoin: a quorum node commanded to rejoin (``MERGE_JOIN``)
 during its leave grace stops its timers but keeps the leave timer
-armed, and still leaves.
+armed, and still leaves.  Some awaited replies outlive teardown by
+design (the class's ``SURVIVORS``); which ones is pinned here too.
 """
 
 import pytest
 
 from repro.core import messages as m
-from repro.core.departure import LEAVE_GRACE
+from repro.core.departure import LEAVE, LEAVE_GRACE
 from repro.experiments.runner import PROTOCOLS
 from repro.geometry import Point
 from repro.mobility.base import Stationary
@@ -60,7 +61,8 @@ def fires_for(callback, agent):
 
 
 def live_timers(ctx, agent):
-    """The timers of ``agent`` behind a live heap entry."""
+    """What of ``agent`` is behind a live heap entry: its timers, and
+    the callbacks of it scheduled raw, with no timer."""
     found = []
     for _time, _priority, _seq, event in ctx.sim._heap:
         if not event.pending:
@@ -71,6 +73,8 @@ def live_timers(ctx, agent):
         elif isinstance(owner, _Cohort):
             timers = list(owner.members)
         else:
+            if fires_for(event.callback, agent):
+                found.append(event.callback)
             continue
         found += [timer for timer in timers
                   if fires_for(timer._callback, agent)]
@@ -125,9 +129,9 @@ def test_vanish_stops_the_self_audit():
     ctx, agents = build("quorum")
     head = next(a for a in agents if a.head is not None)
     head._initiate_self_audit()
-    assert head._self_audit_timer is not None
-    assert head._self_audit_timer.armed
+    assert ("self_audit", None) in head._awaited
     assert_vanish_stops_timers(ctx, head)
+    assert ("self_audit", None) not in head._awaited
 
 
 @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
@@ -141,16 +145,62 @@ def test_graceful_departure_stops_every_timer(protocol):
         assert_departure_stops_timers(ctx, agent)
 
 
+def rejoin(agent):
+    """Command ``agent`` to rejoin (``MERGE_JOIN``)."""
+    agent.on_message(Message(m.MERGE_JOIN, src=0, dst=agent.node_id,
+                             network_id=agent.network_id))
+
+
 def test_rejoin_during_leave_grace_keeps_the_leave_timer():
     ctx, agents = build("quorum")
     member = next(a for a in agents if a.common is not None)
     member.depart_gracefully()
-    assert member._leave_timer.armed
-    # Commanded to rejoin before the return is acknowledged.
-    member.on_message(Message(m.MERGE_JOIN, src=0, dst=member.node_id,
-                              network_id=member.network_id))
+    assert LEAVE in member._awaited
+    rejoin(member)   # before the return is acknowledged
     assert member.common is None, "the rejoin did not start"
-    assert member._leave_timer.armed
+    assert LEAVE in member._awaited
+    assert member._awaited[LEAVE] in live_timers(ctx, member)
     ctx.sim.run(until=ctx.sim.now + 2 * LEAVE_GRACE)
     assert not member.node.alive
     assert live_timers(ctx, member) == []
+
+
+def head_with_an_unacknowledged_grant():
+    """A settled chain's head that has just granted an entrant an
+    address: the grant is on its way, its acknowledgement is not."""
+    ctx, agents = build("quorum")
+    head = next(a for a in agents if a.head is not None)
+    spot = head.node.position(ctx.sim.now)
+    node = Node(CHAIN, Stationary(Point(spot.x, spot.y + 60.0)))
+    ctx.topology.add_node(node)
+    PROTOCOLS["quorum"](ctx, node).on_enter()
+    for _ in range(10_000):
+        if any(p.cfg_delivered for p in head._pending.values()):
+            break
+        ctx.sim.step()
+    (pending,) = head._pending.values()
+    assert pending.cfg_delivered
+    assert ("grant", pending.attempt_id) in head._awaited
+    return ctx, head
+
+
+def depart_then_vanish(agent):
+    agent.depart_gracefully()
+    agent.vanish()
+
+
+@pytest.mark.parametrize("teardown, kinds, raw", [
+    (lambda head: head.vanish(), {"grant"}, []),
+    # The rejoin's staggered re-entry is a raw schedule of its own.
+    (rejoin, {"grant", "handoff"}, ["_begin_attempt"]),
+    (depart_then_vanish, {"grant", "handoff", "leave"}, []),
+], ids=["vanish", "rejoin", "depart-then-vanish"])
+def test_teardown_leaves_exactly_the_survivors_armed(teardown, kinds, raw):
+    ctx, head = head_with_an_unacknowledged_grant()
+    teardown(head)
+    left = live_timers(ctx, head)
+    assert {kind for kind, _id in head._awaited} == kinds
+    assert set(head._awaited.values()) == {
+        entry for entry in left if isinstance(entry, Timer)}
+    assert [entry.__name__ for entry in left
+            if not isinstance(entry, Timer)] == raw

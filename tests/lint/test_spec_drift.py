@@ -3,13 +3,14 @@
 The protocol's transition table lives once, as ``TABLE`` in
 :mod:`repro.core.messages`; the block docs/PROTOCOL.md carries between
 its ``state-machine-table`` markers is that table rendered by
-``render_table()``.  Editing a row without regenerating the block, or
+``render_table()``, its last column the ``AWAITED`` kind of each
+request.  Editing a row without regenerating the block, or
 hand-editing the block, is drift, and this test fails on it.
 """
 
 from pathlib import Path
 
-from repro.core.messages import render_table
+from repro.core.messages import AWAITED, render_table
 from tests.lint import protocol_spec as spec
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -28,6 +29,16 @@ def test_docs_table_matches_spec():
     assert committed == render_table(), (
         "docs/PROTOCOL.md is stale: regenerate the block with "
         "repro.core.messages.render_table() (see that module's docstring)")
+
+
+def test_docs_table_names_every_awaited_reply():
+    """The table's last column is ``AWAITED``: every request shows the
+    kind of the awaited reply that closes it, and nothing else does."""
+    rows = render_table().splitlines()[2:]
+    shown = {row.split("|")[1].strip(" `"): row.split("|")[3].strip(" `")
+             for row in rows}
+    assert {mtype: kind for mtype, kind in shown.items() if kind != "—"} \
+        == AWAITED
 
 
 def test_terminal_events_are_a_subset_of_emitters():

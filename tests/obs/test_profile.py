@@ -154,3 +154,29 @@ def test_profiled_run_fires_identical_events_in_identical_order():
         return order, fired, sim.now
 
     assert drive(False) == drive(True)
+
+
+def test_awaited_replies_are_charged_to_the_protocol():
+    """An expiry fires through the agent base's record (repro.net), but
+    its cost lands on the protocol code that handles the lost reply."""
+    from repro.core.protocol import QuorumProtocolAgent
+    from repro.geometry import Point
+    from repro.mobility.base import Stationary
+    from repro.net import Node
+    from repro.net.context import NetworkContext
+
+    ctx = NetworkContext.build(seed=1, transmission_range=150.0)
+    node = Node(0, Stationary(Point(100.0, 100.0)))
+    ctx.topology.add_node(node)
+    agent = QuorumProtocolAgent(ctx, node)
+    agent._await(("td", 7), 1.0, agent._on_td_expire, 7)
+    agent._await(("vote", 3), 2.0, agent._on_vote_timeout, 3)
+    assert {package_of(entry._fire) for entry in agent._awaited.values()} \
+        == {"repro.core"}
+    profiler = SubsystemProfiler().install(ctx.sim)
+    assert ctx.sim.run(until=3.0) == 2
+    profiler.uninstall()
+    assert agent._awaited == {}
+    packages = profiler.packages()
+    assert packages["repro.core"]["events"] == 2
+    assert "repro.net" not in packages
