@@ -229,7 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_scenario_args(met_p)
     met_p.add_argument("--protocol", choices=sorted(PROTOCOLS),
                        default="quorum")
-    met_p.add_argument("--period", type=float, default=1.0, metavar="S",
+    met_p.add_argument("--metrics-period", type=float, default=1.0,
+                       metavar="S",
                        help="sampling cadence in simulated seconds "
                             "(default: %(default)s)")
     met_p.add_argument("--in", dest="infile", default=None, metavar="FILE",
@@ -507,10 +508,9 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         with open(args.infile, "r", encoding="utf-8") as fh:
             blocks = series_from_jsonl(fh.read())
     else:
-        scenario = scenario_from(
-            args, metrics=True, metrics_period=args.period)
+        scenario = scenario_from(args, metrics=True)
         result = run_scenario(scenario, protocol=args.protocol)
-        header = {"period": args.period, "protocol": args.protocol,
+        header = {"period": args.metrics_period, "protocol": args.protocol,
                   "seed": args.seed, "num_nodes": args.nodes,
                   "samples": max((len(v) for v in
                                   result.obs_metrics.values()), default=0)}

@@ -27,13 +27,10 @@ class ProtocolConfig:
             REP_ACK before initiating address reclamation for the member.
         config_timeout: per-attempt timeout for a configuration exchange
             before the requester retries.
-        config_retries: configuration attempts before giving up.
         location_update_mode: ``"periodic"`` (UPDATE_LOC whenever more
             than three hops from configurer/administrator) or
             ``"upon_leave"`` (only a RETURN_ADDR broadcast at departure)
             — the two variants contrasted in Fig. 10.
-        location_check_interval: how often a common node evaluates its
-            distance to its configurer/administrator.
         audit_interval: how often a cluster head audits QDSet liveness
             (hello-derived; the audit itself sends no messages).
         use_linear_voting: enable dynamic linear voting (Section II-D).
@@ -43,9 +40,6 @@ class ProtocolConfig:
         balance_allocators: pick the in-range allocator with the largest
             available IP block instead of the nearest (the "alternative
             to enable even distribution", Section IV-B).
-        reclamation_radius: hop radius of the scoped ADDR_REC broadcast.
-            The paper realizes reclamation "locally"; this bounds the
-            scope (a full component flood reproduces [1]-style costs).
         reclamation_window: how long the reclaimer collects REC_REP
             before absorbing unclaimed addresses.
         merge_check_interval: how often configured nodes scan hellos for
@@ -61,15 +55,12 @@ class ProtocolConfig:
     td: float = 4.0
     tr: float = 3.0
     config_timeout: float = 2.0
-    config_retries: int = 4
     location_update_mode: str = "periodic"
-    location_check_interval: float = 2.0
     audit_interval: float = 2.0
     use_linear_voting: bool = True
     borrowing_enabled: bool = True
     adjustment_enabled: bool = True
     balance_allocators: bool = False
-    reclamation_radius: int = 4
     reclamation_window: float = 5.0
     merge_check_interval: float = 2.0
     merge_detection_enabled: bool = True

@@ -18,6 +18,10 @@ from repro.net.message import Message
 from repro.net.stats import Category
 from repro.sim.timers import PeriodicTimer
 
+#: How often (seconds) a common node checks its distance to its
+#: configurer or administrator.
+LOCATION_CHECK_INTERVAL = 2.0
+
 
 class LocationMixin:
     """Periodic location tracking for configured common nodes."""
@@ -28,7 +32,7 @@ class LocationMixin:
     def _start_location_service(self) -> None:
         if self.cfg.location_update_mode != "periodic":
             return
-        interval = self.cfg.location_check_interval
+        interval = LOCATION_CHECK_INTERVAL
         self._location_timer = self._every(self._location_timer, interval,
                                            self._check_location,
                                            self._stagger(interval, 10))

@@ -41,6 +41,7 @@ from repro.quorum.replica import Replica
 from repro.quorum.voting import Vote, VoteCollector
 
 MAX_ADDRESS_RETRIES = 3  # candidate addresses per configuration attempt
+CONFIG_RETRIES = 4  # x max_r x 4 attempts before an agent reports failed
 DRY_BANKRUPTCY_THRESHOLD = 12  # dry NACKs before re-founding the network
 CONFLICT_TS = 1 << 30  # synthetic timestamp of a cross-owner conflict veto
 
@@ -189,7 +190,7 @@ class QuorumProtocolAgent(
     def _begin_attempt(self) -> None:
         if not self.node.alive or self.is_configured():
             return
-        if self.attempts >= self.cfg.config_retries * self.cfg.max_r * 4:
+        if self.attempts >= CONFIG_RETRIES * self.cfg.max_r * 4:
             # Flag persistent trouble for the metrics, but keep trying:
             # a node stuck behind a partition storm eventually succeeds.
             self.failed = True

@@ -46,6 +46,11 @@ from repro.addrspace.records import AddressRecord, AddressStatus
 from repro.obs import events as obs_ev
 from repro.perf import counters as cnt
 
+#: Hop radius of the scoped ADDR_REC broadcast.  The paper realizes
+#: reclamation "locally"; this bounds the scope (a full component flood
+#: reproduces [1]-style costs).
+RECLAMATION_RADIUS = 4
+
 
 class ReclamationMixin:
     """ADDR_REC / REC_REP handling and space absorption."""
@@ -102,7 +107,7 @@ class ReclamationMixin:
         # explores the reclamation-radius ring, not the whole component.
         self.ctx.transport.send(
             self.node, None, msg, category=Category.RECLAMATION,
-            scope=Scope.FLOOD, max_hops=self.cfg.reclamation_radius,
+            scope=Scope.FLOOD, max_hops=RECLAMATION_RADIUS,
         )
         self.ctx.events.incr(cnt.EV_RECLAMATION_INITIATED)
         self._emit_reclaim(dead_id, "initiated")

@@ -32,7 +32,7 @@ graph library on the hot path — and, since the scale rework, on
     the order ``networkx.single_source_shortest_path_length``
     produced.  Callers that only need a ``k``-hop neighborhood (QDSet
     discovery: 3, HELLO scans: 2, reclamation floods:
-    ``reclamation_radius``) pass ``max_hops`` and the search stops at
+    ``RECLAMATION_RADIUS``) pass ``max_hops`` and the search stops at
     that level.  Maps are
     memoized per source until the graph *changes* (a refresh that
     finds nothing moved keeps the memo — the graph is identical, so

@@ -1,11 +1,15 @@
 """MANETconf baseline: full replication, universal assent."""
 
+import pytest
+
 from repro.baselines.manetconf import ManetconfAgent, ManetconfConfig
 from repro.geometry import Point
 from repro.mobility.base import Stationary
 from repro.net import Node
 from repro.net.context import NetworkContext
 from repro.net.stats import Category
+
+from tests.helpers import sends_from
 
 
 def build(positions, cfg=None, enter_gap=5.0):
@@ -98,3 +102,24 @@ def test_network_id_shared():
     ctx, agents = build(chain(4))
     ctx.sim.run(until=70.0)
     assert len({a.network_id for a in agents}) == 1
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4 step 2 (every reply "
+                   "the protocol waits for): the session wait survives "
+                   "power-off (ManetconfAgent.SURVIVORS)")
+def test_an_initiator_powered_off_mid_session_sends_nothing():
+    ctx, agents = build(chain(4))
+    ctx.sim.run(until=30.0)
+    # Node 1 left silently, so the session waits out its reply timeout.
+    agents[1].vanish()
+    node = Node(4, Stationary(Point(580, 500)))
+    ctx.topology.add_node(node)
+    ManetconfAgent(ctx, node, agents[0].cfg).on_enter()
+    deadline = ctx.sim.now + 1.0
+    while ctx.sim.now < deadline and not any(a._sessions for a in agents):
+        ctx.sim.run(until=ctx.sim.now + 0.001)
+    (initiator,) = [agent for agent in agents if agent._sessions]
+    sent = sends_from(ctx, initiator.node_id)
+    initiator.vanish()
+    ctx.sim.run(until=ctx.sim.now + 2 * initiator.cfg.reply_timeout)
+    assert sent == []

@@ -1,4 +1,5 @@
-"""Message dispatch is a per-class dict derived from ``messages.TABLE``.
+"""Message dispatch is a per-class dict derived from ``messages.TABLE``'s
+message rows.
 
 The agent base, ``repro.net.agent.Agent``, gathers ``_handle_<mtype>``
 methods into ``cls._handlers`` when a class is created;
@@ -27,9 +28,9 @@ def handler_names(cls):
 
 
 def test_every_row_has_its_handler_and_every_handler_a_row():
-    assert set(QuorumProtocolAgent._handlers) == set(m.TABLE)
+    assert set(QuorumProtocolAgent._handlers) == set(m.ALL_TYPES)
     assert handler_names(QuorumProtocolAgent) == {
-        f"_handle_{mtype.lower()}" for mtype in m.TABLE}
+        f"_handle_{mtype.lower()}" for mtype in m.ALL_TYPES}
     for mtype, handler in QuorumProtocolAgent._handlers.items():
         assert handler is getattr(QuorumProtocolAgent,
                                   f"_handle_{mtype.lower()}")

@@ -1,14 +1,23 @@
-"""Head-level exchanges that lose one named message (Sections IV-B and
-IV-C-2): a head proposal whose ``CH_CNF`` never arrives, and a hand-off
-whose ``CH_RETURN`` or ``CH_RETURN_ACK`` never arrives.  Each must
-leave the space in exactly one pool."""
+"""Head-level exchanges that lose one named message (Sections IV-B,
+IV-C-2 and IV-D): a head proposal whose ``CH_CNF`` never arrives, a
+hand-off whose ``CH_RETURN`` or ``CH_RETURN_ACK`` never arrives, and a
+reclamation whose ``REC_DELEGATE`` never arrives.  Each must leave the
+space in exactly one pool, and no wait acts for a powered-off head."""
+
+import dataclasses
+
+import pytest
 
 from repro.cluster.roles import Role
 from repro.core import ProtocolConfig
 from repro.core import messages as m
 from repro.net.message import Message
 
-from tests.helpers import add_node, line_agents, make_ctx, positions_cluster
+from tests.helpers import (add_node, line_agents, make_ctx,
+                           positions_cluster, sends_from)
+
+#: What the strict xfails below wait for.
+STEP_2 = "ROADMAP item 4 step 2 (every reply the protocol waits for)"
 
 
 def drop(agents, mtype):
@@ -151,3 +160,50 @@ def test_rejoin_hands_over_the_block_of_an_open_proposal():
     assert set(block.addresses()) <= handed
     assert all(configurer.head.pool.owns(address)
                for address in block.addresses())
+
+
+@pytest.mark.xfail(strict=True, reason=f"{STEP_2}: REC_DELEGATE has no "
+                   "closer; the initiator marks the dead head reclaimed")
+def test_dropped_rec_delegate_still_gets_the_space_absorbed():
+    ctx = make_ctx()
+    cfg = lossy_departure_cfg()
+    # Node 0, the lowest-id replica holder, does not probe its QDSet, so
+    # the other survivor initiates and delegates the absorption to it.
+    quiet = dataclasses.replace(cfg, adjustment_enabled=False)
+    coordinates = [(100.0 + 120.0 * i, y) for y in (500.0, 560.0)
+                   for i in range(7)]
+    agents = []
+    for node_id, (x, y) in enumerate(coordinates):
+        agents.append(add_node(ctx, node_id, x, y,
+                               cfg=quiet if node_id == 0 else cfg))
+        ctx.sim.schedule(5.0 * node_id + 0.1, agents[-1].on_enter)
+    ctx.sim.run(until=200.0)
+    victim, space = departing_head(agents, 1)
+    dropped = drop(agents, m.REC_DELEGATE)
+    victim.vanish()
+    ctx.sim.run(until=ctx.sim.now + 30.0)
+    assert [(msg.src, msg.dst) for msg in dropped] == [(6, 0)]
+    held = owners(agents, space)
+    assert all(len(heads) == 1 for heads in held.values()), held
+
+
+@pytest.mark.xfail(strict=True, reason=f"{STEP_2}: the grant wait "
+                   "survives power-off (QuorumProtocolAgent.SURVIVORS)")
+def test_an_undelivered_grant_is_not_rolled_back_from_a_dead_head():
+    ctx = make_ctx()
+    cfg = ProtocolConfig(address_space_bits=6)
+    head = line_agents(ctx, 4, cfg=cfg)[0]   # heads at 0 and 3
+    ctx.sim.run(until=80.0)
+    requester = add_node(ctx, 50, 5000.0, 500.0, cfg=cfg)   # no route
+    head.on_message(Message(m.COM_REQ, src=requester.node_id,
+                            dst=head.node_id, payload={"seq": 1, "lat": 0}))
+    deadline = ctx.sim.now + cfg.config_timeout
+    while (ctx.sim.now < deadline
+           and not any(kind == "grant" for kind, _id in head._awaited)):
+        ctx.sim.run(until=ctx.sim.now + 0.01)
+    (pending,) = head._pending.values()
+    assert not pending.cfg_delivered
+    sent = sends_from(ctx, head.node_id)
+    head.vanish()
+    ctx.sim.run(until=ctx.sim.now + 4 * cfg.config_timeout + 1.0)
+    assert sent == []

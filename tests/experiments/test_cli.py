@@ -137,7 +137,7 @@ def test_rejected_input_is_a_usage_error_naming_the_field(
     ["figure", "fig05", "--metrics-period", "0"],
     ["figure", "fig04", "--faults", "loss=2"],
     ["sweep", "--nodes", "10", "0"],
-    ["metrics", "--period", "0"],
+    ["metrics", "--metrics-period", "0"],
 ], ids=["figure", "fig04", "sweep", "metrics"])
 def test_every_subcommand_rejects_bad_input_before_running(argv, capsys):
     with pytest.raises(SystemExit) as exit_info:

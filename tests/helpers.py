@@ -7,7 +7,7 @@ line of nodes spaced one hop apart is enough to exercise role decisions
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.core.config import ProtocolConfig
 from repro.core.protocol import QuorumProtocolAgent
@@ -82,6 +82,22 @@ def passes_over(timer: PeriodicTimer) -> bool:
     left it parked."""
     return (timer._parked and timer._sim.park_gate()
             and timer._parked)
+
+
+def sends_from(ctx: NetworkContext, node_id: int) -> List[str]:
+    """Record the type of every message ``node_id`` hands the transport
+    from now on; return the list they are recorded in."""
+    sent: List[str] = []
+    send = ctx.transport.send
+
+    def recording(src: Node, dst: Optional[Node], msg: Any,
+                  **kwargs: Any) -> Any:
+        if src.node_id == node_id:
+            sent.append(msg.mtype)
+        return send(src, dst, msg, **kwargs)
+
+    ctx.transport.send = recording
+    return sent
 
 
 def assert_unique_addresses(agents: Sequence[QuorumProtocolAgent]) -> None:

@@ -4,18 +4,21 @@ This module is pure data: the declarative statement of what the
 implementation is *allowed* to do, checked by the rules
 (:mod:`tests.lint.rules`).
 
-The protocol's **state machine** — for each message, the types its
-handler may emit — is *not* here: it is ``TABLE`` in
-:mod:`repro.core.messages`, the one table dispatch, the docs and the
+The protocol's **input table** — for each message and each other input
+of the agent, what its closure may send, what the message's sender
+awaits and which spans the input ends — is *not* here: it is ``TABLE``
+in :mod:`repro.core.messages`, the one table dispatch, the docs and the
 ``state-machine`` rule all derive from.  The rule reads its rows from
 that module's parsed source (:data:`MESSAGES_MODULE`,
 :data:`MESSAGES_TABLE`); the rules import nothing from the program.
 
-Two families of facts live here:
+Three families of facts live here:
 
-* **Observability** (:data:`EVENT_EMITTERS`, :data:`TERMINAL_PATHS`) —
-  which module may construct each of the 18 typed obs events, and
-  which *terminal* events each protocol terminal path must emit.
+* **Observability** (:data:`EVENT_EMITTERS`) — which module may
+  construct each of the 18 typed obs events.
+
+* **Awaited replies** (:data:`UNAWAITED_SENDS`) — the sends of an
+  awaited request that arm nothing, each with its reason.
 
 * **Determinism** (:data:`STREAM_OWNERS`, :data:`GENERATOR_FLOWS`,
   :data:`CACHE_KEY_SINKS`) plus the :data:`LAYERS` DAG.
@@ -27,8 +30,8 @@ from typing import Dict, FrozenSet, Tuple
 
 #: Module anchors used by the rules to resolve references.
 MESSAGES_MODULE = "repro.core.messages"
-#: The transition table in that module: a dict literal whose keys are
-#: message constants and whose values are tuples of them.
+#: The input table in that module: a dict literal whose keys are
+#: message constants or method names and whose values are ``Row(...)``s.
 MESSAGES_TABLE = "TABLE"
 EVENTS_MODULE = "repro.obs.events"
 COUNTERS_MODULE = "repro.perf.counters"
@@ -39,9 +42,19 @@ RNG_MODULE = "repro.sim.rng"
 #: constructions (broadcast floods) are detected structurally.
 SEND_HELPERS: FrozenSet[str] = frozenset({"_send", "_send_with_retry"})
 
-#: Packages whose ``_handle_*`` methods the state-machine rule governs.
+#: Packages whose agents' inputs the state-machine rule governs.
 STATE_MACHINE_PACKAGES: FrozenSet[str] = frozenset(
     {"repro.core", "repro.quorum"})
+
+#: ``(method, message)``: a request with an ``awaited`` kind that this
+#: method sends without arming it, because the sender keeps no state
+#: the reply would settle.
+UNAWAITED_SENDS: Dict[Tuple[str, str], str] = {
+    ("_relay_or_nack", "COM_REQ"):
+        "a dry head relays the request; the requester's retry closes it",
+    ("_return_resources_for_rejoin", "RETURN_ADDR"):
+        "a rejoining node returns its address and leaves either way",
+}
 
 
 def _fs(*names: str) -> FrozenSet[str]:
@@ -73,33 +86,6 @@ EVENT_EMITTERS: Dict[str, FrozenSet[str]] = {
     "ReclamationEvent": _fs("repro.core.reclamation"),
     "PartitionEvent": _fs("repro.core.partition"),
 }
-
-#: The set of event classes that end an allocation span, in the events
-#: module: ``TERMINAL_ETYPES = frozenset({X.etype, ...})``, each element
-#: naming class ``X``.  The obs-coverage rule reads it from that module's
-#: parsed source, as the state-machine rule reads :data:`MESSAGES_TABLE`.
-TERMINAL_SET = "TERMINAL_ETYPES"
-
-#: For each terminal code path, the terminal events its closure must
-#: emit — exactly these, no more, no fewer.  Closures legitimately
-#: reach more than one terminal when a path has a failure fallback
-#: (commit aborts when the owner is unreachable; a vote timeout aborts
-#: the attempt it times out).
-TERMINAL_PATHS: Dict[str, FrozenSet[str]] = {
-    "repro.core.protocol.QuorumProtocolAgent._commit":
-        _fs("ConfigCommitted", "ConfigAborted"),
-    "repro.core.protocol.QuorumProtocolAgent._abort_attempt":
-        _fs("ConfigAborted"),
-    "repro.core.protocol.QuorumProtocolAgent._on_retry_timeout":
-        _fs("ConfigTimeout", "ConfigCompleted"),
-    "repro.core.protocol.QuorumProtocolAgent._on_vote_timeout":
-        _fs("VoteTimeout", "ConfigAborted"),
-    "repro.core.protocol.QuorumProtocolAgent._handle_com_cfg":
-        _fs("ConfigCompleted"),
-    "repro.core.protocol.QuorumProtocolAgent._handle_ch_cfg":
-        _fs("ConfigCompleted"),
-}
-
 
 # ---------------------------------------------------------------------------
 # Determinism: named RNG stream ownership and legal generator flows.

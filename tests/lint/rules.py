@@ -41,7 +41,8 @@ inferred at check time.
 from __future__ import annotations
 
 import ast
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List,
+                    Optional, Set, Tuple, TypeVar)
 
 from tests.lint import protocol_spec as spec
 from tests.lint.core import FileContext, Finding, dotted_source
@@ -320,58 +321,6 @@ def direct_sends(info: FunctionInfo, mod: ModuleInfo) -> Dict[str, int]:
     return sends
 
 
-class _Dispatch:
-    """Self-call resolution including the subclass 'bounce'.
-
-    ``self.method()`` inside a mix-in dispatches, at runtime, on the
-    composed agent class.  Resolution therefore first walks the
-    defining class's own bases, then falls back to any scanned class
-    that (transitively) inherits the defining class.
-    """
-
-    def __init__(self, graph: ProjectGraph) -> None:
-        self.graph = graph
-        self._subclasses: Optional[
-            Dict[str, List[Tuple[ModuleInfo, ClassInfo]]]] = None
-
-    def _subclass_map(self) -> Dict[str, List[Tuple[ModuleInfo, ClassInfo]]]:
-        if self._subclasses is None:
-            out: Dict[str, List[Tuple[ModuleInfo, ClassInfo]]] = {}
-            for mod in self.graph.modules.values():
-                for cls in mod.classes.values():
-                    for ancestor in self._ancestors(mod, cls):
-                        out.setdefault(ancestor, []).append((mod, cls))
-            self._subclasses = out
-        return self._subclasses
-
-    def _ancestors(self, mod: ModuleInfo, cls: ClassInfo,
-                   _seen: Optional[Set[str]] = None) -> Set[str]:
-        seen = _seen if _seen is not None else set()
-        for base in cls.bases:
-            located = self.graph.class_of_target(base)
-            if located is None:
-                continue
-            base_mod, base_cls = located
-            key = f"{base_mod.name}.{base_cls.name}"
-            if key in seen:
-                continue
-            seen.add(key)
-            self._ancestors(base_mod, base_cls, _seen=seen)
-        return seen
-
-    def resolve(self, mod: ModuleInfo, cls: ClassInfo,
-                method: str) -> Optional[Tuple[ModuleInfo, FunctionInfo]]:
-        found = self.graph.method_lookup(mod, cls, method)
-        if found is not None:
-            return found
-        key = f"{mod.name}.{cls.name}"
-        for sub_mod, sub_cls in self._subclass_map().get(key, ()):
-            found = self.graph.method_lookup(sub_mod, sub_cls, method)
-            if found is not None:
-                return found
-        return None
-
-
 def _event_calls(nodes: List[ast.AST],
                  mod: ModuleInfo) -> Iterator[Tuple[str, ast.Call]]:
     """``(event class name, call)`` for every obs event constructed
@@ -393,111 +342,80 @@ def direct_emits(info: FunctionInfo, mod: ModuleInfo) -> Dict[str, int]:
     return emits
 
 
+Found = TypeVar("Found")
+
+
 def closure(graph: ProjectGraph, mod: ModuleInfo, cls: ClassInfo,
             method: str,
-            visit: Callable[[FunctionInfo, ModuleInfo], Dict[str, int]],
-            dispatch: Optional[_Dispatch] = None) -> Dict[str, int]:
+            visit: Callable[[FunctionInfo, ModuleInfo], Iterable[Found]],
+            ) -> Set[Found]:
     """What ``visit`` (:func:`direct_sends`, :func:`direct_emits`) finds
-    in ``method`` and every ``self.`` helper it transitively reaches ->
-    line (the visitor's own line inside the entry method; finds in
-    helpers anchor to the entry method's definition line)."""
-    dispatch = dispatch if dispatch is not None else _Dispatch(graph)
-    entry = dispatch.resolve(mod, cls, method)
-    if entry is None:
-        return {}
-    entry_line = getattr(entry[1].node, "lineno", 1)
-    found: Dict[str, int] = {}
+    in ``method`` of ``cls`` and every ``self.`` helper it transitively
+    reaches, each ``self.`` call resolved on ``cls`` (so a mix-in's call
+    dispatches on the agent composed of it)."""
+    found: Set[Found] = set()
     visited: Set[int] = set()
-    stack: List[Tuple[ModuleInfo, FunctionInfo]] = [entry]
-    first = True
+    stack = [method]
     while stack:
-        cur_mod, cur_info = stack.pop()
-        if id(cur_info) in visited:
+        located = graph.method_lookup(mod, cls, stack.pop())
+        if located is None or id(located[1]) in visited:
             continue
-        visited.add(id(cur_info))
-        for name, lineno in visit(cur_info, cur_mod).items():
-            found.setdefault(name, lineno if first else entry_line)
-        for callee in sorted(cur_info.self_calls):
-            located = dispatch.resolve(mod, cls, callee)
-            if located is not None:
-                stack.append(located)
-        first = False
+        visited.add(id(located[1]))
+        found.update(visit(located[1], located[0]))
+        stack += sorted(located[1].self_calls)
     return found
 
 
-def transition_table(mod: ModuleInfo) -> Optional[Dict[str, Set[str]]]:
-    """``received type -> sendable constant names`` from the messages
-    module's ``TABLE = {CONSTANT: (CONSTANT, ...), ...}`` literal;
-    ``None`` when it is missing or a row has any other shape."""
+def _cells(expr: ast.expr, mod: ModuleInfo) -> Optional[FrozenSet[str]]:
+    """The names one cell of the messages module's table holds: a string
+    literal, a message constant, an obs event class, or a tuple of them."""
+    names: Set[str] = set()
+    for item in expr.elts if isinstance(expr, ast.Tuple) else [expr]:
+        dotted = dotted_source(item)
+        resolved = (mod.resolve(dotted) if dotted else None) or ""
+        if isinstance(item, ast.Constant) and isinstance(item.value, str):
+            names.add(item.value)
+        elif isinstance(item, ast.Name) and item.id in mod.constants:
+            names.add(item.id)
+        elif resolved.startswith(spec.EVENTS_MODULE + "."):
+            names.add(resolved.rpartition(".")[2])
+        else:
+            return None
+    return frozenset(names)
+
+
+_ROW_FIELDS = ("sends", "awaited", "ends")
+
+
+def input_table(
+        mod: ModuleInfo) -> Optional[Dict[str, Dict[str, FrozenSet[str]]]]:
+    """``input -> {field: names}`` for the fields ``sends``, ``awaited``
+    and ``ends`` of the messages module's ``TABLE = {KEY: Row(sends=(
+    CONSTANT, ...), awaited="kind", ends=(ev.Event, ...)), ...}``, a key
+    being a message constant or a method name; ``None`` when it is
+    missing or a row has any other shape."""
     literal = mod.assignments.get(spec.MESSAGES_TABLE)
     if not isinstance(literal, ast.Dict):
         return None
-    table: Dict[str, Set[str]] = {}
+    table: Dict[str, Dict[str, FrozenSet[str]]] = {}
     for key, row in zip(literal.keys, literal.values):
-        if not isinstance(row, ast.Tuple):
+        name = None if key is None else _cells(key, mod)
+        if (name is None or len(name) != 1 or not isinstance(row, ast.Call)
+                or dotted_source(row.func) != "Row" or row.args):
             return None
-        cells = [key, *row.elts]
-        names = [cell.id for cell in cells
-                 if isinstance(cell, ast.Name) and cell.id in mod.constants]
-        if len(names) != len(cells):
+        cells = {kw.arg: _cells(kw.value, mod) for kw in row.keywords}
+        if None in cells.values() or not set(cells) <= set(_ROW_FIELDS):
             return None
-        table[mod.constants[names[0]]] = set(names[1:])
+        table[min(name)] = {field: cells.get(field) or frozenset()
+                            for field in _ROW_FIELDS}
     return table
 
-
-# ---------------------------------------------------------------------------
-# state-machine
-# ---------------------------------------------------------------------------
-
-def state_machine(graph: ProjectGraph) -> Iterator[Hit]:
-    """Message handlers send only the message types the protocol's
-    transition table allows in response to the message they handle."""
-    messages = graph.module(spec.MESSAGES_MODULE)
-    if messages is None:
-        return
-    table = transition_table(messages)
-    if table is None:
-        yield (messages.ctx, messages.ctx.tree,
-               f"{spec.MESSAGES_MODULE}.{spec.MESSAGES_TABLE} must be a "
-               f"dict literal mapping each message constant to a tuple of "
-               f"message constants; the rule cannot read it otherwise")
-        return
-    dispatch = _Dispatch(graph)
-    for mod_name in sorted(graph.modules):
-        mod = graph.modules[mod_name]
-        if mod.package not in spec.STATE_MACHINE_PACKAGES:
-            continue
-        for cls_name in sorted(mod.classes):
-            cls = mod.classes[cls_name]
-            for method in sorted(cls.methods):
-                if not method.startswith("_handle_"):
-                    continue
-                mtype = method[len("_handle_"):].upper()
-                # A handler without a row cannot be dispatched to:
-                # creating the agent class fails first (see
-                # repro.net.agent.Agent).
-                allowed = table.get(mtype)
-                if allowed is None:
-                    continue
-                sends = closure(graph, mod, cls, method, direct_sends,
-                                dispatch=dispatch)
-                for sent in sorted(set(sends) - allowed):
-                    yield (mod.ctx, cls.methods[method].node,
-                           f"{cls_name}.{method} may send {sent}, which "
-                           f"the state machine does not allow in "
-                           f"response to {mtype} (allowed: "
-                           f"{', '.join(sorted(allowed)) or 'none'})")
-
-
-# ---------------------------------------------------------------------------
-# obs-coverage
-# ---------------------------------------------------------------------------
 
 def terminal_events(mod: ModuleInfo) -> Optional[Set[str]]:
     """Event class names in the events module's
     ``TERMINAL_ETYPES = frozenset({X.etype, ...})`` literal; ``None``
     when it is missing or an element is not ``<class of the module>.etype``."""
-    literal = mod.assignments.get(spec.TERMINAL_SET)
+    literal = mod.assignments.get("TERMINAL_ETYPES")
     if (isinstance(literal, ast.Call) and len(literal.args) == 1
             and not literal.keywords
             and dotted_source(literal.func) == "frozenset"):
@@ -515,10 +433,171 @@ def terminal_events(mod: ModuleInfo) -> Optional[Set[str]]:
     return names
 
 
+def await_calls(info: FunctionInfo) -> List[ast.Call]:
+    """The ``self._await(key, ...)`` calls of a function: each arms one
+    awaited reply (:class:`repro.net.agent.Agent`)."""
+    return [node for node in info.nodes if isinstance(node, ast.Call)
+            and dotted_source(node.func) == "self._await" and node.args]
+
+
+def _key_kind(graph: ProjectGraph, mod: ModuleInfo,
+              key: ast.expr) -> Optional[str]:
+    """The kind of an ``_await`` key: a ``("kind", id)`` literal, or a
+    name bound to one in this module or the module it is imported from."""
+    literal: Optional[ast.expr] = key
+    if isinstance(key, ast.Name):
+        literal = mod.assignments.get(key.id)
+        origin = mod.imports.resolve(key.id)
+        if literal is None and origin is not None:
+            owner = graph.module_of_target(origin)
+            if owner is not None:
+                literal = owner.assignments.get(origin.rpartition(".")[2])
+    if (isinstance(literal, ast.Tuple) and literal.elts
+            and isinstance(literal.elts[0], ast.Constant)
+            and isinstance(literal.elts[0].value, str)):
+        return literal.elts[0].value
+    return None
+
+
+def agent_classes(graph: ProjectGraph, cls: ClassInfo) -> List[ClassInfo]:
+    """``cls`` and every scanned class it inherits, mix-ins included."""
+    found: List[ClassInfo] = []
+    stack = [cls]
+    while stack:
+        cur = stack.pop()
+        if all(cur is not seen for seen in found):
+            found.append(cur)
+            stack += [located[1] for located in map(graph.class_of_target,
+                                                    cur.bases) if located]
+    return found
+
+
+def entry_points(classes: List[ClassInfo]) -> List[str]:
+    """The inputs of an agent composed of ``classes``: the message
+    handlers, the public surface, and every method referenced as
+    ``self.<method>`` without being called there (a callback)."""
+    methods = {name for cls in classes for name in cls.methods}
+    entries = {name for name in methods
+               if name.startswith("_handle_") or not name.startswith("_")}
+    for cls in classes:
+        for info in cls.methods.values():
+            called = {id(node.func) for node in info.nodes
+                      if isinstance(node, ast.Call)}
+            entries |= {node.attr for node in info.nodes
+                        if isinstance(node, ast.Attribute)
+                        and id(node) not in called
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id == "self"
+                        and node.attr in methods}
+    return sorted(entries)
+
+
+# ---------------------------------------------------------------------------
+# state-machine
+# ---------------------------------------------------------------------------
+
+def state_machine(graph: ProjectGraph) -> Iterator[Hit]:
+    """Every input of a protocol agent that sends or ends a span has its
+    row in the input table, and the input's closure keeps to it: it
+    sends only what the row allows, ends exactly the spans the row
+    names, and arms the ``awaited`` kind of every request it sends
+    (:data:`~tests.lint.protocol_spec.UNAWAITED_SENDS` excepted).
+
+    An agent is a class of the governed packages that no class there
+    inherits; its inputs are :func:`entry_points`."""
+    messages = graph.module(spec.MESSAGES_MODULE)
+    if messages is None:
+        return
+    table = input_table(messages)
+    if table is None:
+        yield (messages.ctx, messages.ctx.tree,
+               f"{spec.MESSAGES_MODULE}.{spec.MESSAGES_TABLE} must be a "
+               f"dict literal mapping each message constant or method name "
+               f"to Row(sends=(...), awaited='kind', ends=(...)) over "
+               f"message constants and {spec.EVENTS_MODULE} classes; the "
+               f"rule cannot read it otherwise")
+        return
+    events = graph.module(spec.EVENTS_MODULE)
+    terminals = set() if events is None else terminal_events(events)
+    if events is not None and terminals is None:
+        yield (events.ctx, events.ctx.tree,
+               f"{spec.EVENTS_MODULE}.TERMINAL_ETYPES must be "
+               f"frozenset({{X.etype, ...}}) over this module's event "
+               f"classes; the rule cannot read it otherwise")
+        return
+
+    def conduct(info: FunctionInfo, mod: ModuleInfo) -> Set[Tuple[str, str]]:
+        sent = direct_sends(info, mod)
+        method = getattr(info.node, "name", "")
+        kinds = [_key_kind(graph, mod, call.args[0])
+                 for call in await_calls(info)]
+        return ({("sends", name) for name in sent}
+                | {("requests", name) for name in sent
+                   if (method, name) not in spec.UNAWAITED_SENDS}
+                | {("ends", name) for name in direct_emits(info, mod)
+                   if name in (terminals or ())}
+                | {("awaits", kind) for kind in kinds if kind})
+
+    governed = [(mod, cls) for mod in graph.modules.values()
+                if mod.package in spec.STATE_MACHINE_PACKAGES
+                for cls in mod.classes.values()]
+    inherited = {id(base) for mod, cls in governed
+                 for base in agent_classes(graph, cls)[1:]}
+    inputs: Set[str] = set()
+    for mod, cls in governed:
+        if id(cls) in inherited:
+            continue
+        for method in entry_points(agent_classes(graph, cls)):
+            found = closure(graph, mod, cls, method, conduct)
+            done = {tag: {name for each, name in found if each == tag}
+                    for tag in ("sends", "requests", "ends", "awaits")}
+            handler = method.startswith("_handle_")
+            key = method[len("_handle_"):].upper() if handler else method
+            inputs.add(key)
+            located = graph.method_lookup(mod, cls, method)
+            assert located is not None    # each input is a method of cls
+            hit = (located[0].ctx, located[1].node)
+            where = f"{cls.name}.{method}"
+            row = table.get(key)
+            if row is None:
+                # A handler without a row cannot be dispatched to:
+                # creating the agent class fails first (see
+                # repro.net.agent.Agent).
+                if not handler and (done["sends"] or done["ends"]):
+                    yield (*hit, f"{where} sends or ends a span but has no "
+                           f"row in {spec.MESSAGES_MODULE}."
+                           f"{spec.MESSAGES_TABLE}")
+                continue
+            allowed = ", ".join(sorted(row["sends"])) or "none"
+            for sent in sorted(done["sends"] - row["sends"]):
+                yield (*hit, f"{where} may send {sent}, which the state "
+                       f"machine does not allow in response to {key} "
+                       f"(allowed: {allowed})")
+            for missing in sorted(row["ends"] - done["ends"]):
+                yield (*hit, f"{where} never emits {missing}, which its row "
+                       f"says it ends")
+            for extra in sorted(done["ends"] - row["ends"]):
+                yield (*hit, f"{where} emits {extra}, which its row does "
+                       f"not say it ends")
+            for request in sorted(done["requests"] & set(table)):
+                for kind in sorted(table[request]["awaited"]
+                                   - done["awaits"]):
+                    yield (*hit, f"{where} sends {request} without "
+                           f"awaiting {kind!r}")
+    for key in sorted(set(table) - set(messages.constants) - inputs):
+        yield (messages.ctx, messages.assignments[spec.MESSAGES_TABLE],
+               f"{spec.MESSAGES_TABLE} row {key!r} is no input of any "
+               f"agent; delete it")
+
+
+# ---------------------------------------------------------------------------
+# obs-coverage
+# ---------------------------------------------------------------------------
+
 def obs_coverage(graph: ProjectGraph) -> Iterator[Hit]:
-    """Obs events are constructed only by their declared modules, every
-    event type has an emitter, and terminal paths emit exactly their
-    assigned terminal events."""
+    """Obs events are constructed only by their declared modules, and
+    every event type has an emitter.  (Which spans each protocol input
+    ends is its row's ``ends``, which ``state-machine`` checks.)"""
     events_module = spec.EVENTS_MODULE
     constructed: Dict[str, Set[str]] = {}
     for mod_name in sorted(graph.modules):
@@ -546,40 +625,6 @@ def obs_coverage(graph: ProjectGraph) -> Iterator[Hit]:
                    f"event {event} is never emitted by any scanned "
                    f"module (declared emitters: "
                    f"{', '.join(sorted(spec.EVENT_EMITTERS[event]))})")
-    if events_mod is None:
-        return
-    terminals = terminal_events(events_mod)
-    if terminals is None:
-        yield (events_mod.ctx, events_mod.ctx.tree,
-               f"{events_module}.{spec.TERMINAL_SET} must be "
-               f"frozenset({{X.etype, ...}}) over this module's event "
-               f"classes; the rule cannot read it otherwise")
-        return
-    dispatch = _Dispatch(graph)
-    for qualname in sorted(spec.TERMINAL_PATHS):
-        expected = spec.TERMINAL_PATHS[qualname]
-        located = graph.class_of_target(qualname)
-        if located is None:
-            continue
-        mod, cls = located
-        method = qualname.rsplit(".", 1)[1]
-        info = cls.methods.get(method)
-        if info is None:
-            yield (mod.ctx, cls.node,
-                   f"terminal path {qualname} listed in the spec does "
-                   f"not exist; update tests/lint/protocol_spec.py")
-            continue
-        emitted = closure(graph, mod, cls, method, direct_emits,
-                          dispatch=dispatch)
-        terminal = {e for e in emitted if e in terminals}
-        for missing in sorted(expected - terminal):
-            yield (mod.ctx, info.node,
-                   f"terminal path {cls.name}.{method} never emits "
-                   f"{missing} (required by the emission map)")
-        for extra in sorted(terminal - expected):
-            yield (mod.ctx, info.node,
-                   f"terminal path {cls.name}.{method} emits {extra}, "
-                   f"which the emission map does not assign to it")
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Positive/negative fixtures for the six cross-module rules.
+"""Positive/negative fixtures for the five cross-module rules.
 
 Each test writes a tmp ``src/repro/...`` tree shaped like the real
 checkout and runs one rule over it via the shared ``tree`` fixture.
@@ -11,7 +11,7 @@ def rules_of(findings):
     return sorted({f.rule for f in findings})
 
 
-# The state-machine rule reads the transition table from the *parsed*
+# The state-machine rule reads the input table from the *parsed*
 # repro.core.messages module of the tree it lints, so every fixture
 # tree carries its own.  The rows are a slice of the real table.
 MESSAGES = """\
@@ -24,12 +24,12 @@ MESSAGES = """\
     QUORUM_UPD = "QUORUM_UPD"
 
     TABLE = {
-        COM_REQ: (QUORUM_CLT,),
-        QUORUM_CLT: (QUORUM_CFM,),
-        QUORUM_CFM: (QUORUM_UPD, COM_CFG),
-        QUORUM_UPD: (),
-        COM_CFG: (COM_ACK, COM_DECLINE),
-        COM_ACK: (),
+        COM_REQ: Row(sends=(QUORUM_CLT,)),
+        QUORUM_CLT: Row(sends=(QUORUM_CFM,)),
+        QUORUM_CFM: Row(sends=(QUORUM_UPD, COM_CFG)),
+        QUORUM_UPD: Row(),
+        COM_CFG: Row(sends=(COM_ACK, COM_DECLINE)),
+        COM_ACK: Row(),
     }
     """
 
@@ -104,7 +104,7 @@ def test_state_machine_reads_rows_from_the_linted_tree(tree):
     # tree's table says QUORUM_CLT answers nothing, and the tree's table
     # is the one that counts.
     write_messages(tree, MESSAGES.replace(
-        "QUORUM_CLT: (QUORUM_CFM,),", "QUORUM_CLT: (),"))
+        "QUORUM_CLT: Row(sends=(QUORUM_CFM,)),", "QUORUM_CLT: Row(),"))
     tree.write("src/repro/core/agent.py", """\
         import repro.core.messages as m
 
@@ -122,7 +122,7 @@ def test_state_machine_reads_rows_from_the_linted_tree(tree):
 def test_state_machine_flags_unreadable_table(tree):
     # A row the rule cannot read syntactically must not pass silently.
     write_messages(tree, MESSAGES.replace(
-        "QUORUM_UPD: (),", "QUORUM_UPD: frozenset(),"))
+        "QUORUM_UPD: Row(),", "QUORUM_UPD: frozenset(),"))
     findings = tree.findings(rules.state_machine)
     assert len(findings) == 1
     assert "TABLE must be a dict literal" in findings[0].message
@@ -154,6 +154,109 @@ def test_state_machine_ignores_packages_outside_protocol(tree):
                 self._send(msg.src, m.COM_REQ)
         """)
     assert tree.findings(rules.state_machine) == []
+
+
+def test_state_machine_flags_an_input_with_no_row(tree):
+    # A method handed out as a callback is an input of the agent too:
+    # one that sends needs a row, keyed by its name.
+    write_messages(tree)
+    tree.write("src/repro/core/agent.py", """\
+        import repro.core.messages as m
+
+        class Agent:
+            def on_enter(self):
+                self._every(1.0, self._poll)
+
+            def _poll(self):
+                self._send(0, m.QUORUM_UPD)
+        """)
+    assert [f.message for f in tree.findings(rules.state_machine)] == [
+        "Agent._poll sends or ends a span but has no row in "
+        "repro.core.messages.TABLE"]
+    write_messages(tree, MESSAGES.replace(
+        "    }", '        "_poll": Row(sends=(QUORUM_UPD,)),\n    }'))
+    assert tree.findings(rules.state_machine) == []
+
+
+def test_state_machine_flags_a_row_no_input_has(tree):
+    write_messages(tree, MESSAGES.replace(
+        "    }", '        "_gone": Row(),\n    }'))
+    findings = tree.findings(rules.state_machine)
+    assert [f.message for f in findings] == [
+        "TABLE row '_gone' is no input of any agent; delete it"]
+    assert findings[0].path == "src/repro/core/messages.py"
+
+
+# The rule reads the terminal events from the *parsed* repro.obs.events
+# module of the tree it lints (each ``X.etype`` element of
+# TERMINAL_ETYPES names class X).  Here COM_CFG's row ends
+# ConfigCompleted, which a helper of its handler emits.
+EVENTS = """\
+    class ConfigAborted:
+        etype = "config.abort"
+
+    class ConfigCompleted:
+        etype = "config.complete"
+
+    TERMINAL_ETYPES = frozenset({ConfigCompleted.etype, ConfigAborted.etype})
+    """
+
+ENDS_EXACT = """\
+    import repro.core.messages as m
+    import repro.obs.events as ev
+
+    class Agent:
+        def _handle_com_cfg(self, msg):
+            self._finish(msg)
+            self._send(msg.src, m.COM_ACK)
+
+        def _finish(self, msg):
+            self.bus.emit(ev.ConfigCompleted(t=0.0, node=0))
+    """
+
+
+def span_findings(tree, events=EVENTS, agent=ENDS_EXACT):
+    ended = MESSAGES.replace("COM_CFG: Row(sends=(COM_ACK, COM_DECLINE))",
+                             "COM_CFG: Row(sends=(COM_ACK,), "
+                             "ends=(ev.ConfigCompleted,))")
+    write_messages(tree, "    import repro.obs.events as ev\n" + ended)
+    tree.write("src/repro/obs/events.py", events)
+    tree.write("src/repro/core/agent.py", agent)
+    return [f.message for f in tree.findings(rules.state_machine)]
+
+
+# The terminal-path tests keep the obs-coverage names they had before
+# the check became part of each row's ``ends``.
+def test_obs_coverage_terminal_path_clean_when_exact(tree):
+    # The handler's closure emits exactly the terminal its row ends.
+    assert span_findings(tree) == []
+
+
+def test_obs_coverage_checks_terminal_path_emissions(tree):
+    # Ending the span with ConfigAborted instead is one missing and one
+    # extra terminal event.
+    assert sorted(span_findings(tree, agent=ENDS_EXACT.replace(
+        "ConfigCompleted", "ConfigAborted"))) == [
+        "Agent._handle_com_cfg emits ConfigAborted, which its row does "
+        "not say it ends",
+        "Agent._handle_com_cfg never emits ConfigCompleted, which its row "
+        "says it ends"]
+
+
+def test_state_machine_reads_terminal_events_from_the_linted_tree(tree):
+    # With ConfigCompleted left out of this tree's terminal set, the
+    # handler ends one span too few.
+    assert span_findings(tree, events=EVENTS.replace(
+        "ConfigCompleted.etype, ", "")) == [
+        "Agent._handle_com_cfg never emits ConfigCompleted, which its row "
+        "says it ends"]
+
+
+def test_state_machine_flags_unreadable_terminal_set(tree):
+    findings = span_findings(tree, events=EVENTS.replace(
+        "ConfigAborted.etype", '"config.abort"'))
+    assert len(findings) == 1
+    assert "TERMINAL_ETYPES must be" in findings[0]
 
 
 # ---------------------------------------------------------------------------
@@ -201,117 +304,6 @@ def test_obs_coverage_reports_never_emitted_events(tree):
                  if "event ConfigCommitted" in f.message]
     # The anchor is the class definition when the class exists.
     assert committed and committed[0].line == 1
-
-
-# The obs-coverage rule reads the terminal events from the *parsed*
-# repro.obs.events module of the tree it lints (each ``X.etype`` element
-# of TERMINAL_ETYPES names class X), so the terminal-path fixtures carry
-# their own.
-EVENTS = """\
-    class ConfigCommitted:
-        etype = "config.commit"
-
-    class ConfigAborted:
-        etype = "config.abort"
-
-    class ConfigCompleted:
-        etype = "config.complete"
-
-    class ConfigTimeout:
-        etype = "config.timeout"
-
-    class VoteTimeout:
-        etype = "vote.timeout"
-
-    TERMINAL_ETYPES = frozenset({
-        ConfigCompleted.etype, ConfigCommitted.etype, ConfigAborted.etype,
-        ConfigTimeout.etype, VoteTimeout.etype,
-    })
-    """
-
-
-def terminal_path_findings(tree):
-    return [f for f in tree.findings(rules.obs_coverage)
-            if "never emitted by any scanned module" not in f.message]
-
-
-def test_obs_coverage_checks_terminal_path_emissions(tree):
-    # _abort_attempt must emit exactly {ConfigAborted}; emitting
-    # ConfigCompleted instead is one missing + one extra finding.
-    tree.write("src/repro/obs/events.py", EVENTS)
-    tree.write("src/repro/core/protocol.py", """\
-        import repro.obs.events as ev
-
-        class QuorumProtocolAgent:
-            def _abort_attempt(self, bus):
-                bus.emit(ev.ConfigCompleted(t=0.0, node=0))
-        """)
-    findings = [f for f in terminal_path_findings(tree)
-                if "_abort_attempt" in f.message]
-    messages = sorted(f.message for f in findings)
-    assert len(findings) == 2
-    assert "never emits ConfigAborted" in messages[1]
-    assert "emits ConfigCompleted" in messages[0]
-
-
-TERMINAL_PATHS_EXACT = """\
-        import repro.obs.events as ev
-
-        class QuorumProtocolAgent:
-            def _commit(self, bus, ok):
-                if ok:
-                    bus.emit(ev.ConfigCommitted(t=0.0, node=0))
-                else:
-                    self._abort_attempt(bus, "x")
-
-            def _abort_attempt(self, bus, reason):
-                bus.emit(ev.ConfigAborted(t=0.0, node=0, reason=reason))
-
-            def _on_retry_timeout(self, bus, late):
-                if late:
-                    bus.emit(ev.ConfigCompleted(t=0.0, node=0))
-                else:
-                    bus.emit(ev.ConfigTimeout(t=0.0, node=0))
-
-            def _on_vote_timeout(self, bus):
-                bus.emit(ev.VoteTimeout(t=0.0, node=0))
-                self._abort_attempt(bus, "vote-timeout")
-
-            def _handle_com_cfg(self, bus, msg):
-                bus.emit(ev.ConfigCompleted(t=0.0, node=0))
-
-            def _handle_ch_cfg(self, bus, msg):
-                bus.emit(ev.ConfigCompleted(t=0.0, node=0))
-        """
-
-
-def test_obs_coverage_terminal_path_clean_when_exact(tree):
-    # Every terminal path the spec assigns, emitting exactly its
-    # assigned terminal set.
-    tree.write("src/repro/obs/events.py", EVENTS)
-    tree.write("src/repro/core/protocol.py", TERMINAL_PATHS_EXACT)
-    assert terminal_path_findings(tree) == []
-
-
-def test_obs_coverage_reads_terminal_events_from_the_linted_tree(tree):
-    # With VoteTimeout left out of this tree's terminal set, the vote
-    # timeout path emits one terminal too few.
-    tree.write("src/repro/obs/events.py", EVENTS.replace(
-        " VoteTimeout.etype,", ""))
-    tree.write("src/repro/core/protocol.py", TERMINAL_PATHS_EXACT)
-    assert [f.message for f in terminal_path_findings(tree)] == [
-        "terminal path QuorumProtocolAgent._on_vote_timeout never emits "
-        "VoteTimeout (required by the emission map)"]
-
-
-def test_obs_coverage_flags_unreadable_terminal_set(tree):
-    tree.write("src/repro/obs/events.py", EVENTS.replace(
-        "ConfigTimeout.etype,", '"config.timeout",'))
-    tree.write("src/repro/core/protocol.py", TERMINAL_PATHS_EXACT)
-    findings = terminal_path_findings(tree)
-    assert len(findings) == 1
-    assert "TERMINAL_ETYPES must be" in findings[0].message
-    assert findings[0].path == "src/repro/obs/events.py"
 
 
 # ---------------------------------------------------------------------------

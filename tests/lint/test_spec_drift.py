@@ -1,16 +1,16 @@
 """The committed docs and spec must match what they are derived from.
 
-The protocol's transition table lives once, as ``TABLE`` in
+The protocol's input table lives once, as ``TABLE`` in
 :mod:`repro.core.messages`; the block docs/PROTOCOL.md carries between
 its ``state-machine-table`` markers is that table rendered by
-``render_table()``, its last column the ``AWAITED`` kind of each
-request.  Editing a row without regenerating the block, or
-hand-editing the block, is drift, and this test fails on it.
+``render_table()``, one line per row.  Editing a row without
+regenerating the block, or hand-editing the block, is drift, and this
+test fails on it.
 """
 
 from pathlib import Path
 
-from repro.core.messages import AWAITED, render_table
+from repro.core.messages import TABLE, render_table
 from tests.lint import protocol_spec as spec
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -32,13 +32,14 @@ def test_docs_table_matches_spec():
 
 
 def test_docs_table_names_every_awaited_reply():
-    """The table's last column is ``AWAITED``: every request shows the
-    kind of the awaited reply that closes it, and nothing else does."""
+    """The table's third column is each row's ``awaited``: every request
+    shows the kind of the awaited reply that closes it, and nothing
+    else does."""
     rows = render_table().splitlines()[2:]
     shown = {row.split("|")[1].strip(" `"): row.split("|")[3].strip(" `")
              for row in rows}
-    assert {mtype: kind for mtype, kind in shown.items() if kind != "—"} \
-        == AWAITED
+    assert {key: kind for key, kind in shown.items() if kind != "—"} == {
+        key: row.awaited for key, row in TABLE.items() if row.awaited}
 
 
 def test_terminal_events_are_a_subset_of_emitters():
@@ -47,10 +48,10 @@ def test_terminal_events_are_a_subset_of_emitters():
                 if cls.etype in ev.TERMINAL_ETYPES}
     assert len(terminal) == len(ev.TERMINAL_ETYPES)
     assert terminal <= set(spec.EVENT_EMITTERS)
-    for path, terminals in spec.TERMINAL_PATHS.items():
-        assert terminals <= terminal, (
-            f"{path} assigned non-terminal events "
-            f"{sorted(terminals - terminal)}")
+    for key, row in TABLE.items():
+        ends = {event.__name__ for event in row.ends}
+        assert ends <= terminal, (
+            f"row {key} ends non-terminal events {sorted(ends - terminal)}")
 
 
 def test_spec_events_match_obs_module():
