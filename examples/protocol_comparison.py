@@ -9,9 +9,9 @@ overhead, and departure overhead.
 
 The runs fan out over the parallel sweep executor
 (`repro.experiments.sweep`), so this example doubles as a smoke test of
-it: per-protocol wall-clock comes from the executor's per-cell timings,
-and re-running with `--cache DIR` serves every cell from the on-disk
-result cache.
+it: per-protocol wall-clock comes from each cell's compute time, the
+totals from folding the cells into a `SweepSummary`, and re-running
+with `--cache DIR` serves every cell from the on-disk result cache.
 
 Run:
     python examples/protocol_comparison.py [num_nodes] [seed]
@@ -19,12 +19,12 @@ Run:
 """
 
 import argparse
-import os
+import time
 
 from repro import Scenario
 from repro.experiments import format_table
 from repro.experiments.runner import PROTOCOLS as _REGISTRY
-from repro.experiments.sweep import RunSpec, SweepExecutor
+from repro.experiments.sweep import RunSpec, SweepExecutor, SweepSummary
 
 PROTOCOLS = sorted(_REGISTRY)
 
@@ -33,8 +33,8 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("num_nodes", type=int, nargs="?", default=80)
     parser.add_argument("seed", type=int, nargs="?", default=1)
-    parser.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                        help="worker processes (default: every core)")
+    parser.add_argument("--workers", type=int, default=0,
+                        help="worker processes (default: 0, every core)")
     parser.add_argument("--cache", default=None, metavar="DIR",
                         help="cache run results under DIR")
     args = parser.parse_args()
@@ -49,20 +49,22 @@ def main() -> None:
     executor = SweepExecutor(workers=args.workers, cache_dir=args.cache)
     print(f"running {len(specs)} protocols "
           f"on {executor.workers} worker(s) ...")
-    report = executor.run(specs)
-
+    started = time.perf_counter()
+    summary = SweepSummary()
     rows = []
-    for spec, result, elapsed, hit in zip(
-            report.specs, report.results, report.durations, report.cached):
+    for cell in executor.run(specs):
+        summary.fold(cell)
+        result = cell.result
         rows.append([
-            spec.protocol,
+            cell.spec.protocol,
             f"{100 * result.configuration_success_rate():.0f} %",
             round(result.avg_config_latency_hops(), 1),
             round(result.config_overhead_per_node(), 1),
             round(result.departure_overhead_per_departure(), 1),
             round(result.reclamation_overhead(), 1),
-            "cache hit" if hit else f"{elapsed:.2f}s",
+            "cache hit" if cell.cached else f"{cell.duration:.2f}s",
         ])
+    wall_s = time.perf_counter() - started
 
     print()
     print(f"=== {args.num_nodes} nodes, 1 km^2, tr=150 m, 20 m/s, "
@@ -73,10 +75,9 @@ def main() -> None:
          "wall clock"],
         rows,
     ))
-    serial_s = sum(report.durations)
-    print(f"\nsweep wall clock: {report.wall_clock_s:.2f}s "
-          f"(sum of per-run compute: {serial_s:.2f}s; "
-          f"{100 * report.cache_hit_rate():.0f} % cache hits)")
+    print(f"\nsweep wall clock: {wall_s:.2f}s "
+          f"(sum of per-run compute: {summary.compute_s:.2f}s; "
+          f"{100 * summary.cache_hit_rate():.0f} % cache hits)")
     print()
     print("Expected shape (paper, Section VI): the quorum protocol")
     print("configures in fewer hops than MANETconf, with far less")

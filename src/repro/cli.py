@@ -39,7 +39,6 @@ the same semantics as the trace flags.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Any, Callable, Dict, List, Optional, TypeVar
 
@@ -189,9 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
     sw_p.add_argument("--cache", default=None, metavar="DIR",
                       help="cache run results under DIR")
     sw_p.add_argument("--out", default=None, metavar="FILE",
-                      help="write the streamed sweep summary (canonical "
-                           "JSON, byte-identical to the materialized "
-                           "aggregates) to FILE")
+                      help="write the sweep summary (canonical JSON, "
+                           "byte-identical for any --workers) to FILE")
     add_faults_arg(sw_p)
     add_trace_args(sw_p)
     add_metrics_args(sw_p)
@@ -255,7 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _checked(build: Callable[..., T], *args: Any, **kwargs: Any) -> T:
     """``build(...)`` over values the command line supplied: what
-    :class:`Scenario` or :meth:`FaultSpec.parse` refuses is a usage
+    :class:`Scenario`, :meth:`FaultSpec.parse` or
+    :class:`SweepExecutor` refuses is a usage
     error (the message names the field, exit status 2 like argparse's
     own), not a traceback."""
     try:
@@ -263,15 +262,6 @@ def _checked(build: Callable[..., T], *args: Any, **kwargs: Any) -> T:
     except ValueError as exc:
         print(f"repro: error: {exc}", file=sys.stderr)
         raise SystemExit(2) from None
-
-
-def worker_count(workers: int) -> int:
-    """``--workers`` as ``figure`` and ``sweep`` read it: ``0`` means
-    every core, and a negative count is refused."""
-    if workers < 0:
-        raise ValueError(f"--workers must be >= 0 (0 = every core), "
-                         f"got {workers}")
-    return workers or os.cpu_count() or 1
 
 
 def scenario_defaults(args: argparse.Namespace) -> Dict[str, Any]:
@@ -366,10 +356,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def sweep_executor(
-        args: argparse.Namespace,
-        progress: Optional[Callable[[int, int, Any], None]] = None,
-) -> SweepExecutor:
+def sweep_executor(args: argparse.Namespace) -> SweepExecutor:
     """The executor ``figure`` / ``sweep`` flags ask for.
 
     ``--trace-out`` / ``--metrics-out`` are executor arguments; with
@@ -377,11 +364,11 @@ def sweep_executor(
     reads no cached cell, which a note on stderr says when ``--workers``
     or ``--cache`` asked for more.
     """
-    workers = _checked(worker_count, args.workers)
-    executor = SweepExecutor(workers, args.cache, progress,
-                             trace_out=args.trace_out,
-                             metrics_out=args.metrics_out)
-    if executor.exporting and (workers != 1 or executor.cache is not None):
+    executor = _checked(SweepExecutor, args.workers, args.cache,
+                        trace_out=args.trace_out,
+                        metrics_out=args.metrics_out)
+    if executor.exporting and (
+            args.workers != 1 or executor.cache is not None):
         flag = "--trace-out" if args.trace_out else "--metrics-out"
         print(f"note: {flag} forces serial, uncached execution",
               file=sys.stderr)
@@ -419,22 +406,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for n in args.nodes for seed in seeds
     ]
     specs = expand_grid(args.protocols, scenarios)
+    executor = sweep_executor(args)
 
-    def progress(done: int, total: int, spec) -> None:
-        print(f"\r[{done}/{total}] {spec.protocol} "
-              f"nn={spec.scenario.num_nodes} seed={spec.scenario.seed}    ",
-              end="", file=sys.stderr, flush=True)
-
-    executor = sweep_executor(args, progress)
-
-    # Stream cells instead of materializing a SweepReport: rows and the
-    # summary fold incrementally, so a large grid never holds every
-    # RunResult at once, and --out gets the canonical streamed summary.
+    # Rows and the summary fold cell by cell, so a large grid never
+    # holds every RunResult at once; --out gets the summary's JSON.
     summary = SweepSummary()
     rows = []
-    for cell in executor.stream(specs):
+    for done, cell in enumerate(executor.run(specs), 1):
         summary.fold(cell)
         spec, result = cell.spec, cell.result
+        print(f"\r[{done}/{len(specs)}] {spec.protocol} "
+              f"nn={spec.scenario.num_nodes} seed={spec.scenario.seed}    ",
+              end="", file=sys.stderr, flush=True)
         rows.append([
             spec.protocol, spec.scenario.num_nodes, spec.scenario.seed,
             f"{100 * result.configuration_success_rate():.0f} %",
@@ -447,12 +430,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     print(format_table(
         ["protocol", "nodes", "seed", "configured", "latency (hops)",
          "config hops/node", "run"], rows))
-    counts = executor.stats.snapshot()
     print(f"\n{len(specs)} cells, workers={executor.workers}, "
           f"compute {summary.compute_s:.2f}s; "
-          f"executed={counts.get('executed', 0)} "
-          f"cache_hits={counts.get('cache_hit', 0)} "
-          f"failed={counts.get('failed', 0)} "
+          f"executed={summary.executed} cache_hits={summary.cached} "
           f"({100 * summary.cache_hit_rate():.0f} % cached)")
     span_totals = summary.obs_span_totals()
     if span_totals:

@@ -13,7 +13,6 @@ from repro.experiments.sweep import (
     RunSpec,
     SweepCell,
     SweepExecutor,
-    SweepReport,
     SweepSummary,
     derive_seeds,
     expand_grid,
@@ -32,7 +31,6 @@ __all__ = [
     "RunCache",
     "SweepCell",
     "SweepExecutor",
-    "SweepReport",
     "SweepSummary",
     "derive_seeds",
     "expand_grid",

@@ -100,7 +100,8 @@ def sweep_figure(
                 unique.setdefault(key, spec)
                 keys.append(key)
             row.append(keys)
-    results = dict(zip(unique, executor.run(list(unique.values())).results))
+    results = {key: cell.result for key, cell
+               in zip(unique, executor.run(list(unique.values())))}
 
     series: Dict[str, List[float]] = {}
     stds: Dict[str, List[float]] = {}

@@ -93,7 +93,8 @@ class Scenario:
         if min(self.area) <= 0:
             raise ValueError(
                 f"area dimensions must be positive, got {self.area}")
-        for name in ("speed_mps", "settle_time"):
+        for name in ("speed_mps", "settle_time", "depart_after",
+                     "depart_window"):
             if getattr(self, name) < 0:
                 raise ValueError(
                     f"{name} must be >= 0, got {getattr(self, name)}")

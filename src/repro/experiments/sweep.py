@@ -21,25 +21,22 @@ what any one cell computes.  Two properties guarantee that here:
 
 Typical use::
 
-    from repro.experiments.sweep import RunSpec, SweepExecutor
+    from repro.experiments.sweep import RunSpec, SweepExecutor, SweepSummary
 
     specs = [RunSpec(protocol=p, scenario=sc)
              for p in ("quorum", "manetconf") for sc in scenarios]
-    report = SweepExecutor(workers=8, cache_dir="~/.repro-cache").run(specs)
-    for spec, result in zip(specs, report.results):
-        print(spec.protocol, result.avg_config_latency_hops())
-    print(report.stats.snapshot())   # scheduled/executed/cached/failed
-
-Large grids can stream instead of materializing: iterate
-:meth:`SweepExecutor.stream` and fold each :class:`SweepCell` through
-a :class:`SweepSummary` — the folded totals are byte-identical to the
-materialized report's aggregates (``report.summary().to_json()``),
-while memory stays bounded by the not-yet-yielded cells::
-
     summary = SweepSummary()
-    for cell in SweepExecutor(workers=8).stream(specs):
+    for cell in SweepExecutor(workers=8, cache_dir="~/.repro-cache").run(specs):
+        print(cell.spec.protocol, cell.result.avg_config_latency_hops())
         summary.fold(cell)
-    print(summary.perf_totals())
+    print(summary.executed, summary.cached, summary.perf_totals())
+
+:meth:`SweepExecutor.run` yields one :class:`SweepCell` per spec,
+strictly in spec order, while later cells still execute; folding them
+through :class:`SweepSummary` keeps memory bounded by the
+not-yet-yielded cells, and the folded perf and observability totals are
+byte-identical for any worker count and any mix of fresh and cached
+cells.
 
 A figure function (:mod:`repro.experiments.figures`) hands its whole
 (curve x x-value x seed) grid to the executor it is given; given none,
@@ -52,17 +49,18 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
+import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import (
-    Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
+    Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
 )
 
 from repro.experiments.metrics import RunResult
 from repro.experiments.scenario import Scenario
 from repro.obs import merge_series
-from repro.perf import Counters
 from repro.sim.rng import spawn_key
 
 CACHE_FORMAT_VERSION = 2
@@ -162,26 +160,22 @@ def expand_grid(
 
 
 def execute_spec(spec: RunSpec, trace_out: Optional[str] = None,
-                 metrics_out: Optional[str] = None) -> RunResult:
-    """Run one spec to completion (the unit of work a worker executes);
-    the run appends its trace / metrics JSONL to ``trace_out`` /
-    ``metrics_out`` when given.
+                 metrics_out: Optional[str] = None,
+                 ) -> Tuple[RunResult, float]:
+    """Run one spec to completion (the unit of work a worker executes):
+    its result and the seconds of compute it took.  The run appends its
+    trace / metrics JSONL to ``trace_out`` / ``metrics_out`` when given.
 
     Module-level (not a method) so it pickles cleanly into
-    :class:`concurrent.futures.ProcessPoolExecutor` workers.
+    :class:`concurrent.futures.ProcessPoolExecutor` workers.  It only
+    computes: the executor stores what it returns.
     """
     from repro.experiments.runner import ScenarioRunner
 
-    return ScenarioRunner(
+    start = time.perf_counter()
+    result = ScenarioRunner(
         spec.scenario, spec.protocol, spec.protocol_config,
         trace_out=trace_out, metrics_out=metrics_out).run()
-
-
-def _execute_timed(spec: RunSpec, trace_out: Optional[str] = None,
-                   metrics_out: Optional[str] = None,
-                   ) -> Tuple[RunResult, float]:
-    start = time.perf_counter()
-    result = execute_spec(spec, trace_out, metrics_out)
     return result, time.perf_counter() - start
 
 
@@ -192,10 +186,11 @@ class RunCache:
     """Content-addressed on-disk store of serialized RunResults.
 
     One JSON file per run spec, named by :meth:`RunSpec.key`.  Writes
-    go through a temp file + rename so a killed sweep never leaves a
-    half-written entry under a valid key.  Any unreadable, unparsable
-    or version-mismatched entry is treated as a miss (and counted, so
-    sweeps can report it) — the executor then simply re-runs the cell.
+    go through a temp file of the writer's own + rename, so a killed
+    sweep never leaves a half-written entry under a valid key and two
+    processes filling one directory never share a temp file.  Any
+    unreadable, unparsable or version-mismatched entry is treated as a
+    miss — the executor then simply re-runs the cell.
     """
 
     def __init__(self, root: Union[str, Path]) -> None:
@@ -234,9 +229,11 @@ class RunCache:
             "result": result.to_dict(),
             "elapsed_s": elapsed,
         }
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(payload))
-        tmp.replace(path)
+        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
+        with os.fdopen(fd, "w") as fh:
+            fh.write(json.dumps(payload))
+        os.chmod(tmp, 0o644)  # mkstemp's 0600 would hide it from others
+        os.replace(tmp, path)
         return path
 
     def __len__(self) -> int:
@@ -244,18 +241,13 @@ class RunCache:
 
 
 # ---------------------------------------------------------------------------
-# Streaming cells and incremental aggregation
+# Cells and their one tally
 # ---------------------------------------------------------------------------
 @dataclasses.dataclass(frozen=True)
 class SweepCell:
-    """One completed sweep cell, as yielded by :meth:`SweepExecutor.stream`.
+    """One completed sweep cell, as yielded by :meth:`SweepExecutor.run`;
+    ``duration`` is seconds of compute (0.0 for cache hits)."""
 
-    ``duration`` is seconds of compute (0.0 for cache hits); ``index``
-    is the cell's position in the input spec sequence, so consumers can
-    re-align streamed cells with their grid without materializing it.
-    """
-
-    index: int
     spec: RunSpec
     result: RunResult
     duration: float
@@ -263,17 +255,15 @@ class SweepCell:
 
 
 class SweepSummary:
-    """Incrementally folded sweep aggregates.
+    """A sweep's aggregates, folded one cell at a time.
 
-    The streaming counterpart of :class:`SweepReport`'s aggregate
-    methods: feed cells one at a time through :meth:`fold` and read the
-    same totals a materialized report would produce — byte-identical,
-    not merely equal.  Folds are kept exact by construction: integer
-    counter sums are associative, histogram buckets are fixed-width
-    elementwise sums, and cells arrive in spec order both from
-    :meth:`SweepExecutor.stream` and in :meth:`SweepReport.summary`, so
-    ``json.dumps`` of the folded totals matches the materialized
-    aggregates byte for byte.
+    The one place a sweep's tallies live: feed cells through
+    :meth:`fold` (or pass them to the constructor).  Folds are exact by
+    construction: integer counter sums are associative, histogram
+    buckets are fixed-width elementwise sums, and
+    :meth:`SweepExecutor.run` yields cells in spec order, so the perf
+    and observability totals serialize byte-identically for any worker
+    count and whether a cell was computed or read from the cache.
 
     ``compute_s`` (summed wall-clock compute) is reported for humans
     but deliberately excluded from :meth:`to_dict`/:meth:`to_json`:
@@ -282,7 +272,7 @@ class SweepSummary:
     machine speed.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, cells: Iterable[SweepCell] = ()) -> None:
         self.cells = 0
         self.executed = 0
         self.cached = 0
@@ -291,6 +281,8 @@ class SweepSummary:
         self._histograms: Dict[str, List[int]] = {}
         self._spans: Dict[str, int] = {}
         self._metrics: Dict[str, List[int]] = {}
+        for cell in cells:
+            self.fold(cell)
 
     def fold(self, cell: SweepCell) -> "SweepSummary":
         """Absorb one cell; returns self for chaining."""
@@ -356,46 +348,15 @@ class SweepSummary:
 # ---------------------------------------------------------------------------
 # The executor
 # ---------------------------------------------------------------------------
-@dataclasses.dataclass
-class SweepReport:
-    """Everything a sweep produced, cell-aligned with the input specs."""
-
-    specs: List[RunSpec]
-    results: List[RunResult]
-    durations: List[float]          # seconds of compute; 0.0 for cache hits
-    cached: List[bool]              # True where the cache supplied the cell
-    stats: Counters                 # scheduled / executed / cache_hit / ...
-    wall_clock_s: float = 0.0
-
-    def cache_hit_rate(self) -> float:
-        """Fraction of cells served from cache (0.0 with no cells)."""
-        return (sum(self.cached) / len(self.cached)) if self.cached else 0.0
-
-    def summary(self) -> SweepSummary:
-        """Fold the whole report into a :class:`SweepSummary`.
-
-        Byte-identical to folding the live stream that produced this
-        report: ``report.summary().to_json()`` equals the ``to_json``
-        of a summary folded cell-by-cell during execution.
-        """
-        summary = SweepSummary()
-        for i, spec in enumerate(self.specs):
-            summary.fold(SweepCell(
-                index=i, spec=spec, result=self.results[i],
-                duration=self.durations[i], cached=self.cached[i]))
-        return summary
-
-
 class SweepExecutor:
     """Fans RunSpecs out over worker processes, with caching.
 
     Args:
-        workers: process count; ``0`` or ``1`` (the default) runs
-            serially in-process (no pool, no pickling) — the mode CI
-            and the tier-1 tests use.
+        workers: process count; ``1`` (the default) runs serially
+            in-process (no pool, no pickling) — the mode CI and the
+            tier-1 tests use — and ``0`` means every core.  A negative
+            count is refused.
         cache_dir: where to persist results; ``None`` caches nothing.
-        progress: optional callback ``(done, total, spec)`` invoked
-            after every cell completes (executed or cache hit).
         trace_out, metrics_out: files every executed run appends its
             trace / metrics JSONL to.  A run feeds them while it
             executes, so with either set every cell runs in-process,
@@ -404,7 +365,7 @@ class SweepExecutor:
             export nothing); results are still stored.
 
     Determinism: each cell's randomness is fully determined by its spec
-    (see the module docstring), and results are returned in spec order
+    (see the module docstring), and cells are yielded in spec order
     regardless of completion order, so ``run(specs)`` is bit-identical
     for any worker count.
     """
@@ -413,148 +374,69 @@ class SweepExecutor:
         self,
         workers: int = 1,
         cache_dir: Optional[Union[str, Path]] = None,
-        progress: Optional[Callable[[int, int, RunSpec], None]] = None,
         trace_out: Optional[str] = None,
         metrics_out: Optional[str] = None,
     ) -> None:
         if workers < 0:
-            raise ValueError("workers must be non-negative")
+            raise ValueError(
+                f"workers must be >= 0 (0 = every core), got {workers}")
         self.trace_out = trace_out
         self.metrics_out = metrics_out
         self.exporting = trace_out is not None or metrics_out is not None
-        self.workers = 1 if self.exporting else workers
+        self.workers = 1 if self.exporting else (
+            workers or os.cpu_count() or 1)
         self.cache = RunCache(cache_dir) if cache_dir is not None else None
-        self.progress = progress
-        self.stats = Counters()
 
-    # ------------------------------------------------------------------
-    def run(self, specs: Sequence[RunSpec]) -> SweepReport:
-        """Execute every spec (or serve it from cache); specs order kept.
+    def run(self, specs: Sequence[RunSpec]) -> Iterator[SweepCell]:
+        """Yield one cell per spec, strictly in spec order.
 
-        Materializes :meth:`stream` — same execution, same stats, with
-        every cell retained in a :class:`SweepReport`.
+        Cache lookups happen up front; pending cells execute serially
+        in-process or fan out over the worker pool, and each computed
+        cell is stored in the cache as it is yielded.  Only the
+        not-yet-yielded results are held in memory, so a consumer that
+        folds the cells through :class:`SweepSummary` can total a 10k+
+        cell sweep without keeping every RunResult.  A failing cell
+        raises here; abandoning the iterator early cancels
+        not-yet-started cells.
         """
         specs = list(specs)
-        started = time.perf_counter()
-        total = len(specs)
-
-        results: List[Optional[RunResult]] = [None] * total
-        durations: List[float] = [0.0] * total
-        cached: List[bool] = [False] * total
-        for cell in self.stream(specs):
-            results[cell.index] = cell.result
-            durations[cell.index] = cell.duration
-            cached[cell.index] = cell.cached
-
-        report = SweepReport(
-            specs=specs,
-            results=[r for r in results if r is not None],
-            durations=durations,
-            cached=cached,
-            stats=self.stats,
-            wall_clock_s=time.perf_counter() - started,
-        )
-        if len(report.results) != total:
-            # stream() raises on failure, so this is purely defensive.
-            raise RuntimeError("sweep lost results for some specs")
-        return report
-
-    def stream(self, specs: Sequence[RunSpec]) -> Iterator[SweepCell]:
-        """Yield each cell as it completes, strictly in spec order.
-
-        The streaming core of the executor: cache lookups happen up
-        front, pending cells execute serially in-process or fan out
-        over the worker pool, and completed cells are yielded in spec
-        order regardless of completion order.  A consumer that folds
-        the stream through :class:`SweepSummary` therefore computes
-        byte-identical aggregates to materializing a full
-        :class:`SweepReport` first — while holding only the
-        not-yet-yielded results in memory, which is what lets a 10k+
-        cell sweep report totals without storing every RunResult.
-
-        Abandoning the iterator early cancels not-yet-started cells.
-        """
-        specs = list(specs)
-        total = len(specs)
-        self.stats.incr("scheduled", total)
-
         read_from = None if self.exporting else self.cache
         hits: Dict[int, RunResult] = {}
-        pending: List[int] = []
-        for i, spec in enumerate(specs):
-            hit = read_from.get(spec) if read_from is not None else None
-            if hit is not None:
-                hits[i] = hit
-                self.stats.incr("cache_hit")
-            else:
-                if read_from is not None:
-                    self.stats.incr("cache_miss")
-                pending.append(i)
+        if read_from is not None:
+            for i, spec in enumerate(specs):
+                hit = read_from.get(spec)
+                if hit is not None:
+                    hits[i] = hit
+        pending = [spec for i, spec in enumerate(specs) if i not in hits]
 
         if self.workers > 1 and len(pending) > 1:
-            computed = self._parallel_iter(specs, pending)
+            computed = self._pooled(pending)
         else:
-            computed = (self._execute_one(specs[i]) for i in pending)
+            computed = (execute_spec(spec, self.trace_out, self.metrics_out)
+                        for spec in pending)
         try:
-            done = 0
             for i, spec in enumerate(specs):
                 if i in hits:
-                    cell = SweepCell(index=i, spec=spec, result=hits.pop(i),
-                                     duration=0.0, cached=True)
-                else:
-                    result, elapsed = next(computed)
-                    cell = SweepCell(index=i, spec=spec, result=result,
-                                     duration=elapsed, cached=False)
-                done += 1
-                self._report(done, total, spec)
-                yield cell
+                    yield SweepCell(spec, hits.pop(i), 0.0, cached=True)
+                    continue
+                result, elapsed = next(computed)
+                if self.cache is not None:
+                    self.cache.put(spec, result, elapsed)
+                yield SweepCell(spec, result, elapsed, cached=False)
         finally:
             computed.close()
 
-    def _parallel_iter(
-        self, specs: Sequence[RunSpec], pending: Sequence[int],
+    def _pooled(
+        self, specs: List[RunSpec],
     ) -> Iterator[Tuple[RunResult, float]]:
-        """(result, elapsed) for each pending index, in pending order.
+        """``execute_spec`` of every spec on a worker pool, in order.
 
-        All pending cells are submitted to the pool immediately;
-        results are consumed (and their future references dropped) in
-        submission order, so completed-but-unyielded cells are the only
-        extra memory.  Closing the iterator cancels unstarted futures.
+        Every spec is submitted at once and each future is dropped as
+        its result is taken; closing this iterator, or a cell that
+        raises, cancels the cells no worker has started.
         """
-        workers = min(self.workers, len(pending))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                i: pool.submit(_execute_timed, specs[i]) for i in pending
-            }
-            try:
-                for i in pending:
-                    try:
-                        result, elapsed = futures.pop(i).result()
-                    except Exception:
-                        self.stats.incr("failed")
-                        raise
-                    self.stats.incr("executed")
-                    if self.cache is not None:
-                        self.cache.put(specs[i], result, elapsed)
-                    yield result, elapsed
-            finally:
-                for future in futures.values():
-                    future.cancel()
-
-    # ------------------------------------------------------------------
-    def _execute_one(self, spec: RunSpec) -> Tuple[RunResult, float]:
+        pool = ProcessPoolExecutor(max_workers=min(self.workers, len(specs)))
         try:
-            result, elapsed = _execute_timed(
-                spec, self.trace_out, self.metrics_out)
-        except Exception:
-            self.stats.incr("failed")
-            raise
-        self.stats.incr("executed")
-        if self.cache is not None:
-            self.cache.put(spec, result, elapsed)
-        return result, elapsed
-
-    def _report(self, done: int, total: int, spec: RunSpec) -> None:
-        if self.progress is not None:
-            self.progress(done, total, spec)
-
+            yield from pool.map(execute_spec, specs)
+        finally:
+            pool.shutdown(cancel_futures=True)

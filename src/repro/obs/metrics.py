@@ -194,7 +194,7 @@ def sample_gauges(ctx: Any, metrics: MetricsRecorder) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Aggregation (the SweepSummary / SweepReport folding primitive)
+# Aggregation (the SweepSummary folding primitive)
 # ---------------------------------------------------------------------------
 def merge_series(
     base: Dict[str, List[int]],

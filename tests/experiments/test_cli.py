@@ -72,10 +72,13 @@ def test_sweep_runs_grid_and_reports_stats(capsys, tmp_path):
             "--seeds", "1", "--speed", "0", "--settle", "5",
             "--workers", "1", "--cache", str(tmp_path)]
     code = main(argv)
-    out = capsys.readouterr().out
+    captured = capsys.readouterr()
+    out = captured.out
     assert code == 0
     assert "quorum" in out and "dad" in out
     assert "executed=2" in out and "cache_hits=0" in out
+    # The progress line on stderr counts every cell, in spec order.
+    assert "[1/2] quorum" in captured.err and "[2/2] dad" in captured.err
 
     code = main(argv)  # second invocation: everything cached
     out = capsys.readouterr().out
@@ -114,14 +117,14 @@ RUN = ["run", "--settle", "5"]
     pytest.param(RUN + ["--tr", "-1"], "transmission_range", id="tr"),
     pytest.param(RUN + ["--metrics-period", "0"], "metrics_period",
                  id="metrics-period"),
-    pytest.param(["figure", "fig05", "--workers", "-1"], "--workers",
+    pytest.param(["figure", "fig05", "--workers", "-1"], "workers",
                  id="figure-workers"),
-    pytest.param(["sweep", "--nodes", "10", "--workers", "-1"], "--workers",
+    pytest.param(["sweep", "--nodes", "10", "--workers", "-1"], "workers",
                  id="sweep-workers"),
 ])
 def test_rejected_input_is_a_usage_error_naming_the_field(
         argv, named, capsys):
-    # What Scenario, FaultSpec.parse or the --workers reader refuses
+    # What Scenario, FaultSpec.parse or SweepExecutor refuses
     # ends like an argparse error — one line on stderr, status 2 — not
     # in a traceback.
     with pytest.raises(SystemExit) as exit_info:

@@ -33,6 +33,10 @@ def test_invalid_values_rejected():
         Scenario(depart_fraction=2.0)
     with pytest.raises(ValueError):
         Scenario(abrupt_probability=-0.5)
+    with pytest.raises(ValueError):
+        Scenario(depart_after=-100.0)
+    with pytest.raises(ValueError):
+        Scenario(depart_window=-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -50,6 +54,8 @@ def test_invalid_values_rejected():
      "abrupt_probability"),
     ({"hotspot": (1.0, 2.0), "hotspot_radius": 0.0}, "hotspot_radius"),
     ({"settle_time": -1.0}, "settle_time"),
+    ({"depart_fraction": 0.5, "depart_after": -8.0}, "depart_after"),
+    ({"depart_fraction": 0.5, "depart_window": -1.0}, "depart_window"),
     ({"metrics": True, "metrics_period": 0.0}, "metrics_period"),
 ]])
 def test_validation_names_bad_field(fields, named):
@@ -63,6 +69,7 @@ def test_validation_names_bad_field(fields, named):
 def test_boundary_values_are_accepted():
     Scenario(num_nodes=1, speed_mps=0.0, settle_time=0.0,
              depart_fraction=1.0, abrupt_probability=0.0,
+             depart_after=0.0, depart_window=0.0,
              uniform_arrival_fraction=0.0)
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import os
 
 import pytest
 
@@ -30,6 +31,14 @@ def tiny_specs(protocols=("quorum", "dad"), seeds=(1, 2)):
     return expand_grid(list(protocols), [tiny(seed=s) for s in seeds])
 
 
+def results(executor, specs):
+    return [cell.result for cell in executor.run(specs)]
+
+
+def cached_flags(executor, specs):
+    return [cell.cached for cell in executor.run(specs)]
+
+
 # ---------------------------------------------------------------------------
 # Spec keys
 # ---------------------------------------------------------------------------
@@ -50,7 +59,7 @@ def test_spec_key_covers_every_input():
 # RunResult serialization round-trip (the cache's correctness anchor)
 # ---------------------------------------------------------------------------
 def test_runresult_json_roundtrip_is_lossless():
-    result = execute_spec(RunSpec(
+    result, _seconds = execute_spec(RunSpec(
         "quorum", tiny(num_nodes=20, depart_fraction=0.3,
                        abrupt_probability=0.5, speed_mps=20.0,
                        settle_time=20.0)))
@@ -114,10 +123,10 @@ def test_runresult_roundtrip_covers_every_field():
 # ---------------------------------------------------------------------------
 def test_parallel_sweep_identical_to_serial():
     specs = tiny_specs()
-    serial = SweepExecutor(workers=1).run(specs)
-    parallel = SweepExecutor(workers=2).run(specs)
-    assert serial.results == parallel.results
-    assert parallel.stats.get("executed") == len(specs)
+    serial = list(SweepExecutor(workers=1).run(specs))
+    parallel = list(SweepExecutor(workers=2).run(specs))
+    assert [c.result for c in serial] == [c.result for c in parallel]
+    assert SweepSummary(parallel).executed == len(specs)
 
 
 def test_conn_label_counters_deterministic_serial_vs_parallel():
@@ -129,9 +138,9 @@ def test_conn_label_counters_deterministic_serial_vs_parallel():
                                     abrupt_probability=0.5,
                                     settle_time=20.0))
              for s in (1, 2)]
-    serial = SweepExecutor(workers=1).run(specs)
-    parallel = SweepExecutor(workers=2).run(specs)
-    for left, right in zip(serial.results, parallel.results):
+    serial = results(SweepExecutor(workers=1), specs)
+    parallel = results(SweepExecutor(workers=2), specs)
+    for left, right in zip(serial, parallel):
         assert left.perf_counters == right.perf_counters
         assert left.perf_counters.get("conn_relabels", 0) > 0
         assert left.perf_counters.get("conn_label_hits", 0) > 0
@@ -161,9 +170,14 @@ def test_derived_seeds_stable_and_distinct():
 
 def test_results_keep_spec_order():
     specs = tiny_specs(protocols=("dad", "quorum", "buddy"), seeds=(1,))
-    report = SweepExecutor(workers=3).run(specs)
-    assert [r.protocol for r in report.results] == [
-        s.protocol for s in specs]
+    assert [r.protocol for r in results(SweepExecutor(workers=3), specs)] \
+        == [s.protocol for s in specs]
+
+
+def test_workers_zero_means_every_core_and_negative_is_refused():
+    assert SweepExecutor(workers=0).workers == (os.cpu_count() or 1)
+    with pytest.raises(ValueError, match="workers"):
+        SweepExecutor(workers=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +185,8 @@ def test_results_keep_spec_order():
 # ---------------------------------------------------------------------------
 def test_cache_hit_returns_without_executing(tmp_path, monkeypatch):
     specs = tiny_specs(protocols=("quorum",), seeds=(1, 2))
-    first = SweepExecutor(workers=1, cache_dir=tmp_path).run(specs)
-    assert first.stats.get("executed") == 2
+    first = list(SweepExecutor(workers=1, cache_dir=tmp_path).run(specs))
+    assert SweepSummary(first).executed == 2
 
     # Re-running must not execute at all: poison the execution path.
     import repro.experiments.sweep as sweep_mod
@@ -180,48 +194,61 @@ def test_cache_hit_returns_without_executing(tmp_path, monkeypatch):
         raise AssertionError("cache hit must not execute the simulation")
     monkeypatch.setattr(sweep_mod, "execute_spec", boom)
 
-    again = SweepExecutor(workers=1, cache_dir=tmp_path)
-    second = again.run(specs)
-    assert second.results == first.results
-    assert second.cached == [True, True]
+    cells = list(SweepExecutor(workers=1, cache_dir=tmp_path).run(specs))
+    assert [c.result for c in cells] == [c.result for c in first]
+    assert [c.cached for c in cells] == [True, True]
+    second = SweepSummary(cells)
     assert second.cache_hit_rate() == 1.0
-    assert again.stats.get("cache_hit") == 2
-    assert again.stats.get("executed") == 0
+    assert (second.cached, second.executed) == (2, 0)
 
 
 def test_cached_results_equal_fresh_ones(tmp_path):
     specs = tiny_specs()
-    fresh = SweepExecutor(workers=2, cache_dir=tmp_path / "a").run(specs)
-    SweepExecutor(workers=2, cache_dir=tmp_path / "b").run(specs)
-    cached = SweepExecutor(workers=1, cache_dir=tmp_path / "b").run(specs)
-    assert cached.results == fresh.results
-    assert all(cached.cached)
+    fresh = results(SweepExecutor(workers=2, cache_dir=tmp_path / "a"), specs)
+    list(SweepExecutor(workers=2, cache_dir=tmp_path / "b").run(specs))
+    cells = list(SweepExecutor(workers=1, cache_dir=tmp_path / "b").run(specs))
+    assert [c.result for c in cells] == fresh
+    assert all(c.cached for c in cells)
 
 
 def test_corrupted_cache_entry_falls_back_to_rerun(tmp_path):
     specs = tiny_specs(protocols=("quorum",), seeds=(1,))
-    executor = SweepExecutor(workers=1, cache_dir=tmp_path)
-    first = executor.run(specs)
+    first = results(SweepExecutor(workers=1, cache_dir=tmp_path), specs)
 
     cache = RunCache(tmp_path)
     cache.path_for(specs[0]).write_text("{ not json")
-    rerun = SweepExecutor(workers=1, cache_dir=tmp_path).run(specs)
-    assert rerun.cached == [False]
-    assert rerun.results == first.results
+    rerun = list(SweepExecutor(workers=1, cache_dir=tmp_path).run(specs))
+    assert [c.cached for c in rerun] == [False]
+    assert [c.result for c in rerun] == first
     # ...and the re-run healed the entry.
-    healed = SweepExecutor(workers=1, cache_dir=tmp_path).run(specs)
-    assert healed.cached == [True]
+    assert cached_flags(
+        SweepExecutor(workers=1, cache_dir=tmp_path), specs) == [True]
 
 
 def test_version_mismatch_treated_as_miss(tmp_path):
     specs = tiny_specs(protocols=("dad",), seeds=(1,))
-    SweepExecutor(workers=1, cache_dir=tmp_path).run(specs)
+    list(SweepExecutor(workers=1, cache_dir=tmp_path).run(specs))
     cache = RunCache(tmp_path)
     path = cache.path_for(specs[0])
     payload = json.loads(path.read_text())
     payload["version"] = 999
     path.write_text(json.dumps(payload))
     assert cache.get(specs[0]) is None
+
+
+def test_put_writes_through_a_temp_file_of_its_own(tmp_path):
+    """Two processes filling one cache directory each write their own
+    temp file: another writer's ``<key>.tmp`` is never touched."""
+    spec = RunSpec("dad", tiny())
+    result, _seconds = execute_spec(spec)
+    cache = RunCache(tmp_path)
+    foreign = cache.path_for(spec).with_suffix(".tmp")
+    foreign.write_bytes(b"another writer's half-written entry")
+    cache.put(spec, result)
+    assert foreign.read_bytes() == b"another writer's half-written entry"
+    assert cache.get(spec) == result
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [foreign.name, cache.path_for(spec).name])
 
 
 @pytest.mark.parametrize("sink", ["trace", "metrics"])
@@ -235,7 +262,7 @@ def test_export_sink_runs_every_cell_here_and_stores_it(
     specs = expand_grid(["quorum", "dad"],
                         [tiny(seed=s, **{sink: True}) for s in (1, 2)])
     serial = tmp_path / "serial.jsonl"
-    SweepExecutor(workers=1, **{f"{sink}_out": str(serial)}).run(specs)
+    list(SweepExecutor(workers=1, **{f"{sink}_out": str(serial)}).run(specs))
     assert serial.read_bytes()
 
     def no_pool(*args, **kwargs):
@@ -247,88 +274,87 @@ def test_export_sink_runs_every_cell_here_and_stores_it(
         out.write_bytes(b"")
         executor = SweepExecutor(workers=2, cache_dir=cache,
                                  **{f"{sink}_out": str(out)})
-        report = executor.run(specs)
+        assert cached_flags(executor, specs) == [False] * len(specs)
         assert executor.workers == 1
-        assert report.cached == [False] * len(specs)
-        assert executor.stats.get("cache_hit") == 0
         assert len(RunCache(cache)) == len(specs)
         assert out.read_bytes() == serial.read_bytes()
 
 
 # ---------------------------------------------------------------------------
-# Failures and plumbing
+# Failures
 # ---------------------------------------------------------------------------
 def test_failing_run_raises_and_counts():
-    bad = RunSpec("carrier-pigeon", tiny())
-    executor = SweepExecutor(workers=1)
+    """A failing cell raises out of ``run``; the cells before it were
+    yielded and counted."""
+    summary = SweepSummary()
     with pytest.raises(ValueError):
-        executor.run([bad])
-    assert executor.stats.get("failed") == 1
+        for cell in SweepExecutor(workers=1).run(
+                [RunSpec("dad", tiny()), RunSpec("carrier-pigeon", tiny())]):
+            summary.fold(cell)
+    assert (summary.cells, summary.executed) == (1, 1)
 
 
 def test_failing_run_raises_in_parallel_mode():
-    executor = SweepExecutor(workers=2)
     with pytest.raises(ValueError):
-        executor.run([RunSpec("carrier-pigeon", tiny()),
-                      RunSpec("quorum", tiny())])
-    assert executor.stats.get("failed") == 1
-
-
-def test_progress_callback_sees_every_cell(tmp_path):
-    seen = []
-    specs = tiny_specs(protocols=("quorum",), seeds=(1, 2))
-    SweepExecutor(workers=1, cache_dir=tmp_path,
-                  progress=lambda d, t, s: seen.append((d, t))).run(specs)
-    assert seen == [(1, 2), (2, 2)]
+        list(SweepExecutor(workers=2).run([RunSpec("carrier-pigeon", tiny()),
+                                           RunSpec("quorum", tiny())]))
 
 
 # ---------------------------------------------------------------------------
-# Streaming: spec-order cells, incremental folds, byte-identity
+# Cells in spec order and the one fold
 # ---------------------------------------------------------------------------
 def test_stream_yields_cells_in_spec_order_parallel():
     specs = tiny_specs()
-    cells = list(SweepExecutor(workers=2).stream(specs))
-    assert [c.index for c in cells] == list(range(len(specs)))
+    cells = list(SweepExecutor(workers=2).run(specs))
     assert [c.spec for c in cells] == specs
-    assert [c.result for c in cells] == SweepExecutor(
-        workers=1).run(specs).results
+    assert [c.result for c in cells] == results(
+        SweepExecutor(workers=1), specs)
 
 
-def test_streamed_summary_byte_identical_to_materialized():
+def _content(summary):
+    """The summary's run-content totals: everything but the tally of
+    executed and cached cells."""
+    payload = summary.to_dict()
+    for field in ("executed", "cached", "cache_hit_rate"):
+        payload.pop(field)
+    return json.dumps(payload, sort_keys=True)
+
+
+def test_summary_byte_identical_serial_vs_parallel():
     specs = tiny_specs()
-    streamed = SweepSummary()
-    for cell in SweepExecutor(workers=1).stream(specs):
-        streamed.fold(cell)
-    materialized = SweepExecutor(workers=2).run(specs).summary()
-    assert streamed.to_json() == materialized.to_json()
+    serial = SweepSummary(SweepExecutor(workers=1).run(specs))
+    parallel = SweepSummary(SweepExecutor(workers=2).run(specs))
+    assert serial.to_json() == parallel.to_json()
+    assert serial.perf_totals()
 
 
 def test_streamed_summary_with_cache_hits_byte_identical(tmp_path):
+    """A warm cache changes the tally of executed and cached cells and
+    nothing else the summary serializes."""
     specs = tiny_specs(protocols=("quorum",), seeds=(1, 2))
-    SweepExecutor(workers=1, cache_dir=tmp_path).run(specs)  # prime
-    streamed = SweepSummary()
-    for cell in SweepExecutor(workers=1, cache_dir=tmp_path).stream(specs):
-        streamed.fold(cell)
-    assert streamed.cached == len(specs)
-    materialized = SweepExecutor(
-        workers=1, cache_dir=tmp_path).run(specs).summary()
-    assert streamed.to_json() == materialized.to_json()
+    fresh = SweepSummary(
+        SweepExecutor(workers=2, cache_dir=tmp_path).run(specs))
+    warm = SweepSummary(
+        SweepExecutor(workers=1, cache_dir=tmp_path).run(specs))
+    assert (fresh.executed, fresh.cached) == (len(specs), 0)
+    assert (warm.executed, warm.cached) == (0, len(specs))
+    assert _content(warm) == _content(fresh)
 
 
 def test_abandoned_stream_shuts_down_cleanly():
     specs = tiny_specs()
-    stream = SweepExecutor(workers=2).stream(specs)
-    first = next(stream)
-    assert first.index == 0
-    stream.close()  # must cancel the rest without hanging or raising
+    cells = SweepExecutor(workers=2).run(specs)
+    first = next(cells)
+    assert first.spec == specs[0]
+    cells.close()  # must cancel the rest without hanging or raising
 
 
-def test_stream_byte_identity_at_1000_cells(monkeypatch):
-    """The streaming contract at the scale it exists for: 1000 cells
-    through the real executor and fold machinery.  The simulation body
-    is stubbed to a cheap deterministic result — a full 1000-cell
-    protocol grid is minutes of compute, and the machinery under test
-    (ordering, folding, serialization) is identical either way."""
+def test_stream_byte_identity_at_1000_cells(monkeypatch, tmp_path):
+    """The fold at the scale it exists for: 1000 cells through the real
+    executor, fresh and then from a warm cache.  The simulation body is
+    stubbed to a cheap deterministic result — a full 1000-cell protocol
+    grid is minutes of compute, and the machinery under test (ordering,
+    caching, folding, serialization) is identical either way."""
     import repro.experiments.sweep as sweep_mod
 
     def fake(spec, trace_out=None, metrics_out=None):
@@ -340,19 +366,21 @@ def test_stream_byte_identity_at_1000_cells(monkeypatch):
             abrupt_departures=0,
             perf_counters={"bfs_calls": seed, "graph_rebuilds": seed % 7},
             obs_spans={"completed": 1 + seed % 3},
-        )
+        ), 0.0
 
     monkeypatch.setattr(sweep_mod, "execute_spec", fake)
     scenarios = [tiny(seed=s) for s in range(1, 501)]
     specs = expand_grid(["quorum", "dad"], scenarios)
     assert len(specs) == 1000
-    streamed = SweepSummary()
-    for cell in SweepExecutor(workers=1).stream(specs):
-        streamed.fold(cell)
-    materialized = SweepExecutor(workers=1).run(specs).summary()
-    assert streamed.cells == 1000
-    assert streamed.to_json() == materialized.to_json()
-    assert streamed.perf_totals()["bfs_calls"] == 2 * sum(range(1, 501))
+    fresh = SweepSummary(
+        SweepExecutor(workers=1, cache_dir=tmp_path).run(specs))
+    warm = SweepSummary(
+        SweepExecutor(workers=1, cache_dir=tmp_path).run(specs))
+    assert (fresh.cells, fresh.executed, warm.cached) == (1000, 1000, 1000)
+    assert _content(warm) == _content(fresh)
+    assert fresh.perf_totals()["bfs_calls"] == 2 * sum(range(1, 501))
+    assert fresh.obs_span_totals()["completed"] == 2 * sum(
+        1 + s % 3 for s in range(1, 501))
 
 
 def test_expand_grid_order_and_configs():

@@ -54,9 +54,10 @@ def test_serial_and_parallel_sweeps_byte_identical():
         RunSpec(protocol=proto, scenario=small_scenario(faulty_spec(s), s))
         for proto in ("quorum", "manetconf") for s in (1, 2)
     ]
-    serial = SweepExecutor(workers=1).run(specs).results
-    parallel = SweepExecutor(workers=2).run(specs).results
-    assert [payload(r) for r in serial] == [payload(r) for r in parallel]
+    serial = SweepExecutor(workers=1).run(specs)
+    parallel = SweepExecutor(workers=2).run(specs)
+    assert [payload(c.result) for c in serial] == \
+        [payload(c.result) for c in parallel]
 
 
 def test_null_spec_identical_to_no_fault_model():

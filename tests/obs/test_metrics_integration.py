@@ -99,29 +99,26 @@ def test_serial_and_parallel_metrics_sweeps_agree_exactly():
         for n in (15, 20) for s in (1, 2)
     ]
     specs = expand_grid(["quorum"], scenarios)
-    serial = SweepExecutor(workers=1).run(specs)
-    parallel = SweepExecutor(workers=2).run(specs)
-    for left, right in zip(serial.results, parallel.results):
-        assert json.dumps(left.to_dict(), sort_keys=True) == \
-            json.dumps(right.to_dict(), sort_keys=True)
-        assert left.obs_metrics
-    assert serial.summary().to_json() == parallel.summary().to_json()
+    serial = list(SweepExecutor(workers=1).run(specs))
+    parallel = list(SweepExecutor(workers=2).run(specs))
+    for left, right in zip(serial, parallel):
+        assert json.dumps(left.result.to_dict(), sort_keys=True) == \
+            json.dumps(right.result.to_dict(), sort_keys=True)
+        assert left.result.obs_metrics
+    assert SweepSummary(serial).to_json() == SweepSummary(parallel).to_json()
 
 
-def test_sweep_summary_folds_metrics_like_the_report():
+def test_sweep_summary_folds_metrics_like_merge_series():
     scenarios = [Scenario(num_nodes=12, seed=s, settle_time=5.0,
                                 metrics=True) for s in (1, 2)]
     specs = expand_grid(["quorum"], scenarios)
-    executor = SweepExecutor(workers=1)
-    report = executor.run(specs)
-    summary = SweepSummary()
-    for cell in executor.stream(specs):
-        summary.fold(cell)
+    cells = list(SweepExecutor(workers=1).run(specs))
+    summary = SweepSummary(cells)
     expected = {}
-    for result in report.results:
-        expected = merge_series(expected, result.obs_metrics)
+    for cell in cells:
+        expected = merge_series(expected, cell.result.obs_metrics)
+    assert expected
     assert summary.obs_metric_totals() == expected
-    assert report.summary().obs_metric_totals() == expected
     assert summary.to_dict()["obs_metric_totals"] == expected
 
 

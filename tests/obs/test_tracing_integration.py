@@ -6,7 +6,9 @@ import json
 
 from repro.experiments.scenario import Scenario
 from repro.experiments.runner import ScenarioRunner
-from repro.experiments.sweep import RunSpec, SweepExecutor, expand_grid
+from repro.experiments.sweep import (
+    RunSpec, SweepExecutor, SweepSummary, expand_grid,
+)
 from repro.faults import FaultSpec
 from repro.obs import (
     build_spans,
@@ -122,12 +124,12 @@ def test_serial_and_parallel_traced_sweeps_agree_exactly():
         for n in (15, 20) for s in (1, 2)
     ]
     specs = expand_grid(["quorum"], scenarios)
-    serial = SweepExecutor(workers=1).run(specs)
-    parallel = SweepExecutor(workers=2).run(specs)
-    for left, right in zip(serial.results, parallel.results):
-        assert json.dumps(left.to_dict(), sort_keys=True) == \
-            json.dumps(right.to_dict(), sort_keys=True)
-    assert serial.summary().to_json() == parallel.summary().to_json()
+    serial = list(SweepExecutor(workers=1).run(specs))
+    parallel = list(SweepExecutor(workers=2).run(specs))
+    for left, right in zip(serial, parallel):
+        assert json.dumps(left.result.to_dict(), sort_keys=True) == \
+            json.dumps(right.result.to_dict(), sort_keys=True)
+    assert SweepSummary(serial).to_json() == SweepSummary(parallel).to_json()
 
 
 def test_cache_keys_unchanged_when_tracing_is_off():
